@@ -10,22 +10,24 @@ and "inconclusive" otherwise.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, EmptyShell, GradientTooSmall, NonFiniteResult
 from .expr import CallableField, Dual, ScalarField
 from .geometry import (
+    GRADIENT_FLOOR,
     OneForm,
     contracted_form_norm,
+    gradient_data,
     magnetic_tensor,
     riemannian_gradient,
     two_form_norm,
 )
 
-GRADIENT_FLOOR = 1e-6
 MAX_ATTEMPTS_PER_SHELL = 1_000_000
 _BATCH = 50_000
 
@@ -48,13 +50,17 @@ class HypothesisProbe:
     delta_max: float = 1e-2
     samples: int = 200
     seed: int = 0
+    # shell index -> _sample_shell result, so each shell is drawn once
+    _shells: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
-        if not self.delta_min < self.delta_max:
-            raise ValueError("delta_min must be below delta_max")
-        if self.samples < 100:
-            raise ValueError("need at least 100 samples per shell")
+        if not self.radius > 0:
+            raise ValueError("radius must be positive")
+        if not 0 < self.delta_min < self.delta_max:
+            raise ValueError("need 0 < delta_min < delta_max")
+        if not (isinstance(self.samples, int) and self.samples >= 100):
+            raise ValueError("samples must be an integer of at least 100")
 
     def shell_deltas(self):
         deltas = []
@@ -74,13 +80,7 @@ class ShellRow:
     witness: list
 
     def to_dict(self):
-        return {
-            "delta": self.delta,
-            "count": self.count,
-            "max_ratio": self.max_ratio,
-            "mean_ratio": self.mean_ratio,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -94,15 +94,7 @@ class ConditionReport:
     notes: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "condition": self.condition,
-            "verdict": self.verdict,
-            "shells": [s.to_dict() for s in self.shells],
-            "bound_estimate": self.bound_estimate,
-            "witness": self.witness,
-            "witness_ratio": self.witness_ratio,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def _sample_shell(probe, delta, shell_index):
@@ -110,6 +102,7 @@ def _sample_shell(probe, delta, shell_index):
 
     Returns (points, attempts, near_zero_points); the latter are a few
     points with U below the shell floor, kept for near-locus diagnostics.
+    ``points`` is empty when no draw fell in the shell.
     """
     rng = np.random.default_rng([probe.seed, shell_index])
     n = len(probe.center)
@@ -134,9 +127,18 @@ def _sample_shell(probe, delta, shell_index):
         attempts += _BATCH
     points = (np.concatenate(accepted) if accepted
               else np.empty((0, n)))
-    if len(points) == 0:
-        raise EmptyShell(delta, attempts)
     return points[:probe.samples], attempts, near
+
+
+def _drawn_shell(probe, j):
+    """Shell j of the probe, drawn on first use and reused afterwards."""
+    if j not in probe._shells:
+        probe._shells[j] = _sample_shell(probe, probe.shell_deltas()[j], j)
+    return probe._shells[j]
+
+
+# consecutive shells whose growing maxima refute a condition
+_REFUTATION_WINDOW = 4
 
 
 def _verdict_from_shells(shells):
@@ -148,44 +150,59 @@ def _verdict_from_shells(shells):
     # shells are ordered by increasing delta; growth toward the locus means
     # growth toward the *front* of the list
     toward_locus = list(reversed(maxima))
-    for i in range(len(toward_locus) - 3):
-        window = toward_locus[i:i + 4]
+    for i in range(len(toward_locus) - _REFUTATION_WINDOW + 1):
+        window = toward_locus[i:i + _REFUTATION_WINDOW]
         increasing = all(b > a > 0 for a, b in zip(window, window[1:]))
         if increasing and window[-1] >= 10.0 * window[0]:
-            worst = shells[len(shells) - 1 - (i + 3)]
+            worst = shells[len(shells) - _REFUTATION_WINDOW - i]
             return REFUTED, worst
     if max(maxima) <= 2.0 * float(np.median(maxima)) + 1e-12:
         return CERTIFIED, None
     return INCONCLUSIVE, None
 
 
-def _shell_table(probe, ratio_fn):
-    shells = []
+def _shell_table(probe, *ratio_fns):
+    """One list of shell rows per ratio function, and the skipped deltas.
+
+    The gradient of f is evaluated once per point and shared by every
+    ratio. A shell with no sample is skipped while enough filled shells
+    remain for a refutation window; otherwise it raises EmptyShell, since
+    fewer shells would certify any ratios.
+    """
+    deltas = probe.shell_deltas()
+    drawn = [_drawn_shell(probe, j) for j in range(len(deltas))]
+    filled = sum(1 for points, _attempts, _near in drawn if len(points))
+    tables = [[] for _ in ratio_fns]
+    skipped = []
     grad_floor_hit = None
-    for j, delta in enumerate(probe.shell_deltas()):
-        points, _attempts, _near = _sample_shell(probe, delta, j)
-        ratios = np.empty(len(points))
+    for delta, (points, attempts, _near) in zip(deltas, drawn):
+        if not len(points):
+            if filled < _REFUTATION_WINDOW:
+                raise EmptyShell(delta, attempts)
+            skipped.append(float(delta))
+            continue
+        ratios = [np.empty(len(points)) for _ in ratio_fns]
         for i, x in enumerate(points):
-            df = probe.f.grad(x)
-            grad = (df if probe.metric.euclidean
-                    else probe.metric.inverse(x) @ df)
-            gnorm = math.sqrt(max(float(df @ grad), 0.0))
+            _df, grad, norm_sq = gradient_data(probe.metric, probe.f, x)
+            gnorm = math.sqrt(max(norm_sq, 0.0))
             if gnorm < GRADIENT_FLOOR:
                 grad_floor_hit = (x, gnorm)
                 continue
-            ratios[i] = ratio_fn(x, grad)
+            for column, ratio_fn in zip(ratios, ratio_fns):
+                column[i] = ratio_fn(x, grad)
         if grad_floor_hit is not None:
             x, gnorm = grad_floor_hit
             raise GradientTooSmall(tuple(x), gnorm)
-        worst = int(np.argmax(ratios))
-        shells.append(ShellRow(
-            delta=float(delta),
-            count=len(points),
-            max_ratio=float(ratios[worst]),
-            mean_ratio=float(ratios.mean()),
-            witness=[float(c) for c in points[worst]],
-        ))
-    return shells
+        for shells, column in zip(tables, ratios):
+            worst = int(np.argmax(column))
+            shells.append(ShellRow(
+                delta=float(delta),
+                count=len(points),
+                max_ratio=float(column[worst]),
+                mean_ratio=float(column.mean()),
+                witness=[float(c) for c in points[worst]],
+            ))
+    return tables, skipped
 
 
 _NOISE_RELATIVE = 1e-13
@@ -213,7 +230,7 @@ def certify_potential_condition(probe) -> ConditionReport:
                                   float(np.abs(du) @ np.abs(grad)))
         return abs(num) / u_val
 
-    shells = _shell_table(probe, ratio)
+    [shells], skipped = _shell_table(probe, ratio)
     verdict, worst = _verdict_from_shells(shells)
     report = ConditionReport(
         condition="dU(grad f) = O(U)",
@@ -221,6 +238,8 @@ def certify_potential_condition(probe) -> ConditionReport:
         shells=shells,
         bound_estimate=float(max(s.max_ratio for s in shells)),
     )
+    if skipped:
+        report.notes["empty_shells"] = skipped
     if worst is not None:
         report.witness = worst.witness
         report.witness_ratio = worst.max_ratio
@@ -236,14 +255,13 @@ def certify_magnetic_condition(probe) -> ConditionReport:
     """
     mu = probe.magnetic
     if mu is None or _is_zero_form(mu, probe.center):
-        report = ConditionReport(
+        return ConditionReport(
             condition="|iota_{grad f} d mu| = O(sqrt U)",
             verdict=CERTIFIED,
             shells=[],
             bound_estimate=0.0,
             notes={"trivial": True, "magnetic_field_on_locus": "zero"},
         )
-        return report
 
     def ratio(x, grad):
         u_val = probe.potential.eval(x)
@@ -258,15 +276,12 @@ def certify_magnetic_condition(probe) -> ConditionReport:
             return math.inf
         return two_form_norm(probe.metric, mu, x) / math.sqrt(u_val)
 
-    shells = _shell_table(probe, ratio)
-    full_shells = _shell_table(probe, full_ratio)
+    (shells, full_shells), skipped = _shell_table(probe, ratio, full_ratio)
     verdict, worst = _verdict_from_shells(shells)
     full_verdict, _full_worst = _verdict_from_shells(full_shells)
 
     # characteristic-equation diagnostics on near-locus samples
-    _points, _attempts, near = _sample_shell(probe, probe.delta_min, 0)
-    near = np.asarray(near) if len(near) else np.empty((0,
-                                                        len(probe.center)))
+    _points, _attempts, near = _drawn_shell(probe, 0)
     contracted_near = 0.0
     dmu_near_min = math.inf
     for x in near:
@@ -293,6 +308,8 @@ def certify_magnetic_condition(probe) -> ConditionReport:
             ),
         },
     )
+    if skipped:
+        report.notes["empty_shells"] = skipped
     if worst is not None:
         report.witness = worst.witness
         report.witness_ratio = worst.max_ratio
@@ -338,10 +355,8 @@ def _attach_constants(report, probe, magnetic=False):
     m_quad = 1.0
     for x in points:
         try:
-            df = probe.f.grad(x)
-            grad = (df if probe.metric.euclidean
-                    else probe.metric.inverse(x) @ df)
-            m_grad = min(m_grad, math.sqrt(max(float(df @ grad), 0.0)))
+            _df, _grad, norm_sq = gradient_data(probe.metric, probe.f, x)
+            m_grad = min(m_grad, math.sqrt(max(norm_sq, 0.0)))
             if not probe.metric.euclidean:
                 m_quad = max(m_quad, float(np.max(
                     np.linalg.eigvalsh(probe.metric.value(x)))))
@@ -393,11 +408,7 @@ class QuasiHomogeneousReport:
     witness: list | None
 
     def to_dict(self):
-        return {
-            "certified": self.certified,
-            "max_residual": self.max_residual,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 def check_quasi_homogeneous(potential, spec, samples=1000, seed=0,
@@ -433,19 +444,12 @@ class CommutationReport:
     witness: list | None
 
     def to_dict(self):
-        return {
-            "certified": self.certified,
-            "max_inner_product": self.max_inner_product,
-            "max_bracket_norm": self.max_bracket_norm,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 def _normalized_field(metric, fld):
     def vec(x):
-        df = fld.grad(x)
-        grad = df if metric.euclidean else metric.inverse(x) @ df
-        norm_sq = float(df @ grad)
+        _df, grad, norm_sq = gradient_data(metric, fld, x)
         if norm_sq < GRADIENT_FLOOR ** 2:
             raise GradientTooSmall(tuple(x), math.sqrt(max(norm_sq, 0.0)))
         return grad / norm_sq
@@ -475,19 +479,14 @@ def check_orthogonal_commuting(metric, fields, samples=None, seed=0,
     for x in samples:
         g = metric.value(x)
         grads = [riemannian_gradient(metric, fld, x) for fld in fields]
-        for i in range(len(fields)):
-            for j in range(i + 1, len(fields)):
-                inner = abs(float(grads[i] @ g @ grads[j]))
-                if inner > max_inner:
-                    max_inner = inner
-                    witness = [float(c) for c in x]
-        for i in range(len(fields)):
-            for j in range(i + 1, len(fields)):
-                bracket = _fd_lie_bracket(vecs[i], vecs[j], x, fd_step)
-                norm = float(np.linalg.norm(bracket))
-                if norm > max_bracket:
-                    max_bracket = norm
-                    witness = [float(c) for c in x]
+        for i, j in itertools.combinations(range(len(fields)), 2):
+            inner = abs(float(grads[i] @ g @ grads[j]))
+            bracket = _fd_lie_bracket(vecs[i], vecs[j], x, fd_step)
+            norm = float(np.linalg.norm(bracket))
+            if inner > max_inner or norm > max_bracket:
+                max_inner = max(max_inner, inner)
+                max_bracket = max(max_bracket, norm)
+                witness = [float(c) for c in x]
     return CommutationReport(
         certified=bool(max_inner <= inner_tol
                        and max_bracket <= bracket_tol),
@@ -529,7 +528,6 @@ class _PullbackComponent(CallableField):
                          label=f"pullback component {axis}")
 
     def _evaluate(self, coords):
-        n = self.dimension
         seeded = [
             Dual(c, (1.0 if j == self._axis else 0.0,))
             for j, c in enumerate(coords)

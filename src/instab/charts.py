@@ -26,8 +26,9 @@ from .errors import (
     OrderDependence,
     SingularJacobian,
 )
+from .geometry import gradient_data
 
-GRADIENT_FLOOR = 1e-8
+FLOW_GRADIENT_FLOOR = 1e-8
 FLOW_TOL = 1e-12
 JACOBIAN_STEP = 1e-3
 _MEMO_QUANTUM = 1e-12
@@ -40,10 +41,6 @@ class BaseSurfaceMap:
 
     components: list  # n scalar fields over the base coordinates
     box: list  # [(lo, hi)] per base coordinate
-
-    @property
-    def base_dimension(self):
-        return len(self.box)
 
     @property
     def ambient_dimension(self):
@@ -60,14 +57,8 @@ class BaseSurfaceMap:
 
 def _flow_rhs(metric, fld):
     def rhs(_t, x):
-        du = fld.grad(x)
-        if metric.euclidean:
-            grad = du
-            norm_sq = float(du @ du)
-        else:
-            grad = metric.inverse(x) @ du
-            norm_sq = float(du @ grad)
-        if norm_sq < GRADIENT_FLOOR ** 2:
+        _df, grad, norm_sq = gradient_data(metric, fld, x)
+        if norm_sq < FLOW_GRADIENT_FLOOR ** 2:
             raise GradientTooSmall(tuple(x), float(np.sqrt(norm_sq)))
         return grad / norm_sq
 
@@ -86,10 +77,6 @@ def flow_normalized_gradient(metric, fld, start, t, tol=FLOW_TOL):
     if not sol.success:
         raise IntegrationError(f"flow integration failed: {sol.message}")
     return sol.y[:, -1]
-
-
-def _axis_grid(lo, hi, count):
-    return np.linspace(lo, hi, count)
 
 
 class AdaptedChart:
@@ -156,16 +143,18 @@ class AdaptedChart:
 
     def grid(self, count=DEFAULT_GRID):
         """Cartesian sample grid over the level ranges and the base box."""
-        axes = [_axis_grid(lo, hi, count) for lo, hi in self.level_ranges]
-        axes += [_axis_grid(lo, hi, count) for lo, hi in self.psi.box]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        return _box_grid(self.level_ranges + list(self.psi.box), count)
+
+
+def _box_grid(box, count):
+    """Grid of ``count`` points per (lo, hi) interval, one point per row."""
+    axes = [np.linspace(lo, hi, count) for lo, hi in box]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 def _check_base_map(fields, psi, tol=1e-8, count=DEFAULT_GRID):
-    axes = [_axis_grid(lo, hi, count) for lo, hi in psi.box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    for y in np.stack([m.ravel() for m in mesh], axis=1):
+    for y in _box_grid(psi.box, count):
         p = psi(y)
         for fld in fields:
             value = fld.eval(p)
@@ -317,11 +306,8 @@ def pullback_metric_block_check(chart, grid_count=DEFAULT_GRID,
 def injectivity_probe(chart, grid_count=DEFAULT_GRID, min_gap=1e-10):
     """Distinct grid nodes must map to distinct ambient points."""
     points = np.array([chart.point(c) for c in chart.grid(grid_count)])
-    collisions = []
     diffs = points[:, None, :] - points[None, :, :]
     dist = np.sqrt((diffs ** 2).sum(axis=2))
     iu = np.triu_indices(len(points), k=1)
     bad = np.nonzero(dist[iu] < min_gap)[0]
-    for b in bad:
-        collisions.append((int(iu[0][b]), int(iu[1][b])))
-    return collisions
+    return [(int(iu[0][b]), int(iu[1][b])) for b in bad]

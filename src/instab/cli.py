@@ -19,7 +19,7 @@ from . import certify as certify_mod
 from . import harness
 from .charts import injectivity_probe, pullback_metric_block_check
 from .dynamics import Tolerances
-from .errors import InstabError, NoPositiveDrift, ValidationError
+from .errors import InstabError, ValidationError
 from .geometry import magnetic_tensor
 
 EXIT_OK = 0
@@ -38,7 +38,16 @@ def _load(problem_arg):
             f"no such file or corpus entry: {problem_arg}")
 
 
-def _emit(payload, out, name, fmt="json"):
+def _fail(exc):
+    """Print the error and exit 2 for invalid input, 3 otherwise."""
+    if isinstance(exc, ValidationError):
+        click.echo(json.dumps({"error": exc.problems}, sort_keys=True))
+        sys.exit(EXIT_VALIDATION)
+    click.echo(json.dumps({"error": str(exc)}, sort_keys=True))
+    sys.exit(EXIT_NUMERICAL)
+
+
+def _emit(payload, out, name):
     text = json.dumps(payload, sort_keys=True, indent=2)
     click.echo(text)
     if out:
@@ -47,20 +56,14 @@ def _emit(payload, out, name, fmt="json"):
             fh.write(text + "\n")
 
 
-def _tolerances(tol_abs, tol_rel):
-    return Tolerances(abs=tol_abs, rel=tol_rel)
+def _out(fn):
+    return click.option("--out", type=click.Path(), default=None,
+                        help="directory for report artifacts")(fn)
 
 
-def _common(fn):
-    fn = click.option("--out", type=click.Path(), default=None,
-                      help="directory for report artifacts")(fn)
-    fn = click.option("--seed", type=int, default=0)(fn)
+def _tolerances(fn):
     fn = click.option("--tol-abs", type=float, default=1e-10)(fn)
-    fn = click.option("--tol-rel", type=float, default=1e-10)(fn)
-    fn = click.option("--format", "fmt",
-                      type=click.Choice(["json", "csv"]),
-                      default="json")(fn)
-    return fn
+    return click.option("--tol-rel", type=float, default=1e-10)(fn)
 
 
 @click.group()
@@ -74,34 +77,26 @@ def main():
 @click.option("--shells", type=str, default=None,
               help="potential shell range as delta_min:delta_max")
 @click.option("--samples", type=int, default=None)
-@_common
-def certify_cmd(problem, radius, shells, samples, out, seed,
-                tol_abs, tol_rel, fmt):
+@click.option("--seed", type=int, default=0)
+@_out
+def certify_cmd(problem, radius, shells, samples, seed, out):
     """Certify the potential and magnetic hypotheses of a problem."""
+    settings = {}
+    if radius is not None:
+        settings["radius"] = radius
+    if samples is not None:
+        settings["samples"] = samples
     try:
         definition = _load(problem)
-    except ValidationError as exc:
-        click.echo(json.dumps({"error": exc.problems}, sort_keys=True))
-        sys.exit(EXIT_VALIDATION)
-    kwargs = dict(definition.probe)
-    if radius is not None:
-        kwargs["radius"] = radius
-    if shells is not None:
-        lo, hi = shells.split(":")
-        kwargs["delta_min"] = float(lo)
-        kwargs["delta_max"] = float(hi)
-    if samples is not None:
-        kwargs["samples"] = samples
-    try:
-        probe = certify_mod.HypothesisProbe(
-            metric=definition.metric,
-            potential=definition.potential,
-            f=definition.f,
-            magnetic=definition.magnetic,
-            center=definition.center,
-            seed=seed,
-            **kwargs,
-        )
+        if shells is not None:
+            try:
+                lo, hi = (float(v) for v in shells.split(":"))
+            except ValueError:
+                raise ValidationError(
+                    f"--shells must be delta_min:delta_max, got {shells!r}")
+            settings.update(delta_min=lo, delta_max=hi)
+        probe = harness.certification_probe(definition, seed=seed,
+                                            **settings)
         potential_report = certify_mod.certify_potential_condition(probe)
         magnetic_report = certify_mod.certify_magnetic_condition(probe)
         payload = {
@@ -118,23 +113,12 @@ def certify_cmd(problem, radius, shells, samples, out, seed,
                 .check_quasi_homogeneous(definition.potential, spec,
                                          seed=seed).to_dict()
     except InstabError as exc:
-        click.echo(json.dumps({"error": str(exc)}, sort_keys=True))
-        sys.exit(EXIT_NUMERICAL)
-    _emit(payload, out, f"certify-{definition.name}", fmt)
+        _fail(exc)
+    _emit(payload, out, f"certify-{definition.name}")
     expected = definition.labels.get("certification")
-    if expected is not None:
-        got = potential_report.verdict
-        if definition.magnetic is not None \
-                and magnetic_report.verdict == "refuted":
-            got = "refuted"
-        if got != expected:
-            sys.exit(EXIT_MISMATCH)
-    sys.exit(EXIT_OK)
-
-
-def _parse_eps(text):
-    values = tuple(float(v) for v in text.split(","))
-    return values
+    got = harness.certification_verdict(
+        definition, potential_report.verdict, magnetic_report.verdict)
+    sys.exit(EXIT_MISMATCH if expected not in (None, got) else EXIT_OK)
 
 
 @main.command("sweep")
@@ -142,28 +126,27 @@ def _parse_eps(text):
 @click.option("--eps", type=str, default=None,
               help="comma-separated decreasing epsilon list")
 @click.option("--t", "--T", "horizon", type=float, default=None)
-@_common
-def sweep_cmd(problem, eps, horizon, out, seed, tol_abs, tol_rel, fmt):
+@click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
+              default="json", help="csv also writes one file per run")
+@click.option("--seed", type=int, default=0)
+@_tolerances
+@_out
+def sweep_cmd(problem, eps, horizon, fmt, seed, tol_abs, tol_rel, out):
     """Run the epsilon sweep and report the curve family."""
     try:
         definition = _load(problem)
         if eps is not None or horizon is not None:
             data = definition.to_dict()
             if eps is not None:
-                data["epsilons"] = list(_parse_eps(eps))
+                data["epsilons"] = [float(v) for v in eps.split(",")]
             if horizon is not None:
                 data["T"] = horizon
             definition = harness.load_problem(data, name=definition.name)
-    except ValidationError as exc:
-        click.echo(json.dumps({"error": exc.problems}, sort_keys=True))
-        sys.exit(EXIT_VALIDATION)
-    try:
         report = harness.run_epsilon_sweep(
-            definition, tol=_tolerances(tol_abs, tol_rel), seed=seed)
+            definition, tol=Tolerances(abs=tol_abs, rel=tol_rel), seed=seed)
     except InstabError as exc:
-        click.echo(json.dumps({"error": str(exc)}, sort_keys=True))
-        sys.exit(EXIT_NUMERICAL)
-    _emit(report.to_dict(), out, f"sweep-{definition.name}", fmt)
+        _fail(exc)
+    _emit(report.to_dict(), out, f"sweep-{definition.name}")
     if fmt == "csv" and out:
         for run in report.runs:
             if run.status != "ok":
@@ -180,32 +163,22 @@ def sweep_cmd(problem, eps, horizon, out, seed, tol_abs, tol_rel, fmt):
 
 @main.command("escape")
 @click.argument("problem")
-@_common
-def escape_cmd(problem, out, seed, tol_abs, tol_rel, fmt):
+@click.option("--seed", type=int, default=0)
+@_tolerances
+@_out
+def escape_cmd(problem, seed, tol_abs, tol_rel, out):
     """Sweep plus escape detection against the expected verdict."""
     try:
         definition = _load(problem)
-    except ValidationError as exc:
-        click.echo(json.dumps({"error": exc.problems}, sort_keys=True))
-        sys.exit(EXIT_VALIDATION)
-    try:
         report = harness.run_epsilon_sweep(
-            definition, tol=_tolerances(tol_abs, tol_rel), seed=seed)
-        try:
-            verdict = harness.detect_escape(report)
-            outcome = ("unstable"
-                       if verdict.verdict.startswith("escape") else None)
-        except NoPositiveDrift as exc:
-            outcome = "stable"
-            report.escape = None
-            report.certification["no_positive_drift"] = str(exc)
+            definition, tol=Tolerances(abs=tol_abs, rel=tol_rel), seed=seed)
+        outcome = harness.escape_outcome(report)
     except InstabError as exc:
-        click.echo(json.dumps({"error": str(exc)}, sort_keys=True))
-        sys.exit(EXIT_NUMERICAL)
+        _fail(exc)
     payload = report.to_dict()
     payload["outcome"] = outcome
     payload["expected"] = definition.expected
-    _emit(payload, out, f"escape-{definition.name}", fmt)
+    _emit(payload, out, f"escape-{definition.name}")
     if definition.expected is not None and outcome != definition.expected:
         sys.exit(EXIT_MISMATCH)
     sys.exit(EXIT_OK)
@@ -215,8 +188,8 @@ def escape_cmd(problem, out, seed, tol_abs, tol_rel, fmt):
 @click.argument("problem")
 @click.option("--multi", is_flag=True,
               help="require a multi-function chart spec")
-@_common
-def chart_cmd(problem, multi, out, seed, tol_abs, tol_rel, fmt):
+@_out
+def chart_cmd(problem, multi, out):
     """Build the adapted chart of a problem and verify its structure."""
     try:
         definition = _load(problem)
@@ -225,10 +198,6 @@ def chart_cmd(problem, multi, out, seed, tol_abs, tol_rel, fmt):
         if multi and len(definition.chart["fields"]) < 2:
             raise ValidationError("--multi requires at least two chart "
                                   "level functions")
-    except ValidationError as exc:
-        click.echo(json.dumps({"error": exc.problems}, sort_keys=True))
-        sys.exit(EXIT_VALIDATION)
-    try:
         chart, _fields, pullback = harness.build_problem_chart(definition)
         block = pullback_metric_block_check(chart, grid_count=5)
         collisions = injectivity_probe(chart, grid_count=5)
@@ -245,9 +214,8 @@ def chart_cmd(problem, multi, out, seed, tol_abs, tol_rel, fmt):
             payload["pullback_field_at_center"] = float(
                 np.max(np.abs(center_tensor)))
     except InstabError as exc:
-        click.echo(json.dumps({"error": str(exc)}, sort_keys=True))
-        sys.exit(EXIT_NUMERICAL)
-    _emit(payload, out, f"chart-{definition.name}", fmt)
+        _fail(exc)
+    _emit(payload, out, f"chart-{definition.name}")
     passed = payload["block"]["passed"] and payload["injective"] \
         and payload.get("contraction", {}).get("passed", True)
     sys.exit(EXIT_OK if passed else EXIT_MISMATCH)
@@ -282,18 +250,16 @@ def corpus_show(name):
 
 
 @corpus_group.command("run-all")
-@click.option("--out", type=click.Path(), default=None)
 @click.option("--seed", type=int, default=42)
-@click.option("--tol-abs", type=float, default=1e-10)
-@click.option("--tol-rel", type=float, default=1e-10)
-def corpus_run_all(out, seed, tol_abs, tol_rel):
+@_tolerances
+@_out
+def corpus_run_all(seed, tol_abs, tol_rel, out):
     """Sweep, certify and escape-check every corpus entry."""
     try:
         reports, all_expected = harness.run_all(
-            seed=seed, tol=_tolerances(tol_abs, tol_rel))
+            seed=seed, tol=Tolerances(abs=tol_abs, rel=tol_rel))
     except InstabError as exc:
-        click.echo(json.dumps({"error": str(exc)}, sort_keys=True))
-        sys.exit(EXIT_NUMERICAL)
+        _fail(exc)
     payload = {"reports": reports, "all_expected": all_expected,
                "seed": seed}
     _emit(payload, out, "corpus-run-all")

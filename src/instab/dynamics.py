@@ -11,7 +11,6 @@ an untrustworthy energy drift raises instead of being silently accepted.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +21,7 @@ from .errors import (
     EnergyDriftExceeded,
     StepSizeUnderflow,
 )
-from .geometry import magnetic_tensor, riemannian_gradient
+from .geometry import magnetic_tensor
 
 GRID_POINTS = 513  # uniform tau samples over [-T, T], including tau = 0
 
@@ -74,14 +73,6 @@ class Tolerances:
             raise ValueError("tolerances must be positive")
 
 
-def _magnetic_jacobian(form, point):
-    n = form.dimension
-    jac = np.empty((n, n))
-    for b, comp in enumerate(form.components):
-        jac[:, b] = comp.grad(point)
-    return jac - jac.T
-
-
 def el_acceleration(system, state) -> np.ndarray:
     """Coordinate acceleration of the Euler-Lagrange equations.
 
@@ -95,18 +86,14 @@ def el_acceleration(system, state) -> np.ndarray:
     metric = system.metric
     inv_eps = system.inv_eps
     _, du = system.potential.value_and_grad(x)
-    if metric.euclidean:
-        acc = -(inv_eps * inv_eps) * du
-        if system.magnetic is not None:
-            f_tensor = _magnetic_jacobian(system.magnetic, x)
-            acc = acc - inv_eps * (f_tensor.T @ v)
-        return acc
-    ginv = metric.inverse(x)
-    gamma = metric.christoffel(x)
     force = -(inv_eps * inv_eps) * du
     if system.magnetic is not None:
-        f_tensor = _magnetic_jacobian(system.magnetic, x)
+        f_tensor = magnetic_tensor(system.magnetic, x)
         force = force - inv_eps * (f_tensor.T @ v)  # -F_{gb} v^g, index b
+    if metric.euclidean:
+        return force
+    ginv = metric.inverse(x)
+    gamma = metric.christoffel(x)
     return -np.einsum("amn,m,n->a", gamma, v, v) + ginv @ force
 
 
@@ -151,11 +138,6 @@ class Trajectory:
     @property
     def dimension(self):
         return self.states.shape[1] // 2
-
-    def state_at_grid(self, index) -> State:
-        n = self.dimension
-        row = self.grid_states[index]
-        return State(self.grid_times[index], row[:n], row[n:])
 
     def to_csv(self, fileobj, system):
         n = self.dimension
@@ -229,7 +211,6 @@ def integrate(system, initial, horizon, tol=None) -> Trajectory:
                        + system.inv_eps ** 2 * u)
 
     # Riemannian arc length from tau = 0, trapezoid rule on the speed log
-    path = np.zeros(len(times))
     dt = np.diff(times)
     seg = 0.5 * (speeds[:-1] + speeds[1:]) * dt
     cumulative = np.concatenate([[0.0], np.cumsum(seg)])
@@ -301,7 +282,7 @@ def el_residual_adapted(system, trajectory) -> np.ndarray:
         quad = float(np.einsum("mn,m,n->", gamma[0], v, v))
         mag = 0.0
         if system.magnetic is not None:
-            f_tensor = _magnetic_jacobian(system.magnetic, x)
+            f_tensor = magnetic_tensor(system.magnetic, x)
             mag = inv_eps * g00 * float(f_tensor[:, 0] @ v)  # F_{b0} v^b
         residuals[k - 1] = (zdd[k - 1] + quad + mag
                             + inv_eps ** 2 * g00 * du[0])

@@ -123,7 +123,3 @@ class NoPositiveDrift(InstabError):
         )
         self.level = level
         self.threshold = threshold
-
-
-class BoundViolation(InstabError):
-    pass

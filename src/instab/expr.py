@@ -652,6 +652,22 @@ def compile_vectorized(node: Expr, n: int):
 
 # --- scalar fields ---------------------------------------------------------
 
+def _dual_gradient(fn, n, point) -> np.ndarray:
+    """Gradient of ``fn`` at ``point`` from one pass seeded per coordinate."""
+    coords = [
+        Dual(float(point[j]),
+             tuple(1.0 if j == k else 0.0 for k in range(n)))
+        for j in range(n)
+    ]
+    out = fn(coords)
+    if not isinstance(out, Dual):
+        return np.zeros(n)
+    vals = np.array([_value_of(e) for e in out.eps], dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise NonFiniteResult(f"at point {tuple(point)}")
+    return vals
+
+
 class ScalarField:
     """A differentiable map from n coordinates to a real number."""
 
@@ -698,19 +714,7 @@ class ScalarField:
 
     def grad_dual(self, point) -> np.ndarray:
         """Gradient via the dual-number reference path."""
-        n = self.dimension
-        coords = [
-            Dual(float(point[j]),
-                 tuple(1.0 if j == k else 0.0 for k in range(n)))
-            for j in range(n)
-        ]
-        out = self._call(coords)
-        if not isinstance(out, Dual):
-            return np.zeros(n)
-        vals = np.array([_value_of(e) for e in out.eps], dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise NonFiniteResult(f"at point {tuple(point)}")
-        return vals
+        return _dual_gradient(self._call, self.dimension, point)
 
     def eval_dual(self, point) -> float:
         out = self._call([float(c) for c in point])
@@ -761,19 +765,7 @@ class CallableField:
     __call__ = eval
 
     def grad(self, point) -> np.ndarray:
-        n = self.dimension
-        coords = [
-            Dual(float(point[j]),
-                 tuple(1.0 if j == k else 0.0 for k in range(n)))
-            for j in range(n)
-        ]
-        out = self._fn(coords)
-        if not isinstance(out, Dual):
-            return np.zeros(n)
-        vals = np.array([_value_of(e) for e in out.eps], dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise NonFiniteResult(f"at point {tuple(point)}")
-        return vals
+        return _dual_gradient(self._fn, self.dimension, point)
 
     def value_and_grad(self, point):
         return self.eval(point), self.grad(point)
@@ -791,12 +783,3 @@ class CallableField:
 
         return loop
 
-
-def directional_derivative(field, point, direction):
-    """d(field)(direction) at point, via one dual pass."""
-    coords = [Dual(float(p), (float(d),))
-              for p, d in zip(point, direction)]
-    out = field._call(coords)
-    if not isinstance(out, Dual):
-        return 0.0
-    return _value_of(out.eps[0])

@@ -7,7 +7,7 @@ the dimension is capped at 16 since all target problems are tiny.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -19,7 +19,8 @@ from .expr import MAX_DIMENSION, ScalarField
 # point" operationally.
 PIVOT_FLOOR = 1e-12
 
-_CACHE_QUANTUM = 1e-12
+# Smallest admissible gradient norm of a candidate function f.
+GRADIENT_FLOOR = 1e-6
 
 
 def _spd_cholesky(matrix):
@@ -47,7 +48,6 @@ class MetricSpec:
         self.dimension = dimension
         self.euclidean = upper_entries is None
         self._upper = upper_entries  # dict[(i, j)] -> field, i <= j
-        self._gamma_cache = {}
 
     @classmethod
     def identity(cls, dimension):
@@ -111,16 +111,11 @@ class MetricSpec:
             dg[:, j, i] = grad
         return dg
 
-    def christoffel(self, point, cache=False) -> np.ndarray:
+    def christoffel(self, point) -> np.ndarray:
         """Levi-Civita symbols Gamma[a, m, n], symmetric in (m, n)."""
         n = self.dimension
         if self.euclidean:
             return np.zeros((n, n, n))
-        if cache:
-            key = tuple(int(round(c / _CACHE_QUANTUM)) for c in point)
-            hit = self._gamma_cache.get(key)
-            if hit is not None:
-                return hit
         ginv = self.inverse(point)
         dg = self.partials(point)
         # Gamma^a_{mn} = 1/2 g^{ab} (g_{bm,n} + g_{bn,m} - g_{mn,b})
@@ -129,10 +124,7 @@ class MetricSpec:
             + np.transpose(dg, (1, 0, 2))  # g_{bn,m}
             - dg                           # g_{mn,b} with b first
         )
-        gamma = 0.5 * np.einsum("ab,bmn->amn", ginv, braces)
-        if cache:
-            self._gamma_cache[key] = gamma
-        return gamma
+        return 0.5 * np.einsum("ab,bmn->amn", ginv, braces)
 
     def inner(self, point, u, v) -> float:
         g = self.value(point)
@@ -158,25 +150,20 @@ class OneForm:
         n = len(sources)
         return cls(n, [ScalarField.parse(src, n) for src in sources])
 
-    @classmethod
-    def zero(cls, dimension):
-        return cls(dimension,
-                   [ScalarField.parse("0", dimension)] * dimension)
 
-    def values(self, point) -> np.ndarray:
-        return np.array([c.eval(point) for c in self.components])
+def gradient_data(metric, fld, point):
+    """(df, grad f, |grad f|^2) of ``fld`` at ``point``.
+
+    grad f is the vector field metrically dual to the differential df.
+    """
+    df = fld.grad(point)
+    grad = df if metric.euclidean else metric.inverse(point) @ df
+    return df, grad, float(df @ grad)
 
 
 def riemannian_gradient(metric, fld, point) -> np.ndarray:
     """Vector field metrically dual to the differential of ``fld``."""
-    partials = fld.grad(point)
-    if metric.euclidean:
-        return partials
-    return metric.inverse(point) @ partials
-
-
-def christoffel(metric, point, cache=False) -> np.ndarray:
-    return metric.christoffel(point, cache=cache)
+    return gradient_data(metric, fld, point)[1]
 
 
 def magnetic_tensor(form, point) -> np.ndarray:
@@ -203,23 +190,3 @@ def two_form_norm(metric, form, point) -> float:
     raised = ginv @ f_tensor @ ginv  # F^{ab}
     return float(np.sqrt(max(0.5 * np.sum(f_tensor * raised), 0.0)))
 
-
-@dataclass
-class PointGeometry:
-    """Immutable snapshot of the metric data at one point."""
-
-    point: np.ndarray
-    metric_value: np.ndarray
-    metric_inverse: np.ndarray
-    gamma: np.ndarray
-    magnetic: np.ndarray | None = field(default=None)
-
-
-def point_geometry(metric, point, form=None) -> PointGeometry:
-    return PointGeometry(
-        point=np.asarray(point, dtype=float),
-        metric_value=metric.value(point),
-        metric_inverse=metric.inverse(point),
-        gamma=metric.christoffel(point),
-        magnetic=None if form is None else magnetic_tensor(form, point),
-    )

@@ -12,7 +12,7 @@ existential statement, not a proof of it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -26,21 +26,19 @@ from .dynamics import (
 )
 from .errors import (
     DomainError,
-    EnergyDriftExceeded,
-    ExprSyntaxError,
+    ExprError,
     InstabError,
     IntegrationError,
     NoPositiveDrift,
     NonFiniteResult,
-    StepSizeUnderflow,
     ValidationError,
 )
 from .expr import MAX_DIMENSION, ScalarField
-from .geometry import MetricSpec, OneForm
+from .geometry import GRADIENT_FLOOR, MetricSpec, OneForm, gradient_data
 
 DEFAULT_EPSILONS = (1e-1, 1e-2, 1e-3)
 CENTER_POTENTIAL_TOL = 1e-12
-GRADIENT_FLOOR = 1e-6
+PROBE_KEYS = ("radius", "delta_min", "delta_max", "samples")
 DRIFT_FRACTION = 0.01  # of |grad f(p)|^2 T; escape needs 10x this
 
 
@@ -67,10 +65,7 @@ class ProblemDefinition:
 
     def gradient_data(self):
         """(df(p), grad_rho f(p), |grad f(p)|^2)."""
-        df = self.f.grad(self.center)
-        grad = (df if self.metric.euclidean
-                else self.metric.inverse(self.center) @ df)
-        return df, grad, float(df @ grad)
+        return gradient_data(self.metric, self.f, self.center)
 
     def to_dict(self):
         return {
@@ -98,9 +93,39 @@ class ProblemDefinition:
 def _parse_field(source, dimension, problems, what):
     try:
         return ScalarField.parse(str(source), dimension)
-    except (ExprSyntaxError, ValueError) as exc:
+    except (ExprError, ValueError) as exc:
         problems.append(f"{what}: {exc}")
         return None
+
+
+def _check_chart(spec, n, problems):
+    """The keys build_problem_chart reads, checked for shape and syntax."""
+    fields = spec.get("fields") if isinstance(spec, dict) else None
+    if not (isinstance(fields, list) and 1 <= len(fields) < n):
+        problems.append(f"chart.fields must be a list of 1..{n - 1} "
+                        "expressions")
+        return
+    k = len(fields)
+    expressions = [("fields", k, n), ("psi", n, n - k)]
+    if spec.get("omega") is not None:
+        expressions.append(("omega", k, k))
+    for key, count, dimension in expressions:
+        sources = spec.get(key)
+        if not (isinstance(sources, list) and len(sources) == count):
+            problems.append(f"chart.{key} must be a list of {count} "
+                            "expressions")
+            continue
+        for i, src in enumerate(sources):
+            _parse_field(src, dimension, problems, f"chart.{key}[{i}]")
+    for key, count in (("base_box", n - k), ("level_box", k)):
+        box = spec.get(key)
+        if not (isinstance(box, list) and len(box) == count and all(
+                isinstance(b, list) and len(b) == 2
+                and all(isinstance(c, (int, float)) for c in b)
+                and b[0] < b[1]
+                for b in box)):
+            problems.append(f"chart.{key} must be a list of {count} "
+                            "[lo, hi] intervals")
 
 
 def load_problem(data, name=None) -> ProblemDefinition:
@@ -109,12 +134,11 @@ def load_problem(data, name=None) -> ProblemDefinition:
     All validation failures are gathered into one ValidationError rather
     than stopping at the first.
     """
-    if isinstance(data, (str, bytes)) or hasattr(data, "read"):
-        if hasattr(data, "read"):
-            data = json.load(data)
-        else:
-            with open(data) as fh:
-                data = json.load(fh)
+    if hasattr(data, "read"):
+        data = json.load(data)
+    elif isinstance(data, (str, bytes)):
+        with open(data) as fh:
+            data = json.load(fh)
     problems = []
 
     n = data.get("dimension")
@@ -130,7 +154,7 @@ def load_problem(data, name=None) -> ProblemDefinition:
           and all(isinstance(r, list) and len(r) == n for r in metric_data)):
         try:
             metric = MetricSpec.from_sources(n, metric_data)
-        except (ExprSyntaxError, ValueError) as exc:
+        except (ExprError, ValueError) as exc:
             problems.append(f"metric: {exc}")
     else:
         problems.append('metric must be "euclidean" or an n x n expression '
@@ -182,13 +206,24 @@ def load_problem(data, name=None) -> ProblemDefinition:
             problems.append(f"potential at center: {exc}")
     if f_field is not None and metric is not None and center_ok:
         try:
-            df = f_field.grad(center)
-            grad = df if metric.euclidean else metric.inverse(center) @ df
-            if float(df @ grad) < GRADIENT_FLOOR ** 2:
+            _df, _grad, norm_sq = gradient_data(metric, f_field, center)
+            if norm_sq < GRADIENT_FLOOR ** 2:
                 problems.append("gradient of f at the center is below "
                                 f"{GRADIENT_FLOOR:.0e}")
         except (DomainError, NonFiniteResult, InstabError) as exc:
             problems.append(f"f at center: {exc}")
+
+    if data.get("chart") is not None:
+        _check_chart(data["chart"], n, problems)
+    probe = data.get("probe", {})
+    try:
+        unknown = sorted(set(probe) - set(PROBE_KEYS))
+        if unknown:
+            raise ValueError(f"unknown settings {unknown}")
+        _certify.HypothesisProbe(metric, potential, f_field, center=center,
+                                 **probe)
+    except (TypeError, ValueError) as exc:
+        problems.append(f"probe: {exc}")
 
     if problems:
         raise ValidationError(problems)
@@ -205,7 +240,7 @@ def load_problem(data, name=None) -> ProblemDefinition:
         expected=expected,
         chart=data.get("chart"),
         quasi_homogeneous=data.get("quasi_homogeneous"),
-        probe=data.get("probe", {}),
+        probe=probe,
         labels=data.get("labels", {}),
     )
 
@@ -320,10 +355,7 @@ _CORPUS_DATA = [
 
 def corpus() -> list:
     """The built-in problem definitions, validated on construction."""
-    out = []
-    for name, data in _CORPUS_DATA:
-        out.append(load_problem(dict(data), name=name))
-    return out
+    return [load_problem(dict(data), name=name) for name, data in _CORPUS_DATA]
 
 
 def corpus_entry(name) -> ProblemDefinition:
@@ -382,14 +414,7 @@ class EscapeVerdict:
     initial_speeds: list
 
     def to_dict(self):
-        return {
-            "verdict": self.verdict,
-            "level": self.level,
-            "threshold": self.threshold,
-            "drift_tolerance": self.drift_tolerance,
-            "crossings": self.crossings,
-            "initial_speeds": self.initial_speeds,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -422,17 +447,35 @@ class EscapeReport:
         }
 
 
+def certification_probe(problem, seed=0, **settings):
+    """The problem's certification probe; ``settings`` override its own."""
+    try:
+        return _certify.HypothesisProbe(
+            metric=problem.metric,
+            potential=problem.potential,
+            f=problem.f,
+            magnetic=problem.magnetic,
+            center=problem.center,
+            seed=seed,
+            **{**problem.probe, **settings},
+        )
+    except ValueError as exc:
+        raise ValidationError(f"probe: {exc}") from exc
+
+
+def certification_verdict(problem, potential, magnetic):
+    """The problem's verdict from its potential and magnetic verdicts.
+
+    A refuted magnetic hypothesis refutes the problem; otherwise the
+    potential verdict stands.
+    """
+    if problem.magnetic is not None and magnetic == "refuted":
+        return "refuted"
+    return potential
+
+
 def _certification_verdicts(problem, seed=0):
-    probe_kwargs = dict(problem.probe)
-    probe = _certify.HypothesisProbe(
-        metric=problem.metric,
-        potential=problem.potential,
-        f=problem.f,
-        magnetic=problem.magnetic,
-        center=problem.center,
-        seed=seed,
-        **probe_kwargs,
-    )
+    probe = certification_probe(problem, seed=seed)
     out = {}
     try:
         out["potential"] = _certify.certify_potential_condition(probe).verdict
@@ -459,36 +502,30 @@ def run_epsilon_sweep(problem, tol=None, seed=0,
     f_center = problem.f.eval(problem.center)
     cap = float(np.sqrt(cap_sq))
 
+    zdot0 = float(df @ grad)
     runs = []
     for eps in problem.epsilons:
+        run = SweepRun(epsilon=eps, status="ok", zdot0=zdot0,
+                       zdot0_residual=abs(zdot0 - cap_sq))
+        runs.append(run)
         system = problem.system(epsilon=eps)
-        zdot0 = float(df @ grad)
         try:
             trajectory = integrate(
                 system, State(0.0, problem.center, grad),
                 problem.horizon, tol=tol,
             )
-        except (IntegrationError, StepSizeUnderflow, EnergyDriftExceeded,
-                DomainError, NonFiniteResult, ValueError) as exc:
-            runs.append(SweepRun(epsilon=eps, status="failed",
-                                 error=f"{type(exc).__name__}: {exc}",
-                                 zdot0=zdot0,
-                                 zdot0_residual=abs(zdot0 - cap_sq)))
+        except (IntegrationError, DomainError, NonFiniteResult,
+                ValueError) as exc:
+            run.status = "failed"
+            run.error = f"{type(exc).__name__}: {exc}"
             continue
         n = trajectory.dimension
-        curve = np.array([
+        run.trajectory = trajectory
+        run.f_curve = np.array([
             problem.f.eval(row[:n]) - f_center
             for row in trajectory.grid_states
         ])
-        runs.append(SweepRun(
-            epsilon=eps,
-            status="ok",
-            trajectory=trajectory,
-            f_curve=curve,
-            bounds=check_lemma1_bounds(trajectory, cap),
-            zdot0=zdot0,
-            zdot0_residual=abs(zdot0 - cap_sq),
-        ))
+        run.bounds = check_lemma1_bounds(trajectory, cap)
 
     ok = [r for r in runs if r.status == "ok"]
     sup_distances = [
@@ -576,6 +613,24 @@ def detect_escape(report, level="auto", drift_tolerance=None) -> EscapeVerdict:
     return out
 
 
+def escape_outcome(report):
+    """Escape detection on a sweep: "unstable", "stable" or None.
+
+    A sweep with no positive drift is "stable", and its report gets an
+    EscapeVerdict that says so.
+    """
+    try:
+        verdict = detect_escape(report)
+    except NoPositiveDrift as exc:
+        report.escape = EscapeVerdict(
+            verdict="no positive drift at this horizon",
+            level=exc.level, threshold=float("nan"),
+            drift_tolerance=exc.threshold, crossings=[],
+            initial_speeds=[])
+        return "stable"
+    return "unstable" if verdict.verdict.startswith("escape") else None
+
+
 def _first_crossing(taus, values, target):
     above = values >= target
     if not np.any(above):
@@ -616,13 +671,11 @@ def physical_consistency(problem, epsilon, fractions=(0.25, 0.5, 1.0),
     for frac in fractions:
         tau = frac * problem.horizon
         i = int(np.argmin(np.abs(grid - tau)))
-        j = int(np.argmin(np.abs(physical.grid_times - grid[i] / epsilon)))
         a = rescaled.grid_states[i, :n]
         # physical grid rarely hits tau/eps exactly; re-interpolate linearly
         t_phys = grid[i] / epsilon
         b = _interp_state(physical, t_phys, n)
         worst = max(worst, float(np.linalg.norm(a - b)))
-        del j
     return worst
 
 
@@ -647,11 +700,11 @@ def build_problem_chart(problem):
     if spec is None:
         raise ValidationError("problem has no chart specification")
     n = problem.dimension
-    fields = [ScalarField.parse(s, n) for s in spec["fields"]]
+    fields = [ScalarField.parse(str(s), n) for s in spec["fields"]]
     k = len(fields)
     base_dim = n - k
     psi = BaseSurfaceMap(
-        [ScalarField.parse(s, base_dim) for s in spec["psi"]],
+        [ScalarField.parse(str(s), base_dim) for s in spec["psi"]],
         [tuple(b) for b in spec["base_box"]],
     )
     if k == 1:
@@ -662,7 +715,7 @@ def build_problem_chart(problem):
                                   [tuple(b) for b in spec["level_box"]])
     pullback = None
     if spec.get("omega") is not None:
-        omega = OneForm(k, [ScalarField.parse(s, k)
+        omega = OneForm(k, [ScalarField.parse(str(s), k)
                             for s in spec["omega"]])
         pullback = _certify.build_pullback_magnetic(fields, omega)
     return chart, fields, pullback
@@ -678,25 +731,13 @@ def run_all(seed=42, tol=None):
     all_expected = True
     for problem in corpus():
         report = run_epsilon_sweep(problem, tol=tol, seed=seed)
-        outcome = None
-        try:
-            verdict = detect_escape(report)
-            outcome = ("unstable"
-                       if verdict.verdict.startswith("escape") else None)
-        except NoPositiveDrift as exc:
-            outcome = "stable"
-            report.escape = EscapeVerdict(
-                verdict="no positive drift at this horizon",
-                level=exc.level, threshold=float("nan"),
-                drift_tolerance=exc.threshold, crossings=[],
-                initial_speeds=[])
+        outcome = escape_outcome(report)
         matched = (problem.expected is None or outcome == problem.expected)
         expected_cert = problem.labels.get("certification")
         if expected_cert is not None:
-            got = report.certification.get("potential")
-            if problem.magnetic is not None \
-                    and report.certification.get("magnetic") == "refuted":
-                got = "refuted"
+            got = certification_verdict(
+                problem, report.certification.get("potential"),
+                report.certification.get("magnetic"))
             matched = matched and (got == expected_cert)
         all_expected = all_expected and matched
         entry = report.to_dict()

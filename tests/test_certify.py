@@ -1,8 +1,11 @@
 """Hypothesis certification: shell tables, verdicts, algebraic identities."""
 
+import collections
+
 import numpy as np
 import pytest
 
+from instab import certify, harness
 from instab.certify import (
     HypothesisProbe,
     QuasiHomogeneousSpec,
@@ -150,6 +153,53 @@ def test_empty_shell_reported():
                    delta_min=1e-2, delta_max=2e-2, seed=11)
     with pytest.raises(EmptyShell):
         certify_potential_condition(probe)
+
+
+def test_too_few_filled_shells_reported():
+    # U = x1^2 x2^2 stays below 1e-5 in this ball: two shells fill, too few
+    # to refute, so the refuted crossing potential must not certify
+    probe = HypothesisProbe(
+        metric=E2,
+        potential=ScalarField.parse("x1^2*x2^2", 2),
+        f=ScalarField.parse("x1", 2),
+        center=np.zeros(2), radius=0.06, seed=4)
+    with pytest.raises(EmptyShell) as raised:
+        certify_potential_condition(probe)
+    assert raised.value.delta == pytest.approx(1e-5)
+
+
+@pytest.mark.parametrize("name", ["corollary1-unstable-magnetic",
+                                  "corollary1-mechanical"])
+def test_empty_shell_skipped(name):
+    # at probe seed 2 no draw lands in the 1e-7 shell; the other five decide
+    problem = harness.corpus_entry(name)
+    probe = harness.certification_probe(problem, seed=2)
+    potential = certify_potential_condition(probe)
+    magnetic = certify_magnetic_condition(probe)
+    assert [s.delta for s in potential.shells] == pytest.approx(
+        [1e-6, 1e-5, 1e-4, 1e-3, 1e-2])
+    assert potential.notes["empty_shells"] == [1e-7]
+    if magnetic.shells:  # the mechanical entry has no magnetic field
+        assert magnetic.notes["empty_shells"] == [1e-7]
+    verdict = harness.certification_verdict(problem, potential.verdict,
+                                            magnetic.verdict)
+    assert verdict == problem.labels["certification"]
+
+
+def test_each_shell_drawn_once(monkeypatch):
+    draws = collections.Counter()
+    sample = certify._sample_shell
+
+    def counted(probe, delta, j):
+        draws[j] += 1
+        return sample(probe, delta, j)
+
+    monkeypatch.setattr(certify, "_sample_shell", counted)
+    problem = harness.corpus_entry("unstable-magnetic-plane")
+    probe = harness.certification_probe(problem)
+    certify_potential_condition(probe)
+    certify_magnetic_condition(probe)
+    assert draws == {j: 1 for j in range(6)}
 
 
 def test_gradient_floor_enforced():

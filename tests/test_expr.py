@@ -20,7 +20,6 @@ from instab.expr import (
     Num,
     ScalarField,
     Var,
-    directional_derivative,
     parse,
     to_source,
 )
@@ -202,12 +201,6 @@ def test_callable_field_duck_type():
     shifted = CallableField(2, lambda c: base._call(c) + 1, label="shifted")
     assert shifted.eval([2.0, 1.0]) == 6.0
     assert shifted.grad([2.0, 1.0]) == pytest.approx([4.0, 1.0])
-
-
-def test_directional_derivative():
-    f = ScalarField.parse("x1*x2", 2)
-    assert directional_derivative(f, [2.0, 3.0], [1.0, 1.0]) \
-        == pytest.approx(5.0)
 
 
 def test_num_var_equality():

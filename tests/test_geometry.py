@@ -10,7 +10,6 @@ from instab.geometry import (
     OneForm,
     contracted_form_norm,
     magnetic_tensor,
-    point_geometry,
     riemannian_gradient,
     two_form_norm,
 )
@@ -179,15 +178,6 @@ def test_two_form_norm_unit_planar():
     g = MetricSpec.identity(3)
     mu = OneForm.from_sources(["0", "x1", "0"])  # tensor has F_12 = 1
     assert two_form_norm(g, mu, [0, 0, 0]) == pytest.approx(1.0)
-
-
-def test_point_geometry_snapshot():
-    g = MetricSpec.from_sources(2, POLAR_STYLE)
-    mu = OneForm.from_sources(["0", "x1"])
-    snap = point_geometry(g, [2.0, 0.1], form=mu)
-    assert snap.metric_value[1, 1] == 4.0
-    assert snap.gamma[0, 1, 1] == -2.0
-    assert snap.magnetic[0, 1] == 1.0
 
 
 def test_dimension_cap():

@@ -1,5 +1,6 @@
 """Problem loading, sweeps, escape detection, and the CLI surface."""
 
+import copy
 import json
 
 import numpy as np
@@ -193,6 +194,46 @@ def test_cli_escape_and_mismatch(tmp_path):
     path.write_text(json.dumps(lying))
     result = _run("escape", str(path))
     assert result.exit_code == 1
+
+
+def test_cli_escape_stable_matches_run_all(corpus_sweeps, monkeypatch):
+    result = _run("escape", "stable-magnetic-plane")
+    assert result.exit_code == 0
+    printed = json.loads(result.output)
+    # the escape object depends on the sweep alone, so run_all may reuse
+    # the session's sweeps
+    monkeypatch.setattr(
+        harness, "run_epsilon_sweep",
+        lambda problem, tol=None, seed=0: copy.copy(
+            corpus_sweeps[problem.name]))
+    reports, _ = harness.run_all(seed=42)
+    entry = next(r for r in reports if r["problem"] == printed["problem"])
+    assert printed["outcome"] == entry["outcome"] == "stable"
+    assert json.dumps(printed["escape"], sort_keys=True) \
+        == json.dumps(entry["escape"], sort_keys=True)
+
+
+_NO_PSI = dict(UNSTABLE_PLANE, chart={
+    "fields": ["x1"], "base_box": [[-1, 1], [-1, 1]],
+    "level_box": [[-0.1, 0.1]]})
+_BOGUS_PROBE = dict(UNSTABLE_PLANE, probe={"bogus": 1})
+
+
+@pytest.mark.parametrize("spec, args, field", [
+    (_NO_PSI, ["chart"], "chart.psi"),
+    (_BOGUS_PROBE, ["certify"], "bogus"),
+    (_BOGUS_PROBE, ["escape"], "bogus"),
+    (dict(UNSTABLE_PLANE, probe={"samples": "many"}), ["certify"], "samples"),
+    (UNSTABLE_PLANE, ["certify", "--samples", "5"], "samples"),
+    (UNSTABLE_PLANE, ["certify", "--shells", "1e-2:1e-7"], "delta_min"),
+    (UNSTABLE_PLANE, ["certify", "--shells", "abc"], "--shells"),
+])
+def test_cli_invalid_input_exits_2(tmp_path, spec, args, field):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(spec))
+    result = _run(args[0], str(path), *args[1:])
+    assert result.exit_code == 2, result.output
+    assert field in " ".join(json.loads(result.output)["error"])
 
 
 def test_cli_sweep_csv_artifacts(tmp_path):
