@@ -20,6 +20,7 @@ from .errors import DomainError, EmptyShell, GradientTooSmall, NonFiniteResult
 from .expr import CallableField, Dual, ScalarField
 from .geometry import (
     GRADIENT_FLOOR,
+    NOISE_RELATIVE,
     OneForm,
     contracted_form_norm,
     gradient_data,
@@ -205,9 +206,6 @@ def _shell_table(probe, *ratio_fns):
     return tables, skipped
 
 
-_NOISE_RELATIVE = 1e-13
-
-
 def _guard_cancellation(value, scale):
     """Zero a contraction whose magnitude is float-cancellation noise.
 
@@ -215,7 +213,7 @@ def _guard_cancellation(value, scale):
     size machine epsilon; dividing those by a vanishing potential would
     fabricate divergence.
     """
-    return 0.0 if abs(value) <= _NOISE_RELATIVE * scale else value
+    return 0.0 if abs(value) <= NOISE_RELATIVE * scale else value
 
 
 def certify_potential_condition(probe) -> ConditionReport:
@@ -267,7 +265,7 @@ def certify_magnetic_condition(probe) -> ConditionReport:
         u_val = probe.potential.eval(x)
         if u_val <= 0:
             return math.inf
-        return _guarded_contraction(probe.metric, mu, grad, x) \
+        return contracted_form_norm(probe.metric, mu, grad, x) \
             / math.sqrt(u_val)
 
     def full_ratio(x, _grad):
@@ -317,18 +315,6 @@ def certify_magnetic_condition(probe) -> ConditionReport:
     return report
 
 
-def _guarded_contraction(metric, mu, vector, point):
-    """Like the contracted-form norm, with per-component noise guards."""
-    f_tensor = magnetic_tensor(mu, point)
-    v = np.asarray(vector)
-    covector = v @ f_tensor
-    scale = np.abs(v) @ np.abs(f_tensor)
-    covector = np.where(np.abs(covector) <= _NOISE_RELATIVE * scale,
-                        0.0, covector)
-    ginv = metric.inverse(point)
-    return float(math.sqrt(max(covector @ ginv @ covector, 0.0)))
-
-
 def _is_zero_form(mu, center, radius=0.5):
     """True when d mu vanishes identically on a small sample of the ball."""
     rng = np.random.default_rng(7)
@@ -362,8 +348,7 @@ def _attach_constants(report, probe, magnetic=False):
                     np.linalg.eigvalsh(probe.metric.value(x)))))
         except (DomainError, NonFiniteResult):
             continue
-    grad_p = riemannian_gradient(probe.metric, probe.f, probe.center)
-    cap_sq = float(probe.metric.inner(probe.center, grad_p, grad_p))
+    cap_sq = gradient_data(probe.metric, probe.f, probe.center)[2]
     k_bound = report.bound_estimate
     report.notes["m_grad"] = float(m_grad)
     report.notes["grad_at_center_sq"] = cap_sq

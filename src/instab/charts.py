@@ -65,14 +65,14 @@ def _flow_rhs(metric, fld):
     return rhs
 
 
-def flow_normalized_gradient(metric, fld, start, t, tol=FLOW_TOL):
+def flow_normalized_gradient(metric, fld, start, t):
     """The time-t point of the flow of grad(f)/|grad f|^2 from ``start``."""
     start = np.asarray(start, dtype=float)
     if t == 0.0:
         return start.copy()
     sol = solve_ivp(
         _flow_rhs(metric, fld), (0.0, t), start,
-        method="RK45", rtol=tol, atol=tol,
+        method="RK45", rtol=FLOW_TOL, atol=FLOW_TOL,
     )
     if not sol.success:
         raise IntegrationError(f"flow integration failed: {sol.message}")
@@ -82,12 +82,11 @@ def flow_normalized_gradient(metric, fld, start, t, tol=FLOW_TOL):
 class AdaptedChart:
     """Level-set chart Psi(z, y) (single f) or Psi(r, y) (k commuting F_i)."""
 
-    def __init__(self, metric, fields, psi, level_ranges, flow_tol=FLOW_TOL):
+    def __init__(self, metric, fields, psi, level_ranges):
         self.metric = metric
         self.fields = list(fields)  # k fields; k == 1 for the single case
         self.psi = psi
         self.level_ranges = [tuple(r) for r in level_ranges]  # k ranges
-        self.flow_tol = flow_tol
         self._memo = {}
 
     @property
@@ -105,22 +104,20 @@ class AdaptedChart:
         commute, and swapping the order is how that is probed).
         """
         coords = np.asarray(coords, dtype=float)
+        sequence = tuple(range(self.k) if order is None else order)
         key = (tuple(int(round(c / _MEMO_QUANTUM)) for c in coords),
-               None if order is None else tuple(order))
+               sequence)
         hit = self._memo.get(key)
         if hit is not None:
             return hit.copy()
         levels = coords[:self.k]
         base = coords[self.k:]
         x = self.psi(base)
-        sequence = range(self.k) if order is None else order
         # Psi(r, y) = phi^1_{r_1} o ... o phi^k_{r_k} (psi(y)): the highest
         # index flows first.
-        for i in reversed(list(sequence)):
+        for i in reversed(sequence):
             x = flow_normalized_gradient(
-                self.metric, self.fields[i], x, float(levels[i]),
-                tol=self.flow_tol,
-            )
+                self.metric, self.fields[i], x, float(levels[i]))
         self._memo[key] = x.copy()
         return x
 
@@ -165,34 +162,20 @@ def _check_base_map(fields, psi, tol=1e-8, count=DEFAULT_GRID):
                 )
 
 
-def build_chart(metric, fld, psi, z_range, y_box=None,
-                grid_count=DEFAULT_GRID, tol=1e-8) -> AdaptedChart:
+def build_chart(metric, fld, psi, z_range, grid_count=DEFAULT_GRID,
+                tol=1e-8) -> AdaptedChart:
     """Construct and verify the single-function adapted chart."""
-    if y_box is not None:
-        psi = BaseSurfaceMap(psi.components, [tuple(b) for b in y_box])
-    _check_base_map([fld], psi, tol=tol, count=grid_count)
-    chart = AdaptedChart(metric, [fld], psi, [z_range])
-    for coords in chart.grid(grid_count):
-        value = fld.eval(chart.point(coords))
-        residual = value - coords[0]
-        if abs(residual) > tol:
-            raise IdentityViolation(
-                f"f(Psi(z, y)) - z = {residual:.3e}",
-                point=tuple(coords), residual=float(residual),
-            )
-    return chart
+    return build_multi_chart(metric, [fld], psi, [z_range],
+                             grid_count=grid_count, tol=tol)
 
 
-def build_multi_chart(metric, fields, psi, r_box, y_box=None,
-                      grid_count=DEFAULT_GRID, tol=1e-8,
-                      swap_tol=1e-7) -> AdaptedChart:
-    """Construct and verify the commuting multi-flow chart."""
+def build_multi_chart(metric, fields, psi, r_box, grid_count=DEFAULT_GRID,
+                      tol=1e-8, swap_tol=1e-7) -> AdaptedChart:
+    """Construct and verify the chart of k commuting flows (k >= 1)."""
     k = len(fields)
     n = psi.ambient_dimension
     if not k < n:
         raise ValueError("need fewer level functions than dimensions")
-    if y_box is not None:
-        psi = BaseSurfaceMap(psi.components, [tuple(b) for b in y_box])
     _check_base_map(fields, psi, tol=tol, count=grid_count)
     chart = AdaptedChart(metric, fields, psi, [tuple(r) for r in r_box])
 
@@ -223,8 +206,7 @@ def build_multi_chart(metric, fields, psi, r_box, y_box=None,
         x = chart.point(coords)
         for i in range(k):
             t = 0.05 * (1 + i)
-            moved = flow_normalized_gradient(metric, fields[i], x, t,
-                                             tol=chart.flow_tol)
+            moved = flow_normalized_gradient(metric, fields[i], x, t)
             for j, fld in enumerate(fields):
                 expect = (t if i == j else 0.0) + fld.eval(x)
                 residual = fld.eval(moved) - expect

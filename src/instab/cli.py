@@ -66,6 +66,16 @@ def _tolerances(fn):
     return click.option("--tol-rel", type=float, default=1e-10)(fn)
 
 
+def _tol(tol_abs, tol_rel):
+    """Tolerances from the --tol-* values, which must be positive."""
+    bad = [f"--tol-{kind} must be a positive real, got {value!r}"
+           for kind, value in (("abs", tol_abs), ("rel", tol_rel))
+           if not value > 0]
+    if bad:
+        raise ValidationError(bad)
+    return Tolerances(abs=tol_abs, rel=tol_rel)
+
+
 @click.group()
 def main():
     """Instability toolkit: certification, sweeps, escapes, charts."""
@@ -138,12 +148,17 @@ def sweep_cmd(problem, eps, horizon, fmt, seed, tol_abs, tol_rel, out):
         if eps is not None or horizon is not None:
             data = definition.to_dict()
             if eps is not None:
-                data["epsilons"] = [float(v) for v in eps.split(",")]
+                try:
+                    data["epsilons"] = [float(v) for v in eps.split(",")]
+                except ValueError:
+                    raise ValidationError(
+                        f"--eps must be a comma-separated list of reals, "
+                        f"got {eps!r}")
             if horizon is not None:
                 data["T"] = horizon
             definition = harness.load_problem(data, name=definition.name)
         report = harness.run_epsilon_sweep(
-            definition, tol=Tolerances(abs=tol_abs, rel=tol_rel), seed=seed)
+            definition, tol=_tol(tol_abs, tol_rel), seed=seed)
     except InstabError as exc:
         _fail(exc)
     _emit(report.to_dict(), out, f"sweep-{definition.name}")
@@ -171,7 +186,7 @@ def escape_cmd(problem, seed, tol_abs, tol_rel, out):
     try:
         definition = _load(problem)
         report = harness.run_epsilon_sweep(
-            definition, tol=Tolerances(abs=tol_abs, rel=tol_rel), seed=seed)
+            definition, tol=_tol(tol_abs, tol_rel), seed=seed)
         outcome = harness.escape_outcome(report)
     except InstabError as exc:
         _fail(exc)
@@ -257,7 +272,7 @@ def corpus_run_all(seed, tol_abs, tol_rel, out):
     """Sweep, certify and escape-check every corpus entry."""
     try:
         reports, all_expected = harness.run_all(
-            seed=seed, tol=Tolerances(abs=tol_abs, rel=tol_rel))
+            seed=seed, tol=_tol(tol_abs, tol_rel))
     except InstabError as exc:
         _fail(exc)
     payload = {"reports": reports, "all_expected": all_expected,

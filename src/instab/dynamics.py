@@ -6,7 +6,9 @@ the potential 1/eps^2. The integrator is an adaptive embedded Runge-Kutta
 4(5) pair (scipy's RK45) with a hard step cap of eps/10 for rescaled
 systems, since the transverse oscillation frequency scales like 1/eps.
 Every run records conserved-energy, speed, potential and path-length logs;
-an untrustworthy energy drift raises instead of being silently accepted.
+the energy log is one vectorized ``hamiltonian`` pass over all step rows,
+and the speed and potential logs are read in the same row-wise way. An
+untrustworthy energy drift raises instead of being silently accepted.
 """
 
 from __future__ import annotations
@@ -40,12 +42,6 @@ class LagrangianSystem:
     @property
     def inv_eps(self):
         return 1.0 if self.epsilon is None else 1.0 / self.epsilon
-
-    def check_potential(self, value, point):
-        if value < -1e-12:
-            raise DomainError(
-                f"potential is negative ({value:.3e}) at {tuple(point)}"
-            )
 
 
 @dataclass
@@ -97,12 +93,22 @@ def el_acceleration(system, state) -> np.ndarray:
     return -np.einsum("amn,m,n->a", gamma, v, v) + ginv @ force
 
 
-def hamiltonian(system, state) -> float:
-    """Conserved energy |v|^2_g / 2 + U / eps^2 (magnetic force does no work)."""
-    u = system.potential.eval(state.x)
-    system.check_potential(u, state.x)
-    kinetic = 0.5 * system.metric.inner(state.x, state.v, state.v)
-    return kinetic + system.inv_eps ** 2 * u
+def hamiltonian(system, state):
+    """Conserved energy |v|^2_g / 2 + U / eps^2 (magnetic force does no work).
+
+    ``state`` holds one point, giving a float, or (m, n) rows, giving an
+    array. The first row where U is undefined or negative raises.
+    """
+    x, v = np.atleast_2d(state.x), np.atleast_2d(state.v)
+    u = system.potential.vectorized()(x)
+    bad = ~(u >= -1e-12)  # nan where U is undefined
+    if bad.any():
+        point = x[np.argmax(bad)]
+        value = system.potential.eval(point)  # raises where U is undefined
+        raise DomainError(
+            f"potential is negative ({value:.3e}) at {tuple(point)}")
+    energy = 0.5 * system.metric.inner(x, v, v) + system.inv_eps ** 2 * u
+    return float(energy[0]) if state.x.ndim == 1 else energy
 
 
 @dataclass
@@ -144,11 +150,11 @@ class Trajectory:
         header = (["tau"] + [f"x{i+1}" for i in range(n)]
                   + [f"v{i+1}" for i in range(n)] + ["H", "U", "pathlen"])
         fileobj.write(",".join(header) + "\n")
-        for tau, row, energy, plen in zip(
-                self.times, self.states, self.energies, self.path_length):
-            u = system.potential.eval(row[:n])
-            cells = [tau, *row, energy, u, plen]
-            fileobj.write(",".join(repr(float(c)) for c in cells) + "\n")
+        potentials = system.potential.vectorized()(self.states[:, :n])
+        table = np.column_stack([self.times, self.states, self.energies,
+                                 potentials, self.path_length])
+        fileobj.writelines(",".join(map(repr, cells)) + "\n"
+                           for cells in table.tolist())
 
 
 def _solve_branch(rhs, y0, t_end, tol, max_step):
@@ -167,7 +173,6 @@ def integrate(system, initial, horizon, tol=None) -> Trajectory:
         raise ValueError("horizon must be positive")
     tol = tol or Tolerances()
     n = len(initial.x)
-    metric = system.metric
 
     def rhs(_t, y):
         state = State.__new__(State)
@@ -198,17 +203,10 @@ def integrate(system, initial, horizon, tol=None) -> Trajectory:
     grid_states[neg] = bwd.sol(grid_times[neg]).T
     grid_states[~neg] = fwd.sol(grid_times[~neg]).T
 
-    energies = np.empty(len(times))
-    speeds = np.empty(len(times))
-    potentials = np.empty(len(times))
-    for i, row in enumerate(states):
-        x, v = row[:n], row[n:]
-        u = system.potential.eval(x)
-        system.check_potential(u, x)
-        potentials[i] = u
-        speeds[i] = metric.norm(x, v)
-        energies[i] = (0.5 * metric.inner(x, v, v)
-                       + system.inv_eps ** 2 * u)
+    x, v = states[:, :n], states[:, n:]
+    energies = hamiltonian(system, State(times, x, v))
+    speeds = system.metric.norm(x, v)
+    potentials = system.potential.vectorized()(x)
 
     # Riemannian arc length from tau = 0, trapezoid rule on the speed log
     dt = np.diff(times)
@@ -263,27 +261,15 @@ def el_residual_adapted(system, trajectory) -> np.ndarray:
     Assumes the system's own coordinates are adapted (no mixed first-row
     metric terms), so coordinate 0 plays the role of the level coordinate.
     The second derivative comes from divided differences on the uniform
-    grid; the remaining five terms are evaluated from the system data.
+    grid and is compared with the level component of ``el_acceleration``.
     """
     n = trajectory.dimension
     grid = trajectory.grid_times
     h = grid[1] - grid[0]
     z = trajectory.grid_states[:, 0]
     zdd = (z[2:] - 2 * z[1:-1] + z[:-2]) / h ** 2
-    inv_eps = system.inv_eps
-    residuals = np.empty(len(grid) - 2)
-    for k in range(1, len(grid) - 1):
-        row = trajectory.grid_states[k]
-        x, v = row[:n], row[n:]
-        gamma = system.metric.christoffel(x)
-        ginv = system.metric.inverse(x)
-        g00 = ginv[0, 0]
-        _, du = system.potential.value_and_grad(x)
-        quad = float(np.einsum("mn,m,n->", gamma[0], v, v))
-        mag = 0.0
-        if system.magnetic is not None:
-            f_tensor = magnetic_tensor(system.magnetic, x)
-            mag = inv_eps * g00 * float(f_tensor[:, 0] @ v)  # F_{b0} v^b
-        residuals[k - 1] = (zdd[k - 1] + quad + mag
-                            + inv_eps ** 2 * g00 * du[0])
-    return residuals
+    acc = np.array([
+        el_acceleration(system, State(tau, row[:n], row[n:]))[0]
+        for tau, row in zip(grid[1:-1], trajectory.grid_states[1:-1])
+    ])
+    return zdd - acc

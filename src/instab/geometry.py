@@ -1,8 +1,9 @@
 """Point-wise Riemannian computations.
 
 Metric inverse, Riemannian gradient, Christoffel symbols, magnetic tensor of
-a one-form, and the cotangent norm of contracted forms. Everything is dense;
-the dimension is capped at 16 since all target problems are tiny.
+a one-form, and the cotangent norm of contracted forms; the metric inner
+product and norm work row-wise over many points at once. Everything is
+dense; the dimension is capped at 16 since all target problems are tiny.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ PIVOT_FLOOR = 1e-12
 
 # Smallest admissible gradient norm of a candidate function f.
 GRADIENT_FLOOR = 1e-6
+
+# A sum of terms at most this fraction of the sum of their magnitudes is
+# float-cancellation noise of an exact zero.
+NOISE_RELATIVE = 1e-13
 
 
 def _spd_cholesky(matrix):
@@ -126,12 +131,20 @@ class MetricSpec:
         )
         return 0.5 * np.einsum("ab,bmn->amn", ginv, braces)
 
-    def inner(self, point, u, v) -> float:
-        g = self.value(point)
-        return float(np.asarray(u) @ g @ np.asarray(v))
+    def inner(self, points, u, v) -> np.ndarray:
+        """g(u, v) row by row over (m, n) points and vectors."""
+        points, u, v = np.atleast_2d(points, u, v)
+        n = self.dimension
+        if self.euclidean:
+            g = np.eye(n)
+        else:
+            g = np.empty((len(points), n, n))
+            for (i, j), fld in self._upper.items():
+                g[:, i, j] = g[:, j, i] = fld.vectorized()(points)
+        return (u[:, None, :] @ g @ v[:, :, None])[:, 0, 0]
 
-    def norm(self, point, v) -> float:
-        return float(np.sqrt(max(self.inner(point, v, v), 0.0)))
+    def norm(self, points, v) -> np.ndarray:
+        return np.sqrt(np.maximum(self.inner(points, v, v), 0.0))
 
 
 @dataclass
@@ -176,9 +189,18 @@ def magnetic_tensor(form, point) -> np.ndarray:
 
 
 def contracted_form_norm(metric, form, vector, point) -> float:
-    """Cotangent norm of the contraction of d(form) with ``vector``."""
+    """Cotangent norm of the contraction of d(form) with ``vector``.
+
+    Exact hypotheses cancel term by term, so a component within
+    NOISE_RELATIVE of its terms' magnitudes is taken as zero; dividing such
+    residues by a vanishing potential would fabricate divergence.
+    """
     f_tensor = magnetic_tensor(form, point)
-    covector = np.asarray(vector) @ f_tensor  # c_b = F_{ab} v^a
+    v = np.asarray(vector)
+    covector = v @ f_tensor  # c_b = F_{ab} v^a
+    scale = np.abs(v) @ np.abs(f_tensor)
+    covector = np.where(np.abs(covector) <= NOISE_RELATIVE * scale,
+                        0.0, covector)
     ginv = metric.inverse(point)
     return float(np.sqrt(max(covector @ ginv @ covector, 0.0)))
 

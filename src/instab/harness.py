@@ -12,6 +12,7 @@ existential statement, not a proof of it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -90,6 +91,12 @@ class ProblemDefinition:
         }
 
 
+def _is_real(value):
+    """A finite JSON number; booleans are not numbers here."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _parse_field(source, dimension, problems, what):
     try:
         return ScalarField.parse(str(source), dimension)
@@ -121,11 +128,23 @@ def _check_chart(spec, n, problems):
         box = spec.get(key)
         if not (isinstance(box, list) and len(box) == count and all(
                 isinstance(b, list) and len(b) == 2
-                and all(isinstance(c, (int, float)) for c in b)
+                and all(_is_real(c) for c in b)
                 and b[0] < b[1]
                 for b in box)):
             problems.append(f"chart.{key} must be a list of {count} "
                             "[lo, hi] intervals")
+
+
+def _check_quasi_homogeneous(spec, n, problems):
+    """The weights and degree the Euler-identity check reads."""
+    if not (isinstance(spec, dict) and set(spec) == {"weights", "degree"}
+            and isinstance(spec["weights"], list)
+            and len(spec["weights"]) == n
+            and all(_is_real(w) for w in spec["weights"])
+            and any(spec["weights"])
+            and _is_real(spec["degree"]) and spec["degree"] > 0):
+        problems.append(f"quasi_homogeneous must hold weights, a list of {n} "
+                        "reals not all zero, and degree, a positive real")
 
 
 def load_problem(data, name=None) -> ProblemDefinition:
@@ -134,15 +153,21 @@ def load_problem(data, name=None) -> ProblemDefinition:
     All validation failures are gathered into one ValidationError rather
     than stopping at the first.
     """
-    if hasattr(data, "read"):
-        data = json.load(data)
-    elif isinstance(data, (str, bytes)):
-        with open(data) as fh:
-            data = json.load(fh)
+    try:
+        if hasattr(data, "read"):
+            data = json.load(data)
+        elif isinstance(data, (str, bytes)):
+            with open(data) as fh:
+                data = json.load(fh)
+    except ValueError as exc:
+        raise ValidationError(f"problem is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValidationError("problem must be a JSON object")
     problems = []
 
     n = data.get("dimension")
-    if not isinstance(n, int) or not 1 <= n <= MAX_DIMENSION:
+    if isinstance(n, bool) or not isinstance(n, int) \
+            or not 1 <= n <= MAX_DIMENSION:
         problems.append(f"dimension must be an integer in 1..{MAX_DIMENSION}")
         raise ValidationError(problems)
 
@@ -153,7 +178,8 @@ def load_problem(data, name=None) -> ProblemDefinition:
     elif (isinstance(metric_data, list) and len(metric_data) == n
           and all(isinstance(r, list) and len(r) == n for r in metric_data)):
         try:
-            metric = MetricSpec.from_sources(n, metric_data)
+            metric = MetricSpec.from_sources(
+                n, [[str(src) for src in row] for row in metric_data])
         except (ExprError, ValueError) as exc:
             problems.append(f"metric: {exc}")
     else:
@@ -176,25 +202,35 @@ def load_problem(data, name=None) -> ProblemDefinition:
             if all(c is not None for c in comps):
                 magnetic = OneForm(n, comps)
 
-    center = np.asarray(data.get("center", []), dtype=float)
-    center_ok = center.shape == (n,)
-    if not center_ok:
+    center = data.get("center")
+    center_ok = (isinstance(center, (list, tuple)) and len(center) == n
+                 and all(_is_real(c) for c in center))
+    if center_ok:
+        center = np.array(center, dtype=float)
+    else:
         problems.append("center must be a list of n reals")
         center = np.zeros(n)
 
     horizon = data.get("T", 1.0)
-    if not (isinstance(horizon, (int, float)) and horizon > 0):
+    if not (_is_real(horizon) and horizon > 0):
         problems.append("T must be a positive real")
 
-    epsilons = tuple(data.get("epsilons", DEFAULT_EPSILONS))
-    if not epsilons or any(e <= 0 for e in epsilons):
-        problems.append("epsilons must be positive")
+    epsilons = data.get("epsilons", DEFAULT_EPSILONS)
+    if not (isinstance(epsilons, (list, tuple)) and epsilons
+            and all(_is_real(e) and e > 0 for e in epsilons)):
+        problems.append("epsilons must be a list of positive reals")
     elif any(b >= a for a, b in zip(epsilons, epsilons[1:])):
         problems.append("epsilons must be strictly decreasing")
 
     expected = data.get("expected")
     if expected not in (None, "stable", "unstable"):
         problems.append('expected must be "stable", "unstable" or null')
+    labels = data.get("labels", {})
+    if not (isinstance(labels, dict) and labels.get("certification") in (
+            None, _certify.CERTIFIED, _certify.REFUTED,
+            _certify.INCONCLUSIVE)):
+        problems.append('labels must be a mapping whose certification is '
+                        '"certified", "refuted", "inconclusive" or null')
 
     if potential is not None and center_ok:
         try:
@@ -215,11 +251,17 @@ def load_problem(data, name=None) -> ProblemDefinition:
 
     if data.get("chart") is not None:
         _check_chart(data["chart"], n, problems)
+    if data.get("quasi_homogeneous") is not None:
+        _check_quasi_homogeneous(data["quasi_homogeneous"], n, problems)
     probe = data.get("probe", {})
     try:
+        if not isinstance(probe, dict):
+            raise ValueError("settings must be a mapping")
         unknown = sorted(set(probe) - set(PROBE_KEYS))
         if unknown:
             raise ValueError(f"unknown settings {unknown}")
+        if any(isinstance(v, bool) for v in probe.values()):
+            raise ValueError("settings must be numbers, not booleans")
         _certify.HypothesisProbe(metric, potential, f_field, center=center,
                                  **probe)
     except (TypeError, ValueError) as exc:
@@ -241,7 +283,7 @@ def load_problem(data, name=None) -> ProblemDefinition:
         chart=data.get("chart"),
         quasi_homogeneous=data.get("quasi_homogeneous"),
         probe=probe,
-        labels=data.get("labels", {}),
+        labels=labels,
     )
 
 
@@ -694,7 +736,7 @@ def build_problem_chart(problem):
     Returns (chart, level_fields, pullback_form) with the pullback form
     present only when the chart spec carries a level-space one-form.
     """
-    from .charts import BaseSurfaceMap, build_chart, build_multi_chart
+    from .charts import BaseSurfaceMap, build_multi_chart
 
     spec = problem.chart
     if spec is None:
@@ -707,12 +749,8 @@ def build_problem_chart(problem):
         [ScalarField.parse(str(s), base_dim) for s in spec["psi"]],
         [tuple(b) for b in spec["base_box"]],
     )
-    if k == 1:
-        chart = build_chart(problem.metric, fields[0], psi,
-                            tuple(spec["level_box"][0]))
-    else:
-        chart = build_multi_chart(problem.metric, fields, psi,
-                                  [tuple(b) for b in spec["level_box"]])
+    chart = build_multi_chart(problem.metric, fields, psi,
+                              [tuple(b) for b in spec["level_box"]])
     pullback = None
     if spec.get("omega") is not None:
         omega = OneForm(k, [ScalarField.parse(str(s), k)

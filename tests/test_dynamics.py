@@ -72,6 +72,30 @@ def test_negative_potential_rejected():
         hamiltonian(system, State(0, [-1.0], [0.0]))
 
 
+def test_hamiltonian_rows_match_points():
+    system = _curved_magnetic_system()
+    traj = integrate(system, State(0, np.zeros(3), [0.5, 0.3, 0.1]), 1.0)
+    n = traj.dimension
+    rows = hamiltonian(system, State(traj.times, traj.states[:, :n],
+                                     traj.states[:, n:]))
+    points = [hamiltonian(system, State(tau, row[:n], row[n:]))
+              for tau, row in zip(traj.times, traj.states)]
+    # the per-row formula the vectorized pass replaced
+    reference = [0.5 * (row[n:] @ system.metric.value(row[:n]) @ row[n:])
+                 + system.inv_eps ** 2 * system.potential.eval(row[:n])
+                 for row in traj.states]
+    assert np.all(rows == np.array(points))
+    assert np.all(rows == np.array(reference))
+    assert np.all(rows == traj.energies)
+
+
+def test_integrate_rejects_negative_potential():
+    u = ScalarField.parse("x1", 1)
+    system = LagrangianSystem(MetricSpec.identity(1), u, None)
+    with pytest.raises(DomainError, match="potential is negative"):
+        integrate(system, State(0, [0.5], [-1.0]), 1.0)
+
+
 def test_integrate_straight_line():
     system = LagrangianSystem(E3, ZERO3, None, epsilon=None)
     traj = integrate(system, State(0, np.zeros(3), [1, 0, 0]), 1.0)
@@ -184,14 +208,18 @@ def test_el_residual_flat_adapted():
     assert np.max(np.abs(residuals)) < 1e-5
 
 
-def test_el_residual_curved_adapted():
+def _curved_magnetic_system():
     g = MetricSpec.from_sources(
         3, [["1", "0", "0"],
             ["0", "1 + x1^2/4", "x1/4"],
             ["0", "x1/4", "1 + (x2 + x3)^2/8"]])
     u = ScalarField.parse("x1^2", 3)
     mu = OneForm.from_sources(["0", "x1", "x1*x2/2"])
-    system = LagrangianSystem(g, u, mu, epsilon=1.0)
+    return LagrangianSystem(g, u, mu, epsilon=1.0)
+
+
+def test_el_residual_curved_adapted():
+    system = _curved_magnetic_system()
     traj = integrate(system, State(0, np.zeros(3), [0.5, 0.3, 0.1]), 1.0)
     residuals = el_residual_adapted(system, traj)
     assert np.max(np.abs(residuals)) < 1e-5

@@ -174,6 +174,15 @@ def test_contracted_form_norm_cases():
     assert contracted_form_norm(g, mu_x, np.zeros(3), [0, 0, 0]) == 0.0
 
 
+def test_contracted_form_norm_zeroes_cancellation_noise():
+    # c_3 = 0.1 * 3 + 0.3 * (-1) vanishes exactly, but not in floats
+    g = MetricSpec.identity(3)
+    mu = OneForm.from_sources(["0", "0", "3*x1 - x2"])
+    v = np.array([0.1, 0.3, 0.0])
+    assert (v @ magnetic_tensor(mu, [0, 0, 0]))[2] != 0.0
+    assert contracted_form_norm(g, mu, v, [0, 0, 0]) == 0.0
+
+
 def test_two_form_norm_unit_planar():
     g = MetricSpec.identity(3)
     mu = OneForm.from_sources(["0", "x1", "0"])  # tensor has F_12 = 1

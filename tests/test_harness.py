@@ -227,6 +227,19 @@ _BOGUS_PROBE = dict(UNSTABLE_PLANE, probe={"bogus": 1})
     (UNSTABLE_PLANE, ["certify", "--samples", "5"], "samples"),
     (UNSTABLE_PLANE, ["certify", "--shells", "1e-2:1e-7"], "delta_min"),
     (UNSTABLE_PLANE, ["certify", "--shells", "abc"], "--shells"),
+    (dict(UNSTABLE_PLANE, epsilons=["a"]), ["certify"], "epsilons"),
+    (dict(UNSTABLE_PLANE, epsilons=[True]), ["certify"], "epsilons"),
+    (dict(UNSTABLE_PLANE, dimension=True), ["certify"], "dimension"),
+    (dict(UNSTABLE_PLANE, T=True), ["certify"], "T must"),
+    (dict(UNSTABLE_PLANE, center=["a", 0, 0]), ["certify"], "center"),
+    (dict(UNSTABLE_PLANE, labels=[]), ["certify"], "labels"),
+    (dict(UNSTABLE_PLANE, quasi_homogeneous={"weights": [1, 1, 0]}),
+     ["certify"], "quasi_homogeneous"),
+    (dict(UNSTABLE_PLANE, quasi_homogeneous={"weights": "x", "degree": 2}),
+     ["certify"], "quasi_homogeneous"),
+    (UNSTABLE_PLANE, ["sweep", "--eps", "abc"], "--eps"),
+    (UNSTABLE_PLANE, ["sweep", "--tol-abs", "0"], "--tol-abs"),
+    (UNSTABLE_PLANE, ["escape", "--tol-rel", "0"], "--tol-rel"),
 ])
 def test_cli_invalid_input_exits_2(tmp_path, spec, args, field):
     path = tmp_path / "problem.json"
