@@ -20,10 +20,10 @@ from .errors import DomainError, EmptyShell, GradientTooSmall, NonFiniteResult
 from .expr import CallableField, Dual, ScalarField
 from .geometry import (
     GRADIENT_FLOOR,
-    NOISE_RELATIVE,
     OneForm,
     contracted_form_norm,
     gradient_data,
+    guard_cancellation,
     magnetic_tensor,
     riemannian_gradient,
     two_form_norm,
@@ -206,16 +206,6 @@ def _shell_table(probe, *ratio_fns):
     return tables, skipped
 
 
-def _guard_cancellation(value, scale):
-    """Zero a contraction whose magnitude is float-cancellation noise.
-
-    Exact hypotheses cancel term by term, leaving residues of relative
-    size machine epsilon; dividing those by a vanishing potential would
-    fabricate divergence.
-    """
-    return 0.0 if abs(value) <= NOISE_RELATIVE * scale else value
-
-
 def certify_potential_condition(probe) -> ConditionReport:
     """Shell test of |dU(grad f)| / U staying bounded near the locus."""
     u_field = probe.potential
@@ -224,8 +214,8 @@ def certify_potential_condition(probe) -> ConditionReport:
         u_val, du = u_field.value_and_grad(x)
         if u_val <= 0:
             return math.inf
-        num = _guard_cancellation(float(du @ grad),
-                                  float(np.abs(du) @ np.abs(grad)))
+        num = float(guard_cancellation(du @ grad,
+                                       np.abs(du) @ np.abs(grad)))
         return abs(num) / u_val
 
     [shells], skipped = _shell_table(probe, ratio)

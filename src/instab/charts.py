@@ -14,7 +14,7 @@ invertibility argument needs here).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -226,16 +226,9 @@ class BlockReport:
     max_off_block: float
     max_condition: float
     grid_count: int
-    entries: list  # per grid point: {"coords", "mixed", "condition"}
 
     def to_dict(self):
-        return {
-            "passed": self.passed,
-            "max_mixed": self.max_mixed,
-            "max_off_block": self.max_off_block,
-            "max_condition": self.max_condition,
-            "grid_count": self.grid_count,
-        }
+        return asdict(self)
 
 
 def pullback_metric_block_check(chart, grid_count=DEFAULT_GRID,
@@ -249,7 +242,6 @@ def pullback_metric_block_check(chart, grid_count=DEFAULT_GRID,
     max_mixed = 0.0
     max_off = 0.0
     max_cond = 0.0
-    entries = []
     for coords in chart.grid(grid_count):
         jac = chart.jacobian(coords)
         cond = float(np.linalg.cond(jac))
@@ -270,18 +262,12 @@ def pullback_metric_block_check(chart, grid_count=DEFAULT_GRID,
         max_mixed = max(max_mixed, mixed)
         max_off = max(max_off, off)
         max_cond = max(max_cond, cond)
-        entries.append({
-            "coords": [float(c) for c in coords],
-            "mixed": mixed,
-            "condition": cond,
-        })
     return BlockReport(
         passed=bool(max_mixed <= tol and max_off <= tol),
         max_mixed=max_mixed,
         max_off_block=max_off,
         max_condition=max_cond,
         grid_count=grid_count,
-        entries=entries,
     )
 
 

@@ -1,11 +1,14 @@
 """Arithmetic expression language evaluated over dual numbers.
 
 Scalar quantities (potentials, candidate functions, metric entries, one-form
-components) are entered as text in the variables x1..xn, parsed once into an
-AST and then evaluated either with plain floats, with vector-forward dual
-numbers (one derivative seed per coordinate, nestable for second order), with
-a generated fast float value+gradient function, or with a numpy-vectorized
-value function for bulk sampling.
+components) are entered as text in the variables x1..xn and parsed once into
+an AST. Three backends evaluate it: the reference walker ``eval_expr`` over
+plain floats or vector-forward dual numbers (one derivative seed per
+coordinate, nestable for second order), a generated float value+gradient
+function, and a generated numpy value function for bulk sampling. One code
+generator writes both generated functions, so they run the same operations
+in the same order; where the scalar function raises, the numpy one gives a
+non-finite value.
 
 Grammar (EBNF, also documented in the README):
 
@@ -17,6 +20,12 @@ Grammar (EBNF, also documented in the README):
             | "(" , expr , ")" ;
     variable = "x" , digit , { digit } ;
     function = "sin" | "cos" | "exp" | "ln" | "sqrt" ;
+
+The parser folds an exponent without variables to its value: an integral one
+makes an integer power (``x1^-2``, ``x1^(1+1)``), defined at negative bases
+too; any other makes a real power ``exp(b * ln(a))``, defined for positive
+bases only.
+An exponent that is undefined or overflows folds to nan.
 
 Only smooth primitives are provided; non-smooth ones (abs, max) would break
 the derivative guarantees the rest of the toolkit relies on.
@@ -41,8 +50,8 @@ from .errors import (
 MAX_DIMENSION = 16
 FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt")
 
-# Integer exponents up to this bound unroll to repeated multiplication; larger
-# ones fall back to float pow (value) and the power rule (derivative).
+# Integer powers up to this exponent unroll to repeated multiplication;
+# larger ones use float pow for the value and the power rule for the slope.
 _UNROLL_POW = 16
 
 
@@ -60,9 +69,15 @@ class Var:
 
 @dataclass(frozen=True)
 class Bin:
-    op: str  # + - * / ^
+    op: str  # + - * / ^ (a ^ with a variable or non-integral exponent)
     lhs: "Expr"
     rhs: "Expr"
+
+
+@dataclass(frozen=True)
+class IntPow:
+    base: "Expr"
+    k: int
 
 
 @dataclass(frozen=True)
@@ -76,40 +91,7 @@ class Fun:
     arg: "Expr"
 
 
-Expr = Num | Var | Bin | Neg | Fun
-
-
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
-
-def to_source(node: Expr) -> str:
-    """Print an AST so that re-parsing yields a structurally identical tree."""
-
-    def go(n, parent_prec, right_side):
-        if isinstance(n, Num):
-            if n.value < 0:  # never produced by the parser, but be safe
-                return f"({n.value!r})"
-            return repr(n.value)
-        if isinstance(n, Var):
-            return f"x{n.index + 1}"
-        if isinstance(n, Fun):
-            return f"{n.name}({go(n.arg, 0, False)})"
-        if isinstance(n, Neg):
-            inner = go(n.arg, _PRECEDENCE["neg"], False)
-            text = f"-{inner}"
-            return f"({text})" if parent_prec > _PRECEDENCE["neg"] else text
-        prec = _PRECEDENCE[n.op]
-        if n.op == "^":
-            lhs = go(n.lhs, prec + 1, False)  # left operand binds atoms only
-            rhs = go(n.rhs, prec, False)      # right associative
-        else:
-            lhs = go(n.lhs, prec, False)
-            rhs = go(n.rhs, prec + 1, True)
-        text = f"{lhs} {n.op} {rhs}"
-        need = parent_prec > prec or (right_side and parent_prec == prec)
-        return f"({text})" if need else text
-
-    return go(node, 0, False)
+Expr = Num | Var | Bin | IntPow | Neg | Fun
 
 
 # --- tokenizer / parser ----------------------------------------------------
@@ -152,6 +134,25 @@ def _tokenize(source):
 
 
 _VAR_RE = re.compile(r"^x([0-9]+)$")
+
+
+def _has_var(node) -> bool:
+    if isinstance(node, (Num, Var)):
+        return isinstance(node, Var)
+    if isinstance(node, Bin):
+        return _has_var(node.lhs) or _has_var(node.rhs)
+    return _has_var(node.base if isinstance(node, IntPow) else node.arg)
+
+
+def _folded_power(base, exponent):
+    """``base ^ exponent`` with a variable-free exponent decided once."""
+    try:
+        k = float(eval_expr(exponent, ()))
+    except (DomainError, NonFiniteResult):
+        k = math.nan
+    if k.is_integer():
+        return IntPow(base, int(k))
+    return Bin("^", base, Num(k if math.isfinite(k) else math.nan))
 
 
 class _Parser:
@@ -217,10 +218,13 @@ class _Parser:
     def power(self):
         base = self.atom()
         kind, text, _, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
-            return Bin("^", base, self.unary())
-        return base
+        if not (kind == "op" and text == "^"):
+            return base
+        self.advance()
+        exponent = self.unary()
+        if _has_var(exponent):
+            return Bin("^", base, exponent)
+        return _folded_power(base, exponent)
 
     def atom(self):
         kind, text, line, col = self.peek()
@@ -304,21 +308,15 @@ class Dual:
 
     def __truediv__(self, other):
         if isinstance(other, Dual):
-            if _value_of(other.val) == 0.0:
-                raise DomainError("division by zero")
             inv2 = other.val * other.val
             return Dual(
                 self.val / other.val,
                 tuple((a * other.val - self.val * b) / inv2
                       for a, b in zip(self.eps, other.eps)),
             )
-        if _value_of(other) == 0.0:
-            raise DomainError("division by zero")
         return Dual(self.val / other, tuple(a / other for a in self.eps))
 
     def __rtruediv__(self, other):
-        if _value_of(self.val) == 0.0:
-            raise DomainError("division by zero")
         inv2 = self.val * self.val
         return Dual(other / self.val,
                     tuple(-other * b / inv2 for b in self.eps))
@@ -338,7 +336,7 @@ def _lift(fn, dfn):
             return Dual(v, tuple(d * e for e in x.eps))
         try:
             return fn(x)
-        except OverflowError as exc:
+        except (OverflowError, ValueError) as exc:  # overflow, sin/cos of inf
             raise NonFiniteResult(str(exc)) from exc
     return apply
 
@@ -372,22 +370,30 @@ _FUN_EVAL = {"sin": _sin, "cos": _cos, "exp": _exp, "ln": _ln_raw,
              "sqrt": _sqrt_raw}
 
 
+def _divide(a, b):
+    if _value_of(b) == 0.0:
+        raise DomainError("division by zero")
+    return a / b
+
+
 def _ipow(base, k):
-    """base**k by repeated multiplication for small |k| (generic over duals)."""
+    """base**k for an integer k, generic over floats and nested duals."""
+    if k < 0:
+        return _divide(1.0, _ipow(base, -k))
     if k == 0:
         return 1.0
-    neg = k < 0
-    k = abs(k)
     if k <= _UNROLL_POW:
         out = base
         for _ in range(k - 1):
             out = out * base
-    else:
-        out = _exp(_ln_raw(base) * float(k)) if isinstance(base, Dual) \
-            else base ** k
-    if neg:
-        return 1.0 / out
-    return out
+        return out
+    if isinstance(base, Dual):  # power rule
+        slope = float(k) * _ipow(base.val, k - 1)
+        return Dual(_ipow(base.val, k), tuple(slope * e for e in base.eps))
+    try:
+        return base ** k
+    except OverflowError as exc:
+        raise NonFiniteResult(str(exc)) from exc
 
 
 def eval_expr(node: Expr, coords):
@@ -400,12 +406,9 @@ def eval_expr(node: Expr, coords):
         return -eval_expr(node.arg, coords)
     if isinstance(node, Fun):
         return _FUN_EVAL[node.name](eval_expr(node.arg, coords))
+    if isinstance(node, IntPow):
+        return _ipow(eval_expr(node.base, coords), node.k)
     a = eval_expr(node.lhs, coords)
-    if node.op == "^":
-        if isinstance(node.rhs, Num) and float(node.rhs.value).is_integer():
-            return _ipow(a, int(node.rhs.value))
-        b = eval_expr(node.rhs, coords)
-        return _exp(_ln_raw(a) * b)
     b = eval_expr(node.rhs, coords)
     if node.op == "+":
         return a + b
@@ -414,116 +417,101 @@ def eval_expr(node: Expr, coords):
     if node.op == "*":
         return a * b
     if node.op == "/":
-        if isinstance(b, Dual) or isinstance(a, Dual):
-            return a / b
-        if b == 0.0:
-            raise DomainError("division by zero")
-        return a / b
-    raise AssertionError(node.op)
+        return _divide(a, b)
+    return _exp(_ln_raw(a) * b)  # real power
 
 
-# --- code generation (fast float value + gradient) -------------------------
+# --- code generation (scalar value + gradient, numpy value) ----------------
+
+# A derivative that is structurally zero, where the dual reference carries a
+# plain float. The literal "0.0" is a number and multiplies like one.
+_ZERO = "0"
+_ONE = "1.0"
+
+
+@dataclass(frozen=True)
+class _Assign:
+    code: str
+    derivative: bool  # only the gradient reads it
+
+
+@dataclass(frozen=True)
+class _Check:
+    """Where ``test`` holds, the operation emitted next to it is undefined."""
+
+    test: str
+    message: str | None  # None: float arithmetic raises there by itself
+    derivative: bool = False  # only the gradient is undefined there
+
 
 class _Emitter:
+    """Straight-line code for an expression's value and gradient.
+
+    ``lines`` holds assignments and domain checks in evaluation order. The
+    scalar rendering raises DomainError at a check; the numpy rendering
+    drops the gradient and gives nan where any value check holds.
+    """
+
     def __init__(self, n):
         self.n = n
         self.lines = []
         self.counter = 0
 
-    def temp(self, expr_text):
+    def temp(self, code, derivative=False):
         name = f"t{self.counter}"
         self.counter += 1
-        self.lines.append(f"{name} = {expr_text}")
+        self.lines.append(_Assign(f"{name} = {code}", derivative))
         return name
+
+    def check(self, test, message=None, derivative=False):
+        self.lines.append(_Check(test, message, derivative))
 
     @staticmethod
     def add(a, b):
-        if a == "0.0":
+        if a == _ZERO:
             return b
-        if b == "0.0":
+        if b == _ZERO:
             return a
         return f"({a} + {b})"
 
     @staticmethod
     def sub(a, b):
-        if b == "0.0":
+        if b == _ZERO:
             return a
-        if a == "0.0":
+        if a == _ZERO:
             return f"(-{b})"
         return f"({a} - {b})"
 
     @staticmethod
     def mul(a, b):
-        if a == "0.0" or b == "0.0":
-            return "0.0"
-        if a == "1.0":
+        if a == _ZERO or b == _ZERO:
+            return _ZERO
+        if a == _ONE:
             return b
-        if b == "1.0":
+        if b == _ONE:
             return a
         return f"({a} * {b})"
 
+    @staticmethod
+    def div(a, b):
+        return _ZERO if a == _ZERO else f"({a} / {b})"
+
     def emit(self, node):
         """Return (value symbol, derivative expression per coordinate)."""
-        zero = ["0.0"] * self.n
         if isinstance(node, Num):
-            return repr(node.value), list(zero)
+            return repr(node.value), [_ZERO] * self.n
         if isinstance(node, Var):
-            d = list(zero)
-            d[node.index] = "1.0"
+            d = [_ZERO] * self.n
+            d[node.index] = _ONE
             return f"p[{node.index}]", d
         if isinstance(node, Neg):
             v, d = self.emit(node.arg)
-            return self.temp(f"-{v}"), [self.sub("0.0", x) if x != "0.0"
-                                        else "0.0" for x in d]
+            return self.temp(f"-{v}"), [self.sub(_ZERO, x) for x in d]
         if isinstance(node, Fun):
-            v, d = self.emit(node.arg)
-            name = node.name
-            if name == "ln":
-                self.lines.append(
-                    f"if {v} <= 0.0: raise DomainError('ln of non-positive')")
-                out = self.temp(f"log({v})")
-                dd = [self.mul(x, f"(1.0 / {v})") for x in d]
-            elif name == "sqrt":
-                self.lines.append(
-                    f"if {v} < 0.0: raise DomainError('sqrt of negative')")
-                out = self.temp(f"sqrt({v})")
-                if any(x != "0.0" for x in d):
-                    self.lines.append(
-                        f"if {out} == 0.0: "
-                        "raise DomainError('sqrt derivative at zero')")
-                dd = [self.mul(x, f"(0.5 / {out})") for x in d]
-            elif name == "exp":
-                out = self.temp(f"exp({v})")
-                dd = [self.mul(x, out) for x in d]
-            elif name == "sin":
-                out = self.temp(f"sin({v})")
-                c = self.temp(f"cos({v})")
-                dd = [self.mul(x, c) for x in d]
-            else:  # cos
-                out = self.temp(f"cos({v})")
-                s = self.temp(f"-sin({v})")
-                dd = [self.mul(x, s) for x in d]
-            return out, dd
-        # binary
-        if node.op == "^" and isinstance(node.rhs, Num) \
-                and float(node.rhs.value).is_integer():
-            return self._emit_ipow(node.lhs, int(node.rhs.value))
+            return self._fun(node.name, *self.emit(node.arg))
+        if isinstance(node, IntPow):
+            return self._ipow(*self.emit(node.base), node.k)
         va, da = self.emit(node.lhs)
-        if node.op == "^":
-            vb, db = self.emit(node.rhs)
-            self.lines.append(
-                f"if {va} <= 0.0: "
-                "raise DomainError('real power of non-positive base')")
-            ln_a = self.temp(f"log({va})")
-            out = self.temp(f"exp({self.mul(vb, ln_a)})")
-            # derivative of a^b is a^b * (b' ln a + b a'/a)
-            dd = [
-                self.mul(out, self.add(self.mul(xb, ln_a),
-                                       f"({self.mul(vb, xa)} / {va})"
-                                       if xa != "0.0" else "0.0"))
-                for xa, xb in zip(da, db)
-            ]
-            return out, dd
         vb, db = self.emit(node.rhs)
         if node.op == "+":
             return (self.temp(self.add(va, vb)),
@@ -532,122 +520,141 @@ class _Emitter:
             return (self.temp(self.sub(va, vb)),
                     [self.sub(x, y) for x, y in zip(da, db)])
         if node.op == "*":
-            out = self.temp(self.mul(va, vb))
-            return out, [self.add(self.mul(x, vb), self.mul(va, y))
-                         for x, y in zip(da, db)]
-        # division
-        self.lines.append(
-            f"if {vb} == 0.0: raise DomainError('division by zero')")
+            return self._mul(va, da, vb, db)
+        if node.op == "/":
+            literal = isinstance(node.rhs, Num) and node.rhs.value != 0.0
+            return self._div(va, da, vb, db, check=not literal)
+        # real power a^b = exp(ln(a) * b)
+        ln_a = self._fun("ln", va, da, "real power of non-positive base")
+        return self._fun("exp", *self._mul(*ln_a, vb, db))
+
+    def _mul(self, va, da, vb, db):
+        return self.temp(self.mul(va, vb)), [
+            self.add(self.mul(x, vb), self.mul(va, y)) for x, y in zip(da, db)]
+
+    def _div(self, va, da, vb, db, check=True):
+        if check:
+            self.check(f"{vb} == 0.0", "division by zero")
         out = self.temp(f"({va} / {vb})")
-        dd = [
-            "0.0" if x == "0.0" and y == "0.0"
+        if all(y == _ZERO for y in db):
+            return out, [self.div(x, vb) for x in da]
+        return out, [
+            _ZERO if x == _ZERO and y == _ZERO
             else f"(({self.sub(self.mul(x, vb), self.mul(va, y))}) "
                  f"/ ({vb} * {vb}))"
             for x, y in zip(da, db)
         ]
-        return out, dd
 
-    def _emit_ipow(self, base_node, k):
-        va, da = self.emit(base_node)
+    def _fun(self, name, v, d, domain="ln of non-positive"):
+        if name == "ln":
+            self.check(f"{v} <= 0.0", domain)
+            return self.temp(f"log({v})"), [self.div(x, v) for x in d]
+        if name == "sqrt":
+            self.check(f"{v} < 0.0", "sqrt of negative")
+            out = self.temp(f"sqrt({v})")
+            if any(x != _ZERO for x in d):
+                self.check(f"{out} == 0.0", "sqrt derivative at zero",
+                           derivative=True)
+            return out, [self.mul(x, f"(0.5 / {out})") for x in d]
+        if name == "exp":
+            out = self.temp(f"exp({v})")
+            self.check(f"isinf({out}) & ~isinf({v})")
+            return out, [self.mul(x, out) for x in d]
+        self.check(f"isinf({v})")
+        out = self.temp(f"{name}({v})")
+        slope = self.temp(f"cos({v})" if name == "sin" else f"-sin({v})",
+                          derivative=True)
+        return out, [self.mul(x, slope) for x in d]
+
+    def _ipow(self, va, da, k):
         if k == 0:
-            return "1.0", ["0.0"] * self.n
-        neg = k < 0
-        k = abs(k)
+            return _ONE, [_ZERO] * self.n
+        if k < 0:
+            return self._div(_ONE, [_ZERO] * self.n, *self._ipow(va, da, -k))
         if k <= _UNROLL_POW:
-            v = va
-            dd = list(da)
+            v, d = va, da
             for _ in range(k - 1):
-                dd = [self.add(self.mul(x, va), self.mul(v, y))
-                      for x, y in zip(dd, da)]
+                d = [self.add(self.mul(x, va), self.mul(v, y))
+                     for x, y in zip(d, da)]
                 v = self.temp(self.mul(v, va))
-        else:
-            v = self.temp(f"{va} ** {k}")
-            pw = self.temp(f"{va} ** {k - 1}")
-            dd = [self.mul(f"({k}.0 * {pw})", x) for x in da]
-        if neg:
-            self.lines.append(
-                f"if {v} == 0.0: raise DomainError('division by zero')")
-            inv = self.temp(f"(1.0 / {v})")
-            dd = [self.mul(f"(-{inv} * {inv})", x) if x != "0.0" else "0.0"
-                  for x in dd]
-            return inv, dd
-        # materialize derivative expressions so they are not recomputed
-        return v, dd
+            return v, d
+        v = self.temp(f"{va} ** {float(k)!r}")
+        self.check(f"isinf({v}) & ~isinf({va})")
+        pw = self.temp(f"{va} ** {float(k - 1)!r}", derivative=True)
+        return v, [self.mul(f"({float(k)!r} * {pw})", x) for x in da]
 
 
-_GEN_NAMESPACE = {
+def _generate(node, n):
+    """Emitted lines, value symbol and gradient symbols of ``node``."""
+    em = _Emitter(n)
+    v, d = em.emit(node)
+    grads = ["0.0" if x == _ZERO
+             else x if x == _ONE or x.startswith("t")
+             else em.temp(x, derivative=True) for x in d]
+    return em.lines, v, grads
+
+
+_SCALAR_NAMESPACE = {
     "log": math.log, "sqrt": math.sqrt, "exp": math.exp,
     "sin": math.sin, "cos": math.cos, "DomainError": DomainError,
+    "nan": math.nan, "inf": math.inf,
+}
+
+_NUMPY_NAMESPACE = {
+    "log": np.log, "sqrt": np.sqrt, "exp": np.exp, "sin": np.sin,
+    "cos": np.cos, "isinf": np.isinf, "nan": np.nan, "inf": np.inf,
+    "np": np,
 }
 
 
-def compile_value_grad(node: Expr, n: int):
-    """Generate a fast ``f(point) -> (value, (d1..dn))`` for float points."""
-    em = _Emitter(n)
-    v, d = em.emit(node)
-    dsyms = [em.temp(x) if x not in ("0.0", "1.0") and not x.startswith("t")
-             else x for x in d]
-    body = "\n    ".join(em.lines) or "pass"
-    grads = ", ".join(dsyms) + ("," if n == 1 else "")
-    src = f"def _field(p):\n    {body}\n    return {v}, ({grads})\n"
-    ns = dict(_GEN_NAMESPACE)
+def _define(name, src, namespace):
+    ns = dict(namespace)
     exec(src, ns)  # noqa: S102 - generated from our own AST only
-    return ns["_field"]
+    return ns[name]
 
 
-_NP_FUNS = {"sin": "np.sin", "cos": "np.cos", "exp": "np.exp",
-            "ln": "np.log", "sqrt": "np.sqrt"}
+def compile_value_grad(node: Expr, n: int):
+    """Generate a fast ``f(point) -> (value, (d1..dn))`` for float points.
+
+    Raises DomainError at a failed check. Float overflow raises
+    OverflowError, and sin or cos of an infinity ValueError.
+    """
+    lines, v, grads = _generate(node, n)
+    body = ""
+    for line in lines:
+        if isinstance(line, _Assign):
+            body += f"    {line.code}\n"
+        elif line.message is not None:
+            body += (f"    if {line.test}: "
+                     f"raise DomainError({line.message!r})\n")
+    src = (f"def _field(p):\n{body}"
+           f"    return {v}, ({', '.join(grads)}{',' if n == 1 else ''})\n")
+    return _define("_field", src, _SCALAR_NAMESPACE)
 
 
 def compile_vectorized(node: Expr, n: int):
     """Generate ``f(points) -> values`` over an (m, n) numpy array.
 
-    No domain checking: invalid points yield nan/inf and are filtered by the
-    caller.
+    The values are non-finite exactly where the scalar function raises:
+    nan at a failed value check, and everywhere when float arithmetic on
+    constants raises. Run it under ``np.errstate(all="ignore")``.
     """
-    counter = [0]
-    lines = []
-
-    def temp(text):
-        name = f"t{counter[0]}"
-        counter[0] += 1
-        lines.append(f"{name} = {text}")
-        return name
-
-    def go(nd):
-        if isinstance(nd, Num):
-            return repr(nd.value)
-        if isinstance(nd, Var):
-            return f"p[:, {nd.index}]"
-        if isinstance(nd, Neg):
-            return temp(f"-{go(nd.arg)}")
-        if isinstance(nd, Fun):
-            return temp(f"{_NP_FUNS[nd.name]}({go(nd.arg)})")
-        a = go(nd.lhs)
-        if nd.op == "^":
-            if isinstance(nd.rhs, Num) and float(nd.rhs.value).is_integer():
-                k = int(nd.rhs.value)
-                if k == 0:
-                    return "1.0"
-                out = a
-                if abs(k) <= _UNROLL_POW:
-                    for _ in range(abs(k) - 1):
-                        out = temp(f"{out} * {a}")
-                else:
-                    out = temp(f"{a} ** {abs(k)}")
-                return temp(f"1.0 / {out}") if k < 0 else out
-            b = go(nd.rhs)
-            return temp(f"np.exp({b} * np.log({a}))")
-        b = go(nd.rhs)
-        return temp(f"({a} {nd.op} {b})")
-
-    v = go(node)
-    body = "\n    ".join(lines) or "pass"
-    src = (f"def _vec(p):\n    {body}\n"
-           f"    return np.broadcast_to({v}, (p.shape[0],)).astype(float)\n")
-    ns = {"np": np}
-    exec(src, ns)  # noqa: S102
-    return ns["_vec"]
+    lines, v, _ = _generate(node, n)
+    body = "".join(f"        {line.code}\n" for line in lines
+                   if isinstance(line, _Assign) and not line.derivative)
+    body = body or "        pass\n"
+    tests = [f"({line.test})" for line in lines
+             if isinstance(line, _Check) and not line.derivative]
+    if tests:
+        v = f"np.where({' | '.join(tests)}, nan, {v})"
+    src = ("def _vec(points):\n"
+           "    p = points.T\n"
+           f"    try:\n{body}"
+           "    except (ZeroDivisionError, OverflowError):\n"
+           "        return np.full(points.shape[0], nan)\n"
+           f"    return np.broadcast_to({v}, (points.shape[0],))"
+           ".astype(float)\n")
+    return _define("_vec", src, _NUMPY_NAMESPACE)
 
 
 # --- scalar fields ---------------------------------------------------------
@@ -659,7 +666,10 @@ def _dual_gradient(fn, n, point) -> np.ndarray:
              tuple(1.0 if j == k else 0.0 for k in range(n)))
         for j in range(n)
     ]
-    out = fn(coords)
+    try:
+        out = fn(coords)
+    except ZeroDivisionError as exc:  # a quotient rule's squared divisor
+        raise NonFiniteResult(f"at point {tuple(point)}") from exc
     if not isinstance(out, Dual):
         return np.zeros(n)
     vals = np.array([_value_of(e) for e in out.eps], dtype=float)
@@ -671,12 +681,12 @@ def _dual_gradient(fn, n, point) -> np.ndarray:
 class ScalarField:
     """A differentiable map from n coordinates to a real number."""
 
-    def __init__(self, dimension: int, body: Expr, source: str | None = None):
+    def __init__(self, dimension: int, body: Expr, source: str):
         if not 1 <= dimension <= MAX_DIMENSION:
             raise ValueError(f"dimension must be in 1..{MAX_DIMENSION}")
         self.dimension = dimension
         self.body = body
-        self.source = source if source is not None else to_source(body)
+        self.source = source
         self._fast = None
         self._vec = None
 
@@ -697,7 +707,10 @@ class ScalarField:
         return self._fast
 
     def value_and_grad(self, point):
-        v, d = self._fast_fn()(tuple(point))
+        try:
+            v, d = self._fast_fn()(tuple(point))
+        except (OverflowError, ValueError, ZeroDivisionError) as exc:
+            raise NonFiniteResult(f"at point {tuple(point)}") from exc
         if not math.isfinite(v) or not all(map(math.isfinite, d)):
             raise NonFiniteResult(f"at point {tuple(point)}")
         return v, np.array(d, dtype=float)
@@ -724,7 +737,7 @@ class ScalarField:
         return v
 
     def vectorized(self):
-        """Bulk value evaluation over an (m, n) array; nan where undefined."""
+        """Bulk values over an (m, n) array; non-finite where undefined."""
         if self._vec is None:
             vec = compile_vectorized(self.body, self.dimension)
 

@@ -188,19 +188,22 @@ def magnetic_tensor(form, point) -> np.ndarray:
     return jac - jac.T
 
 
-def contracted_form_norm(metric, form, vector, point) -> float:
-    """Cotangent norm of the contraction of d(form) with ``vector``.
+def guard_cancellation(values, scale):
+    """Zero the entries of ``values`` that are float-cancellation noise.
 
-    Exact hypotheses cancel term by term, so a component within
-    NOISE_RELATIVE of its terms' magnitudes is taken as zero; dividing such
-    residues by a vanishing potential would fabricate divergence.
+    Exact hypotheses cancel term by term, so a sum within NOISE_RELATIVE of
+    ``scale``, the sum of its terms' magnitudes, is taken as zero; dividing
+    such residues by a vanishing potential would fabricate divergence.
     """
+    return np.where(np.abs(values) <= NOISE_RELATIVE * scale, 0.0, values)
+
+
+def contracted_form_norm(metric, form, vector, point) -> float:
+    """Cotangent norm of the contraction of d(form) with ``vector``."""
     f_tensor = magnetic_tensor(form, point)
     v = np.asarray(vector)
-    covector = v @ f_tensor  # c_b = F_{ab} v^a
-    scale = np.abs(v) @ np.abs(f_tensor)
-    covector = np.where(np.abs(covector) <= NOISE_RELATIVE * scale,
-                        0.0, covector)
+    covector = guard_cancellation(v @ f_tensor,  # c_b = F_{ab} v^a
+                                  np.abs(v) @ np.abs(f_tensor))
     ginv = metric.inverse(point)
     return float(np.sqrt(max(covector @ ginv @ covector, 0.0)))
 

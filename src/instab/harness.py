@@ -86,6 +86,7 @@ class ProblemDefinition:
             "epsilons": [float(e) for e in self.epsilons],
             "chart": self.chart,
             "quasi_homogeneous": self.quasi_homogeneous,
+            "probe": self.probe,
             "expected": self.expected,
             "labels": self.labels,
         }

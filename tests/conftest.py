@@ -1,12 +1,23 @@
-"""Shared fixtures: expensive sweeps and charts are built once per session."""
+"""Shared fixtures: expensive sweeps and charts are built once per session.
+
+With ``CI`` set, hypothesis runs derandomized, so a failure seen in CI
+reproduces locally with ``CI=1``.
+"""
+
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from instab import harness
 from instab.charts import build_chart, BaseSurfaceMap
 from instab.expr import ScalarField
 from instab.geometry import MetricSpec
+
+settings.register_profile("ci", derandomize=True, database=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

@@ -34,6 +34,11 @@ def test_load_problem_roundtrip(tmp_path):
     assert again.potential.source == problem.potential.source
 
 
+def test_to_dict_keeps_probe():
+    problem = harness.corpus_entry("whitney-umbrella")
+    assert harness.load_problem(problem.to_dict()).probe == {"radius": 0.4}
+
+
 def test_load_problem_aggregates_errors():
     bad = dict(UNSTABLE_PLANE,
                center=[0.0, 0.0, 0.5],
@@ -112,9 +117,8 @@ def test_detect_escape_closed_form():
     assert verdict.initial_speeds == pytest.approx([0.1, 0.01])
 
 
-def test_detect_escape_flags_no_drift():
-    problem = harness.corpus_entry("stable-magnetic-plane")
-    report = harness.run_epsilon_sweep(problem, with_certification=False)
+def test_detect_escape_flags_no_drift(corpus_sweeps):
+    report = corpus_sweeps["stable-magnetic-plane"]
     with pytest.raises(NoPositiveDrift):
         harness.detect_escape(report)
 
@@ -247,6 +251,15 @@ def test_cli_invalid_input_exits_2(tmp_path, spec, args, field):
     result = _run(args[0], str(path), *args[1:])
     assert result.exit_code == 2, result.output
     assert field in " ".join(json.loads(result.output)["error"])
+
+
+def test_cli_overflow_exits_3(tmp_path):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"dimension": 2, "potential": "x2^2",
+                                "f": "exp(1000*x1)", "center": [0, 0]}))
+    result = _run("certify", str(path), "--radius", "1")
+    assert result.exit_code == 3, result.output
+    assert "error" in json.loads(result.output)
 
 
 def test_cli_sweep_csv_artifacts(tmp_path):
