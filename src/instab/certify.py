@@ -193,7 +193,7 @@ def _shell_table(probe, *ratio_fns):
                 column[i] = ratio_fn(x, grad)
         if grad_floor_hit is not None:
             x, gnorm = grad_floor_hit
-            raise GradientTooSmall(tuple(x), gnorm)
+            raise GradientTooSmall(x, gnorm)
         for shells, column in zip(tables, ratios):
             worst = int(np.argmax(column))
             shells.append(ShellRow(
@@ -426,7 +426,7 @@ def _normalized_field(metric, fld):
     def vec(x):
         _df, grad, norm_sq = gradient_data(metric, fld, x)
         if norm_sq < GRADIENT_FLOOR ** 2:
-            raise GradientTooSmall(tuple(x), math.sqrt(max(norm_sq, 0.0)))
+            raise GradientTooSmall(x, math.sqrt(max(norm_sq, 0.0)))
         return grad / norm_sq
 
     return vec

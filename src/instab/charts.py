@@ -59,7 +59,7 @@ def _flow_rhs(metric, fld):
     def rhs(_t, x):
         _df, grad, norm_sq = gradient_data(metric, fld, x)
         if norm_sq < FLOW_GRADIENT_FLOOR ** 2:
-            raise GradientTooSmall(tuple(x), float(np.sqrt(norm_sq)))
+            raise GradientTooSmall(x, float(np.sqrt(norm_sq)))
         return grad / norm_sq
 
     return rhs

@@ -9,6 +9,12 @@ Every run records conserved-energy, speed, potential and path-length logs;
 the energy log is one vectorized ``hamiltonian`` pass over all step rows,
 and the speed and potential logs are read in the same row-wise way. An
 untrustworthy energy drift raises instead of being silently accepted.
+
+On a curved metric the right-hand side reads the metric's entries and
+partials and the one-form's components from one generated function each,
+and the inverse metric and the Christoffel symbols from one factorization
+of the metric per point (see ``geometry``). scipy is used only for the
+integrator.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from .errors import (
     DomainError,
     EnergyDriftExceeded,
     StepSizeUnderflow,
+    format_point,
 )
 from .geometry import magnetic_tensor
 
@@ -106,7 +113,7 @@ def hamiltonian(system, state):
         point = x[np.argmax(bad)]
         value = system.potential.eval(point)  # raises where U is undefined
         raise DomainError(
-            f"potential is negative ({value:.3e}) at {tuple(point)}")
+            f"potential is negative ({value:.3e}) at {format_point(point)}")
     energy = 0.5 * system.metric.inner(x, v, v) + system.inv_eps ** 2 * u
     return float(energy[0]) if state.x.ndim == 1 else energy
 

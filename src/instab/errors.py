@@ -1,6 +1,11 @@
 """Exception hierarchy shared across the toolkit."""
 
 
+def format_point(point) -> str:
+    """A point as plain floats, the way every error message shows one."""
+    return "(" + ", ".join(repr(float(c)) for c in point) + ")"
+
+
 class InstabError(Exception):
     """Base class for all toolkit errors."""
 
@@ -77,8 +82,9 @@ class EnergyDriftExceeded(IntegrationError):
 
 class GradientTooSmall(InstabError):
     def __init__(self, point, norm):
-        super().__init__(f"gradient norm {norm:.3e} below threshold at {point}")
-        self.point = point
+        self.point = tuple(float(c) for c in point)
+        super().__init__(f"gradient norm {norm:.3e} below threshold at "
+                         f"{format_point(self.point)}")
         self.norm = norm
 
 

@@ -45,6 +45,7 @@ from .errors import (
     ExprSyntaxError,
     NonFiniteResult,
     UnknownIdentifier,
+    format_point,
 )
 
 MAX_DIMENSION = 16
@@ -584,14 +585,22 @@ class _Emitter:
         return v, [self.mul(f"({float(k)!r} * {pw})", x) for x in da]
 
 
-def _generate(node, n):
-    """Emitted lines, value symbol and gradient symbols of ``node``."""
+def _generate(nodes, n):
+    """Emitted lines, value symbols and gradient symbols of ``nodes``.
+
+    The nodes share one emitter and one temp counter, but each emits the
+    same lines it would alone, so its value and gradient are bit-identical
+    to those of the node compiled by itself.
+    """
     em = _Emitter(n)
-    v, d = em.emit(node)
-    grads = ["0.0" if x == _ZERO
-             else x if x == _ONE or x.startswith("t")
-             else em.temp(x, derivative=True) for x in d]
-    return em.lines, v, grads
+    values, grads = [], []
+    for node in nodes:
+        v, d = em.emit(node)
+        values.append(v)
+        grads += ["0.0" if x == _ZERO
+                  else x if x == _ONE or x.startswith("t")
+                  else em.temp(x, derivative=True) for x in d]
+    return em.lines, values, grads
 
 
 _SCALAR_NAMESPACE = {
@@ -613,13 +622,14 @@ def _define(name, src, namespace):
     return ns[name]
 
 
-def compile_value_grad(node: Expr, n: int):
-    """Generate a fast ``f(point) -> (value, (d1..dn))`` for float points.
+def compile_value_grad(nodes, n: int):
+    """Generate ``f(point) -> (v_1..v_k, d_1/dx_1..d_k/dx_n)`` for k nodes.
 
+    The flat tuple holds the k values, then each node's n partials in turn.
     Raises DomainError at a failed check. Float overflow raises
     OverflowError, and sin or cos of an infinity ValueError.
     """
-    lines, v, grads = _generate(node, n)
+    lines, values, grads = _generate(nodes, n)
     body = ""
     for line in lines:
         if isinstance(line, _Assign):
@@ -627,9 +637,8 @@ def compile_value_grad(node: Expr, n: int):
         elif line.message is not None:
             body += (f"    if {line.test}: "
                      f"raise DomainError({line.message!r})\n")
-    src = (f"def _field(p):\n{body}"
-           f"    return {v}, ({', '.join(grads)}{',' if n == 1 else ''})\n")
-    return _define("_field", src, _SCALAR_NAMESPACE)
+    src = f"def _fields(p):\n{body}    return ({', '.join(values + grads)},)\n"
+    return _define("_fields", src, _SCALAR_NAMESPACE)
 
 
 def compile_vectorized(node: Expr, n: int):
@@ -639,7 +648,7 @@ def compile_vectorized(node: Expr, n: int):
     nan at a failed value check, and everywhere when float arithmetic on
     constants raises. Run it under ``np.errstate(all="ignore")``.
     """
-    lines, v, _ = _generate(node, n)
+    lines, (v,), _ = _generate([node], n)
     body = "".join(f"        {line.code}\n" for line in lines
                    if isinstance(line, _Assign) and not line.derivative)
     body = body or "        pass\n"
@@ -659,7 +668,60 @@ def compile_vectorized(node: Expr, n: int):
 
 # --- scalar fields ---------------------------------------------------------
 
-def _dual_gradient(fn, n, point) -> np.ndarray:
+def _coords(point):
+    """A point's coordinates as plain floats, as the generated code takes."""
+    return np.asarray(point, dtype=float).tolist()
+
+
+def _not_finite(label, point):
+    return NonFiniteResult(f"{label} is not finite at point "
+                           f"{format_point(point)}")
+
+
+def _evaluated(fn, coords, label):
+    """``fn(coords)`` as a tuple of finite floats.
+
+    Errors name ``label`` and the point: DomainError at a failed domain
+    check, NonFiniteResult where float arithmetic overflows or a result is
+    not finite.
+    """
+    try:
+        out = fn(coords)
+    except DomainError as exc:
+        raise DomainError(f"{exc} in {label} at point "
+                          f"{format_point(coords)}") from exc
+    except (OverflowError, ValueError, ZeroDivisionError) as exc:
+        raise _not_finite(label, coords) from exc
+    if not all(map(math.isfinite, out)):
+        raise _not_finite(label, coords)
+    return out
+
+
+def compile_fields(fields, n):
+    """One generated call for k fields: ``point -> (values (k,), jac (k, n))``.
+
+    Each value and gradient row is bit-identical to the field's own
+    ``value_and_grad``, and the call raises exactly where one of the fields
+    does, with that field's own error.
+    """
+    fn = compile_value_grad([fld.body for fld in fields], n)
+    k = len(fields)
+    label = "fields " + ", ".join(repr(fld.source) for fld in fields)
+
+    def evaluate(point):
+        coords = _coords(point)
+        try:
+            out = np.array(_evaluated(fn, coords, label))
+        except (DomainError, NonFiniteResult):
+            for fld in fields:  # the first field that fails names the error
+                fld.value_and_grad(coords)
+            raise
+        return out[:k], out[k:].reshape(k, n)
+
+    return evaluate
+
+
+def _dual_gradient(fn, n, point, label) -> np.ndarray:
     """Gradient of ``fn`` at ``point`` from one pass seeded per coordinate."""
     coords = [
         Dual(float(point[j]),
@@ -669,13 +731,20 @@ def _dual_gradient(fn, n, point) -> np.ndarray:
     try:
         out = fn(coords)
     except ZeroDivisionError as exc:  # a quotient rule's squared divisor
-        raise NonFiniteResult(f"at point {tuple(point)}") from exc
+        raise _not_finite(label, point) from exc
     if not isinstance(out, Dual):
         return np.zeros(n)
     vals = np.array([_value_of(e) for e in out.eps], dtype=float)
     if not np.all(np.isfinite(vals)):
-        raise NonFiniteResult(f"at point {tuple(point)}")
+        raise _not_finite(label, point)
     return vals
+
+
+def _dual_value(fn, point, label) -> float:
+    v = _value_of(fn([float(c) for c in point]))
+    if not math.isfinite(v):
+        raise _not_finite(label, point)
+    return v
 
 
 class ScalarField:
@@ -687,6 +756,7 @@ class ScalarField:
         self.dimension = dimension
         self.body = body
         self.source = source
+        self.label = f"field {source!r}"
         self._fast = None
         self._vec = None
 
@@ -701,19 +771,11 @@ class ScalarField:
     def _call(self, coords):
         return eval_expr(self.body, coords)
 
-    def _fast_fn(self):
-        if self._fast is None:
-            self._fast = compile_value_grad(self.body, self.dimension)
-        return self._fast
-
     def value_and_grad(self, point):
-        try:
-            v, d = self._fast_fn()(tuple(point))
-        except (OverflowError, ValueError, ZeroDivisionError) as exc:
-            raise NonFiniteResult(f"at point {tuple(point)}") from exc
-        if not math.isfinite(v) or not all(map(math.isfinite, d)):
-            raise NonFiniteResult(f"at point {tuple(point)}")
-        return v, np.array(d, dtype=float)
+        if self._fast is None:
+            self._fast = compile_value_grad([self.body], self.dimension)
+        out = _evaluated(self._fast, _coords(point), self.label)
+        return out[0], np.array(out[1:])
 
     def eval(self, point) -> float:
         v, _ = self.value_and_grad(point)
@@ -727,14 +789,10 @@ class ScalarField:
 
     def grad_dual(self, point) -> np.ndarray:
         """Gradient via the dual-number reference path."""
-        return _dual_gradient(self._call, self.dimension, point)
+        return _dual_gradient(self._call, self.dimension, point, self.label)
 
     def eval_dual(self, point) -> float:
-        out = self._call([float(c) for c in point])
-        v = _value_of(out)
-        if not math.isfinite(v):
-            raise NonFiniteResult(f"at point {tuple(point)}")
-        return v
+        return _dual_value(self._call, point, self.label)
 
     def vectorized(self):
         """Bulk values over an (m, n) array; non-finite where undefined."""
@@ -769,16 +827,12 @@ class CallableField:
         return self._fn(coords)
 
     def eval(self, point) -> float:
-        out = self._fn([float(c) for c in point])
-        v = _value_of(out)
-        if not math.isfinite(v):
-            raise NonFiniteResult(f"at point {tuple(point)}")
-        return v
+        return _dual_value(self._fn, point, self.source)
 
     __call__ = eval
 
     def grad(self, point) -> np.ndarray:
-        return _dual_gradient(self._fn, self.dimension, point)
+        return _dual_gradient(self._fn, self.dimension, point, self.source)
 
     def value_and_grad(self, point):
         return self.eval(point), self.grad(point)
@@ -795,4 +849,3 @@ class CallableField:
             return out
 
         return loop
-

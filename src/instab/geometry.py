@@ -4,17 +4,24 @@ Metric inverse, Riemannian gradient, Christoffel symbols, magnetic tensor of
 a one-form, and the cotangent norm of contracted forms; the metric inner
 product and norm work row-wise over many points at once. Everything is
 dense; the dimension is capped at 16 since all target problems are tiny.
+
+A metric's entries compile into one generated function, which gives g and
+its partials in one call, and a one-form's components into another. The
+metric is factored once per point: the last point's g, partials and inverse
+are kept, so the inverse and the Christoffel symbols at one point share one
+Cholesky factorization. The linear algebra is numpy's; scipy is used only
+for its ODE integrator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .errors import SingularMetric
-from .expr import MAX_DIMENSION, ScalarField
+from .errors import NonFiniteResult, SingularMetric, format_point
+from .expr import MAX_DIMENSION, ScalarField, compile_fields
 
 # Smallest admissible Cholesky pivot; defines "positive definite at this
 # point" operationally.
@@ -28,23 +35,29 @@ GRADIENT_FLOOR = 1e-6
 NOISE_RELATIVE = 1e-13
 
 
-def _spd_cholesky(matrix):
+def _spd_inverse(matrix, point):
+    """Inverse of a positive-definite matrix from its Cholesky factor."""
     try:
-        chol = scipy.linalg.cholesky(matrix, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularMetric(str(exc)) from exc
-    if np.min(np.diag(chol)) ** 2 < PIVOT_FLOOR:
-        raise SingularMetric(
-            f"Cholesky pivot below {PIVOT_FLOOR:.0e}"
-        )
-    return chol
+        chol = np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMetric(f"metric is not positive definite at point "
+                             f"{format_point(point)}") from exc
+    if min(chol.diagonal().tolist()) ** 2 < PIVOT_FLOOR:
+        raise SingularMetric(f"Cholesky pivot below {PIVOT_FLOOR:.0e} at "
+                             f"point {format_point(point)}")
+    chol_inv = np.linalg.inv(chol)
+    inverse = chol_inv.T @ chol_inv
+    inverse.flags.writeable = False
+    return inverse
 
 
 class MetricSpec:
     """Symmetric positive-definite coefficient matrix of scalar fields.
 
     Only the upper triangle is stored, so symmetry holds structurally. The
-    Euclidean case is flagged and short-circuits every computation.
+    Euclidean case is flagged and short-circuits every computation. The
+    arrays that ``value`` and ``inverse`` return are read-only: they are
+    kept for the next call at the same point.
     """
 
     def __init__(self, dimension, upper_entries=None):
@@ -53,6 +66,13 @@ class MetricSpec:
         self.dimension = dimension
         self.euclidean = upper_entries is None
         self._upper = upper_entries  # dict[(i, j)] -> field, i <= j
+        self._entries = None  # compiled upper entries, made on first use
+        self._local = None  # [point bytes, g, dg, g^-1 or None]
+        if upper_entries is not None:
+            upper = list(upper_entries)
+            self._slots = np.array([  # entry number of each (a, b), row-major
+                upper.index((min(a, b), max(a, b)))
+                for a in range(dimension) for b in range(dimension)])
 
     @classmethod
     def identity(cls, dimension):
@@ -83,46 +103,53 @@ class MetricSpec:
             raise ValueError("euclidean metric has no expression entries")
         return self._upper[(min(i, j), max(i, j))]
 
-    def value(self, point) -> np.ndarray:
+    def _at(self, point):
+        """``[key, g, dg, g^-1]`` at ``point``, dg[c, a, b] = ∂_c g_{ab}.
+
+        One compiled call per new point, keyed on its exact coordinates;
+        g^-1 is None until ``_factored`` asks for it.
+        """
+        x = np.asarray(point, dtype=float)
+        key = x.tobytes()
+        local = self._local
+        if local is not None and local[0] == key:
+            return local
         n = self.dimension
+        if self._entries is None:
+            self._entries = compile_fields(list(self._upper.values()), n)
+        values, jac = self._entries(x)
+        g = values[self._slots].reshape(n, n)
+        g.flags.writeable = False
+        dg = jac.T[:, self._slots].reshape(n, n, n)
+        self._local = [key, g, dg, None]
+        return self._local
+
+    def _factored(self, point):
+        local = self._at(point)
+        if local[3] is None:
+            local[3] = _spd_inverse(local[1], point)
+        return local
+
+    def value(self, point) -> np.ndarray:
         if self.euclidean:
-            return np.eye(n)
-        g = np.empty((n, n))
-        for (i, j), fld in self._upper.items():
-            g[i, j] = g[j, i] = fld.eval(point)
-        return g
+            return np.eye(self.dimension)
+        return self._at(point)[1]
 
     def inverse(self, point) -> np.ndarray:
         if self.euclidean:
             return np.eye(self.dimension)
-        g = self.value(point)
-        chol = _spd_cholesky(g)
-        identity = np.eye(self.dimension)
-        return scipy.linalg.cho_solve((chol, True), identity)
+        return self._factored(point)[3]
 
     def check_positive_definite(self, point):
         if not self.euclidean:
-            _spd_cholesky(self.value(point))
-
-    def partials(self, point) -> np.ndarray:
-        """dg[c, a, b] = ∂_c g_{ab}."""
-        n = self.dimension
-        dg = np.zeros((n, n, n))
-        if self.euclidean:
-            return dg
-        for (i, j), fld in self._upper.items():
-            grad = fld.grad(point)
-            dg[:, i, j] = grad
-            dg[:, j, i] = grad
-        return dg
+            self._factored(point)
 
     def christoffel(self, point) -> np.ndarray:
         """Levi-Civita symbols Gamma[a, m, n], symmetric in (m, n)."""
         n = self.dimension
         if self.euclidean:
             return np.zeros((n, n, n))
-        ginv = self.inverse(point)
-        dg = self.partials(point)
+        _key, _g, dg, ginv = self._factored(point)
         # Gamma^a_{mn} = 1/2 g^{ab} (g_{bm,n} + g_{bn,m} - g_{mn,b})
         braces = (
             np.transpose(dg, (1, 2, 0))   # g_{bm,n} indexed [b, m, n]
@@ -153,6 +180,8 @@ class OneForm:
 
     dimension: int
     components: list
+    _compiled: object = field(default=None, init=False, repr=False,
+                              compare=False)
 
     def __post_init__(self):
         if len(self.components) != self.dimension:
@@ -163,6 +192,19 @@ class OneForm:
         n = len(sources)
         return cls(n, [ScalarField.parse(src, n) for src in sources])
 
+    def jacobian(self, point) -> np.ndarray:
+        """jac[b, a] = ∂_a A_b, one compiled call for parsed components.
+
+        Other components (the pullback form's) take their own gradients.
+        """
+        if self._compiled is None:
+            parsed = all(isinstance(c, ScalarField) for c in self.components)
+            self._compiled = (compile_fields(self.components, self.dimension)
+                              if parsed else False)
+        if self._compiled:
+            return self._compiled(point)[1]
+        return np.array([comp.grad(point) for comp in self.components])
+
 
 def gradient_data(metric, fld, point):
     """(df, grad f, |grad f|^2) of ``fld`` at ``point``.
@@ -171,7 +213,11 @@ def gradient_data(metric, fld, point):
     """
     df = fld.grad(point)
     grad = df if metric.euclidean else metric.inverse(point) @ df
-    return df, grad, float(df @ grad)
+    norm_sq = float(np.vdot(df, grad))  # as df @ grad, but never warns
+    if not math.isfinite(norm_sq):
+        raise NonFiniteResult(f"|grad|^2 of {fld.label} is not finite at "
+                              f"point {format_point(point)}")
+    return df, grad, norm_sq
 
 
 def riemannian_gradient(metric, fld, point) -> np.ndarray:
@@ -181,11 +227,8 @@ def riemannian_gradient(metric, fld, point) -> np.ndarray:
 
 def magnetic_tensor(form, point) -> np.ndarray:
     """F[a, b] = ∂_a A_b − ∂_b A_a (exactly antisymmetric by assembly)."""
-    n = form.dimension
-    jac = np.empty((n, n))  # jac[a, b] = ∂_a A_b
-    for b, comp in enumerate(form.components):
-        jac[:, b] = comp.grad(point)
-    return jac - jac.T
+    jac = form.jacobian(point)  # jac[b, a] = ∂_a A_b
+    return jac.T - jac
 
 
 def guard_cancellation(values, scale):

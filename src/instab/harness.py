@@ -32,6 +32,7 @@ from .errors import (
     IntegrationError,
     NoPositiveDrift,
     NonFiniteResult,
+    SingularMetric,
     ValidationError,
 )
 from .expr import MAX_DIMENSION, ScalarField
@@ -558,7 +559,7 @@ def run_epsilon_sweep(problem, tol=None, seed=0,
                 problem.horizon, tol=tol,
             )
         except (IntegrationError, DomainError, NonFiniteResult,
-                ValueError) as exc:
+                SingularMetric, ValueError) as exc:
             run.status = "failed"
             run.error = f"{type(exc).__name__}: {exc}"
             continue

@@ -21,6 +21,7 @@ from instab.expr import (
     Num,
     ScalarField,
     Var,
+    compile_fields,
     parse,
 )
 
@@ -281,20 +282,47 @@ def _close(a, b):
     return abs(a - b) <= _REL * max(abs(a), abs(b))
 
 
-@given(_EXPRESSIONS, st.lists(st.tuples(_COORDS, _COORDS), min_size=1,
-                              max_size=4))
+def _outcome(fn, *args):
+    """(fn(*args), None), or (None, the DomainError or NonFiniteResult)."""
+    try:
+        return fn(*args), None
+    except (DomainError, NonFiniteResult) as exc:
+        return None, exc
+
+
+def _bits(value, grad):
+    return np.array([value, *grad]).tobytes()
+
+
+@given(st.lists(_EXPRESSIONS, min_size=1, max_size=3),
+       st.lists(st.tuples(_COORDS, _COORDS), min_size=1, max_size=4))
 @settings(max_examples=1000, deadline=None)
-def test_backends_agree(source, points):
-    f = ScalarField.parse(source, 2)
-    bulk = f.vectorized()(np.array(points))
-    for point, vec_value in zip(points, bulk):
-        value = _defined(f.eval_dual, point)
-        grad = _defined(f.grad_dual, point)
-        fast = _defined(f.value_and_grad, point)
-        assert (value is None) == (not math.isfinite(vec_value))
-        assert (fast is None) == (value is None or grad is None)
-        if value is not None:
-            assert _close(vec_value, value)
-        if fast is not None:
-            assert _close(fast[0], value)
-            assert all(map(_close, fast[1], grad))
+def test_backends_agree(sources, points):
+    fields = [ScalarField.parse(source, 2) for source in sources]
+    for f in fields:
+        bulk = f.vectorized()(np.array(points))
+        for point, vec_value in zip(points, bulk):
+            value = _defined(f.eval_dual, point)
+            grad = _defined(f.grad_dual, point)
+            fast = _defined(f.value_and_grad, point)
+            assert (value is None) == (not math.isfinite(vec_value))
+            assert (fast is None) == (value is None or grad is None)
+            if value is not None:
+                assert _close(vec_value, value)
+            if fast is not None:
+                assert _close(fast[0], value)
+                assert all(map(_close, fast[1], grad))
+
+    # compiled together, each field gives its own bits and its own errors
+    group = compile_fields(fields, 2)
+    for point in points:
+        alone = [_outcome(f.value_and_grad, point) for f in fields]
+        together, error = _outcome(group, point)
+        first = next((exc for _, exc in alone if exc is not None), None)
+        assert (error is None) == (first is None)
+        if error is not None:
+            assert (type(error), str(error)) == (type(first), str(first))
+            continue
+        values, jac = together
+        for (own, _), value, row in zip(alone, values, jac):
+            assert _bits(value, row) == _bits(*own)

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from instab.errors import SingularMetric
+from instab.errors import DomainError, SingularMetric
 from instab.expr import ScalarField
 from instab.geometry import (
     MetricSpec,
@@ -15,6 +16,11 @@ from instab.geometry import (
 )
 
 POLAR_STYLE = [["1", "0"], ["0", "x1^2"]]
+CRITERION_10 = [
+    ["1", "0", "0"],
+    ["0", "1 + x1^2/4", "x1/4"],
+    ["0", "x1/4", "1 + (x2 + x3)^2/8"],
+]
 CURVED = [
     ["1 + x2^2", "x1*x2/2", "0"],
     ["x1*x2/2", "2 + x1^2", "0"],
@@ -67,6 +73,56 @@ def test_singular_metric_rejected():
         g.inverse([0.0, 0.0])
     with pytest.raises(SingularMetric):
         g.check_positive_definite([-1.0, 0.0])
+    assert np.all(np.isfinite(g.christoffel([0.5, 0.0])))
+    with pytest.raises(SingularMetric, match=r"at point \(-1\.0, 0\.0\)"):
+        g.christoffel([-1.0, 0.0])
+
+
+def _reference(metric, point):
+    """g, g^-1 and Gamma from per-entry dual numbers and scipy's cho_solve."""
+    n = metric.dimension
+    g = np.empty((n, n))
+    dg = np.empty((n, n, n))  # dg[c, a, b] = d_c g_ab
+    for a in range(n):
+        for b in range(n):
+            g[a, b] = metric.entry(a, b).eval_dual(point)
+            dg[:, a, b] = metric.entry(a, b).grad_dual(point)
+    ginv = scipy.linalg.cho_solve(scipy.linalg.cho_factor(g, lower=True),
+                                  np.eye(n))
+    gamma = np.zeros((n, n, n))
+    for a, m, k, b in np.ndindex(n, n, n, n):
+        gamma[a, m, k] += 0.5 * ginv[a, b] * (dg[k, b, m] + dg[m, b, k]
+                                              - dg[b, m, k])
+    return g, ginv, gamma
+
+
+def _close(a, b):
+    return np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("sources", [CRITERION_10, CURVED])
+def test_compiled_metric_matches_reference(sources):
+    metric = MetricSpec.from_sources(3, sources)
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        p, q = rng.uniform(-1, 1, (2, 3))
+        for point in (p, q, p):  # each point replaces the memoized one
+            g, ginv, gamma = _reference(metric, point)
+            assert _close(metric.value(point), g)
+            assert _close(metric.inverse(point), ginv)
+            assert _close(metric.christoffel(point), gamma)
+    ginv = metric.inverse(p)
+    assert not ginv.flags.writeable
+    with pytest.raises(ValueError):
+        ginv[0, 0] = 0.0
+
+
+def test_metric_entry_domain_error_names_entry_and_point():
+    g = MetricSpec.from_sources(2, [["1", "0"], ["0", "2 + ln(x1)"]])
+    for call in (g.value, g.inverse, g.christoffel):
+        with pytest.raises(DomainError, match=r"'2 \+ ln\(x1\)' at point "
+                                              r"\(-1\.0, 1\.0\)"):
+            call([-1.0, 1.0])
 
 
 def test_christoffel_euclidean_zero():
@@ -135,6 +191,16 @@ def test_magnetic_tensor_planar_forms():
     f_z = magnetic_tensor(mu_z, [0.5, 1, 2])
     assert f_z[2, 1] == 1.0 and f_z[1, 2] == -1.0
     assert np.count_nonzero(f_z) == 2
+
+
+def test_magnetic_tensor_equals_component_assembly():
+    mu = OneForm.from_sources(["x2*x3", "sin(x1) + x3^2", "exp(x1*x2)/2"])
+    rng = np.random.default_rng(6)
+    for point in rng.uniform(-1, 1, (20, 3)):
+        jac = np.empty((3, 3))  # jac[a, b] = d_a mu_b, one field at a time
+        for b, comp in enumerate(mu.components):
+            jac[:, b] = comp.grad(point)
+        assert magnetic_tensor(mu, point).tobytes() == (jac - jac.T).tobytes()
 
 
 def test_closed_form_has_zero_tensor():

@@ -2,6 +2,8 @@
 
 import copy
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -257,9 +259,23 @@ def test_cli_overflow_exits_3(tmp_path):
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps({"dimension": 2, "potential": "x2^2",
                                 "f": "exp(1000*x1)", "center": [0, 0]}))
-    result = _run("certify", str(path), "--radius", "1")
-    assert result.exit_code == 3, result.output
-    assert "error" in json.loads(result.output)
+    result = subprocess.run(
+        [sys.executable, "-m", "instab.cli", "certify", str(path),
+         "--radius", "1"], capture_output=True, text=True)
+    assert result.returncode == 3, result.stdout + result.stderr
+    assert result.stderr == ""
+    message = json.loads(result.stdout)["error"]
+    assert "exp(1000*x1)" in message and "np.float64" not in message
+
+
+def test_sweep_records_lost_definiteness_as_failed_run():
+    problem = harness.load_problem({
+        "dimension": 2, "metric": [["1", "0"], ["0", "1 - 4*x1^2"]],
+        "potential": "x2^2", "f": "x1", "center": [0.0, 0.0], "T": 1.0,
+        "epsilons": [0.1], "expected": "unstable"})
+    report = harness.run_epsilon_sweep(problem, with_certification=False)
+    assert [run.status for run in report.runs] == ["failed"]
+    assert report.runs[0].error.startswith("SingularMetric: ")
 
 
 def test_cli_sweep_csv_artifacts(tmp_path):
