@@ -7,9 +7,9 @@ composes one such flow per component of a map F whose gradients are
 orthogonal and whose normalized flows commute.
 
 Chart points are computed lazily by flow integration and memoized on
-quantized coordinates; Jacobians use fourth-order central differences (the
-flows are only known numerically, and conditioning checks are all the
-invertibility argument needs here).
+quantized coordinates. A Jacobian integrates the variational equation
+J' = DX·J of each flow next to the flow itself, with DX exact from the
+Hessian of the level function, so the only error left is the integrator's.
 """
 
 from __future__ import annotations
@@ -20,17 +20,15 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import (
-    GradientTooSmall,
     IdentityViolation,
     IntegrationError,
     OrderDependence,
     SingularJacobian,
 )
-from .geometry import gradient_data
+from .geometry import normalized_gradient, normalized_gradient_jacobian
 
 FLOW_GRADIENT_FLOOR = 1e-8
 FLOW_TOL = 1e-12
-JACOBIAN_STEP = 1e-3
 _MEMO_QUANTUM = 1e-12
 DEFAULT_GRID = 9
 
@@ -55,28 +53,33 @@ class BaseSurfaceMap:
         return np.array([c.grad(y) for c in self.components])
 
 
-def _flow_rhs(metric, fld):
-    def rhs(_t, x):
-        _df, grad, norm_sq = gradient_data(metric, fld, x)
-        if norm_sq < FLOW_GRADIENT_FLOOR ** 2:
-            raise GradientTooSmall(x, float(np.sqrt(norm_sq)))
-        return grad / norm_sq
-
-    return rhs
+def _solve(rhs, start, t):
+    if t == 0.0:
+        return start.copy()
+    sol = solve_ivp(rhs, (0.0, t), start,
+                    method="RK45", rtol=FLOW_TOL, atol=FLOW_TOL)
+    if not sol.success:
+        raise IntegrationError(f"flow integration failed: {sol.message}")
+    return sol.y[:, -1]
 
 
 def flow_normalized_gradient(metric, fld, start, t):
     """The time-t point of the flow of grad(f)/|grad f|^2 from ``start``."""
-    start = np.asarray(start, dtype=float)
-    if t == 0.0:
-        return start.copy()
-    sol = solve_ivp(
-        _flow_rhs(metric, fld), (0.0, t), start,
-        method="RK45", rtol=FLOW_TOL, atol=FLOW_TOL,
-    )
-    if not sol.success:
-        raise IntegrationError(f"flow integration failed: {sol.message}")
-    return sol.y[:, -1]
+    return _solve(lambda _t, x: normalized_gradient(
+        metric, fld, x, FLOW_GRADIENT_FLOOR), np.asarray(start, float), t)
+
+
+def _flow_with_jacobian(metric, fld, start, jac, t):
+    """The time-t point of the flow and ``jac`` carried along by J' = DX·J."""
+    n, m = jac.shape
+
+    def rhs(_t, state):
+        vec, dvec = normalized_gradient_jacobian(
+            metric, fld, state[:n], FLOW_GRADIENT_FLOOR)
+        return np.concatenate([vec, (dvec @ state[n:].reshape(n, m)).ravel()])
+
+    end = _solve(rhs, np.concatenate([start, jac.ravel()]), t)
+    return end[:n], end[n:].reshape(n, m)
 
 
 class AdaptedChart:
@@ -122,20 +125,22 @@ class AdaptedChart:
         return x
 
     def jacobian(self, coords) -> np.ndarray:
-        """d(Psi) by fourth-order central differences, column per coordinate."""
+        """d(Psi), one column per coordinate, exact but for the integrator.
+
+        The flows carry the base columns d(psi) by their variational
+        equations; level column i is X_i where flow i ends, carried through
+        the flows that run after it.
+        """
         coords = np.asarray(coords, dtype=float)
-        n = self.dimension
-        m = len(coords)
-        jac = np.empty((n, m))
-        for j in range(m):
-            h = JACOBIAN_STEP * max(1.0, abs(coords[j]))
-            shifts = {}
-            for s in (-2, -1, 1, 2):
-                c = coords.copy()
-                c[j] += s * h
-                shifts[s] = self.point(c)
-            jac[:, j] = (shifts[-2] - 8 * shifts[-1]
-                         + 8 * shifts[1] - shifts[2]) / (12 * h)
+        k = self.k
+        x = self.psi(coords[k:])
+        jac = np.hstack([np.zeros((len(x), k)), self.psi.jacobian(coords[k:])])
+        for i in reversed(range(k)):
+            x, jac[:, i + 1:] = _flow_with_jacobian(
+                self.metric, self.fields[i], x, jac[:, i + 1:],
+                float(coords[i]))
+            jac[:, i] = normalized_gradient(
+                self.metric, self.fields[i], x, FLOW_GRADIENT_FLOOR)
         return jac
 
     def grid(self, count=DEFAULT_GRID):

@@ -1,4 +1,4 @@
-"""Arithmetic expression language evaluated over dual numbers.
+"""Arithmetic expression language: parser, derivatives and backends.
 
 Scalar quantities (potentials, candidate functions, metric entries, one-form
 components) are entered as text in the variables x1..xn and parsed once into
@@ -8,7 +8,8 @@ coordinate, nestable for second order), a generated float value+gradient
 function, and a generated numpy value function for bulk sampling. One code
 generator writes both generated functions, so they run the same operations
 in the same order; where the scalar function raises, the numpy one gives a
-non-finite value.
+non-finite value. Duals are only the tests' reference; second derivatives
+and composite fields are ASTs from ``derivative`` and ``substitute``.
 
 Grammar (EBNF, also documented in the README):
 
@@ -422,6 +423,79 @@ def eval_expr(node: Expr, coords):
     return _exp(_ln_raw(a) * b)  # real power
 
 
+# --- derivatives and substitution on the AST --------------------------------
+
+_ZERO_NODE, _ONE_NODE = Num(0.0), Num(1.0)
+
+
+def _node(op, a, b):
+    """``a op b``, folding zeros and ones as the emitter folds its own."""
+    if op in "+-" and _ZERO_NODE in (a, b):
+        return a if b == _ZERO_NODE else b if op == "+" else Neg(b)
+    if op in "*/" and a == _ZERO_NODE or op == "*" and b == _ZERO_NODE:
+        return _ZERO_NODE
+    if op == "*" and _ONE_NODE in (a, b):
+        return b if a == _ONE_NODE else a
+    return Bin(op, a, b)
+
+
+def substitute(node: Expr, exprs) -> Expr:
+    """``node`` with each variable x_{j+1} replaced by ``exprs[j]``."""
+    if isinstance(node, Var):
+        return exprs[node.index]
+    if isinstance(node, Bin):
+        return _node(node.op, substitute(node.lhs, exprs),
+                     substitute(node.rhs, exprs))
+    if isinstance(node, Neg):
+        return _node("-", _ZERO_NODE, substitute(node.arg, exprs))
+    if isinstance(node, IntPow):
+        return IntPow(substitute(node.base, exprs), node.k)
+    if isinstance(node, Fun):
+        return Fun(node.name, substitute(node.arg, exprs))
+    return node
+
+
+def derivative(node: Expr, i: int) -> Expr:
+    """The partial derivative of ``node`` in x_{i+1}, as an AST.
+
+    Each rule is the emitter's (for powers above 16, the dual reference's),
+    so a derivative computes what the generated gradient does; compiling it
+    again gives second derivatives.
+    """
+    if isinstance(node, (Num, Var)):
+        return _ONE_NODE if node == Var(i) else _ZERO_NODE
+    if isinstance(node, Neg):
+        return _node("-", _ZERO_NODE, derivative(node.arg, i))
+    if isinstance(node, Fun):
+        a = node.arg
+        if node.name == "ln":
+            return _node("/", derivative(a, i), a)
+        slope = {"sin": Fun("cos", a), "cos": Neg(Fun("sin", a)),
+                 "exp": node, "sqrt": Bin("/", Num(0.5), node)}
+        return _node("*", derivative(a, i), slope[node.name])
+    if isinstance(node, IntPow):
+        a, k = node.base, node.k
+        if k < 0:
+            return derivative(Bin("/", _ONE_NODE, IntPow(a, -k)), i)
+        if k > _UNROLL_POW:  # power rule
+            return _node("*", _node("*", Num(float(k)), IntPow(a, k - 1)),
+                         derivative(a, i))
+        return (derivative(Bin("*", IntPow(a, k - 1), a), i)  # as unrolled
+                if k else _ZERO_NODE)
+    a, b = node.lhs, node.rhs
+    if node.op == "^":
+        return derivative(Fun("exp", Bin("*", Fun("ln", a), b)), i)
+    da, db = derivative(a, i), derivative(b, i)
+    if node.op in "+-":
+        return _node(node.op, da, db)
+    if node.op == "*":
+        return _node("+", _node("*", da, b), _node("*", a, db))
+    if not _has_var(b):
+        return _node("/", da, b)
+    return _node("/", _node("-", _node("*", da, b), _node("*", a, db)),
+                 Bin("*", b, b))
+
+
 # --- code generation (scalar value + gradient, numpy value) ----------------
 
 # A derivative that is structurally zero, where the dual reference carries a
@@ -759,6 +833,7 @@ class ScalarField:
         self.label = f"field {source!r}"
         self._fast = None
         self._vec = None
+        self._hessian = None
 
     @classmethod
     def parse(cls, source: str, dimension: int) -> "ScalarField":
@@ -767,7 +842,6 @@ class ScalarField:
     def __repr__(self):
         return f"ScalarField({self.source!r}, n={self.dimension})"
 
-    # generic evaluation entry point, overridable by composite fields
     def _call(self, coords):
         return eval_expr(self.body, coords)
 
@@ -786,6 +860,16 @@ class ScalarField:
     def grad(self, point) -> np.ndarray:
         _, d = self.value_and_grad(point)
         return d
+
+    def hessian(self, point) -> np.ndarray:
+        """hess[a, c] = ∂_c ∂_a f from one call over the derivative ASTs."""
+        if self._hessian is None:
+            n = self.dimension
+            self._hessian = compile_fields(
+                [ScalarField(n, derivative(self.body, a),
+                             f"d/dx{a + 1}({self.source})")
+                 for a in range(n)], n)
+        return self._hessian(point)[1]
 
     def grad_dual(self, point) -> np.ndarray:
         """Gradient via the dual-number reference path."""
@@ -808,11 +892,10 @@ class ScalarField:
 
 
 class CallableField:
-    """Duck-typed scalar field backed by a generic evaluation function.
+    """Scalar field backed by a Python function over floats or duals.
 
-    ``fn`` must accept a sequence of floats or duals and use only arithmetic
-    supported by both (this is how composite fields such as pullback one-form
-    components stay differentiable).
+    ``fn`` must use only arithmetic both support; the value and gradient
+    come from the dual reference.
     """
 
     def __init__(self, dimension, fn, label="<callable>"):
@@ -820,32 +903,8 @@ class CallableField:
         self._fn = fn
         self.source = label
 
-    def __repr__(self):
-        return f"CallableField({self.source!r}, n={self.dimension})"
-
-    def _call(self, coords):
-        return self._fn(coords)
-
     def eval(self, point) -> float:
         return _dual_value(self._fn, point, self.source)
 
-    __call__ = eval
-
     def grad(self, point) -> np.ndarray:
         return _dual_gradient(self._fn, self.dimension, point, self.source)
-
-    def value_and_grad(self, point):
-        return self.eval(point), self.grad(point)
-
-    def vectorized(self):
-        def loop(points):
-            points = np.asarray(points, dtype=float)
-            out = np.empty(points.shape[0])
-            for i, row in enumerate(points):
-                try:
-                    out[i] = self.eval(row)
-                except (DomainError, NonFiniteResult):
-                    out[i] = np.nan
-            return out
-
-        return loop

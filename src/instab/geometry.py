@@ -20,7 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteResult, SingularMetric, format_point
+from .errors import (
+    GradientTooSmall,
+    NonFiniteResult,
+    SingularMetric,
+    format_point,
+)
 from .expr import MAX_DIMENSION, ScalarField, compile_fields
 
 # Smallest admissible Cholesky pivot; defines "positive definite at this
@@ -140,10 +145,6 @@ class MetricSpec:
             return np.eye(self.dimension)
         return self._factored(point)[3]
 
-    def check_positive_definite(self, point):
-        if not self.euclidean:
-            self._factored(point)
-
     def christoffel(self, point) -> np.ndarray:
         """Levi-Civita symbols Gamma[a, m, n], symmetric in (m, n)."""
         n = self.dimension
@@ -193,23 +194,17 @@ class OneForm:
         return cls(n, [ScalarField.parse(src, n) for src in sources])
 
     def jacobian(self, point) -> np.ndarray:
-        """jac[b, a] = ∂_a A_b, one compiled call for parsed components.
-
-        Other components (the pullback form's) take their own gradients.
-        """
+        """jac[b, a] = ∂_a A_b from one compiled call."""
         if self._compiled is None:
-            parsed = all(isinstance(c, ScalarField) for c in self.components)
-            self._compiled = (compile_fields(self.components, self.dimension)
-                              if parsed else False)
-        if self._compiled:
-            return self._compiled(point)[1]
-        return np.array([comp.grad(point) for comp in self.components])
+            self._compiled = compile_fields(self.components, self.dimension)
+        return self._compiled(point)[1]
 
 
-def gradient_data(metric, fld, point):
+def gradient_data(metric, fld, point, floor=0.0):
     """(df, grad f, |grad f|^2) of ``fld`` at ``point``.
 
     grad f is the vector field metrically dual to the differential df.
+    Raises GradientTooSmall where |grad f| is below ``floor``.
     """
     df = fld.grad(point)
     grad = df if metric.euclidean else metric.inverse(point) @ df
@@ -217,12 +212,36 @@ def gradient_data(metric, fld, point):
     if not math.isfinite(norm_sq):
         raise NonFiniteResult(f"|grad|^2 of {fld.label} is not finite at "
                               f"point {format_point(point)}")
+    if norm_sq < floor ** 2:
+        raise GradientTooSmall(point, math.sqrt(max(norm_sq, 0.0)))
     return df, grad, norm_sq
 
 
 def riemannian_gradient(metric, fld, point) -> np.ndarray:
     """Vector field metrically dual to the differential of ``fld``."""
     return gradient_data(metric, fld, point)[1]
+
+
+def normalized_gradient(metric, fld, point, floor) -> np.ndarray:
+    """X = grad f / |grad f|^2; GradientTooSmall where |grad f| < floor."""
+    _df, grad, norm_sq = gradient_data(metric, fld, point, floor)
+    return grad / norm_sq
+
+
+def normalized_gradient_jacobian(metric, fld, point, floor):
+    """(X, DX) with DX[a, c] = ∂_c X^a, exact from the Hessian H of f.
+
+    With h = G⁻¹df and s = df·h, D(G⁻¹) = −G⁻¹(∂G)G⁻¹ gives
+    ∂_c h = G⁻¹(H e_c − (∂_c G) h) and ∂_c s = 2 h·H e_c − h·(∂_c G) h.
+    """
+    _df, grad, norm_sq = gradient_data(metric, fld, point, floor)
+    hess = fld.hessian(point)  # hess[a, c] = ∂_c ∂_a f
+    dgrad = bent = hess  # bent[:, c] = H e_c − (∂_c G) h
+    if not metric.euclidean:
+        bent = hess - np.einsum("cab,b->ac", metric._at(point)[2], grad)
+        dgrad = metric.inverse(point) @ bent
+    vec = grad / norm_sq
+    return vec, (dgrad - np.outer(vec, grad @ hess + grad @ bent)) / norm_sq
 
 
 def magnetic_tensor(form, point) -> np.ndarray:

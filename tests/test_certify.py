@@ -261,6 +261,18 @@ def test_commuting_refuted_on_oblique_pair():
     assert report.witness is not None
 
 
+def test_bracket_norm_is_exact():
+    """[x1, x1*x2] on E2 has norm 1/(x1^2 + x2^2) to rounding."""
+    fields = [ScalarField.parse("x1", 2),
+              ScalarField.parse("x1*x2", 2)]
+    report = check_orthogonal_commuting(E2, fields, seed=0,
+                                        center=[1.0, 1.0], box=0.3)
+    # the 64 points the check draws
+    samples = 1.0 + np.random.default_rng(0).uniform(-0.3, 0.3, (64, 2))
+    expected = np.max(1.0 / np.sum(samples ** 2, axis=1))
+    assert report.max_bracket_norm == pytest.approx(expected, rel=1e-13)
+
+
 def test_pullback_matches_hand_formula():
     fields = [ScalarField.parse("x1 + x3^2", 3),
               ScalarField.parse("x2", 3)]

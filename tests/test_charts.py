@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from instab import harness
 from instab.charts import (
     AdaptedChart,
     BaseSurfaceMap,
@@ -195,3 +196,12 @@ def test_jacobian_matches_flow_direction():
     df = F_PARAB.grad(p)
     expected = df / float(df @ df)
     assert jac[:, 0] == pytest.approx(expected, abs=1e-7)
+
+
+@pytest.mark.parametrize("entry", ["corollary1-unstable-magnetic",
+                                   "corollary1-mechanical"])
+def test_corollary_charts_block_structure_to_rounding(entry):
+    chart, _fields, _pullback = harness.build_problem_chart(
+        harness.corpus_entry(entry))
+    report = pullback_metric_block_check(chart, grid_count=5)
+    assert report.max_mixed <= 1e-12

@@ -21,8 +21,12 @@ from instab.expr import (
     Num,
     ScalarField,
     Var,
+    _value_of,
     compile_fields,
+    derivative,
+    eval_expr,
     parse,
+    substitute,
 )
 
 
@@ -194,6 +198,28 @@ def test_num_var_equality():
     assert Var(0) != Var(1)
 
 
+@pytest.mark.parametrize("outer, inner, composed", [
+    ("x1*x2 + 1", ["x1 + x2", "sin(x1)"], "(x1 + x2)*sin(x1) + 1"),
+    ("x1^2 - ln(x2)", ["x2", "x1*x2"], "x2^2 - ln(x1*x2)"),
+    ("exp(x2)^x1", ["x1", "x2^-3"], "exp(x2^-3)^x1"),
+    ("x1*x2", ["0", "x1"], "0"),
+    ("x2*x1 + x1", ["1", "x2"], "x2 + 1"),
+    ("x1 - x2", ["0", "x2"], "-x2"),
+])
+def test_substitute_composes(outer, inner, composed):
+    inner_asts = [parse(src, 2) for src in inner]
+    out = substitute(parse(outer, 2), inner_asts)
+    assert out == parse(composed, 2)
+    point = [0.7, 1.3]
+    assert eval_expr(out, point) == pytest.approx(
+        eval_expr(parse(outer, 2), [eval_expr(e, point) for e in inner_asts]),
+        rel=1e-15)
+    # substituting twice is substituting the composite once
+    again = [parse("x2", 2), parse("x1 + 2", 2)]
+    assert substitute(out, again) == substitute(
+        parse(outer, 2), [substitute(e, again) for e in inner_asts])
+
+
 # --- the three backends agree -----------------------------------------------
 
 
@@ -294,6 +320,46 @@ def _bits(value, grad):
     return np.array([value, *grad]).tobytes()
 
 
+def _dual_hessian(f, point):
+    """hess[a, c] = ∂_c ∂_a f from nested duals, one seed per coordinate."""
+    n = len(point)
+    seeds = [tuple(float(j == k) for k in range(n)) for j in range(n)]
+    coords = [Dual(Dual(float(x), seed), [Dual(e, (0.0,) * n) for e in seed])
+              for x, seed in zip(point, seeds)]
+    try:
+        out = f._call(coords)
+    except ZeroDivisionError:  # a quotient rule's squared divisor
+        return None
+    if not isinstance(out, Dual):
+        return np.zeros((n, n))
+    hess = np.array([[_value_of(e.eps[c]) if isinstance(e, Dual) else 0.0
+                      for c in range(n)] for e in out.eps])
+    return hess if np.all(np.isfinite(hess)) else None
+
+
+def _check_derivatives(f, points):
+    """Derivative ASTs against the dual reference, to first and second order.
+
+    Where the dual gradient is defined, each derivative AST is defined and
+    gives it; where the nested duals give second derivatives, its compiled
+    gradient gives them too.
+    """
+    partials = [ScalarField(2, derivative(f.body, a), f"d{a + 1}")
+                for a in range(2)]
+    for point in points:
+        grad = _defined(f.grad_dual, point)
+        if grad is None:
+            continue
+        hess = _defined(_dual_hessian, f, point)
+        for a, part in enumerate(partials):
+            assert _close(part.eval_dual(point), grad[a])
+            if hess is not None:
+                fast = _defined(part.value_and_grad, point)
+                assert fast is not None
+                assert _close(fast[0], grad[a])
+                assert all(map(_close, fast[1], hess[a]))
+
+
 @given(st.lists(_EXPRESSIONS, min_size=1, max_size=3),
        st.lists(st.tuples(_COORDS, _COORDS), min_size=1, max_size=4))
 @settings(max_examples=1000, deadline=None)
@@ -312,6 +378,7 @@ def test_backends_agree(sources, points):
             if fast is not None:
                 assert _close(fast[0], value)
                 assert all(map(_close, fast[1], grad))
+        _check_derivatives(f, points)
 
     # compiled together, each field gives its own bits and its own errors
     group = compile_fields(fields, 2)
