@@ -38,13 +38,14 @@ def _load(problem_arg):
             f"no such file or corpus entry: {problem_arg}")
 
 
-def _fail(exc):
-    """Print the error and exit 2 for invalid input, 3 otherwise."""
-    if isinstance(exc, ValidationError):
-        click.echo(json.dumps({"error": exc.problems}, sort_keys=True))
-        sys.exit(EXIT_VALIDATION)
-    click.echo(json.dumps({"error": str(exc)}, sort_keys=True))
-    sys.exit(EXIT_NUMERICAL)
+def _fail(exc, phase, problem=None):
+    """Print the error, naming the command and the PROBLEM argument it
+    failed on; exit 2 for invalid input, 3 otherwise."""
+    invalid = isinstance(exc, ValidationError)
+    click.echo(json.dumps({"error": exc.problems if invalid else str(exc),
+                           "phase": phase, "problem": problem},
+                          sort_keys=True))
+    sys.exit(EXIT_VALIDATION if invalid else EXIT_NUMERICAL)
 
 
 def _emit(payload, out, name):
@@ -123,7 +124,7 @@ def certify_cmd(problem, radius, shells, samples, seed, out):
                 .check_quasi_homogeneous(definition.potential, spec,
                                          seed=seed).to_dict()
     except InstabError as exc:
-        _fail(exc)
+        _fail(exc, "certify", problem)
     _emit(payload, out, f"certify-{definition.name}")
     expected = definition.labels.get("certification")
     got = harness.certification_verdict(
@@ -160,7 +161,7 @@ def sweep_cmd(problem, eps, horizon, fmt, seed, tol_abs, tol_rel, out):
         report = harness.run_epsilon_sweep(
             definition, tol=_tol(tol_abs, tol_rel), seed=seed)
     except InstabError as exc:
-        _fail(exc)
+        _fail(exc, "sweep", problem)
     _emit(report.to_dict(), out, f"sweep-{definition.name}")
     if fmt == "csv" and out:
         for run in report.runs:
@@ -189,7 +190,7 @@ def escape_cmd(problem, seed, tol_abs, tol_rel, out):
             definition, tol=_tol(tol_abs, tol_rel), seed=seed)
         outcome = harness.escape_outcome(report)
     except InstabError as exc:
-        _fail(exc)
+        _fail(exc, "escape", problem)
     payload = report.to_dict()
     payload["outcome"] = outcome
     payload["expected"] = definition.expected
@@ -229,7 +230,7 @@ def chart_cmd(problem, multi, out):
             payload["pullback_field_at_center"] = float(
                 np.max(np.abs(center_tensor)))
     except InstabError as exc:
-        _fail(exc)
+        _fail(exc, "chart", problem)
     _emit(payload, out, f"chart-{definition.name}")
     passed = payload["block"]["passed"] and payload["injective"] \
         and payload.get("contraction", {}).get("passed", True)
@@ -274,7 +275,7 @@ def corpus_run_all(seed, tol_abs, tol_rel, out):
         reports, all_expected = harness.run_all(
             seed=seed, tol=_tol(tol_abs, tol_rel))
     except InstabError as exc:
-        _fail(exc)
+        _fail(exc, "run-all")
     payload = {"reports": reports, "all_expected": all_expected,
                "seed": seed}
     _emit(payload, out, "corpus-run-all")

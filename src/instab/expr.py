@@ -5,11 +5,12 @@ components) are entered as text in the variables x1..xn and parsed once into
 an AST. Three backends evaluate it: the reference walker ``eval_expr`` over
 plain floats or vector-forward dual numbers (one derivative seed per
 coordinate, nestable for second order), a generated float value+gradient
-function, and a generated numpy value function for bulk sampling. One code
-generator writes both generated functions, so they run the same operations
-in the same order; where the scalar function raises, the numpy one gives a
-non-finite value. Duals are only the tests' reference; second derivatives
-and composite fields are ASTs from ``derivative`` and ``substitute``.
+function, and a generated numpy value function for bulk sampling. The code
+generator emits values only, each common subexpression once; a gradient is
+the values of ``derivative`` ASTs, the one set of derivative rules, which
+also gives second derivatives. Both generated functions run the same value
+operations in the same order; where the scalar function raises, the numpy
+one gives a non-finite value. Duals are only the tests' reference.
 
 Grammar (EBNF, also documented in the README):
 
@@ -138,12 +139,22 @@ def _tokenize(source):
 _VAR_RE = re.compile(r"^x([0-9]+)$")
 
 
-def _has_var(node) -> bool:
+def _has_var(node, zero_powers=True) -> bool:
+    """Whether a variable occurs in ``node``.
+
+    With ``zero_powers`` false, whether one occurs outside the base of a
+    zeroth power: whether some partial derivative of ``node`` is not a
+    structural zero, as where the dual reference carries a dual.
+    """
     if isinstance(node, (Num, Var)):
         return isinstance(node, Var)
     if isinstance(node, Bin):
-        return _has_var(node.lhs) or _has_var(node.rhs)
-    return _has_var(node.base if isinstance(node, IntPow) else node.arg)
+        return (_has_var(node.lhs, zero_powers)
+                or _has_var(node.rhs, zero_powers))
+    if isinstance(node, IntPow):
+        return (zero_powers or node.k != 0) and _has_var(node.base,
+                                                          zero_powers)
+    return _has_var(node.arg, zero_powers)
 
 
 def _folded_power(base, exponent):
@@ -428,12 +439,16 @@ def eval_expr(node: Expr, coords):
 _ZERO_NODE, _ONE_NODE = Num(0.0), Num(1.0)
 
 
-def _node(op, a, b):
-    """``a op b``, folding zeros and ones as the emitter folds its own."""
-    if op in "+-" and _ZERO_NODE in (a, b):
-        return a if b == _ZERO_NODE else b if op == "+" else Neg(b)
-    if op in "*/" and a == _ZERO_NODE or op == "*" and b == _ZERO_NODE:
-        return _ZERO_NODE
+def _node(op, a, b, zero=None):
+    """``a op b``, folding ``zero`` and ones.
+
+    Derivatives fold only their structural zero, None; substitution folds
+    literal zeros too.
+    """
+    if op in "+-" and zero in (a, b):
+        return a if b == zero else b if op == "+" else Neg(b)
+    if op in "*/" and a == zero or op == "*" and b == zero:
+        return zero
     if op == "*" and _ONE_NODE in (a, b):
         return b if a == _ONE_NODE else a
     return Bin(op, a, b)
@@ -445,9 +460,10 @@ def substitute(node: Expr, exprs) -> Expr:
         return exprs[node.index]
     if isinstance(node, Bin):
         return _node(node.op, substitute(node.lhs, exprs),
-                     substitute(node.rhs, exprs))
+                     substitute(node.rhs, exprs), _ZERO_NODE)
     if isinstance(node, Neg):
-        return _node("-", _ZERO_NODE, substitute(node.arg, exprs))
+        return _node("-", _ZERO_NODE, substitute(node.arg, exprs),
+                     _ZERO_NODE)
     if isinstance(node, IntPow):
         return IntPow(substitute(node.base, exprs), node.k)
     if isinstance(node, Fun):
@@ -455,60 +471,64 @@ def substitute(node: Expr, exprs) -> Expr:
     return node
 
 
+def _real_power(a, b):
+    """``a ^ b`` as ``exp(ln(a) * b)``, the node its value and slope share."""
+    return Fun("exp", Bin("*", Fun("ln", a), b))
+
+
 def derivative(node: Expr, i: int) -> Expr:
     """The partial derivative of ``node`` in x_{i+1}, as an AST.
 
-    Each rule is the emitter's (for powers above 16, the dual reference's),
-    so a derivative computes what the generated gradient does; compiling it
-    again gives second derivatives.
+    These are the toolkit's derivative rules, and its only ones: the
+    generated gradient is the values of these ASTs, and compiling them
+    again gives second derivatives. Each rule computes what the dual
+    reference does, in its order. A partial that no variable reaches is a
+    structural zero and folds away wherever it meets another node, where
+    the dual reference computes with a 0.0; a literal 0 is a number like
+    any other.
     """
-    if isinstance(node, (Num, Var)):
-        return _ONE_NODE if node == Var(i) else _ZERO_NODE
-    if isinstance(node, Neg):
-        return _node("-", _ZERO_NODE, derivative(node.arg, i))
-    if isinstance(node, Fun):
-        a = node.arg
-        if node.name == "ln":
-            return _node("/", derivative(a, i), a)
-        slope = {"sin": Fun("cos", a), "cos": Neg(Fun("sin", a)),
-                 "exp": node, "sqrt": Bin("/", Num(0.5), node)}
-        return _node("*", derivative(a, i), slope[node.name])
-    if isinstance(node, IntPow):
-        a, k = node.base, node.k
-        if k < 0:
-            return derivative(Bin("/", _ONE_NODE, IntPow(a, -k)), i)
-        if k > _UNROLL_POW:  # power rule
-            return _node("*", _node("*", Num(float(k)), IntPow(a, k - 1)),
-                         derivative(a, i))
-        return (derivative(Bin("*", IntPow(a, k - 1), a), i)  # as unrolled
-                if k else _ZERO_NODE)
-    a, b = node.lhs, node.rhs
-    if node.op == "^":
-        return derivative(Fun("exp", Bin("*", Fun("ln", a), b)), i)
-    da, db = derivative(a, i), derivative(b, i)
-    if node.op in "+-":
-        return _node(node.op, da, db)
-    if node.op == "*":
-        return _node("+", _node("*", da, b), _node("*", a, db))
-    if not _has_var(b):
-        return _node("/", da, b)
-    return _node("/", _node("-", _node("*", da, b), _node("*", a, db)),
-                 Bin("*", b, b))
+    def d(node):
+        if isinstance(node, (Num, Var)):
+            return _ONE_NODE if node == Var(i) else None
+        if isinstance(node, Neg):
+            return _node("-", None, d(node.arg))
+        if isinstance(node, Fun):
+            a = node.arg
+            if node.name == "ln":
+                return _node("/", d(a), a)
+            slope = {"sin": Fun("cos", a), "cos": Neg(Fun("sin", a)),
+                     "exp": node, "sqrt": Bin("/", Num(0.5), node)}
+            return _node("*", d(a), slope[node.name])
+        if isinstance(node, IntPow):
+            a, k = node.base, node.k
+            if k < 0:
+                return d(Bin("/", _ONE_NODE, IntPow(a, -k)))
+            da = d(a)
+            if k > _UNROLL_POW:  # power rule
+                return _node("*", _node("*", Num(float(k)), IntPow(a, k - 1)),
+                             da)
+            out = None
+            for j in range(k):  # as unrolled: a^(j+1) = a^j * a
+                out = _node("+", _node("*", out, a),
+                            _node("*", IntPow(a, j), da))
+            return out
+        a, b = node.lhs, node.rhs
+        if node.op == "^":
+            return d(_real_power(a, b))
+        da, db = d(a), d(b)
+        if node.op in "+-":
+            return _node(node.op, da, db)
+        if node.op == "*":
+            return _node("+", _node("*", da, b), _node("*", a, db))
+        if not _has_var(b, zero_powers=False):
+            return _node("/", da, b)
+        return _node("/", _node("-", _node("*", da, b), _node("*", a, db)),
+                     Bin("*", b, b))
+
+    return d(node) or _ZERO_NODE
 
 
-# --- code generation (scalar value + gradient, numpy value) ----------------
-
-# A derivative that is structurally zero, where the dual reference carries a
-# plain float. The literal "0.0" is a number and multiplies like one.
-_ZERO = "0"
-_ONE = "1.0"
-
-
-@dataclass(frozen=True)
-class _Assign:
-    code: str
-    derivative: bool  # only the gradient reads it
-
+# --- code generation (values; gradients are derivative ASTs) ---------------
 
 @dataclass(frozen=True)
 class _Check:
@@ -516,175 +536,104 @@ class _Check:
 
     test: str
     message: str | None  # None: float arithmetic raises there by itself
-    derivative: bool = False  # only the gradient is undefined there
+
+
+# Checked before the function: the test on its argument, and the message.
+_FUN_DOMAIN = {"ln": ("{} <= 0.0", "ln of non-positive"),
+               "sqrt": ("{} < 0.0", "sqrt of negative"),
+               "sin": ("isinf({})", None), "cos": ("isinf({})", None)}
 
 
 class _Emitter:
-    """Straight-line code for an expression's value and gradient.
+    """Straight-line code for the values of expressions.
 
-    ``lines`` holds assignments and domain checks in evaluation order. The
-    scalar rendering raises DomainError at a check; the numpy rendering
-    drops the gradient and gives nan where any value check holds.
+    ``lines`` holds assignments and domain checks in evaluation order, each
+    distinct subexpression and check once. The scalar rendering raises
+    DomainError at a check; the numpy rendering gives nan where any holds.
+    With ``guards`` set, while the values to be differentiated are emitted,
+    it also checks where their derivative is undefined in the dual
+    reference, even where an outer rule (a zeroth power) drops that
+    derivative: at a sqrt of a varying argument that is 0, and at a varying
+    divisor whose square, the quotient rule's, underflows to 0.
     """
 
-    def __init__(self, n):
-        self.n = n
+    def __init__(self, guards):
+        self.guards = guards
         self.lines = []
-        self.counter = 0
+        self.memo = {}
+        self.tests = set()
 
-    def temp(self, code, derivative=False):
-        name = f"t{self.counter}"
-        self.counter += 1
-        self.lines.append(_Assign(f"{name} = {code}", derivative))
+    def temp(self, code):
+        name = f"t{len(self.lines)}"
+        self.lines.append(f"{name} = {code}")
         return name
 
-    def check(self, test, message=None, derivative=False):
-        self.lines.append(_Check(test, message, derivative))
-
-    @staticmethod
-    def add(a, b):
-        if a == _ZERO:
-            return b
-        if b == _ZERO:
-            return a
-        return f"({a} + {b})"
-
-    @staticmethod
-    def sub(a, b):
-        if b == _ZERO:
-            return a
-        if a == _ZERO:
-            return f"(-{b})"
-        return f"({a} - {b})"
-
-    @staticmethod
-    def mul(a, b):
-        if a == _ZERO or b == _ZERO:
-            return _ZERO
-        if a == _ONE:
-            return b
-        if b == _ONE:
-            return a
-        return f"({a} * {b})"
-
-    @staticmethod
-    def div(a, b):
-        return _ZERO if a == _ZERO else f"({a} / {b})"
+    def check(self, test, message=None):
+        if test not in self.tests:
+            self.tests.add(test)
+            self.lines.append(_Check(test, message))
 
     def emit(self, node):
-        """Return (value symbol, derivative expression per coordinate)."""
+        """The symbol that holds the value of ``node``."""
         if isinstance(node, Num):
-            return repr(node.value), [_ZERO] * self.n
+            return repr(node.value)
         if isinstance(node, Var):
-            d = [_ZERO] * self.n
-            d[node.index] = _ONE
-            return f"p[{node.index}]", d
+            return f"p[{node.index}]"
+        symbol = self.memo.get(node)
+        if symbol is None:
+            symbol = self.memo[node] = self._value(node)
+        return symbol
+
+    def _value(self, node):
         if isinstance(node, Neg):
-            v, d = self.emit(node.arg)
-            return self.temp(f"-{v}"), [self.sub(_ZERO, x) for x in d]
+            return self.temp(f"-{self.emit(node.arg)}")
         if isinstance(node, Fun):
-            return self._fun(node.name, *self.emit(node.arg))
+            v = self.emit(node.arg)
+            if node.name in _FUN_DOMAIN:
+                test, message = _FUN_DOMAIN[node.name]
+                self.check(test.format(v), message)
+            out = self.temp(f"{node.name}({v})")
+            if node.name == "exp":
+                self.check(f"isinf({out}) & ~isinf({v})")
+            if (node.name == "sqrt" and self.guards
+                    and _has_var(node.arg, zero_powers=False)):
+                self.check(f"{out} == 0.0", "sqrt derivative at zero")
+            return out
         if isinstance(node, IntPow):
-            return self._ipow(*self.emit(node.base), node.k)
-        va, da = self.emit(node.lhs)
-        vb, db = self.emit(node.rhs)
-        if node.op == "+":
-            return (self.temp(self.add(va, vb)),
-                    [self.add(x, y) for x, y in zip(da, db)])
-        if node.op == "-":
-            return (self.temp(self.sub(va, vb)),
-                    [self.sub(x, y) for x, y in zip(da, db)])
-        if node.op == "*":
-            return self._mul(va, da, vb, db)
-        if node.op == "/":
-            literal = isinstance(node.rhs, Num) and node.rhs.value != 0.0
-            return self._div(va, da, vb, db, check=not literal)
-        # real power a^b = exp(ln(a) * b)
-        ln_a = self._fun("ln", va, da, "real power of non-positive base")
-        return self._fun("exp", *self._mul(*ln_a, vb, db))
-
-    def _mul(self, va, da, vb, db):
-        return self.temp(self.mul(va, vb)), [
-            self.add(self.mul(x, vb), self.mul(va, y)) for x, y in zip(da, db)]
-
-    def _div(self, va, da, vb, db, check=True):
-        if check:
+            a, k = node.base, node.k
+            va = self.emit(a)  # the base's checks hold at every k
+            if k < 0:
+                return self.emit(Bin("/", _ONE_NODE, IntPow(a, -k)))
+            if k == 0:
+                return "1.0"
+            if k <= _UNROLL_POW:
+                return self.emit(Bin("*", IntPow(a, k - 1), a))
+            out = self.temp(f"{va} ** {float(k)!r}")
+            self.check(f"isinf({out}) & ~isinf({va})")
+            return out
+        va, vb = self.emit(node.lhs), self.emit(node.rhs)
+        if node.op == "^":
+            self.check(f"{va} <= 0.0", "real power of non-positive base")
+            return self.emit(_real_power(node.lhs, node.rhs))
+        if node.op == "*" and "1.0" in (va, vb):
+            return vb if va == "1.0" else va
+        b = node.rhs
+        if node.op == "/" and not (isinstance(b, Num) and b.value != 0.0):
             self.check(f"{vb} == 0.0", "division by zero")
-        out = self.temp(f"({va} / {vb})")
-        if all(y == _ZERO for y in db):
-            return out, [self.div(x, vb) for x in da]
-        return out, [
-            _ZERO if x == _ZERO and y == _ZERO
-            else f"(({self.sub(self.mul(x, vb), self.mul(va, y))}) "
-                 f"/ ({vb} * {vb}))"
-            for x, y in zip(da, db)
-        ]
-
-    def _fun(self, name, v, d, domain="ln of non-positive"):
-        if name == "ln":
-            self.check(f"{v} <= 0.0", domain)
-            return self.temp(f"log({v})"), [self.div(x, v) for x in d]
-        if name == "sqrt":
-            self.check(f"{v} < 0.0", "sqrt of negative")
-            out = self.temp(f"sqrt({v})")
-            if any(x != _ZERO for x in d):
-                self.check(f"{out} == 0.0", "sqrt derivative at zero",
-                           derivative=True)
-            return out, [self.mul(x, f"(0.5 / {out})") for x in d]
-        if name == "exp":
-            out = self.temp(f"exp({v})")
-            self.check(f"isinf({out}) & ~isinf({v})")
-            return out, [self.mul(x, out) for x in d]
-        self.check(f"isinf({v})")
-        out = self.temp(f"{name}({v})")
-        slope = self.temp(f"cos({v})" if name == "sin" else f"-sin({v})",
-                          derivative=True)
-        return out, [self.mul(x, slope) for x in d]
-
-    def _ipow(self, va, da, k):
-        if k == 0:
-            return _ONE, [_ZERO] * self.n
-        if k < 0:
-            return self._div(_ONE, [_ZERO] * self.n, *self._ipow(va, da, -k))
-        if k <= _UNROLL_POW:
-            v, d = va, da
-            for _ in range(k - 1):
-                d = [self.add(self.mul(x, va), self.mul(v, y))
-                     for x, y in zip(d, da)]
-                v = self.temp(self.mul(v, va))
-            return v, d
-        v = self.temp(f"{va} ** {float(k)!r}")
-        self.check(f"isinf({v}) & ~isinf({va})")
-        pw = self.temp(f"{va} ** {float(k - 1)!r}", derivative=True)
-        return v, [self.mul(f"({float(k)!r} * {pw})", x) for x in da]
-
-
-def _generate(nodes, n):
-    """Emitted lines, value symbols and gradient symbols of ``nodes``.
-
-    The nodes share one emitter and one temp counter, but each emits the
-    same lines it would alone, so its value and gradient are bit-identical
-    to those of the node compiled by itself.
-    """
-    em = _Emitter(n)
-    values, grads = [], []
-    for node in nodes:
-        v, d = em.emit(node)
-        values.append(v)
-        grads += ["0.0" if x == _ZERO
-                  else x if x == _ONE or x.startswith("t")
-                  else em.temp(x, derivative=True) for x in d]
-    return em.lines, values, grads
+        if node.op == "/" and self.guards and _has_var(b, zero_powers=False):
+            square = self.emit(Bin("*", b, b))
+            self.check(f"{square} == 0.0", "division by zero")
+        return self.temp(f"({va} {node.op} {vb})")
 
 
 _SCALAR_NAMESPACE = {
-    "log": math.log, "sqrt": math.sqrt, "exp": math.exp,
+    "ln": math.log, "sqrt": math.sqrt, "exp": math.exp,
     "sin": math.sin, "cos": math.cos, "DomainError": DomainError,
     "nan": math.nan, "inf": math.inf,
 }
 
 _NUMPY_NAMESPACE = {
-    "log": np.log, "sqrt": np.sqrt, "exp": np.exp, "sin": np.sin,
+    "ln": np.log, "sqrt": np.sqrt, "exp": np.exp, "sin": np.sin,
     "cos": np.cos, "isinf": np.isinf, "nan": np.nan, "inf": np.inf,
     "np": np,
 }
@@ -699,35 +648,38 @@ def _define(name, src, namespace):
 def compile_value_grad(nodes, n: int):
     """Generate ``f(point) -> (v_1..v_k, d_1/dx_1..d_k/dx_n)`` for k nodes.
 
-    The flat tuple holds the k values, then each node's n partials in turn.
+    The flat tuple holds the k values, then each node's n partials in turn,
+    each partial the value of its ``derivative`` AST. The nodes share one
+    emitter, so a subexpression common to them is computed once, and each
+    value and partial is bit-identical to that of the node compiled alone.
     Raises DomainError at a failed check. Float overflow raises
     OverflowError, and sin or cos of an infinity ValueError.
     """
-    lines, values, grads = _generate(nodes, n)
-    body = ""
-    for line in lines:
-        if isinstance(line, _Assign):
-            body += f"    {line.code}\n"
-        elif line.message is not None:
-            body += (f"    if {line.test}: "
-                     f"raise DomainError({line.message!r})\n")
+    em = _Emitter(guards=True)
+    values = [em.emit(node) for node in nodes]
+    em.guards = False  # the derivative ASTs are not differentiated here
+    grads = [em.emit(derivative(node, i)) for node in nodes for i in range(n)]
+    body = "".join(
+        f"    {line}\n" if isinstance(line, str)
+        else f"    if {line.test}: raise DomainError({line.message!r})\n"
+        for line in em.lines if isinstance(line, str) or line.message)
     src = f"def _fields(p):\n{body}    return ({', '.join(values + grads)},)\n"
     return _define("_fields", src, _SCALAR_NAMESPACE)
 
 
-def compile_vectorized(node: Expr, n: int):
+def compile_vectorized(node: Expr):
     """Generate ``f(points) -> values`` over an (m, n) numpy array.
 
-    The values are non-finite exactly where the scalar function raises:
-    nan at a failed value check, and everywhere when float arithmetic on
-    constants raises. Run it under ``np.errstate(all="ignore")``.
+    The values are non-finite exactly where the scalar value raises: nan at
+    a failed check, and everywhere when float arithmetic on constants
+    raises. Run it under ``np.errstate(all="ignore")``.
     """
-    lines, (v,), _ = _generate([node], n)
-    body = "".join(f"        {line.code}\n" for line in lines
-                   if isinstance(line, _Assign) and not line.derivative)
-    body = body or "        pass\n"
-    tests = [f"({line.test})" for line in lines
-             if isinstance(line, _Check) and not line.derivative]
+    em = _Emitter(guards=False)
+    v = em.emit(node)
+    body = "".join(f"        {line}\n" for line in em.lines
+                   if isinstance(line, str)) or "        pass\n"
+    tests = [f"({line.test})" for line in em.lines
+             if isinstance(line, _Check)]
     if tests:
         v = f"np.where({' | '.join(tests)}, nan, {v})"
     src = ("def _vec(points):\n"
@@ -881,7 +833,7 @@ class ScalarField:
     def vectorized(self):
         """Bulk values over an (m, n) array; non-finite where undefined."""
         if self._vec is None:
-            vec = compile_vectorized(self.body, self.dimension)
+            vec = compile_vectorized(self.body)
 
             def safe(points):
                 with np.errstate(all="ignore"):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from instab.errors import (
@@ -242,6 +242,16 @@ def test_large_integer_power_uses_power_rule():
     assert ScalarField.parse("x1^17", 1).grad([-1.0]) == [17.0]
 
 
+@pytest.mark.parametrize("k", [16, 17, 18, -17])
+def test_power_gradient_bits_match_dual_reference(k):
+    f = ScalarField.parse(f"x1^{k}", 1)
+    rng = np.random.default_rng(k + 100)
+    xs = rng.uniform(0.2, 1.5, 2000) * rng.choice([-1.0, 1.0], 2000)
+    for x in xs:
+        assert f.value_and_grad([x])[1].tobytes() \
+            == f.grad_dual([x]).tobytes(), x
+
+
 @pytest.mark.parametrize("source, x", [
     ("x1^0.5", 0.0),
     ("x1^0.5", -1.0),
@@ -362,6 +372,14 @@ def _check_derivatives(f, points):
 
 @given(st.lists(_EXPRESSIONS, min_size=1, max_size=3),
        st.lists(st.tuples(_COORDS, _COORDS), min_size=1, max_size=4))
+# the gradient keeps a sqrt's check at 0 that an outer zeroth power drops
+@example(["(-(sqrt(x1))^(0))"], [(0.0, 0.0)])
+# the quotient rule's squared divisor underflows; a literal 0 is no zero
+@example(["(0 / x2)"], [(0.0, 6.774893096905552e-256)])
+# ... also where an outer zeroth power drops the quotient rule
+@example(["(-((x1)^((0 - 1)))^(0))"], [(7.537836242473134e-296, 0.0)])
+# a negated literal under a power
+@example(["(-((-1))^(18))"], [(0.0, 0.0)])
 @settings(max_examples=1000, deadline=None)
 def test_backends_agree(sources, points):
     fields = [ScalarField.parse(source, 2) for source in sources]

@@ -264,7 +264,9 @@ def test_cli_overflow_exits_3(tmp_path):
          "--radius", "1"], capture_output=True, text=True)
     assert result.returncode == 3, result.stdout + result.stderr
     assert result.stderr == ""
-    message = json.loads(result.stdout)["error"]
+    report = json.loads(result.stdout)
+    assert report["phase"] == "certify" and report["problem"] == str(path)
+    message = report["error"]
     assert "exp(1000*x1)" in message and "np.float64" not in message
 
 
