@@ -7,6 +7,10 @@ values, and the verdict is "certified" when the shell maxima stay bounded,
 "refuted" when they grow across consecutive decades (with a witness point),
 and "inconclusive" otherwise.
 
+Both certifiers read one evaluated table per probe: each shell is drawn
+once, and grad f, U and dU are evaluated once at each of its points.
+GradientTooSmall names the first point where |grad f| is below the floor.
+
 Lie brackets and the pullback form's derivatives are exact up to rounding:
 both are compiled from derivative ASTs.
 """
@@ -19,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, EmptyShell, GradientTooSmall, NonFiniteResult
+from .errors import DomainError, EmptyShell, NonFiniteResult
 from .expr import Bin, Num, ScalarField, Var, derivative, substitute
 from .geometry import (
     GRADIENT_FLOOR,
@@ -35,6 +39,12 @@ from .geometry import (
 
 MAX_ATTEMPTS_PER_SHELL = 1_000_000
 _BATCH = 50_000
+_ZERO_FORM_RADIUS = 0.5  # half-width of the box _is_zero_form samples
+
+EULER_TOL = 1e-9  # Euler-identity residual of a quasi-homogeneous U
+INNER_TOL = 1e-9  # metric inner product of two level gradients
+BRACKET_TOL = 1e-5  # Lie bracket of two normalized level gradient fields
+CONTRACTION_TOL = 1e-8  # pulled-back iota_{grad f} d mu on a chart
 
 CERTIFIED = "certified"
 REFUTED = "refuted"
@@ -55,8 +65,11 @@ class HypothesisProbe:
     delta_max: float = 1e-2
     samples: int = 200
     seed: int = 0
-    # shell index -> _sample_shell result, so each shell is drawn once
+    # memos: shell index -> _sample_shell result, the evaluated shells
+    # (_evaluated_shells) and the proof's constants (_proof_constants)
     _shells: dict = field(init=False, repr=False, default_factory=dict)
+    _table: tuple = field(init=False, repr=False, default=None)
+    _constants: tuple = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
@@ -84,9 +97,6 @@ class ShellRow:
     mean_ratio: float
     witness: list
 
-    def to_dict(self):
-        return asdict(self)
-
 
 @dataclass
 class ConditionReport:
@@ -98,8 +108,16 @@ class ConditionReport:
     witness_ratio: float | None = None
     notes: dict = field(default_factory=dict)
 
-    def to_dict(self):
-        return asdict(self)
+    to_dict = asdict
+
+
+def _ball_points(probe, rng, count):
+    """``count`` uniform points of the probe ball: directions, then radii."""
+    n = len(probe.center)
+    directions = rng.normal(size=(count, n))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    radii = probe.radius * rng.random(count) ** (1.0 / n)
+    return probe.center + directions * radii[:, None]
 
 
 def _sample_shell(probe, delta, shell_index):
@@ -110,17 +128,13 @@ def _sample_shell(probe, delta, shell_index):
     ``points`` is empty when no draw fell in the shell.
     """
     rng = np.random.default_rng([probe.seed, shell_index])
-    n = len(probe.center)
     u_vec = probe.potential.vectorized()
     accepted = []
     near = []
     attempts = 0
     while sum(len(a) for a in accepted) < probe.samples \
             and attempts < MAX_ATTEMPTS_PER_SHELL:
-        directions = rng.normal(size=(_BATCH, n))
-        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-        radii = probe.radius * rng.random(_BATCH) ** (1.0 / n)
-        points = probe.center + directions * radii[:, None]
+        points = _ball_points(probe, rng, _BATCH)
         values = u_vec(points)
         with np.errstate(invalid="ignore"):
             mask = np.isfinite(values) & (values >= delta) \
@@ -130,9 +144,7 @@ def _sample_shell(probe, delta, shell_index):
         if len(near) < 32:
             near.extend(points[low][:8])
         attempts += _BATCH
-    points = (np.concatenate(accepted) if accepted
-              else np.empty((0, n)))
-    return points[:probe.samples], attempts, near
+    return np.concatenate(accepted)[:probe.samples], attempts, near
 
 
 def _drawn_shell(probe, j):
@@ -166,77 +178,84 @@ def _verdict_from_shells(shells):
     return INCONCLUSIVE, None
 
 
-def _shell_table(probe, *ratio_fns):
-    """One list of shell rows per ratio function, and the skipped deltas.
+def _evaluated_shells(probe):
+    """The probe's filled shells and its skipped deltas, evaluated once.
 
-    The gradient of f is evaluated once per point and shared by every
-    ratio. A shell with no sample is skipped while enough filled shells
-    remain for a refutation window; otherwise it raises EmptyShell, since
-    fewer shells would certify any ratios.
+    Each filled shell is (delta, points, [(grad f, U, dU) per point]); at
+    each point grad f comes first, and GradientTooSmall names the first
+    point where |grad f| is below the floor. A shell with no sample is
+    skipped while enough filled shells remain for a refutation window;
+    otherwise it raises EmptyShell, since fewer shells would certify any
+    ratios.
     """
-    deltas = probe.shell_deltas()
-    drawn = [_drawn_shell(probe, j) for j in range(len(deltas))]
-    filled = sum(1 for points, _attempts, _near in drawn if len(points))
-    tables = [[] for _ in ratio_fns]
-    skipped = []
-    grad_floor_hit = None
-    for delta, (points, attempts, _near) in zip(deltas, drawn):
-        if not len(points):
-            if filled < _REFUTATION_WINDOW:
-                raise EmptyShell(delta, attempts)
-            skipped.append(float(delta))
-            continue
-        ratios = [np.empty(len(points)) for _ in ratio_fns]
-        for i, x in enumerate(points):
-            _df, grad, norm_sq = gradient_data(probe.metric, probe.f, x)
-            gnorm = math.sqrt(max(norm_sq, 0.0))
-            if gnorm < GRADIENT_FLOOR:
-                grad_floor_hit = (x, gnorm)
+    if probe._table is None:
+        deltas = probe.shell_deltas()
+        drawn = [_drawn_shell(probe, j) for j in range(len(deltas))]
+        filled = sum(1 for points, _attempts, _near in drawn if len(points))
+        shells, skipped = [], []
+        for delta, (points, attempts, _near) in zip(deltas, drawn):
+            if not len(points):
+                if filled < _REFUTATION_WINDOW:
+                    raise EmptyShell(delta, attempts)
+                skipped.append(float(delta))
                 continue
-            for column, ratio_fn in zip(ratios, ratio_fns):
-                column[i] = ratio_fn(x, grad)
-        if grad_floor_hit is not None:
-            x, gnorm = grad_floor_hit
-            raise GradientTooSmall(x, gnorm)
-        for shells, column in zip(tables, ratios):
-            worst = int(np.argmax(column))
-            shells.append(ShellRow(
-                delta=float(delta),
-                count=len(points),
-                max_ratio=float(column[worst]),
-                mean_ratio=float(column.mean()),
-                witness=[float(c) for c in points[worst]],
-            ))
-    return tables, skipped
+            shells.append((float(delta), points, [
+                (gradient_data(probe.metric, probe.f, x, GRADIENT_FLOOR)[1],
+                 *probe.potential.value_and_grad(x)) for x in points]))
+        probe._table = shells, skipped
+    return probe._table
+
+
+def _row(delta, points, ratios):
+    """A shell's row for one ratio per point."""
+    column = np.array(ratios, dtype=float)
+    worst = int(np.argmax(column))
+    return ShellRow(delta=delta, count=len(points),
+                    max_ratio=float(column[worst]),
+                    mean_ratio=float(column.mean()),
+                    witness=[float(c) for c in points[worst]])
+
+
+def _report(probe, condition, shells, skipped, notes, magnetic=False):
+    """The condition's report: verdict, witness, skipped shells and the
+    empirical constants entering the proof's bounds."""
+    verdict, worst = _verdict_from_shells(shells)
+    k_bound = float(max((s.max_ratio for s in shells), default=0.0))
+    report = ConditionReport(condition=condition, verdict=verdict,
+                             shells=shells, bound_estimate=k_bound,
+                             notes=notes)
+    if skipped:
+        notes["empty_shells"] = skipped
+    if worst is not None:
+        report.witness = worst.witness
+        report.witness_ratio = worst.max_ratio
+    m_grad, m_quad, cap_sq = _proof_constants(probe)
+    notes["m_grad"] = float(m_grad)
+    notes["grad_at_center_sq"] = cap_sq
+    if magnetic:
+        k1 = k_bound ** 2
+        notes["K1"] = k1
+        notes["C1"] = math.sqrt(
+            m_grad ** -4 * k1 / (2.0 * m_quad)) * math.sqrt(cap_sq)
+    else:
+        notes["K2"] = k_bound
+        notes["C2"] = m_grad ** -2 * k_bound * cap_sq / 2.0
+    return report
+
+
+def _potential_ratio(grad, u_val, du):
+    if u_val <= 0:
+        return math.inf
+    num = float(guard_cancellation(du @ grad, np.abs(du) @ np.abs(grad)))
+    return abs(num) / u_val
 
 
 def certify_potential_condition(probe) -> ConditionReport:
     """Shell test of |dU(grad f)| / U staying bounded near the locus."""
-    u_field = probe.potential
-
-    def ratio(x, grad):
-        u_val, du = u_field.value_and_grad(x)
-        if u_val <= 0:
-            return math.inf
-        num = float(guard_cancellation(du @ grad,
-                                       np.abs(du) @ np.abs(grad)))
-        return abs(num) / u_val
-
-    [shells], skipped = _shell_table(probe, ratio)
-    verdict, worst = _verdict_from_shells(shells)
-    report = ConditionReport(
-        condition="dU(grad f) = O(U)",
-        verdict=verdict,
-        shells=shells,
-        bound_estimate=float(max(s.max_ratio for s in shells)),
-    )
-    if skipped:
-        report.notes["empty_shells"] = skipped
-    if worst is not None:
-        report.witness = worst.witness
-        report.witness_ratio = worst.max_ratio
-    _attach_constants(report, probe)
-    return report
+    shells, skipped = _evaluated_shells(probe)
+    rows = [_row(delta, points, [_potential_ratio(*at) for at in table])
+            for delta, points, table in shells]
+    return _report(probe, "dU(grad f) = O(U)", rows, skipped, {})
 
 
 def certify_magnetic_condition(probe) -> ConditionReport:
@@ -244,76 +263,59 @@ def certify_magnetic_condition(probe) -> ConditionReport:
 
     Also tabulates the stronger full-norm condition |d mu| = O(sqrt U) and
     reports whether the magnetic field vanishes on near-locus samples.
+    Both ratios at a point share one magnetic tensor.
     """
+    condition = "|iota_{grad f} d mu| = O(sqrt U)"
     mu = probe.magnetic
     if mu is None or _is_zero_form(mu, probe.center):
-        return ConditionReport(
-            condition="|iota_{grad f} d mu| = O(sqrt U)",
-            verdict=CERTIFIED,
-            shells=[],
-            bound_estimate=0.0,
-            notes={"trivial": True, "magnetic_field_on_locus": "zero"},
-        )
+        return ConditionReport(condition, CERTIFIED, [], 0.0, notes={
+            "trivial": True, "magnetic_field_on_locus": "zero"})
 
-    def ratio(x, grad):
-        u_val = probe.potential.eval(x)
+    def norms(x, grad):
+        """|iota_grad d mu| and |d mu| at x from one magnetic tensor."""
+        tensor = magnetic_tensor(mu, x)
+        return (contracted_form_norm(probe.metric, tensor, grad, x),
+                two_form_norm(probe.metric, tensor, x))
+
+    def ratios(x, grad, u_val, _du):
         if u_val <= 0:
-            return math.inf
-        return contracted_form_norm(probe.metric, mu, grad, x) \
-            / math.sqrt(u_val)
+            return math.inf, math.inf
+        root = math.sqrt(u_val)
+        return tuple(norm / root for norm in norms(x, grad))
 
-    def full_ratio(x, _grad):
-        u_val = probe.potential.eval(x)
-        if u_val <= 0:
-            return math.inf
-        return two_form_norm(probe.metric, mu, x) / math.sqrt(u_val)
-
-    (shells, full_shells), skipped = _shell_table(probe, ratio, full_ratio)
-    verdict, worst = _verdict_from_shells(shells)
-    full_verdict, _full_worst = _verdict_from_shells(full_shells)
+    shells, skipped = _evaluated_shells(probe)
+    rows, full_rows = [], []
+    for delta, points, table in shells:
+        contracted, full = zip(*(ratios(x, *at)
+                                 for x, at in zip(points, table)))
+        rows.append(_row(delta, points, contracted))
+        full_rows.append(_row(delta, points, full))
+    full_verdict, _full_worst = _verdict_from_shells(full_rows)
 
     # characteristic-equation diagnostics on near-locus samples
     _points, _attempts, near = _drawn_shell(probe, 0)
-    contracted_near = 0.0
-    dmu_near_min = math.inf
-    for x in near:
-        grad = riemannian_gradient(probe.metric, probe.f, x)
-        contracted_near = max(
-            contracted_near,
-            contracted_form_norm(probe.metric, mu, grad, x))
-        dmu_near_min = min(dmu_near_min, two_form_norm(probe.metric, mu, x))
-    report = ConditionReport(
-        condition="|iota_{grad f} d mu| = O(sqrt U)",
-        verdict=verdict,
-        shells=shells,
-        bound_estimate=float(max((s.max_ratio for s in shells),
-                                 default=0.0)),
-        notes={
-            "full_norm_verdict": full_verdict,
-            "full_norm_shells": [s.to_dict() for s in full_shells],
-            "near_locus_contraction_max": float(contracted_near),
-            "near_locus_dmu_min": (None if not len(near)
-                                   else float(dmu_near_min)),
-            "magnetic_field_on_locus": (
-                "unsampled" if not len(near)
-                else "zero" if dmu_near_min <= 1e-10 else "nonzero"
-            ),
-        },
-    )
-    if skipped:
-        report.notes["empty_shells"] = skipped
-    if worst is not None:
-        report.witness = worst.witness
-        report.witness_ratio = worst.max_ratio
-    _attach_constants(report, probe, magnetic=True)
-    return report
+    near_norms = [norms(x, riemannian_gradient(probe.metric, probe.f, x))
+                  for x in near]
+    contracted_near = max([0.0] + [c for c, _dmu in near_norms])
+    dmu_near_min = min([math.inf] + [dmu for _c, dmu in near_norms])
+    notes = {
+        "full_norm_verdict": full_verdict,
+        "full_norm_shells": [asdict(s) for s in full_rows],
+        "near_locus_contraction_max": float(contracted_near),
+        "near_locus_dmu_min": (None if not len(near)
+                               else float(dmu_near_min)),
+        "magnetic_field_on_locus": (
+            "unsampled" if not len(near)
+            else "zero" if dmu_near_min <= 1e-10 else "nonzero"
+        ),
+    }
+    return _report(probe, condition, rows, skipped, notes, magnetic=True)
 
 
-def _is_zero_form(mu, center, radius=0.5):
+def _is_zero_form(mu, center):
     """True when d mu vanishes identically on a small sample of the ball."""
-    rng = np.random.default_rng(7)
-    n = len(center)
-    points = center + rng.uniform(-radius, radius, size=(16, n))
+    points = center + np.random.default_rng(7).uniform(
+        -_ZERO_FORM_RADIUS, _ZERO_FORM_RADIUS, size=(16, len(center)))
     try:
         for x in points:
             if np.any(np.abs(magnetic_tensor(mu, x)) > 0.0):
@@ -323,37 +325,28 @@ def _is_zero_form(mu, center, radius=0.5):
     return True
 
 
-def _attach_constants(report, probe, magnetic=False):
-    """Record the empirical constants entering the proof's bounds."""
-    rng = np.random.default_rng([probe.seed, 9999])
-    n = len(probe.center)
-    directions = rng.normal(size=(64, n))
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    radii = probe.radius * rng.random(64) ** (1.0 / n)
-    points = probe.center + directions * radii[:, None]
-    m_grad = math.inf
-    m_quad = 1.0
-    for x in points:
-        try:
-            _df, _grad, norm_sq = gradient_data(probe.metric, probe.f, x)
-            m_grad = min(m_grad, math.sqrt(max(norm_sq, 0.0)))
-            if not probe.metric.euclidean:
-                m_quad = max(m_quad, float(np.max(
-                    np.linalg.eigvalsh(probe.metric.value(x)))))
-        except (DomainError, NonFiniteResult):
-            continue
-    cap_sq = gradient_data(probe.metric, probe.f, probe.center)[2]
-    k_bound = report.bound_estimate
-    report.notes["m_grad"] = float(m_grad)
-    report.notes["grad_at_center_sq"] = cap_sq
-    if magnetic:
-        k1 = k_bound ** 2
-        report.notes["K1"] = k1
-        report.notes["C1"] = math.sqrt(
-            m_grad ** -4 * k1 / (2.0 * m_quad)) * math.sqrt(cap_sq)
-    else:
-        report.notes["K2"] = k_bound
-        report.notes["C2"] = m_grad ** -2 * k_bound * cap_sq / 2.0
+def _proof_constants(probe):
+    """(m_grad, m_quad, |grad f(center)|^2), sampled once per probe.
+
+    m_grad is the smallest |grad f| and m_quad the largest metric
+    eigenvalue (at least 1) over points of the probe ball.
+    """
+    if probe._constants is None:
+        rng = np.random.default_rng([probe.seed, 9999])
+        m_grad = math.inf
+        m_quad = 1.0
+        for x in _ball_points(probe, rng, 64):
+            try:
+                _df, _grad, norm_sq = gradient_data(probe.metric, probe.f, x)
+                m_grad = min(m_grad, math.sqrt(max(norm_sq, 0.0)))
+                if not probe.metric.euclidean:
+                    m_quad = max(m_quad, float(np.max(
+                        np.linalg.eigvalsh(probe.metric.value(x)))))
+            except (DomainError, NonFiniteResult):
+                continue
+        cap_sq = gradient_data(probe.metric, probe.f, probe.center)[2]
+        probe._constants = m_grad, m_quad, cap_sq
+    return probe._constants
 
 
 # --- quasi-homogeneous potentials ------------------------------------------
@@ -386,12 +379,11 @@ class QuasiHomogeneousReport:
     max_residual: float
     witness: list | None
 
-    def to_dict(self):
-        return asdict(self)
+    to_dict = asdict
 
 
 def check_quasi_homogeneous(potential, spec, samples=1000, seed=0,
-                            box=2.0, tol=1e-9) -> QuasiHomogeneousReport:
+                            box=2.0) -> QuasiHomogeneousReport:
     """Euler identity check: sum_i a_i x_i d_i U = r U at random points."""
     n = potential.dimension
     rng = np.random.default_rng(seed)
@@ -406,7 +398,7 @@ def check_quasi_homogeneous(potential, spec, samples=1000, seed=0,
             worst = residual
             witness = [float(c) for c in x]
     return QuasiHomogeneousReport(
-        certified=bool(worst <= tol),
+        certified=bool(worst <= EULER_TOL),
         max_residual=float(worst),
         witness=witness,
     )
@@ -422,13 +414,11 @@ class CommutationReport:
     max_bracket_norm: float
     witness: list | None
 
-    def to_dict(self):
-        return asdict(self)
+    to_dict = asdict
 
 
-def check_orthogonal_commuting(metric, fields, seed=0, box=0.5, center=None,
-                               inner_tol=1e-9,
-                               bracket_tol=1e-5) -> CommutationReport:
+def check_orthogonal_commuting(metric, fields, seed=0, box=0.5,
+                               center=None) -> CommutationReport:
     """Pairwise metric orthogonality of gradients plus vanishing brackets.
 
     At 64 points drawn uniformly from the box around ``center``, each Lie
@@ -455,8 +445,8 @@ def check_orthogonal_commuting(metric, fields, seed=0, box=0.5, center=None,
                 max_bracket = max(max_bracket, norm)
                 witness = [float(c) for c in x]
     return CommutationReport(
-        certified=bool(max_inner <= inner_tol
-                       and max_bracket <= bracket_tol),
+        certified=bool(max_inner <= INNER_TOL
+                       and max_bracket <= BRACKET_TOL),
         max_inner_product=float(max_inner),
         max_bracket_norm=float(max_bracket),
         witness=witness,
@@ -487,7 +477,7 @@ def build_pullback_magnetic(level_fields, omega) -> OneForm:
         for axis in range(n)])
 
 
-def chart_contraction_check(chart, mu, f_field, grid_count=5, tol=1e-8):
+def chart_contraction_check(chart, mu, f_field, grid_count=5):
     """Pull iota_{grad f} d mu back through the chart; it must vanish.
 
     ``f_field`` is the candidate function whose Riemannian gradient
@@ -499,15 +489,13 @@ def chart_contraction_check(chart, mu, f_field, grid_count=5, tol=1e-8):
         jac = chart.jacobian(coords)
         ambient = chart.point(coords)
         v_amb = riemannian_gradient(chart.metric, f_field, ambient)
-        f_tensor = magnetic_tensor(mu, ambient)
-        covector = v_amb @ f_tensor
-        pulled = covector @ jac
+        pulled = v_amb @ magnetic_tensor(mu, ambient) @ jac
         mag = float(np.max(np.abs(pulled)))
         if mag > worst:
             worst = mag
             worst_point = [float(c) for c in coords]
     return {
-        "passed": bool(worst <= tol),
+        "passed": bool(worst <= CONTRACTION_TOL),
         "max_component": worst,
         "witness": worst_point,
     }

@@ -31,6 +31,10 @@ FLOW_GRADIENT_FLOOR = 1e-8
 FLOW_TOL = 1e-12
 _MEMO_QUANTUM = 1e-12
 DEFAULT_GRID = 9
+IDENTITY_TOL = 1e-8  # residual of a level identity such as F(Psi(r, y)) = r
+SWAP_TOL = 1e-7  # change of Psi when the flow order is reversed
+BLOCK_TOL = 1e-6  # mixed or off-block entry of the pulled-back metric
+MIN_GAP = 1e-10  # closest that two grid nodes' ambient points may be
 
 
 @dataclass
@@ -155,40 +159,40 @@ def _box_grid(box, count):
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _check_base_map(fields, psi, tol=1e-8, count=DEFAULT_GRID):
+def _check_base_map(fields, psi, count=DEFAULT_GRID):
     for y in _box_grid(psi.box, count):
         p = psi(y)
         for fld in fields:
             value = fld.eval(p)
-            if abs(value) > tol:
+            if abs(value) > IDENTITY_TOL:
                 raise IdentityViolation(
                     f"base map leaves the zero level set: |f| = {value:.3e}",
                     point=tuple(y), residual=float(value),
                 )
 
 
-def build_chart(metric, fld, psi, z_range, grid_count=DEFAULT_GRID,
-                tol=1e-8) -> AdaptedChart:
+def build_chart(metric, fld, psi, z_range,
+                grid_count=DEFAULT_GRID) -> AdaptedChart:
     """Construct and verify the single-function adapted chart."""
     return build_multi_chart(metric, [fld], psi, [z_range],
-                             grid_count=grid_count, tol=tol)
+                             grid_count=grid_count)
 
 
-def build_multi_chart(metric, fields, psi, r_box, grid_count=DEFAULT_GRID,
-                      tol=1e-8, swap_tol=1e-7) -> AdaptedChart:
+def build_multi_chart(metric, fields, psi, r_box,
+                      grid_count=DEFAULT_GRID) -> AdaptedChart:
     """Construct and verify the chart of k commuting flows (k >= 1)."""
     k = len(fields)
     n = psi.ambient_dimension
     if not k < n:
         raise ValueError("need fewer level functions than dimensions")
-    _check_base_map(fields, psi, tol=tol, count=grid_count)
+    _check_base_map(fields, psi, count=grid_count)
     chart = AdaptedChart(metric, fields, psi, [tuple(r) for r in r_box])
 
     for coords in chart.grid(grid_count):
         p = chart.point(coords)
         for i, fld in enumerate(fields):
             residual = fld.eval(p) - coords[i]
-            if abs(residual) > tol:
+            if abs(residual) > IDENTITY_TOL:
                 raise IdentityViolation(
                     f"F_{i + 1}(Psi(r, y)) - r_{i + 1} = {residual:.3e}",
                     point=tuple(coords), residual=float(residual),
@@ -200,7 +204,7 @@ def build_multi_chart(metric, fields, psi, r_box, grid_count=DEFAULT_GRID,
         forward = chart.point(coords)
         swapped = chart.point(coords, order=list(reversed(range(k))))
         gap = float(np.max(np.abs(forward - swapped)))
-        if gap > swap_tol:
+        if gap > SWAP_TOL:
             raise OrderDependence(
                 f"flow composition order changes Psi by {gap:.3e} "
                 f"at {tuple(coords)}"
@@ -215,7 +219,7 @@ def build_multi_chart(metric, fields, psi, r_box, grid_count=DEFAULT_GRID,
             for j, fld in enumerate(fields):
                 expect = (t if i == j else 0.0) + fld.eval(x)
                 residual = fld.eval(moved) - expect
-                if abs(residual) > tol:
+                if abs(residual) > IDENTITY_TOL:
                     raise IdentityViolation(
                         f"flow additivity broken for (i={i}, j={j}): "
                         f"{residual:.3e}",
@@ -232,12 +236,11 @@ class BlockReport:
     max_condition: float
     grid_count: int
 
-    def to_dict(self):
-        return asdict(self)
+    to_dict = asdict
 
 
-def pullback_metric_block_check(chart, grid_count=DEFAULT_GRID,
-                                tol=1e-6) -> BlockReport:
+def pullback_metric_block_check(chart,
+                                grid_count=DEFAULT_GRID) -> BlockReport:
     """Assemble J^T g J on a grid and check its block structure.
 
     Single function: the mixed entries g_{0a} must vanish. Multiple
@@ -268,7 +271,7 @@ def pullback_metric_block_check(chart, grid_count=DEFAULT_GRID,
         max_off = max(max_off, off)
         max_cond = max(max_cond, cond)
     return BlockReport(
-        passed=bool(max_mixed <= tol and max_off <= tol),
+        passed=bool(max_mixed <= BLOCK_TOL and max_off <= BLOCK_TOL),
         max_mixed=max_mixed,
         max_off_block=max_off,
         max_condition=max_cond,
@@ -276,11 +279,11 @@ def pullback_metric_block_check(chart, grid_count=DEFAULT_GRID,
     )
 
 
-def injectivity_probe(chart, grid_count=DEFAULT_GRID, min_gap=1e-10):
+def injectivity_probe(chart, grid_count=DEFAULT_GRID):
     """Distinct grid nodes must map to distinct ambient points."""
     points = np.array([chart.point(c) for c in chart.grid(grid_count)])
     diffs = points[:, None, :] - points[None, :, :]
     dist = np.sqrt((diffs ** 2).sum(axis=2))
     iu = np.triu_indices(len(points), k=1)
-    bad = np.nonzero(dist[iu] < min_gap)[0]
+    bad = np.nonzero(dist[iu] < MIN_GAP)[0]
     return [(int(iu[0][b]), int(iu[1][b])) for b in bad]

@@ -145,6 +145,9 @@ def certify_cmd(problem, radius, shells, samples, seed, out):
 def sweep_cmd(problem, eps, horizon, fmt, seed, tol_abs, tol_rel, out):
     """Run the epsilon sweep and report the curve family."""
     try:
+        if fmt == "csv" and not out:
+            raise ValidationError("--format csv needs --out, the directory "
+                                  "for the CSV files")
         definition = _load(problem)
         if eps is not None or horizon is not None:
             data = definition.to_dict()
@@ -163,7 +166,7 @@ def sweep_cmd(problem, eps, horizon, fmt, seed, tol_abs, tol_rel, out):
     except InstabError as exc:
         _fail(exc, "sweep", problem)
     _emit(report.to_dict(), out, f"sweep-{definition.name}")
-    if fmt == "csv" and out:
+    if fmt == "csv":
         for run in report.runs:
             if run.status != "ok":
                 continue

@@ -60,35 +60,53 @@ _UNROLL_POW = 16
 
 # --- AST -------------------------------------------------------------------
 
-@dataclass(frozen=True)
+def _node_class(cls):
+    """A frozen dataclass that hashes its subtree once, not per lookup.
+
+    Derivative trees share deep subtrees, and the emitter's memo hashes
+    every node it meets.
+    """
+    cls = dataclass(frozen=True)(cls)
+    structural = cls.__hash__
+
+    def cached_hash(node):
+        if "_hash" not in node.__dict__:
+            node.__dict__["_hash"] = structural(node)
+        return node.__dict__["_hash"]
+
+    cls.__hash__ = cached_hash
+    return cls
+
+
+@_node_class
 class Num:
     value: float
 
 
-@dataclass(frozen=True)
+@_node_class
 class Var:
     index: int  # zero-based; prints as x{index+1}
 
 
-@dataclass(frozen=True)
+@_node_class
 class Bin:
     op: str  # + - * / ^ (a ^ with a variable or non-integral exponent)
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True)
+@_node_class
 class IntPow:
     base: "Expr"
     k: int
 
 
-@dataclass(frozen=True)
+@_node_class
 class Neg:
     arg: "Expr"
 
 
-@dataclass(frozen=True)
+@_node_class
 class Fun:
     name: str
     arg: "Expr"
@@ -201,25 +219,18 @@ class _Parser:
             self.error(("end of input",))
         return node
 
+    def _chain(self, ops, operand):
+        """Left-associative operands joined by operators from ``ops``."""
+        node = operand()
+        while self.peek()[0] == "op" and self.peek()[1] in ops:
+            node = Bin(self.advance()[1], node, operand())
+        return node
+
     def expr(self):
-        node = self.term()
-        while True:
-            kind, text, _, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                node = Bin(text, node, self.term())
-            else:
-                return node
+        return self._chain("+-", self.term)
 
     def term(self):
-        node = self.unary()
-        while True:
-            kind, text, _, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                node = Bin(text, node, self.unary())
-            else:
-                return node
+        return self._chain("*/", self.unary)
 
     def unary(self):
         kind, text, _, _ = self.peek()

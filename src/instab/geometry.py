@@ -260,9 +260,8 @@ def guard_cancellation(values, scale):
     return np.where(np.abs(values) <= NOISE_RELATIVE * scale, 0.0, values)
 
 
-def contracted_form_norm(metric, form, vector, point) -> float:
-    """Cotangent norm of the contraction of d(form) with ``vector``."""
-    f_tensor = magnetic_tensor(form, point)
+def contracted_form_norm(metric, f_tensor, vector, point) -> float:
+    """Cotangent norm of ``vector`` contracted into the two-form F."""
     v = np.asarray(vector)
     covector = guard_cancellation(v @ f_tensor,  # c_b = F_{ab} v^a
                                   np.abs(v) @ np.abs(f_tensor))
@@ -270,10 +269,8 @@ def contracted_form_norm(metric, form, vector, point) -> float:
     return float(np.sqrt(max(covector @ ginv @ covector, 0.0)))
 
 
-def two_form_norm(metric, form, point) -> float:
-    """Canonical norm of d(form) on the second exterior power."""
-    f_tensor = magnetic_tensor(form, point)
+def two_form_norm(metric, f_tensor, point) -> float:
+    """Canonical norm of the two-form F on the second exterior power."""
     ginv = metric.inverse(point)
     raised = ginv @ f_tensor @ ginv  # F^{ab}
     return float(np.sqrt(max(0.5 * np.sum(f_tensor * raised), 0.0)))
-

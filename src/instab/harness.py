@@ -42,6 +42,7 @@ DEFAULT_EPSILONS = (1e-1, 1e-2, 1e-3)
 CENTER_POTENTIAL_TOL = 1e-12
 PROBE_KEYS = ("radius", "delta_min", "delta_max", "samples")
 DRIFT_FRACTION = 0.01  # of |grad f(p)|^2 T; escape needs 10x this
+CONSISTENCY_FRACTIONS = (0.25, 0.5, 1.0)  # of T; see physical_consistency
 
 
 @dataclass
@@ -457,8 +458,7 @@ class EscapeVerdict:
     crossings: list  # per run: {"epsilon", "tau_star", "physical_time"}
     initial_speeds: list
 
-    def to_dict(self):
-        return asdict(self)
+    to_dict = asdict
 
 
 @dataclass
@@ -521,14 +521,13 @@ def certification_verdict(problem, potential, magnetic):
 def _certification_verdicts(problem, seed=0):
     probe = certification_probe(problem, seed=seed)
     out = {}
-    try:
-        out["potential"] = _certify.certify_potential_condition(probe).verdict
-    except InstabError as exc:
-        out["potential"] = f"error: {exc}"
-    try:
-        out["magnetic"] = _certify.certify_magnetic_condition(probe).verdict
-    except InstabError as exc:
-        out["magnetic"] = f"error: {exc}"
+    for kind, certifier in (
+            ("potential", _certify.certify_potential_condition),
+            ("magnetic", _certify.certify_magnetic_condition)):
+        try:
+            out[kind] = certifier(probe).verdict
+        except InstabError as exc:
+            out[kind] = f"error: {exc}"
     return out
 
 
@@ -601,25 +600,22 @@ def run_epsilon_sweep(problem, tol=None, seed=0,
     )
 
 
-def detect_escape(report, level="auto", drift_tolerance=None) -> EscapeVerdict:
+def detect_escape(report) -> EscapeVerdict:
     """Read the escape witness off a sweep report.
 
-    In auto mode the escape level is the maximum of the finest-epsilon
-    f-curve over [0, T] (the numerical surrogate for the limit curve);
-    escape is demonstrated when every run crosses half that level before T.
+    The escape level is the maximum of the finest-epsilon f-curve over
+    [0, T] (the numerical surrogate for the limit curve); escape is
+    demonstrated when every run crosses half that level before T.
     """
     finest = report.finest_ok_run()
     if finest is None:
         raise IntegrationError("no successful runs to detect escape on")
-    if drift_tolerance is None:
-        drift_tolerance = DRIFT_FRACTION * report.cap_sq * report.horizon
+    drift_tolerance = DRIFT_FRACTION * report.cap_sq * report.horizon
     grid = finest.trajectory.grid_times
     forward = grid >= 0.0
-    if level == "auto":
-        level = float(np.max(finest.f_curve[forward]))
-        if level <= 10.0 * drift_tolerance:
-            raise NoPositiveDrift(level, 10.0 * drift_tolerance)
-    level = float(level)
+    level = float(np.max(finest.f_curve[forward]))
+    if level <= 10.0 * drift_tolerance:
+        raise NoPositiveDrift(level, 10.0 * drift_tolerance)
 
     crossings = []
     speeds = []
@@ -689,15 +685,14 @@ def _first_crossing(taus, values, target):
     return float(t0 + (target - v0) * (t1 - t0) / (v1 - v0))
 
 
-def physical_consistency(problem, epsilon, fractions=(0.25, 0.5, 1.0),
-                         tol=None):
+def physical_consistency(problem, epsilon):
     """Spot-check the two time parameterizations against each other.
 
     The unscaled system started with speed epsilon |grad f(p)| and run to
     physical time tau/epsilon must land where the rescaled run is at tau.
-    Returns the worst Euclidean mismatch over the requested fractions of T.
+    Returns the worst Euclidean mismatch over CONSISTENCY_FRACTIONS of T.
     """
-    tol = tol or Tolerances()
+    tol = Tolerances()
     _df, grad, _cap_sq = problem.gradient_data()
     rescaled = integrate(
         problem.system(epsilon=epsilon),
@@ -712,7 +707,7 @@ def physical_consistency(problem, epsilon, fractions=(0.25, 0.5, 1.0),
     n = problem.dimension
     grid = rescaled.grid_times
     worst = 0.0
-    for frac in fractions:
+    for frac in CONSISTENCY_FRACTIONS:
         tau = frac * problem.horizon
         i = int(np.argmin(np.abs(grid - tau)))
         a = rescaled.grid_states[i, :n]

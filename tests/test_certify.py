@@ -202,6 +202,25 @@ def test_each_shell_drawn_once(monkeypatch):
     assert draws == {j: 1 for j in range(6)}
 
 
+def test_each_shell_point_evaluated_once(monkeypatch):
+    problem = harness.corpus_entry("unstable-magnetic-plane")
+    probe = harness.certification_probe(problem)
+    calls = collections.Counter()
+    potential = probe.potential
+    evaluate = type(potential).value_and_grad
+
+    def counted(field, point):
+        calls[field is potential] += 1
+        return evaluate(field, point)
+
+    monkeypatch.setattr(type(potential), "value_and_grad", counted)
+    certify_potential_condition(probe)
+    certify_magnetic_condition(probe)
+    points = sum(len(points) for points, _attempts, _near
+                 in probe._shells.values())
+    assert calls[True] == points
+
+
 def test_gradient_floor_enforced():
     probe = _probe("x3^2", "1", seed=12)
     with pytest.raises(GradientTooSmall):

@@ -254,11 +254,11 @@ def test_magnetic_tensor_linearity():
 def test_contracted_form_norm_cases():
     g = MetricSpec.identity(3)
     e1 = np.array([1.0, 0, 0])
-    mu_z = OneForm.from_sources(["0", "x3", "0"])
-    assert contracted_form_norm(g, mu_z, e1, [0, 0, 0]) == 0.0
-    mu_x = OneForm.from_sources(["0", "x1", "0"])
-    assert contracted_form_norm(g, mu_x, e1, [0, 0, 0]) == pytest.approx(1.0)
-    assert contracted_form_norm(g, mu_x, np.zeros(3), [0, 0, 0]) == 0.0
+    f_z = magnetic_tensor(OneForm.from_sources(["0", "x3", "0"]), [0, 0, 0])
+    assert contracted_form_norm(g, f_z, e1, [0, 0, 0]) == 0.0
+    f_x = magnetic_tensor(OneForm.from_sources(["0", "x1", "0"]), [0, 0, 0])
+    assert contracted_form_norm(g, f_x, e1, [0, 0, 0]) == pytest.approx(1.0)
+    assert contracted_form_norm(g, f_x, np.zeros(3), [0, 0, 0]) == 0.0
 
 
 def test_contracted_form_norm_zeroes_cancellation_noise():
@@ -266,14 +266,16 @@ def test_contracted_form_norm_zeroes_cancellation_noise():
     g = MetricSpec.identity(3)
     mu = OneForm.from_sources(["0", "0", "3*x1 - x2"])
     v = np.array([0.1, 0.3, 0.0])
-    assert (v @ magnetic_tensor(mu, [0, 0, 0]))[2] != 0.0
-    assert contracted_form_norm(g, mu, v, [0, 0, 0]) == 0.0
+    f_tensor = magnetic_tensor(mu, [0, 0, 0])
+    assert (v @ f_tensor)[2] != 0.0
+    assert contracted_form_norm(g, f_tensor, v, [0, 0, 0]) == 0.0
 
 
 def test_two_form_norm_unit_planar():
     g = MetricSpec.identity(3)
     mu = OneForm.from_sources(["0", "x1", "0"])  # tensor has F_12 = 1
-    assert two_form_norm(g, mu, [0, 0, 0]) == pytest.approx(1.0)
+    f_tensor = magnetic_tensor(mu, [0, 0, 0])
+    assert two_form_norm(g, f_tensor, [0, 0, 0]) == pytest.approx(1.0)
 
 
 def test_dimension_cap():

@@ -291,6 +291,14 @@ def test_cli_sweep_csv_artifacts(tmp_path):
     assert header.startswith("tau,x1")
 
 
+def test_cli_sweep_csv_needs_out():
+    result = _run("sweep", "unstable-magnetic-plane", "--format", "csv")
+    assert result.exit_code == 2, result.output
+    report = json.loads(result.output)
+    assert report["phase"] == "sweep"
+    assert "--out" in " ".join(report["error"])
+
+
 def test_cli_chart_reports():
     result = _run("chart", "corollary1-unstable-magnetic", "--multi")
     assert result.exit_code == 0
