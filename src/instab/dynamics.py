@@ -2,27 +2,35 @@
 
 The Lagrangian is kinetic energy plus a gyroscopic one-form term minus a
 potential; in the rescaled variant the one-form carries a 1/eps factor and
-the potential 1/eps^2. The integrator is an adaptive embedded Runge-Kutta
-4(5) pair (scipy's RK45) with a hard step cap of eps/10 for rescaled
-systems, since the transverse oscillation frequency scales like 1/eps.
-Every run records conserved-energy, speed, potential and path-length logs;
-the energy log is one vectorized ``hamiltonian`` pass over all step rows,
-and the speed and potential logs are read in the same row-wise way. An
+the potential 1/eps^2. The integrator is an in-repo adaptive Dormand-Prince
+5(4) pair with scipy RK45's tableau, initial step, RMS error norm and step
+controller, and a hard step cap of eps/10 for rescaled systems, since the
+transverse oscillation frequency scales like 1/eps. It steps on plain
+floats: the stage arithmetic is generated once per state size, and the
+quartic dense output is evaluated only at the uniform grid times. Every run
+records conserved-energy, speed, potential and path-length logs; the energy
+log is one vectorized ``hamiltonian`` pass over all step rows, and the
+speed and potential logs are read in the same row-wise way. An
 untrustworthy energy drift raises instead of being silently accepted.
 
-On a curved metric the right-hand side reads the metric's entries and
-partials and the one-form's components from one generated function each,
-and the inverse metric and the Christoffel symbols from one factorization
-of the metric per point (see ``geometry``). scipy is used only for the
-integrator.
+On a Euclidean metric the equations of motion are one generated function
+per potential and one-form: U's and the form's values and partials, with
+the fields' own domain checks, and the acceleration assembled in the same
+code. Where that code meets a failed check or a non-finite value, the state
+goes to ``el_acceleration``, the reference, so errors keep its message. On
+a curved metric every stage calls ``el_acceleration``, which reads the
+metric's entries and partials and the one-form's components from one
+generated function each, and the inverse metric and the Christoffel symbols
+from one factorization of the metric per point (see ``geometry``).
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     DomainError,
@@ -30,6 +38,7 @@ from .errors import (
     StepSizeUnderflow,
     format_point,
 )
+from .expr import define_scalar, value_grad_code
 from .geometry import magnetic_tensor
 
 GRID_POINTS = 513  # uniform tau samples over [-T, T], including tau = 0
@@ -46,7 +55,7 @@ class LagrangianSystem:
         if self.epsilon is not None and self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
 
-    @property
+    @functools.cached_property
     def inv_eps(self):
         return 1.0 if self.epsilon is None else 1.0 / self.epsilon
 
@@ -74,6 +83,8 @@ class Tolerances:
     def __post_init__(self):
         if self.abs <= 0 or self.rel <= 0:
             raise ValueError("tolerances must be positive")
+        if self.max_step is not None and not self.max_step > 0:
+            raise ValueError("max_step must be positive")
 
 
 def el_acceleration(system, state) -> np.ndarray:
@@ -164,51 +175,288 @@ class Trajectory:
                            for cells in table.tolist())
 
 
-def _solve_branch(rhs, y0, t_end, tol, max_step):
-    sol = solve_ivp(
-        rhs, (0.0, t_end), y0, method="RK45",
-        rtol=tol.rel, atol=tol.abs, max_step=max_step, dense_output=True,
-    )
-    if not sol.success:
-        raise StepSizeUnderflow(sol.message)
-    return sol
+# --- equations of motion --------------------------------------------------
+
+def _reference_stage(y, system):
+    """dy/dtau = (v, a) at the state y = (x, v) from ``el_acceleration``."""
+    n = len(y) // 2
+    state = State.__new__(State)
+    state.tau = None  # the equations are autonomous
+    state.x = np.array(y[:n])
+    state.v = np.array(y[n:])
+    return y[n:] + tuple(el_acceleration(system, state).tolist())
+
+
+def _motion_source(fields, n):
+    """Source of the Euclidean stage function over U and the form's A_b.
+
+    The values and partials come from one ``value_grad_code`` pass, so its
+    domain checks are those of the fields' own evaluations. A failed check,
+    a float error or a non-finite sum of the values and partials sends the
+    state to the reference, which raises exactly where ``el_acceleration``
+    does, with its message, or else returns its value.
+    """
+    body, symbols = value_grad_code([fld.body for fld in fields], n,
+                                    indent="        ")
+    k = len(fields)
+
+    def partial(node, i):
+        return symbols[k + node * n + i]
+
+    def literal(symbol):
+        try:
+            return math.isfinite(float(symbol))
+        except ValueError:
+            return False
+
+    checked = " + ".join(dict.fromkeys(s for s in symbols if not literal(s)))
+    acc = []
+    for b in range(n):
+        # -F_{ab} v^a with F_{ab} = d_a A_b - d_b A_a, a != b
+        gyro = " + ".join(
+            f"({partial(1 + b, a)} - {partial(1 + a, b)}) * p[{n + a}]"
+            for a in range(n) if k > 1 and a != b
+            and (partial(1 + b, a), partial(1 + a, b)) != ("0.0", "0.0"))
+        term = f"c * {partial(0, b)}"
+        acc.append(f"{term} - e * ({gyro})" if gyro else term)
+    velocity = "".join(f"p[{n + a}], " for a in range(n))
+    body = body or "        pass\n"
+    return ("def _motion(p, system):\n"
+            "    try:\n"
+            f"{body}"
+            "    except (DomainError, ArithmeticError, ValueError):\n"
+            "        return reference(p, system)\n"
+            f"    if ({checked or '0.0'}) * 0.0 != 0.0:  # not finite\n"
+            "        return reference(p, system)\n"
+            "    e = system.inv_eps\n"
+            "    c = -(e * e)\n"
+            f"    return ({velocity}{', '.join(acc)},)\n")
+
+
+def compile_motion(system):
+    """The system's first-order equations as ``f(y, system) -> dy/dtau``.
+
+    ``y`` is the state (x, v) as a tuple of floats, and so is the result.
+    On a Euclidean metric the function is generated once per potential and
+    one-form and takes the epsilon from ``system``, so every epsilon of a
+    sweep shares it. On a curved metric it wraps ``el_acceleration``.
+    """
+    if not system.metric.euclidean:
+        return _reference_stage
+    fields = [system.potential]
+    if system.magnetic is not None:
+        fields += system.magnetic.components
+    key = ("motion",) + tuple(fld.body for fld in fields[1:])
+    kernel = system.potential.compiled.get(key)
+    if kernel is None:
+        kernel = define_scalar(
+            "_motion", _motion_source(fields, system.metric.dimension),
+            reference=_reference_stage)
+        system.potential.compiled[key] = kernel
+    return kernel
+
+
+# --- Dormand-Prince 5(4) --------------------------------------------------
+
+# The Dormand-Prince pair (J. Comput. Appl. Math. 6, 1980) with Shampine's
+# quartic dense output (Math. Comp. 46, 1986), in scipy's RK45 arrangement.
+_A = ((1 / 5,),
+      (3 / 40, 9 / 40),
+      (44 / 45, -56 / 15, 32 / 9),
+      (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+      (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
+_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200,
+      -22 / 525, 1 / 40)
+_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883,
+     -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
+SAFETY = 0.9  # times the step the error estimate asks for
+MIN_FACTOR = 0.2  # smallest step change after a rejection
+MAX_FACTOR = 10.0  # largest step change after an acceptance
+ERROR_EXPONENT = -1 / 5  # the embedded 4th-order estimate's error ~ h^5
+MIN_RTOL = 100 * np.finfo(float).eps  # smaller relative tolerances are raised
+TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+
+@functools.cache
+def _stepper(m):
+    """One Dormand-Prince step over a state of m floats, unrolled.
+
+    ``step(f, arg, y, k1, h, rtol, atol)`` takes k1 = f(y, arg) and returns
+    the 5th-order state, its derivative, the RMS norm of the embedded error
+    scaled by atol + rtol * max(|y|, |y_new|), and the seven stages.
+    """
+    idx = range(m)
+
+    def combination(coefficients, i):
+        return " + ".join(f"k{j + 1}_{i} * {c!r}"
+                          for j, c in enumerate(coefficients) if c)
+
+    def unpack(stage):
+        return f"    {''.join(f'{stage}_{i}, ' for i in idx)}= {stage}\n"
+
+    src = ("def _step(f, arg, y, k1, h, rtol, atol):\n"
+           f"    {''.join(f'y{i}, ' for i in idx)}= y\n" + unpack("k1"))
+    for s, row in enumerate(_A, start=2):
+        stage = "".join(f"y{i} + ({combination(row, i)}) * h, " for i in idx)
+        src += f"    k{s} = f(({stage}), arg)\n" + unpack(f"k{s}")
+    src += "".join(f"    n{i} = y{i} + h * ({combination(_B, i)})\n"
+                   for i in idx)
+    src += (f"    y_new = ({''.join(f'n{i}, ' for i in idx)})\n"
+            "    k7 = f(y_new, arg)\n" + unpack("k7"))
+    for i in idx:  # max(|y_i|, |n_i|) without calls
+        src += (f"    a{i} = y{i} if y{i} > 0.0 else -y{i}\n"
+                f"    b{i} = n{i} if n{i} > 0.0 else -n{i}\n"
+                f"    e{i} = ({combination(_E, i)}) * h / "
+                f"(atol + (a{i} if a{i} > b{i} else b{i}) * rtol)\n")
+    src += (f"    error = sqrt({' + '.join(f'e{i} * e{i}' for i in idx)})"
+            f" / {m ** 0.5!r}\n"
+            "    return y_new, k7, error, (k1, k2, k3, k4, k5, k6, k7)\n")
+    return define_scalar("_step", src)
+
+
+def _initial_step(f, arg, y0, k1, t_end, max_step, rtol, atol):
+    """Hairer, Norsett & Wanner's starting step, as scipy's RK45 takes it."""
+    def rms(values):
+        return math.sqrt(sum(v * v for v in values)) / len(values) ** 0.5
+
+    direction = math.copysign(1.0, t_end)
+    scale = [atol + abs(y) * rtol for y in y0]
+    d0 = rms([y / s for y, s in zip(y0, scale)])
+    d1 = rms([k / s for k, s in zip(k1, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, abs(t_end))
+    k2 = f(tuple(y + h0 * direction * k for y, k in zip(y0, k1)), arg)
+    d2 = rms([(b - a) / s for a, b, s in zip(k1, k2, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, abs(t_end), max_step)
+
+
+@dataclass
+class _Branch:
+    times: list
+    states: list
+    grid_states: np.ndarray  # at the branch's grid times, in their order
+    rejected: int
+    nfev: int
+
+
+def _dense(steps, times):
+    """The grid states from the quartic interpolants of the steps.
+
+    ``steps`` holds (t_old, t_new, y_old, stages, count) for each step that
+    reaches ``count`` further grid times, in order.
+    """
+    t_old, t_new, y_old, stages, counts = zip(*steps)
+    index = np.repeat(np.arange(len(steps)), counts)
+    start = np.array(t_old)[index]
+    h = (np.array(t_new) - np.array(t_old))[index]
+    q = np.swapaxes(np.array(stages), 1, 2).dot(_P)[index]  # (m, 4) each
+    x = (times - start) / h
+    powers = np.cumprod(np.tile(x, (4, 1)), axis=0).T
+    return h[:, None] * np.einsum("gik,gk->gi", q, powers) \
+        + np.array(y_old)[index]
+
+
+def _solve_branch(f, arg, y0, t_end, tol, max_step, grid):
+    """Adaptive Dormand-Prince steps from tau = 0 to exactly ``t_end``.
+
+    ``grid`` holds times in the order the branch passes them; each is read
+    off the interpolant of the first step that reaches it.
+    """
+    direction = math.copysign(1.0, t_end)
+    rtol, atol = max(tol.rel, MIN_RTOL), tol.abs
+    step = _stepper(len(y0))
+    k1 = f(y0, arg)
+    h_abs = _initial_step(f, arg, y0, k1, t_end, max_step, rtol, atol)
+    nfev, rejected = 2, 0
+    t, y = 0.0, y0
+    times, states, dense = [t], [y], []
+    marks = (direction * grid).tolist()  # grid times in steps' progress
+    nxt = 0  # the first grid time not yet read
+    while direction * (t - t_end) < 0:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        retried = False
+        while True:
+            if h_abs < min_step:
+                raise StepSizeUnderflow(TOO_SMALL_STEP)
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_end) > 0:
+                t_new = t_end
+            h = t_new - t
+            h_abs = abs(h)
+            y_new, k7, error, stages = step(f, arg, y, k1, h, rtol, atol)
+            nfev += 6
+            if error < 1:
+                factor = MAX_FACTOR if error == 0 else min(
+                    MAX_FACTOR, SAFETY * error ** ERROR_EXPONENT)
+                h_abs *= min(1.0, factor) if retried else factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error ** ERROR_EXPONENT)
+            retried = True
+            rejected += 1
+        end = nxt
+        while end < len(marks) and marks[end] <= direction * t_new:
+            end += 1
+        if end > nxt:
+            dense.append((t, t_new, y, stages, end - nxt))
+            nxt = end
+        t, y, k1 = t_new, y_new, k7
+        times.append(t)
+        states.append(y)
+    return _Branch(times, states, _dense(dense, grid), rejected, nfev)
 
 
 def integrate(system, initial, horizon, tol=None) -> Trajectory:
-    """Integrate both time branches over [-T, 0] and [0, T]."""
+    """Integrate both time branches over [-T, 0] and [0, T].
+
+    Each branch is an adaptive Dormand-Prince 5(4) solve with scipy RK45's
+    initial step, RMS error norm and step controller, capped at eps/10 for
+    rescaled systems.
+    """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     tol = tol or Tolerances()
     n = len(initial.x)
-
-    def rhs(_t, y):
-        state = State.__new__(State)
-        state.tau = _t
-        state.x = y[:n]
-        state.v = y[n:]
-        acc = el_acceleration(system, state)
-        return np.concatenate([y[n:], acc])
 
     if tol.max_step is not None:
         max_step = tol.max_step
     elif system.epsilon is not None:
         max_step = system.epsilon / 10.0
     else:
-        max_step = np.inf
+        max_step = math.inf
 
-    y0 = np.concatenate([initial.x, initial.v])
-    fwd = _solve_branch(rhs, y0, horizon, tol, max_step)
-    bwd = _solve_branch(rhs, y0, -horizon, tol, max_step)
+    f = compile_motion(system)
+    y0 = tuple(np.concatenate([initial.x, initial.v]).tolist())
+    grid_times = np.linspace(-horizon, horizon, GRID_POINTS)
+    neg = grid_times < 0
+    fwd = _solve_branch(f, system, y0, horizon, tol, max_step,
+                        grid_times[~neg])
+    bwd = _solve_branch(f, system, y0, -horizon, tol, max_step,
+                        grid_times[neg][::-1])
 
     # merge step samples in increasing tau (backward branch reversed)
-    times = np.concatenate([bwd.t[::-1], fwd.t])
-    states = np.concatenate([bwd.y.T[::-1], fwd.y.T])
-
-    grid_times = np.linspace(-horizon, horizon, GRID_POINTS)
-    grid_states = np.empty((GRID_POINTS, 2 * n))
-    neg = grid_times < 0
-    grid_states[neg] = bwd.sol(grid_times[neg]).T
-    grid_states[~neg] = fwd.sol(grid_times[~neg]).T
+    times = np.array(bwd.times[::-1] + fwd.times)
+    states = np.array(bwd.states[::-1] + fwd.states)
+    grid_states = np.concatenate([bwd.grid_states[::-1], fwd.grid_states])
 
     x, v = states[:, :n], states[:, n:]
     energies = hamiltonian(system, State(times, x, v))
@@ -238,8 +486,9 @@ def integrate(system, initial, horizon, tol=None) -> Trajectory:
         max_speed=float(speeds.max()),
         max_potential=float(potentials.max()),
         stats={
-            "nfev": int(fwd.nfev + bwd.nfev),
-            "steps": int(len(fwd.t) + len(bwd.t) - 2),
+            "nfev": fwd.nfev + bwd.nfev,
+            "steps": len(fwd.times) + len(bwd.times) - 2,
+            "rejected": fwd.rejected + bwd.rejected,
         },
     )
     if drift > tol.energy_drift:

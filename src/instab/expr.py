@@ -656,26 +656,45 @@ def _define(name, src, namespace):
     return ns[name]
 
 
-def compile_value_grad(nodes, n: int):
-    """Generate ``f(point) -> (v_1..v_k, d_1/dx_1..d_k/dx_n)`` for k nodes.
+def define_scalar(name, src, **names):
+    """The function ``name`` of generated source over plain floats.
 
-    The flat tuple holds the k values, then each node's n partials in turn,
-    each partial the value of its ``derivative`` AST. The nodes share one
-    emitter, so a subexpression common to them is computed once, and each
-    value and partial is bit-identical to that of the node compiled alone.
-    Raises DomainError at a failed check. Float overflow raises
-    OverflowError, and sin or cos of an infinity ValueError.
+    The source sees the scalar functions of ``value_grad_code`` and
+    ``names``.
+    """
+    return _define(name, src, {**_SCALAR_NAMESPACE, **names})
+
+
+def value_grad_code(nodes, n: int, indent="    "):
+    """Scalar code for the values and partials of k nodes, and its symbols.
+
+    The body reads the point as ``p`` and raises DomainError at a failed
+    check. The symbols hold the k values, then each node's n partials in
+    turn, each partial the value of its ``derivative`` AST. The nodes share
+    one emitter, so a subexpression common to them is computed once, and
+    each value and partial is bit-identical to that of the node alone.
     """
     em = _Emitter(guards=True)
     values = [em.emit(node) for node in nodes]
     em.guards = False  # the derivative ASTs are not differentiated here
     grads = [em.emit(derivative(node, i)) for node in nodes for i in range(n)]
     body = "".join(
-        f"    {line}\n" if isinstance(line, str)
-        else f"    if {line.test}: raise DomainError({line.message!r})\n"
+        f"{indent}{line}\n" if isinstance(line, str)
+        else f"{indent}if {line.test}: raise DomainError({line.message!r})\n"
         for line in em.lines if isinstance(line, str) or line.message)
-    src = f"def _fields(p):\n{body}    return ({', '.join(values + grads)},)\n"
-    return _define("_fields", src, _SCALAR_NAMESPACE)
+    return body, values + grads
+
+
+def compile_value_grad(nodes, n: int):
+    """Generate ``f(point) -> (v_1..v_k, d_1/dx_1..d_k/dx_n)`` for k nodes.
+
+    The flat tuple holds the symbols of ``value_grad_code``. Raises
+    DomainError at a failed check. Float overflow raises OverflowError, and
+    sin or cos of an infinity ValueError.
+    """
+    body, symbols = value_grad_code(nodes, n)
+    src = f"def _fields(p):\n{body}    return ({', '.join(symbols)},)\n"
+    return define_scalar("_fields", src)
 
 
 def compile_vectorized(node: Expr):
@@ -797,6 +816,8 @@ class ScalarField:
         self._fast = None
         self._vec = None
         self._hessian = None
+        # generated functions of this field with others, by their builders
+        self.compiled = {}
 
     @classmethod
     def parse(cls, source: str, dimension: int) -> "ScalarField":

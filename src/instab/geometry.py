@@ -9,8 +9,7 @@ A metric's entries compile into one generated function, which gives g and
 its partials in one call, and a one-form's components into another. The
 metric is factored once per point: the last point's g, partials and inverse
 are kept, so the inverse and the Christoffel symbols at one point share one
-Cholesky factorization. The linear algebra is numpy's; scipy is used only
-for its ODE integrator.
+Cholesky factorization. The linear algebra is numpy's.
 """
 
 from __future__ import annotations
@@ -62,7 +61,8 @@ class MetricSpec:
     Only the upper triangle is stored, so symmetry holds structurally. The
     Euclidean case is flagged and short-circuits every computation. The
     arrays that ``value`` and ``inverse`` return are read-only: they are
-    kept for the next call at the same point.
+    kept for the next call at the same point, and a Euclidean metric
+    returns one identity and one zero Christoffel array at every point.
     """
 
     def __init__(self, dimension, upper_entries=None):
@@ -73,7 +73,11 @@ class MetricSpec:
         self._upper = upper_entries  # dict[(i, j)] -> field, i <= j
         self._entries = None  # compiled upper entries, made on first use
         self._local = None  # [point bytes, g, dg, g^-1 or None]
-        if upper_entries is not None:
+        if upper_entries is None:
+            self._identity = np.eye(dimension)
+            self._flat = np.zeros((dimension,) * 3)
+            self._identity.flags.writeable = self._flat.flags.writeable = False
+        else:
             upper = list(upper_entries)
             self._slots = np.array([  # entry number of each (a, b), row-major
                 upper.index((min(a, b), max(a, b)))
@@ -137,19 +141,18 @@ class MetricSpec:
 
     def value(self, point) -> np.ndarray:
         if self.euclidean:
-            return np.eye(self.dimension)
+            return self._identity
         return self._at(point)[1]
 
     def inverse(self, point) -> np.ndarray:
         if self.euclidean:
-            return np.eye(self.dimension)
+            return self._identity
         return self._factored(point)[3]
 
     def christoffel(self, point) -> np.ndarray:
         """Levi-Civita symbols Gamma[a, m, n], symmetric in (m, n)."""
-        n = self.dimension
         if self.euclidean:
-            return np.zeros((n, n, n))
+            return self._flat
         _key, _g, dg, ginv = self._factored(point)
         # Gamma^a_{mn} = 1/2 g^{ab} (g_{bm,n} + g_{bn,m} - g_{mn,b})
         braces = (
@@ -164,7 +167,7 @@ class MetricSpec:
         points, u, v = np.atleast_2d(points, u, v)
         n = self.dimension
         if self.euclidean:
-            g = np.eye(n)
+            g = self._identity
         else:
             g = np.empty((len(points), n, n))
             for (i, j), fld in self._upper.items():

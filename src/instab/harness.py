@@ -436,7 +436,7 @@ class SweepRun:
             out["energy_drift"] = self.trajectory.energy_drift
             out["max_speed"] = self.trajectory.max_speed
             out["max_potential"] = self.trajectory.max_potential
-            out["steps"] = self.trajectory.stats["steps"]
+            out.update(self.trajectory.stats)  # steps, nfev, rejected
         if self.bounds is not None:
             out["bounds"] = {
                 "passed": self.bounds.passed,

@@ -4,18 +4,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
+from instab import harness
 from instab.dynamics import (
     LagrangianSystem,
     State,
     Tolerances,
+    _reference_stage,
     check_lemma1_bounds,
+    compile_motion,
     el_acceleration,
     el_residual_adapted,
     hamiltonian,
     integrate,
 )
-from instab.errors import DomainError, EnergyDriftExceeded
+from instab.errors import (
+    DomainError,
+    EnergyDriftExceeded,
+    NonFiniteResult,
+    StepSizeUnderflow,
+)
 from instab.expr import ScalarField
 from instab.geometry import MetricSpec, OneForm
 
@@ -230,3 +241,145 @@ def test_path_length_straight_line():
     traj = integrate(system, State(0, np.zeros(3), [1, 0, 0]), 1.0)
     assert traj.path_length[-1] == pytest.approx(1.0, abs=1e-9)
     assert traj.path_length[0] == pytest.approx(1.0, abs=1e-9)
+
+
+# --- the compiled equations of motion against el_acceleration -------------
+
+_OFFSETS = st.lists(st.floats(-2, 2), min_size=6, max_size=6)
+
+
+def _reference_motion(system, y):
+    """(v, a) from el_acceleration, or the class and message it raises."""
+    n = len(y) // 2
+    try:
+        acc = el_acceleration(system, State(0.0, y[:n], y[n:]))
+    except (DomainError, NonFiniteResult) as exc:
+        return None, (type(exc), str(exc))
+    return tuple(y[n:]) + tuple(acc.tolist()), None
+
+
+def _compiled_motion(system, y):
+    motion = compile_motion(system)
+    try:
+        return motion(tuple(y), system), None
+    except (DomainError, NonFiniteResult) as exc:
+        return None, (type(exc), str(exc))
+
+
+def _assert_motion_close(got, want):
+    got, want = np.array(got), np.array(want)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.max(np.abs(want))), \
+        (got, want)
+
+
+@pytest.mark.parametrize("name", [p.name for p in harness.corpus()])
+@given(offset=_OFFSETS, eps=st.sampled_from([1.0, 0.1, 1e-2, 1e-3, None]))
+@settings(max_examples=60, deadline=None)
+def test_compiled_motion_matches_reference(name, offset, eps):
+    problem = harness.corpus_entry(name)
+    system = problem.system(epsilon=eps)
+    assert compile_motion(system) is not _reference_stage
+    n = problem.dimension
+    y = np.concatenate([problem.center, np.zeros(n)]) + offset[:2 * n]
+    want, error = _reference_motion(system, y)
+    assert error is None
+    got, _ = _compiled_motion(system, y)
+    _assert_motion_close(got, want)
+
+
+_PARTIAL_FIELDS = [
+    ("ln(x1)^2 + x2^2", ["0", "x3 / (x1 - x2)", "sqrt(x2)"]),
+    ("sqrt(x1 * x2) + x3^2", ["x2 / x3", "0", "ln(x1 + x3)"]),
+    ("x3^2 / (x1 - x3) + exp(x2)", None),
+]
+
+
+@pytest.mark.parametrize("potential, form", _PARTIAL_FIELDS)
+@given(y=st.lists(st.one_of(st.sampled_from([0.0, 1.0, -1.0, 2.0, 800.0]),
+                            st.floats(-3, 3)), min_size=6, max_size=6),
+       eps=st.sampled_from([1.0, 0.1, 1e-3]))
+@settings(max_examples=200, deadline=None)
+def test_compiled_motion_raises_like_reference(potential, form, y, eps):
+    magnetic = None if form is None else OneForm.from_sources(form)
+    system = LagrangianSystem(E3, ScalarField.parse(potential, 3), magnetic,
+                              epsilon=eps)
+    want, want_error = _reference_motion(system, y)
+    got, got_error = _compiled_motion(system, y)
+    assert got_error == want_error
+    if want is not None:
+        _assert_motion_close(got, want)
+
+
+# --- the Dormand-Prince stepper against scipy's RK45 -----------------------
+
+def _scipy_rk45(system, initial, horizon, tol, max_step):
+    """Both branches as scipy's solve_ivp(method="RK45") integrates them."""
+    n = len(initial.x)
+
+    def rhs(tau, y):
+        acc = el_acceleration(system, State(tau, y[:n], y[n:]))
+        return np.concatenate([y[n:], acc])
+
+    y0 = np.concatenate([initial.x, initial.v])
+    return [solve_ivp(rhs, (0.0, end), y0, method="RK45", rtol=tol.rel,
+                      atol=tol.abs, max_step=max_step, dense_output=True)
+            for end in (horizon, -horizon)]
+
+
+def _corpus_case(name, eps):
+    problem = harness.corpus_entry(name)
+    _df, grad, _cap_sq = problem.gradient_data()
+    return (problem.system(epsilon=eps), State(0.0, problem.center, grad),
+            problem.horizon, Tolerances(), eps / 10)
+
+
+def _circle_case(max_step):
+    system = LagrangianSystem(E3, U_PLANE, MU_X, epsilon=None)
+    tol = Tolerances() if max_step is None else Tolerances(max_step=max_step)
+    return (system, State(0.0, np.zeros(3), [0.05, 0.0, 0.01]), 30.0, tol,
+            math.inf if max_step is None else max_step)
+
+
+@pytest.mark.parametrize("case", [
+    _corpus_case("mechanical-plane", 0.1),
+    _corpus_case("mechanical-plane", 0.01),
+    _corpus_case("stable-magnetic-plane", 0.1),
+    _corpus_case("stable-magnetic-plane", 0.01),
+    _circle_case(None),  # unscaled: no cap
+    _circle_case(0.1),  # the Tolerances(max_step=...) override
+], ids=["mechanical-0.1", "mechanical-0.01", "stable-magnetic-0.1",
+        "stable-magnetic-0.01", "unscaled", "unscaled-max-step"])
+def test_stepper_matches_scipy_rk45(case):
+    system, initial, horizon, tol, max_step = case
+    traj = integrate(system, initial, horizon, tol=tol)
+    fwd, bwd = _scipy_rk45(system, initial, horizon, tol, max_step)
+    assert traj.stats["steps"] == len(fwd.t) + len(bwd.t) - 2
+    assert traj.stats["nfev"] == fwd.nfev + bwd.nfev
+    # scipy spends 2 evaluations on each branch's start, 6 on each try
+    assert 6 * (traj.stats["steps"] + traj.stats["rejected"]) + 4 \
+        == traj.stats["nfev"]
+    grid = traj.grid_times
+    neg = grid < 0
+    states = np.concatenate([bwd.sol(grid[neg]).T, fwd.sol(grid[~neg]).T])
+    assert np.max(np.abs(traj.grid_states - states)) <= 1e-12
+    # The embedded error estimate cancels its stages, so a last-digit
+    # difference in a stage sum (scipy's BLAS dot against float sums) moves
+    # the next step by up to ~1e-10 of itself; the times drift that far.
+    times = np.concatenate([bwd.t[::-1], fwd.t])
+    assert np.max(np.abs(traj.times - times)) <= 1e-9 * horizon
+
+
+def test_step_size_underflow_keeps_scipy_message():
+    system, initial, horizon, _tol, _cap = _corpus_case("mechanical-plane",
+                                                        0.1)
+    tol = Tolerances(max_step=1e-323)  # below 10 ulp of tau = 0
+    with pytest.raises(StepSizeUnderflow) as raised:
+        integrate(system, initial, horizon, tol=tol)
+    fwd, _bwd = _scipy_rk45(system, initial, horizon, tol, tol.max_step)
+    assert not fwd.success
+    assert str(raised.value) == fwd.message
+
+
+def test_tolerances_reject_non_positive_max_step():
+    with pytest.raises(ValueError, match="max_step"):
+        Tolerances(max_step=0.0)

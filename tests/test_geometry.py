@@ -151,6 +151,17 @@ def test_christoffel_euclidean_zero():
     assert np.all(g.christoffel([0.2, 3, -1]) == 0)
 
 
+def test_euclidean_arrays_are_shared_and_read_only():
+    g = MetricSpec.identity(3)
+    eye = g.value([0.2, 3, -1])
+    assert np.all(eye == np.eye(3))
+    assert g.inverse([1, 2, 3]) is eye and g.value([0, 0, 0]) is eye
+    assert g.christoffel([1, 2, 3]) is g.christoffel([0, 0, 0])
+    for array in (eye, g.christoffel([1, 2, 3])):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 2.0
+
+
 def test_christoffel_polar_style():
     g = MetricSpec.from_sources(2, POLAR_STYLE)
     gamma = g.christoffel([2.0, 0.7])
