@@ -10,25 +10,39 @@ Chart points are computed lazily by flow integration and memoized on
 quantized coordinates. A Jacobian integrates the variational equation
 J' = DX·J of each flow next to the flow itself, with DX exact from the
 Hessian of the level function, so the only error left is the integrator's.
+
+Every flow solve is one branch of the adaptive Dormand-Prince 5(4) stepper
+that integrates the equations of motion (``dynamics``), at rtol = atol =
+FLOW_TOL and with no step cap. On a Euclidean metric the flow field is one
+generated function per level field, built the way ``compile_motion``
+builds the equations of motion: X = df/|df|^2 from one value-and-partials
+pass, and for a Jacobian flow also DX·J from the Hessian entries. Where
+that code meets a failed check, a non-finite value or a gradient at or
+near FLOW_GRADIENT_FLOOR, the point goes to the reference,
+``normalized_gradient`` or ``normalized_gradient_jacobian``, which raises
+with its own error or gives its value; a curved metric always uses the
+reference. Each chart counts its flow solves and its memo hits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from .dynamics import Tolerances, _solve_branch
 from .errors import (
     IdentityViolation,
-    IntegrationError,
     OrderDependence,
     SingularJacobian,
 )
+from .expr import define_scalar, derivative, guarded_value_grad_code
 from .geometry import normalized_gradient, normalized_gradient_jacobian
 
 FLOW_GRADIENT_FLOOR = 1e-8
 FLOW_TOL = 1e-12
+_FLOW_TOLERANCES = Tolerances(abs=FLOW_TOL, rel=FLOW_TOL)
 _MEMO_QUANTUM = 1e-12
 DEFAULT_GRID = 9
 IDENTITY_TOL = 1e-8  # residual of a level identity such as F(Psi(r, y)) = r
@@ -57,32 +71,112 @@ class BaseSurfaceMap:
         return np.array([c.grad(y) for c in self.components])
 
 
-def _solve(rhs, start, t):
+# --- flow fields -------------------------------------------------------------
+
+def _reference_flow(y, arg):
+    """X = grad f/|grad f|^2 at the point y from ``normalized_gradient``."""
+    metric, fld = arg
+    return tuple(normalized_gradient(metric, fld, np.array(y),
+                                     FLOW_GRADIENT_FLOOR).tolist())
+
+
+def _reference_jacobian_flow(y, arg):
+    """(X, DX·J) at y = (x, J row by row) from the reference."""
+    metric, fld = arg
+    n = fld.dimension
+    vec, dvec = normalized_gradient_jacobian(
+        metric, fld, np.array(y[:n]), FLOW_GRADIENT_FLOOR)
+    carried = dvec @ np.array(y[n:]).reshape(n, -1)
+    return tuple(vec.tolist()) + tuple(carried.ravel().tolist())
+
+
+def _flow_source(fld, columns):
+    """Source of the Euclidean flow field of ``fld``; see ``compile_flow``."""
+    n = fld.dimension
+    nodes = [fld.body]
+    if columns:
+        nodes += [derivative(fld.body, a) for a in range(n)]
+    src, symbols = guarded_value_grad_code("_flow", "p, arg", nodes, n)
+    k = len(nodes)
+    df = symbols[k:k + n]
+
+    def dot(pairs):
+        terms = [f"{a} * {b}" for a, b in pairs if "0.0" not in (a, b)]
+        return " + ".join(terms) or "0.0"
+
+    # The reference decides at the floor and within rounding of it.
+    floor_sq = FLOW_GRADIENT_FLOOR ** 2 * (1.0 + 1e-9)
+    src += (f"    s = {dot(zip(df, df))}\n"
+            f"    if not {floor_sq!r} < s < inf:\n"
+            "        return reference(p, arg)\n")
+    src += "".join(f"    x{a} = {df[a]} / s\n" for a in range(n))
+    out = [f"x{a}" for a in range(n)]
+    if columns:
+        # hess[a][c] = ∂_c ∂_a f; DX = (H - X (2 df·H)) / s
+        hess = [symbols[k + (1 + a) * n:k + (2 + a) * n] for a in range(n)]
+        for c in range(n):
+            src += (f"    w{c} = 2.0 * ("
+                    f"{dot((df[b], hess[b][c]) for b in range(n))})\n")
+        src += "".join(f"    d{a}_{c} = ({hess[a][c]} - x{a} * w{c}) / s\n"
+                       for a in range(n) for c in range(n))
+        out += [" + ".join(f"d{a}_{c} * p[{n + c * columns + j}]"
+                           for c in range(n))
+                for a in range(n) for j in range(columns)]
+    return src + f"    return ({', '.join(out)},)\n"
+
+
+def compile_flow(metric, fld, columns=0):
+    """The flow field of ``fld`` as ``field(y, (metric, fld)) -> dy/dt``.
+
+    ``y`` is a point, followed, for ``columns`` > 0, by an n x columns
+    matrix J row by row; the result is X = grad f/|grad f|^2, followed by
+    DX·J. On a Euclidean metric the function is generated once per field
+    and column count; on a curved one it is the reference.
+    """
+    reference = _reference_jacobian_flow if columns else _reference_flow
+    if not metric.euclidean:
+        return reference
+    key = ("flow", columns)
+    kernel = fld.compiled.get(key)
+    if kernel is None:
+        kernel = fld.compiled[key] = define_scalar(
+            "_flow", _flow_source(fld, columns), reference=reference)
+    return kernel
+
+
+def solve_ivp(field, arg, start, t):
+    """The time-``t`` state of y' = field(y, arg) from ``start``, a tuple.
+
+    One gridless Dormand-Prince branch at rtol = atol = FLOW_TOL with no
+    step cap; every flow solve of a chart comes through here.
+    """
+    return _solve_branch(field, arg, start, t, _FLOW_TOLERANCES, math.inf)
+
+
+def _solve(field, arg, start, t, counters):
     if t == 0.0:
-        return start.copy()
-    sol = solve_ivp(rhs, (0.0, t), start,
-                    method="RK45", rtol=FLOW_TOL, atol=FLOW_TOL)
-    if not sol.success:
-        raise IntegrationError(f"flow integration failed: {sol.message}")
-    return sol.y[:, -1]
+        return start
+    if counters is not None:
+        counters["flow_solves"] += 1
+    return solve_ivp(field, arg, start, t)
 
 
-def flow_normalized_gradient(metric, fld, start, t):
-    """The time-t point of the flow of grad(f)/|grad f|^2 from ``start``."""
-    return _solve(lambda _t, x: normalized_gradient(
-        metric, fld, x, FLOW_GRADIENT_FLOOR), np.asarray(start, float), t)
+def flow_normalized_gradient(metric, fld, start, t, counters=None):
+    """The time-t point of the flow of grad(f)/|grad f|^2 from ``start``.
+
+    A solve, one for each t != 0, is counted in ``counters`` if given.
+    """
+    start = tuple(np.asarray(start, dtype=float).tolist())
+    return np.array(_solve(compile_flow(metric, fld), (metric, fld), start,
+                           t, counters))
 
 
-def _flow_with_jacobian(metric, fld, start, jac, t):
+def _flow_with_jacobian(metric, fld, start, jac, t, counters):
     """The time-t point of the flow and ``jac`` carried along by J' = DX·J."""
     n, m = jac.shape
-
-    def rhs(_t, state):
-        vec, dvec = normalized_gradient_jacobian(
-            metric, fld, state[:n], FLOW_GRADIENT_FLOOR)
-        return np.concatenate([vec, (dvec @ state[n:].reshape(n, m)).ravel()])
-
-    end = _solve(rhs, np.concatenate([start, jac.ravel()]), t)
+    state = tuple(start.tolist()) + tuple(jac.ravel().tolist())
+    end = np.array(_solve(compile_flow(metric, fld, m), (metric, fld), state,
+                          t, counters))
     return end[:n], end[n:].reshape(n, m)
 
 
@@ -95,6 +189,9 @@ class AdaptedChart:
         self.psi = psi
         self.level_ranges = [tuple(r) for r in level_ranges]  # k ranges
         self._memo = {}
+        # flow solves, and point calls that solved no flow: memo hits and
+        # first calls at zero levels, where Psi is the base map
+        self.counters = {"flow_solves": 0, "memo_hits": 0}
 
     @property
     def k(self):
@@ -115,16 +212,17 @@ class AdaptedChart:
         key = (tuple(int(round(c / _MEMO_QUANTUM)) for c in coords),
                sequence)
         hit = self._memo.get(key)
+        levels = coords[:self.k]
+        if hit is not None or not levels.any():
+            self.counters["memo_hits"] += 1
         if hit is not None:
             return hit.copy()
-        levels = coords[:self.k]
-        base = coords[self.k:]
-        x = self.psi(base)
+        x = self.psi(coords[self.k:])
         # Psi(r, y) = phi^1_{r_1} o ... o phi^k_{r_k} (psi(y)): the highest
         # index flows first.
         for i in reversed(sequence):
-            x = flow_normalized_gradient(
-                self.metric, self.fields[i], x, float(levels[i]))
+            x = flow_normalized_gradient(self.metric, self.fields[i], x,
+                                         float(levels[i]), self.counters)
         self._memo[key] = x.copy()
         return x
 
@@ -142,7 +240,7 @@ class AdaptedChart:
         for i in reversed(range(k)):
             x, jac[:, i + 1:] = _flow_with_jacobian(
                 self.metric, self.fields[i], x, jac[:, i + 1:],
-                float(coords[i]))
+                float(coords[i]), self.counters)
             jac[:, i] = normalized_gradient(
                 self.metric, self.fields[i], x, FLOW_GRADIENT_FLOOR)
         return jac
@@ -215,7 +313,8 @@ def build_multi_chart(metric, fields, psi, r_box,
         x = chart.point(coords)
         for i in range(k):
             t = 0.05 * (1 + i)
-            moved = flow_normalized_gradient(metric, fields[i], x, t)
+            moved = flow_normalized_gradient(metric, fields[i], x, t,
+                                             chart.counters)
             for j, fld in enumerate(fields):
                 expect = (t if i == j else 0.0) + fld.eval(x)
                 residual = fld.eval(moved) - expect

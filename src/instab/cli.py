@@ -232,6 +232,7 @@ def chart_cmd(problem, multi, out):
             center_tensor = magnetic_tensor(pullback, definition.center)
             payload["pullback_field_at_center"] = float(
                 np.max(np.abs(center_tensor)))
+        payload.update(chart.counters)
     except InstabError as exc:
         _fail(exc, "chart", problem)
     _emit(payload, out, f"chart-{definition.name}")

@@ -7,11 +7,15 @@ the potential 1/eps^2. The integrator is an in-repo adaptive Dormand-Prince
 controller, and a hard step cap of eps/10 for rescaled systems, since the
 transverse oscillation frequency scales like 1/eps. It steps on plain
 floats: the stage arithmetic is generated once per state size, and the
-quartic dense output is evaluated only at the uniform grid times. Every run
-records conserved-energy, speed, potential and path-length logs; the energy
-log is one vectorized ``hamiltonian`` pass over all step rows, and the
-speed and potential logs are read in the same row-wise way. An
-untrustworthy energy drift raises instead of being silently accepted.
+quartic dense output is evaluated only at the uniform grid times. The same
+stepper solves the chart flows (``charts``), uncapped and without grid
+times, keeping only the end state. A branch that spends its step budget,
+as against a stiff wall, raises instead of shrinking its steps without
+bound. Every run records conserved-energy, speed, potential and
+path-length logs; the energy log is one vectorized ``hamiltonian`` pass
+over all step rows, and the speed and potential logs are read in the same
+row-wise way. An untrustworthy energy drift raises instead of being
+silently accepted.
 
 On a Euclidean metric the equations of motion are one generated function
 per potential and one-form: U's and the form's values and partials, with
@@ -35,10 +39,11 @@ import numpy as np
 from .errors import (
     DomainError,
     EnergyDriftExceeded,
+    IntegrationError,
     StepSizeUnderflow,
     format_point,
 )
-from .expr import define_scalar, value_grad_code
+from .expr import define_scalar, guarded_value_grad_code
 from .geometry import magnetic_tensor
 
 GRID_POINTS = 513  # uniform tau samples over [-T, T], including tau = 0
@@ -196,20 +201,13 @@ def _motion_source(fields, n):
     state to the reference, which raises exactly where ``el_acceleration``
     does, with its message, or else returns its value.
     """
-    body, symbols = value_grad_code([fld.body for fld in fields], n,
-                                    indent="        ")
+    head, symbols = guarded_value_grad_code(
+        "_motion", "p, system", [fld.body for fld in fields], n)
     k = len(fields)
 
     def partial(node, i):
         return symbols[k + node * n + i]
 
-    def literal(symbol):
-        try:
-            return math.isfinite(float(symbol))
-        except ValueError:
-            return False
-
-    checked = " + ".join(dict.fromkeys(s for s in symbols if not literal(s)))
     acc = []
     for b in range(n):
         # -F_{ab} v^a with F_{ab} = d_a A_b - d_b A_a, a != b
@@ -220,14 +218,7 @@ def _motion_source(fields, n):
         term = f"c * {partial(0, b)}"
         acc.append(f"{term} - e * ({gyro})" if gyro else term)
     velocity = "".join(f"p[{n + a}], " for a in range(n))
-    body = body or "        pass\n"
-    return ("def _motion(p, system):\n"
-            "    try:\n"
-            f"{body}"
-            "    except (DomainError, ArithmeticError, ValueError):\n"
-            "        return reference(p, system)\n"
-            f"    if ({checked or '0.0'}) * 0.0 != 0.0:  # not finite\n"
-            "        return reference(p, system)\n"
+    return (head +
             "    e = system.inv_eps\n"
             "    c = -(e * e)\n"
             f"    return ({velocity}{', '.join(acc)},)\n")
@@ -287,6 +278,11 @@ MAX_FACTOR = 10.0  # largest step change after an acceptance
 ERROR_EXPONENT = -1 / 5  # the embedded 4th-order estimate's error ~ h^5
 MIN_RTOL = 100 * np.finfo(float).eps  # smaller relative tolerances are raised
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+# A branch may try TRIES_PER_CAPPED_STEP steps per step of its cap over its
+# span, and MIN_TRIES whatever its cap, before it gives up: a stiff wall
+# would otherwise shrink the steps without bound while the samples pile up.
+TRIES_PER_CAPPED_STEP = 100
+MIN_TRIES = 20_000
 
 
 @functools.cache
@@ -372,22 +368,27 @@ def _dense(steps, times):
         + np.array(y_old)[index]
 
 
-def _solve_branch(f, arg, y0, t_end, tol, max_step, grid):
+def _solve_branch(f, arg, y0, t_end, tol, max_step, grid=None):
     """Adaptive Dormand-Prince steps from tau = 0 to exactly ``t_end``.
 
     ``grid`` holds times in the order the branch passes them; each is read
-    off the interpolant of the first step that reaches it.
+    off the interpolant of the first step that reaches it. Without a grid
+    the branch keeps no samples and returns its end state alone. A branch
+    that has tried as many steps, accepted or rejected, as its budget allows
+    raises IntegrationError.
     """
     direction = math.copysign(1.0, t_end)
     rtol, atol = max(tol.rel, MIN_RTOL), tol.abs
     step = _stepper(len(y0))
+    budget = max(MIN_TRIES, TRIES_PER_CAPPED_STEP * abs(t_end) / max_step)
     k1 = f(y0, arg)
     h_abs = _initial_step(f, arg, y0, k1, t_end, max_step, rtol, atol)
     nfev, rejected = 2, 0
     t, y = 0.0, y0
-    times, states, dense = [t], [y], []
-    marks = (direction * grid).tolist()  # grid times in steps' progress
-    nxt = 0  # the first grid time not yet read
+    if grid is not None:
+        times, states, dense = [t], [y], []
+        marks = (direction * grid).tolist()  # grid times in steps' progress
+        nxt = 0  # the first grid time not yet read
     while direction * (t - t_end) < 0:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         if h_abs > max_step:
@@ -398,6 +399,10 @@ def _solve_branch(f, arg, y0, t_end, tol, max_step, grid):
         while True:
             if h_abs < min_step:
                 raise StepSizeUnderflow(TOO_SMALL_STEP)
+            if nfev - 2 >= 6 * budget:  # six evaluations per try
+                raise IntegrationError(
+                    f"step budget of {budget:.0f} tries spent at tau = "
+                    f"{t!r} of {t_end!r} from {format_point(y0)}")
             t_new = t + h_abs * direction
             if direction * (t_new - t_end) > 0:
                 t_new = t_end
@@ -413,15 +418,18 @@ def _solve_branch(f, arg, y0, t_end, tol, max_step, grid):
             h_abs *= max(MIN_FACTOR, SAFETY * error ** ERROR_EXPONENT)
             retried = True
             rejected += 1
-        end = nxt
-        while end < len(marks) and marks[end] <= direction * t_new:
-            end += 1
-        if end > nxt:
-            dense.append((t, t_new, y, stages, end - nxt))
-            nxt = end
+        if grid is not None:
+            end = nxt
+            while end < len(marks) and marks[end] <= direction * t_new:
+                end += 1
+            if end > nxt:
+                dense.append((t, t_new, y, stages, end - nxt))
+                nxt = end
+            times.append(t_new)
+            states.append(y_new)
         t, y, k1 = t_new, y_new, k7
-        times.append(t)
-        states.append(y)
+    if grid is None:
+        return y
     return _Branch(times, states, _dense(dense, grid), rejected, nfev)
 
 

@@ -685,6 +685,35 @@ def value_grad_code(nodes, n: int, indent="    "):
     return body, values + grads
 
 
+def _is_number(symbol):
+    try:
+        return math.isfinite(float(symbol))
+    except ValueError:
+        return False
+
+
+def guarded_value_grad_code(name, args, nodes, n: int):
+    """Head of ``def name(args)`` over the values and partials of k nodes.
+
+    The head runs ``value_grad_code``'s body. Where that meets a failed
+    check or a float error, or a value or partial is not finite, the
+    function returns ``reference(args)``, which raises the reference's own
+    error or gives its value. The caller appends the lines that use the
+    symbols, which come back with the source.
+    """
+    body, symbols = value_grad_code(nodes, n, indent="        ")
+    checked = " + ".join(dict.fromkeys(s for s in symbols
+                                       if not _is_number(s)))
+    fallback = f"        return reference({args})\n"
+    return (f"def {name}({args}):\n"
+            "    try:\n"
+            + (body or "        pass\n")
+            + "    except (DomainError, ArithmeticError, ValueError):\n"
+            + fallback
+            + f"    if ({checked or '0.0'}) * 0.0 != 0.0:  # not finite\n"
+            + fallback), symbols
+
+
 def compile_value_grad(nodes, n: int):
     """Generate ``f(point) -> (v_1..v_k, d_1/dx_1..d_k/dx_n)`` for k nodes.
 

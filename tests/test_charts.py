@@ -1,21 +1,38 @@
 """Adapted charts: flows, defining identities, metric block structure."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from instab import harness
 from instab.charts import (
+    FLOW_GRADIENT_FLOOR,
+    FLOW_TOL,
     AdaptedChart,
     BaseSurfaceMap,
     build_chart,
     build_multi_chart,
+    compile_flow,
     flow_normalized_gradient,
     injectivity_probe,
     pullback_metric_block_check,
 )
-from instab.errors import GradientTooSmall, IdentityViolation, OrderDependence
+from instab.errors import (
+    GradientTooSmall,
+    IdentityViolation,
+    InstabError,
+    OrderDependence,
+)
 from instab.expr import ScalarField
-from instab.geometry import MetricSpec
+from instab.geometry import (
+    MetricSpec,
+    normalized_gradient,
+    normalized_gradient_jacobian,
+)
 
 E3 = MetricSpec.identity(3)
 F_PARAB = ScalarField.parse("x1 + x3^2", 3)
@@ -205,3 +222,113 @@ def test_corollary_charts_block_structure_to_rounding(entry):
         harness.corpus_entry(entry))
     report = pullback_metric_block_check(chart, grid_count=5)
     assert report.max_mixed <= 1e-12
+
+
+# --- the in-repo flow solve against scipy's RK45 ---------------------------
+
+def _scipy_flow(metric, fld, start, t, jac=None):
+    """A flow, and ``jac`` carried by J' = DX·J, as scipy's RK45 solves it
+    over the reference field."""
+    n = len(start)
+    if jac is None:
+        def rhs(_t, y):
+            return normalized_gradient(metric, fld, y, FLOW_GRADIENT_FLOOR)
+        y0 = np.asarray(start, dtype=float)
+    else:
+        def rhs(_t, y):
+            vec, dvec = normalized_gradient_jacobian(
+                metric, fld, y[:n], FLOW_GRADIENT_FLOOR)
+            return np.concatenate([vec, (dvec @ y[n:].reshape(n, -1)).ravel()])
+        y0 = np.concatenate([start, jac.ravel()])
+    if t == 0.0:
+        return y0
+    sol = solve_ivp(rhs, (0.0, t), y0, method="RK45", rtol=FLOW_TOL,
+                    atol=FLOW_TOL)
+    assert sol.success
+    return sol.y[:, -1]
+
+
+def _scipy_point_and_jacobian(chart, coords):
+    k = chart.k
+    x = chart.psi(coords[k:])
+    jac = np.hstack([np.zeros((len(x), k)), chart.psi.jacobian(coords[k:])])
+    for i in reversed(range(k)):
+        fld = chart.fields[i]
+        end = _scipy_flow(chart.metric, fld, x, coords[i], jac[:, i + 1:])
+        x = end[:len(x)]
+        jac[:, i + 1:] = end[len(x):].reshape(len(x), -1)
+        jac[:, i] = normalized_gradient(chart.metric, fld, x,
+                                        FLOW_GRADIENT_FLOOR)
+    return x, jac
+
+
+@pytest.mark.parametrize("entry", ["corollary1-unstable-magnetic",
+                                   "corollary1-mechanical"])
+def test_corollary_charts_match_scipy_rk45(entry):
+    chart, _fields, _pullback = harness.build_problem_chart(
+        harness.corpus_entry(entry))
+    for coords in chart.grid(5):
+        point, jac = _scipy_point_and_jacobian(chart, coords)
+        assert np.max(np.abs(chart.point(coords) - point)) <= 1e-12
+        assert np.max(np.abs(chart.jacobian(coords) - jac)) <= 1e-12
+
+
+# --- the generated flow field against the reference ------------------------
+
+LEVEL_FIELDS = sorted(
+    {(p.f.source, p.dimension) for p in harness.corpus()}
+    | {(source, p.dimension) for p in harness.corpus() if p.chart
+       for source in p.chart["fields"]})
+
+
+def _outcome(call):
+    try:
+        return call(), None
+    except InstabError as exc:
+        return None, (type(exc), str(exc))
+
+
+def _reference_flow(metric, fld, x, jac):
+    if jac is None:
+        return normalized_gradient(metric, fld, x, FLOW_GRADIENT_FLOOR), None
+    vec, dvec = normalized_gradient_jacobian(metric, fld, x,
+                                             FLOW_GRADIENT_FLOOR)
+    return vec, dvec @ jac
+
+
+def _assert_relative(got, want):
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@given(field=st.sampled_from(LEVEL_FIELDS),
+       point=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+       scale=st.sampled_from([1.0, 1e-6, 1e-8, 1e-9, 0.0]),
+       columns=st.integers(0, 2),
+       carried=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6))
+@example(field=("x1^2 + 3*x2^2/2 + x3^2/2", 3), point=[0.5, -0.3, 0.2],
+         scale=1e-9, columns=2, carried=[1.0] * 6)
+@example(field=("(x1^2 + x2^2)/2", 3), point=[0.3, 0.4, 1.0], scale=0.0,
+         columns=0, carried=[0.0] * 6)
+@settings(max_examples=300, deadline=None)
+def test_generated_flow_field_matches_reference(field, point, scale, columns,
+                                                carried):
+    source, n = field
+    fld = ScalarField.parse(source, n)
+    metric = MetricSpec.identity(n)
+    x = np.array(point[:n]) * scale
+    jac = np.array(carried[:n * columns]).reshape(n, columns) \
+        if columns else None
+    y = tuple(x.tolist()) + tuple(carried[:n * columns])
+    kernel = compile_flow(metric, fld, columns)
+    got, got_error = _outcome(lambda: np.array(kernel(y, (metric, fld))))
+    want, want_error = _outcome(lambda: _reference_flow(metric, fld, x, jac))
+    assert got_error == want_error
+    grad, grad_error = _outcome(lambda: fld.grad(x))
+    if grad_error is None and math.hypot(*grad) < FLOW_GRADIENT_FLOOR:
+        assert want_error[0] is GradientTooSmall
+    if want_error is not None:
+        return
+    vec, carried_jac = want
+    _assert_relative(got[:n], vec)
+    if columns:
+        _assert_relative(got[n:], carried_jac.ravel())

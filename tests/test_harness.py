@@ -272,6 +272,33 @@ def test_cli_overflow_exits_3(tmp_path):
     assert "exp(1000*x1)" in message and "np.float64" not in message
 
 
+def test_cli_sweep_into_stiff_wall_exits_3_on_step_budget(tmp_path):
+    """A wall that asks for steps near 1e-38 spends the branch's step
+    budget and fails the run, instead of running for minutes."""
+    path = tmp_path / "wall.json"
+    path.write_text(json.dumps({
+        "dimension": 3, "potential": "x3^2 + 1e300*x1^8",
+        "magnetic": ["0", "x3", "0"], "f": "x1", "center": [0, 0, 0],
+        "T": 5, "epsilons": [0.1]}))
+    result = subprocess.run(
+        [sys.executable, "-m", "instab.cli", "sweep", str(path)],
+        capture_output=True, text=True, timeout=120)
+    assert result.returncode == 3, result.stdout + result.stderr
+    (run,) = json.loads(result.stdout)["runs"]
+    assert run["status"] == "failed"
+    assert run["error"].startswith("IntegrationError: step budget of 50000 "
+                                   "tries spent at tau = ")
+    assert run["error"].endswith("from (0.0, 0.0, 0.0, 1.0, 0.0, 0.0)")
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, instab.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True)
+    assert result.stdout.strip() == "[]", result.stdout + result.stderr
+
+
 def test_sweep_records_lost_definiteness_as_failed_run():
     problem = harness.load_problem({
         "dimension": 2, "metric": [["1", "0"], ["0", "1 - 4*x1^2"]],
