@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, EmptyShell, NonFiniteResult
+from .errors import DomainError, EmptyShell, InstabError, NonFiniteResult
 from .expr import Bin, Num, ScalarField, Var, derivative, substitute
 from .geometry import (
     GRADIENT_FLOOR,
@@ -65,10 +65,9 @@ class HypothesisProbe:
     delta_max: float = 1e-2
     samples: int = 200
     seed: int = 0
-    # memos: shell index -> _sample_shell result, the evaluated shells
-    # (_evaluated_shells) and the proof's constants (_proof_constants)
-    _shells: dict = field(init=False, repr=False, default_factory=dict)
-    _table: tuple = field(init=False, repr=False, default=None)
+    # memos: the evaluated shells or the error that evaluating them raised
+    # (_evaluated_shells), and the proof's constants (_proof_constants)
+    _table: object = field(init=False, repr=False, default=None)
     _constants: tuple = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
@@ -147,13 +146,6 @@ def _sample_shell(probe, delta, shell_index):
     return np.concatenate(accepted)[:probe.samples], attempts, near
 
 
-def _drawn_shell(probe, j):
-    """Shell j of the probe, drawn on first use and reused afterwards."""
-    if j not in probe._shells:
-        probe._shells[j] = _sample_shell(probe, probe.shell_deltas()[j], j)
-    return probe._shells[j]
-
-
 # consecutive shells whose growing maxima refute a condition
 _REFUTATION_WINDOW = 4
 
@@ -179,8 +171,9 @@ def _verdict_from_shells(shells):
 
 
 def _evaluated_shells(probe):
-    """The probe's filled shells and its skipped deltas, evaluated once.
+    """The filled shells, skipped deltas and shell 0's near-locus points.
 
+    Made once per probe; an error in making them is kept and raised again.
     Each filled shell is (delta, points, [(grad f, U, dU) per point]); at
     each point grad f comes first, and GradientTooSmall names the first
     point where |grad f| is below the floor. A shell with no sample is
@@ -189,21 +182,30 @@ def _evaluated_shells(probe):
     ratios.
     """
     if probe._table is None:
-        deltas = probe.shell_deltas()
-        drawn = [_drawn_shell(probe, j) for j in range(len(deltas))]
-        filled = sum(1 for points, _attempts, _near in drawn if len(points))
-        shells, skipped = [], []
-        for delta, (points, attempts, _near) in zip(deltas, drawn):
-            if not len(points):
-                if filled < _REFUTATION_WINDOW:
-                    raise EmptyShell(delta, attempts)
-                skipped.append(float(delta))
-                continue
-            shells.append((float(delta), points, [
-                (gradient_data(probe.metric, probe.f, x, GRADIENT_FLOOR)[1],
-                 *probe.potential.value_and_grad(x)) for x in points]))
-        probe._table = shells, skipped
+        try:
+            probe._table = _shell_table(probe)
+        except InstabError as exc:
+            probe._table = exc
+    if isinstance(probe._table, InstabError):
+        raise probe._table
     return probe._table
+
+
+def _shell_table(probe):
+    deltas = probe.shell_deltas()
+    drawn = [_sample_shell(probe, delta, j) for j, delta in enumerate(deltas)]
+    filled = sum(1 for points, _attempts, _near in drawn if len(points))
+    shells, skipped = [], []
+    for delta, (points, attempts, _near) in zip(deltas, drawn):
+        if not len(points):
+            if filled < _REFUTATION_WINDOW:
+                raise EmptyShell(delta, attempts)
+            skipped.append(float(delta))
+            continue
+        shells.append((float(delta), points, [
+            (gradient_data(probe.metric, probe.f, x, GRADIENT_FLOOR)[1],
+             *probe.potential.value_and_grad(x)) for x in points]))
+    return shells, skipped, drawn[0][2]
 
 
 def _row(delta, points, ratios):
@@ -252,7 +254,7 @@ def _potential_ratio(grad, u_val, du):
 
 def certify_potential_condition(probe) -> ConditionReport:
     """Shell test of |dU(grad f)| / U staying bounded near the locus."""
-    shells, skipped = _evaluated_shells(probe)
+    shells, skipped, _near = _evaluated_shells(probe)
     rows = [_row(delta, points, [_potential_ratio(*at) for at in table])
             for delta, points, table in shells]
     return _report(probe, "dU(grad f) = O(U)", rows, skipped, {})
@@ -283,7 +285,7 @@ def certify_magnetic_condition(probe) -> ConditionReport:
         root = math.sqrt(u_val)
         return tuple(norm / root for norm in norms(x, grad))
 
-    shells, skipped = _evaluated_shells(probe)
+    shells, skipped, near = _evaluated_shells(probe)
     rows, full_rows = [], []
     for delta, points, table in shells:
         contracted, full = zip(*(ratios(x, *at)
@@ -293,7 +295,6 @@ def certify_magnetic_condition(probe) -> ConditionReport:
     full_verdict, _full_worst = _verdict_from_shells(full_rows)
 
     # characteristic-equation diagnostics on near-locus samples
-    _points, _attempts, near = _drawn_shell(probe, 0)
     near_norms = [norms(x, riemannian_gradient(probe.metric, probe.f, x))
                   for x in near]
     contracted_near = max([0.0] + [c for c, _dmu in near_norms])
@@ -365,12 +366,6 @@ class QuasiHomogeneousSpec:
             raise ValueError("weight vector must be nonzero")
         if self.degree <= 0:
             raise ValueError("degree must be positive for nontrivial scaling")
-
-    def induced_f(self) -> ScalarField:
-        n = len(self.weights)
-        terms = [f"{float(w)!r}*x{i + 1}^2/2"
-                 for i, w in enumerate(self.weights)]
-        return ScalarField.parse(" + ".join(terms), n)
 
 
 @dataclass

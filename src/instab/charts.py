@@ -13,15 +13,12 @@ Hessian of the level function, so the only error left is the integrator's.
 
 Every flow solve is one branch of the adaptive Dormand-Prince 5(4) stepper
 that integrates the equations of motion (``dynamics``), at rtol = atol =
-FLOW_TOL and with no step cap. On a Euclidean metric the flow field is one
-generated function per level field, built the way ``compile_motion``
-builds the equations of motion: X = df/|df|^2 from one value-and-partials
-pass, and for a Jacobian flow also DX·J from the Hessian entries. Where
-that code meets a failed check, a non-finite value or a gradient at or
-near FLOW_GRADIENT_FLOOR, the point goes to the reference,
-``normalized_gradient`` or ``normalized_gradient_jacobian``, which raises
-with its own error or gives its value; a curved metric always uses the
-reference. Each chart counts its flow solves and its memo hits.
+FLOW_TOL and with no step cap. On a Euclidean metric the flow field,
+X = df/|df|^2 and for a Jacobian flow also DX·J, is ASTs over the level
+field's partials, compiled by ``expr.compile_kernel`` once per field, with
+``normalized_gradient`` or ``normalized_gradient_jacobian`` as the
+reference; a curved metric always uses the reference. Each chart counts
+its flow solves and its memo hits.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from .errors import (
     OrderDependence,
     SingularJacobian,
 )
-from .expr import define_scalar, derivative, guarded_value_grad_code
+from .expr import Bin, Num, Var, compile_kernel, derivative, sum_nodes
 from .geometry import normalized_gradient, normalized_gradient_jacobian
 
 FLOW_GRADIENT_FLOOR = 1e-8
@@ -90,39 +87,34 @@ def _reference_jacobian_flow(y, arg):
     return tuple(vec.tolist()) + tuple(carried.ravel().tolist())
 
 
-def _flow_source(fld, columns):
-    """Source of the Euclidean flow field of ``fld``; see ``compile_flow``."""
-    n = fld.dimension
-    nodes = [fld.body]
-    if columns:
-        nodes += [derivative(fld.body, a) for a in range(n)]
-    src, symbols = guarded_value_grad_code("_flow", "p, arg", nodes, n)
-    k = len(nodes)
-    df = symbols[k:k + n]
+def _flow_kernel(fld, columns, reference):
+    """X = df/s with s = sum_b df_b^2, and DX·J = sum_c ((H_ac - X_a w_c)/s)
+    J_cj with w_c = 2 sum_b df_b H_bc, without structural zeros in s and w.
+
+    At or within rounding of FLOW_GRADIENT_FLOOR the reference decides.
+    """
+    n, zero = fld.dimension, Num(0.0)
+    df = [derivative(fld.body, a) for a in range(n)]
 
     def dot(pairs):
-        terms = [f"{a} * {b}" for a, b in pairs if "0.0" not in (a, b)]
-        return " + ".join(terms) or "0.0"
+        return sum_nodes([Bin("*", a, b) for a, b in pairs
+                          if zero not in (a, b)])
 
-    # The reference decides at the floor and within rounding of it.
-    floor_sq = FLOW_GRADIENT_FLOOR ** 2 * (1.0 + 1e-9)
-    src += (f"    s = {dot(zip(df, df))}\n"
-            f"    if not {floor_sq!r} < s < inf:\n"
-            "        return reference(p, arg)\n")
-    src += "".join(f"    x{a} = {df[a]} / s\n" for a in range(n))
-    out = [f"x{a}" for a in range(n)]
+    s = dot(zip(df, df))
+    out = [Bin("/", d, s) for d in df]
+    nodes = [fld.body]
     if columns:
-        # hess[a][c] = ∂_c ∂_a f; DX = (H - X (2 df·H)) / s
-        hess = [symbols[k + (1 + a) * n:k + (2 + a) * n] for a in range(n)]
-        for c in range(n):
-            src += (f"    w{c} = 2.0 * ("
-                    f"{dot((df[b], hess[b][c]) for b in range(n))})\n")
-        src += "".join(f"    d{a}_{c} = ({hess[a][c]} - x{a} * w{c}) / s\n"
-                       for a in range(n) for c in range(n))
-        out += [" + ".join(f"d{a}_{c} * p[{n + c * columns + j}]"
-                           for c in range(n))
+        nodes += df
+        hess = [[derivative(d, c) for c in range(n)] for d in df]
+        w = [Bin("*", Num(2.0), dot((df[b], hess[b][c]) for b in range(n)))
+             for c in range(n)]
+        dx = [[Bin("/", Bin("-", hess[a][c], Bin("*", out[a], w[c])), s)
+               for c in range(n)] for a in range(n)]
+        out += [sum_nodes([Bin("*", dx[a][c], Var(n + c * columns + j))
+                           for c in range(n)])
                 for a in range(n) for j in range(columns)]
-    return src + f"    return ({', '.join(out)},)\n"
+    floor_sq = FLOW_GRADIENT_FLOOR ** 2 * (1.0 + 1e-9)
+    return compile_kernel(nodes, n, out, reference, guard=(s, floor_sq))
 
 
 def compile_flow(metric, fld, columns=0):
@@ -130,8 +122,8 @@ def compile_flow(metric, fld, columns=0):
 
     ``y`` is a point, followed, for ``columns`` > 0, by an n x columns
     matrix J row by row; the result is X = grad f/|grad f|^2, followed by
-    DX·J. On a Euclidean metric the function is generated once per field
-    and column count; on a curved one it is the reference.
+    DX·J. On a Euclidean metric it is generated once per field and column
+    count; on a curved one it is the reference.
     """
     reference = _reference_jacobian_flow if columns else _reference_flow
     if not metric.euclidean:
@@ -139,8 +131,7 @@ def compile_flow(metric, fld, columns=0):
     key = ("flow", columns)
     kernel = fld.compiled.get(key)
     if kernel is None:
-        kernel = fld.compiled[key] = define_scalar(
-            "_flow", _flow_source(fld, columns), reference=reference)
+        kernel = fld.compiled[key] = _flow_kernel(fld, columns, reference)
     return kernel
 
 

@@ -17,15 +17,13 @@ over all step rows, and the speed and potential logs are read in the same
 row-wise way. An untrustworthy energy drift raises instead of being
 silently accepted.
 
-On a Euclidean metric the equations of motion are one generated function
-per potential and one-form: U's and the form's values and partials, with
-the fields' own domain checks, and the acceleration assembled in the same
-code. Where that code meets a failed check or a non-finite value, the state
-goes to ``el_acceleration``, the reference, so errors keep its message. On
-a curved metric every stage calls ``el_acceleration``, which reads the
-metric's entries and partials and the one-form's components from one
-generated function each, and the inverse metric and the Christoffel symbols
-from one factorization of the metric per point (see ``geometry``).
+On a Euclidean metric the equations of motion are ASTs over the partials
+of U and the form, compiled by ``expr.compile_kernel`` once per potential,
+one-form and epsilon, with ``el_acceleration`` as the reference. On a
+curved metric every stage calls ``el_acceleration``, which reads the
+metric and the one-form from one generated function each, and the inverse
+metric and the Christoffel symbols from one factorization of the metric
+per point (see ``geometry``).
 """
 
 from __future__ import annotations
@@ -43,7 +41,15 @@ from .errors import (
     StepSizeUnderflow,
     format_point,
 )
-from .expr import define_scalar, guarded_value_grad_code
+from .expr import (
+    Bin,
+    Num,
+    Var,
+    compile_kernel,
+    define_scalar,
+    derivative,
+    sum_nodes,
+)
 from .geometry import magnetic_tensor
 
 GRID_POINTS = 513  # uniform tau samples over [-T, T], including tau = 0
@@ -192,58 +198,43 @@ def _reference_stage(y, system):
     return y[n:] + tuple(el_acceleration(system, state).tolist())
 
 
-def _motion_source(fields, n):
-    """Source of the Euclidean stage function over U and the form's A_b.
-
-    The values and partials come from one ``value_grad_code`` pass, so its
-    domain checks are those of the fields' own evaluations. A failed check,
-    a float error or a non-finite sum of the values and partials sends the
-    state to the reference, which raises exactly where ``el_acceleration``
-    does, with its message, or else returns its value.
-    """
-    head, symbols = guarded_value_grad_code(
-        "_motion", "p, system", [fld.body for fld in fields], n)
-    k = len(fields)
-
-    def partial(node, i):
-        return symbols[k + node * n + i]
-
+def _motion_kernel(system, fields):
+    """a_b = -e^2 d_b U - e sum_a (d_a A_b - d_b A_a) v^a with e = 1/eps,
+    without pairs of structural zeros, over U and the form's A_b."""
+    n, e = system.metric.dimension, system.inv_eps
+    du, *form = [[derivative(fld.body, i) for i in range(n)]
+                 for fld in fields]
+    zero = Num(0.0)
     acc = []
     for b in range(n):
-        # -F_{ab} v^a with F_{ab} = d_a A_b - d_b A_a, a != b
-        gyro = " + ".join(
-            f"({partial(1 + b, a)} - {partial(1 + a, b)}) * p[{n + a}]"
-            for a in range(n) if k > 1 and a != b
-            and (partial(1 + b, a), partial(1 + a, b)) != ("0.0", "0.0"))
-        term = f"c * {partial(0, b)}"
-        acc.append(f"{term} - e * ({gyro})" if gyro else term)
-    velocity = "".join(f"p[{n + a}], " for a in range(n))
-    return (head +
-            "    e = system.inv_eps\n"
-            "    c = -(e * e)\n"
-            f"    return ({velocity}{', '.join(acc)},)\n")
+        gyro = [Bin("*", Bin("-", form[b][a], form[a][b]), Var(n + a))
+                for a in range(n) if form and a != b
+                and (form[b][a], form[a][b]) != (zero, zero)]
+        term = Bin("*", Num(-(e * e)), du[b])
+        acc.append(Bin("-", term, Bin("*", Num(e), sum_nodes(gyro)))
+                   if gyro else term)
+    return compile_kernel([fld.body for fld in fields], n,
+                          [Var(n + a) for a in range(n)] + acc,
+                          _reference_stage)
 
 
 def compile_motion(system):
     """The system's first-order equations as ``f(y, system) -> dy/dtau``.
 
     ``y`` is the state (x, v) as a tuple of floats, and so is the result.
-    On a Euclidean metric the function is generated once per potential and
-    one-form and takes the epsilon from ``system``, so every epsilon of a
-    sweep shares it. On a curved metric it wraps ``el_acceleration``.
+    On a Euclidean metric it is generated once per potential, one-form and
+    epsilon; on a curved metric it wraps ``el_acceleration``.
     """
     if not system.metric.euclidean:
         return _reference_stage
     fields = [system.potential]
     if system.magnetic is not None:
         fields += system.magnetic.components
-    key = ("motion",) + tuple(fld.body for fld in fields[1:])
+    key = ("motion", system.epsilon) + tuple(fld.body for fld in fields[1:])
     kernel = system.potential.compiled.get(key)
     if kernel is None:
-        kernel = define_scalar(
-            "_motion", _motion_source(fields, system.metric.dimension),
-            reference=_reference_stage)
-        system.potential.compiled[key] = kernel
+        kernel = system.potential.compiled[key] = _motion_kernel(system,
+                                                                 fields)
     return kernel
 
 

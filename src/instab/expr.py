@@ -12,6 +12,12 @@ also gives second derivatives. Both generated functions run the same value
 operations in the same order; where the scalar function raises, the numpy
 one gives a non-finite value. Duals are only the tests' reference.
 
+Only this module writes field code. Other modules state their formulas as
+ASTs over fields' ``derivative`` ASTs, and ``compile_kernel``, the one
+kernel compiler, turns them into a function with a reference to fall back
+on: the equations of motion, the chart flow fields and ``compile_fields``
+(metric entries, one-form Jacobians, Hessians) all come from it.
+
 Grammar (EBNF, also documented in the README):
 
     expr    = term , { ("+" | "-") , term } ;
@@ -35,6 +41,7 @@ the derivative guarantees the rest of the toolkit relies on.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -659,30 +666,33 @@ def _define(name, src, namespace):
 def define_scalar(name, src, **names):
     """The function ``name`` of generated source over plain floats.
 
-    The source sees the scalar functions of ``value_grad_code`` and
+    The source sees the scalar functions of the generated field code and
     ``names``.
     """
     return _define(name, src, {**_SCALAR_NAMESPACE, **names})
 
 
-def value_grad_code(nodes, n: int, indent="    "):
-    """Scalar code for the values and partials of k nodes, and its symbols.
+def _fields_code(nodes, n):
+    """The emitter of the values of k nodes, with the dual reference's
+    guards, then of their n partials each, and those values' symbols.
 
-    The body reads the point as ``p`` and raises DomainError at a failed
-    check. The symbols hold the k values, then each node's n partials in
-    turn, each partial the value of its ``derivative`` AST. The nodes share
-    one emitter, so a subexpression common to them is computed once, and
-    each value and partial is bit-identical to that of the node alone.
+    A partial is the value of its ``derivative`` AST. Sharing one emitter,
+    the nodes compute a common subexpression once, and each value and
+    partial is bit-identical to that of the node alone.
     """
     em = _Emitter(guards=True)
     values = [em.emit(node) for node in nodes]
     em.guards = False  # the derivative ASTs are not differentiated here
     grads = [em.emit(derivative(node, i)) for node in nodes for i in range(n)]
-    body = "".join(
+    return em, values + grads
+
+
+def _scalar_body(em, indent):
+    """The lines as scalar code that raises DomainError at a check."""
+    return "".join(
         f"{indent}{line}\n" if isinstance(line, str)
         else f"{indent}if {line.test}: raise DomainError({line.message!r})\n"
         for line in em.lines if isinstance(line, str) or line.message)
-    return body, values + grads
 
 
 def _is_number(symbol):
@@ -692,38 +702,47 @@ def _is_number(symbol):
         return False
 
 
-def guarded_value_grad_code(name, args, nodes, n: int):
-    """Head of ``def name(args)`` over the values and partials of k nodes.
+def compile_value_grad(nodes, n: int):
+    """Generate ``f(point) -> (v_1..v_k, d_1/dx_1..d_k/dx_n)`` for k nodes,
+    which raises where a check or float arithmetic fails."""
+    em, symbols = _fields_code(nodes, n)
+    src = (f"def _fields(p):\n{_scalar_body(em, '    ')}"
+           f"    return ({', '.join(symbols)},)\n")
+    return define_scalar("_fields", src)
 
-    The head runs ``value_grad_code``'s body. Where that meets a failed
-    check or a float error, or a value or partial is not finite, the
-    function returns ``reference(args)``, which raises the reference's own
-    error or gives its value. The caller appends the lines that use the
-    symbols, which come back with the source.
+
+def compile_kernel(nodes, n: int, outputs, reference, guard=None):
+    """Generate ``kernel(p, arg)``, the values of ``outputs`` at the point p.
+
+    The one compiler of field kernels: its code computes the values and
+    partials of the field ASTs ``nodes`` as ``compile_value_grad`` does,
+    then the output ASTs, which share those symbols where they contain the
+    fields' ``derivative`` ASTs; ``Var(i)`` reads p[i]. ``guard`` = (node,
+    bound) requires bound < node < inf. Where a check or the guard fails,
+    float arithmetic raises, or a field's value or partial is not finite,
+    it returns ``reference(p, arg)``. An output that overflows is left as
+    it is, as the reference leaves it.
     """
-    body, symbols = value_grad_code(nodes, n, indent="        ")
+    em, symbols = _fields_code(nodes, n)
     checked = " + ".join(dict.fromkeys(s for s in symbols
                                        if not _is_number(s)))
-    fallback = f"        return reference({args})\n"
-    return (f"def {name}({args}):\n"
-            "    try:\n"
-            + (body or "        pass\n")
-            + "    except (DomainError, ArithmeticError, ValueError):\n"
-            + fallback
-            + f"    if ({checked or '0.0'}) * 0.0 != 0.0:  # not finite\n"
-            + fallback), symbols
+    em.check(f"({checked or '0.0'}) * 0.0 != 0.0", "not finite")
+    if guard is not None:
+        node, bound = guard
+        em.check(f"not {bound!r} < {em.emit(node)} < inf", "below guard")
+    out = [em.emit(node) for node in outputs]
+    src = ("def _kernel(p, arg):\n"
+           f"    try:\n{_scalar_body(em, '        ')}"
+           "    except (DomainError, ArithmeticError, ValueError):\n"
+           "        return reference(p, arg)\n"
+           f"    return ({', '.join(out)},)\n")
+    return define_scalar("_kernel", src, reference=reference)
 
 
-def compile_value_grad(nodes, n: int):
-    """Generate ``f(point) -> (v_1..v_k, d_1/dx_1..d_k/dx_n)`` for k nodes.
-
-    The flat tuple holds the symbols of ``value_grad_code``. Raises
-    DomainError at a failed check. Float overflow raises OverflowError, and
-    sin or cos of an infinity ValueError.
-    """
-    body, symbols = value_grad_code(nodes, n)
-    src = f"def _fields(p):\n{body}    return ({', '.join(symbols)},)\n"
-    return define_scalar("_fields", src)
+def sum_nodes(terms) -> Expr:
+    """``terms[0] + terms[1] + ...`` summed left to right; 0 for none."""
+    return functools.reduce(functools.partial(Bin, "+"), terms) \
+        if terms else Num(0.0)
 
 
 def compile_vectorized(node: Expr):
@@ -763,44 +782,28 @@ def _not_finite(label, point):
                            f"{format_point(point)}")
 
 
-def _evaluated(fn, coords, label):
-    """``fn(coords)`` as a tuple of finite floats.
-
-    Errors name ``label`` and the point: DomainError at a failed domain
-    check, NonFiniteResult where float arithmetic overflows or a result is
-    not finite.
-    """
-    try:
-        out = fn(coords)
-    except DomainError as exc:
-        raise DomainError(f"{exc} in {label} at point "
-                          f"{format_point(coords)}") from exc
-    except (OverflowError, ValueError, ZeroDivisionError) as exc:
-        raise _not_finite(label, coords) from exc
-    if not all(map(math.isfinite, out)):
-        raise _not_finite(label, coords)
-    return out
+def _fields_reference(p, fields):
+    """Values, then gradients, from each field's own ``value_and_grad``."""
+    out = [fld.value_and_grad(p) for fld in fields]
+    return (tuple(value for value, _ in out)
+            + tuple(d for _, grad in out for d in grad.tolist()))
 
 
 def compile_fields(fields, n):
     """One generated call for k fields: ``point -> (values (k,), jac (k, n))``.
 
     Each value and gradient row is bit-identical to the field's own
-    ``value_and_grad``, and the call raises exactly where one of the fields
-    does, with that field's own error.
+    ``value_and_grad``, the kernel's reference, and the call raises exactly
+    where one of the fields does, with that field's own error.
     """
-    fn = compile_value_grad([fld.body for fld in fields], n)
+    bodies = [fld.body for fld in fields]
+    kernel = compile_kernel(
+        bodies, n, bodies + [derivative(body, i) for body in bodies
+                             for i in range(n)], _fields_reference)
     k = len(fields)
-    label = "fields " + ", ".join(repr(fld.source) for fld in fields)
 
     def evaluate(point):
-        coords = _coords(point)
-        try:
-            out = np.array(_evaluated(fn, coords, label))
-        except (DomainError, NonFiniteResult):
-            for fld in fields:  # the first field that fails names the error
-                fld.value_and_grad(coords)
-            raise
+        out = np.array(kernel(_coords(point), fields))
         return out[:k], out[k:].reshape(k, n)
 
     return evaluate
@@ -859,9 +862,21 @@ class ScalarField:
         return eval_expr(self.body, coords)
 
     def value_and_grad(self, point):
+        """(value, gradient); errors name the field and the point:
+        DomainError at a failed domain check, NonFiniteResult where float
+        arithmetic overflows or a result is not finite."""
         if self._fast is None:
             self._fast = compile_value_grad([self.body], self.dimension)
-        out = _evaluated(self._fast, _coords(point), self.label)
+        coords = _coords(point)
+        try:
+            out = self._fast(coords)
+        except DomainError as exc:
+            raise DomainError(f"{exc} in {self.label} at point "
+                              f"{format_point(coords)}") from exc
+        except (OverflowError, ValueError, ZeroDivisionError) as exc:
+            raise _not_finite(self.label, coords) from exc
+        if not all(map(math.isfinite, out)):
+            raise _not_finite(self.label, coords)
         return out[0], np.array(out[1:])
 
     def eval(self, point) -> float:

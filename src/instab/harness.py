@@ -453,7 +453,7 @@ class SweepRun:
 class EscapeVerdict:
     verdict: str
     level: float
-    threshold: float
+    threshold: float | None  # None where there is no escape
     drift_tolerance: float
     crossings: list  # per run: {"epsilon", "tau_star", "physical_time"}
     initial_speeds: list
@@ -468,7 +468,7 @@ class EscapeReport:
     horizon: float
     runs: list
     sup_distances: list  # consecutive f-curve sup gaps, coarse to fine
-    limit_drift: float
+    limit_drift: float | None  # None where no run succeeded
     certification: dict = field(default_factory=dict)
     escape: EscapeVerdict | None = None
 
@@ -575,7 +575,7 @@ def run_epsilon_sweep(problem, tol=None, seed=0,
         float(np.max(np.abs(a.f_curve - b.f_curve)))
         for a, b in zip(ok, ok[1:])
     ]
-    limit_drift = float("nan")
+    limit_drift = None
     if ok:
         grid = ok[-1].trajectory.grid_times
         h = grid[1] - grid[0]
@@ -638,13 +638,12 @@ def detect_escape(report) -> EscapeVerdict:
         })
         if tau_star is None:
             all_cross = False
-    threshold = report.runs[0].epsilon if all_cross else float("nan")
     verdict = ("escape demonstrated at the tested scales" if all_cross
                else "no escape at the tested scales")
     out = EscapeVerdict(
         verdict=verdict,
         level=level,
-        threshold=float(threshold),
+        threshold=float(report.runs[0].epsilon) if all_cross else None,
         drift_tolerance=float(drift_tolerance),
         crossings=crossings,
         initial_speeds=[float(s) for s in speeds],
@@ -664,7 +663,7 @@ def escape_outcome(report):
     except NoPositiveDrift as exc:
         report.escape = EscapeVerdict(
             verdict="no positive drift at this horizon",
-            level=exc.level, threshold=float("nan"),
+            level=exc.level, threshold=None,
             drift_tolerance=exc.threshold, crossings=[],
             initial_speeds=[])
         return "stable"

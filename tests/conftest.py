@@ -4,6 +4,7 @@ With ``CI`` set, hypothesis runs derandomized, so a failure seen in CI
 reproduces locally with ``CI=1``.
 """
 
+import contextlib
 import os
 
 import numpy as np
@@ -18,6 +19,25 @@ from instab.geometry import MetricSpec
 settings.register_profile("ci", derandomize=True, database=None)
 if os.environ.get("CI"):
     settings.load_profile("ci")
+
+
+@pytest.fixture(scope="session")
+def count_calls():
+    """``with count_calls(owner, name) as calls:`` lists the calls made to
+    ``owner.name`` inside, also by kernels compiled inside."""
+    @contextlib.contextmanager
+    def count(owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(owner, name, counted)
+            yield calls
+    return count
 
 
 @pytest.fixture(scope="session")

@@ -155,7 +155,7 @@ def test_empty_shell_reported():
         certify_potential_condition(probe)
 
 
-def test_too_few_filled_shells_reported():
+def test_too_few_filled_shells_reported(monkeypatch):
     # U = x1^2 x2^2 stays below 1e-5 in this ball: two shells fill, too few
     # to refute, so the refuted crossing potential must not certify
     probe = HypothesisProbe(
@@ -166,6 +166,10 @@ def test_too_few_filled_shells_reported():
     with pytest.raises(EmptyShell) as raised:
         certify_potential_condition(probe)
     assert raised.value.delta == pytest.approx(1e-5)
+    # the probe keeps the error: asking again draws no shell
+    monkeypatch.setattr(certify, "_sample_shell", None)
+    with pytest.raises(EmptyShell):
+        certify_potential_condition(probe)
 
 
 @pytest.mark.parametrize("name", ["corollary1-unstable-magnetic",
@@ -216,8 +220,8 @@ def test_each_shell_point_evaluated_once(monkeypatch):
     monkeypatch.setattr(type(potential), "value_and_grad", counted)
     certify_potential_condition(probe)
     certify_magnetic_condition(probe)
-    points = sum(len(points) for points, _attempts, _near
-                 in probe._shells.values())
+    shells, _skipped, _near = probe._table
+    points = sum(len(points) for _delta, points, _evaluated in shells)
     assert calls[True] == points
 
 
@@ -250,10 +254,7 @@ def test_quasi_homogeneous_wrong_degree_fails():
     assert report.witness is not None
 
 
-def test_quasi_homogeneous_spec_induced_f():
-    spec = QuasiHomogeneousSpec(weights=[2, 3, 1], degree=12)
-    f = spec.induced_f()
-    assert f.grad([1.0, 1.0, 1.0]) == pytest.approx([2.0, 3.0, 1.0])
+def test_quasi_homogeneous_spec_rejects_zero_weights():
     with pytest.raises(ValueError):
         QuasiHomogeneousSpec(weights=[0, 0], degree=2)
 

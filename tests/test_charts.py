@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from instab import harness
+from instab import charts, harness
 from instab.charts import (
     FLOW_GRADIENT_FLOOR,
     FLOW_TOL,
@@ -264,13 +264,17 @@ def _scipy_point_and_jacobian(chart, coords):
 
 @pytest.mark.parametrize("entry", ["corollary1-unstable-magnetic",
                                    "corollary1-mechanical"])
-def test_corollary_charts_match_scipy_rk45(entry):
-    chart, _fields, _pullback = harness.build_problem_chart(
-        harness.corpus_entry(entry))
-    for coords in chart.grid(5):
-        point, jac = _scipy_point_and_jacobian(chart, coords)
-        assert np.max(np.abs(chart.point(coords) - point)) <= 1e-12
-        assert np.max(np.abs(chart.jacobian(coords) - jac)) <= 1e-12
+def test_corollary_charts_match_scipy_rk45(entry, count_calls):
+    with count_calls(charts, "_reference_flow") as fallbacks, \
+            count_calls(charts, "_reference_jacobian_flow") as jac_fallbacks:
+        chart, _fields, _pullback = harness.build_problem_chart(
+            harness.corpus_entry(entry))
+        got = [(chart.point(c), chart.jacobian(c)) for c in chart.grid(5)]
+    assert not fallbacks and not jac_fallbacks  # the kernels gave every X
+    for coords, (point, jac) in zip(chart.grid(5), got):
+        want_point, want_jac = _scipy_point_and_jacobian(chart, coords)
+        assert np.max(np.abs(point - want_point)) <= 1e-12
+        assert np.max(np.abs(jac - want_jac)) <= 1e-12
 
 
 # --- the generated flow field against the reference ------------------------
@@ -297,7 +301,13 @@ def _reference_flow(metric, fld, x, jac):
 
 
 def _assert_relative(got, want):
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    """Finite entries agree within 1e-12 of the largest; an entry that
+    overflows, as where DX does, is the same inf or nan in both."""
+    finite = np.isfinite(want)
+    assert np.array_equal(got[~finite], want[~finite], equal_nan=True)
+    scale = np.max(np.abs(want[finite]), initial=0.0)
+    assert np.max(np.abs(got[finite] - want[finite]), initial=0.0) \
+        <= 1e-12 * scale
 
 
 @given(field=st.sampled_from(LEVEL_FIELDS),
@@ -309,9 +319,11 @@ def _assert_relative(got, want):
          scale=1e-9, columns=2, carried=[1.0] * 6)
 @example(field=("(x1^2 + x2^2)/2", 3), point=[0.3, 0.4, 1.0], scale=0.0,
          columns=0, carried=[0.0] * 6)
+@example(field=("x1 - ln(x3)/2", 3), point=[0.0, 0.0, 6.935272022050353e-98],
+         scale=1e-6, columns=1, carried=[0.0] * 6)  # DX overflows
 @settings(max_examples=300, deadline=None)
 def test_generated_flow_field_matches_reference(field, point, scale, columns,
-                                                carried):
+                                                carried, count_calls):
     source, n = field
     fld = ScalarField.parse(source, n)
     metric = MetricSpec.identity(n)
@@ -319,8 +331,10 @@ def test_generated_flow_field_matches_reference(field, point, scale, columns,
     jac = np.array(carried[:n * columns]).reshape(n, columns) \
         if columns else None
     y = tuple(x.tolist()) + tuple(carried[:n * columns])
-    kernel = compile_flow(metric, fld, columns)
-    got, got_error = _outcome(lambda: np.array(kernel(y, (metric, fld))))
+    reference = "_reference_jacobian_flow" if columns else "_reference_flow"
+    with count_calls(charts, reference) as fallbacks:
+        kernel = compile_flow(metric, fld, columns)
+        got, got_error = _outcome(lambda: np.array(kernel(y, (metric, fld))))
     want, want_error = _outcome(lambda: _reference_flow(metric, fld, x, jac))
     assert got_error == want_error
     grad, grad_error = _outcome(lambda: fld.grad(x))
@@ -328,6 +342,9 @@ def test_generated_flow_field_matches_reference(field, point, scale, columns,
         assert want_error[0] is GradientTooSmall
     if want_error is not None:
         return
+    # the kernel decides by itself but at or within rounding of the floor
+    near_floor = grad @ grad <= FLOW_GRADIENT_FLOOR ** 2 * (1.0 + 1e-9)
+    assert near_floor or not fallbacks
     vec, carried_jac = want
     _assert_relative(got[:n], vec)
     if columns:

@@ -4,16 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from instab import harness
+from instab import dynamics, harness
 from instab.dynamics import (
     LagrangianSystem,
     State,
     Tolerances,
-    _reference_stage,
     check_lemma1_bounds,
     compile_motion,
     el_acceleration,
@@ -267,24 +266,41 @@ def _compiled_motion(system, y):
 
 
 def _assert_motion_close(got, want):
+    """Finite entries agree within 1e-12 of the largest; an entry that
+    overflows, as where dU/eps^2 does, is the same inf or nan in both."""
     got, want = np.array(got), np.array(want)
-    assert np.all(np.abs(got - want) <= 1e-12 * np.max(np.abs(want))), \
+    finite = np.isfinite(want)
+    assert np.array_equal(got[~finite], want[~finite], equal_nan=True), \
+        (got, want)
+    scale = np.max(np.abs(want[finite]), initial=0.0)
+    assert np.all(np.abs(got[finite] - want[finite]) <= 1e-12 * scale), \
         (got, want)
 
 
 @pytest.mark.parametrize("name", [p.name for p in harness.corpus()])
 @given(offset=_OFFSETS, eps=st.sampled_from([1.0, 0.1, 1e-2, 1e-3, None]))
 @settings(max_examples=60, deadline=None)
-def test_compiled_motion_matches_reference(name, offset, eps):
+def test_compiled_motion_matches_reference(name, offset, eps, count_calls):
     problem = harness.corpus_entry(name)
-    system = problem.system(epsilon=eps)
-    assert compile_motion(system) is not _reference_stage
     n = problem.dimension
     y = np.concatenate([problem.center, np.zeros(n)]) + offset[:2 * n]
+    with count_calls(dynamics, "_reference_stage") as fallbacks:
+        system = problem.system(epsilon=eps)
+        assert compile_motion(system) is not dynamics._reference_stage
+        got, _ = _compiled_motion(system, y)
+    assert not fallbacks  # the kernel's own code gave the state
     want, error = _reference_motion(system, y)
     assert error is None
-    got, _ = _compiled_motion(system, y)
     _assert_motion_close(got, want)
+
+
+def test_motion_kernels_are_per_epsilon():
+    problem = harness.corpus_entry("stable-magnetic-plane")
+    kernels = {eps: compile_motion(problem.system(epsilon=eps))
+               for eps in problem.epsilons}
+    assert len(set(kernels.values())) == len(problem.epsilons) == 3
+    for eps, kernel in kernels.items():
+        assert compile_motion(problem.system(epsilon=eps)) is kernel
 
 
 _PARTIAL_FIELDS = [
@@ -298,14 +314,19 @@ _PARTIAL_FIELDS = [
 @given(y=st.lists(st.one_of(st.sampled_from([0.0, 1.0, -1.0, 2.0, 800.0]),
                             st.floats(-3, 3)), min_size=6, max_size=6),
        eps=st.sampled_from([1.0, 0.1, 1e-3]))
+@example(y=[2.3353543293436346e-301, 1.0, 0.0, 0.0, 0.0, 0.0],
+         eps=1e-3)  # dU/eps^2 overflows where ln(x1)^2's dU does not
 @settings(max_examples=200, deadline=None)
-def test_compiled_motion_raises_like_reference(potential, form, y, eps):
+def test_compiled_motion_raises_like_reference(potential, form, y, eps,
+                                               count_calls):
     magnetic = None if form is None else OneForm.from_sources(form)
     system = LagrangianSystem(E3, ScalarField.parse(potential, 3), magnetic,
                               epsilon=eps)
     want, want_error = _reference_motion(system, y)
-    got, got_error = _compiled_motion(system, y)
+    with count_calls(dynamics, "_reference_stage") as fallbacks:
+        got, got_error = _compiled_motion(system, y)
     assert got_error == want_error
+    assert bool(fallbacks) == (want_error is not None)
     if want is not None:
         _assert_motion_close(got, want)
 

@@ -272,6 +272,23 @@ def test_cli_overflow_exits_3(tmp_path):
     assert "exp(1000*x1)" in message and "np.float64" not in message
 
 
+def _strict_json(text):
+    """``text`` parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_cli_run_all_prints_strict_json():
+    result = _run("corpus", "run-all", "--seed", "42")
+    assert result.exit_code == 0, result.output
+    payload = _strict_json(result.output)
+    escapes = {report["problem"]: report["escape"]
+               for report in payload["reports"]}
+    assert escapes["stable-magnetic-plane"]["threshold"] is None
+    assert escapes["unstable-magnetic-plane"]["threshold"] == 0.1
+
+
 def test_cli_sweep_into_stiff_wall_exits_3_on_step_budget(tmp_path):
     """A wall that asks for steps near 1e-38 spends the branch's step
     budget and fails the run, instead of running for minutes."""
@@ -284,7 +301,9 @@ def test_cli_sweep_into_stiff_wall_exits_3_on_step_budget(tmp_path):
         [sys.executable, "-m", "instab.cli", "sweep", str(path)],
         capture_output=True, text=True, timeout=120)
     assert result.returncode == 3, result.stdout + result.stderr
-    (run,) = json.loads(result.stdout)["runs"]
+    report = _strict_json(result.stdout)
+    assert report["limit_drift"] is None
+    (run,) = report["runs"]
     assert run["status"] == "failed"
     assert run["error"].startswith("IntegrationError: step budget of 50000 "
                                    "tries spent at tau = ")
