@@ -72,10 +72,14 @@ class HypothesisProbe:
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
-        if not 0 < self.delta_min < self.delta_max:
-            raise ValueError("need 0 < delta_min < delta_max")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("radius must be positive and finite")
+        if not 0 < self.delta_min < self.delta_max < math.inf:
+            raise ValueError("need 0 < delta_min < delta_max < inf")
+        if isinstance(self.seed, bool) or not (
+                isinstance(self.seed, int) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got "
+                             f"{self.seed!r}")
         if not (isinstance(self.samples, int) and self.samples >= 100):
             raise ValueError("samples must be an integer of at least 100")
 

@@ -128,11 +128,7 @@ def compile_flow(metric, fld, columns=0):
     reference = _reference_jacobian_flow if columns else _reference_flow
     if not metric.euclidean:
         return reference
-    key = ("flow", columns)
-    kernel = fld.compiled.get(key)
-    if kernel is None:
-        kernel = fld.compiled[key] = _flow_kernel(fld, columns, reference)
-    return kernel
+    return fld.code(("flow", columns), _flow_kernel, fld, columns, reference)
 
 
 def solve_ivp(field, arg, start, t):
@@ -187,10 +183,6 @@ class AdaptedChart:
     @property
     def k(self):
         return len(self.fields)
-
-    @property
-    def dimension(self):
-        return self.psi.ambient_dimension
 
     def point(self, coords, order=None) -> np.ndarray:
         """Evaluate Psi at chart coordinates (levels..., base...).

@@ -8,7 +8,9 @@ errors, 3 on numerical failures.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import os
 import sys
 
@@ -38,28 +40,45 @@ def _load(problem_arg):
             f"no such file or corpus entry: {problem_arg}")
 
 
-def _fail(exc, phase, problem=None):
-    """Print the error, naming the command and the PROBLEM argument it
-    failed on; exit 2 for invalid input, 3 otherwise."""
-    invalid = isinstance(exc, ValidationError)
-    click.echo(json.dumps({"error": exc.problems if invalid else str(exc),
-                           "phase": phase, "problem": problem},
-                          sort_keys=True))
-    sys.exit(EXIT_VALIDATION if invalid else EXIT_NUMERICAL)
+def _command(phase, artifact=None):
+    """The one path of a command whose body returns (payload, exit code).
 
-
-def _emit(payload, out, name):
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    click.echo(text)
-    if out:
-        os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, f"{name}.json"), "w") as fh:
-            fh.write(text + "\n")
-
-
-def _out(fn):
-    return click.option("--out", type=click.Path(), default=None,
-                        help="directory for report artifacts")(fn)
+    With ``artifact``, the command takes ``--out DIR``, made before the
+    work, and writes the payload to DIR/<artifact>.json, ``artifact``
+    formatted with the payload's keys. The payload is then printed. An
+    InstabError prints {"error", "phase", "problem"} and exits 2 for
+    invalid input, 3 otherwise. Only the --out files raise OSError, which
+    exits 2 naming --out.
+    """
+    def wrap(body):
+        @functools.wraps(body)
+        def command(**kwargs):
+            out = kwargs.get("out")
+            try:
+                if out:
+                    os.makedirs(out, exist_ok=True)
+                payload, code = body(**kwargs)
+                text = json.dumps(payload, sort_keys=True, indent=2)
+                if out:
+                    name = artifact.format_map(payload)
+                    with open(os.path.join(out, f"{name}.json"), "w") as fh:
+                        fh.write(text + "\n")
+            except (InstabError, OSError) as exc:
+                if isinstance(exc, OSError):
+                    exc = ValidationError(f"--out cannot hold reports: {exc}")
+                invalid = isinstance(exc, ValidationError)
+                click.echo(json.dumps(
+                    {"error": exc.problems if invalid else str(exc),
+                     "phase": phase,
+                     "problem": kwargs.get("problem", kwargs.get("name"))},
+                    sort_keys=True))
+                sys.exit(EXIT_VALIDATION if invalid else EXIT_NUMERICAL)
+            click.echo(text)
+            sys.exit(code)
+        return command if artifact is None else click.option(
+            "--out", type=click.Path(), default=None,
+            help="directory for report artifacts")(command)
+    return wrap
 
 
 def _tolerances(fn):
@@ -68,13 +87,17 @@ def _tolerances(fn):
 
 
 def _tol(tol_abs, tol_rel):
-    """Tolerances from the --tol-* values, which must be positive."""
-    bad = [f"--tol-{kind} must be a positive real, got {value!r}"
+    """Tolerances from the finite, positive --tol-* values."""
+    bad = [f"--tol-{kind} must be a finite positive real, got {value!r}"
            for kind, value in (("abs", tol_abs), ("rel", tol_rel))
-           if not value > 0]
+           if not (math.isfinite(value) and value > 0)]
     if bad:
         raise ValidationError(bad)
     return Tolerances(abs=tol_abs, rel=tol_rel)
+
+
+def _exit(matched):
+    return EXIT_OK if matched else EXIT_MISMATCH
 
 
 @click.group()
@@ -89,7 +112,7 @@ def main():
               help="potential shell range as delta_min:delta_max")
 @click.option("--samples", type=int, default=None)
 @click.option("--seed", type=int, default=0)
-@_out
+@_command("certify", "certify-{problem}")
 def certify_cmd(problem, radius, shells, samples, seed, out):
     """Certify the potential and magnetic hypotheses of a problem."""
     settings = {}
@@ -97,39 +120,33 @@ def certify_cmd(problem, radius, shells, samples, seed, out):
         settings["radius"] = radius
     if samples is not None:
         settings["samples"] = samples
-    try:
-        definition = _load(problem)
-        if shells is not None:
-            try:
-                lo, hi = (float(v) for v in shells.split(":"))
-            except ValueError:
-                raise ValidationError(
-                    f"--shells must be delta_min:delta_max, got {shells!r}")
-            settings.update(delta_min=lo, delta_max=hi)
-        probe = harness.certification_probe(definition, seed=seed,
-                                            **settings)
-        potential_report = certify_mod.certify_potential_condition(probe)
-        magnetic_report = certify_mod.certify_magnetic_condition(probe)
-        payload = {
-            "problem": definition.name,
-            "potential": potential_report.to_dict(),
-            "magnetic": magnetic_report.to_dict(),
-        }
-        if definition.quasi_homogeneous is not None:
-            spec = certify_mod.QuasiHomogeneousSpec(
-                weights=definition.quasi_homogeneous["weights"],
-                degree=definition.quasi_homogeneous["degree"],
-            )
-            payload["quasi_homogeneous"] = certify_mod \
-                .check_quasi_homogeneous(definition.potential, spec,
-                                         seed=seed).to_dict()
-    except InstabError as exc:
-        _fail(exc, "certify", problem)
-    _emit(payload, out, f"certify-{definition.name}")
-    expected = definition.labels.get("certification")
+    definition = _load(problem)
+    if shells is not None:
+        try:
+            lo, hi = (float(v) for v in shells.split(":"))
+        except ValueError:
+            raise ValidationError(
+                f"--shells must be delta_min:delta_max, got {shells!r}")
+        settings.update(delta_min=lo, delta_max=hi)
+    probe = harness.certification_probe(definition, seed=seed, **settings)
+    potential_report = certify_mod.certify_potential_condition(probe)
+    magnetic_report = certify_mod.certify_magnetic_condition(probe)
+    payload = {
+        "problem": definition.name,
+        "potential": potential_report.to_dict(),
+        "magnetic": magnetic_report.to_dict(),
+    }
+    if definition.quasi_homogeneous is not None:
+        spec = certify_mod.QuasiHomogeneousSpec(
+            weights=definition.quasi_homogeneous["weights"],
+            degree=definition.quasi_homogeneous["degree"],
+        )
+        payload["quasi_homogeneous"] = certify_mod.check_quasi_homogeneous(
+            definition.potential, spec, seed=seed).to_dict()
     got = harness.certification_verdict(
         definition, potential_report.verdict, magnetic_report.verdict)
-    sys.exit(EXIT_MISMATCH if expected not in (None, got) else EXIT_OK)
+    return payload, _exit(harness.label_matches(
+        definition.labels.get("certification"), got))
 
 
 @main.command("sweep")
@@ -141,31 +158,27 @@ def certify_cmd(problem, radius, shells, samples, seed, out):
               default="json", help="csv also writes one file per run")
 @click.option("--seed", type=int, default=0)
 @_tolerances
-@_out
+@_command("sweep", "sweep-{problem}")
 def sweep_cmd(problem, eps, horizon, fmt, seed, tol_abs, tol_rel, out):
     """Run the epsilon sweep and report the curve family."""
-    try:
-        if fmt == "csv" and not out:
-            raise ValidationError("--format csv needs --out, the directory "
-                                  "for the CSV files")
-        definition = _load(problem)
-        if eps is not None or horizon is not None:
-            data = definition.to_dict()
-            if eps is not None:
-                try:
-                    data["epsilons"] = [float(v) for v in eps.split(",")]
-                except ValueError:
-                    raise ValidationError(
-                        f"--eps must be a comma-separated list of reals, "
-                        f"got {eps!r}")
-            if horizon is not None:
-                data["T"] = horizon
-            definition = harness.load_problem(data, name=definition.name)
-        report = harness.run_epsilon_sweep(
-            definition, tol=_tol(tol_abs, tol_rel), seed=seed)
-    except InstabError as exc:
-        _fail(exc, "sweep", problem)
-    _emit(report.to_dict(), out, f"sweep-{definition.name}")
+    if fmt == "csv" and not out:
+        raise ValidationError("--format csv needs --out, the directory "
+                              "for the CSV files")
+    definition = _load(problem)
+    if eps is not None or horizon is not None:
+        data = definition.to_dict()
+        if eps is not None:
+            try:
+                data["epsilons"] = [float(v) for v in eps.split(",")]
+            except ValueError:
+                raise ValidationError(
+                    f"--eps must be a comma-separated list of reals, "
+                    f"got {eps!r}")
+        if horizon is not None:
+            data["T"] = horizon
+        definition = harness.load_problem(data, name=definition.name)
+    report = harness.run_epsilon_sweep(
+        definition, tol=_tol(tol_abs, tol_rel), seed=seed)
     if fmt == "csv":
         for run in report.runs:
             if run.status != "ok":
@@ -175,70 +188,55 @@ def sweep_cmd(problem, eps, horizon, fmt, seed, tol_abs, tol_rel, out):
             with open(path, "w") as fh:
                 run.trajectory.to_csv(
                     fh, definition.system(epsilon=run.epsilon))
-    if any(r.status != "ok" for r in report.runs):
-        sys.exit(EXIT_NUMERICAL)
-    sys.exit(EXIT_OK)
+    failed = any(r.status != "ok" for r in report.runs)
+    return report.to_dict(), EXIT_NUMERICAL if failed else EXIT_OK
 
 
 @main.command("escape")
 @click.argument("problem")
 @click.option("--seed", type=int, default=0)
 @_tolerances
-@_out
+@_command("escape", "escape-{problem}")
 def escape_cmd(problem, seed, tol_abs, tol_rel, out):
     """Sweep plus escape detection against the expected verdict."""
-    try:
-        definition = _load(problem)
-        report = harness.run_epsilon_sweep(
-            definition, tol=_tol(tol_abs, tol_rel), seed=seed)
-        outcome = harness.escape_outcome(report)
-    except InstabError as exc:
-        _fail(exc, "escape", problem)
-    payload = report.to_dict()
-    payload["outcome"] = outcome
-    payload["expected"] = definition.expected
-    _emit(payload, out, f"escape-{definition.name}")
-    if definition.expected is not None and outcome != definition.expected:
-        sys.exit(EXIT_MISMATCH)
-    sys.exit(EXIT_OK)
+    entry = harness.escape_entry(_load(problem), tol=_tol(tol_abs, tol_rel),
+                                 seed=seed)
+    return entry, _exit(harness.label_matches(entry["expected"],
+                                               entry["outcome"]))
 
 
 @main.command("chart")
 @click.argument("problem")
 @click.option("--multi", is_flag=True,
               help="require a multi-function chart spec")
-@_out
+@_command("chart", "chart-{problem}")
 def chart_cmd(problem, multi, out):
     """Build the adapted chart of a problem and verify its structure."""
-    try:
-        definition = _load(problem)
-        if definition.chart is None:
-            raise ValidationError("problem has no chart specification")
-        if multi and len(definition.chart["fields"]) < 2:
-            raise ValidationError("--multi requires at least two chart "
-                                  "level functions")
-        chart, _fields, pullback = harness.build_problem_chart(definition)
-        block = pullback_metric_block_check(chart, grid_count=5)
-        collisions = injectivity_probe(chart, grid_count=5)
-        payload = {
-            "problem": definition.name,
-            "level_functions": definition.chart["fields"],
-            "block": block.to_dict(),
-            "injective": not collisions,
-        }
-        if pullback is not None:
-            payload["contraction"] = certify_mod.chart_contraction_check(
-                chart, pullback, definition.f, grid_count=3)
-            center_tensor = magnetic_tensor(pullback, definition.center)
-            payload["pullback_field_at_center"] = float(
-                np.max(np.abs(center_tensor)))
-        payload.update(chart.counters)
-    except InstabError as exc:
-        _fail(exc, "chart", problem)
-    _emit(payload, out, f"chart-{definition.name}")
-    passed = payload["block"]["passed"] and payload["injective"] \
-        and payload.get("contraction", {}).get("passed", True)
-    sys.exit(EXIT_OK if passed else EXIT_MISMATCH)
+    definition = _load(problem)
+    if definition.chart is None:
+        raise ValidationError("problem has no chart specification")
+    if multi and len(definition.chart["fields"]) < 2:
+        raise ValidationError("--multi requires at least two chart "
+                              "level functions")
+    chart, _fields, pullback = harness.build_problem_chart(definition)
+    block = pullback_metric_block_check(chart, grid_count=5)
+    collisions = injectivity_probe(chart, grid_count=5)
+    payload = {
+        "problem": definition.name,
+        "level_functions": definition.chart["fields"],
+        "block": block.to_dict(),
+        "injective": not collisions,
+    }
+    if pullback is not None:
+        payload["contraction"] = certify_mod.chart_contraction_check(
+            chart, pullback, definition.f, grid_count=3)
+        center_tensor = magnetic_tensor(pullback, definition.center)
+        payload["pullback_field_at_center"] = float(
+            np.max(np.abs(center_tensor)))
+    payload.update(chart.counters)
+    return payload, _exit(payload["block"]["passed"] and payload["injective"]
+                          and payload.get("contraction", {})
+                          .get("passed", True))
 
 
 @main.group("corpus")
@@ -259,31 +257,24 @@ def corpus_list():
 
 @corpus_group.command("show")
 @click.argument("name")
+@_command("show")
 def corpus_show(name):
     try:
-        entry = harness.corpus_entry(name)
+        return harness.corpus_entry(name).to_dict(), EXIT_OK
     except KeyError:
-        click.echo(json.dumps({"error": f"no corpus entry {name!r}"},
-                              sort_keys=True))
-        sys.exit(EXIT_VALIDATION)
-    click.echo(json.dumps(entry.to_dict(), sort_keys=True, indent=2))
+        raise ValidationError(f"no corpus entry {name!r}")
 
 
 @corpus_group.command("run-all")
 @click.option("--seed", type=int, default=42)
 @_tolerances
-@_out
+@_command("run-all", "corpus-run-all")
 def corpus_run_all(seed, tol_abs, tol_rel, out):
     """Sweep, certify and escape-check every corpus entry."""
-    try:
-        reports, all_expected = harness.run_all(
-            seed=seed, tol=_tol(tol_abs, tol_rel))
-    except InstabError as exc:
-        _fail(exc, "run-all")
-    payload = {"reports": reports, "all_expected": all_expected,
-               "seed": seed}
-    _emit(payload, out, "corpus-run-all")
-    sys.exit(EXIT_OK if all_expected else EXIT_MISMATCH)
+    reports, all_expected = harness.run_all(
+        seed=seed, tol=_tol(tol_abs, tol_rel))
+    return ({"reports": reports, "all_expected": all_expected, "seed": seed},
+            _exit(all_expected))
 
 
 if __name__ == "__main__":

@@ -92,8 +92,8 @@ class Tolerances:
     max_step: float | None = None  # overrides the eps/10 cap if set
 
     def __post_init__(self):
-        if self.abs <= 0 or self.rel <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.abs < math.inf and 0 < self.rel < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_step is not None and not self.max_step > 0:
             raise ValueError("max_step must be positive")
 
@@ -145,7 +145,6 @@ class BoundsVerdict:
     passed: bool
     speed_margin: float
     potential_margin: float
-    speed_cap: float
 
 
 @dataclass
@@ -231,11 +230,7 @@ def compile_motion(system):
     if system.magnetic is not None:
         fields += system.magnetic.components
     key = ("motion", system.epsilon) + tuple(fld.body for fld in fields[1:])
-    kernel = system.potential.compiled.get(key)
-    if kernel is None:
-        kernel = system.potential.compiled[key] = _motion_kernel(system,
-                                                                 fields)
-    return kernel
+    return system.potential.code(key, _motion_kernel, system, fields)
 
 
 # --- Dormand-Prince 5(4) --------------------------------------------------
@@ -506,7 +501,6 @@ def check_lemma1_bounds(trajectory, speed_cap) -> BoundsVerdict:
         passed=bool(speed_margin <= slack and potential_margin <= slack),
         speed_margin=float(speed_margin),
         potential_margin=float(potential_margin),
-        speed_cap=float(speed_cap),
     )
 
 

@@ -33,12 +33,13 @@ class UnknownIdentifier(ExprError):
 
 
 class DimensionExceeded(ExprError):
-    def __init__(self, index, dimension, line=0, column=0):
-        super().__init__(
-            f"variable x{index} exceeds declared dimension {dimension}"
-        )
+    def __init__(self, index, dimension, line, column):
+        super().__init__(f"variable x{index} exceeds declared dimension "
+                         f"{dimension} at {line}:{column}")
         self.index = index
         self.dimension = dimension
+        self.line = line
+        self.column = column
 
 
 class DomainError(InstabError):

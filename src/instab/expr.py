@@ -125,10 +125,12 @@ Expr = Num | Var | Bin | IntPow | Neg | Fun
 # --- tokenizer / parser ----------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
+    r"(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
     r"|\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()])"
+    r"|(?P<space>\s+)"
+    r"|(?P<bad>\S)"
 )
 
 
@@ -139,26 +141,16 @@ def _line_col(source, offset):
 
 
 def _tokenize(source):
+    """(kind, text, line, column) per token, in one scan of ``source``."""
     tokens = []
-    pos = 0
-    while True:
-        stripped = source[pos:].lstrip()
-        if not stripped:
-            break
-        here = len(source) - len(stripped)
-        m = _TOKEN_RE.match(source, pos)
-        if m is None or m.start(m.lastgroup) != here:
-            line, col = _line_col(source, here)
-            raise ExprSyntaxError(
-                f"unexpected character {stripped[0]!r}", line, col
-            )
-        kind = m.lastgroup
-        line, col = _line_col(source, m.start(kind))
-        tokens.append((kind, m.group(kind), line, col))
-        pos = m.end()
-    line, col = _line_col(source, len(source))
-    tokens.append(("eof", "", line, col))
-    return tokens
+    for m in _TOKEN_RE.finditer(source):
+        kind, text = m.lastgroup, m.group()
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {text!r}",
+                                  *_line_col(source, m.start()))
+        if kind != "space":
+            tokens.append((kind, text, *_line_col(source, m.start())))
+    return tokens + [("eof", "", *_line_col(source, len(source)))]
 
 
 _VAR_RE = re.compile(r"^x([0-9]+)$")
@@ -746,11 +738,11 @@ def sum_nodes(terms) -> Expr:
 
 
 def compile_vectorized(node: Expr):
-    """Generate ``f(points) -> values`` over an (m, n) numpy array.
+    """Generate ``f(points) -> values`` over an (m, n) array of points.
 
     The values are non-finite exactly where the scalar value raises: nan at
     a failed check, and everywhere when float arithmetic on constants
-    raises. Run it under ``np.errstate(all="ignore")``.
+    raises. numpy's floating-point warnings are off inside.
     """
     em = _Emitter(guards=False)
     v = em.emit(node)
@@ -767,7 +759,13 @@ def compile_vectorized(node: Expr):
            "        return np.full(points.shape[0], nan)\n"
            f"    return np.broadcast_to({v}, (points.shape[0],))"
            ".astype(float)\n")
-    return _define("_vec", src, _NUMPY_NAMESPACE)
+    vec = _define("_vec", src, _NUMPY_NAMESPACE)
+
+    def values(points):
+        with np.errstate(all="ignore"):
+            return vec(np.asarray(points, dtype=float))
+
+    return values
 
 
 # --- scalar fields ---------------------------------------------------------
@@ -835,6 +833,14 @@ def _dual_value(fn, point, label) -> float:
     return v
 
 
+def _compile_hessian(fld):
+    """``compile_fields`` over the partials of ``fld``, as fields."""
+    n = fld.dimension
+    return compile_fields([ScalarField(n, derivative(fld.body, a),
+                                       f"d/dx{a + 1}({fld.source})")
+                           for a in range(n)], n)
+
+
 class ScalarField:
     """A differentiable map from n coordinates to a real number."""
 
@@ -845,11 +851,7 @@ class ScalarField:
         self.body = body
         self.source = source
         self.label = f"field {source!r}"
-        self._fast = None
-        self._vec = None
-        self._hessian = None
-        # generated functions of this field with others, by their builders
-        self.compiled = {}
+        self.compiled = {}  # see ``code``
 
     @classmethod
     def parse(cls, source: str, dimension: int) -> "ScalarField":
@@ -861,15 +863,24 @@ class ScalarField:
     def _call(self, coords):
         return eval_expr(self.body, coords)
 
+    def code(self, key, build, *args):
+        """The field's generated code under ``key``, made once by
+        ``build(*args)``: its value+gradient, numpy and Hessian functions,
+        and the motion and flow kernels of which it is the first field."""
+        code = self.compiled.get(key)
+        if code is None:
+            code = self.compiled[key] = build(*args)
+        return code
+
     def value_and_grad(self, point):
         """(value, gradient); errors name the field and the point:
         DomainError at a failed domain check, NonFiniteResult where float
         arithmetic overflows or a result is not finite."""
-        if self._fast is None:
-            self._fast = compile_value_grad([self.body], self.dimension)
+        fast = self.compiled.get("value_grad") or self.code(
+            "value_grad", compile_value_grad, [self.body], self.dimension)
         coords = _coords(point)
         try:
-            out = self._fast(coords)
+            out = fast(coords)
         except DomainError as exc:
             raise DomainError(f"{exc} in {self.label} at point "
                               f"{format_point(coords)}") from exc
@@ -891,13 +902,7 @@ class ScalarField:
 
     def hessian(self, point) -> np.ndarray:
         """hess[a, c] = ∂_c ∂_a f from one call over the derivative ASTs."""
-        if self._hessian is None:
-            n = self.dimension
-            self._hessian = compile_fields(
-                [ScalarField(n, derivative(self.body, a),
-                             f"d/dx{a + 1}({self.source})")
-                 for a in range(n)], n)
-        return self._hessian(point)[1]
+        return self.code("hessian", _compile_hessian, self)(point)[1]
 
     def grad_dual(self, point) -> np.ndarray:
         """Gradient via the dual-number reference path."""
@@ -908,15 +913,7 @@ class ScalarField:
 
     def vectorized(self):
         """Bulk values over an (m, n) array; non-finite where undefined."""
-        if self._vec is None:
-            vec = compile_vectorized(self.body)
-
-            def safe(points):
-                with np.errstate(all="ignore"):
-                    return vec(np.asarray(points, dtype=float))
-
-            self._vec = safe
-        return self._vec
+        return self.code("vectorized", compile_vectorized, self.body)
 
 
 class CallableField:

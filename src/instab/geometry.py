@@ -88,24 +88,16 @@ class MetricSpec:
         return cls(dimension)
 
     @classmethod
-    def from_fields(cls, dimension, rows):
-        """Build from a full n x n nested sequence of scalar fields.
-
-        Entries below the diagonal are ignored; symmetry is by construction.
-        """
-        upper = {}
-        for i in range(dimension):
-            for j in range(i, dimension):
-                upper[(i, j)] = rows[i][j]
-        return cls(dimension, upper)
-
-    @classmethod
     def from_sources(cls, dimension, sources):
-        rows = [
-            [ScalarField.parse(src, dimension) for src in row]
-            for row in sources
-        ]
-        return cls.from_fields(dimension, rows)
+        """Build from a full n x n nested list of expression sources.
+
+        Every entry must parse; those below the diagonal are then ignored,
+        so symmetry is by construction.
+        """
+        rows = [[ScalarField.parse(src, dimension) for src in row]
+                for row in sources]
+        return cls(dimension, {(i, j): rows[i][j] for i in range(dimension)
+                               for j in range(i, dimension)})
 
     def entry(self, i, j):
         if self.euclidean:

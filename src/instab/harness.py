@@ -164,6 +164,8 @@ def load_problem(data, name=None) -> ProblemDefinition:
                 data = json.load(fh)
     except ValueError as exc:
         raise ValidationError(f"problem is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ValidationError(f"problem file cannot be read: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError("problem must be a JSON object")
     problems = []
@@ -472,12 +474,6 @@ class EscapeReport:
     certification: dict = field(default_factory=dict)
     escape: EscapeVerdict | None = None
 
-    def finest_ok_run(self):
-        for run in reversed(self.runs):
-            if run.status == "ok":
-                return run
-        return None
-
     def to_dict(self):
         return {
             "problem": self.problem,
@@ -505,6 +501,11 @@ def certification_probe(problem, seed=0, **settings):
         )
     except ValueError as exc:
         raise ValidationError(f"probe: {exc}") from exc
+
+
+def label_matches(expected, got):
+    """Whether a verdict matches its label; no label matches anything."""
+    return expected is None or got == expected
 
 
 def certification_verdict(problem, potential, magnetic):
@@ -607,7 +608,8 @@ def detect_escape(report) -> EscapeVerdict:
     [0, T] (the numerical surrogate for the limit curve); escape is
     demonstrated when every run crosses half that level before T.
     """
-    finest = report.finest_ok_run()
+    finest = next((r for r in reversed(report.runs) if r.status == "ok"),
+                  None)
     if finest is None:
         raise IntegrationError("no successful runs to detect escape on")
     drift_tolerance = DRIFT_FRACTION * report.cap_sq * report.horizon
@@ -668,6 +670,15 @@ def escape_outcome(report):
             initial_speeds=[])
         return "stable"
     return "unstable" if verdict.verdict.startswith("escape") else None
+
+
+def escape_entry(problem, tol=None, seed=0):
+    """The sweep report with escape detection, as ``instab escape`` prints
+    it: ``outcome`` and ``expected`` join the report's own keys."""
+    report = run_epsilon_sweep(problem, tol=tol, seed=seed)
+    outcome = escape_outcome(report)  # fills report.escape
+    return {**report.to_dict(), "outcome": outcome,
+            "expected": problem.expected}
 
 
 def _first_crossing(taus, values, target):
@@ -762,21 +773,13 @@ def run_all(seed=42, tol=None):
     and all_expected says whether every verdict matched its label.
     """
     reports = []
-    all_expected = True
     for problem in corpus():
-        report = run_epsilon_sweep(problem, tol=tol, seed=seed)
-        outcome = escape_outcome(report)
-        matched = (problem.expected is None or outcome == problem.expected)
-        expected_cert = problem.labels.get("certification")
-        if expected_cert is not None:
-            got = certification_verdict(
-                problem, report.certification.get("potential"),
-                report.certification.get("magnetic"))
-            matched = matched and (got == expected_cert)
-        all_expected = all_expected and matched
-        entry = report.to_dict()
-        entry["expected"] = problem.expected
-        entry["outcome"] = outcome
-        entry["matched"] = matched
+        entry = escape_entry(problem, tol=tol, seed=seed)
+        verdicts = entry["certification"]
+        got = certification_verdict(problem, verdicts.get("potential"),
+                                    verdicts.get("magnetic"))
+        entry["matched"] = (
+            label_matches(problem.expected, entry["outcome"])
+            and label_matches(problem.labels.get("certification"), got))
         reports.append(entry)
-    return reports, all_expected
+    return reports, all(entry["matched"] for entry in reports)

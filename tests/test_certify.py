@@ -1,6 +1,7 @@
 """Hypothesis certification: shell tables, verdicts, algebraic identities."""
 
 import collections
+import math
 
 import numpy as np
 import pytest
@@ -43,6 +44,20 @@ def test_probe_invariants():
         _probe("x3^2", "x1", delta_min=1e-2, delta_max=1e-3)
     with pytest.raises(ValueError):
         _probe("x3^2", "x1", samples=50)
+
+
+@pytest.mark.parametrize("setting, message", [
+    ({"radius": math.inf}, "radius"),
+    ({"delta_max": math.inf}, "delta_max"),
+    ({"seed": -1}, "seed"),
+    ({"seed": True}, "seed"),
+    ({"seed": 1.0}, "seed"),
+])
+def test_probe_rejects_settings_sampling_cannot_use(setting, message):
+    """An infinite band never ends its list of shells, an infinite ball
+    never samples one, and numpy seeds only non-negative integers."""
+    with pytest.raises(ValueError, match=message):
+        _probe("x3^2", "x1", **setting)
 
 
 def test_plane_potential_certified_with_zero_ratios():

@@ -404,3 +404,9 @@ def test_step_size_underflow_keeps_scipy_message():
 def test_tolerances_reject_non_positive_max_step():
     with pytest.raises(ValueError, match="max_step"):
         Tolerances(max_step=0.0)
+
+
+@pytest.mark.parametrize("kind", ["abs", "rel"])
+def test_tolerances_reject_non_finite_values(kind):
+    with pytest.raises(ValueError, match="finite"):
+        Tolerances(**{kind: math.inf})

@@ -86,6 +86,23 @@ def test_unknown_identifier_and_dimension():
         parse("y1", 3)
 
 
+def test_dimension_exceeded_names_its_position():
+    with pytest.raises(DimensionExceeded) as err:
+        parse("x1 +\n  x3", 2)
+    assert (err.value.line, err.value.column) == (2, 3)
+    assert str(err.value) == ("variable x3 exceeds declared dimension 2 "
+                              "at 2:3")
+
+
+def test_field_code_is_cached_under_one_key_each():
+    f = ScalarField.parse("x1^2 * x2", 2)
+    f.value_and_grad([1.0, 2.0])
+    f.hessian([1.0, 2.0])
+    vec = f.vectorized()
+    assert set(f.compiled) == {"value_grad", "hessian", "vectorized"}
+    assert f.vectorized() is vec
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         ScalarField.parse("1/x1", 1).eval([0.0])

@@ -54,6 +54,15 @@ def test_load_problem_aggregates_errors():
     assert any("zero-potential" in p for p in err.value.problems)
 
 
+@pytest.mark.parametrize("probe", [{"radius": float("inf")},
+                                   {"delta_max": float("inf")}])
+def test_load_problem_rejects_infinite_probe_settings(probe):
+    with pytest.raises(ValidationError) as err:
+        harness.load_problem(dict(UNSTABLE_PLANE, probe=probe))
+    assert err.value.problems[0].startswith("probe: ")
+    assert list(probe)[0] in err.value.problems[0]
+
+
 def test_load_problem_rejects_flat_candidate():
     bad = dict(UNSTABLE_PLANE, f="x3^2")
     with pytest.raises(ValidationError) as err:
@@ -168,7 +177,11 @@ def test_cli_corpus_list_and_show():
     data = json.loads(result.output)
     assert data["quasi_homogeneous"]["degree"] == 12
 
-    assert _run("corpus", "show", "nope").exit_code == 2
+    result = _run("corpus", "show", "nope")
+    assert result.exit_code == 2
+    assert json.loads(result.output) == {
+        "error": ["no corpus entry 'nope'"], "phase": "show",
+        "problem": "nope"}
 
 
 def test_cli_certify_verdicts_and_exit_codes():
@@ -248,6 +261,13 @@ _BOGUS_PROBE = dict(UNSTABLE_PLANE, probe={"bogus": 1})
     (UNSTABLE_PLANE, ["sweep", "--eps", "abc"], "--eps"),
     (UNSTABLE_PLANE, ["sweep", "--tol-abs", "0"], "--tol-abs"),
     (UNSTABLE_PLANE, ["escape", "--tol-rel", "0"], "--tol-rel"),
+    (UNSTABLE_PLANE, ["sweep", "--tol-abs", "inf"], "--tol-abs"),
+    (UNSTABLE_PLANE, ["escape", "--tol-rel", "inf"], "--tol-rel"),
+    (UNSTABLE_PLANE, ["certify", "--radius", "inf"], "radius"),
+    (UNSTABLE_PLANE, ["certify", "--seed", "-1"], "seed"),
+    (UNSTABLE_PLANE, ["escape", "--seed", "-1"], "seed"),
+    (UNSTABLE_PLANE, ["sweep", "--seed", "-1"], "seed"),
+    (UNSTABLE_PLANE, ["certify", "--out", __file__], "--out"),  # a file
 ])
 def test_cli_invalid_input_exits_2(tmp_path, spec, args, field):
     path = tmp_path / "problem.json"
@@ -255,6 +275,20 @@ def test_cli_invalid_input_exits_2(tmp_path, spec, args, field):
     result = _run(args[0], str(path), *args[1:])
     assert result.exit_code == 2, result.output
     assert field in " ".join(json.loads(result.output)["error"])
+
+
+def test_cli_run_all_rejects_negative_seed():
+    result = _run("corpus", "run-all", "--seed", "-1")
+    assert result.exit_code == 2, result.output
+    report = json.loads(result.output)
+    assert report["phase"] == "run-all" and report["problem"] is None
+    assert "seed" in " ".join(report["error"])
+
+
+def test_cli_problem_directory_exits_2(tmp_path):
+    result = _run("certify", str(tmp_path))
+    assert result.exit_code == 2, result.output
+    assert "cannot be read" in " ".join(json.loads(result.output)["error"])
 
 
 def test_cli_overflow_exits_3(tmp_path):
