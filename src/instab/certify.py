@@ -7,8 +7,12 @@ values, and the verdict is "certified" when the shell maxima stay bounded,
 "refuted" when they grow across consecutive decades (with a witness point),
 and "inconclusive" otherwise.
 
-Both certifiers read one evaluated table per probe: each shell is drawn
-once, and grad f, U and dU are evaluated once at each of its points.
+Each shell is filled by projecting uniform starts of the probe ball onto
+level sets of U with Newton steps, so its points are not uniform in the
+shell; the statistics are suprema over the shell, for which coverage
+counts, not density. Both certifiers read one evaluated table per probe:
+each shell is drawn once, and grad f, U and dU are evaluated once at each
+of its points.
 GradientTooSmall names the first point where |grad f| is below the floor.
 
 Lie brackets and the pullback form's derivatives are exact up to rounding:
@@ -23,7 +27,13 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, EmptyShell, InstabError, NonFiniteResult
+from .errors import (
+    DomainError,
+    EmptyShell,
+    InstabError,
+    NonFiniteResult,
+    format_point,
+)
 from .expr import Bin, Num, ScalarField, Var, derivative, substitute
 from .geometry import (
     GRADIENT_FLOOR,
@@ -38,7 +48,9 @@ from .geometry import (
 )
 
 MAX_ATTEMPTS_PER_SHELL = 1_000_000
-_BATCH = 50_000
+_NEWTON_STEPS = 40  # Newton steps of a start projected onto a level set
+_NEWTON_TOL = 1e-3  # relative miss |U - t| / t at which a start stops
+_NEAR_STARTS = 64  # starts projected below the first shell's floor
 _ZERO_FORM_RADIUS = 0.5  # half-width of the box _is_zero_form samples
 
 EULER_TOL = 1e-9  # Euler-identity residual of a quasi-homogeneous U
@@ -96,6 +108,7 @@ class HypothesisProbe:
 class ShellRow:
     delta: float
     count: int
+    attempts: int  # starts projected to fill the shell
     max_ratio: float
     mean_ratio: float
     witness: list
@@ -123,31 +136,79 @@ def _ball_points(probe, rng, count):
     return probe.center + directions * radii[:, None]
 
 
-def _sample_shell(probe, delta, shell_index):
-    """Rejection-sample points of the probe ball with U in [delta, 10 delta].
+def _project(probe, points, targets):
+    """Newton steps x <- x - (U - t) grad U / |grad U|^2 toward U = t.
 
-    Returns (points, attempts, near_zero_points); the latter are a few
-    points with U below the shell floor, kept for near-locus diagnostics.
-    ``points`` is empty when no draw fell in the shell.
+    A point stops once |U - t| <= _NEWTON_TOL * t, once U is not finite, or
+    after _NEWTON_STEPS steps; each step evaluates only the points still
+    moving. Returns the points and U at them.
+    """
+    u_vec = probe.potential.vectorized()
+    grad_vec = probe.potential.vectorized_gradient()
+    points = points.copy()
+    values = u_vec(points)
+    moving = np.arange(len(points))
+    for _ in range(_NEWTON_STEPS):
+        miss = values[moving] - targets[moving]
+        going = np.isfinite(miss) & (np.abs(miss) > _NEWTON_TOL
+                                     * targets[moving])
+        moving, miss = moving[going], miss[going]
+        if not len(moving):
+            break
+        grads = grad_vec(points[moving])
+        with np.errstate(all="ignore"):
+            step = (miss / np.einsum("ij,ij->i", grads, grads))[:, None]
+            points[moving] -= step * grads
+        values[moving] = u_vec(points[moving])
+    return points, values
+
+
+def _draw(probe, rng, count, low, high):
+    """``count`` starts of the ball projected onto U = t, t log-uniform in
+    [low, high]: the finite points that stay in the ball, and U at them."""
+    starts = _ball_points(probe, rng, count)
+    targets = low * (high / low) ** rng.random(count)
+    points, values = _project(probe, starts, targets)
+    with np.errstate(all="ignore"):
+        inside = np.linalg.norm(points - probe.center, axis=1) <= probe.radius
+    return points[inside], values[inside]
+
+
+def _sample_shell(probe, delta, shell_index):
+    """Points of the probe ball with U in [delta, 10 delta], by projection.
+
+    Each round projects 2 * samples uniform starts of the ball onto level
+    sets U = t, t log-uniform in the shell, and keeps the points that land
+    in the shell and the ball. Sampling stops at ``samples`` points, after
+    a round that keeps none or at MAX_ATTEMPTS_PER_SHELL starts. The
+    points are not uniform in the shell; the certifiers take the supremum
+    of a ratio over them, for which coverage of the shell is what counts.
+
+    Returns (points, attempts, near_zero_points): ``attempts`` counts the
+    starts projected, and shell 0 alone also projects _NEAR_STARTS starts
+    to below its floor and keeps up to 32 with 0 <= U < delta for
+    near-locus diagnostics. ``points`` is empty when no start reached the
+    shell.
     """
     rng = np.random.default_rng([probe.seed, shell_index])
-    u_vec = probe.potential.vectorized()
     accepted = []
+    kept = attempts = 0
+    while kept < probe.samples and attempts < MAX_ATTEMPTS_PER_SHELL:
+        points, values = _draw(probe, rng, 2 * probe.samples,
+                               delta, 10.0 * delta)
+        attempts += 2 * probe.samples
+        points = points[(values >= delta) & (values <= 10.0 * delta)]
+        if not len(points):
+            break
+        accepted.append(points)
+        kept += len(points)
     near = []
-    attempts = 0
-    while sum(len(a) for a in accepted) < probe.samples \
-            and attempts < MAX_ATTEMPTS_PER_SHELL:
-        points = _ball_points(probe, rng, _BATCH)
-        values = u_vec(points)
-        with np.errstate(invalid="ignore"):
-            mask = np.isfinite(values) & (values >= delta) \
-                & (values <= 10.0 * delta)
-            low = np.isfinite(values) & (values >= 0) & (values < delta)
-        accepted.append(points[mask])
-        if len(near) < 32:
-            near.extend(points[low][:8])
-        attempts += _BATCH
-    return np.concatenate(accepted)[:probe.samples], attempts, near
+    if shell_index == 0:
+        points, values = _draw(probe, rng, _NEAR_STARTS, delta / 10.0, delta)
+        near = list(points[(values >= 0) & (values < delta)][:32])
+    points = np.concatenate(accepted) if accepted \
+        else np.empty((0, len(probe.center)))
+    return points[:probe.samples], attempts, near
 
 
 # consecutive shells whose growing maxima refute a condition
@@ -178,12 +239,12 @@ def _evaluated_shells(probe):
     """The filled shells, skipped deltas and shell 0's near-locus points.
 
     Made once per probe; an error in making them is kept and raised again.
-    Each filled shell is (delta, points, [(grad f, U, dU) per point]); at
-    each point grad f comes first, and GradientTooSmall names the first
-    point where |grad f| is below the floor. A shell with no sample is
-    skipped while enough filled shells remain for a refutation window;
-    otherwise it raises EmptyShell, since fewer shells would certify any
-    ratios.
+    Each filled shell is (delta, attempts, points, [(grad f, U, dU) per
+    point]); at each point grad f comes first, and GradientTooSmall names
+    the first point where |grad f| is below the floor. A shell with no
+    sample is skipped while enough filled shells remain for a refutation
+    window; otherwise it raises EmptyShell, since fewer shells would
+    certify any ratios.
     """
     if probe._table is None:
         try:
@@ -206,17 +267,17 @@ def _shell_table(probe):
                 raise EmptyShell(delta, attempts)
             skipped.append(float(delta))
             continue
-        shells.append((float(delta), points, [
+        shells.append((float(delta), attempts, points, [
             (gradient_data(probe.metric, probe.f, x, GRADIENT_FLOOR)[1],
              *probe.potential.value_and_grad(x)) for x in points]))
     return shells, skipped, drawn[0][2]
 
 
-def _row(delta, points, ratios):
+def _row(delta, attempts, points, ratios):
     """A shell's row for one ratio per point."""
     column = np.array(ratios, dtype=float)
     worst = int(np.argmax(column))
-    return ShellRow(delta=delta, count=len(points),
+    return ShellRow(delta=delta, count=len(points), attempts=attempts,
                     max_ratio=float(column[worst]),
                     mean_ratio=float(column.mean()),
                     witness=[float(c) for c in points[worst]])
@@ -259,8 +320,9 @@ def _potential_ratio(grad, u_val, du):
 def certify_potential_condition(probe) -> ConditionReport:
     """Shell test of |dU(grad f)| / U staying bounded near the locus."""
     shells, skipped, _near = _evaluated_shells(probe)
-    rows = [_row(delta, points, [_potential_ratio(*at) for at in table])
-            for delta, points, table in shells]
+    rows = [_row(delta, attempts, points,
+                 [_potential_ratio(*at) for at in table])
+            for delta, attempts, points, table in shells]
     return _report(probe, "dU(grad f) = O(U)", rows, skipped, {})
 
 
@@ -291,11 +353,11 @@ def certify_magnetic_condition(probe) -> ConditionReport:
 
     shells, skipped, near = _evaluated_shells(probe)
     rows, full_rows = [], []
-    for delta, points, table in shells:
+    for delta, attempts, points, table in shells:
         contracted, full = zip(*(ratios(x, *at)
                                  for x, at in zip(points, table)))
-        rows.append(_row(delta, points, contracted))
-        full_rows.append(_row(delta, points, full))
+        rows.append(_row(delta, attempts, points, contracted))
+        full_rows.append(_row(delta, attempts, points, full))
     full_verdict, _full_worst = _verdict_from_shells(full_rows)
 
     # characteristic-equation diagnostics on near-locus samples
@@ -423,6 +485,8 @@ def check_orthogonal_commuting(metric, fields, seed=0, box=0.5,
     At 64 points drawn uniformly from the box around ``center``, each Lie
     bracket [X_i, X_j] = DX_j·X_i − DX_i·X_j of the normalized gradient
     fields comes from their exact Jacobians, so it is exact up to rounding.
+    A non-finite inner product or bracket raises NonFiniteResult naming
+    the point, since neither can certify.
     """
     n = fields[0].dimension
     offset = np.zeros(n) if center is None else np.asarray(center, float)
@@ -439,6 +503,11 @@ def check_orthogonal_commuting(metric, fields, seed=0, box=0.5,
             inner = abs(float(grads[i] @ g @ grads[j]))
             (vec_i, dvec_i), (vec_j, dvec_j) = flows[i], flows[j]
             norm = float(np.linalg.norm(dvec_j @ vec_i - dvec_i @ vec_j))
+            if not math.isfinite(inner + norm):
+                raise NonFiniteResult(
+                    f"inner product or Lie bracket of level functions "
+                    f"{i + 1} and {j + 1} is not finite at point "
+                    f"{format_point(x)}")
             if inner > max_inner or norm > max_bracket:
                 max_inner = max(max_inner, inner)
                 max_bracket = max(max_bracket, norm)

@@ -841,6 +841,17 @@ def _compile_hessian(fld):
                            for a in range(n)], n)
 
 
+def _compile_vectorized_gradient(fld):
+    """``compile_vectorized`` over the partials of ``fld``, as columns."""
+    columns = [compile_vectorized(derivative(fld.body, a))
+               for a in range(fld.dimension)]
+
+    def gradients(points):
+        return np.stack([column(points) for column in columns], axis=1)
+
+    return gradients
+
+
 class ScalarField:
     """A differentiable map from n coordinates to a real number."""
 
@@ -865,8 +876,10 @@ class ScalarField:
 
     def code(self, key, build, *args):
         """The field's generated code under ``key``, made once by
-        ``build(*args)``: its value+gradient, numpy and Hessian functions,
-        and the motion and flow kernels of which it is the first field."""
+        ``build(*args)``: its value+gradient (``value_grad``), numpy
+        (``vectorized``), numpy gradient (``vectorized_gradient``) and
+        Hessian (``hessian``) functions, and the motion and flow kernels of
+        which it is the first field."""
         code = self.compiled.get(key)
         if code is None:
             code = self.compiled[key] = build(*args)
@@ -914,6 +927,14 @@ class ScalarField:
     def vectorized(self):
         """Bulk values over an (m, n) array; non-finite where undefined."""
         return self.code("vectorized", compile_vectorized, self.body)
+
+    def vectorized_gradient(self):
+        """Bulk gradients, (m, n) over an (m, n) array of points: one numpy
+        function per partial AST. A partial may be finite where the field
+        is not (d/dx ln(x) = 1/x), so use it where ``vectorized`` is
+        finite."""
+        return self.code("vectorized_gradient", _compile_vectorized_gradient,
+                         self)
 
 
 class CallableField:

@@ -519,8 +519,11 @@ def certification_verdict(problem, potential, magnetic):
     return potential
 
 
-def _certification_verdicts(problem, seed=0):
-    probe = certification_probe(problem, seed=seed)
+def _certification_verdicts(problem, seed=0, probe=None):
+    """Both certifiers' verdicts on ``probe``, by default the problem's
+    certification probe at ``seed``; an error becomes its message."""
+    if probe is None:
+        probe = certification_probe(problem, seed=seed)
     out = {}
     for kind, certifier in (
             ("potential", _certify.certify_potential_condition),
@@ -539,8 +542,11 @@ def run_epsilon_sweep(problem, tol=None, seed=0,
     Initial data is x(0) = p, v(0) = grad_rho f(p) for every epsilon; each
     run is checked against the confinement bounds and the universal initial
     drift df(v(0)) = |grad f(p)|^2. Failures of individual runs are
-    recorded and the sweep continues.
+    recorded and the sweep continues. The certification probe is built
+    first, so a bad probe setting fails before any integration.
     """
+    probe = (certification_probe(problem, seed=seed) if with_certification
+             else None)
     tol = tol or Tolerances()
     df, grad, cap_sq = problem.gradient_data()
     f_center = problem.f.eval(problem.center)
@@ -588,7 +594,7 @@ def run_epsilon_sweep(problem, tol=None, seed=0,
 
     certification = {}
     if with_certification:
-        certification = _certification_verdicts(problem, seed=seed)
+        certification = _certification_verdicts(problem, probe=probe)
 
     return EscapeReport(
         problem=problem.name,

@@ -18,7 +18,7 @@ from instab.certify import (
     check_quasi_homogeneous,
 )
 from instab.charts import BaseSurfaceMap, build_multi_chart
-from instab.errors import EmptyShell, GradientTooSmall
+from instab.errors import EmptyShell, GradientTooSmall, NonFiniteResult
 from instab.expr import ScalarField
 from instab.geometry import MetricSpec, OneForm, magnetic_tensor
 
@@ -166,8 +166,11 @@ def test_empty_shell_reported():
     # potential bounded by 1e-8 in the ball; delta = 1e-2 is unreachable
     probe = _probe("(x1^2 + x2^2 + x3^2)^4", "x1", radius=0.1,
                    delta_min=1e-2, delta_max=2e-2, seed=11)
-    with pytest.raises(EmptyShell):
+    with pytest.raises(EmptyShell) as raised:
         certify_potential_condition(probe)
+    # one round of starts that keeps no point ends the shell
+    assert raised.value.attempts == 2 * probe.samples
+    assert raised.value.attempts < certify.MAX_ATTEMPTS_PER_SHELL
 
 
 def test_too_few_filled_shells_reported(monkeypatch):
@@ -187,10 +190,50 @@ def test_too_few_filled_shells_reported(monkeypatch):
         certify_potential_condition(probe)
 
 
+def test_codimension_two_shells_fill():
+    # U vanishes on the x3 axis, so the 1e-7 shell is a thin tube holding
+    # about 5e-6 of the ball's volume; projection fills it all the same
+    probe = _probe("x1^2 + x2^2", "x3", radius=0.5)
+    report = certify_potential_condition(probe)
+    assert [s.delta for s in report.shells] == pytest.approx(
+        [1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2])
+    assert [s.count for s in report.shells] == [200] * 6
+    shells, _skipped, _near = probe._table
+    for delta, attempts, points, _table in shells:
+        assert attempts < certify.MAX_ATTEMPTS_PER_SHELL
+        values = probe.potential.vectorized()(points)
+        assert np.all((values >= delta) & (values <= 10 * delta))
+        assert np.all(np.linalg.norm(points, axis=1) <= 0.5)
+
+
+@pytest.mark.parametrize("seed", [2, 14, 23, 60, 62, 63, 86])
 @pytest.mark.parametrize("name", ["corollary1-unstable-magnetic",
                                   "corollary1-mechanical"])
-def test_empty_shell_skipped(name):
-    # at probe seed 2 no draw lands in the 1e-7 shell; the other five decide
+def test_corollary_shells_full_at_formerly_starved_seeds(name, seed):
+    problem = harness.corpus_entry(name)
+    probe = harness.certification_probe(problem, seed=seed)
+    potential = certify_potential_condition(probe)
+    magnetic = certify_magnetic_condition(probe)
+    for report in (potential, magnetic):
+        assert "empty_shells" not in report.notes
+    assert [s.count for s in potential.shells] == [200] * 6
+    verdict = harness.certification_verdict(problem, potential.verdict,
+                                            magnetic.verdict)
+    assert verdict == problem.labels["certification"]
+
+
+@pytest.mark.parametrize("name", ["corollary1-unstable-magnetic",
+                                  "corollary1-mechanical"])
+def test_empty_shell_skipped(name, monkeypatch):
+    # a 1e-7 shell with no sample is skipped; the other five decide
+    sample = certify._sample_shell
+
+    def starved(probe, delta, j):
+        points, attempts, near = sample(probe, delta, j)
+        return (points[:0], attempts, near) if j == 0 else (
+            points, attempts, near)
+
+    monkeypatch.setattr(certify, "_sample_shell", starved)
     problem = harness.corpus_entry(name)
     probe = harness.certification_probe(problem, seed=2)
     potential = certify_potential_condition(probe)
@@ -236,7 +279,8 @@ def test_each_shell_point_evaluated_once(monkeypatch):
     certify_potential_condition(probe)
     certify_magnetic_condition(probe)
     shells, _skipped, _near = probe._table
-    points = sum(len(points) for _delta, points, _evaluated in shells)
+    points = sum(len(points) for _delta, _attempts, points, _evaluated
+                 in shells)
     assert calls[True] == points
 
 
@@ -284,6 +328,17 @@ def test_commuting_certified_cases():
 
     trivial = [ScalarField.parse("x1", 3), ScalarField.parse("x2", 3)]
     assert check_orthogonal_commuting(E3, trivial, seed=0).certified
+
+
+def test_commuting_rejects_non_finite_bracket(monkeypatch):
+    # a nan bracket fails both "greater than" tests; it must not certify
+    def nan_flow(metric, fld, x, floor):
+        return np.full(len(x), np.nan), np.full((len(x), len(x)), np.nan)
+
+    monkeypatch.setattr(certify, "normalized_gradient_jacobian", nan_flow)
+    fields = [ScalarField.parse("x1", 2), ScalarField.parse("x2", 2)]
+    with pytest.raises(NonFiniteResult, match="at point"):
+        check_orthogonal_commuting(E2, fields, seed=0)
 
 
 def test_commuting_refuted_on_oblique_pair():

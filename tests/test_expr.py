@@ -99,8 +99,10 @@ def test_field_code_is_cached_under_one_key_each():
     f.value_and_grad([1.0, 2.0])
     f.hessian([1.0, 2.0])
     vec = f.vectorized()
-    assert set(f.compiled) == {"value_grad", "hessian", "vectorized"}
-    assert f.vectorized() is vec
+    grad = f.vectorized_gradient()
+    assert set(f.compiled) == {"value_grad", "hessian", "vectorized",
+                               "vectorized_gradient"}
+    assert f.vectorized() is vec and f.vectorized_gradient() is grad
 
 
 def test_domain_errors():
@@ -170,8 +172,11 @@ def test_vectorized_matches_scalar():
     rng = np.random.default_rng(5)
     pts = rng.uniform(-2, 2, (64, 2))
     bulk = f.vectorized()(pts)
-    for row, value in zip(pts, bulk):
+    grads = f.vectorized_gradient()(pts)
+    assert grads.shape == (64, 2)
+    for row, value, grad in zip(pts, bulk, grads):
         assert value == pytest.approx(f.eval(row))
+        assert grad == pytest.approx(f.grad(row))
 
 
 def test_vectorized_nan_on_domain_error():

@@ -285,6 +285,21 @@ def test_cli_run_all_rejects_negative_seed():
     assert "seed" in " ".join(report["error"])
 
 
+@pytest.mark.parametrize("args", [
+    ["escape", "stable-magnetic-plane"],
+    ["sweep", "stable-magnetic-plane"],
+    ["corpus", "run-all"],
+])
+def test_cli_bad_seed_rejected_before_integration(monkeypatch, args):
+    def integrate(*_args, **_kwargs):
+        raise AssertionError("integrated before the seed was checked")
+
+    monkeypatch.setattr(harness, "integrate", integrate)
+    result = _run(*args, "--seed", "-1")
+    assert result.exit_code == 2, result.output
+    assert "seed" in " ".join(json.loads(result.output)["error"])
+
+
 def test_cli_problem_directory_exits_2(tmp_path):
     result = _run("certify", str(tmp_path))
     assert result.exit_code == 2, result.output
