@@ -11,9 +11,13 @@ Each shell is filled by projecting uniform starts of the probe ball onto
 level sets of U with Newton steps, so its points are not uniform in the
 shell; the statistics are suprema over the shell, for which coverage
 counts, not density. Both certifiers read one evaluated table per probe:
-each shell is drawn once, and grad f, U and dU are evaluated once at each
-of its points.
-GradientTooSmall names the first point where |grad f| is below the floor.
+each shell is drawn once and evaluated in one numpy pass per field, and
+the ratios and the Euler residual are column arithmetic over those
+passes. The scalar path names the first bad point: a row where a value or
+a partial is not finite, the metric is not invertible or |grad f| is below
+the floor is evaluated again point by point, which raises the error there
+(GradientTooSmall where |grad f| is below the floor) or supplies the row.
+Each row keeps the bits of the point-by-point evaluation.
 
 Lie brackets and the pullback form's derivatives are exact up to rounding:
 both are compiled from derivative ASTs.
@@ -44,6 +48,7 @@ from .geometry import (
     magnetic_tensor,
     normalized_gradient_jacobian,
     riemannian_gradient,
+    rowdot,
     two_form_norm,
 )
 
@@ -239,12 +244,13 @@ def _evaluated_shells(probe):
     """The filled shells, skipped deltas and shell 0's near-locus points.
 
     Made once per probe; an error in making them is kept and raised again.
-    Each filled shell is (delta, attempts, points, [(grad f, U, dU) per
-    point]); at each point grad f comes first, and GradientTooSmall names
-    the first point where |grad f| is below the floor. A shell with no
-    sample is skipped while enough filled shells remain for a refutation
-    window; otherwise it raises EmptyShell, since fewer shells would
-    certify any ratios.
+    Each filled shell is (delta, attempts, points, (grad f, U, dU, g^-1)),
+    its columns from one numpy pass per field (``_evaluate``); the scalar
+    path names the first bad point, grad f before U at each point, as
+    GradientTooSmall names the first point where |grad f| is below the
+    floor. A shell with no sample is skipped while enough filled shells
+    remain for a refutation window; otherwise it raises EmptyShell, since
+    fewer shells would certify any ratios.
     """
     if probe._table is None:
         try:
@@ -267,15 +273,94 @@ def _shell_table(probe):
                 raise EmptyShell(delta, attempts)
             skipped.append(float(delta))
             continue
-        shells.append((float(delta), attempts, points, [
-            (gradient_data(probe.metric, probe.f, x, GRADIENT_FLOOR)[1],
-             *probe.potential.value_and_grad(x)) for x in points]))
+        shells.append((float(delta), attempts, points,
+                       _evaluate(probe, points)))
     return shells, skipped, drawn[0][2]
 
 
-def _row(delta, attempts, points, ratios):
+def _columns(fld, points):
+    """The value column and gradient rows of ``fld`` at (m, n) ``points``,
+    one numpy pass each, and the mask of rows where a value or a partial
+    is not finite: there the scalar path may raise."""
+    values = fld.vectorized()(points)
+    grads = fld.vectorized_gradient()(points)
+    return values, grads, ~(np.isfinite(values)
+                            & np.isfinite(grads).all(axis=1))
+
+
+def _mend(points, bad, scalar, columns, skip=()):
+    """Give each bad row of ``columns``, in order, the row ``scalar(x)``.
+
+    ``scalar`` is the scalar path at one point: it raises the error that
+    path raises there, or supplies the row. A row where it raises one of
+    ``skip`` stays bad. Returns the mask of rows still bad.
+    """
+    for k in np.flatnonzero(bad):
+        try:
+            row = scalar(points[k])
+        except skip:
+            continue
+        for column, value in zip(columns, row):
+            column[k] = value
+        bad[k] = False
+    return bad
+
+
+def _gradient_rows(metric, f, points):
+    """grad f, |grad f|^2 and g^-1 rows at (m, n) ``points``, and the mask
+    of bad rows (see ``_columns``).
+
+    g^-1 is MetricSpec.inverse at each point not yet bad, the identity on
+    a Euclidean metric; a row where it raises turns bad, as does one where
+    |grad f|^2 is not finite.
+    """
+    _values, df, bad = _columns(f, points)
+    m, n = points.shape
+    if metric.euclidean:
+        inverse, grad = np.tile(np.eye(n), (m, 1, 1)), df
+    else:
+        inverse = np.full((m, n, n), np.nan)
+        for k in np.flatnonzero(~bad):
+            try:
+                inverse[k] = metric.inverse(points[k])
+            except InstabError:
+                bad[k] = True
+        grad = (inverse @ df[:, :, None])[:, :, 0]
+    norm_sq = rowdot(df, grad)
+    return grad, norm_sq, inverse, bad | ~np.isfinite(norm_sq)
+
+
+def _evaluate(probe, points):
+    """(grad f, U, dU, g^-1) rows at a shell's points; a bad row, or one
+    where |grad f| is below the floor, from the scalar path."""
+    metric = probe.metric
+    grad, norm_sq, inverse, bad = _gradient_rows(metric, probe.f, points)
+    u, du, bad_u = _columns(probe.potential, points)
+    bad |= bad_u | (norm_sq < GRADIENT_FLOOR ** 2)
+
+    def scalar(x):
+        grad_x = gradient_data(metric, probe.f, x, GRADIENT_FLOOR)[1]
+        return (grad_x, *probe.potential.value_and_grad(x),
+                metric.inverse(x))
+
+    _mend(points, bad, scalar, (grad, u, du, inverse))
+    return grad, u, du, inverse
+
+
+def _tensor_rows(form, points):
+    """magnetic_tensor at each of (m, n) ``points`` from one numpy pass per
+    component, and the mask of bad rows (see ``_columns``)."""
+    m, n = points.shape
+    jac = np.empty((m, n, n))  # jac[k, b, a] = ∂_a A_b at point k
+    bad = np.zeros(m, dtype=bool)
+    for b, component in enumerate(form.components):
+        _values, jac[:, b], bad_b = _columns(component, points)
+        bad |= bad_b
+    return jac.transpose(0, 2, 1) - jac, bad
+
+
+def _row(delta, attempts, points, column):
     """A shell's row for one ratio per point."""
-    column = np.array(ratios, dtype=float)
     worst = int(np.argmax(column))
     return ShellRow(delta=delta, count=len(points), attempts=attempts,
                     max_ratio=float(column[worst]),
@@ -310,19 +395,17 @@ def _report(probe, condition, shells, skipped, notes, magnetic=False):
     return report
 
 
-def _potential_ratio(grad, u_val, du):
-    if u_val <= 0:
-        return math.inf
-    num = float(guard_cancellation(du @ grad, np.abs(du) @ np.abs(grad)))
-    return abs(num) / u_val
-
-
 def certify_potential_condition(probe) -> ConditionReport:
-    """Shell test of |dU(grad f)| / U staying bounded near the locus."""
+    """Shell test of |dU(grad f)| / U staying bounded near the locus; a
+    sum within rounding noise of zero (guard_cancellation) is zero."""
     shells, skipped, _near = _evaluated_shells(probe)
-    rows = [_row(delta, attempts, points,
-                 [_potential_ratio(*at) for at in table])
-            for delta, attempts, points, table in shells]
+    rows = []
+    for delta, attempts, points, (grad, u, du, _inverse) in shells:
+        num = guard_cancellation(rowdot(du, grad),
+                                 rowdot(np.abs(du), np.abs(grad)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(u <= 0, math.inf, np.abs(num) / u)
+        rows.append(_row(delta, attempts, points, ratios))
     return _report(probe, "dU(grad f) = O(U)", rows, skipped, {})
 
 
@@ -331,7 +414,9 @@ def certify_magnetic_condition(probe) -> ConditionReport:
 
     Also tabulates the stronger full-norm condition |d mu| = O(sqrt U) and
     reports whether the magnetic field vanishes on near-locus samples.
-    Both ratios at a point share one magnetic tensor.
+    Both ratios at a point share one magnetic tensor, whose rows come from
+    one numpy pass per component; a bad row from magnetic_tensor itself,
+    which is not evaluated where U <= 0 and both ratios are inf.
     """
     condition = "|iota_{grad f} d mu| = O(sqrt U)"
     mu = probe.magnetic
@@ -339,32 +424,36 @@ def certify_magnetic_condition(probe) -> ConditionReport:
         return ConditionReport(condition, CERTIFIED, [], 0.0, notes={
             "trivial": True, "magnetic_field_on_locus": "zero"})
 
-    def norms(x, grad):
-        """|iota_grad d mu| and |d mu| at x from one magnetic tensor."""
-        tensor = magnetic_tensor(mu, x)
-        return (contracted_form_norm(probe.metric, tensor, grad, x),
-                two_form_norm(probe.metric, tensor, x))
-
-    def ratios(x, grad, u_val, _du):
-        if u_val <= 0:
-            return math.inf, math.inf
-        root = math.sqrt(u_val)
-        return tuple(norm / root for norm in norms(x, grad))
-
     shells, skipped, near = _evaluated_shells(probe)
     rows, full_rows = [], []
-    for delta, attempts, points, table in shells:
-        contracted, full = zip(*(ratios(x, *at)
-                                 for x, at in zip(points, table)))
+    for delta, attempts, points, (grad, u, _du, inverse) in shells:
+        tensors, bad = _tensor_rows(mu, points)
+        _mend(points, bad & (u > 0), lambda x: (magnetic_tensor(mu, x),),
+              (tensors,))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root = np.sqrt(u)
+            contracted, full = (
+                np.where(u <= 0, math.inf, norm / root) for norm in (
+                    contracted_form_norm(inverse, tensors, grad),
+                    two_form_norm(inverse, tensors)))
         rows.append(_row(delta, attempts, points, contracted))
         full_rows.append(_row(delta, attempts, points, full))
     full_verdict, _full_worst = _verdict_from_shells(full_rows)
 
-    # characteristic-equation diagnostics on near-locus samples
-    near_norms = [norms(x, riemannian_gradient(probe.metric, probe.f, x))
-                  for x in near]
-    contracted_near = max([0.0] + [c for c, _dmu in near_norms])
-    dmu_near_min = min([math.inf] + [dmu for _c, dmu in near_norms])
+    # characteristic-equation diagnostics on near-locus samples, grad f
+    # before the tensor at each point; fmax and fmin skip a nan norm
+    near = np.reshape(near, (-1, len(probe.center)))
+    grad, _norm_sq, inverse, bad = _gradient_rows(probe.metric, probe.f,
+                                                  near)
+    tensors, bad_tensor = _tensor_rows(mu, near)
+    _mend(near, bad | bad_tensor, lambda x: (
+        riemannian_gradient(probe.metric, probe.f, x),
+        probe.metric.inverse(x), magnetic_tensor(mu, x)),
+        (grad, inverse, tensors))
+    contracted_near = np.fmax.reduce(
+        contracted_form_norm(inverse, tensors, grad), initial=0.0)
+    dmu_near_min = np.fmin.reduce(two_form_norm(inverse, tensors),
+                                  initial=math.inf)
     notes = {
         "full_norm_verdict": full_verdict,
         "full_norm_shells": [asdict(s) for s in full_rows],
@@ -396,22 +485,25 @@ def _proof_constants(probe):
     """(m_grad, m_quad, |grad f(center)|^2), sampled once per probe.
 
     m_grad is the smallest |grad f| and m_quad the largest metric
-    eigenvalue (at least 1) over points of the probe ball.
+    eigenvalue (at least 1) over points of the probe ball, skipping a
+    point where the scalar path raises DomainError or NonFiniteResult.
     """
     if probe._constants is None:
+        metric = probe.metric
         rng = np.random.default_rng([probe.seed, 9999])
-        m_grad = math.inf
+        points = _ball_points(probe, rng, 64)
+        grad, norm_sq, _inverse, bad = _gradient_rows(metric, probe.f,
+                                                      points)
+        bad = _mend(points, bad, lambda x: gradient_data(
+            metric, probe.f, x)[1:], (grad, norm_sq),
+            skip=(DomainError, NonFiniteResult))
+        m_grad = math.sqrt(max(np.min(norm_sq[~bad], initial=math.inf),
+                               0.0))
         m_quad = 1.0
-        for x in _ball_points(probe, rng, 64):
-            try:
-                _df, _grad, norm_sq = gradient_data(probe.metric, probe.f, x)
-                m_grad = min(m_grad, math.sqrt(max(norm_sq, 0.0)))
-                if not probe.metric.euclidean:
-                    m_quad = max(m_quad, float(np.max(
-                        np.linalg.eigvalsh(probe.metric.value(x)))))
-            except (DomainError, NonFiniteResult):
-                continue
-        cap_sq = gradient_data(probe.metric, probe.f, probe.center)[2]
+        if not metric.euclidean and not bad.all():
+            m_quad = max(m_quad, float(np.max(np.linalg.eigvalsh(
+                [metric.value(x) for x in points[~bad]]))))
+        cap_sq = gradient_data(metric, probe.f, probe.center)[2]
         probe._constants = m_grad, m_quad, cap_sq
     return probe._constants
 
@@ -449,15 +541,15 @@ def check_quasi_homogeneous(potential, spec, samples=1000, seed=0,
     n = potential.dimension
     rng = np.random.default_rng(seed)
     points = rng.uniform(-box, box, size=(samples, n))
-    worst = 0.0
-    witness = None
-    for x in points:
-        u_val, du = potential.value_and_grad(x)
-        residual = abs(float(spec.weights @ (x * du)) - spec.degree * u_val)
-        residual /= 1.0 + abs(u_val)
-        if residual > worst:
-            worst = residual
-            witness = [float(c) for c in x]
+    u, du, bad = _columns(potential, points)
+    _mend(points, bad, potential.value_and_grad, (u, du))
+    weights = np.broadcast_to(spec.weights, du.shape)
+    residual = np.abs(rowdot(weights, points * du) - spec.degree * u)
+    residual /= 1.0 + np.abs(u)
+    residual = np.fmax(residual, 0.0)  # a nan residual counts as none
+    worst = float(residual.max(initial=0.0))
+    witness = None if worst == 0.0 else [
+        float(c) for c in points[np.argmax(residual)]]
     return QuasiHomogeneousReport(
         certified=bool(worst <= EULER_TOL),
         max_residual=float(worst),

@@ -546,6 +546,7 @@ class _Check:
 
     test: str
     message: str | None  # None: float arithmetic raises there by itself
+    guard: bool = False  # a check on the derivative alone (see _Emitter)
 
 
 # Checked before the function: the test on its argument, and the message.
@@ -578,10 +579,10 @@ class _Emitter:
         self.lines.append(f"{name} = {code}")
         return name
 
-    def check(self, test, message=None):
+    def check(self, test, message=None, guard=False):
         if test not in self.tests:
             self.tests.add(test)
-            self.lines.append(_Check(test, message))
+            self.lines.append(_Check(test, message, guard))
 
     def emit(self, node):
         """The symbol that holds the value of ``node``."""
@@ -607,7 +608,8 @@ class _Emitter:
                 self.check(f"isinf({out}) & ~isinf({v})")
             if (node.name == "sqrt" and self.guards
                     and _has_var(node.arg, zero_powers=False)):
-                self.check(f"{out} == 0.0", "sqrt derivative at zero")
+                self.check(f"{out} == 0.0", "sqrt derivative at zero",
+                           guard=True)
             return out
         if isinstance(node, IntPow):
             a, k = node.base, node.k
@@ -632,7 +634,7 @@ class _Emitter:
             self.check(f"{vb} == 0.0", "division by zero")
         if node.op == "/" and self.guards and _has_var(b, zero_powers=False):
             square = self.emit(Bin("*", b, b))
-            self.check(f"{square} == 0.0", "division by zero")
+            self.check(f"{square} == 0.0", "division by zero", guard=True)
         return self.temp(f"({va} {node.op} {vb})")
 
 
@@ -737,35 +739,56 @@ def sum_nodes(terms) -> Expr:
         if terms else Num(0.0)
 
 
+def _numpy_function(em, out, dtype, failed):
+    """``f(points) -> column`` over an (m, n) array of points: the emitter's
+    lines in numpy, then ``out`` as an (m,) column of ``dtype``, or
+    ``failed`` in every row when float arithmetic on constants raises.
+    numpy's floating-point warnings are off inside."""
+    body = "".join(f"        {line}\n" for line in em.lines
+                   if isinstance(line, str)) or "        pass\n"
+    src = ("def _vec(points):\n"
+           "    p = points.T\n"
+           f"    try:\n{body}"
+           "    except (ZeroDivisionError, OverflowError):\n"
+           f"        return np.full(points.shape[0], {failed})\n"
+           f"    return np.broadcast_to({out}, (points.shape[0],))"
+           f".astype({dtype})\n")
+    vec = _define("_vec", src, _NUMPY_NAMESPACE)
+
+    def column(points):
+        with np.errstate(all="ignore"):
+            return vec(np.asarray(points, dtype=float))
+
+    return column
+
+
 def compile_vectorized(node: Expr):
     """Generate ``f(points) -> values`` over an (m, n) array of points.
 
     The values are non-finite exactly where the scalar value raises: nan at
     a failed check, and everywhere when float arithmetic on constants
-    raises. numpy's floating-point warnings are off inside.
+    raises.
     """
     em = _Emitter(guards=False)
     v = em.emit(node)
-    body = "".join(f"        {line}\n" for line in em.lines
-                   if isinstance(line, str)) or "        pass\n"
     tests = [f"({line.test})" for line in em.lines
              if isinstance(line, _Check)]
     if tests:
         v = f"np.where({' | '.join(tests)}, nan, {v})"
-    src = ("def _vec(points):\n"
-           "    p = points.T\n"
-           f"    try:\n{body}"
-           "    except (ZeroDivisionError, OverflowError):\n"
-           "        return np.full(points.shape[0], nan)\n"
-           f"    return np.broadcast_to({v}, (points.shape[0],))"
-           ".astype(float)\n")
-    vec = _define("_vec", src, _NUMPY_NAMESPACE)
+    return _numpy_function(em, v, "float", "nan")
 
-    def values(points):
-        with np.errstate(all="ignore"):
-            return vec(np.asarray(points, dtype=float))
 
-    return values
+def _compile_guards(node: Expr):
+    """Generate ``f(points) -> mask`` over an (m, n) array of points, True
+    where a check on the derivative alone fails (see _Emitter), or None
+    when ``node`` has no such check."""
+    em = _Emitter(guards=True)
+    em.emit(node)
+    tests = [f"({line.test})" for line in em.lines
+             if isinstance(line, _Check) and line.guard]
+    if not tests:
+        return None
+    return _numpy_function(em, " | ".join(tests), "bool", "True")
 
 
 # --- scalar fields ---------------------------------------------------------
@@ -842,12 +865,17 @@ def _compile_hessian(fld):
 
 
 def _compile_vectorized_gradient(fld):
-    """``compile_vectorized`` over the partials of ``fld``, as columns."""
+    """``compile_vectorized`` over the partials of ``fld``, as columns, with
+    every partial nan where a check on the derivative alone fails."""
     columns = [compile_vectorized(derivative(fld.body, a))
                for a in range(fld.dimension)]
+    guards = _compile_guards(fld.body)
 
     def gradients(points):
-        return np.stack([column(points) for column in columns], axis=1)
+        grads = np.stack([column(points) for column in columns], axis=1)
+        if guards is not None:
+            grads[guards(points)] = np.nan
+        return grads
 
     return gradients
 
@@ -930,8 +958,10 @@ class ScalarField:
 
     def vectorized_gradient(self):
         """Bulk gradients, (m, n) over an (m, n) array of points: one numpy
-        function per partial AST. A partial may be finite where the field
-        is not (d/dx ln(x) = 1/x), so use it where ``vectorized`` is
+        function per partial AST. Where the value is defined, a row is
+        non-finite exactly where the scalar gradient raises, its checks on
+        the derivative alone included. A partial may be finite where the
+        field is not (d/dx ln(x) = 1/x), so use it where ``vectorized`` is
         finite."""
         return self.code("vectorized_gradient", _compile_vectorized_gradient,
                          self)

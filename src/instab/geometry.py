@@ -1,9 +1,11 @@
 """Point-wise Riemannian computations.
 
-Metric inverse, Riemannian gradient, Christoffel symbols, magnetic tensor of
-a one-form, and the cotangent norm of contracted forms; the metric inner
-product and norm work row-wise over many points at once. Everything is
-dense; the dimension is capped at 16 since all target problems are tiny.
+Metric inverse, Riemannian gradient, Christoffel symbols and magnetic tensor
+of a one-form at a point. The metric inner product and norm, the norms of
+two-forms and of their contractions, and ``rowdot`` work row-wise over many
+points at once; each row keeps the bits of the point-by-point product.
+Everything is dense; the dimension is capped at 16 since all target
+problems are tiny.
 
 A metric's entries compile into one generated function, which gives g and
 its partials in one call, and a one-form's components into another. The
@@ -255,17 +257,37 @@ def guard_cancellation(values, scale):
     return np.where(np.abs(values) <= NOISE_RELATIVE * scale, 0.0, values)
 
 
-def contracted_form_norm(metric, f_tensor, vector, point) -> float:
-    """Cotangent norm of ``vector`` contracted into the two-form F."""
-    v = np.asarray(vector)
+def rowdot(a, b) -> np.ndarray:
+    """a[k] @ b[k] for each row k of two (m, n) arrays; never warns.
+
+    A batched matmul sums each row as ``a[k] @ b[k]`` does, so the rows
+    keep the point-by-point bits; einsum may sum in another order.
+    """
+    with np.errstate(all="ignore"):
+        return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _clamped_sqrt(values):
+    """sqrt(max(v, 0.0)) of each entry, as Python's max: nan and -0.0
+    pass through."""
+    return np.sqrt(np.where(values < 0.0, 0.0, values))
+
+
+def contracted_form_norm(inverse, f_tensor, vector) -> np.ndarray:
+    """Cotangent norms of vectors contracted into two-forms, row by row.
+
+    ``vector`` is (m, n) and ``f_tensor`` (m, n, n); ``inverse`` holds the
+    inverse metrics, (m, n, n), or one (n, n) for every row.
+    """
+    v = np.asarray(vector)[:, None, :]
     covector = guard_cancellation(v @ f_tensor,  # c_b = F_{ab} v^a
-                                  np.abs(v) @ np.abs(f_tensor))
-    ginv = metric.inverse(point)
-    return float(np.sqrt(max(covector @ ginv @ covector, 0.0)))
+                                  np.abs(v) @ np.abs(f_tensor))[:, 0]
+    raised = (covector[:, None, :] @ inverse)[:, 0]
+    return _clamped_sqrt(rowdot(raised, covector))
 
 
-def two_form_norm(metric, f_tensor, point) -> float:
-    """Canonical norm of the two-form F on the second exterior power."""
-    ginv = metric.inverse(point)
-    raised = ginv @ f_tensor @ ginv  # F^{ab}
-    return float(np.sqrt(max(0.5 * np.sum(f_tensor * raised), 0.0)))
+def two_form_norm(inverse, f_tensor) -> np.ndarray:
+    """Canonical norms of two-forms F on the second exterior power, row by
+    row, with ``inverse`` and ``f_tensor`` as in contracted_form_norm."""
+    raised = inverse @ f_tensor @ inverse  # F^{ab}
+    return _clamped_sqrt(0.5 * (f_tensor * raised).sum(axis=(1, 2)))

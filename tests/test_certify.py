@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from instab import certify, harness
 from instab.certify import (
@@ -18,9 +20,23 @@ from instab.certify import (
     check_quasi_homogeneous,
 )
 from instab.charts import BaseSurfaceMap, build_multi_chart
-from instab.errors import EmptyShell, GradientTooSmall, NonFiniteResult
+from instab.errors import (
+    DomainError,
+    EmptyShell,
+    GradientTooSmall,
+    InstabError,
+    NonFiniteResult,
+)
 from instab.expr import ScalarField
-from instab.geometry import MetricSpec, OneForm, magnetic_tensor
+from instab.geometry import (
+    GRADIENT_FLOOR,
+    MetricSpec,
+    OneForm,
+    gradient_data,
+    guard_cancellation,
+    magnetic_tensor,
+    riemannian_gradient,
+)
 
 E2 = MetricSpec.identity(2)
 E3 = MetricSpec.identity(3)
@@ -265,23 +281,44 @@ def test_each_shell_drawn_once(monkeypatch):
 
 
 def test_each_shell_point_evaluated_once(monkeypatch):
+    """One vectorized_gradient pass per field per shell, and no scalar
+    value_and_grad or magnetic_tensor call at a shell point, since every
+    row of this entry's shells is finite."""
     problem = harness.corpus_entry("unstable-magnetic-plane")
     probe = harness.certification_probe(problem)
-    calls = collections.Counter()
-    potential = probe.potential
-    evaluate = type(potential).value_and_grad
+    passes, scalar = [], []
+    gradient = ScalarField.vectorized_gradient
 
-    def counted(field, point):
-        calls[field is potential] += 1
-        return evaluate(field, point)
+    def logged(field):
+        grads = gradient(field)
 
-    monkeypatch.setattr(type(potential), "value_and_grad", counted)
+        def run(points):
+            passes.append((field, points.copy()))
+            return grads(points)
+        return run
+
+    def noted(fn):
+        def call(owner, point):
+            scalar.append(np.asarray(point, dtype=float))
+            return fn(owner, point)
+        return call
+
+    monkeypatch.setattr(ScalarField, "vectorized_gradient", logged)
+    monkeypatch.setattr(ScalarField, "value_and_grad",
+                        noted(ScalarField.value_and_grad))
+    monkeypatch.setattr(certify, "magnetic_tensor",
+                        noted(certify.magnetic_tensor))
     certify_potential_condition(probe)
-    certify_magnetic_condition(probe)
+    magnetic = certify_magnetic_condition(probe)
+    assert not magnetic.notes.get("trivial")
     shells, _skipped, _near = probe._table
-    points = sum(len(points) for _delta, _attempts, points, _evaluated
-                 in shells)
-    assert calls[True] == points
+    assert len(shells) == 6
+    for fld in [probe.f, probe.potential, *probe.magnetic.components]:
+        for _delta, _attempts, points, _columns in shells:
+            assert sum(owner is fld and np.array_equal(seen, points)
+                       for owner, seen in passes) == 1
+    shell_points = np.concatenate([points for *_, points, _ in shells])
+    assert not any((shell_points == x).all(axis=1).any() for x in scalar)
 
 
 def test_gradient_floor_enforced():
@@ -403,3 +440,231 @@ def test_chart_contraction_vanishes_for_adapted_candidate():
     out = chart_contraction_check(chart, mu, f, grid_count=3)
     assert out["passed"]
     assert out["max_component"] <= 1e-8
+
+
+# --- the numpy table against the point-by-point loop -------------------------
+#
+# The oracle is the certifiers' former scalar path: one gradient_data and one
+# value_and_grad call per shell point, one magnetic tensor and two norms per
+# point, and a loop over the Euler check's points.
+
+_POINT_METRICS = {
+    "euclidean": None,
+    "criterion 10": [["1", "0", "0"], ["0", "1 + x1^2/4", "x1/4"],
+                     ["0", "x1/4", "1 + (x2 + x3)^2/8"]],
+    "singular off x1 > 0": [["1", "0", "0"], ["0", "x1", "0"],
+                            ["0", "0", "1"]],
+}
+
+
+def _oracle_ratio(grad, u_val, du):
+    if u_val <= 0:
+        return math.inf
+    num = float(guard_cancellation(du @ grad, np.abs(du) @ np.abs(grad)))
+    return abs(num) / u_val
+
+
+def _oracle_norms(metric, tensor, grad, x):
+    covector = guard_cancellation(grad @ tensor, np.abs(grad) @ np.abs(tensor))
+    ginv = metric.inverse(x)
+    raised = ginv @ tensor @ ginv
+    return (float(np.sqrt(max(covector @ ginv @ covector, 0.0))),
+            float(np.sqrt(max(0.5 * np.sum(tensor * raised), 0.0))))
+
+
+def _oracle_row(points, ratios):
+    column = np.array(ratios, dtype=float)
+    worst = int(np.argmax(column))
+    return (len(points), float(column[worst]), float(column.mean()),
+            [float(c) for c in points[worst]])
+
+
+def _oracle_constants(probe):
+    rng = np.random.default_rng([probe.seed, 9999])
+    m_grad, m_quad = math.inf, 1.0
+    for x in certify._ball_points(probe, rng, 64):
+        try:
+            _df, _grad, norm_sq = gradient_data(probe.metric, probe.f, x)
+            m_grad = min(m_grad, math.sqrt(max(norm_sq, 0.0)))
+            if not probe.metric.euclidean:
+                m_quad = max(m_quad, float(np.max(
+                    np.linalg.eigvalsh(probe.metric.value(x)))))
+        except (DomainError, NonFiniteResult):
+            continue
+    return m_grad, m_quad, gradient_data(probe.metric, probe.f,
+                                         probe.center)[2]
+
+
+def _oracle(probe, shells, near):
+    """Potential rows, proof constants, magnetic rows, full-norm rows and
+    near-locus extremes, in the order the scalar path computed them."""
+    metric, mu = probe.metric, probe.magnetic
+    table = [[(gradient_data(metric, probe.f, x, GRADIENT_FLOOR)[1],
+               *probe.potential.value_and_grad(x)) for x in points]
+             for points in shells]
+    out = [[_oracle_row(points, [_oracle_ratio(*at) for at in rows])
+            for points, rows in zip(shells, table)],
+           _oracle_constants(probe)]
+    if mu is None or certify._is_zero_form(mu, probe.center):
+        return out
+    rows, full_rows = [], []
+    for points, evaluated in zip(shells, table):
+        ratios = [(math.inf, math.inf) if u_val <= 0 else tuple(
+            norm / math.sqrt(u_val) for norm in _oracle_norms(
+                metric, certify.magnetic_tensor(mu, x), grad, x))
+            for x, (grad, u_val, _du) in zip(points, evaluated)]
+        rows.append(_oracle_row(points, [c for c, _full in ratios]))
+        full_rows.append(_oracle_row(points, [full for _c, full in ratios]))
+    near_norms = [_oracle_norms(metric, certify.magnetic_tensor(mu, x),
+                                riemannian_gradient(metric, probe.f, x), x)
+                  for x in near]
+    return out + [rows, full_rows,
+                  max([0.0] + [c for c, _dmu in near_norms]),
+                  min([math.inf] + [dmu for _c, dmu in near_norms])]
+
+
+def _numpy_path(probe):
+    def rows(shells):
+        return [(s["count"], s["max_ratio"], s["mean_ratio"], s["witness"])
+                for s in shells]
+    potential = certify_potential_condition(probe).to_dict()
+    out = [rows(potential["shells"]), certify._proof_constants(probe)]
+    magnetic = certify_magnetic_condition(probe).to_dict()
+    notes = magnetic["notes"]
+    if notes.get("trivial"):
+        return out
+    return out + [rows(magnetic["shells"]), rows(notes["full_norm_shells"]),
+                  notes["near_locus_contraction_max"],
+                  math.inf if notes["near_locus_dmu_min"] is None
+                  else notes["near_locus_dmu_min"]]
+
+
+def _result(fn, *args):
+    """(fn(*args), None), or (None, (type, message)) of its InstabError."""
+    try:
+        return fn(*args), None
+    except InstabError as exc:
+        return None, (type(exc), str(exc))
+
+
+def _compare_paths(u_source, f_source, form, metric_name, points, bits):
+    """Both certifiers on four shells cut from ``points`` (near-locus
+    points: the last two) against the oracle: the same error, or the same
+    rows, constants and near-locus extremes (bit for bit with ``bits``)."""
+    metric = _POINT_METRICS[metric_name]
+    probe = HypothesisProbe(
+        metric=(MetricSpec.identity(3) if metric is None
+                else MetricSpec.from_sources(3, metric)),
+        potential=ScalarField.parse(u_source, 3),
+        f=ScalarField.parse(f_source, 3),
+        magnetic=None if form is None else OneForm.from_sources(form),
+        center=np.array([1.0, 0.5, 0.25]), delta_min=1e-4, delta_max=1e-1)
+    points = np.array(points, dtype=float)
+    shells, near = np.array_split(points, 4), list(points[-2:])
+
+    def sample(_probe, _delta, j):
+        return shells[j], len(shells[j]), near if j == 0 else []
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(certify, "_sample_shell", sample)
+        got, error = _result(_numpy_path, probe)
+    expected, expected_error = _result(_oracle, probe, shells, near)
+    assert error == expected_error
+    if error is None and bits:
+        assert repr(got) == repr(expected)
+    elif error is None:
+        assert len(got) == len(expected)
+
+
+_LEAVES = st.sampled_from(["x1", "x2", "x3", "1", "2", "0.5", "3"])
+
+
+def _polynomial_extend(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from("+-*"), children)
+        .map(lambda t: "({} {} {})".format(*t)),
+        st.tuples(children, st.integers(0, 16))
+        .map(lambda t: "({})^{}".format(*t)))
+
+
+_POLYNOMIALS = st.recursive(_LEAVES, _polynomial_extend, max_leaves=8)
+_RATIONALS = st.one_of(
+    _POLYNOMIALS, st.tuples(_POLYNOMIALS, _POLYNOMIALS)
+    .map(lambda t: "({}) / ({})".format(*t)))
+_SHELL_COORDS = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 0.5, 1e-7, 6.774893096905552e-256,
+                     7.537836242473134e-296]),
+    st.floats(-2, 2))
+_SHELL_POINTS = st.lists(st.tuples(_SHELL_COORDS, _SHELL_COORDS,
+                                   _SHELL_COORDS), min_size=4, max_size=24)
+_FORMS = st.one_of(st.none(), st.lists(_POLYNOMIALS, min_size=3,
+                                       max_size=3))
+
+
+@given(_RATIONALS, _RATIONALS, _FORMS, st.sampled_from(sorted(_POINT_METRICS)),
+       _SHELL_POINTS)
+@settings(max_examples=150, deadline=None)
+def test_numpy_table_matches_point_by_point_loop(u_source, f_source, form,
+                                                 metric, points):
+    """Polynomial and rational fields: the same bits, or the same error at
+    the same point."""
+    _compare_paths(u_source, f_source, form, metric, points, bits=True)
+
+
+# test_backends_agree's edge cases, where only a guard of the scalar
+# gradient fails, and a gradient floor missed at the k-th point, k > 0
+@given(st.sampled_from(["(-(sqrt(x1))^(0))", "(0 / x2)",
+                        "(-((x1)^((0 - 1)))^(0))", "(-((-1))^(18))",
+                        "x1 - ln(x3)/2", "sqrt(x2) + x3",
+                        "(x1^2 + x2^2)/2", "x3 / (x1 - x2)"]),
+       st.sampled_from(["x3^2", "ln(x1)^2 + x2^2", "sqrt(x1 * x2) + x3^2",
+                        "x1^2 / x2", "(0 / x2) + x3^2"]),
+       st.sampled_from([None, ["0", "x3 / x1", "ln(x2)"],
+                        ["sqrt(x3)", "x1", "0"]]),
+       st.sampled_from(sorted(_POINT_METRICS)), _SHELL_POINTS)
+@example("(x1^2 + x2^2)/2", "x3^2", None, "euclidean",
+         [(1.0, 1.0, 0.5)] * 5 + [(1e-7, 1e-7, 0.5), (1.0, 1.0, 1.0),
+                                  (0.0, 1e-7, 0.5)])
+@example("(-(sqrt(x1))^(0))", "x3^2", None, "euclidean",
+         [(1.0, 1.0, 1.0)] * 3 + [(0.0, 1.0, 1.0)] * 2)
+@example("x1", "(0 / x2)", None, "euclidean",
+         [(1.0, 1.0, 1.0)] * 6 + [(0.0, 6.774893096905552e-256, 1.0)])
+@example("x1", "(-((x1)^((0 - 1)))^(0))", None, "euclidean",
+         [(1.0, 1.0, 1.0)] * 5 + [(7.537836242473134e-296, 0.0, 1.0)])
+@settings(max_examples=150, deadline=None)
+def test_numpy_table_raises_like_point_by_point_loop(f_source, u_source,
+                                                     form, metric, points):
+    """ln, sqrt and division: the same error class, message and point."""
+    _compare_paths(u_source, f_source, form, metric, points, bits=False)
+
+
+def _oracle_euler(potential, spec, samples, seed, box):
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-box, box, size=(samples, potential.dimension))
+    worst, witness = 0.0, None
+    for x in points:
+        u_val, du = potential.value_and_grad(x)
+        residual = abs(float(spec.weights @ (x * du)) - spec.degree * u_val)
+        residual /= 1.0 + abs(u_val)
+        if residual > worst:
+            worst, witness = residual, [float(c) for c in x]
+    return worst <= certify.EULER_TOL, worst, witness
+
+
+@given(_RATIONALS, st.lists(st.integers(-3, 3), min_size=3, max_size=3)
+       .filter(any), st.integers(1, 12), st.integers(0, 2 ** 16))
+@example("(x1^2 - x2^2*x3)^2", [1, 1, 0], 4, 3)
+@example("(x1^2*x3^2 + x1^3 - x2^2)^2", [2, 3, 1], 12, 4)
+@example("(x1^2 - x2^2*x3)^2", [1, 1, 0], 5, 5)
+@settings(max_examples=100, deadline=None)
+def test_euler_residual_matches_point_by_point_loop(source, weights, degree,
+                                                    seed):
+    potential = ScalarField.parse(source, 3)
+    spec = QuasiHomogeneousSpec(weights=weights, degree=degree)
+    got, error = _result(check_quasi_homogeneous, potential, spec, 200, seed)
+    expected, expected_error = _result(_oracle_euler, potential, spec, 200,
+                                       seed, 2.0)
+    assert error == expected_error
+    if error is None:
+        assert repr((got.certified, got.max_residual, got.witness)) \
+            == repr(expected)

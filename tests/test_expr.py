@@ -407,12 +407,16 @@ def test_backends_agree(sources, points):
     fields = [ScalarField.parse(source, 2) for source in sources]
     for f in fields:
         bulk = f.vectorized()(np.array(points))
-        for point, vec_value in zip(points, bulk):
+        bulk_grads = f.vectorized_gradient()(np.array(points))
+        for point, vec_value, vec_grad in zip(points, bulk, bulk_grads):
             value = _defined(f.eval_dual, point)
             grad = _defined(f.grad_dual, point)
             fast = _defined(f.value_and_grad, point)
             assert (value is None) == (not math.isfinite(vec_value))
             assert (fast is None) == (value is None or grad is None)
+            # the bulk gradient is defined where the scalar one is
+            assert (fast is None) == (
+                value is None or not np.all(np.isfinite(vec_grad)))
             if value is not None:
                 assert _close(vec_value, value)
             if fast is not None:

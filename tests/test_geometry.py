@@ -263,30 +263,49 @@ def test_magnetic_tensor_linearity():
 
 
 def test_contracted_form_norm_cases():
-    g = MetricSpec.identity(3)
-    e1 = np.array([1.0, 0, 0])
+    ginv = MetricSpec.identity(3).inverse([0, 0, 0])
+    e1 = np.array([[1.0, 0, 0]])
     f_z = magnetic_tensor(OneForm.from_sources(["0", "x3", "0"]), [0, 0, 0])
-    assert contracted_form_norm(g, f_z, e1, [0, 0, 0]) == 0.0
+    assert contracted_form_norm(ginv, f_z[None], e1)[0] == 0.0
     f_x = magnetic_tensor(OneForm.from_sources(["0", "x1", "0"]), [0, 0, 0])
-    assert contracted_form_norm(g, f_x, e1, [0, 0, 0]) == pytest.approx(1.0)
-    assert contracted_form_norm(g, f_x, np.zeros(3), [0, 0, 0]) == 0.0
+    assert contracted_form_norm(ginv, f_x[None], e1)[0] == pytest.approx(1.0)
+    assert contracted_form_norm(ginv, f_x[None], np.zeros((1, 3)))[0] == 0.0
 
 
 def test_contracted_form_norm_zeroes_cancellation_noise():
     # c_3 = 0.1 * 3 + 0.3 * (-1) vanishes exactly, but not in floats
-    g = MetricSpec.identity(3)
+    ginv = MetricSpec.identity(3).inverse([0, 0, 0])
     mu = OneForm.from_sources(["0", "0", "3*x1 - x2"])
     v = np.array([0.1, 0.3, 0.0])
     f_tensor = magnetic_tensor(mu, [0, 0, 0])
     assert (v @ f_tensor)[2] != 0.0
-    assert contracted_form_norm(g, f_tensor, v, [0, 0, 0]) == 0.0
+    assert contracted_form_norm(ginv, f_tensor[None], v[None])[0] == 0.0
 
 
 def test_two_form_norm_unit_planar():
-    g = MetricSpec.identity(3)
+    ginv = MetricSpec.identity(3).inverse([0, 0, 0])
     mu = OneForm.from_sources(["0", "x1", "0"])  # tensor has F_12 = 1
     f_tensor = magnetic_tensor(mu, [0, 0, 0])
-    assert two_form_norm(g, f_tensor, [0, 0, 0]) == pytest.approx(1.0)
+    assert two_form_norm(ginv, f_tensor[None])[0] == pytest.approx(1.0)
+
+
+def test_form_norms_row_by_row_on_curved_metric(rng):
+    """Each row is the norm at its own point, with that point's inverse,
+    bit for bit as the product taken at that point alone."""
+    metric = MetricSpec.from_sources(3, CRITERION_10)
+    mu = OneForm.from_sources(["x2*x3", "x1^2", "x1 - x3^3"])
+    points = rng.uniform(-1, 1, size=(20, 3))
+    vectors = rng.normal(size=(20, 3))
+    inverse = np.array([metric.inverse(x) for x in points])
+    tensors = np.array([magnetic_tensor(mu, x) for x in points])
+    contracted = contracted_form_norm(inverse, tensors, vectors)
+    full = two_form_norm(inverse, tensors)
+    for k, x in enumerate(points):
+        ginv, f_tensor, v = metric.inverse(x), tensors[k], vectors[k]
+        covector = v @ f_tensor  # no term cancels at these points
+        assert contracted[k] == np.sqrt(covector @ ginv @ covector)
+        raised = ginv @ f_tensor @ ginv
+        assert full[k] == np.sqrt(0.5 * np.sum(f_tensor * raised))
 
 
 def test_dimension_cap():
