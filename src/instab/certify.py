@@ -384,14 +384,20 @@ def _report(probe, condition, shells, skipped, notes, magnetic=False):
     m_grad, m_quad, cap_sq = _proof_constants(probe)
     notes["m_grad"] = float(m_grad)
     notes["grad_at_center_sq"] = cap_sq
-    if magnetic:
-        k1 = k_bound ** 2
-        notes["K1"] = k1
-        notes["C1"] = math.sqrt(
-            m_grad ** -4 * k1 / (2.0 * m_quad)) * math.sqrt(cap_sq)
-    else:
-        notes["K2"] = k_bound
-        notes["C2"] = m_grad ** -2 * k_bound * cap_sq / 2.0
+    try:
+        if magnetic:
+            k1 = k_bound ** 2
+            notes["K1"] = k1
+            notes["C1"] = math.sqrt(
+                m_grad ** -4 * k1 / (2.0 * m_quad)) * math.sqrt(cap_sq)
+        else:
+            notes["K2"] = k_bound
+            notes["C2"] = m_grad ** -2 * k_bound * cap_sq / 2.0
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NonFiniteResult(
+            f"proof constant {'C1' if magnetic else 'C2'} of {condition!r} "
+            f"overflows: the smallest sampled |grad f| is {m_grad!r}"
+        ) from exc
     return report
 
 

@@ -114,7 +114,7 @@ def _flow_kernel(fld, columns, reference):
                            for c in range(n)])
                 for a in range(n) for j in range(columns)]
     floor_sq = FLOW_GRADIENT_FLOOR ** 2 * (1.0 + 1e-9)
-    return compile_kernel(nodes, n, out, reference, guard=(s, floor_sq))
+    return compile_kernel(nodes, n, out, reference, guards=[(s, floor_sq)])
 
 
 def compile_flow(metric, fld, columns=0):

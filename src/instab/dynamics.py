@@ -20,10 +20,11 @@ silently accepted.
 On a Euclidean metric the equations of motion are ASTs over the partials
 of U and the form, compiled by ``expr.compile_kernel`` once per potential,
 one-form and epsilon, with ``el_acceleration`` as the reference. On a
-curved metric every stage calls ``el_acceleration``, which reads the
-metric and the one-form from one generated function each, and the inverse
-metric and the Christoffel symbols from one factorization of the metric
-per point (see ``geometry``).
+curved metric every stage calls ``el_acceleration``, which reads U, the
+one-form's Jacobian and the metric from one generated call each: the
+metric's call gives g^-1 and the Christoffel symbols together, from a
+Cholesky factorization in generated code (see ``geometry``), and the
+stage contracts them with the force and the velocity in numpy.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ def el_acceleration(system, state) -> np.ndarray:
         return force
     ginv = metric.inverse(x)
     gamma = metric.christoffel(x)
-    return -np.einsum("amn,m,n->a", gamma, v, v) + ginv @ force
+    return ginv.dot(force) - gamma.dot(v).dot(v)
 
 
 def hamiltonian(system, state):
@@ -192,8 +193,8 @@ def _reference_stage(y, system):
     n = len(y) // 2
     state = State.__new__(State)
     state.tau = None  # the equations are autonomous
-    state.x = np.array(y[:n])
-    state.v = np.array(y[n:])
+    row = np.array(y)
+    state.x, state.v = row[:n], row[n:]
     return y[n:] + tuple(el_acceleration(system, state).tolist())
 
 

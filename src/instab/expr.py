@@ -15,8 +15,9 @@ one gives a non-finite value. Duals are only the tests' reference.
 Only this module writes field code. Other modules state their formulas as
 ASTs over fields' ``derivative`` ASTs, and ``compile_kernel``, the one
 kernel compiler, turns them into a function with a reference to fall back
-on: the equations of motion, the chart flow fields and ``compile_fields``
-(metric entries, one-form Jacobians, Hessians) all come from it.
+on: the equations of motion, the chart flow fields, a curved metric's
+factorization and ``compile_fields`` (one-form Jacobians, Hessians, and
+metric entries where the factorization falls back) all come from it.
 
 Grammar (EBNF, also documented in the README):
 
@@ -705,24 +706,26 @@ def compile_value_grad(nodes, n: int):
     return define_scalar("_fields", src)
 
 
-def compile_kernel(nodes, n: int, outputs, reference, guard=None):
+def compile_kernel(nodes, n: int, outputs, reference, guards=()):
     """Generate ``kernel(p, arg)``, the values of ``outputs`` at the point p.
 
     The one compiler of field kernels: its code computes the values and
     partials of the field ASTs ``nodes`` as ``compile_value_grad`` does,
     then the output ASTs, which share those symbols where they contain the
-    fields' ``derivative`` ASTs; ``Var(i)`` reads p[i]. ``guard`` = (node,
-    bound) requires bound < node < inf. Where a check or the guard fails,
-    float arithmetic raises, or a field's value or partial is not finite,
-    it returns ``reference(p, arg)``. An output that overflows is left as
-    it is, as the reference leaves it.
+    fields' ``derivative`` ASTs; ``Var(i)`` reads p[i]. Each of ``guards``,
+    a list of (node, bound), requires bound < node < inf, and is tested in
+    order before the code that follows it, so a later guard's node and the
+    outputs may divide by, or take the root of, an earlier guard's node.
+    Where a check or a guard fails, float arithmetic raises, or a
+    field's value or partial is not finite, it returns ``reference(p,
+    arg)``. An output that overflows is left as it is, as the reference
+    leaves it.
     """
     em, symbols = _fields_code(nodes, n)
     checked = " + ".join(dict.fromkeys(s for s in symbols
                                        if not _is_number(s)))
     em.check(f"({checked or '0.0'}) * 0.0 != 0.0", "not finite")
-    if guard is not None:
-        node, bound = guard
+    for node, bound in guards:
         em.check(f"not {bound!r} < {em.emit(node)} < inf", "below guard")
     out = [em.emit(node) for node in outputs]
     src = ("def _kernel(p, arg):\n"
@@ -739,9 +742,21 @@ def sum_nodes(terms) -> Expr:
         if terms else Num(0.0)
 
 
+def _column(value, m, dtype):
+    """``value`` as a fresh (m,) array of ``dtype``.
+
+    A ufunc's result already is one, and is returned as it is; a number, or
+    a view of the points (the value of a bare variable), is copied.
+    """
+    if (type(value) is np.ndarray and value.base is None
+            and value.shape == (m,) and value.dtype == dtype):
+        return value
+    return np.broadcast_to(value, (m,)).astype(dtype)
+
+
 def _numpy_function(em, out, dtype, failed):
     """``f(points) -> column`` over an (m, n) array of points: the emitter's
-    lines in numpy, then ``out`` as an (m,) column of ``dtype``, or
+    lines in numpy, then ``out`` as a fresh (m,) column of ``dtype``, or
     ``failed`` in every row when float arithmetic on constants raises.
     numpy's floating-point warnings are off inside."""
     body = "".join(f"        {line}\n" for line in em.lines
@@ -750,14 +765,14 @@ def _numpy_function(em, out, dtype, failed):
            "    p = points.T\n"
            f"    try:\n{body}"
            "    except (ZeroDivisionError, OverflowError):\n"
-           f"        return np.full(points.shape[0], {failed})\n"
-           f"    return np.broadcast_to({out}, (points.shape[0],))"
-           f".astype({dtype})\n")
+           f"        return {failed}\n"
+           f"    return {out}\n")
     vec = _define("_vec", src, _NUMPY_NAMESPACE)
 
     def column(points):
+        points = np.asarray(points, dtype=float)
         with np.errstate(all="ignore"):
-            return vec(np.asarray(points, dtype=float))
+            return _column(vec(points), points.shape[0], dtype)
 
     return column
 
@@ -775,7 +790,7 @@ def compile_vectorized(node: Expr):
              if isinstance(line, _Check)]
     if tests:
         v = f"np.where({' | '.join(tests)}, nan, {v})"
-    return _numpy_function(em, v, "float", "nan")
+    return _numpy_function(em, v, float, "nan")
 
 
 def _compile_guards(node: Expr):
@@ -788,7 +803,7 @@ def _compile_guards(node: Expr):
              if isinstance(line, _Check) and line.guard]
     if not tests:
         return None
-    return _numpy_function(em, " | ".join(tests), "bool", "True")
+    return _numpy_function(em, " | ".join(tests), bool, "True")
 
 
 # --- scalar fields ---------------------------------------------------------

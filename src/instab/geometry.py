@@ -7,15 +7,21 @@ points at once; each row keeps the bits of the point-by-point product.
 Everything is dense; the dimension is capped at 16 since all target
 problems are tiny.
 
-A metric's entries compile into one generated function, which gives g and
-its partials in one call, and a one-form's components into another. The
-metric is factored once per point: the last point's g, partials and inverse
-are kept, so the inverse and the Christoffel symbols at one point share one
-Cholesky factorization. The linear algebra is numpy's.
+A curved metric compiles into one generated kernel (``expr.compile_kernel``)
+that gives, in one call per point, g, its partials, g^-1 from a Cholesky
+factorization written out as ASTs, and the Christoffel symbols; the last
+point's arrays are kept, so ``value``, ``inverse`` and ``christoffel`` at
+one point share that call. Where a pivot is at or within rounding of
+PIVOT_FLOOR, or a check fails, the kernel falls back to the numpy path
+(``compile_fields``, numpy's Cholesky and inverse, an einsum), which raises
+SingularMetric, DomainError and NonFiniteResult as it always has. A
+one-form's components compile into one generated function of their own.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -27,11 +33,26 @@ from .errors import (
     SingularMetric,
     format_point,
 )
-from .expr import MAX_DIMENSION, ScalarField, compile_fields
+from .expr import (
+    MAX_DIMENSION,
+    Bin,
+    Fun,
+    Num,
+    ScalarField,
+    _node,
+    compile_fields,
+    compile_kernel,
+    derivative,
+)
 
 # Smallest admissible Cholesky pivot; defines "positive definite at this
 # point" operationally.
 PIVOT_FLOOR = 1e-12
+
+# A pivot d_j computed in two orders differs by a few roundings of g_jj, so
+# the generated factorization leaves one within this share of g_jj above
+# the floor to numpy's, which decides as it always has.
+PIVOT_SLACK = 1e-14
 
 # Smallest admissible gradient norm of a candidate function f.
 GRADIENT_FLOOR = 1e-6
@@ -39,6 +60,8 @@ GRADIENT_FLOOR = 1e-6
 # A sum of terms at most this fraction of the sum of their magnitudes is
 # float-cancellation noise of an exact zero.
 NOISE_RELATIVE = 1e-13
+
+_ZERO = Num(0.0)
 
 
 def _spd_inverse(matrix, point):
@@ -52,9 +75,96 @@ def _spd_inverse(matrix, point):
         raise SingularMetric(f"Cholesky pivot below {PIVOT_FLOOR:.0e} at "
                              f"point {format_point(point)}")
     chol_inv = np.linalg.inv(chol)
-    inverse = chol_inv.T @ chol_inv
-    inverse.flags.writeable = False
-    return inverse
+    return chol_inv.T @ chol_inv
+
+
+def _reference_factors(p, metric):
+    """g, dg, g^-1 and Gamma at p, flat, from ``compile_fields``,
+    ``_spd_inverse`` and an einsum; the metric kernel's reference.
+
+    Where g does not factor, the tuple stops after dg, and ``inverse``
+    raises ``_spd_inverse``'s SingularMetric.
+    """
+    n = metric.dimension
+    if metric._entries is None:
+        metric._entries = compile_fields(list(metric._upper.values()), n)
+    values, jac = metric._entries(p)
+    g = values[metric._slots].reshape(n, n)
+    dg = jac.T[:, metric._slots].reshape(n, n, n)
+    flat = g.ravel().tolist() + dg.ravel().tolist()
+    try:
+        ginv = _spd_inverse(g, p)
+    except SingularMetric:
+        return tuple(flat)
+    # Gamma^a_{mn} = 1/2 g^{ab} (g_{bm,n} + g_{bn,m} - g_{mn,b})
+    braces = (
+        np.transpose(dg, (1, 2, 0))   # g_{bm,n} indexed [b, m, n]
+        + np.transpose(dg, (1, 0, 2))  # g_{bn,m}
+        - dg                           # g_{mn,b} with b first
+    )
+    gamma = 0.5 * np.einsum("ab,bmn->amn", ginv, braces)
+    return tuple(flat + ginv.ravel().tolist() + gamma.ravel().tolist())
+
+
+_fold = functools.partial(_node, zero=_ZERO)  # folds literal zeros and ones
+
+
+def _total(terms):
+    return functools.reduce(functools.partial(_fold, "+"), terms, _ZERO)
+
+
+def _factor_kernel(metric):
+    """One generated call per point: g, dg, g^-1 and Gamma, flat, as
+    ``_reference_factors`` lays them out.
+
+    The outputs are ASTs over the entries' values and partials, with
+    literal zeros folded away: the Cholesky factor L of g, with pivots
+    d_j = g_jj - sum_k L_jk^2 and L_jj = sqrt(d_j); M = L^-1 by forward
+    substitution; g^-1 = M^T M; and Gamma^a_mn = 1/2 sum_b g^ab (∂_n g_bm
+    + ∂_m g_bn - ∂_b g_mn). Each pivot is guarded a hair above PIVOT_FLOOR
+    (see PIVOT_SLACK), so at and within rounding of the floor the reference
+    decides, and SingularMetric keeps its class and message.
+    """
+    n = metric.dimension
+    bodies = [fld.body for fld in metric._upper.values()]
+    index = metric._slots.reshape(n, n)
+    g = [[bodies[index[a, b]] for b in range(n)] for a in range(n)]
+    dg = [[[derivative(g[a][b], c) for b in range(n)] for a in range(n)]
+          for c in range(n)]
+    chol = [[_ZERO] * n for _ in range(n)]
+    pivots = []
+    for j in range(n):
+        pivots.append(_fold("-", g[j][j], _total(
+            _fold("*", chol[j][k], chol[j][k]) for k in range(j))))
+        chol[j][j] = Fun("sqrt", pivots[j])
+        for i in range(j + 1, n):
+            chol[i][j] = _fold("/", _fold("-", g[i][j], _total(
+                _fold("*", chol[i][k], chol[j][k]) for k in range(j))),
+                chol[j][j])
+    low_inv = [[_ZERO] * n for _ in range(n)]
+    for j in range(n):
+        low_inv[j][j] = Bin("/", Num(1.0), chol[j][j])
+        for i in range(j + 1, n):
+            low_inv[i][j] = _fold("-", _ZERO, _fold("/", _total(
+                _fold("*", chol[i][k], low_inv[k][j]) for k in range(j, i)),
+                chol[i][i]))
+    ginv = [[None] * n for _ in range(n)]
+    gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for a, b in itertools.combinations_with_replacement(range(n), 2):
+        ginv[a][b] = ginv[b][a] = _total(
+            _fold("*", low_inv[k][a], low_inv[k][b]) for k in range(b, n))
+    for a, m, k in itertools.product(range(n), repeat=3):
+        if m <= k:
+            brace = [_fold("-", _fold("+", dg[k][b][m], dg[m][b][k]),
+                           dg[b][m][k]) for b in range(n)]
+            gamma[a][m][k] = gamma[a][k][m] = _fold("*", Num(0.5), _total(
+                _fold("*", ginv[a][b], brace[b]) for b in range(n)))
+    out = [node for plane in (g, *dg, ginv, *gamma)
+           for row in plane for node in row]
+    floor = PIVOT_FLOOR * (1.0 + 1e-9)
+    return compile_kernel(bodies, n, out, _reference_factors, guards=[
+        (_fold("-", d, _fold("*", Num(PIVOT_SLACK), g[j][j])), floor)
+        for j, d in enumerate(pivots)])
 
 
 class MetricSpec:
@@ -62,9 +172,10 @@ class MetricSpec:
 
     Only the upper triangle is stored, so symmetry holds structurally. The
     Euclidean case is flagged and short-circuits every computation. The
-    arrays that ``value`` and ``inverse`` return are read-only: they are
-    kept for the next call at the same point, and a Euclidean metric
-    returns one identity and one zero Christoffel array at every point.
+    arrays that ``value``, ``inverse`` and ``christoffel`` return are
+    read-only: they are kept for the next call at the same point, and a
+    Euclidean metric returns one identity and one zero Christoffel array at
+    every point.
     """
 
     def __init__(self, dimension, upper_entries=None):
@@ -73,8 +184,9 @@ class MetricSpec:
         self.dimension = dimension
         self.euclidean = upper_entries is None
         self._upper = upper_entries  # dict[(i, j)] -> field, i <= j
-        self._entries = None  # compiled upper entries, made on first use
-        self._local = None  # [point bytes, g, dg, g^-1 or None]
+        self._kernel = None  # see _factor_kernel, made on first use
+        self._entries = None  # compile_fields of the entries, for fallback
+        self._local = None  # [point bytes, g, dg, g^-1, Gamma] at one point
         if upper_entries is None:
             self._identity = np.eye(dimension)
             self._flat = np.zeros((dimension,) * 3)
@@ -107,30 +219,33 @@ class MetricSpec:
         return self._upper[(min(i, j), max(i, j))]
 
     def _at(self, point):
-        """``[key, g, dg, g^-1]`` at ``point``, dg[c, a, b] = ∂_c g_{ab}.
-
-        One compiled call per new point, keyed on its exact coordinates;
-        g^-1 is None until ``_factored`` asks for it.
-        """
+        """``[key, g, dg, g^-1, Gamma]`` at ``point``, dg[c, a, b] =
+        ∂_c g_{ab}, from one kernel call per new point, keyed on its exact
+        coordinates; g^-1 and Gamma are None where g does not factor."""
         x = np.asarray(point, dtype=float)
         key = x.tobytes()
         local = self._local
         if local is not None and local[0] == key:
             return local
+        if self._kernel is None:
+            self._kernel = _factor_kernel(self)
         n = self.dimension
-        if self._entries is None:
-            self._entries = compile_fields(list(self._upper.values()), n)
-        values, jac = self._entries(x)
-        g = values[self._slots].reshape(n, n)
-        g.flags.writeable = False
-        dg = jac.T[:, self._slots].reshape(n, n, n)
-        self._local = [key, g, dg, None]
+        out = self._kernel(x.tolist(), self)
+        out = np.fromiter(out, float, len(out))
+        out.flags.writeable = False
+        ends = (n * n, n * n + n ** 3, 2 * n * n + n ** 3)
+        ginv = gamma = None
+        if len(out) > ends[1]:  # g factors
+            ginv = out[ends[1]:ends[2]].reshape(n, n)
+            gamma = out[ends[2]:].reshape(n, n, n)
+        self._local = [key, out[:ends[0]].reshape(n, n),
+                       out[ends[0]:ends[1]].reshape(n, n, n), ginv, gamma]
         return self._local
 
     def _factored(self, point):
         local = self._at(point)
         if local[3] is None:
-            local[3] = _spd_inverse(local[1], point)
+            _spd_inverse(local[1], point)  # raises: g does not factor here
         return local
 
     def value(self, point) -> np.ndarray:
@@ -147,14 +262,7 @@ class MetricSpec:
         """Levi-Civita symbols Gamma[a, m, n], symmetric in (m, n)."""
         if self.euclidean:
             return self._flat
-        _key, _g, dg, ginv = self._factored(point)
-        # Gamma^a_{mn} = 1/2 g^{ab} (g_{bm,n} + g_{bn,m} - g_{mn,b})
-        braces = (
-            np.transpose(dg, (1, 2, 0))   # g_{bm,n} indexed [b, m, n]
-            + np.transpose(dg, (1, 0, 2))  # g_{bn,m}
-            - dg                           # g_{mn,b} with b first
-        )
-        return 0.5 * np.einsum("ab,bmn->amn", ginv, braces)
+        return self._factored(point)[4]
 
     def inner(self, points, u, v) -> np.ndarray:
         """g(u, v) row by row over (m, n) points and vectors."""

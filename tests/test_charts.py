@@ -1,5 +1,6 @@
 """Adapted charts: flows, defining identities, metric block structure."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from instab import charts, harness
+from instab import charts, expr, harness
 from instab.charts import (
     FLOW_GRADIENT_FLOOR,
     FLOW_TOL,
@@ -349,3 +350,43 @@ def test_generated_flow_field_matches_reference(field, point, scale, columns,
     _assert_relative(got[:n], vec)
     if columns:
         _assert_relative(got[n:], carried_jac.ravel())
+
+
+# sha256 of the generated source of each corollary level field's flow
+# kernel, by column count, from before compile_kernel took a list of guards.
+_FLOW_SOURCES = {
+    ("x1 + x3^2", 0):
+        "3fa15586dee95101fa28dedd0e458d957a6a59ea90b0e79affdfeb3fc9135183",
+    ("x1 + x3^2", 1):
+        "26b2514aaa90d04d0b46814a6de65b58b34c57bf4d2906ab2012e9f88f2b6225",
+    ("x1 + x3^2", 2):
+        "add60960a7c37d51e2cea087698e5e6848790584e5eda3a8e39f850281f48816",
+    ("x2", 0):
+        "e86e39dedf51dbdb2b942f91c1a7b1ef4f06298e9af2f6161ae63471c6bf8cc4",
+    ("x2", 1):
+        "6f59ad8112a4076c1be39315ba7441a62124f5904e95fa32a1072ddab77178e2",
+    ("x2", 2):
+        "f875e19a135045af9007e427dd6fdad194d1faeaeb915a1df530ca1922acbd83",
+}
+
+
+def test_flow_kernel_source_is_unchanged():
+    """The corollary charts' flow kernels, one guard each, generate the
+    same code as when compile_kernel took that guard alone."""
+    sources = []
+    define = expr.define_scalar
+
+    def captured(name, src, **names):
+        sources.append(src)
+        return define(name, src, **names)
+
+    fields = {str(s) for entry in ("corollary1-unstable-magnetic",
+                                   "corollary1-mechanical")
+              for s in harness.corpus_entry(entry).chart["fields"]}
+    assert fields == {"x1 + x3^2", "x2"}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expr, "define_scalar", captured)
+        for (source, columns), digest in _FLOW_SOURCES.items():
+            compile_flow(E3, ScalarField.parse(source, 3), columns)
+            assert "below guard" in sources[-1]
+            assert hashlib.sha256(sources[-1].encode()).hexdigest() == digest

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from instab import expr
 from instab.errors import (
     DimensionExceeded,
     DomainError,
@@ -390,6 +391,37 @@ def _check_derivatives(f, points):
                 assert fast is not None
                 assert _close(fast[0], grad[a])
                 assert all(map(_close, fast[1], hess[a]))
+
+
+def _old_column(value, m, dtype):
+    """How every numpy column used to end: broadcast, then copied."""
+    return np.broadcast_to(value, (m,)).astype(dtype)
+
+
+@given(_EXPRESSIONS, st.lists(st.tuples(_COORDS, _COORDS), min_size=1,
+                              max_size=4))
+@example("x1", [(1.0, 2.0), (3.0, 4.0)])  # a view of the points
+@example("2", [(0.0, 0.0)])  # a number
+@example("(x1 / x2)", [(1.0, 0.0)])  # a guard column of a ufunc's bools
+@settings(max_examples=300, deadline=None)
+def test_numpy_columns_are_fresh_and_keep_their_bits(source, points):
+    """A column that skips the copy has the bits the copy had, and never
+    shares memory with the points or with another call's column."""
+    points = np.array(points)
+    node = parse(source, 2)
+    functions = [expr.compile_vectorized(node),
+                 expr.compile_vectorized(derivative(node, 0))]
+    guards = expr._compile_guards(node)
+    functions += [guards] if guards is not None else []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expr, "_column", _old_column)
+        copied = [fn(points) for fn in functions]
+    for fn, old in zip(functions, copied):
+        column, again = fn(points), fn(points)
+        assert column.dtype == old.dtype and column.shape == old.shape
+        assert column.tobytes() == old.tobytes()
+        assert not np.shares_memory(column, points)
+        assert not np.shares_memory(column, again)
 
 
 @given(st.lists(_EXPRESSIONS, min_size=1, max_size=3),

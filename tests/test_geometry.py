@@ -1,9 +1,15 @@
 """Riemannian point computations against hand and finite-difference oracles."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from instab import geometry
+from instab.dynamics import LagrangianSystem, State, el_acceleration
 from instab.errors import DomainError, SingularMetric
 from instab.expr import ScalarField
 from instab.geometry import (
@@ -28,6 +34,13 @@ CURVED = [
     ["1 + x2^2", "x1*x2/2", "0"],
     ["x1*x2/2", "2 + x1^2", "0"],
     ["0", "0", "1 + (x1 + x2)^2/4"],
+]
+# Not positive definite for x1 <= -1 (first pivot 1 + x1), and where the
+# last pivot 1 - x3^2 / d_1 reaches 0 (cancellation in its subtraction).
+TURNS_SINGULAR = [
+    ["1 + x1", "x1*x2/4", "0"],
+    ["x1*x2/4", "1", "x3"],
+    ["0", "x3", "1"],
 ]
 
 
@@ -136,6 +149,87 @@ def test_compiled_metric_matches_reference(sources):
     assert not ginv.flags.writeable
     with pytest.raises(ValueError):
         ginv[0, 0] = 0.0
+
+
+def _reference_metric(sources):
+    """A metric whose every point takes the numpy path: compile_fields,
+    then Cholesky and inverse in numpy, then the numpy Christoffel."""
+    metric = MetricSpec.from_sources(3, sources)
+    metric._kernel = geometry._reference_factors
+    return metric
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except SingularMetric as exc:
+        return None, exc
+
+
+# Generated factors against the numpy path within 1e-12 relative times the
+# condition number of g: of the largest entry for g^-1, and of the sum of
+# the magnitudes of the summed terms for Gamma and the acceleration.
+_FACTOR_REL = 1e-12
+_METRICS = {"criterion 10 (perfbench's CURVED_PROBLEM)": CRITERION_10,
+            "curved": CURVED, "turns singular": TURNS_SINGULAR}
+_NEAR_ONE = st.one_of(st.floats(-2, 2), st.sampled_from([-1.0, 1.0]),
+                      st.floats(-1e-9, 1e-9).map(lambda d: d - 1.0))
+
+
+@given(st.sampled_from(sorted(_METRICS)),
+       st.tuples(_NEAR_ONE, st.floats(-2, 2), _NEAR_ONE),
+       st.tuples(*[st.floats(-3, 3)] * 3),
+       st.sampled_from([1.0, 0.1, 0.01]))
+# not positive definite: numpy's Cholesky fails
+@example("turns singular", (-1.5, 0.0, 0.0), (1.0, 0.0, 0.0), 1.0)
+# first pivot 9e-13, just under PIVOT_FLOOR: numpy's pivot test fails
+@example("turns singular", (-1.0 + 9e-13, 0.0, 0.0), (1.0, 0.0, 0.0), 1.0)
+# last pivot 1 - x3^2 just under the floor, reached by cancellation
+@example("turns singular", (0.0, 0.0, 1.0 - 4e-13), (0.0, 1.0, 1.0), 0.1)
+@settings(max_examples=300, deadline=None)
+def test_generated_factors_match_numpy_path(count_calls, name, point,
+                                           velocity, epsilon):
+    sources = _METRICS[name]
+    reference = _reference_metric(sources)
+    with count_calls(geometry, "_reference_factors") as fallbacks:
+        metric = MetricSpec.from_sources(3, sources)
+        ginv, error = _outcome(metric.inverse, point)
+    ginv_ref, error_ref = _outcome(reference.inverse, point)
+    assert np.array_equal(metric.value(point), reference.value(point))
+    if error_ref is not None:
+        assert fallbacks and type(error) is SingularMetric
+        assert str(error) == str(error_ref)
+        with pytest.raises(SingularMetric, match=re.escape(str(error_ref))):
+            metric.christoffel(point)
+        return
+    if name != "turns singular":
+        assert not fallbacks  # positive definite everywhere
+    assert error is None
+    g = reference.value(point)
+    bound = _FACTOR_REL * np.linalg.cond(g)
+    assert np.max(np.abs(ginv - ginv_ref)) <= bound * np.max(np.abs(ginv_ref))
+
+    dg = reference._at(point)[2]
+    braces = (np.transpose(dg, (1, 2, 0)) + np.transpose(dg, (1, 0, 2))
+              - dg)
+    gamma_terms = 0.5 * np.einsum("ab,bmn->amn", np.abs(ginv_ref),
+                                  np.abs(braces))
+    gamma_ref = reference.christoffel(point)
+    assert np.all(np.abs(metric.christoffel(point) - gamma_ref)
+                  <= bound * gamma_terms)
+
+    potential = ScalarField.parse("x3^2", 3)
+    form = OneForm.from_sources(["0", "x3", "0"])
+    state = State(0.0, point, velocity)
+    acc = el_acceleration(LagrangianSystem(metric, potential, form,
+                                           epsilon), state)
+    acc_ref = el_acceleration(LagrangianSystem(reference, potential, form,
+                                               epsilon), state)
+    force = -potential.grad(point) / epsilon ** 2 \
+        - magnetic_tensor(form, point).T @ state.v / epsilon
+    v = np.abs(state.v)
+    scale = np.abs(ginv_ref) @ np.abs(force) + gamma_terms @ v @ v
+    assert np.all(np.abs(acc - acc_ref) <= bound * scale)
 
 
 def test_metric_entry_domain_error_names_entry_and_point():

@@ -321,6 +321,24 @@ def test_cli_overflow_exits_3(tmp_path):
     assert "exp(1000*x1)" in message and "np.float64" not in message
 
 
+def test_cli_proof_constant_overflow_exits_3(tmp_path):
+    """A tiny sampled |grad f| overflows the proof constant C1 = m_grad^-2
+    sqrt(K1 |grad f(center)|^2 / 2 m_quad), computed from m_grad^-4."""
+    path = tmp_path / "tiny-gradient.json"
+    path.write_text(json.dumps({
+        "dimension": 2, "potential": "(x1 - 1.2)^2 + x2^2", "f": "x1^41",
+        "magnetic": ["0", "x1"], "center": [1.2, 0.0],
+        "probe": {"radius": 1.3}}))
+    result = subprocess.run(
+        [sys.executable, "-m", "instab.cli", "certify", str(path),
+         "--seed", "8"], capture_output=True, text=True)
+    assert result.returncode == 3, result.stdout + result.stderr
+    assert result.stderr == ""
+    report = _strict_json(result.stdout)
+    assert report["phase"] == "certify" and report["problem"] == str(path)
+    assert "proof constant C1" in report["error"]
+
+
 def _strict_json(text):
     """``text`` parsed as RFC 8259 JSON, which has no NaN or Infinity."""
     def reject(constant):
