@@ -17,6 +17,16 @@ over all step rows, and the speed and potential logs are read in the same
 row-wise way. An untrustworthy energy drift raises instead of being
 silently accepted.
 
+The step log is float64 blocks: each branch appends its accepted steps to
+short lists and turns every BLOCK_ROWS of them into one time array and one
+(rows, 2n) state array. ``integrate`` joins the blocks once and lets them go
+before the energy pass, so a kept trajectory costs 8(2n + 3) bytes per
+accepted step (times, states, energies and path length; 72 B in three
+dimensions), about twice the time and state log at the join, where one
+Python tuple per step cost about 450 B. The same counters that read the
+log, the smallest unclipped step, the steps at the cap and the tau of the
+largest energy deviation, go into the run's ``stats``.
+
 On a Euclidean metric the equations of motion are ASTs over the partials
 of U and the form, compiled by ``expr.compile_kernel`` once per potential,
 one-form and epsilon, with ``el_acceleration`` as the reference. On a
@@ -39,6 +49,7 @@ from .errors import (
     DomainError,
     EnergyDriftExceeded,
     IntegrationError,
+    NonFiniteResult,
     StepSizeUnderflow,
     format_point,
 )
@@ -54,6 +65,8 @@ from .expr import (
 from .geometry import magnetic_tensor
 
 GRID_POINTS = 513  # uniform tau samples over [-T, T], including tau = 0
+BLOCK_ROWS = 4096  # accepted steps per float64 block of a branch's log
+CAP_RELATIVE = 1e-9  # a step within this share of the cap counts as capped
 
 
 @dataclass
@@ -152,9 +165,14 @@ class BoundsVerdict:
 class Trajectory:
     """Time-sampled solution on [-T, T] with its monitor logs.
 
-    ``times``/``states`` merge both branches in increasing tau order;
-    ``grid_times``/``grid_states`` are the uniform dense-output samples used
-    for cross-run comparisons. States are stored as rows (x, v) of length 2n.
+    ``times``/``states`` merge both branches in increasing tau order, tau =
+    0 once per branch; ``grid_times``/``grid_states`` are the uniform
+    dense-output samples used for cross-run comparisons. States are stored
+    as rows (x, v) of length 2n. ``stats`` holds the run's ``nfev``,
+    ``steps``, ``rejected``, ``min_step`` (the smallest |dtau| over the
+    accepted steps but the one of each branch clipped to land on -T or T;
+    None when there is none), ``capped_steps`` (steps within CAP_RELATIVE
+    of the step cap) and ``drift_peak_tau`` (the tau of max |E - E(0)|).
     """
 
     epsilon: float | None
@@ -175,15 +193,19 @@ class Trajectory:
         return self.states.shape[1] // 2
 
     def to_csv(self, fileobj, system):
+        """One row per accepted step, written BLOCK_ROWS rows at a time."""
         n = self.dimension
         header = (["tau"] + [f"x{i+1}" for i in range(n)]
                   + [f"v{i+1}" for i in range(n)] + ["H", "U", "pathlen"])
         fileobj.write(",".join(header) + "\n")
         potentials = system.potential.vectorized()(self.states[:, :n])
-        table = np.column_stack([self.times, self.states, self.energies,
-                                 potentials, self.path_length])
-        fileobj.writelines(",".join(map(repr, cells)) + "\n"
-                           for cells in table.tolist())
+        for start in range(0, len(self.times), BLOCK_ROWS):
+            rows = slice(start, start + BLOCK_ROWS)
+            table = np.column_stack([
+                self.times[rows], self.states[rows], self.energies[rows],
+                potentials[rows], self.path_length[rows]])
+            fileobj.writelines(",".join(map(repr, cells)) + "\n"
+                               for cells in table.tolist())
 
 
 # --- equations of motion --------------------------------------------------
@@ -331,8 +353,8 @@ def _initial_step(f, arg, y0, k1, t_end, max_step, rtol, atol):
 
 @dataclass
 class _Branch:
-    times: list
-    states: list
+    times: list  # float64 blocks of the accepted step times, in step order
+    states: list  # the matching (rows, 2n) blocks of states
     grid_states: np.ndarray  # at the branch's grid times, in their order
     rejected: int
     nfev: int
@@ -355,69 +377,107 @@ def _dense(steps, times):
         + np.array(y_old)[index]
 
 
+def _where(tau, y):
+    return f"at tau = {tau!r}, state {format_point(y)}"
+
+
+def _naming(message, first_bad):
+    """``message``, naming the (tau, state) ``first_bad`` if there is one."""
+    if first_bad is None:
+        return message
+    return (f"{message.rstrip('.')}; the step first went non-finite "
+            f"{_where(*first_bad)}")
+
+
 def _solve_branch(f, arg, y0, t_end, tol, max_step, grid=None):
     """Adaptive Dormand-Prince steps from tau = 0 to exactly ``t_end``.
 
     ``grid`` holds times in the order the branch passes them; each is read
-    off the interpolant of the first step that reaches it. Without a grid
+    off the interpolant of the first step that reaches it. The accepted
+    steps are kept as float64 blocks of BLOCK_ROWS rows. Without a grid
     the branch keeps no samples and returns its end state alone. A branch
     that has tried as many steps, accepted or rejected, as its budget allows
-    raises IntegrationError.
+    raises IntegrationError. A right-hand side that is not finite at y0
+    raises NonFiniteResult; the error that ends a branch after a stage or an
+    error estimate went non-finite names the tau and state of the step
+    where that first happened.
     """
     direction = math.copysign(1.0, t_end)
     rtol, atol = max(tol.rel, MIN_RTOL), tol.abs
     step = _stepper(len(y0))
     budget = max(MIN_TRIES, TRIES_PER_CAPPED_STEP * abs(t_end) / max_step)
     k1 = f(y0, arg)
-    h_abs = _initial_step(f, arg, y0, k1, t_end, max_step, rtol, atol)
+    if not all(map(math.isfinite, k1)):
+        raise NonFiniteResult(
+            f"the right-hand side is not finite {_where(0.0, y0)}")
     nfev, rejected = 2, 0
     t, y = 0.0, y0
+    first_bad = None  # (tau, state) of the first non-finite error estimate
     if grid is not None:
+        block = BLOCK_ROWS
         times, states, dense = [t], [y], []
+        time_blocks, state_blocks = [], []
         marks = (direction * grid).tolist()  # grid times in steps' progress
         nxt = 0  # the first grid time not yet read
-    while direction * (t - t_end) < 0:
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        if h_abs > max_step:
-            h_abs = max_step
-        elif h_abs < min_step:
-            h_abs = min_step
-        retried = False
-        while True:
-            if h_abs < min_step:
-                raise StepSizeUnderflow(TOO_SMALL_STEP)
-            if nfev - 2 >= 6 * budget:  # six evaluations per try
-                raise IntegrationError(
-                    f"step budget of {budget:.0f} tries spent at tau = "
-                    f"{t!r} of {t_end!r} from {format_point(y0)}")
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_end) > 0:
-                t_new = t_end
-            h = t_new - t
-            h_abs = abs(h)
-            y_new, k7, error, stages = step(f, arg, y, k1, h, rtol, atol)
-            nfev += 6
-            if error < 1:
-                factor = MAX_FACTOR if error == 0 else min(
-                    MAX_FACTOR, SAFETY * error ** ERROR_EXPONENT)
-                h_abs *= min(1.0, factor) if retried else factor
-                break
-            h_abs *= max(MIN_FACTOR, SAFETY * error ** ERROR_EXPONENT)
-            retried = True
-            rejected += 1
-        if grid is not None:
-            end = nxt
-            while end < len(marks) and marks[end] <= direction * t_new:
-                end += 1
-            if end > nxt:
-                dense.append((t, t_new, y, stages, end - nxt))
-                nxt = end
-            times.append(t_new)
-            states.append(y_new)
-        t, y, k1 = t_new, y_new, k7
+    try:
+        h_abs = _initial_step(f, arg, y0, k1, t_end, max_step, rtol, atol)
+        while direction * (t - t_end) < 0:
+            min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+            if h_abs > max_step:
+                h_abs = max_step
+            elif h_abs < min_step:
+                h_abs = min_step
+            retried = False
+            while True:
+                if h_abs < min_step:
+                    raise StepSizeUnderflow(
+                        _naming(TOO_SMALL_STEP, first_bad))
+                if nfev - 2 >= 6 * budget:  # six evaluations per try
+                    raise IntegrationError(_naming(
+                        f"step budget of {budget:.0f} tries spent at tau = "
+                        f"{t!r} of {t_end!r} from {format_point(y0)}",
+                        first_bad))
+                t_new = t + h_abs * direction
+                if direction * (t_new - t_end) > 0:
+                    t_new = t_end
+                h = t_new - t
+                h_abs = abs(h)
+                y_new, k7, error, stages = step(f, arg, y, k1, h, rtol, atol)
+                nfev += 6
+                if error < 1:
+                    factor = MAX_FACTOR if error == 0 else min(
+                        MAX_FACTOR, SAFETY * error ** ERROR_EXPONENT)
+                    h_abs *= min(1.0, factor) if retried else factor
+                    break
+                if first_bad is None and not math.isfinite(error):
+                    first_bad = (t, y)
+                h_abs *= max(MIN_FACTOR, SAFETY * error ** ERROR_EXPONENT)
+                retried = True
+                rejected += 1
+            if grid is not None:
+                end = nxt
+                while end < len(marks) and marks[end] <= direction * t_new:
+                    end += 1
+                if end > nxt:
+                    dense.append((t, t_new, y, stages, end - nxt))
+                    nxt = end
+                times.append(t_new)
+                states.append(y_new)
+                if len(times) >= block:
+                    time_blocks.append(np.array(times))
+                    state_blocks.append(np.array(states))
+                    times, states = [], []
+            t, y, k1 = t_new, y_new, k7
+    except NonFiniteResult as exc:
+        raise NonFiniteResult(
+            _naming(str(exc), first_bad or (t, y))) from exc
     if grid is None:
         return y
-    return _Branch(times, states, _dense(dense, grid), rejected, nfev)
+    if times:
+        time_blocks.append(np.array(times))
+        state_blocks.append(np.array(states))
+    return _Branch(time_blocks, state_blocks, _dense(dense, grid), rejected,
+                   nfev)
 
 
 def integrate(system, initial, horizon, tol=None) -> Trajectory:
@@ -448,10 +508,15 @@ def integrate(system, initial, horizon, tol=None) -> Trajectory:
     bwd = _solve_branch(f, system, y0, -horizon, tol, max_step,
                         grid_times[neg][::-1])
 
-    # merge step samples in increasing tau (backward branch reversed)
-    times = np.array(bwd.times[::-1] + fwd.times)
-    states = np.array(bwd.states[::-1] + fwd.states)
+    # merge step samples in increasing tau (backward branch reversed), then
+    # let the blocks go, so the pass below holds one copy of the step log
+    times = np.concatenate([b[::-1] for b in bwd.times[::-1]] + fwd.times)
+    states = np.concatenate([b[::-1] for b in bwd.states[::-1]] + fwd.states)
     grid_states = np.concatenate([bwd.grid_states[::-1], fwd.grid_states])
+    origin = sum(map(len, bwd.times)) - 1  # the backward branch's tau = 0
+    stats = {"nfev": fwd.nfev + bwd.nfev, "steps": len(times) - 2,
+             "rejected": fwd.rejected + bwd.rejected}
+    del fwd, bwd
 
     x, v = states[:, :n], states[:, n:]
     energies = hamiltonian(system, State(times, x, v))
@@ -462,11 +527,18 @@ def integrate(system, initial, horizon, tol=None) -> Trajectory:
     dt = np.diff(times)
     seg = 0.5 * (speeds[:-1] + speeds[1:]) * dt
     cumulative = np.concatenate([[0.0], np.cumsum(seg)])
-    origin = np.searchsorted(times, 0.0)
-    origin = min(origin, len(times) - 1)
     path = np.abs(cumulative - cumulative[origin])
 
-    h0 = energies[np.argmin(np.abs(times))]
+    # step sizes: dt[0] and dt[-1] are the steps clipped to land on -T and
+    # T, and dt[origin] = 0 joins the branches at tau = 0; no step reaches
+    # an infinite cap
+    unclipped = [d.min() for d in (dt[1:origin], dt[origin + 1:-1]) if len(d)]
+    stats["min_step"] = float(min(unclipped)) if unclipped else None
+    stats["capped_steps"] = int(np.count_nonzero(
+        dt >= max_step * (1.0 - CAP_RELATIVE)))
+
+    h0 = energies[origin]
+    stats["drift_peak_tau"] = float(times[np.argmax(np.abs(energies - h0))])
     drift = (energies.max() - energies.min()) / max(1.0, abs(h0))
     trajectory = Trajectory(
         epsilon=system.epsilon,
@@ -480,11 +552,7 @@ def integrate(system, initial, horizon, tol=None) -> Trajectory:
         energy_drift=float(drift),
         max_speed=float(speeds.max()),
         max_potential=float(potentials.max()),
-        stats={
-            "nfev": fwd.nfev + bwd.nfev,
-            "steps": len(fwd.times) + len(bwd.times) - 2,
-            "rejected": fwd.rejected + bwd.rejected,
-        },
+        stats=stats,
     )
     if drift > tol.energy_drift:
         raise EnergyDriftExceeded(float(drift), tol.energy_drift)

@@ -1,6 +1,8 @@
 """Integrator and monitor checks against closed-form solutions."""
 
+import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -410,3 +412,119 @@ def test_tolerances_reject_non_positive_max_step():
 def test_tolerances_reject_non_finite_values(kind):
     with pytest.raises(ValueError, match="finite"):
         Tolerances(**{kind: math.inf})
+
+
+# --- the step log in float64 blocks ----------------------------------------
+
+def _long_case():
+    """A gyrating run of 10,000 capped steps a branch: over two blocks."""
+    system = LagrangianSystem(E3, U_PLANE, MU_Z, epsilon=0.01)
+    return system, State(0, [0, 0, 0.005], [1, 0.5, 0]), 1.0, \
+        Tolerances(max_step=1e-4)
+
+
+def test_step_log_is_bit_identical_for_any_block_size(monkeypatch):
+    system, initial, horizon, tol = _long_case()
+    default = dynamics.BLOCK_ROWS
+    monkeypatch.setattr(dynamics, "BLOCK_ROWS", 10 ** 9)  # one block
+    want = integrate(system, initial, horizon, tol=tol)
+    assert len(want.times) > 4 * default
+    for rows in (1, 7, default):
+        monkeypatch.setattr(dynamics, "BLOCK_ROWS", rows)
+        got = integrate(system, initial, horizon, tol=tol)
+        for name in ("times", "states", "energies", "path_length",
+                     "grid_states"):
+            assert getattr(got, name).tobytes() \
+                == getattr(want, name).tobytes(), (rows, name)
+        assert got.stats == want.stats
+
+
+def _one_shot_csv(trajectory, system):
+    """The CSV rendered from one table of every row at once."""
+    n = trajectory.dimension
+    header = (["tau"] + [f"x{i+1}" for i in range(n)]
+              + [f"v{i+1}" for i in range(n)] + ["H", "U", "pathlen"])
+    potentials = system.potential.vectorized()(trajectory.states[:, :n])
+    table = np.column_stack([trajectory.times, trajectory.states,
+                             trajectory.energies, potentials,
+                             trajectory.path_length])
+    return ",".join(header) + "\n" + "".join(
+        ",".join(map(repr, cells)) + "\n" for cells in table.tolist())
+
+
+def test_csv_streams_the_one_shot_rows(monkeypatch):
+    system = LagrangianSystem(E3, U_PLANE, MU_Z, epsilon=0.1)
+    traj = integrate(system, State(0, [0, 0, 0.01], [1, 0.5, 0]), 1.0)
+    monkeypatch.setattr(dynamics, "BLOCK_ROWS", 7)
+    assert len(traj.times) > 2 * 7 and len(traj.times) % 7
+    out = io.StringIO()
+    traj.to_csv(out, system)
+    assert out.getvalue() == _one_shot_csv(traj, system)
+
+
+def test_step_counters_on_capped_corpus_runs():
+    # unstable-magnetic-plane at eps = 0.01 runs every step at the cap,
+    # T / cap = 1,000 a branch, the last ones included
+    system, initial, horizon, tol, cap = _corpus_case(
+        "unstable-magnetic-plane", 0.01)
+    assert horizon == 1.0
+    stats = integrate(system, initial, horizon, tol=tol).stats
+    assert stats["steps"] == stats["capped_steps"] == 2000
+    # tau + cap - tau is the cap but for rounding at |tau| near 1
+    assert stats["min_step"] == pytest.approx(cap, abs=2 * math.ulp(1.0))
+    # mechanical-plane at eps = 0.1 starts below the cap on each branch
+    system, initial, horizon, tol, cap = _corpus_case("mechanical-plane",
+                                                      0.1)
+    traj = integrate(system, initial, horizon, tol=tol)
+    assert (traj.stats["steps"], traj.stats["capped_steps"]) == (202, 198)
+    assert traj.stats["min_step"] == 0.00476228217902515
+    sizes = np.abs(np.diff(traj.times))
+    assert traj.stats["capped_steps"] \
+        == np.count_nonzero(sizes >= cap * (1 - 1e-9))
+    zero = np.flatnonzero(traj.times == 0.0)[0]
+    energy = traj.energies
+    assert traj.stats["drift_peak_tau"] \
+        == traj.times[np.argmax(np.abs(energy - energy[zero]))]
+
+
+def test_uncapped_run_counts_no_capped_steps():
+    system = LagrangianSystem(E3, ZERO3, None, epsilon=None)
+    traj = integrate(system, State(0, np.zeros(3), [1, 0, 0]), 1.0)
+    assert traj.stats["capped_steps"] == 0
+
+
+def test_non_finite_stage_names_the_step_it_began_at():
+    """dU/eps^2 is finite at x1 = 2.3e-301 for ln(x1)^2, but the first
+    step's stage sums overflow; the error names where that step began."""
+    u = ScalarField.parse("ln(x1)^2", 1)
+    system = LagrangianSystem(MetricSpec.identity(1), u, None, epsilon=0.01)
+    with pytest.raises(NonFiniteResult) as raised:
+        integrate(system, State(0, [2.3e-301], [0.0]), 1.0)
+    assert str(raised.value).endswith(
+        "; the step first went non-finite at tau = 0.0, "
+        "state (2.3e-301, 0.0)")
+
+
+def _wall(y, _arg):
+    """y' = 1 up to y = 1/2, and an infinite slope past it."""
+    return (1.0,) if y[0] <= 0.5 else (math.inf,)
+
+
+def test_non_finite_error_estimate_is_named_by_the_error_that_ends():
+    with pytest.raises(StepSizeUnderflow) as raised:
+        dynamics._solve_branch(_wall, None, (0.0,), 1.0, Tolerances(),
+                               math.inf)
+    message = str(raised.value)
+    assert message.startswith(dynamics.TOO_SMALL_STEP.rstrip("."))
+    tau, state = re.fullmatch(
+        r".*; the step first went non-finite at tau = (\S+), "
+        r"state \((\S+)\)", message).groups()
+    assert 0.0 < float(state) <= 0.5
+    assert float(tau) == pytest.approx(float(state), abs=1e-12)
+
+
+def test_non_finite_right_hand_side_at_the_start_raises():
+    with pytest.raises(NonFiniteResult, match=r"not finite at tau = 0\.0, "
+                       r"state \(0\.75\)"):
+        dynamics._solve_branch(_wall, None, (0.75,), 1.0, Tolerances(),
+                               math.inf)

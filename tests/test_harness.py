@@ -424,3 +424,12 @@ def test_cli_chart_reports():
 
     assert _run("chart", "whitney-umbrella").exit_code == 2
     assert _run("chart", "corollary1-mechanical", "--multi").exit_code == 2
+
+
+def test_sweep_runs_report_step_log_counters(corpus_sweeps):
+    for report in corpus_sweeps.values():
+        for run in report.runs:
+            out = run.to_dict()
+            assert out["capped_steps"] <= out["steps"]
+            assert 0.0 < out["min_step"]
+            assert abs(out["drift_peak_tau"]) <= run.trajectory.horizon
