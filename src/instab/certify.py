@@ -278,14 +278,12 @@ def _shell_table(probe):
     return shells, skipped, drawn[0][2]
 
 
-def _columns(fld, points):
+def _field_columns(fld, points):
     """The value column and gradient rows of ``fld`` at (m, n) ``points``,
-    one numpy pass each, and the mask of rows where a value or a partial
-    is not finite: there the scalar path may raise."""
-    values = fld.vectorized()(points)
+    one numpy pass each, and the mask of rows where ``value_and_grad``
+    raises, the rows where a gradient row is not finite."""
     grads = fld.vectorized_gradient()(points)
-    return values, grads, ~(np.isfinite(values)
-                            & np.isfinite(grads).all(axis=1))
+    return fld.vectorized()(points), grads, ~np.isfinite(grads).all(axis=1)
 
 
 def _mend(points, bad, scalar, columns, skip=()):
@@ -308,13 +306,13 @@ def _mend(points, bad, scalar, columns, skip=()):
 
 def _gradient_rows(metric, f, points):
     """grad f, |grad f|^2 and g^-1 rows at (m, n) ``points``, and the mask
-    of bad rows (see ``_columns``).
+    of bad rows (see ``_field_columns``).
 
     g^-1 is MetricSpec.inverse at each point not yet bad, the identity on
     a Euclidean metric; a row where it raises turns bad, as does one where
     |grad f|^2 is not finite.
     """
-    _values, df, bad = _columns(f, points)
+    _values, df, bad = _field_columns(f, points)
     m, n = points.shape
     if metric.euclidean:
         inverse, grad = np.tile(np.eye(n), (m, 1, 1)), df
@@ -335,7 +333,7 @@ def _evaluate(probe, points):
     where |grad f| is below the floor, from the scalar path."""
     metric = probe.metric
     grad, norm_sq, inverse, bad = _gradient_rows(metric, probe.f, points)
-    u, du, bad_u = _columns(probe.potential, points)
+    u, du, bad_u = _field_columns(probe.potential, points)
     bad |= bad_u | (norm_sq < GRADIENT_FLOOR ** 2)
 
     def scalar(x):
@@ -349,12 +347,12 @@ def _evaluate(probe, points):
 
 def _tensor_rows(form, points):
     """magnetic_tensor at each of (m, n) ``points`` from one numpy pass per
-    component, and the mask of bad rows (see ``_columns``)."""
+    component, and the mask of bad rows (see ``_field_columns``)."""
     m, n = points.shape
     jac = np.empty((m, n, n))  # jac[k, b, a] = ∂_a A_b at point k
     bad = np.zeros(m, dtype=bool)
     for b, component in enumerate(form.components):
-        _values, jac[:, b], bad_b = _columns(component, points)
+        _values, jac[:, b], bad_b = _field_columns(component, points)
         bad |= bad_b
     return jac.transpose(0, 2, 1) - jac, bad
 
@@ -547,7 +545,7 @@ def check_quasi_homogeneous(potential, spec, samples=1000, seed=0,
     n = potential.dimension
     rng = np.random.default_rng(seed)
     points = rng.uniform(-box, box, size=(samples, n))
-    u, du, bad = _columns(potential, points)
+    u, du, bad = _field_columns(potential, points)
     _mend(points, bad, potential.value_and_grad, (u, du))
     weights = np.broadcast_to(spec.weights, du.shape)
     residual = np.abs(rowdot(weights, points * du) - spec.degree * u)

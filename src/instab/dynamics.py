@@ -12,10 +12,9 @@ stepper solves the chart flows (``charts``), uncapped and without grid
 times, keeping only the end state. A branch that spends its step budget,
 as against a stiff wall, raises instead of shrinking its steps without
 bound. Every run records conserved-energy, speed, potential and
-path-length logs; the energy log is one vectorized ``hamiltonian`` pass
-over all step rows, and the speed and potential logs are read in the same
-row-wise way. An untrustworthy energy drift raises instead of being
-silently accepted.
+path-length logs; U and g(v, v) are evaluated once over all step rows,
+and the energy, speed and potential logs are read off them. An
+untrustworthy energy drift raises instead of being silently accepted.
 
 The step log is float64 blocks: each branch appends its accepted steps to
 short lists and turns every BLOCK_ROWS of them into one time array and one
@@ -136,13 +135,10 @@ def el_acceleration(system, state) -> np.ndarray:
     return ginv.dot(force) - gamma.dot(v).dot(v)
 
 
-def hamiltonian(system, state):
-    """Conserved energy |v|^2_g / 2 + U / eps^2 (magnetic force does no work).
-
-    ``state`` holds one point, giving a float, or (m, n) rows, giving an
-    array. The first row where U is undefined or negative raises.
+def _energy_rows(system, x, v):
+    """(H, U, g(v, v)) over (m, n) rows of positions and velocities, each
+    evaluated once; the first row where U is undefined or negative raises.
     """
-    x, v = np.atleast_2d(state.x), np.atleast_2d(state.v)
     u = system.potential.vectorized()(x)
     bad = ~(u >= -1e-12)  # nan where U is undefined
     if bad.any():
@@ -150,7 +146,18 @@ def hamiltonian(system, state):
         value = system.potential.eval(point)  # raises where U is undefined
         raise DomainError(
             f"potential is negative ({value:.3e}) at {format_point(point)}")
-    energy = 0.5 * system.metric.inner(x, v, v) + system.inv_eps ** 2 * u
+    vv = system.metric.inner(x, v, v)
+    return 0.5 * vv + system.inv_eps ** 2 * u, u, vv
+
+
+def hamiltonian(system, state):
+    """Conserved energy |v|^2_g / 2 + U / eps^2 (magnetic force does no work).
+
+    ``state`` holds one point, giving a float, or (m, n) rows, giving an
+    array. The first row where U is undefined or negative raises.
+    """
+    energy, _, _ = _energy_rows(system, np.atleast_2d(state.x),
+                                np.atleast_2d(state.v))
     return float(energy[0]) if state.x.ndim == 1 else energy
 
 
@@ -518,10 +525,9 @@ def integrate(system, initial, horizon, tol=None) -> Trajectory:
              "rejected": fwd.rejected + bwd.rejected}
     del fwd, bwd
 
-    x, v = states[:, :n], states[:, n:]
-    energies = hamiltonian(system, State(times, x, v))
-    speeds = system.metric.norm(x, v)
-    potentials = system.potential.vectorized()(x)
+    energies, potentials, speeds = _energy_rows(system, states[:, :n],
+                                                states[:, n:])
+    np.sqrt(np.maximum(speeds, 0.0, out=speeds), out=speeds)  # |v|_g
 
     # Riemannian arc length from tau = 0, trapezoid rule on the speed log
     dt = np.diff(times)

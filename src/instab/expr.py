@@ -5,12 +5,14 @@ components) are entered as text in the variables x1..xn and parsed once into
 an AST. Three backends evaluate it: the reference walker ``eval_expr`` over
 plain floats or vector-forward dual numbers (one derivative seed per
 coordinate, nestable for second order), a generated float value+gradient
-function, and a generated numpy value function for bulk sampling. The code
-generator emits values only, each common subexpression once; a gradient is
-the values of ``derivative`` ASTs, the one set of derivative rules, which
-also gives second derivatives. Both generated functions run the same value
-operations in the same order; where the scalar function raises, the numpy
-one gives a non-finite value. Duals are only the tests' reference.
+function, and generated numpy functions for bulk sampling, one for a
+field's values and one for its gradients. The code generator emits values
+only, each common subexpression once; a gradient is the values of
+``derivative`` ASTs, the one set of derivative rules, which also gives
+second derivatives. The generated functions run the same value operations
+in the same order; where the scalar function raises, the numpy value is
+not finite, and so is a row of the numpy gradient where the scalar
+value+gradient function raises. Duals are only the tests' reference.
 
 Only this module writes field code. Other modules state their formulas as
 ASTs over fields' ``derivative`` ASTs, and ``compile_kernel``, the one
@@ -547,7 +549,6 @@ class _Check:
 
     test: str
     message: str | None  # None: float arithmetic raises there by itself
-    guard: bool = False  # a check on the derivative alone (see _Emitter)
 
 
 # Checked before the function: the test on its argument, and the message.
@@ -569,7 +570,7 @@ class _Emitter:
     divisor whose square, the quotient rule's, underflows to 0.
     """
 
-    def __init__(self, guards):
+    def __init__(self, guards=False):
         self.guards = guards
         self.lines = []
         self.memo = {}
@@ -580,10 +581,10 @@ class _Emitter:
         self.lines.append(f"{name} = {code}")
         return name
 
-    def check(self, test, message=None, guard=False):
+    def check(self, test, message=None):
         if test not in self.tests:
             self.tests.add(test)
-            self.lines.append(_Check(test, message, guard))
+            self.lines.append(_Check(test, message))
 
     def emit(self, node):
         """The symbol that holds the value of ``node``."""
@@ -609,8 +610,7 @@ class _Emitter:
                 self.check(f"isinf({out}) & ~isinf({v})")
             if (node.name == "sqrt" and self.guards
                     and _has_var(node.arg, zero_powers=False)):
-                self.check(f"{out} == 0.0", "sqrt derivative at zero",
-                           guard=True)
+                self.check(f"{out} == 0.0", "sqrt derivative at zero")
             return out
         if isinstance(node, IntPow):
             a, k = node.base, node.k
@@ -635,7 +635,7 @@ class _Emitter:
             self.check(f"{vb} == 0.0", "division by zero")
         if node.op == "/" and self.guards and _has_var(b, zero_powers=False):
             square = self.emit(Bin("*", b, b))
-            self.check(f"{square} == 0.0", "division by zero", guard=True)
+            self.check(f"{square} == 0.0", "division by zero")
         return self.temp(f"({va} {node.op} {vb})")
 
 
@@ -647,8 +647,8 @@ _SCALAR_NAMESPACE = {
 
 _NUMPY_NAMESPACE = {
     "ln": np.log, "sqrt": np.sqrt, "exp": np.exp, "sin": np.sin,
-    "cos": np.cos, "isinf": np.isinf, "nan": np.nan, "inf": np.inf,
-    "np": np,
+    "cos": np.cos, "isinf": np.isinf, "isfinite": np.isfinite,
+    "nan": np.nan, "inf": np.inf, "np": np,
 }
 
 
@@ -742,68 +742,47 @@ def sum_nodes(terms) -> Expr:
         if terms else Num(0.0)
 
 
-def _column(value, m, dtype):
-    """``value`` as a fresh (m,) array of ``dtype``.
-
-    A ufunc's result already is one, and is returned as it is; a number, or
-    a view of the points (the value of a bare variable), is copied.
-    """
-    if (type(value) is np.ndarray and value.base is None
-            and value.shape == (m,) and value.dtype == dtype):
-        return value
-    return np.broadcast_to(value, (m,)).astype(dtype)
-
-
-def _numpy_function(em, out, dtype, failed):
-    """``f(points) -> column`` over an (m, n) array of points: the emitter's
-    lines in numpy, then ``out`` as a fresh (m,) column of ``dtype``, or
-    ``failed`` in every row when float arithmetic on constants raises.
+def _numpy_function(em, shape, outputs):
+    """``f(points)`` over an (m, n) array of points: the emitter's lines in
+    numpy, then ``outputs``, lines that fill ``out``, a fresh float array of
+    ``shape``. A row of ``out`` is nan where one of the emitter's checks
+    holds, and every row is nan when float arithmetic on constants raises.
     numpy's floating-point warnings are off inside."""
-    body = "".join(f"        {line}\n" for line in em.lines
-                   if isinstance(line, str)) or "        pass\n"
+    tests = [f"({line.test})" for line in em.lines
+             if isinstance(line, _Check)]
+    lines = [line for line in em.lines if isinstance(line, str)] + outputs
+    if tests:
+        lines.append(f"out[{' | '.join(tests)}] = nan")
     src = ("def _vec(points):\n"
+           "    points = np.asarray(points, dtype=float)\n"
            "    p = points.T\n"
-           f"    try:\n{body}"
-           "    except (ZeroDivisionError, OverflowError):\n"
-           f"        return {failed}\n"
-           f"    return {out}\n")
-    vec = _define("_vec", src, _NUMPY_NAMESPACE)
-
-    def column(points):
-        points = np.asarray(points, dtype=float)
-        with np.errstate(all="ignore"):
-            return _column(vec(points), points.shape[0], dtype)
-
-    return column
+           f"    out = np.empty({shape})\n"
+           "    with np.errstate(all='ignore'):\n"
+           "        try:\n"
+           + "".join(f"            {line}\n" for line in lines) +
+           "        except (ZeroDivisionError, OverflowError):\n"
+           "            out[...] = nan\n"
+           "    return out\n")
+    return _define("_vec", src, _NUMPY_NAMESPACE)
 
 
 def compile_vectorized(node: Expr):
-    """Generate ``f(points) -> values`` over an (m, n) array of points.
-
-    The values are non-finite exactly where the scalar value raises: nan at
-    a failed check, and everywhere when float arithmetic on constants
-    raises.
-    """
-    em = _Emitter(guards=False)
-    v = em.emit(node)
-    tests = [f"({line.test})" for line in em.lines
-             if isinstance(line, _Check)]
-    if tests:
-        v = f"np.where({' | '.join(tests)}, nan, {v})"
-    return _numpy_function(em, v, float, "nan")
+    """Generate ``f(points) -> values`` over an (m, n) array of points,
+    non-finite exactly where the scalar value raises."""
+    em = _Emitter()
+    value = em.emit(node)
+    return _numpy_function(em, "len(points)", [f"out[:] = {value}"])
 
 
-def _compile_guards(node: Expr):
-    """Generate ``f(points) -> mask`` over an (m, n) array of points, True
-    where a check on the derivative alone fails (see _Emitter), or None
-    when ``node`` has no such check."""
-    em = _Emitter(guards=True)
-    em.emit(node)
-    tests = [f"({line.test})" for line in em.lines
-             if isinstance(line, _Check) and line.guard]
-    if not tests:
-        return None
-    return _numpy_function(em, " | ".join(tests), bool, "True")
+def compile_vectorized_gradient(node: Expr, n: int):
+    """Generate ``f(points) -> gradients``, (m, n) over an (m, n) array of
+    points, from the code ``compile_value_grad`` runs per point. A row is
+    nan where one of that code's checks holds or the value is not finite,
+    so it is non-finite exactly where the scalar function raises."""
+    em, (value, *partials) = _fields_code([node], n)
+    em.check(f"~isfinite({value})")
+    return _numpy_function(em, "points.shape", [
+        f"out[:, {a}] = {partial}" for a, partial in enumerate(partials)])
 
 
 # --- scalar fields ---------------------------------------------------------
@@ -877,22 +856,6 @@ def _compile_hessian(fld):
     return compile_fields([ScalarField(n, derivative(fld.body, a),
                                        f"d/dx{a + 1}({fld.source})")
                            for a in range(n)], n)
-
-
-def _compile_vectorized_gradient(fld):
-    """``compile_vectorized`` over the partials of ``fld``, as columns, with
-    every partial nan where a check on the derivative alone fails."""
-    columns = [compile_vectorized(derivative(fld.body, a))
-               for a in range(fld.dimension)]
-    guards = _compile_guards(fld.body)
-
-    def gradients(points):
-        grads = np.stack([column(points) for column in columns], axis=1)
-        if guards is not None:
-            grads[guards(points)] = np.nan
-        return grads
-
-    return gradients
 
 
 class ScalarField:
@@ -972,14 +935,11 @@ class ScalarField:
         return self.code("vectorized", compile_vectorized, self.body)
 
     def vectorized_gradient(self):
-        """Bulk gradients, (m, n) over an (m, n) array of points: one numpy
-        function per partial AST. Where the value is defined, a row is
-        non-finite exactly where the scalar gradient raises, its checks on
-        the derivative alone included. A partial may be finite where the
-        field is not (d/dx ln(x) = 1/x), so use it where ``vectorized`` is
-        finite."""
-        return self.code("vectorized_gradient", _compile_vectorized_gradient,
-                         self)
+        """Bulk gradients, (m, n) over an (m, n) array of points, from one
+        numpy function; a row is non-finite exactly where
+        ``value_and_grad`` raises."""
+        return self.code("vectorized_gradient", compile_vectorized_gradient,
+                         self.body, self.dimension)
 
 
 class CallableField:

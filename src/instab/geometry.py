@@ -276,9 +276,6 @@ class MetricSpec:
                 g[:, i, j] = g[:, j, i] = fld.vectorized()(points)
         return (u[:, None, :] @ g @ v[:, :, None])[:, 0, 0]
 
-    def norm(self, points, v) -> np.ndarray:
-        return np.sqrt(np.maximum(self.inner(points, v, v), 0.0))
-
 
 @dataclass
 class OneForm:

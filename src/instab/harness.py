@@ -474,6 +474,11 @@ class EscapeReport:
     certification: dict = field(default_factory=dict)
     escape: EscapeVerdict | None = None
 
+    @property
+    def drift_tolerance(self):
+        """DRIFT_FRACTION of |grad f(p)|^2 T; escape needs 10x this."""
+        return DRIFT_FRACTION * self.cap_sq * self.horizon
+
     def to_dict(self):
         return {
             "problem": self.problem,
@@ -514,8 +519,8 @@ def certification_verdict(problem, potential, magnetic):
     A refuted magnetic hypothesis refutes the problem; otherwise the
     potential verdict stands.
     """
-    if problem.magnetic is not None and magnetic == "refuted":
-        return "refuted"
+    if problem.magnetic is not None and magnetic == _certify.REFUTED:
+        return _certify.REFUTED
     return potential
 
 
@@ -618,7 +623,7 @@ def detect_escape(report) -> EscapeVerdict:
                   None)
     if finest is None:
         raise IntegrationError("no successful runs to detect escape on")
-    drift_tolerance = DRIFT_FRACTION * report.cap_sq * report.horizon
+    drift_tolerance = report.drift_tolerance
     grid = finest.trajectory.grid_times
     forward = grid >= 0.0
     level = float(np.max(finest.f_curve[forward]))
@@ -672,7 +677,7 @@ def escape_outcome(report):
         report.escape = EscapeVerdict(
             verdict="no positive drift at this horizon",
             level=exc.level, threshold=None,
-            drift_tolerance=exc.threshold, crossings=[],
+            drift_tolerance=float(report.drift_tolerance), crossings=[],
             initial_speeds=[])
         return "stable"
     return "unstable" if verdict.verdict.startswith("escape") else None

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from instab import expr
+from instab import expr, harness
 from instab.errors import (
     DimensionExceeded,
     DomainError,
@@ -393,35 +393,106 @@ def _check_derivatives(f, points):
                 assert all(map(_close, fast[1], hess[a]))
 
 
-def _old_column(value, m, dtype):
-    """How every numpy column used to end: broadcast, then copied."""
-    return np.broadcast_to(value, (m,)).astype(dtype)
+def _copied_column(node, points):
+    """A value column as the numpy backend used to make it: the emitter's
+    lines, nan where a check holds, then broadcast and copied."""
+    em = expr._Emitter()
+    value = em.emit(node)
+    tests = [f"({line.test})" for line in em.lines
+             if isinstance(line, expr._Check)]
+    ns = {**expr._NUMPY_NAMESPACE, "p": points.T}
+    with np.errstate(all="ignore"):
+        try:
+            for line in em.lines:
+                if isinstance(line, str):
+                    exec(line, ns)
+            column = eval(f"np.where({' | '.join(tests) or 'False'}, nan, "
+                          f"{value})", ns)
+        except (ZeroDivisionError, OverflowError):
+            column = np.nan
+    return np.broadcast_to(column, (len(points),)).astype(float)
 
 
 @given(_EXPRESSIONS, st.lists(st.tuples(_COORDS, _COORDS), min_size=1,
                               max_size=4))
 @example("x1", [(1.0, 2.0), (3.0, 4.0)])  # a view of the points
 @example("2", [(0.0, 0.0)])  # a number
-@example("(x1 / x2)", [(1.0, 0.0)])  # a guard column of a ufunc's bools
+@example("(x1 / x2)", [(1.0, 0.0)])  # a nan row where a check holds
 @settings(max_examples=300, deadline=None)
 def test_numpy_columns_are_fresh_and_keep_their_bits(source, points):
-    """A column that skips the copy has the bits the copy had, and never
-    shares memory with the points or with another call's column."""
+    """The value and gradient functions return fresh float arrays, which
+    never share memory with the points or with another call's array, and
+    have the bits of the values computed: a value column those of the copy
+    it used to be, a finite gradient row those of its partials' columns."""
     points = np.array(points)
     node = parse(source, 2)
-    functions = [expr.compile_vectorized(node),
-                 expr.compile_vectorized(derivative(node, 0))]
-    guards = expr._compile_guards(node)
-    functions += [guards] if guards is not None else []
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(expr, "_column", _old_column)
-        copied = [fn(points) for fn in functions]
-    for fn, old in zip(functions, copied):
+    partials = [derivative(node, a) for a in range(2)]
+    for fn, oracle in [
+            (expr.compile_vectorized(node), _copied_column(node, points)),
+            (expr.compile_vectorized(partials[0]),
+             _copied_column(partials[0], points)),
+            (expr.compile_vectorized_gradient(node, 2),
+             np.stack([_copied_column(d, points) for d in partials], 1))]:
         column, again = fn(points), fn(points)
-        assert column.dtype == old.dtype and column.shape == old.shape
-        assert column.tobytes() == old.tobytes()
+        assert column.dtype == float and column.shape == oracle.shape
+        assert column.flags.c_contiguous and column.flags.owndata
+        finite = np.isfinite(column).reshape(len(points), -1).all(axis=1)
+        assert column[finite].tobytes() == oracle[finite].tobytes()
+        if column.ndim == 1:
+            assert column.tobytes() == oracle.tobytes()
         assert not np.shares_memory(column, points)
         assert not np.shares_memory(column, again)
+
+
+_CORPUS_FIELDS = [(fld.source, fld.dimension) for problem in harness.corpus()
+                  for fld in (problem.potential, problem.f)]
+
+
+@given(st.one_of(_EXPRESSIONS.map(lambda source: (source, 2)),
+                 st.sampled_from(_CORPUS_FIELDS)),
+       st.lists(st.tuples(_COORDS, _COORDS, _COORDS), min_size=1,
+                max_size=4))
+# the gradient keeps a sqrt's check at 0 that an outer zeroth power drops
+@example(("(-(sqrt(x1))^(0))", 2), [(0.0, 0.0, 0.0)])
+# the quotient rule's squared divisor underflows; a literal 0 is no zero
+@example(("(0 / x2)", 2), [(0.0, 6.774893096905552e-256, 0.0)])
+# ... also where an outer zeroth power drops the quotient rule
+@example(("(-((x1)^((0 - 1)))^(0))", 2), [(7.537836242473134e-296, 0.0, 0.0)])
+# the value overflows where no check holds and the partial is finite
+@example(("((x1 + 1e308) + 1e308)", 2), [(0.0, 0.0, 0.0)])
+@settings(max_examples=500, deadline=None)
+def test_numpy_gradient_is_nan_exactly_where_scalar_raises(field, points):
+    """A row of ``vectorized_gradient`` is non-finite exactly where
+    ``value_and_grad`` raises, and elsewhere has the bits of the partials'
+    own numpy columns."""
+    source, n = field
+    f = ScalarField.parse(source, n)
+    points = np.array(points)[:, :n]
+    rows = f.vectorized_gradient()(points)
+    columns = np.stack([expr.compile_vectorized(derivative(f.body, a))(points)
+                        for a in range(n)], axis=1)
+    for point, row, oracle in zip(points, rows, columns):
+        defined = _defined(f.value_and_grad, point) is not None
+        assert defined == np.all(np.isfinite(row))
+        if defined:
+            assert row.tobytes() == oracle.tobytes()
+
+
+def test_numpy_gradient_is_one_generated_function(monkeypatch):
+    """One numpy function per field gives all its partials and its nan
+    rows, whatever the dimension and however many guards it has."""
+    define, names = expr._define, []
+
+    def counted(name, src, namespace):
+        names.append(name)
+        return define(name, src, namespace)
+
+    monkeypatch.setattr(expr, "_define", counted)
+    for source, n in [("x1", 1), ("sqrt(x1) / x2 + ln(x3)", 3),
+                      ("(x1^2*x3^2 + x1^3 - x2^2)^2", 3), ("7", 16)]:
+        ScalarField.parse(source, n).vectorized_gradient()
+        assert names == ["_vec"]
+        names.clear()
 
 
 @given(st.lists(_EXPRESSIONS, min_size=1, max_size=3),

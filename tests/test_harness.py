@@ -134,6 +134,20 @@ def test_detect_escape_flags_no_drift(corpus_sweeps):
         harness.detect_escape(report)
 
 
+def test_escape_reports_one_drift_tolerance(corpus_sweeps):
+    """A sweep with no positive drift and one that escapes, both with
+    cap_sq = 1 and T = 1, report the same drift_tolerance: DRIFT_FRACTION
+    cap_sq T, a tenth of the escape threshold."""
+    tolerances = []
+    for name, outcome in [("stable-magnetic-plane", "stable"),
+                          ("unstable-magnetic-plane", "unstable")]:
+        report = copy.copy(corpus_sweeps[name])
+        assert (report.cap_sq, report.horizon) == (1.0, 1.0)
+        assert harness.escape_outcome(report) == outcome
+        tolerances.append(report.escape.drift_tolerance)
+    assert tolerances == [harness.DRIFT_FRACTION] * 2
+
+
 def test_physical_time_consistency():
     problem = harness.corpus_entry("corollary1-mechanical")
     mismatch = harness.physical_consistency(problem, 0.1)
