@@ -29,16 +29,19 @@ largest energy deviation, go into the run's ``stats``.
 On a Euclidean metric the equations of motion are ASTs over the partials
 of U and the form, compiled by ``expr.compile_kernel`` once per potential,
 one-form and epsilon, with ``el_acceleration`` as the reference. On a
-curved metric every stage calls ``el_acceleration``, which reads U, the
-one-form's Jacobian and the metric from one generated call each: the
+curved metric every stage calls ``el_acceleration``, which reads dU, the
+magnetic tensor and the metric from one generated call each: the
 metric's call gives g^-1 and the Christoffel symbols together, from a
-Cholesky factorization in generated code (see ``geometry``), and the
-stage contracts them with the force and the velocity in numpy.
+Cholesky factorization in generated code (see ``geometry``). Straight-line
+generated code, one function per dimension, form present and metric
+curved (``_contraction``), contracts them into the force and the
+acceleration, summing the gyroscopic term in the kernel's order.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -116,23 +119,65 @@ def el_acceleration(system, state) -> np.ndarray:
 
     a^a = -Gamma^a_{mn} v^m v^n - (1/eps) g^{ab} F_{gb} v^g
           - (1/eps^2) g^{ab} d_b U
-    with F_{ab} the magnetic tensor of the one-form. The sign of the
-    gyroscopic term is pinned by the adapted-coordinate residual test in the
-    test suite.
+    with F_{ab} the magnetic tensor of the one-form, contracted by
+    ``_contraction``. The sign of the gyroscopic term is pinned by the
+    adapted-coordinate residual test in the test suite.
     """
     x, v = state.x, state.v
     metric = system.metric
-    inv_eps = system.inv_eps
     _, du = system.potential.value_and_grad(x)
-    force = -(inv_eps * inv_eps) * du
+    f_tensor = ginv = gamma = None
     if system.magnetic is not None:
         f_tensor = magnetic_tensor(system.magnetic, x)
-        force = force - inv_eps * (f_tensor.T @ v)  # -F_{gb} v^g, index b
-    if metric.euclidean:
-        return force
-    ginv = metric.inverse(x)
-    gamma = metric.christoffel(x)
-    return ginv.dot(force) - gamma.dot(v).dot(v)
+    if not metric.euclidean:
+        ginv = metric.inverse(x)
+        gamma = metric.christoffel(x)
+    contract = _contraction(len(x), f_tensor is not None, ginv is not None)
+    return np.array(contract(system.inv_eps, v, du, f_tensor, ginv, gamma))
+
+
+def _unpacked(symbol, *shape):
+    """The names ``symbol`` + index of the entries of an array of
+    ``shape``, in row-major order, as an assignment target."""
+    return "".join(f"{symbol}{'_'.join(map(str, index))}, "
+                   for index in itertools.product(*map(range, shape)))
+
+
+@functools.cache
+def _contraction(n, magnetic, curved):
+    """``contract(e, v, du, F, g^-1, Gamma)``, the acceleration as a tuple,
+    in straight-line code over n coordinates, with e = 1/eps.
+
+    The force is w_b = -e^2 d_b U - e sum_{a != b} F_ab v^a, the
+    gyroscopic sum over a in ``_motion_kernel``'s order; on a curved metric
+    the acceleration is sum_b g^ab w_b - sum_m (sum_k Gamma^a_mk v^k) v^m,
+    as ``ginv.dot(w) - gamma.dot(v).dot(v)`` arranges it, and else w.
+    """
+    idx = range(n)
+    lines = [f"{_unpacked('v', n)}= v.tolist()",
+             f"{_unpacked('du', n)}= du.tolist()",
+             "ee = -(e * e)"]
+    if magnetic:
+        lines.append(f"{_unpacked('f', n, n)}= f.ravel().tolist()")
+    for b in idx:
+        gyro = " + ".join(f"f{a}_{b} * v{a}" for a in idx if a != b)
+        lines.append(f"w{b} = ee * du{b}"
+                     + (f" - e * ({gyro})" if magnetic and gyro else ""))
+    acc = [f"w{b}" for b in idx]
+    if curved:
+        lines += [f"{_unpacked('g', n, n)}= ginv.ravel().tolist()",
+                  f"{_unpacked('c', n, n, n)}= gamma.ravel().tolist()"]
+        acc = []
+        for a in idx:
+            raised = " + ".join(f"g{a}_{b} * w{b}" for b in idx)
+            geodesic = " + ".join(
+                "(" + " + ".join(f"c{a}_{m}_{k} * v{k}" for k in idx)
+                + f") * v{m}" for m in idx)
+            acc.append(f"({raised}) - ({geodesic})")
+    src = ("def _contract(e, v, du, f, ginv, gamma):\n"
+           + "".join(f"    {line}\n" for line in lines)
+           + f"    return ({''.join(f'{term}, ' for term in acc)})\n")
+    return define_scalar("_contract", src)
 
 
 def _energy_rows(system, x, v):

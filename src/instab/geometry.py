@@ -10,12 +10,14 @@ problems are tiny.
 A curved metric compiles into one generated kernel (``expr.compile_kernel``)
 that gives, in one call per point, g, its partials, g^-1 from a Cholesky
 factorization written out as ASTs, and the Christoffel symbols; the last
-point's arrays are kept, so ``value``, ``inverse`` and ``christoffel`` at
-one point share that call. Where a pivot is at or within rounding of
-PIVOT_FLOOR, or a check fails, the kernel falls back to the numpy path
-(``compile_fields``, numpy's Cholesky and inverse, an einsum), which raises
-SingularMetric, DomainError and NonFiniteResult as it always has. A
-one-form's components compile into one generated function of their own.
+point's outputs are kept as one flat read-only array, and ``value``,
+``inverse`` and ``christoffel`` at one point return views of it. Where a
+pivot is at or within rounding of PIVOT_FLOOR, or a check fails, the
+kernel falls back to the numpy path (``compile_fields``, numpy's Cholesky
+and inverse, an einsum), which raises SingularMetric, DomainError and
+NonFiniteResult as it always has. A one-form's magnetic tensor is one
+generated call of its own, with the bits of the component-wise
+``jac.T - jac`` and that path as its reference.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +42,7 @@ from .expr import (
     Fun,
     Num,
     ScalarField,
+    _fields_reference,
     _node,
     compile_fields,
     compile_kernel,
@@ -173,9 +177,10 @@ class MetricSpec:
     Only the upper triangle is stored, so symmetry holds structurally. The
     Euclidean case is flagged and short-circuits every computation. The
     arrays that ``value``, ``inverse`` and ``christoffel`` return are
-    read-only: they are kept for the next call at the same point, and a
-    Euclidean metric returns one identity and one zero Christoffel array at
-    every point.
+    read-only views of the factor kernel's output at the last point, which
+    is kept for the next call there; each call builds only the view it
+    returns. A Euclidean metric returns one identity and one zero
+    Christoffel array at every point.
     """
 
     def __init__(self, dimension, upper_entries=None):
@@ -186,16 +191,25 @@ class MetricSpec:
         self._upper = upper_entries  # dict[(i, j)] -> field, i <= j
         self._kernel = None  # see _factor_kernel, made on first use
         self._entries = None  # compile_fields of the entries, for fallback
-        self._local = None  # [point bytes, g, dg, g^-1, Gamma] at one point
+        self._key = self._flat = None  # the last point's bytes and its _at
         if upper_entries is None:
             self._identity = np.eye(dimension)
-            self._flat = np.zeros((dimension,) * 3)
-            self._identity.flags.writeable = self._flat.flags.writeable = False
+            self._gamma = np.zeros((dimension,) * 3)
+            for kept in (self._identity, self._gamma):
+                kept.flags.writeable = False
         else:
+            n = dimension
             upper = list(upper_entries)
             self._slots = np.array([  # entry number of each (a, b), row-major
                 upper.index((min(a, b), max(a, b)))
-                for a in range(dimension) for b in range(dimension)])
+                for a in range(n) for b in range(n)])
+            self._parts = {}  # name -> (slice, shape) in _at's array
+            start = 0
+            for name, shape in (("g", (n, n)), ("dg", (n, n, n)),
+                                ("ginv", (n, n)), ("gamma", (n, n, n))):
+                stop = start + math.prod(shape)
+                self._parts[name] = (slice(start, stop), shape)
+                start = stop
 
     @classmethod
     def identity(cls, dimension):
@@ -219,50 +233,49 @@ class MetricSpec:
         return self._upper[(min(i, j), max(i, j))]
 
     def _at(self, point):
-        """``[key, g, dg, g^-1, Gamma]`` at ``point``, dg[c, a, b] =
-        ∂_c g_{ab}, from one kernel call per new point, keyed on its exact
-        coordinates; g^-1 and Gamma are None where g does not factor."""
+        """The factor kernel's flat read-only array at ``point``: g, dg with
+        dg[c, a, b] = ∂_c g_{ab}, then g^-1 and Gamma where g factors, from
+        one kernel call per new point, keyed on its exact coordinates."""
         x = np.asarray(point, dtype=float)
         key = x.tobytes()
-        local = self._local
-        if local is not None and local[0] == key:
-            return local
+        if key == self._key:
+            return self._flat
         if self._kernel is None:
             self._kernel = _factor_kernel(self)
-        n = self.dimension
         out = self._kernel(x.tolist(), self)
-        out = np.fromiter(out, float, len(out))
-        out.flags.writeable = False
-        ends = (n * n, n * n + n ** 3, 2 * n * n + n ** 3)
-        ginv = gamma = None
-        if len(out) > ends[1]:  # g factors
-            ginv = out[ends[1]:ends[2]].reshape(n, n)
-            gamma = out[ends[2]:].reshape(n, n, n)
-        self._local = [key, out[:ends[0]].reshape(n, n),
-                       out[ends[0]:ends[1]].reshape(n, n, n), ginv, gamma]
-        return self._local
+        flat = np.frombuffer(struct.pack(f"{len(out)}d", *out))  # read-only
+        self._key, self._flat = key, flat
+        return flat
+
+    def _view(self, flat, name):
+        part, shape = self._parts[name]
+        return flat[part].reshape(shape)
 
     def _factored(self, point):
-        local = self._at(point)
-        if local[3] is None:
-            _spd_inverse(local[1], point)  # raises: g does not factor here
-        return local
+        flat = self._at(point)
+        if len(flat) < self._parts["ginv"][0].stop:  # g does not factor
+            _spd_inverse(self._view(flat, "g"), point)  # raises
+        return flat
+
+    def _partials(self, point) -> np.ndarray:
+        """dg[c, a, b] = ∂_c g_{ab}, read-only."""
+        return self._view(self._at(point), "dg")
 
     def value(self, point) -> np.ndarray:
         if self.euclidean:
             return self._identity
-        return self._at(point)[1]
+        return self._view(self._at(point), "g")
 
     def inverse(self, point) -> np.ndarray:
         if self.euclidean:
             return self._identity
-        return self._factored(point)[3]
+        return self._view(self._factored(point), "ginv")
 
     def christoffel(self, point) -> np.ndarray:
         """Levi-Civita symbols Gamma[a, m, n], symmetric in (m, n)."""
         if self.euclidean:
-            return self._flat
-        return self._factored(point)[4]
+            return self._gamma
+        return self._view(self._factored(point), "gamma")
 
     def inner(self, points, u, v) -> np.ndarray:
         """g(u, v) row by row over (m, n) points and vectors."""
@@ -277,14 +290,43 @@ class MetricSpec:
         return (u[:, None, :] @ g @ v[:, :, None])[:, 0, 0]
 
 
+def _reference_tensor(p, form):
+    """F at p, flat, from each component's own ``value_and_grad``; the form
+    kernel's reference, which raises where a component does."""
+    n = form.dimension
+    jac = np.array(_fields_reference(p, form.components)[n:]).reshape(n, n)
+    return tuple((jac.T - jac).ravel().tolist())
+
+
+def _tensor_kernel(form):
+    """One generated call per point: F_ab = ∂_a A_b − ∂_b A_a, flat, with
+    the bits of ``jac.T - jac`` over the components' partials: 0.0 on the
+    diagonal, the difference itself where both partials are numbers (as
+    structural zeros are), and else the subtraction, a structural zero
+    taking part as the literal 0.0."""
+    n = form.dimension
+    bodies = [fld.body for fld in form.components]
+    jac = [[derivative(body, a) for a in range(n)] for body in bodies]
+    out = []
+    for a, b in itertools.product(range(n), repeat=2):
+        left, right = jac[b][a], jac[a][b]  # ∂_a A_b and ∂_b A_a
+        if a == b:
+            out.append(_ZERO)
+        elif isinstance(left, Num) and isinstance(right, Num):
+            out.append(Num(left.value - right.value))
+        else:
+            out.append(Bin("-", left, right))
+    return compile_kernel(bodies, n, out, _reference_tensor)
+
+
 @dataclass
 class OneForm:
     """Component scalar fields of a differential one-form."""
 
     dimension: int
     components: list
-    _compiled: object = field(default=None, init=False, repr=False,
-                              compare=False)
+    _kernel: object = field(default=None, init=False, repr=False,
+                            compare=False)  # see _tensor_kernel
 
     def __post_init__(self):
         if len(self.components) != self.dimension:
@@ -294,12 +336,6 @@ class OneForm:
     def from_sources(cls, sources):
         n = len(sources)
         return cls(n, [ScalarField.parse(src, n) for src in sources])
-
-    def jacobian(self, point) -> np.ndarray:
-        """jac[b, a] = ∂_a A_b from one compiled call."""
-        if self._compiled is None:
-            self._compiled = compile_fields(self.components, self.dimension)
-        return self._compiled(point)[1]
 
 
 def gradient_data(metric, fld, point, floor=0.0):
@@ -340,16 +376,22 @@ def normalized_gradient_jacobian(metric, fld, point, floor):
     hess = fld.hessian(point)  # hess[a, c] = ∂_c ∂_a f
     dgrad = bent = hess  # bent[:, c] = H e_c − (∂_c G) h
     if not metric.euclidean:
-        bent = hess - np.einsum("cab,b->ac", metric._at(point)[2], grad)
+        bent = hess - np.einsum("cab,b->ac", metric._partials(point), grad)
         dgrad = metric.inverse(point) @ bent
     vec = grad / norm_sq
     return vec, (dgrad - np.outer(vec, grad @ hess + grad @ bent)) / norm_sq
 
 
 def magnetic_tensor(form, point) -> np.ndarray:
-    """F[a, b] = ∂_a A_b − ∂_b A_a (exactly antisymmetric by assembly)."""
-    jac = form.jacobian(point)  # jac[b, a] = ∂_a A_b
-    return jac.T - jac
+    """F[a, b] = ∂_a A_b − ∂_b A_a from one generated call per point (see
+    ``_tensor_kernel``), bit for bit the component-wise ``jac.T - jac``,
+    so exactly antisymmetric; where a component or its partial is
+    undefined, that component's error, as ``value_and_grad`` raises it."""
+    if form._kernel is None:
+        form._kernel = _tensor_kernel(form)
+    n = form.dimension
+    out = form._kernel(np.asarray(point, dtype=float).tolist(), form)
+    return np.fromiter(out, float, n * n).reshape(n, n)
 
 
 def guard_cancellation(values, scale):

@@ -406,10 +406,10 @@ def corpus() -> list:
 
 
 def corpus_entry(name) -> ProblemDefinition:
-    for entry in corpus():
-        if entry.name == name:
-            return entry
-    raise KeyError(name)
+    """The built-in problem ``name``, the only one loaded and validated;
+    KeyError if there is none."""
+    data = dict(_CORPUS_DATA)[name]
+    return load_problem(dict(data), name=name)
 
 
 # --- sweeps and escape detection --------------------------------------------

@@ -26,16 +26,21 @@ from instab.errors import (
     DomainError,
     EnergyDriftExceeded,
     NonFiniteResult,
+    SingularMetric,
     StepSizeUnderflow,
 )
 from instab.expr import ScalarField
-from instab.geometry import MetricSpec, OneForm
+from instab.geometry import MetricSpec, OneForm, magnetic_tensor
 
 E3 = MetricSpec.identity(3)
 U_PLANE = ScalarField.parse("x3^2", 3)
 MU_X = OneForm.from_sources(["0", "x1", "0"])
 MU_Z = OneForm.from_sources(["0", "x3", "0"])
 ZERO3 = ScalarField.parse("0", 3)
+# criterion 10's metric, which is also perfbench's CURVED_PROBLEM metric
+CRITERION_10 = [["1", "0", "0"],
+                ["0", "1 + x1^2/4", "x1/4"],
+                ["0", "x1/4", "1 + (x2 + x3)^2/8"]]
 
 
 def test_acceleration_restoring_force():
@@ -221,10 +226,7 @@ def test_el_residual_flat_adapted():
 
 
 def _curved_magnetic_system():
-    g = MetricSpec.from_sources(
-        3, [["1", "0", "0"],
-            ["0", "1 + x1^2/4", "x1/4"],
-            ["0", "x1/4", "1 + (x2 + x3)^2/8"]])
+    g = MetricSpec.from_sources(3, CRITERION_10)
     u = ScalarField.parse("x1^2", 3)
     mu = OneForm.from_sources(["0", "x1", "x1*x2/2"])
     return LagrangianSystem(g, u, mu, epsilon=1.0)
@@ -318,6 +320,8 @@ _PARTIAL_FIELDS = [
        eps=st.sampled_from([1.0, 0.1, 1e-3]))
 @example(y=[2.3353543293436346e-301, 1.0, 0.0, 0.0, 0.0, 0.0],
          eps=1e-3)  # dU/eps^2 overflows where ln(x1)^2's dU does not
+# with the second pair, the gyroscopic sum of a_1 cancels two terms of 3e59
+@example(y=[1.0, 1.0, 3.33e-60, 0.0, 1.0, 3.33e-60], eps=1.0)
 @settings(max_examples=200, deadline=None)
 def test_compiled_motion_raises_like_reference(potential, form, y, eps,
                                                count_calls):
@@ -331,6 +335,87 @@ def test_compiled_motion_raises_like_reference(potential, form, y, eps,
     assert bool(fallbacks) == (want_error is not None)
     if want is not None:
         _assert_motion_close(got, want)
+
+
+# --- el_acceleration's generated contraction against numpy ----------------
+
+_ACCELERATION_METRICS = {
+    "criterion 10": CRITERION_10,
+    "curved": [["1 + x2^2", "x1*x2/2", "0"],
+               ["x1*x2/2", "2 + x1^2", "0"],
+               ["0", "0", "1 + (x1 + x2)^2/4"]],
+    # not positive definite for x1 <= -1, nor where 1 - x3^2 / (1 + x1)
+    # reaches 0
+    "turns singular": [["1 + x1", "x1*x2/4", "0"],
+                       ["x1*x2/4", "1", "x3"],
+                       ["0", "x3", "1"]],
+    "euclidean": None,
+}
+_ACCELERATION_FORMS = {
+    "none": None,
+    "curved problem": ["0", "x3", "0"],
+    "mixed": ["x2*x3", "sin(x1) + x3^2", "exp(x1*x2)/2"],
+}
+_NEAR_MINUS_ONE = st.one_of(st.floats(-2, 2), st.sampled_from([-1.0, 1.0]),
+                            st.floats(-1e-9, 1e-9).map(lambda d: d - 1.0))
+
+
+def _numpy_acceleration(system, state):
+    """The acceleration as numpy contracted it before the contraction was
+    generated, and the sum of the magnitudes of the terms summed into it."""
+    x, v = state.x, state.v
+    e = system.inv_eps
+    _, du = system.potential.value_and_grad(x)
+    force = -(e * e) * du
+    force_scale = np.abs(force)
+    if system.magnetic is not None:
+        f_tensor = magnetic_tensor(system.magnetic, x)
+        force = force - e * (f_tensor.T @ v)
+        force_scale = force_scale + e * (np.abs(f_tensor).T @ np.abs(v))
+    if system.metric.euclidean:
+        return force, force_scale
+    ginv = system.metric.inverse(x)
+    gamma = system.metric.christoffel(x)
+    return (ginv.dot(force) - gamma.dot(v).dot(v),
+            np.abs(ginv).dot(force_scale)
+            + np.abs(gamma).dot(np.abs(v)).dot(np.abs(v)))
+
+
+def _raised(fn, *args):
+    """(fn(*args), None), or (None, the class and message it raises)."""
+    try:
+        return fn(*args), None
+    except (DomainError, NonFiniteResult, SingularMetric) as exc:
+        return None, (type(exc), str(exc))
+
+
+@given(metric=st.sampled_from(sorted(_ACCELERATION_METRICS)),
+       form=st.sampled_from(sorted(_ACCELERATION_FORMS)),
+       potential=st.sampled_from(["x3^2", "x1^2 + ln(1 + x2^2) + x3^4"]),
+       x=st.tuples(_NEAR_MINUS_ONE, st.floats(-2, 2), _NEAR_MINUS_ONE),
+       v=st.tuples(*[st.floats(-3, 3)] * 3),
+       eps=st.sampled_from([1.0, 0.1, 0.01, None]))
+# not positive definite: SingularMetric from inverse, in both
+@example(metric="turns singular", form="mixed", potential="x3^2",
+         x=(-1.5, 0.0, 0.0), v=(1.0, 0.0, 0.0), eps=1.0)
+@settings(max_examples=300, deadline=None)
+def test_el_acceleration_matches_numpy_contraction(metric, form, potential,
+                                                   x, v, eps):
+    sources = _ACCELERATION_METRICS[metric]
+    system = LagrangianSystem(
+        MetricSpec(3) if sources is None
+        else MetricSpec.from_sources(3, sources),
+        ScalarField.parse(potential, 3),
+        None if _ACCELERATION_FORMS[form] is None
+        else OneForm.from_sources(_ACCELERATION_FORMS[form]),
+        epsilon=eps)
+    state = State(0.0, x, v)
+    want, want_error = _raised(_numpy_acceleration, system, state)
+    got, got_error = _raised(el_acceleration, system, state)
+    assert got_error == want_error
+    if want_error is None:
+        acc, scale = want
+        assert np.all(np.abs(got - acc) <= 1e-12 * scale), (got, acc)
 
 
 # --- the Dormand-Prince stepper against scipy's RK45 -----------------------

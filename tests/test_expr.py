@@ -29,6 +29,7 @@ from instab.expr import (
     parse,
     substitute,
 )
+from instab.geometry import OneForm, magnetic_tensor
 
 
 def test_parse_polynomial_structure():
@@ -540,3 +541,25 @@ def test_backends_agree(sources, points):
         values, jac = together
         for (own, _), value, row in zip(alone, values, jac):
             assert _bits(value, row) == _bits(*own)
+
+
+@given(st.lists(_EXPRESSIONS, min_size=2, max_size=2),
+       st.lists(st.tuples(_COORDS, _COORDS), min_size=1, max_size=4))
+@example(["x2", "ln(x1)"], [(-1.0, 0.5)])  # ln of non-positive
+@example(["sqrt(x2) * x1", "x1"], [(1.0, 0.0)])  # sqrt's slope at 0
+@example(["x2 / x1", "x1"], [(0.0, 1.0)])  # division by zero
+@settings(max_examples=500, deadline=None)
+def test_magnetic_tensor_has_the_bits_of_the_field_jacobian(sources, points):
+    """The generated F is jac.T - jac from compile_fields bit for bit,
+    and raises where that does, with its class and message."""
+    form = OneForm(2, [ScalarField.parse(source, 2) for source in sources])
+    group = compile_fields(form.components, 2)
+    for point in points:
+        tensor, error = _outcome(magnetic_tensor, form, point)
+        together, want = _outcome(group, point)
+        if want is not None:
+            assert (type(error), str(error)) == (type(want), str(want))
+            continue
+        jac = together[1]  # jac[b, a] = ∂_a A_b
+        with np.errstate(all="ignore"):
+            assert tensor.tobytes() == (jac.T - jac).tobytes()

@@ -209,7 +209,7 @@ def test_generated_factors_match_numpy_path(count_calls, name, point,
     bound = _FACTOR_REL * np.linalg.cond(g)
     assert np.max(np.abs(ginv - ginv_ref)) <= bound * np.max(np.abs(ginv_ref))
 
-    dg = reference._at(point)[2]
+    dg = reference._partials(point)
     braces = (np.transpose(dg, (1, 2, 0)) + np.transpose(dg, (1, 0, 2))
               - dg)
     gamma_terms = 0.5 * np.einsum("ab,bmn->amn", np.abs(ginv_ref),

@@ -90,6 +90,27 @@ def test_corpus_is_valid_and_complete():
     assert crossing.labels["certification"] == "refuted"
 
 
+def test_corpus_entry_loads_only_its_entry(monkeypatch):
+    loads = []
+    load_problem = harness.load_problem
+
+    def counted(*args, **kwargs):
+        loads.append(kwargs.get("name"))
+        return load_problem(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "load_problem", counted)
+    kolibri = harness.corpus_entry("kolibri")
+    assert loads == ["kolibri"]  # one validation, not one per entry
+    assert kolibri.to_dict() == next(
+        p for p in harness.corpus() if p.name == "kolibri").to_dict()
+    loads.clear()
+    with pytest.raises(KeyError):
+        harness.corpus_entry("nope")
+    assert loads == []
+    assert _run("certify", "nope").exit_code == 2
+    assert loads == []
+
+
 def test_sweep_closed_form_family():
     problem = harness.load_problem(dict(UNSTABLE_PLANE), name="plane")
     report = harness.run_epsilon_sweep(problem, with_certification=False)
