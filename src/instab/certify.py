@@ -220,6 +220,19 @@ def _sample_shell(probe, delta, shell_index):
 _REFUTATION_WINDOW = 4
 
 
+def _median(values):
+    """``np.median`` of a few floats, nan if one is nan; np.median's own nan
+    check imports numpy.ma, which alone is over a megabyte resident."""
+    values = list(map(float, values))
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2
+
+
 def _verdict_from_shells(shells):
     """Bounded maxima certify; growth across three decades refutes."""
     maxima = [s.max_ratio for s in shells]
@@ -235,7 +248,7 @@ def _verdict_from_shells(shells):
         if increasing and window[-1] >= 10.0 * window[0]:
             worst = shells[len(shells) - _REFUTATION_WINDOW - i]
             return REFUTED, worst
-    if max(maxima) <= 2.0 * float(np.median(maxima)) + 1e-12:
+    if max(maxima) <= 2.0 * _median(maxima) + 1e-12:
         return CERTIFIED, None
     return INCONCLUSIVE, None
 

@@ -12,19 +12,21 @@ stepper solves the chart flows (``charts``), uncapped and without grid
 times, keeping only the end state. A branch that spends its step budget,
 as against a stiff wall, raises instead of shrinking its steps without
 bound. Every run records conserved-energy, speed, potential and
-path-length logs; U and g(v, v) are evaluated once over all step rows,
-and the energy, speed and potential logs are read off them. An
-untrustworthy energy drift raises instead of being silently accepted.
+path-length logs; U and g(v, v) are evaluated once per step row, and the
+energy, speed and potential logs are read off them. An untrustworthy
+energy drift raises instead of being silently accepted.
 
 The step log is float64 blocks: each branch appends its accepted steps to
 short lists and turns every BLOCK_ROWS of them into one time array and one
-(rows, 2n) state array. ``integrate`` joins the blocks once and lets them go
-before the energy pass, so a kept trajectory costs 8(2n + 3) bytes per
-accepted step (times, states, energies and path length; 72 B in three
-dimensions), about twice the time and state log at the join, where one
-Python tuple per step cost about 450 B. The same counters that read the
-log, the smallest unclipped step, the steps at the cap and the tau of the
-largest energy deviation, go into the run's ``stats``.
+(rows, 2n) state array. ``integrate`` never joins them. It reduces the log
+one block at a time in increasing tau (``_reduce_log``), carrying the row
+before each block, so no temporary outgrows a block and a row, and every
+number keeps the bits of one pass over the joined log. A kept trajectory
+costs 8(2n + 3) bytes per accepted step (times, states, energies and path
+length; 72 B in three dimensions), and the run peaks a few blocks above
+that; one Python tuple per step cost about 450 B. The counters that read
+the log, the smallest unclipped step, the steps at the cap and the tau of
+the largest energy deviation, go into the run's ``stats``.
 
 On a Euclidean metric the equations of motion are ASTs over the partials
 of U and the form, compiled by ``expr.compile_kernel`` once per potential,
@@ -219,20 +221,21 @@ class Trajectory:
 
     ``times``/``states`` merge both branches in increasing tau order, tau =
     0 once per branch; ``grid_times``/``grid_states`` are the uniform
-    dense-output samples used for cross-run comparisons. States are stored
-    as rows (x, v) of length 2n. ``stats`` holds the run's ``nfev``,
-    ``steps``, ``rejected``, ``min_step`` (the smallest |dtau| over the
-    accepted steps but the one of each branch clipped to land on -T or T;
-    None when there is none), ``capped_steps`` (steps within CAP_RELATIVE
-    of the step cap) and ``drift_peak_tau`` (the tau of max |E - E(0)|).
+    dense-output samples used for cross-run comparisons. States are rows
+    (x, v) of length 2n. The step log is kept as ``blocks``, one (times,
+    states, energies, path length) tuple per block of at most BLOCK_ROWS
+    rows in increasing tau order; ``times``, ``states``, ``energies`` and
+    ``path_length`` join them on each read. ``stats`` holds the run's
+    ``nfev``, ``steps``, ``rejected``, ``min_step`` (the smallest |dtau|
+    over the accepted steps but the one of each branch clipped to land on
+    -T or T; None when there is none), ``capped_steps`` (steps within
+    CAP_RELATIVE of the step cap) and ``drift_peak_tau`` (the tau of max
+    |E - E(0)|).
     """
 
     epsilon: float | None
     horizon: float
-    times: np.ndarray
-    states: np.ndarray
-    energies: np.ndarray
-    path_length: np.ndarray  # Riemannian arc length accumulated from tau=0
+    blocks: list
     grid_times: np.ndarray
     grid_states: np.ndarray
     energy_drift: float
@@ -240,22 +243,41 @@ class Trajectory:
     max_potential: float
     stats: dict = field(default_factory=dict)
 
+    def _joined(self, column):
+        return np.concatenate([block[column] for block in self.blocks])
+
+    @property
+    def times(self):
+        return self._joined(0)
+
+    @property
+    def states(self):
+        return self._joined(1)
+
+    @property
+    def energies(self):
+        return self._joined(2)
+
+    @property
+    def path_length(self):
+        """Riemannian arc length accumulated from tau = 0."""
+        return self._joined(3)
+
     @property
     def dimension(self):
-        return self.states.shape[1] // 2
+        return self.grid_states.shape[1] // 2
 
     def to_csv(self, fileobj, system):
-        """One row per accepted step, written BLOCK_ROWS rows at a time."""
+        """One row per accepted step, written block by block; U is evaluated
+        again per block rather than kept with the log."""
         n = self.dimension
         header = (["tau"] + [f"x{i+1}" for i in range(n)]
                   + [f"v{i+1}" for i in range(n)] + ["H", "U", "pathlen"])
         fileobj.write(",".join(header) + "\n")
-        potentials = system.potential.vectorized()(self.states[:, :n])
-        for start in range(0, len(self.times), BLOCK_ROWS):
-            rows = slice(start, start + BLOCK_ROWS)
-            table = np.column_stack([
-                self.times[rows], self.states[rows], self.energies[rows],
-                potentials[rows], self.path_length[rows]])
+        potential = system.potential.vectorized()
+        for times, states, energies, path in self.blocks:
+            table = np.column_stack([times, states, energies,
+                                     potential(states[:, :n]), path])
             fileobj.writelines(",".join(map(repr, cells)) + "\n"
                                for cells in table.tolist())
 
@@ -542,8 +564,6 @@ def integrate(system, initial, horizon, tol=None) -> Trajectory:
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     tol = tol or Tolerances()
-    n = len(initial.x)
-
     if tol.max_step is not None:
         max_step = tol.max_step
     elif system.epsilon is not None:
@@ -559,55 +579,99 @@ def integrate(system, initial, horizon, tol=None) -> Trajectory:
                         grid_times[~neg])
     bwd = _solve_branch(f, system, y0, -horizon, tol, max_step,
                         grid_times[neg][::-1])
-
-    # merge step samples in increasing tau (backward branch reversed), then
-    # let the blocks go, so the pass below holds one copy of the step log
-    times = np.concatenate([b[::-1] for b in bwd.times[::-1]] + fwd.times)
-    states = np.concatenate([b[::-1] for b in bwd.states[::-1]] + fwd.states)
-    grid_states = np.concatenate([bwd.grid_states[::-1], fwd.grid_states])
-    origin = sum(map(len, bwd.times)) - 1  # the backward branch's tau = 0
-    stats = {"nfev": fwd.nfev + bwd.nfev, "steps": len(times) - 2,
+    stats = {"nfev": fwd.nfev + bwd.nfev,
+             "steps": sum(map(len, bwd.times + fwd.times)) - 2,
              "rejected": fwd.rejected + bwd.rejected}
-    del fwd, bwd
-
-    energies, potentials, speeds = _energy_rows(system, states[:, :n],
-                                                states[:, n:])
-    np.sqrt(np.maximum(speeds, 0.0, out=speeds), out=speeds)  # |v|_g
-
-    # Riemannian arc length from tau = 0, trapezoid rule on the speed log
-    dt = np.diff(times)
-    seg = 0.5 * (speeds[:-1] + speeds[1:]) * dt
-    cumulative = np.concatenate([[0.0], np.cumsum(seg)])
-    path = np.abs(cumulative - cumulative[origin])
-
-    # step sizes: dt[0] and dt[-1] are the steps clipped to land on -T and
-    # T, and dt[origin] = 0 joins the branches at tau = 0; no step reaches
-    # an infinite cap
-    unclipped = [d.min() for d in (dt[1:origin], dt[origin + 1:-1]) if len(d)]
-    stats["min_step"] = float(min(unclipped)) if unclipped else None
-    stats["capped_steps"] = int(np.count_nonzero(
-        dt >= max_step * (1.0 - CAP_RELATIVE)))
-
-    h0 = energies[origin]
-    stats["drift_peak_tau"] = float(times[np.argmax(np.abs(energies - h0))])
-    drift = (energies.max() - energies.min()) / max(1.0, abs(h0))
+    grid_states = np.concatenate([bwd.grid_states[::-1], fwd.grid_states])
+    blocks, drift, max_speed, max_potential, counters = _reduce_log(
+        system, bwd, fwd, max_step)
+    stats.update(counters)
     trajectory = Trajectory(
         epsilon=system.epsilon,
         horizon=horizon,
-        times=times,
-        states=states,
-        energies=energies,
-        path_length=path,
+        blocks=blocks,
         grid_times=grid_times,
         grid_states=grid_states,
         energy_drift=float(drift),
-        max_speed=float(speeds.max()),
-        max_potential=float(potentials.max()),
+        max_speed=float(max_speed),
+        max_potential=float(max_potential),
         stats=stats,
     )
     if drift > tol.energy_drift:
         raise EnergyDriftExceeded(float(drift), tol.energy_drift)
     return trajectory
+
+
+def _merged(bwd, fwd):
+    """The branches' (times, states) blocks in increasing tau: the backward
+    ones reversed into contiguous copies, each let go as it is copied, then
+    the forward ones."""
+    while bwd.times:
+        yield bwd.times.pop()[::-1].copy(), bwd.states.pop()[::-1].copy()
+    yield from zip(fwd.times, fwd.states)
+
+
+def _reduce_log(system, bwd, fwd, max_step):
+    """The step log's blocks with their energies and path length, the
+    energy drift, the largest speed and potential, and the step counters.
+
+    One block at a time in increasing tau, so no array outgrows a block and
+    a row; every number has the bits of one pass over the joined log. The
+    block carries the row before it: its tau, speed and arc length from
+    -T, where the trapezoid rule's running sum goes on in order. The path
+    length from tau = 0 and |E - E(0)| need the backward branch's last row,
+    so they wait for a second pass. The first bad row of U raises.
+    """
+    n = fwd.states[0].shape[1] // 2
+    origin = len(bwd.times) - 1  # the block that ends at tau = 0
+    last = origin + len(fwd.times)
+    threshold = max_step * (1.0 - CAP_RELATIVE)  # no step reaches inf
+    blocks, peaks, unclipped, capped = [], [], [], 0
+    tail = (np.empty(0), np.empty(0), 0.0)  # at -T, no row before
+    clipped = True  # the next step is clipped to -T or joins at tau = 0
+    for k, (times, states) in enumerate(_merged(bwd, fwd)):
+        energies, potentials, speeds = _energy_rows(system, states[:, :n],
+                                                    states[:, n:])
+        np.sqrt(np.maximum(speeds, 0.0, out=speeds), out=speeds)  # |v|_g
+        t_prev, s_prev, c_prev = tail
+        dt = np.diff(np.concatenate([t_prev, times]))
+        pairs = np.concatenate([s_prev, speeds])
+        seg = 0.5 * (pairs[:-1] + pairs[1:]) * dt
+        path = np.cumsum(np.concatenate([[c_prev], seg]))[-len(times):]
+        tail = (times[-1:], speeds[-1:], path[-1])
+
+        # the steps clipped to land on -T and T and the zero step joining
+        # the branches at tau = 0 are not the controller's; a block of one
+        # row at -T passes the first on to the next block
+        clipped = clipped or k == origin + 1
+        first = 1 if clipped and len(dt) else 0
+        clipped = clipped and not first
+        steps = dt[first:len(dt) - (k == last)]
+        if len(steps):
+            unclipped.append(steps.min())
+        capped += int(np.count_nonzero(dt >= threshold))
+        peaks.append((energies.max(), energies.min(), speeds.max(),
+                      potentials.max()))
+        blocks.append((times, states, energies, path))
+
+    h0 = blocks[origin][2][-1]  # E and arc length at the backward tau = 0
+    c0 = blocks[origin][3][-1]
+    deviations, taus = [], []
+    for times, _states, energies, path in blocks:
+        np.abs(np.subtract(path, c0, out=path), out=path)
+        deviation = np.abs(energies - h0)
+        i = deviation.argmax()
+        deviations.append(deviation[i])
+        taus.append(times[i])
+    peaks = np.array(peaks)
+    e_max, max_speed, max_potential = peaks[:, [0, 2, 3]].max(axis=0)
+    e_min = peaks[:, 1].min()
+    drift = (e_max - e_min) / max(1.0, abs(h0))
+    counters = {
+        "min_step": float(min(unclipped)) if unclipped else None,
+        "capped_steps": capped,
+        "drift_peak_tau": float(taus[np.argmax(deviations)])}
+    return blocks, drift, max_speed, max_potential, counters
 
 
 def check_lemma1_bounds(trajectory, speed_cap) -> BoundsVerdict:

@@ -2,6 +2,8 @@
 
 import collections
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -668,3 +670,54 @@ def test_euler_residual_matches_point_by_point_loop(source, weights, degree,
     if error is None:
         assert repr((got.certified, got.max_residual, got.witness)) \
             == repr(expected)
+
+
+# --- the verdict's median without numpy.ma ----------------------------------
+
+_MAXIMA = st.lists(
+    st.one_of(st.sampled_from([0.0, 1.0, 2.0, 10.0, 1e308, math.inf,
+                               -math.inf, math.nan]),
+              st.floats(0, 100)),
+    min_size=1, max_size=12)
+
+
+def _shell_rows(maxima):
+    return [certify.ShellRow(delta=10.0 ** -i, count=1, attempts=1,
+                             max_ratio=m, mean_ratio=m, witness=[float(i)])
+            for i, m in enumerate(maxima)]
+
+
+def _numpy_median(values):
+    with np.errstate(all="ignore"):
+        return float(np.median(values))
+
+
+@given(maxima=_MAXIMA)
+@example(maxima=[1.0, math.nan, 2.0])
+@example(maxima=[math.inf, -math.inf])
+@example(maxima=[1e308, 1e308, 1.0, 1e308])
+@example(maxima=[1.0, 1.0, 2.0, 2.0, 4.0])
+@settings(max_examples=500, deadline=None)
+def test_median_verdict_matches_numpy(maxima):
+    got = certify._median(maxima)
+    want = _numpy_median(maxima)
+    assert got == want or (math.isnan(got) and math.isnan(want))
+    shells = _shell_rows(maxima)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(certify, "_median", _numpy_median)
+        expected = certify._verdict_from_shells(shells)
+    assert certify._verdict_from_shells(shells) == expected
+
+
+def test_certify_imports_no_numpy_ma():
+    """np.median's nan check imports numpy.ma, over a megabyte resident;
+    certification reads its median without it."""
+    code = ("import sys\n"
+            "from instab.cli import main\n"
+            "try:\n"
+            "    main(['certify', 'mechanical-plane'])\n"
+            "except SystemExit as exit:\n"
+            "    print(exit.code, 'numpy.ma' in sys.modules)\n")
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True)
+    assert result.stdout.splitlines()[-1] == "0 False", result.stderr

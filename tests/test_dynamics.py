@@ -1,8 +1,10 @@
 """Integrator and monitor checks against closed-form solutions."""
 
+import dataclasses
 import io
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -508,20 +510,148 @@ def _long_case():
         Tolerances(max_step=1e-4)
 
 
-def test_step_log_is_bit_identical_for_any_block_size(monkeypatch):
-    system, initial, horizon, tol = _long_case()
-    default = dynamics.BLOCK_ROWS
-    monkeypatch.setattr(dynamics, "BLOCK_ROWS", 10 ** 9)  # one block
-    want = integrate(system, initial, horizon, tol=tol)
-    assert len(want.times) > 4 * default
-    for rows in (1, 7, default):
+# CI's problem with ln, sqrt, cos and division in U and the one-form
+TRANSCENDENTAL = {
+    "name": "transcendental", "dimension": 2,
+    "potential": "ln(1 + x2^2) + x2^2 / (2 + cos(x1)) + sqrt(1 + x2^4) - 1",
+    "f": "x1 + cos(x2) / (1 + x1^2)",
+    "magnetic": ["0", "x1 * sqrt(1 + x2^2) / (2 + cos(x2))"],
+    "center": [0.0, 0.0], "T": 1.0, "epsilons": [0.1, 0.01],
+    "expected": "unstable"}
+# criterion 10's metric with perfbench's CURVED_PROBLEM fields
+CURVED_PROBLEM = {
+    "name": "curved-metric", "dimension": 3, "metric": CRITERION_10,
+    "potential": "x3^2", "magnetic": ["0", "x3", "0"], "f": "x1 + x2/2",
+    "center": [0.0, 0.0, 0.0], "T": 1.0, "epsilons": [0.1, 0.01],
+    "expected": "unstable"}
+
+
+def _problem_case(data, eps):
+    problem = harness.load_problem(dict(data))
+    _df, grad, _cap_sq = problem.gradient_data()
+    return (problem.system(epsilon=eps), State(0.0, problem.center, grad),
+            problem.horizon, Tolerances())
+
+
+def _joined_integrate(system, initial, horizon, tol):
+    """``integrate`` as one pass over the joined step log: both branches'
+    blocks concatenated, then U and g(v, v) over all rows, the arc length
+    by np.cumsum and the drift's peak by np.argmax. The reference for the
+    block-wise reduction; it gives the run's numbers by name."""
+    n = len(initial.x)
+    if tol.max_step is not None:
+        max_step = tol.max_step
+    elif system.epsilon is not None:
+        max_step = system.epsilon / 10.0
+    else:
+        max_step = math.inf
+    f = compile_motion(system)
+    y0 = tuple(np.concatenate([initial.x, initial.v]).tolist())
+    grid = np.linspace(-horizon, horizon, dynamics.GRID_POINTS)
+    fwd = dynamics._solve_branch(f, system, y0, horizon, tol, max_step,
+                                 grid[grid >= 0])
+    bwd = dynamics._solve_branch(f, system, y0, -horizon, tol, max_step,
+                                 grid[grid < 0][::-1])
+    times = np.concatenate([b[::-1] for b in bwd.times[::-1]] + fwd.times)
+    states = np.concatenate([b[::-1] for b in bwd.states[::-1]] + fwd.states)
+    origin = sum(map(len, bwd.times)) - 1  # the backward branch's tau = 0
+    energies, potentials, speeds = dynamics._energy_rows(
+        system, states[:, :n], states[:, n:])
+    speeds = np.sqrt(np.maximum(speeds, 0.0))
+    dt = np.diff(times)
+    cumulative = np.concatenate(
+        [[0.0], np.cumsum(0.5 * (speeds[:-1] + speeds[1:]) * dt)])
+    unclipped = [d.min() for d in (dt[1:origin], dt[origin + 1:-1]) if len(d)]
+    h0 = energies[origin]
+    stats = {
+        "nfev": fwd.nfev + bwd.nfev, "steps": len(times) - 2,
+        "rejected": fwd.rejected + bwd.rejected,
+        "min_step": float(min(unclipped)) if unclipped else None,
+        "capped_steps": int(np.count_nonzero(
+            dt >= max_step * (1.0 - dynamics.CAP_RELATIVE))),
+        "drift_peak_tau": float(times[np.argmax(np.abs(energies - h0))])}
+    return {
+        "times": times, "states": states, "energies": energies,
+        "path_length": np.abs(cumulative - cumulative[origin]),
+        "grid_states": np.concatenate([bwd.grid_states[::-1],
+                                       fwd.grid_states]),
+        "stats": stats,
+        "energy_drift": float((energies.max() - energies.min())
+                              / max(1.0, abs(h0))),
+        "max_speed": float(speeds.max()),
+        "max_potential": float(potentials.max())}
+
+
+@pytest.mark.parametrize("case", [
+    _long_case(),
+    _problem_case(TRANSCENDENTAL, 0.01),
+    _problem_case(CURVED_PROBLEM, 0.1),
+], ids=["long", "transcendental", "criterion-10"])
+def test_block_reduction_matches_joined_pass(case, monkeypatch):
+    system, initial, horizon, tol = case
+    want = _joined_integrate(system, initial, horizon, tol)
+    for rows in (1, 7, 4096):
         monkeypatch.setattr(dynamics, "BLOCK_ROWS", rows)
         got = integrate(system, initial, horizon, tol=tol)
         for name in ("times", "states", "energies", "path_length",
                      "grid_states"):
-            assert getattr(got, name).tobytes() \
-                == getattr(want, name).tobytes(), (rows, name)
-        assert got.stats == want.stats
+            assert getattr(got, name).tobytes() == want[name].tobytes(), \
+                (rows, name)
+        for name in ("stats", "energy_drift", "max_speed", "max_potential"):
+            assert getattr(got, name) == want[name], (rows, name)
+
+
+def test_long_case_spans_several_default_blocks():
+    system, initial, horizon, tol = _long_case()
+    steps = integrate(system, initial, horizon, tol=tol).stats["steps"]
+    assert steps > 4 * dynamics.BLOCK_ROWS
+
+
+def test_block_reduction_raises_at_the_joined_pass_row(monkeypatch):
+    """U = x1 turns negative at tau = 0.414 of 1, a third of the way along
+    the log; the error names the same first bad row."""
+    system = LagrangianSystem(MetricSpec.identity(1),
+                              ScalarField.parse("x1", 1), None)
+    initial, tol = State(0, [0.5], [-1.0]), Tolerances(max_step=1e-3)
+    with pytest.raises(DomainError) as want:
+        _joined_integrate(system, initial, 1.0, tol)
+    for rows in (1, 7, 4096):
+        monkeypatch.setattr(dynamics, "BLOCK_ROWS", rows)
+        with pytest.raises(DomainError) as got:
+            integrate(system, initial, 1.0, tol=tol)
+        assert str(got.value) == str(want.value), rows
+
+
+def test_reduction_peak_does_not_grow_with_run_length(monkeypatch):
+    """integrate's tracemalloc peak above what it keeps (the returned
+    blocks) is the same at T and at 4T: no temporary holds a row per step.
+    A pass over the joined log peaks tens of bytes per step above it. The
+    branches are solved untraced and replayed, since tracing the stepper's
+    float tuples takes over a hundred times as long."""
+    monkeypatch.setattr(dynamics, "BLOCK_ROWS", 512)
+    system, initial, horizon, tol = _long_case()
+    solve, solved = dynamics._solve_branch, {}
+
+    def replay(f, arg, y0, t_end, *rest):
+        if t_end not in solved:
+            solved[t_end] = solve(f, arg, y0, t_end, *rest)
+        branch = solved[t_end]
+        return dataclasses.replace(branch, times=list(branch.times),
+                                   states=list(branch.states))
+
+    monkeypatch.setattr(dynamics, "_solve_branch", replay)
+    excess, steps = {}, {}
+    for scale in (1, 4):
+        integrate(system, initial, scale * horizon, tol=tol)  # untraced
+        tracemalloc.start()
+        try:
+            trajectory = integrate(system, initial, scale * horizon, tol=tol)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        excess[scale], steps[scale] = peak - kept, trajectory.stats["steps"]
+    assert steps[4] > 3 * steps[1]
+    assert excess[4] - excess[1] < steps[4] - steps[1], (excess, steps)
 
 
 def _one_shot_csv(trajectory, system):
@@ -539,8 +669,8 @@ def _one_shot_csv(trajectory, system):
 
 def test_csv_streams_the_one_shot_rows(monkeypatch):
     system = LagrangianSystem(E3, U_PLANE, MU_Z, epsilon=0.1)
-    traj = integrate(system, State(0, [0, 0, 0.01], [1, 0.5, 0]), 1.0)
     monkeypatch.setattr(dynamics, "BLOCK_ROWS", 7)
+    traj = integrate(system, State(0, [0, 0, 0.01], [1, 0.5, 0]), 1.0)
     assert len(traj.times) > 2 * 7 and len(traj.times) % 7
     out = io.StringIO()
     traj.to_csv(out, system)
