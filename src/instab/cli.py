@@ -183,8 +183,10 @@ def sweep_cmd(problem, eps, horizon, fmt, seed, tol_abs, tol_rel, out):
         for run in report.runs:
             if run.status != "ok":
                 continue
-            path = os.path.join(
-                out, f"sweep-{definition.name}-eps{run.epsilon:g}.csv")
+            eps = f"{run.epsilon:g}"
+            if float(eps) != run.epsilon:  # distinct epsilons, distinct files
+                eps = repr(run.epsilon)
+            path = os.path.join(out, f"sweep-{definition.name}-eps{eps}.csv")
             with open(path, "w") as fh:
                 run.trajectory.to_csv(
                     fh, definition.system(epsilon=run.epsilon))

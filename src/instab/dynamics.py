@@ -687,22 +687,3 @@ def check_lemma1_bounds(trajectory, speed_cap) -> BoundsVerdict:
         potential_margin=float(potential_margin),
     )
 
-
-def el_residual_adapted(system, trajectory) -> np.ndarray:
-    """Residual of the zero-coordinate EL equation in adapted coordinates.
-
-    Assumes the system's own coordinates are adapted (no mixed first-row
-    metric terms), so coordinate 0 plays the role of the level coordinate.
-    The second derivative comes from divided differences on the uniform
-    grid and is compared with the level component of ``el_acceleration``.
-    """
-    n = trajectory.dimension
-    grid = trajectory.grid_times
-    h = grid[1] - grid[0]
-    z = trajectory.grid_states[:, 0]
-    zdd = (z[2:] - 2 * z[1:-1] + z[:-2]) / h ** 2
-    acc = np.array([
-        el_acceleration(system, State(tau, row[:n], row[n:]))[0]
-        for tau, row in zip(grid[1:-1], trajectory.grid_states[1:-1])
-    ])
-    return zdd - acc

@@ -2,24 +2,24 @@
 
 Scalar quantities (potentials, candidate functions, metric entries, one-form
 components) are entered as text in the variables x1..xn and parsed once into
-an AST. Three backends evaluate it: the reference walker ``eval_expr`` over
-plain floats or vector-forward dual numbers (one derivative seed per
-coordinate, nestable for second order), a generated float value+gradient
-function, and generated numpy functions for bulk sampling, one for a
-field's values and one for its gradients. The code generator emits values
-only, each common subexpression once; a gradient is the values of
-``derivative`` ASTs, the one set of derivative rules, which also gives
-second derivatives. The generated functions run the same value operations
-in the same order; where the scalar function raises, the numpy value is
-not finite, and so is a row of the numpy gradient where the scalar
-value+gradient function raises. Duals are only the tests' reference.
+an AST. One code generator evaluates it, in two renderings: a float
+value+gradient function, and numpy functions for bulk sampling, one for a
+field's values and one for its gradients. It emits values only, each
+common subexpression once; a gradient is the values of ``derivative``
+ASTs, the one set of derivative rules, which also gives second
+derivatives. Both renderings run the same value operations in the same
+order; where the scalar function raises, the numpy value is not finite,
+and so is a row of the numpy gradient where the scalar value+gradient
+function raises. The tests hold both to a third backend of their own, a
+walker over plain floats or vector-forward dual numbers (one derivative
+seed per coordinate, nestable for second order).
 
 Only this module writes field code. Other modules state their formulas as
 ASTs over fields' ``derivative`` ASTs, and ``compile_kernel``, the one
 kernel compiler, turns them into a function with a reference to fall back
 on: the equations of motion, the chart flow fields, a curved metric's
-factorization and ``compile_fields`` (one-form Jacobians, Hessians, and
-metric entries where the factorization falls back) all come from it.
+factorization and ``compile_fields`` (a field's Hessian) all come from
+it.
 
 Grammar (EBNF, also documented in the README):
 
@@ -32,11 +32,11 @@ Grammar (EBNF, also documented in the README):
     variable = "x" , digit , { digit } ;
     function = "sin" | "cos" | "exp" | "ln" | "sqrt" ;
 
-The parser folds an exponent without variables to its value: an integral one
-makes an integer power (``x1^-2``, ``x1^(1+1)``), defined at negative bases
-too; any other makes a real power ``exp(b * ln(a))``, defined for positive
-bases only.
-An exponent that is undefined or overflows folds to nan.
+The parser folds an exponent without variables to its value, computed by
+the generated scalar code: an integral one makes an integer power
+(``x1^-2``, ``x1^(1+1)``), defined at negative bases too; any other makes a
+real power ``exp(b * ln(a))``, defined for positive bases only. An
+exponent that is undefined or overflows folds to nan.
 
 Only smooth primitives are provided; non-smooth ones (abs, max) would break
 the derivative guarantees the rest of the toolkit relies on.
@@ -178,11 +178,22 @@ def _has_var(node, zero_powers=True) -> bool:
 
 
 def _folded_power(base, exponent):
-    """``base ^ exponent`` with a variable-free exponent decided once."""
-    try:
-        k = float(eval_expr(exponent, ()))
-    except (DomainError, NonFiniteResult):
-        k = math.nan
+    """``base ^ exponent`` with a variable-free exponent decided once.
+
+    The exponent's value is that of the generated scalar code every field
+    runs; where that code raises, the exponent is nan.
+    """
+    if isinstance(exponent, Num):
+        k = exponent.value
+    else:
+        em = _Emitter()
+        value = em.emit(exponent)
+        try:
+            k = define_scalar("_exponent", "def _exponent():\n"
+                              f"{_scalar_body(em, '    ')}"
+                              f"    return {value}\n")()
+        except (DomainError, ArithmeticError, ValueError):
+            k = math.nan
     if k.is_integer():
         return IntPow(base, int(k))
     return Bin("^", base, Num(k if math.isfinite(k) else math.nan))
@@ -284,167 +295,6 @@ def parse(source: str, dimension: int) -> Expr:
     if not 1 <= dimension <= MAX_DIMENSION:
         raise ValueError(f"dimension must be in 1..{MAX_DIMENSION}")
     return _Parser(_tokenize(source), dimension).parse()
-
-
-# --- dual numbers ----------------------------------------------------------
-
-class Dual:
-    """Vector-forward dual number: a value plus one partial per seed.
-
-    Both the value and the partials may themselves be duals, which is how
-    second derivatives are obtained when they are needed.
-    """
-
-    __slots__ = ("val", "eps")
-
-    def __init__(self, val, eps):
-        self.val = val
-        self.eps = tuple(eps)
-
-    def __repr__(self):
-        return f"Dual({self.val!r}, {self.eps!r})"
-
-    def __add__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.val + other.val,
-                        tuple(a + b for a, b in zip(self.eps, other.eps)))
-        return Dual(self.val + other, self.eps)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Dual(-self.val, tuple(-a for a in self.eps))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, Dual):
-            return Dual(
-                self.val * other.val,
-                tuple(a * other.val + self.val * b
-                      for a, b in zip(self.eps, other.eps)),
-            )
-        return Dual(self.val * other, tuple(a * other for a in self.eps))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Dual):
-            inv2 = other.val * other.val
-            return Dual(
-                self.val / other.val,
-                tuple((a * other.val - self.val * b) / inv2
-                      for a, b in zip(self.eps, other.eps)),
-            )
-        return Dual(self.val / other, tuple(a / other for a in self.eps))
-
-    def __rtruediv__(self, other):
-        inv2 = self.val * self.val
-        return Dual(other / self.val,
-                    tuple(-other * b / inv2 for b in self.eps))
-
-
-def _value_of(x):
-    while isinstance(x, Dual):
-        x = x.val
-    return x
-
-
-def _lift(fn, dfn):
-    def apply(x):
-        if isinstance(x, Dual):
-            v = apply(x.val)
-            d = dfn(x.val)
-            return Dual(v, tuple(d * e for e in x.eps))
-        try:
-            return fn(x)
-        except (OverflowError, ValueError) as exc:  # overflow, sin/cos of inf
-            raise NonFiniteResult(str(exc)) from exc
-    return apply
-
-
-def _sqrt_raw(x):
-    if isinstance(x, Dual):
-        v = _sqrt_raw(x.val)
-        if _value_of(v) == 0.0:
-            raise DomainError("sqrt derivative at zero")
-        half = 0.5 / v
-        return Dual(v, tuple(half * e for e in x.eps))
-    if x < 0.0:
-        raise DomainError("sqrt of negative value")
-    return math.sqrt(x)
-
-
-def _ln_raw(x):
-    if isinstance(x, Dual):
-        v = _ln_raw(x.val)
-        return Dual(v, tuple(e / x.val for e in x.eps))
-    if x <= 0.0:
-        raise DomainError("ln of non-positive value")
-    return math.log(x)
-
-
-_sin = _lift(math.sin, lambda v: _cos(v))
-_cos = _lift(math.cos, lambda v: -_sin(v))
-_exp = _lift(math.exp, lambda v: _exp(v))
-
-_FUN_EVAL = {"sin": _sin, "cos": _cos, "exp": _exp, "ln": _ln_raw,
-             "sqrt": _sqrt_raw}
-
-
-def _divide(a, b):
-    if _value_of(b) == 0.0:
-        raise DomainError("division by zero")
-    return a / b
-
-
-def _ipow(base, k):
-    """base**k for an integer k, generic over floats and nested duals."""
-    if k < 0:
-        return _divide(1.0, _ipow(base, -k))
-    if k == 0:
-        return 1.0
-    if k <= _UNROLL_POW:
-        out = base
-        for _ in range(k - 1):
-            out = out * base
-        return out
-    if isinstance(base, Dual):  # power rule
-        slope = float(k) * _ipow(base.val, k - 1)
-        return Dual(_ipow(base.val, k), tuple(slope * e for e in base.eps))
-    try:
-        return base ** k
-    except OverflowError as exc:
-        raise NonFiniteResult(str(exc)) from exc
-
-
-def eval_expr(node: Expr, coords):
-    """Evaluate over floats or duals (the reference semantics)."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return coords[node.index]
-    if isinstance(node, Neg):
-        return -eval_expr(node.arg, coords)
-    if isinstance(node, Fun):
-        return _FUN_EVAL[node.name](eval_expr(node.arg, coords))
-    if isinstance(node, IntPow):
-        return _ipow(eval_expr(node.base, coords), node.k)
-    a = eval_expr(node.lhs, coords)
-    b = eval_expr(node.rhs, coords)
-    if node.op == "+":
-        return a + b
-    if node.op == "-":
-        return a - b
-    if node.op == "*":
-        return a * b
-    if node.op == "/":
-        return _divide(a, b)
-    return _exp(_ln_raw(a) * b)  # real power
 
 
 # --- derivatives and substitution on the AST --------------------------------
@@ -824,32 +674,6 @@ def compile_fields(fields, n):
     return evaluate
 
 
-def _dual_gradient(fn, n, point, label) -> np.ndarray:
-    """Gradient of ``fn`` at ``point`` from one pass seeded per coordinate."""
-    coords = [
-        Dual(float(point[j]),
-             tuple(1.0 if j == k else 0.0 for k in range(n)))
-        for j in range(n)
-    ]
-    try:
-        out = fn(coords)
-    except ZeroDivisionError as exc:  # a quotient rule's squared divisor
-        raise _not_finite(label, point) from exc
-    if not isinstance(out, Dual):
-        return np.zeros(n)
-    vals = np.array([_value_of(e) for e in out.eps], dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise _not_finite(label, point)
-    return vals
-
-
-def _dual_value(fn, point, label) -> float:
-    v = _value_of(fn([float(c) for c in point]))
-    if not math.isfinite(v):
-        raise _not_finite(label, point)
-    return v
-
-
 def _compile_hessian(fld):
     """``compile_fields`` over the partials of ``fld``, as fields."""
     n = fld.dimension
@@ -876,9 +700,6 @@ class ScalarField:
 
     def __repr__(self):
         return f"ScalarField({self.source!r}, n={self.dimension})"
-
-    def _call(self, coords):
-        return eval_expr(self.body, coords)
 
     def code(self, key, build, *args):
         """The field's generated code under ``key``, made once by
@@ -923,13 +744,6 @@ class ScalarField:
         """hess[a, c] = ∂_c ∂_a f from one call over the derivative ASTs."""
         return self.code("hessian", _compile_hessian, self)(point)[1]
 
-    def grad_dual(self, point) -> np.ndarray:
-        """Gradient via the dual-number reference path."""
-        return _dual_gradient(self._call, self.dimension, point, self.label)
-
-    def eval_dual(self, point) -> float:
-        return _dual_value(self._call, point, self.label)
-
     def vectorized(self):
         """Bulk values over an (m, n) array; non-finite where undefined."""
         return self.code("vectorized", compile_vectorized, self.body)
@@ -940,6 +754,104 @@ class ScalarField:
         ``value_and_grad`` raises."""
         return self.code("vectorized_gradient", compile_vectorized_gradient,
                          self.body, self.dimension)
+
+
+# --- dual numbers, for CallableField ---------------------------------------
+
+class Dual:
+    """Vector-forward dual number: a value plus one partial per seed.
+
+    Both the value and the partials may themselves be duals, which is how
+    second derivatives are obtained when they are needed. Only
+    ``CallableField`` evaluates duals in the package, and the tests' dual
+    reference walks expressions with them; ``Dual``, ``_value_of``,
+    ``_dual_gradient`` and ``_dual_value`` go with ``CallableField``
+    (ROADMAP.md, item 2).
+    """
+
+    __slots__ = ("val", "eps")
+
+    def __init__(self, val, eps):
+        self.val = val
+        self.eps = tuple(eps)
+
+    def __repr__(self):
+        return f"Dual({self.val!r}, {self.eps!r})"
+
+    def __add__(self, other):
+        if isinstance(other, Dual):
+            return Dual(self.val + other.val,
+                        tuple(a + b for a, b in zip(self.eps, other.eps)))
+        return Dual(self.val + other, self.eps)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Dual(-self.val, tuple(-a for a in self.eps))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, Dual):
+            return Dual(
+                self.val * other.val,
+                tuple(a * other.val + self.val * b
+                      for a, b in zip(self.eps, other.eps)),
+            )
+        return Dual(self.val * other, tuple(a * other for a in self.eps))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, Dual):
+            inv2 = other.val * other.val
+            return Dual(
+                self.val / other.val,
+                tuple((a * other.val - self.val * b) / inv2
+                      for a, b in zip(self.eps, other.eps)),
+            )
+        return Dual(self.val / other, tuple(a / other for a in self.eps))
+
+    def __rtruediv__(self, other):
+        inv2 = self.val * self.val
+        return Dual(other / self.val,
+                    tuple(-other * b / inv2 for b in self.eps))
+
+
+def _value_of(x):
+    while isinstance(x, Dual):
+        x = x.val
+    return x
+
+
+def _dual_gradient(fn, n, point, label) -> np.ndarray:
+    """Gradient of ``fn`` at ``point`` from one pass seeded per coordinate."""
+    coords = [
+        Dual(float(point[j]),
+             tuple(1.0 if j == k else 0.0 for k in range(n)))
+        for j in range(n)
+    ]
+    try:
+        out = fn(coords)
+    except ZeroDivisionError as exc:  # a quotient rule's squared divisor
+        raise _not_finite(label, point) from exc
+    if not isinstance(out, Dual):
+        return np.zeros(n)
+    vals = np.array([_value_of(e) for e in out.eps], dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise _not_finite(label, point)
+    return vals
+
+
+def _dual_value(fn, point, label) -> float:
+    v = _value_of(fn([float(c) for c in point]))
+    if not math.isfinite(v):
+        raise _not_finite(label, point)
+    return v
 
 
 class CallableField:

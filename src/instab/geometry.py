@@ -13,11 +13,11 @@ factorization written out as ASTs, and the Christoffel symbols; the last
 point's outputs are kept as one flat read-only array, and ``value``,
 ``inverse`` and ``christoffel`` at one point return views of it. Where a
 pivot is at or within rounding of PIVOT_FLOOR, or a check fails, the
-kernel falls back to the numpy path (``compile_fields``, numpy's Cholesky
-and inverse, an einsum), which raises SingularMetric, DomainError and
-NonFiniteResult as it always has. A one-form's magnetic tensor is one
-generated call of its own, with the bits of the component-wise
-``jac.T - jac`` and that path as its reference.
+kernel falls back to the numpy path (each entry's ``value_and_grad``,
+numpy's Cholesky and inverse, an einsum), which raises SingularMetric,
+DomainError and NonFiniteResult as it always has. A one-form's magnetic
+tensor is one generated call of its own, with the bits of the
+component-wise ``jac.T - jac`` and that path as its reference.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .expr import (
     ScalarField,
     _fields_reference,
     _node,
-    compile_fields,
     compile_kernel,
     derivative,
 )
@@ -83,18 +82,18 @@ def _spd_inverse(matrix, point):
 
 
 def _reference_factors(p, metric):
-    """g, dg, g^-1 and Gamma at p, flat, from ``compile_fields``,
-    ``_spd_inverse`` and an einsum; the metric kernel's reference.
+    """g, dg, g^-1 and Gamma at p, flat, from the entries' own
+    ``value_and_grad``, ``_spd_inverse`` and an einsum; the metric kernel's
+    reference.
 
     Where g does not factor, the tuple stops after dg, and ``inverse``
     raises ``_spd_inverse``'s SingularMetric.
     """
     n = metric.dimension
-    if metric._entries is None:
-        metric._entries = compile_fields(list(metric._upper.values()), n)
-    values, jac = metric._entries(p)
-    g = values[metric._slots].reshape(n, n)
-    dg = jac.T[:, metric._slots].reshape(n, n, n)
+    k = len(metric._upper)
+    out = np.array(_fields_reference(p, metric._upper.values()))
+    g = out[:k][metric._slots].reshape(n, n)
+    dg = out[k:].reshape(k, n).T[:, metric._slots].reshape(n, n, n)
     flat = g.ravel().tolist() + dg.ravel().tolist()
     try:
         ginv = _spd_inverse(g, p)
@@ -183,25 +182,24 @@ class MetricSpec:
     Christoffel array at every point.
     """
 
-    def __init__(self, dimension, upper_entries=None):
+    def __init__(self, dimension, upper=None):
         if not 1 <= dimension <= MAX_DIMENSION:
             raise ValueError(f"dimension must be in 1..{MAX_DIMENSION}")
         self.dimension = dimension
-        self.euclidean = upper_entries is None
-        self._upper = upper_entries  # dict[(i, j)] -> field, i <= j
+        self.euclidean = upper is None
+        self._upper = upper  # dict[(i, j)] -> field, i <= j
         self._kernel = None  # see _factor_kernel, made on first use
-        self._entries = None  # compile_fields of the entries, for fallback
         self._key = self._flat = None  # the last point's bytes and its _at
-        if upper_entries is None:
+        if upper is None:
             self._identity = np.eye(dimension)
             self._gamma = np.zeros((dimension,) * 3)
             for kept in (self._identity, self._gamma):
                 kept.flags.writeable = False
         else:
             n = dimension
-            upper = list(upper_entries)
+            keys = list(upper)
             self._slots = np.array([  # entry number of each (a, b), row-major
-                upper.index((min(a, b), max(a, b)))
+                keys.index((min(a, b), max(a, b)))
                 for a in range(n) for b in range(n)])
             self._parts = {}  # name -> (slice, shape) in _at's array
             start = 0

@@ -42,7 +42,6 @@ DEFAULT_EPSILONS = (1e-1, 1e-2, 1e-3)
 CENTER_POTENTIAL_TOL = 1e-12
 PROBE_KEYS = ("radius", "delta_min", "delta_max", "samples")
 DRIFT_FRACTION = 0.01  # of |grad f(p)|^2 T; escape needs 10x this
-CONSISTENCY_FRACTIONS = (0.25, 0.5, 1.0)  # of T; see physical_consistency
 
 
 @dataclass
@@ -704,48 +703,6 @@ def _first_crossing(taus, values, target):
     if v1 == v0:
         return float(t1)
     return float(t0 + (target - v0) * (t1 - t0) / (v1 - v0))
-
-
-def physical_consistency(problem, epsilon):
-    """Spot-check the two time parameterizations against each other.
-
-    The unscaled system started with speed epsilon |grad f(p)| and run to
-    physical time tau/epsilon must land where the rescaled run is at tau.
-    Returns the worst Euclidean mismatch over CONSISTENCY_FRACTIONS of T.
-    """
-    tol = Tolerances()
-    _df, grad, _cap_sq = problem.gradient_data()
-    rescaled = integrate(
-        problem.system(epsilon=epsilon),
-        State(0.0, problem.center, grad),
-        problem.horizon, tol=tol,
-    )
-    physical = integrate(
-        problem.system(epsilon=None),
-        State(0.0, problem.center, epsilon * grad),
-        problem.horizon / epsilon, tol=tol,
-    )
-    n = problem.dimension
-    grid = rescaled.grid_times
-    worst = 0.0
-    for frac in CONSISTENCY_FRACTIONS:
-        tau = frac * problem.horizon
-        i = int(np.argmin(np.abs(grid - tau)))
-        a = rescaled.grid_states[i, :n]
-        # physical grid rarely hits tau/eps exactly; re-interpolate linearly
-        t_phys = grid[i] / epsilon
-        b = _interp_state(physical, t_phys, n)
-        worst = max(worst, float(np.linalg.norm(a - b)))
-    return worst
-
-
-def _interp_state(trajectory, t, n):
-    times = trajectory.grid_times
-    k = int(np.clip(np.searchsorted(times, t), 1, len(times) - 1))
-    t0, t1 = times[k - 1], times[k]
-    w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-    row = (1 - w) * trajectory.grid_states[k - 1] + w * trajectory.grid_states[k]
-    return row[:n]
 
 
 def build_problem_chart(problem):

@@ -1,0 +1,207 @@
+"""Reference implementations that the tests hold the package to.
+
+The dual-number walker is the reference semantics of the expression
+language: it evaluates an AST over plain floats or vector-forward dual
+numbers (``instab.expr.Dual``, one derivative seed per coordinate,
+nestable for second order), independently of the generated code. The
+other helpers check a trajectory against the equations of motion and the
+two time parameterizations against each other.
+"""
+
+import math
+
+import numpy as np
+
+from instab.dynamics import State, Tolerances, el_acceleration, integrate
+from instab.errors import DomainError, NonFiniteResult
+from instab.expr import (
+    _UNROLL_POW,
+    Dual,
+    Fun,
+    IntPow,
+    Neg,
+    Num,
+    Var,
+    _dual_gradient,
+    _dual_value,
+    _value_of,
+)
+
+# --- the dual-number walker -------------------------------------------------
+
+
+def _lift(fn, dfn):
+    def apply(x):
+        if isinstance(x, Dual):
+            v = apply(x.val)
+            d = dfn(x.val)
+            return Dual(v, tuple(d * e for e in x.eps))
+        try:
+            return fn(x)
+        except (OverflowError, ValueError) as exc:  # overflow, sin/cos of inf
+            raise NonFiniteResult(str(exc)) from exc
+    return apply
+
+
+def _sqrt_raw(x):
+    if isinstance(x, Dual):
+        v = _sqrt_raw(x.val)
+        if _value_of(v) == 0.0:
+            raise DomainError("sqrt derivative at zero")
+        half = 0.5 / v
+        return Dual(v, tuple(half * e for e in x.eps))
+    if x < 0.0:
+        raise DomainError("sqrt of negative value")
+    return math.sqrt(x)
+
+
+def _ln_raw(x):
+    if isinstance(x, Dual):
+        v = _ln_raw(x.val)
+        return Dual(v, tuple(e / x.val for e in x.eps))
+    if x <= 0.0:
+        raise DomainError("ln of non-positive value")
+    return math.log(x)
+
+
+_sin = _lift(math.sin, lambda v: _cos(v))
+_cos = _lift(math.cos, lambda v: -_sin(v))
+_exp = _lift(math.exp, lambda v: _exp(v))
+
+_FUN_EVAL = {"sin": _sin, "cos": _cos, "exp": _exp, "ln": _ln_raw,
+             "sqrt": _sqrt_raw}
+
+
+def _divide(a, b):
+    if _value_of(b) == 0.0:
+        raise DomainError("division by zero")
+    return a / b
+
+
+def _ipow(base, k):
+    """base**k for an integer k, generic over floats and nested duals."""
+    if k < 0:
+        return _divide(1.0, _ipow(base, -k))
+    if k == 0:
+        return 1.0
+    if k <= _UNROLL_POW:
+        out = base
+        for _ in range(k - 1):
+            out = out * base
+        return out
+    if isinstance(base, Dual):  # power rule
+        slope = float(k) * _ipow(base.val, k - 1)
+        return Dual(_ipow(base.val, k), tuple(slope * e for e in base.eps))
+    try:
+        return base ** k
+    except OverflowError as exc:
+        raise NonFiniteResult(str(exc)) from exc
+
+
+def eval_expr(node, coords):
+    """Evaluate over floats or duals (the reference semantics)."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        return coords[node.index]
+    if isinstance(node, Neg):
+        return -eval_expr(node.arg, coords)
+    if isinstance(node, Fun):
+        return _FUN_EVAL[node.name](eval_expr(node.arg, coords))
+    if isinstance(node, IntPow):
+        return _ipow(eval_expr(node.base, coords), node.k)
+    a = eval_expr(node.lhs, coords)
+    b = eval_expr(node.rhs, coords)
+    if node.op == "+":
+        return a + b
+    if node.op == "-":
+        return a - b
+    if node.op == "*":
+        return a * b
+    if node.op == "/":
+        return _divide(a, b)
+    return _exp(_ln_raw(a) * b)  # real power
+
+
+def call(field, coords):
+    """The walker's value of a ``ScalarField`` at floats or duals."""
+    return eval_expr(field.body, coords)
+
+
+def grad_dual(field, point) -> np.ndarray:
+    """A field's gradient via the dual-number reference path."""
+    return _dual_gradient(lambda coords: call(field, coords),
+                          field.dimension, point, field.label)
+
+
+def eval_dual(field, point) -> float:
+    """A field's value via the dual-number reference path."""
+    return _dual_value(lambda coords: call(field, coords), point, field.label)
+
+
+# --- trajectories -----------------------------------------------------------
+
+
+def el_residual_adapted(system, trajectory) -> np.ndarray:
+    """Residual of the zero-coordinate EL equation in adapted coordinates.
+
+    Assumes the system's own coordinates are adapted (no mixed first-row
+    metric terms), so coordinate 0 plays the role of the level coordinate.
+    The second derivative comes from divided differences on the uniform
+    grid and is compared with the level component of ``el_acceleration``.
+    """
+    n = trajectory.dimension
+    grid = trajectory.grid_times
+    h = grid[1] - grid[0]
+    z = trajectory.grid_states[:, 0]
+    zdd = (z[2:] - 2 * z[1:-1] + z[:-2]) / h ** 2
+    acc = np.array([
+        el_acceleration(system, State(tau, row[:n], row[n:]))[0]
+        for tau, row in zip(grid[1:-1], trajectory.grid_states[1:-1])
+    ])
+    return zdd - acc
+
+
+CONSISTENCY_FRACTIONS = (0.25, 0.5, 1.0)  # of T; see physical_consistency
+
+
+def physical_consistency(problem, epsilon):
+    """Spot-check the two time parameterizations against each other.
+
+    The unscaled system started with speed epsilon |grad f(p)| and run to
+    physical time tau/epsilon must land where the rescaled run is at tau.
+    Returns the worst Euclidean mismatch over CONSISTENCY_FRACTIONS of T.
+    """
+    tol = Tolerances()
+    _df, grad, _cap_sq = problem.gradient_data()
+    rescaled = integrate(
+        problem.system(epsilon=epsilon),
+        State(0.0, problem.center, grad),
+        problem.horizon, tol=tol,
+    )
+    physical = integrate(
+        problem.system(epsilon=None),
+        State(0.0, problem.center, epsilon * grad),
+        problem.horizon / epsilon, tol=tol,
+    )
+    n = problem.dimension
+    grid = rescaled.grid_times
+    worst = 0.0
+    for frac in CONSISTENCY_FRACTIONS:
+        tau = frac * problem.horizon
+        i = int(np.argmin(np.abs(grid - tau)))
+        a = rescaled.grid_states[i, :n]
+        # physical grid rarely hits tau/eps exactly; re-interpolate linearly
+        t_phys = grid[i] / epsilon
+        b = _interp_state(physical, t_phys, n)
+        worst = max(worst, float(np.linalg.norm(a - b)))
+    return worst
+
+
+def _interp_state(trajectory, t, n):
+    times = trajectory.grid_times
+    k = int(np.clip(np.searchsorted(times, t), 1, len(times) - 1))
+    t0, t1 = times[k - 1], times[k]
+    w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
+    row = (1 - w) * trajectory.grid_states[k - 1] + w * trajectory.grid_states[k]
+    return row[:n]

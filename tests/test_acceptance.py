@@ -16,12 +16,12 @@ from instab.charts import pullback_metric_block_check
 from instab.dynamics import (
     LagrangianSystem,
     State,
-    el_residual_adapted,
     integrate,
 )
 from instab.errors import DomainError, NoPositiveDrift, NonFiniteResult
 from instab.expr import ScalarField
 from instab.geometry import MetricSpec, OneForm, magnetic_tensor
+from oracles import el_residual_adapted
 
 
 def _verdict(number, title, ok):

@@ -20,7 +20,6 @@ from instab.dynamics import (
     check_lemma1_bounds,
     compile_motion,
     el_acceleration,
-    el_residual_adapted,
     hamiltonian,
     integrate,
 )
@@ -33,6 +32,7 @@ from instab.errors import (
 )
 from instab.expr import ScalarField
 from instab.geometry import MetricSpec, OneForm, magnetic_tensor
+from oracles import el_residual_adapted
 
 E3 = MetricSpec.identity(3)
 U_PLANE = ScalarField.parse("x3^2", 3)

@@ -23,6 +23,7 @@ from instab.geometry import (
     riemannian_gradient,
     two_form_norm,
 )
+from oracles import eval_dual, grad_dual
 
 POLAR_STYLE = [["1", "0"], ["0", "x1^2"]]
 CRITERION_10 = [
@@ -119,8 +120,8 @@ def _reference(metric, point):
     dg = np.empty((n, n, n))  # dg[c, a, b] = d_c g_ab
     for a in range(n):
         for b in range(n):
-            g[a, b] = metric.entry(a, b).eval_dual(point)
-            dg[:, a, b] = metric.entry(a, b).grad_dual(point)
+            g[a, b] = eval_dual(metric.entry(a, b), point)
+            dg[:, a, b] = grad_dual(metric.entry(a, b), point)
     ginv = scipy.linalg.cho_solve(scipy.linalg.cho_factor(g, lower=True),
                                   np.eye(n))
     gamma = np.zeros((n, n, n))

@@ -1,6 +1,7 @@
 """Problem loading, sweeps, escape detection, and the CLI surface."""
 
 import copy
+import io
 import json
 import subprocess
 import sys
@@ -11,7 +12,9 @@ from click.testing import CliRunner
 
 from instab import harness
 from instab.cli import main
+from instab.dynamics import Tolerances
 from instab.errors import NoPositiveDrift, ValidationError
+from oracles import physical_consistency
 
 UNSTABLE_PLANE = {
     "dimension": 3,
@@ -171,7 +174,7 @@ def test_escape_reports_one_drift_tolerance(corpus_sweeps):
 
 def test_physical_time_consistency():
     problem = harness.corpus_entry("corollary1-mechanical")
-    mismatch = harness.physical_consistency(problem, 0.1)
+    mismatch = physical_consistency(problem, 0.1)
     assert mismatch < 1e-6
 
 
@@ -439,6 +442,33 @@ def test_cli_sweep_csv_artifacts(tmp_path):
     assert len(csvs) == 1
     header = csvs[0].read_text().splitlines()[0]
     assert header.startswith("tau,x1")
+
+
+def test_cli_sweep_csv_names_each_epsilon_apart(tmp_path):
+    """Epsilons that agree to six digits write one file each, named by
+    ``repr``, and each file is its own run's CSV; an epsilon that ``:g``
+    spells exactly keeps that name."""
+    epsilons = [0.1000002, 0.1000001, 0.1]
+    out = tmp_path / "art"
+    result = _run("sweep", "mechanical-plane", "--eps",
+                  ",".join(map(repr, epsilons)), "--t", "0.2",
+                  "--format", "csv", "--out", str(out))
+    assert result.exit_code == 0, result.output
+    names = ["sweep-mechanical-plane-eps0.1000002.csv",
+             "sweep-mechanical-plane-eps0.1000001.csv",
+             "sweep-mechanical-plane-eps0.1.csv"]
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(names)
+    data = {**harness.corpus_entry("mechanical-plane").to_dict(),
+            "epsilons": epsilons, "T": 0.2}
+    problem = harness.load_problem(data, name="mechanical-plane")
+    report = harness.run_epsilon_sweep(
+        problem, tol=Tolerances(abs=1e-10, rel=1e-10),
+        with_certification=False)
+    assert [run.epsilon for run in report.runs] == epsilons
+    for name, run in zip(names, report.runs):
+        own = io.StringIO()
+        run.trajectory.to_csv(own, problem.system(epsilon=run.epsilon))
+        assert (out / name).read_text() == own.getvalue()
 
 
 def test_cli_sweep_csv_needs_out():
