@@ -4,16 +4,20 @@ The Lagrangian is kinetic energy plus a gyroscopic one-form term minus a
 potential; in the rescaled variant the one-form carries a 1/eps factor and
 the potential 1/eps^2. The integrator is an in-repo adaptive Dormand-Prince
 5(4) pair with scipy RK45's tableau, initial step, RMS error norm and step
-controller, and a hard step cap of eps/10 for rescaled systems, since the
-transverse oscillation frequency scales like 1/eps. It steps on plain
-floats: the stage arithmetic is generated once per state size, and the
-quartic dense output is evaluated only at the uniform grid times. The same
-stepper solves the chart flows (``charts``), uncapped and without grid
-times, keeping only the end state. A branch that spends its step budget,
-as against a stiff wall, raises instead of shrinking its steps without
-bound. Every run records conserved-energy, speed, potential and
-path-length logs; U and g(v, v) are evaluated once per step row, and the
-energy, speed and potential logs are read off them. An untrustworthy
+controller, and a step cap of eps/10 for rescaled systems, since the
+transverse oscillation frequency scales like 1/eps. The cap takes effect
+at a branch's first live try, one where some stage's acceleration is
+nonzero: on a valley of U, where the rescaled force is exactly zero, there
+is no oscillation to resolve, and the straight-line steps grow freely. An
+explicit ``Tolerances.max_step`` is a hard cap from the first step. It
+steps on plain floats: the stage arithmetic is generated once per state
+size, and the quartic dense output is evaluated only at the uniform grid
+times. The same stepper solves the chart flows (``charts``), uncapped and
+without grid times, keeping only the end state. A branch that spends its
+step budget, as against a stiff wall, raises instead of shrinking its
+steps without bound. Every run records conserved-energy, speed, potential
+and path-length logs; U and g(v, v) are evaluated once per step row, and
+the energy, speed and potential logs are read off them. An untrustworthy
 energy drift raises instead of being silently accepted.
 
 The step log is float64 blocks: each branch appends its accepted steps to
@@ -107,7 +111,9 @@ class Tolerances:
     abs: float = 1e-10
     rel: float = 1e-10
     energy_drift: float = 1e-6
-    max_step: float | None = None  # overrides the eps/10 cap if set
+    # a hard cap from the first step if set; the eps/10 default waits for
+    # the first try with a nonzero acceleration
+    max_step: float | None = None
 
     def __post_init__(self):
         if not (0 < self.abs < math.inf and 0 < self.rel < math.inf):
@@ -463,8 +469,14 @@ def _naming(message, first_bad):
             f"{_where(*first_bad)}")
 
 
-def _solve_branch(f, arg, y0, t_end, tol, max_step, grid=None):
+def _solve_branch(f, arg, y0, t_end, tol, max_step, grid=None,
+                  gated=False):
     """Adaptive Dormand-Prince steps from tau = 0 to exactly ``t_end``.
+
+    A ``gated`` cap takes effect at the branch's first live try, one where
+    a stage has a nonzero acceleration (entries n..2n-1); the branch then
+    stays capped. A live try above the cap is retried at the cap and
+    counts as rejected. Otherwise ``max_step`` caps every step.
 
     ``grid`` holds times in the order the branch passes them; each is read
     off the interpolant of the first step that reaches it. The accepted
@@ -486,6 +498,8 @@ def _solve_branch(f, arg, y0, t_end, tol, max_step, grid=None):
             f"the right-hand side is not finite {_where(0.0, y0)}")
     nfev, rejected = 2, 0
     t, y = 0.0, y0
+    live = not gated  # whether max_step caps the steps yet
+    n = len(y0) // 2
     first_bad = None  # (tau, state) of the first non-finite error estimate
     if grid is not None:
         block = BLOCK_ROWS
@@ -497,7 +511,7 @@ def _solve_branch(f, arg, y0, t_end, tol, max_step, grid=None):
         h_abs = _initial_step(f, arg, y0, k1, t_end, max_step, rtol, atol)
         while direction * (t - t_end) < 0:
             min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-            if h_abs > max_step:
+            if live and h_abs > max_step:
                 h_abs = max_step
             elif h_abs < min_step:
                 h_abs = min_step
@@ -518,6 +532,12 @@ def _solve_branch(f, arg, y0, t_end, tol, max_step, grid=None):
                 h_abs = abs(h)
                 y_new, k7, error, stages = step(f, arg, y, k1, h, rtol, atol)
                 nfev += 6
+                if not live and any(a != 0.0 for k in stages for a in k[n:]):
+                    live = True
+                    if h_abs > max_step:
+                        h_abs = max_step
+                        rejected += 1
+                        continue
                 if error < 1:
                     factor = MAX_FACTOR if error == 0 else min(
                         MAX_FACTOR, SAFETY * error ** ERROR_EXPONENT)
@@ -558,15 +578,17 @@ def integrate(system, initial, horizon, tol=None) -> Trajectory:
     """Integrate both time branches over [-T, 0] and [0, T].
 
     Each branch is an adaptive Dormand-Prince 5(4) solve with scipy RK45's
-    initial step, RMS error norm and step controller, capped at eps/10 for
-    rescaled systems.
+    initial step, RMS error norm and step controller. A rescaled system's
+    steps are capped at eps/10 from the branch's first try with a nonzero
+    acceleration; an explicit ``tol.max_step`` caps every step.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     tol = tol or Tolerances()
+    gated = tol.max_step is None and system.epsilon is not None
     if tol.max_step is not None:
         max_step = tol.max_step
-    elif system.epsilon is not None:
+    elif gated:
         max_step = system.epsilon / 10.0
     else:
         max_step = math.inf
@@ -576,9 +598,9 @@ def integrate(system, initial, horizon, tol=None) -> Trajectory:
     grid_times = np.linspace(-horizon, horizon, GRID_POINTS)
     neg = grid_times < 0
     fwd = _solve_branch(f, system, y0, horizon, tol, max_step,
-                        grid_times[~neg])
+                        grid_times[~neg], gated)
     bwd = _solve_branch(f, system, y0, -horizon, tol, max_step,
-                        grid_times[neg][::-1])
+                        grid_times[neg][::-1], gated)
     stats = {"nfev": fwd.nfev + bwd.nfev,
              "steps": sum(map(len, bwd.times + fwd.times)) - 2,
              "rejected": fwd.rejected + bwd.rejected}
@@ -625,7 +647,9 @@ def _reduce_log(system, bwd, fwd, max_step):
     n = fwd.states[0].shape[1] // 2
     origin = len(bwd.times) - 1  # the block that ends at tau = 0
     last = origin + len(fwd.times)
-    threshold = max_step * (1.0 - CAP_RELATIVE)  # no step reaches inf
+    # |dt - cap| <= cap * CAP_RELATIVE, and no step reaches an inf cap
+    low = max_step * (1.0 - CAP_RELATIVE)
+    high = max_step * (1.0 + CAP_RELATIVE)
     blocks, peaks, unclipped, capped = [], [], [], 0
     tail = (np.empty(0), np.empty(0), 0.0)  # at -T, no row before
     clipped = True  # the next step is clipped to -T or joins at tau = 0
@@ -649,7 +673,7 @@ def _reduce_log(system, bwd, fwd, max_step):
         steps = dt[first:len(dt) - (k == last)]
         if len(steps):
             unclipped.append(steps.min())
-        capped += int(np.count_nonzero(dt >= threshold))
+        capped += int(np.count_nonzero((dt >= low) & (dt <= high)))
         peaks.append((energies.max(), energies.min(), speeds.max(),
                       potentials.max()))
         blocks.append((times, states, energies, path))

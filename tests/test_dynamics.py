@@ -180,7 +180,14 @@ def test_lemma1_bounds_pass_and_fail():
 def test_step_cap_applied_for_rescaled_systems():
     eps = 0.02
     system = LagrangianSystem(E3, U_PLANE, None, epsilon=eps)
-    traj = integrate(system, State(0, np.zeros(3), [1, 0, 0]), 0.1)
+    # off the valley x3 = 0 the force acts from the first step, and the
+    # default cap holds on every step
+    traj = integrate(system, State(0, [0, 0, 0.001], [1, 0, 0]), 0.1)
+    dt = np.diff(traj.times)
+    assert dt[dt > 0].max() <= eps / 10 + 1e-12
+    # on the valley an explicit max_step caps every step
+    traj = integrate(system, State(0, np.zeros(3), [1, 0, 0]), 0.1,
+                     tol=Tolerances(max_step=eps / 10))
     dt = np.diff(traj.times)
     assert dt[dt > 0].max() <= eps / 10 + 1e-12
 
@@ -436,11 +443,14 @@ def _scipy_rk45(system, initial, horizon, tol, max_step):
             for end in (horizon, -horizon)]
 
 
-def _corpus_case(name, eps):
+def _corpus_case(name, eps, hard_cap=False):
+    """The entry's run at ``eps``, with the default eps/10 cap or, if
+    ``hard_cap``, the same cap as an explicit ``max_step``."""
     problem = harness.corpus_entry(name)
     _df, grad, _cap_sq = problem.gradient_data()
+    tol = Tolerances(max_step=eps / 10) if hard_cap else Tolerances()
     return (problem.system(epsilon=eps), State(0.0, problem.center, grad),
-            problem.horizon, Tolerances(), eps / 10)
+            problem.horizon, tol, eps / 10)
 
 
 def _circle_case(max_step):
@@ -450,9 +460,11 @@ def _circle_case(max_step):
             math.inf if max_step is None else max_step)
 
 
+# mechanical-plane starts on its valley, where the default cap waits for a
+# force that never comes; scipy's max_step is a hard cap
 @pytest.mark.parametrize("case", [
-    _corpus_case("mechanical-plane", 0.1),
-    _corpus_case("mechanical-plane", 0.01),
+    _corpus_case("mechanical-plane", 0.1, hard_cap=True),
+    _corpus_case("mechanical-plane", 0.01, hard_cap=True),
     _corpus_case("stable-magnetic-plane", 0.1),
     _corpus_case("stable-magnetic-plane", 0.01),
     _circle_case(None),  # unscaled: no cap
@@ -539,9 +551,10 @@ def _joined_integrate(system, initial, horizon, tol):
     by np.cumsum and the drift's peak by np.argmax. The reference for the
     block-wise reduction; it gives the run's numbers by name."""
     n = len(initial.x)
+    gated = tol.max_step is None and system.epsilon is not None
     if tol.max_step is not None:
         max_step = tol.max_step
-    elif system.epsilon is not None:
+    elif gated:
         max_step = system.epsilon / 10.0
     else:
         max_step = math.inf
@@ -549,9 +562,9 @@ def _joined_integrate(system, initial, horizon, tol):
     y0 = tuple(np.concatenate([initial.x, initial.v]).tolist())
     grid = np.linspace(-horizon, horizon, dynamics.GRID_POINTS)
     fwd = dynamics._solve_branch(f, system, y0, horizon, tol, max_step,
-                                 grid[grid >= 0])
+                                 grid[grid >= 0], gated)
     bwd = dynamics._solve_branch(f, system, y0, -horizon, tol, max_step,
-                                 grid[grid < 0][::-1])
+                                 grid[grid < 0][::-1], gated)
     times = np.concatenate([b[::-1] for b in bwd.times[::-1]] + fwd.times)
     states = np.concatenate([b[::-1] for b in bwd.states[::-1]] + fwd.states)
     origin = sum(map(len, bwd.times)) - 1  # the backward branch's tau = 0
@@ -568,7 +581,8 @@ def _joined_integrate(system, initial, horizon, tol):
         "rejected": fwd.rejected + bwd.rejected,
         "min_step": float(min(unclipped)) if unclipped else None,
         "capped_steps": int(np.count_nonzero(
-            dt >= max_step * (1.0 - dynamics.CAP_RELATIVE))),
+            np.abs(dt - max_step) <= max_step * dynamics.CAP_RELATIVE))
+        if max_step < math.inf else 0,
         "drift_peak_tau": float(times[np.argmax(np.abs(energies - h0))])}
     return {
         "times": times, "states": states, "energies": energies,
@@ -678,10 +692,11 @@ def test_csv_streams_the_one_shot_rows(monkeypatch):
 
 
 def test_step_counters_on_capped_corpus_runs():
-    # unstable-magnetic-plane at eps = 0.01 runs every step at the cap,
-    # T / cap = 1,000 a branch, the last ones included
+    # under an explicit max_step of eps/10, unstable-magnetic-plane at
+    # eps = 0.01 runs every step at the cap, T / cap = 1,000 a branch, the
+    # last ones included
     system, initial, horizon, tol, cap = _corpus_case(
-        "unstable-magnetic-plane", 0.01)
+        "unstable-magnetic-plane", 0.01, hard_cap=True)
     assert horizon == 1.0
     stats = integrate(system, initial, horizon, tol=tol).stats
     assert stats["steps"] == stats["capped_steps"] == 2000
@@ -689,17 +704,70 @@ def test_step_counters_on_capped_corpus_runs():
     assert stats["min_step"] == pytest.approx(cap, abs=2 * math.ulp(1.0))
     # mechanical-plane at eps = 0.1 starts below the cap on each branch
     system, initial, horizon, tol, cap = _corpus_case("mechanical-plane",
-                                                      0.1)
+                                                      0.1, hard_cap=True)
     traj = integrate(system, initial, horizon, tol=tol)
     assert (traj.stats["steps"], traj.stats["capped_steps"]) == (202, 198)
     assert traj.stats["min_step"] == 0.00476228217902515
     sizes = np.abs(np.diff(traj.times))
     assert traj.stats["capped_steps"] \
-        == np.count_nonzero(sizes >= cap * (1 - 1e-9))
+        == np.count_nonzero(np.abs(sizes - cap) <= cap * 1e-9)
     zero = np.flatnonzero(traj.times == 0.0)[0]
     energy = traj.energies
     assert traj.stats["drift_peak_tau"] \
         == traj.times[np.argmax(np.abs(energy - energy[zero]))]
+
+
+@pytest.mark.parametrize("name", ["mechanical-plane",
+                                  "unstable-magnetic-plane", "crossing-axes"])
+def test_valley_runs_are_exact_in_few_steps(corpus_sweeps, name):
+    """These entries escape along their valley of U, a straight line with
+    f = tau, and no stage meets a force: the default cap never applies."""
+    for run in corpus_sweeps[name].runs:
+        traj = run.trajectory
+        assert len(run.f_curve) == dynamics.GRID_POINTS
+        assert np.max(np.abs(run.f_curve - traj.grid_times)) <= 1e-15
+        assert traj.stats["steps"] <= 16
+        assert traj.energy_drift == 0.0
+
+
+@pytest.mark.parametrize("name, center", [
+    ("crossing-axes", [0.0, 0.1]),  # x1^2 x2^2 pulls from the first stage
+    ("stable-magnetic-plane", None),
+    ("kolibri", None),
+])
+def test_runs_live_from_the_first_step_keep_the_hard_cap_bits(name, center):
+    problem = harness.corpus_entry(name)
+    for eps in problem.epsilons:
+        system, initial, horizon, _tol, cap = _corpus_case(name, eps)
+        if center is not None:
+            initial = State(0.0, center, initial.v)
+        got = integrate(system, initial, horizon)
+        want = integrate(system, initial, horizon,
+                         tol=Tolerances(max_step=cap))
+        assert got.stats == want.stats, eps
+        assert got.times.tobytes() == want.times.tobytes(), eps
+        assert got.grid_states.tobytes() == want.grid_states.tobytes(), eps
+
+
+def test_first_live_try_above_the_cap_is_retried_at_the_cap():
+    """dU/dx1 = 100 x1^99 underflows to 0.0 for x1 below about 5e-4, so
+    the branch leaves the origin uncapped; its second try, at ten times
+    the cap, meets the force and is retried at the cap."""
+    eps = 1e-3
+    system = LagrangianSystem(MetricSpec.identity(2),
+                              ScalarField.parse("x2^2 + x1^100", 2), None,
+                              epsilon=eps)
+    initial = State(0.0, [0.0, 0.0], [1.0, 0.0])
+    got = integrate(system, initial, 1.0)
+    want = integrate(system, initial, 1.0, tol=Tolerances(max_step=eps / 10))
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.grid_states.tobytes() == want.grid_states.tobytes()
+    assert (got.stats["rejected"], want.stats["rejected"]) == (2, 0)
+    assert (got.stats["nfev"], want.stats["nfev"]) == (120_028, 120_016)
+    assert 6 * (got.stats["steps"] + got.stats["rejected"]) + 4 \
+        == got.stats["nfev"]
+    assert np.abs(np.diff(got.times)).max() \
+        <= eps / 10 * (1 + dynamics.CAP_RELATIVE)
 
 
 def test_uncapped_run_counts_no_capped_steps():
