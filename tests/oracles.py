@@ -98,20 +98,21 @@ def _ipow(base, k):
         raise NonFiniteResult(str(exc)) from exc
 
 
-def eval_expr(node, coords):
-    """Evaluate over floats or duals (the reference semantics)."""
+def eval_expr(node, coords, functions=_FUN_EVAL):
+    """Evaluate over floats or duals (the reference semantics), with
+    ``functions`` the elementary functions by name."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
         return coords[node.index]
     if isinstance(node, Neg):
-        return -eval_expr(node.arg, coords)
+        return -eval_expr(node.arg, coords, functions)
     if isinstance(node, Fun):
-        return _FUN_EVAL[node.name](eval_expr(node.arg, coords))
+        return functions[node.name](eval_expr(node.arg, coords, functions))
     if isinstance(node, IntPow):
-        return _ipow(eval_expr(node.base, coords), node.k)
-    a = eval_expr(node.lhs, coords)
-    b = eval_expr(node.rhs, coords)
+        return _ipow(eval_expr(node.base, coords, functions), node.k)
+    a = eval_expr(node.lhs, coords, functions)
+    b = eval_expr(node.rhs, coords, functions)
     if node.op == "+":
         return a + b
     if node.op == "-":
@@ -120,7 +121,7 @@ def eval_expr(node, coords):
         return a * b
     if node.op == "/":
         return _divide(a, b)
-    return _exp(_ln_raw(a) * b)  # real power
+    return functions["exp"](functions["ln"](a) * b)  # real power
 
 
 def call(field, coords):
@@ -137,6 +138,23 @@ def grad_dual(field, point) -> np.ndarray:
 def eval_dual(field, point) -> float:
     """A field's value via the dual-number reference path."""
     return _dual_value(lambda coords: call(field, coords), point, field.label)
+
+
+# The numpy backend's elementary functions. Where numpy has its own SIMD
+# exp and log (AVX512F), they may round a last bit unlike math's, which
+# a cancellation such as 1 - x2^x2 near x2 = 0 magnifies far beyond any
+# relative tolerance.
+_NUMPY_FUN_EVAL = {"sin": np.sin, "cos": np.cos, "exp": np.exp,
+                   "ln": np.log, "sqrt": np.sqrt}
+
+
+def eval_numpy(field, point) -> float:
+    """A field's value from the walker over one-element numpy arrays and
+    numpy's elementary functions, those the vectorized backend calls."""
+    coords = [np.array([float(x)]) for x in point]
+    with np.errstate(all="ignore"):
+        value = eval_expr(field.body, coords, _NUMPY_FUN_EVAL)
+    return float(np.broadcast_to(value, (1,))[0])
 
 
 # --- trajectories -----------------------------------------------------------

@@ -31,7 +31,7 @@ from instab.expr import (
     substitute,
 )
 from instab.geometry import OneForm, magnetic_tensor
-from oracles import call, eval_dual, eval_expr, grad_dual
+from oracles import call, eval_dual, eval_expr, eval_numpy, grad_dual
 
 
 def test_parse_polynomial_structure():
@@ -554,6 +554,10 @@ def test_numpy_gradient_is_one_generated_function(monkeypatch):
 @example(["(-((x1)^((0 - 1)))^(0))"], [(7.537836242473134e-296, 0.0)])
 # a negated literal under a power
 @example(["(-((-1))^(18))"], [(0.0, 0.0)])
+# cancellations that magnify the last bit in which numpy's exp may differ
+# from math's
+@example(["(1 + (-(x2)^(x2)))"], [(0.0, 1.192092896e-07)])
+@example(["(x1 - (3)^(x2))"], [(1.0, -1e-12)])
 @settings(max_examples=1000, deadline=None)
 def test_backends_agree(sources, points):
     fields = [ScalarField.parse(source, 2) for source in sources]
@@ -569,8 +573,8 @@ def test_backends_agree(sources, points):
             # the bulk gradient is defined where the scalar one is
             assert (fast is None) == (
                 value is None or not np.all(np.isfinite(vec_grad)))
-            if value is not None:
-                assert _close(vec_value, value)
+            if value is not None:  # numpy's exp and log against numpy's
+                assert _close(vec_value, eval_numpy(f, point))
             if fast is not None:
                 assert _close(fast[0], value)
                 assert all(map(_close, fast[1], grad))
