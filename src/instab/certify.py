@@ -59,6 +59,8 @@ _NEAR_STARTS = 64  # starts projected below the first shell's floor
 _ZERO_FORM_RADIUS = 0.5  # half-width of the box _is_zero_form samples
 
 EULER_TOL = 1e-9  # Euler-identity residual of a quasi-homogeneous U
+EULER_SAMPLES = 1000  # points at which the Euler identity is checked
+EULER_BOX = 2.0  # half-width of the box around 0 they are drawn from
 INNER_TOL = 1e-9  # metric inner product of two level gradients
 BRACKET_TOL = 1e-5  # Lie bracket of two normalized level gradient fields
 CONTRACTION_TOL = 1e-8  # pulled-back iota_{grad f} d mu on a chart
@@ -97,8 +99,9 @@ class HypothesisProbe:
                 isinstance(self.seed, int) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got "
                              f"{self.seed!r}")
-        if not (isinstance(self.samples, int) and self.samples >= 100):
-            raise ValueError("samples must be an integer of at least 100")
+        top = MAX_ATTEMPTS_PER_SHELL // 2  # a round projects 2 samples starts
+        if not (isinstance(self.samples, int) and 100 <= self.samples <= top):
+            raise ValueError(f"samples must be an integer in 100..{top}")
 
     def shell_deltas(self):
         deltas = []
@@ -552,12 +555,11 @@ class QuasiHomogeneousReport:
     to_dict = asdict
 
 
-def check_quasi_homogeneous(potential, spec, samples=1000, seed=0,
-                            box=2.0) -> QuasiHomogeneousReport:
+def check_quasi_homogeneous(potential, spec, seed=0) -> QuasiHomogeneousReport:
     """Euler identity check: sum_i a_i x_i d_i U = r U at random points."""
     n = potential.dimension
     rng = np.random.default_rng(seed)
-    points = rng.uniform(-box, box, size=(samples, n))
+    points = rng.uniform(-EULER_BOX, EULER_BOX, size=(EULER_SAMPLES, n))
     u, du, bad = _field_columns(potential, points)
     _mend(points, bad, potential.value_and_grad, (u, du))
     weights = np.broadcast_to(spec.weights, du.shape)

@@ -17,11 +17,10 @@ class ExprError(InstabError):
 
 
 class ExprSyntaxError(ExprError):
-    def __init__(self, message, line, column, expected=()):
+    def __init__(self, message, line, column):
         super().__init__(f"{message} at {line}:{column}")
         self.line = line
         self.column = column
-        self.expected = tuple(expected)
 
 
 class UnknownIdentifier(ExprError):

@@ -213,23 +213,21 @@ class _Parser:
         self.i += 1
         return tok
 
-    def error(self, expected):
+    def error(self):
         kind, text, line, col = self.peek()
         shown = text if kind != "eof" else "end of input"
-        raise ExprSyntaxError(
-            f"unexpected {shown!r}", line, col, expected=expected
-        )
+        raise ExprSyntaxError(f"unexpected {shown!r}", line, col)
 
     def expect_op(self, op):
         kind, text, _, _ = self.peek()
         if kind == "op" and text == op:
             return self.advance()
-        self.error((op,))
+        self.error()
 
     def parse(self):
         node = self.expr()
         if self.peek()[0] != "eof":
-            self.error(("end of input",))
+            self.error()
         return node
 
     def _chain(self, ops, operand):
@@ -287,7 +285,7 @@ class _Parser:
             node = self.expr()
             self.expect_op(")")
             return node
-        self.error(("number", "variable", "function", "("))
+        self.error()
 
 
 def parse(source: str, dimension: int) -> Expr:

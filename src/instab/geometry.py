@@ -15,8 +15,9 @@ point's outputs are kept as one flat read-only array, and ``value``,
 pivot is at or within rounding of PIVOT_FLOOR, or a check fails, the
 kernel falls back to the numpy path (each entry's ``value_and_grad``,
 numpy's Cholesky and inverse, an einsum), which raises SingularMetric,
-DomainError and NonFiniteResult as it always has. A one-form's magnetic
-tensor is one generated call of its own, with the bits of the
+DomainError and NonFiniteResult as it always has. A one-form's field
+strength F = dA is stated once, as ASTs (``field_strength``); its
+magnetic tensor is one generated call of them, with the bits of the
 component-wise ``jac.T - jac`` and that path as its reference.
 """
 
@@ -296,25 +297,24 @@ def _reference_tensor(p, form):
     return tuple((jac.T - jac).ravel().tolist())
 
 
-def _tensor_kernel(form):
-    """One generated call per point: F_ab = ∂_a A_b − ∂_b A_a, flat, with
-    the bits of ``jac.T - jac`` over the components' partials: 0.0 on the
-    diagonal, the difference itself where both partials are numbers (as
-    structural zeros are), and else the subtraction, a structural zero
-    taking part as the literal 0.0."""
+def field_strength(form):
+    """F_ab = ∂_a A_b − ∂_b A_a of ``form``: n×n ASTs over the components'
+    ``derivative`` ASTs, a structural zero on the diagonal and where both
+    partials are structural zeros. The toolkit's one statement of F."""
     n = form.dimension
-    bodies = [fld.body for fld in form.components]
-    jac = [[derivative(body, a) for a in range(n)] for body in bodies]
-    out = []
-    for a, b in itertools.product(range(n), repeat=2):
-        left, right = jac[b][a], jac[a][b]  # ∂_a A_b and ∂_b A_a
-        if a == b:
-            out.append(_ZERO)
-        elif isinstance(left, Num) and isinstance(right, Num):
-            out.append(Num(left.value - right.value))
-        else:
-            out.append(Bin("-", left, right))
-    return compile_kernel(bodies, n, out, _reference_tensor)
+    jac = [[derivative(fld.body, a) for a in range(n)]
+           for fld in form.components]  # jac[b][a] = ∂_a A_b
+    return [[_ZERO if a == b or jac[b][a] == _ZERO == jac[a][b]
+             else Bin("-", jac[b][a], jac[a][b]) for b in range(n)]
+            for a in range(n)]
+
+
+def _tensor_kernel(form):
+    """One generated call per point: ``field_strength``, flat, with the
+    bits of ``jac.T - jac`` over the components' partials."""
+    out = [node for row in field_strength(form) for node in row]
+    return compile_kernel([fld.body for fld in form.components],
+                          form.dimension, out, _reference_tensor)
 
 
 @dataclass

@@ -568,6 +568,7 @@ def run_epsilon_sweep(problem, tol=None, seed=0,
                 system, State(0.0, problem.center, grad),
                 problem.horizon, tol=tol,
             )
+            run.bounds = check_lemma1_bounds(trajectory, cap)
         except (IntegrationError, DomainError, NonFiniteResult,
                 SingularMetric, ValueError) as exc:
             run.status = "failed"
@@ -579,7 +580,6 @@ def run_epsilon_sweep(problem, tol=None, seed=0,
             problem.f.eval(row[:n]) - f_center
             for row in trajectory.grid_states
         ])
-        run.bounds = check_lemma1_bounds(trajectory, cap)
 
     ok = [r for r in runs if r.status == "ok"]
     sup_distances = [
@@ -615,8 +615,10 @@ def detect_escape(report) -> EscapeVerdict:
     """Read the escape witness off a sweep report.
 
     The escape level is the maximum of the finest-epsilon f-curve over
-    [0, T] (the numerical surrogate for the limit curve); escape is
-    demonstrated when every run crosses half that level before T.
+    [0, T] (the numerical surrogate for the limit curve). A run's crossing
+    record has the tau at which its f-curve first reaches half that level,
+    None if the run failed or never does; escape, with ``threshold`` the
+    coarsest epsilon, is demonstrated when every record has a crossing.
     """
     finest = next((r for r in reversed(report.runs) if r.status == "ok"),
                   None)
@@ -630,26 +632,14 @@ def detect_escape(report) -> EscapeVerdict:
         raise NoPositiveDrift(level, 10.0 * drift_tolerance)
 
     crossings = []
-    speeds = []
-    all_cross = True
     for run in report.runs:
-        cap = float(np.sqrt(report.cap_sq))
-        speeds.append(run.epsilon * cap)
-        if run.status != "ok":
-            crossings.append({"epsilon": run.epsilon, "tau_star": None,
-                              "physical_time": None})
-            all_cross = False
-            continue
-        tau_star = _first_crossing(grid[forward], run.f_curve[forward],
-                                   level / 2.0)
-        crossings.append({
-            "epsilon": run.epsilon,
-            "tau_star": tau_star,
-            "physical_time": (None if tau_star is None
-                              else tau_star / run.epsilon),
-        })
-        if tau_star is None:
-            all_cross = False
+        tau_star = None if run.status != "ok" else _first_crossing(
+            grid[forward], run.f_curve[forward], level / 2.0)
+        physical = None if tau_star is None else tau_star / run.epsilon
+        crossings.append({"epsilon": run.epsilon, "tau_star": tau_star,
+                          "physical_time": physical})
+    all_cross = all(c["tau_star"] is not None for c in crossings)
+    cap = float(np.sqrt(report.cap_sq))
     verdict = ("escape demonstrated at the tested scales" if all_cross
                else "no escape at the tested scales")
     out = EscapeVerdict(
@@ -658,7 +648,7 @@ def detect_escape(report) -> EscapeVerdict:
         threshold=float(report.runs[0].epsilon) if all_cross else None,
         drift_tolerance=float(drift_tolerance),
         crossings=crossings,
-        initial_speeds=[float(s) for s in speeds],
+        initial_speeds=[float(run.epsilon * cap) for run in report.runs],
     )
     report.escape = out
     return out
@@ -679,7 +669,7 @@ def escape_outcome(report):
             drift_tolerance=float(report.drift_tolerance), crossings=[],
             initial_speeds=[])
         return "stable"
-    return "unstable" if verdict.verdict.startswith("escape") else None
+    return "unstable" if verdict.threshold is not None else None
 
 
 def escape_entry(problem, tol=None, seed=0):

@@ -663,9 +663,10 @@ def test_euler_residual_matches_point_by_point_loop(source, weights, degree,
                                                     seed):
     potential = ScalarField.parse(source, 3)
     spec = QuasiHomogeneousSpec(weights=weights, degree=degree)
-    got, error = _result(check_quasi_homogeneous, potential, spec, 200, seed)
-    expected, expected_error = _result(_oracle_euler, potential, spec, 200,
-                                       seed, 2.0)
+    got, error = _result(check_quasi_homogeneous, potential, spec, seed)
+    expected, expected_error = _result(_oracle_euler, potential, spec,
+                                       certify.EULER_SAMPLES, seed,
+                                       certify.EULER_BOX)
     assert error == expected_error
     if error is None:
         assert repr((got.certified, got.max_residual, got.witness)) \

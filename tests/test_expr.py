@@ -600,12 +600,15 @@ def test_backends_agree(sources, points):
 @example(["x2", "ln(x1)"], [(-1.0, 0.5)])  # ln of non-positive
 @example(["sqrt(x2) * x1", "x1"], [(1.0, 0.0)])  # sqrt's slope at 0
 @example(["x2 / x1", "x1"], [(0.0, 1.0)])  # division by zero
+# F_12 = 1 - 1 from equal constant partials; F_13, F_23 structural zeros
+@example(["x2", "x1", "0"], [(0.5, -2.0, 3.0), (0.0, -0.0, 0.0)])
 @settings(max_examples=500, deadline=None)
 def test_magnetic_tensor_has_the_bits_of_the_field_jacobian(sources, points):
     """The generated F is jac.T - jac from compile_fields bit for bit,
     and raises where that does, with its class and message."""
-    form = OneForm(2, [ScalarField.parse(source, 2) for source in sources])
-    group = compile_fields(form.components, 2)
+    n = len(sources)
+    form = OneForm(n, [ScalarField.parse(source, n) for source in sources])
+    group = compile_fields(form.components, n)
     for point in points:
         tensor, error = _outcome(magnetic_tensor, form, point)
         together, want = _outcome(group, point)

@@ -284,6 +284,10 @@ _BOGUS_PROBE = dict(UNSTABLE_PLANE, probe={"bogus": 1})
     (_BOGUS_PROBE, ["escape"], "bogus"),
     (dict(UNSTABLE_PLANE, probe={"samples": "many"}), ["certify"], "samples"),
     (UNSTABLE_PLANE, ["certify", "--samples", "5"], "samples"),
+    # above half a shell's MAX_ATTEMPTS_PER_SHELL starts
+    (dict(UNSTABLE_PLANE, probe={"samples": 500_001}), ["certify"],
+     "samples"),
+    (UNSTABLE_PLANE, ["certify", "--samples", "500001"], "samples"),
     (UNSTABLE_PLANE, ["certify", "--shells", "1e-2:1e-7"], "delta_min"),
     (UNSTABLE_PLANE, ["certify", "--shells", "abc"], "--shells"),
     (dict(UNSTABLE_PLANE, epsilons=["a"]), ["certify"], "epsilons"),
@@ -413,6 +417,19 @@ def test_cli_sweep_into_stiff_wall_exits_3_on_step_budget(tmp_path):
     assert run["error"].startswith("IntegrationError: step budget of 50000 "
                                    "tries spent at tau = ")
     assert run["error"].endswith("from (0.0, 0.0, 0.0, 1.0, 0.0, 0.0)")
+
+
+def test_cli_sweep_eps_whose_square_overflows_exits_3():
+    result = subprocess.run(
+        [sys.executable, "-m", "instab.cli", "sweep", "mechanical-plane",
+         "--eps", "1e300", "--t", "0.1"],
+        capture_output=True, text=True, timeout=120)
+    assert result.returncode == 3, result.stdout + result.stderr
+    assert result.stderr == ""
+    (run,) = _strict_json(result.stdout)["runs"]
+    assert run["status"] == "failed"
+    assert run["error"] == ("NonFiniteResult: eps^2 overflows at "
+                            "epsilon = 1e+300")
 
 
 def test_cli_import_loads_no_scipy():
