@@ -11,7 +11,8 @@ Each shell is filled by projecting uniform starts of the probe ball onto
 level sets of U with Newton steps, so its points are not uniform in the
 shell; the statistics are suprema over the shell, for which coverage
 counts, not density. Both certifiers read one evaluated table per probe:
-each shell is drawn once and evaluated in one numpy pass per field, and
+each shell is drawn once and evaluated in one numpy pass per field (one
+for all of a one-form's components, which gives its field strength), and
 the ratios and the Euler residual are column arithmetic over those
 passes. The scalar path names the first bad point: a row where a value or
 a partial is not finite, the metric is not invertible or |grad f| is below
@@ -46,6 +47,7 @@ from .geometry import (
     gradient_data,
     guard_cancellation,
     magnetic_tensor,
+    magnetic_tensor_rows,
     normalized_gradient_jacobian,
     riemannian_gradient,
     rowdot,
@@ -361,18 +363,6 @@ def _evaluate(probe, points):
     return grad, u, du, inverse
 
 
-def _tensor_rows(form, points):
-    """magnetic_tensor at each of (m, n) ``points`` from one numpy pass per
-    component, and the mask of bad rows (see ``_field_columns``)."""
-    m, n = points.shape
-    jac = np.empty((m, n, n))  # jac[k, b, a] = ∂_a A_b at point k
-    bad = np.zeros(m, dtype=bool)
-    for b, component in enumerate(form.components):
-        _values, jac[:, b], bad_b = _field_columns(component, points)
-        bad |= bad_b
-    return jac.transpose(0, 2, 1) - jac, bad
-
-
 def _row(delta, attempts, points, column):
     """A shell's row for one ratio per point."""
     worst = int(np.argmax(column))
@@ -447,7 +437,7 @@ def certify_magnetic_condition(probe) -> ConditionReport:
     shells, skipped, near = _evaluated_shells(probe)
     rows, full_rows = [], []
     for delta, attempts, points, (grad, u, _du, inverse) in shells:
-        tensors, bad = _tensor_rows(mu, points)
+        tensors, bad = magnetic_tensor_rows(mu, points)
         _mend(points, bad & (u > 0), lambda x: (magnetic_tensor(mu, x),),
               (tensors,))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -465,7 +455,7 @@ def certify_magnetic_condition(probe) -> ConditionReport:
     near = np.reshape(near, (-1, len(probe.center)))
     grad, _norm_sq, inverse, bad = _gradient_rows(probe.metric, probe.f,
                                                   near)
-    tensors, bad_tensor = _tensor_rows(mu, near)
+    tensors, bad_tensor = magnetic_tensor_rows(mu, near)
     _mend(near, bad | bad_tensor, lambda x: (
         riemannian_gradient(probe.metric, probe.f, x),
         probe.metric.inverse(x), magnetic_tensor(mu, x)),

@@ -15,10 +15,10 @@ Every flow solve is one branch of the adaptive Dormand-Prince 5(4) stepper
 that integrates the equations of motion (``dynamics``), at rtol = atol =
 FLOW_TOL and with no step cap. On a Euclidean metric the flow field,
 X = df/|df|^2 and for a Jacobian flow also DX·J, is ASTs over the level
-field's partials, compiled by ``expr.compile_kernel`` once per field, with
-``normalized_gradient`` or ``normalized_gradient_jacobian`` as the
-reference; a curved metric always uses the reference. Each chart counts
-its flow solves and its memo hits.
+field's partials, compiled by ``expr.compile_kernel`` once per field;
+``normalized_gradient`` or ``normalized_gradient_jacobian`` decides where
+the kernel's code fails, and on a curved metric. Each chart counts its
+flow solves and its memo hits.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .errors import (
     OrderDependence,
     SingularJacobian,
 )
-from .expr import Bin, Num, Var, compile_kernel, derivative, sum_nodes
+from .expr import Bin, Num, Var, compile_kernel, partial_fields, sum_nodes
 from .geometry import normalized_gradient, normalized_gradient_jacobian
 
 FLOW_GRADIENT_FLOOR = 1e-8
@@ -94,7 +94,8 @@ def _flow_kernel(fld, columns, reference):
     At or within rounding of FLOW_GRADIENT_FLOOR the reference decides.
     """
     n, zero = fld.dimension, Num(0.0)
-    df = [derivative(fld.body, a) for a in range(n)]
+    partials = partial_fields(fld)
+    df = [d.body for d in partials]
 
     def dot(pairs):
         return sum_nodes([Bin("*", a, b) for a, b in pairs
@@ -102,10 +103,10 @@ def _flow_kernel(fld, columns, reference):
 
     s = dot(zip(df, df))
     out = [Bin("/", d, s) for d in df]
-    nodes = [fld.body]
+    fields = [fld]
     if columns:
-        nodes += df
-        hess = [[derivative(d, c) for c in range(n)] for d in df]
+        fields += partials
+        hess = [[h.body for h in partial_fields(d)] for d in partials]
         w = [Bin("*", Num(2.0), dot((df[b], hess[b][c]) for b in range(n)))
              for c in range(n)]
         dx = [[Bin("/", Bin("-", hess[a][c], Bin("*", out[a], w[c])), s)
@@ -114,7 +115,7 @@ def _flow_kernel(fld, columns, reference):
                            for c in range(n)])
                 for a in range(n) for j in range(columns)]
     floor_sq = FLOW_GRADIENT_FLOOR ** 2 * (1.0 + 1e-9)
-    return compile_kernel(nodes, n, out, reference, guards=[(s, floor_sq)])
+    return compile_kernel(fields, n, out, reference, guards=[(s, floor_sq)])
 
 
 def compile_flow(metric, fld, columns=0):

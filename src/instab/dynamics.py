@@ -34,7 +34,7 @@ the largest energy deviation, go into the run's ``stats``.
 
 On a Euclidean metric the equations of motion are ASTs over dU and the
 form's ``field_strength``, compiled by ``expr.compile_kernel`` once per
-potential, one-form and epsilon, with ``el_acceleration`` as reference. On a
+potential, one-form and epsilon; they raise the fields' own errors. On a
 curved metric every stage calls ``el_acceleration``, which reads dU, the
 magnetic tensor and the metric from one generated call each: the
 metric's call gives g^-1 and the Christoffel symbols together, from a
@@ -190,7 +190,9 @@ def _contraction(n, magnetic, curved):
 
 def _energy_rows(system, x, v):
     """(H, U, g(v, v)) over (m, n) rows of positions and velocities, each
-    evaluated once; the first row where U is undefined or negative raises.
+    evaluated once, with H = g(v, v)/2 + U/eps^2 the conserved energy (the
+    magnetic force does no work); the first row where U is undefined or
+    negative raises.
     """
     u = system.potential.vectorized()(x)
     bad = ~(u >= -1e-12)  # nan where U is undefined
@@ -201,17 +203,6 @@ def _energy_rows(system, x, v):
             f"potential is negative ({value:.3e}) at {format_point(point)}")
     vv = system.metric.inner(x, v, v)
     return 0.5 * vv + system.inv_eps ** 2 * u, u, vv
-
-
-def hamiltonian(system, state):
-    """Conserved energy |v|^2_g / 2 + U / eps^2 (magnetic force does no work).
-
-    ``state`` holds one point, giving a float, or (m, n) rows, giving an
-    array. The first row where U is undefined or negative raises.
-    """
-    energy, _, _ = _energy_rows(system, np.atleast_2d(state.x),
-                                np.atleast_2d(state.v))
-    return float(energy[0]) if state.x.ndim == 1 else energy
 
 
 @dataclass
@@ -313,9 +304,7 @@ def _motion_kernel(system, fields):
         term = Bin("*", Num(-(e * e)), du[b])
         acc.append(Bin("-", term, Bin("*", Num(e), sum_nodes(gyro)))
                    if gyro else term)
-    return compile_kernel([fld.body for fld in fields], n,
-                          [Var(n + a) for a in range(n)] + acc,
-                          _reference_stage)
+    return compile_kernel(fields, n, [Var(n + a) for a in range(n)] + acc)
 
 
 def compile_motion(system):
@@ -582,6 +571,9 @@ def integrate(system, initial, horizon, tol=None) -> Trajectory:
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
+    if math.isinf(system.inv_eps * system.inv_eps):
+        raise NonFiniteResult(
+            f"1/eps^2 overflows at epsilon = {system.epsilon!r}")
     tol = tol or Tolerances()
     gated = tol.max_step is None and system.epsilon is not None
     if tol.max_step is not None:

@@ -5,21 +5,21 @@ components) are entered as text in the variables x1..xn and parsed once into
 an AST. One code generator evaluates it, in two renderings: a float
 value+gradient function, and numpy functions for bulk sampling, one for a
 field's values and one for its gradients. It emits values only, each
-common subexpression once; a gradient is the values of ``derivative``
-ASTs, the one set of derivative rules, which also gives second
-derivatives. Both renderings run the same value operations in the same
-order; where the scalar function raises, the numpy value is not finite,
-and so is a row of the numpy gradient where the scalar value+gradient
-function raises. The tests hold both to a third backend of their own, a
-walker over plain floats or vector-forward dual numbers (one derivative
-seed per coordinate, nestable for second order).
+common subexpression once, and computes an operation on numbers alone
+once, as it emits it, with the rendering's own functions; a gradient is
+the values of ``derivative`` ASTs, the one set of derivative rules, which
+also gives second derivatives. Both renderings run the same value
+operations in the same order; where the scalar function raises, the numpy
+value, or the row of the numpy gradient, is not finite. The tests hold
+both to a walker over plain floats or vector-forward dual numbers.
 
 Only this module writes field code. Other modules state their formulas as
 ASTs over fields' ``derivative`` ASTs, and ``compile_kernel``, the one
-kernel compiler, turns them into a function with a reference to fall back
-on: the equations of motion, the chart flow fields, a curved metric's
-factorization and ``compile_fields`` (a field's Hessian) all come from
-it.
+kernel compiler, turns them into a function that raises its fields' own
+errors: a field's value+gradient and Hessian, a one-form's field strength,
+the equations of motion, and the chart flows and a curved metric's
+factorization, which hand a point where their code fails to a function
+that decides it. ``compile_vectorized_kernel`` is its numpy twin.
 
 Grammar (EBNF, also documented in the README):
 
@@ -181,19 +181,12 @@ def _folded_power(base, exponent):
     """``base ^ exponent`` with a variable-free exponent decided once.
 
     The exponent's value is that of the generated scalar code every field
-    runs; where that code raises, the exponent is nan.
+    runs, which the emitter folds; where that code raises, the exponent is
+    nan.
     """
-    if isinstance(exponent, Num):
-        k = exponent.value
-    else:
-        em = _Emitter()
-        value = em.emit(exponent)
-        try:
-            k = define_scalar("_exponent", "def _exponent():\n"
-                              f"{_scalar_body(em, '    ')}"
-                              f"    return {value}\n")()
-        except (DomainError, ArithmeticError, ValueError):
-            k = math.nan
+    em = _Emitter()
+    value = em.emit(exponent)  # a number unless code is left to raise
+    k = math.nan if em.lines else float(value)
     if k.is_integer():
         return IntPow(base, int(k))
     return Bin("^", base, Num(k if math.isfinite(k) else math.nan))
@@ -399,6 +392,11 @@ class _Check:
     message: str | None  # None: float arithmetic raises there by itself
 
 
+def _literal(symbol):
+    """Whether a symbol is a number, not a temporary or a coordinate."""
+    return symbol[0] not in "tp"
+
+
 # Checked before the function: the test on its argument, and the message.
 _FUN_DOMAIN = {"ln": ("{} <= 0.0", "ln of non-positive"),
                "sqrt": ("{} < 0.0", "sqrt of negative"),
@@ -410,26 +408,46 @@ class _Emitter:
 
     ``lines`` holds assignments and domain checks in evaluation order, each
     distinct subexpression and check once. The scalar rendering raises
-    DomainError at a check; the numpy rendering gives nan where any holds.
-    With ``guards`` set, while the values to be differentiated are emitted,
-    it also checks where their derivative is undefined in the dual
-    reference, even where an outer rule (a zeroth power) drops that
-    derivative: at a sqrt of a varying argument that is 0, and at a varying
-    divisor whose square, the quotient rule's, underflows to 0.
+    DomainError at a check; the numpy rendering (``numpy``) gives nan where
+    any holds. An operation or a check on numbers alone is done here, by
+    the rendering's own functions: the operation's value is a number, and
+    the check is kept only where it holds. An operation whose code raises
+    is kept, to raise where it did. With ``guards`` set, while the values
+    to be differentiated are emitted, it also checks where their
+    derivative is undefined in the dual reference, even where an outer
+    rule (a zeroth power) drops that derivative: at a sqrt of a varying
+    argument that is 0, and at a varying divisor whose square, the
+    quotient rule's, underflows to 0.
     """
 
-    def __init__(self, guards=False):
+    def __init__(self, guards=False, numpy=False):
         self.guards = guards
+        self.numpy = numpy
         self.lines = []
         self.memo = {}
         self.tests = set()
 
-    def temp(self, code):
+    def _run(self, code):
+        with np.errstate(all="ignore"):
+            return eval(code, dict(  # noqa: S307 - our own code
+                _NUMPY_NAMESPACE if self.numpy else _SCALAR_NAMESPACE))
+
+    def temp(self, code, *operands):
+        if all(map(_literal, operands)):
+            try:
+                return repr(float(self._run(code)))
+            except (ArithmeticError, ValueError):
+                pass
         name = f"t{len(self.lines)}"
         self.lines.append(f"{name} = {code}")
         return name
 
-    def check(self, test, message=None):
+    def check(self, test, message, *operands):
+        """Check ``test``, a test of the symbols ``operands``."""
+        if message is None and not self.numpy:
+            return  # the scalar rendering's arithmetic raises by itself
+        if all(map(_literal, operands)) and not self._run(test):
+            return
         if test not in self.tests:
             self.tests.add(test)
             self.lines.append(_Check(test, message))
@@ -447,18 +465,19 @@ class _Emitter:
 
     def _value(self, node):
         if isinstance(node, Neg):
-            return self.temp(f"-{self.emit(node.arg)}")
+            v = self.emit(node.arg)
+            return self.temp(f"-{v}", v)
         if isinstance(node, Fun):
             v = self.emit(node.arg)
             if node.name in _FUN_DOMAIN:
                 test, message = _FUN_DOMAIN[node.name]
-                self.check(test.format(v), message)
-            out = self.temp(f"{node.name}({v})")
+                self.check(test.format(v), message, v)
+            out = self.temp(f"{node.name}({v})", v)
             if node.name == "exp":
-                self.check(f"isinf({out}) & ~isinf({v})")
+                self.check(f"isinf({out}) & ~isinf({v})", None, out, v)
             if (node.name == "sqrt" and self.guards
                     and _has_var(node.arg, zero_powers=False)):
-                self.check(f"{out} == 0.0", "sqrt derivative at zero")
+                self.check(f"{out} == 0.0", "sqrt derivative at zero", out)
             return out
         if isinstance(node, IntPow):
             a, k = node.base, node.k
@@ -469,28 +488,28 @@ class _Emitter:
                 return "1.0"
             if k <= _UNROLL_POW:
                 return self.emit(Bin("*", IntPow(a, k - 1), a))
-            out = self.temp(f"{va} ** {float(k)!r}")
-            self.check(f"isinf({out}) & ~isinf({va})")
+            out = self.temp(f"({va}) ** {float(k)!r}", va)
+            self.check(f"isinf({out}) & ~isinf({va})", None, out, va)
             return out
         va, vb = self.emit(node.lhs), self.emit(node.rhs)
         if node.op == "^":
-            self.check(f"{va} <= 0.0", "real power of non-positive base")
+            self.check(f"{va} <= 0.0", "real power of non-positive base", va)
             return self.emit(_real_power(node.lhs, node.rhs))
         if node.op == "*" and "1.0" in (va, vb):
             return vb if va == "1.0" else va
         b = node.rhs
         if node.op == "/" and not (isinstance(b, Num) and b.value != 0.0):
-            self.check(f"{vb} == 0.0", "division by zero")
+            self.check(f"{vb} == 0.0", "division by zero", vb)
         if node.op == "/" and self.guards and _has_var(b, zero_powers=False):
             square = self.emit(Bin("*", b, b))
-            self.check(f"{square} == 0.0", "division by zero")
-        return self.temp(f"({va} {node.op} {vb})")
+            self.check(f"{square} == 0.0", "division by zero", square)
+        return self.temp(f"({va} {node.op} {vb})", va, vb)
 
 
 _SCALAR_NAMESPACE = {
     "ln": math.log, "sqrt": math.sqrt, "exp": math.exp,
-    "sin": math.sin, "cos": math.cos, "DomainError": DomainError,
-    "nan": math.nan, "inf": math.inf,
+    "sin": math.sin, "cos": math.cos, "isfinite": math.isfinite,
+    "DomainError": DomainError, "nan": math.nan, "inf": math.inf,
 }
 
 _NUMPY_NAMESPACE = {
@@ -515,73 +534,79 @@ def define_scalar(name, src, **names):
     return _define(name, src, {**_SCALAR_NAMESPACE, **names})
 
 
-def _fields_code(nodes, n):
+def _fields_code(nodes, n, numpy=False):
     """The emitter of the values of k nodes, with the dual reference's
-    guards, then of their n partials each, and those values' symbols.
+    guards, then of their n partials each, and the symbols of those values
+    that a finiteness test reads, the distinct ones not finite numbers.
 
     A partial is the value of its ``derivative`` AST. Sharing one emitter,
     the nodes compute a common subexpression once, and each value and
     partial is bit-identical to that of the node alone.
     """
-    em = _Emitter(guards=True)
+    em = _Emitter(guards=True, numpy=numpy)
     values = [em.emit(node) for node in nodes]
     em.guards = False  # the derivative ASTs are not differentiated here
-    grads = [em.emit(derivative(node, i)) for node in nodes for i in range(n)]
-    return em, values + grads
+    values += [em.emit(derivative(node, i)) for node in nodes
+               for i in range(n)]
+    return em, [s for s in dict.fromkeys(values)
+                if not (_literal(s) and math.isfinite(float(s)))]
 
 
-def _scalar_body(em, indent):
-    """The lines as scalar code that raises DomainError at a check."""
+def _scalar_body(lines, indent):
+    """The lines as scalar code that raises DomainError at a check;
+    ``pass`` for no lines."""
     return "".join(
         f"{indent}{line}\n" if isinstance(line, str)
         else f"{indent}if {line.test}: raise DomainError({line.message!r})\n"
-        for line in em.lines if isinstance(line, str) or line.message)
+        for line in lines) or f"{indent}pass\n"
 
 
-def _is_number(symbol):
-    try:
-        return math.isfinite(float(symbol))
-    except ValueError:
-        return False
+def _first_error(fields, exc, point):
+    """The first of ``fields``' own errors at ``point``; for one field,
+    ``exc``, what its code raised, named with the field and the point."""
+    if len(fields) > 1:
+        for fld in fields:
+            fld.value_and_grad(point)
+    label = fields[0].label
+    if isinstance(exc, DomainError):
+        return DomainError(f"{exc} in {label} at point {format_point(point)}")
+    return _not_finite(label, point)
 
 
-def compile_value_grad(nodes, n: int):
-    """Generate ``f(point) -> (v_1..v_k, d_1/dx_1..d_k/dx_n)`` for k nodes,
-    which raises where a check or float arithmetic fails."""
-    em, symbols = _fields_code(nodes, n)
-    src = (f"def _fields(p):\n{_scalar_body(em, '    ')}"
-           f"    return ({', '.join(symbols)},)\n")
-    return define_scalar("_fields", src)
-
-
-def compile_kernel(nodes, n: int, outputs, reference, guards=()):
+def compile_kernel(fields, n: int, outputs, decide=None, guards=()):
     """Generate ``kernel(p, arg)``, the values of ``outputs`` at the point p.
 
     The one compiler of field kernels: its code computes the values and
-    partials of the field ASTs ``nodes`` as ``compile_value_grad`` does,
-    then the output ASTs, which share those symbols where they contain the
-    fields' ``derivative`` ASTs; ``Var(i)`` reads p[i]. Each of ``guards``,
-    a list of (node, bound), requires bound < node < inf, and is tested in
-    order before the code that follows it, so a later guard's node and the
-    outputs may divide by, or take the root of, an earlier guard's node.
-    Where a check or a guard fails, float arithmetic raises, or a
-    field's value or partial is not finite, it returns ``reference(p,
-    arg)``. An output that overflows is left as it is, as the reference
-    leaves it.
+    partials of the ``fields`` (``ScalarField``s over p[:n]), then the
+    output ASTs, which share those symbols where they contain the fields'
+    ``derivative`` ASTs; ``Var(i)`` reads p[i]. Where a field's value or
+    partial is undefined or not finite, it raises the first such field's
+    own error, as its ``value_and_grad`` does. The outputs take no checks;
+    one that overflows is left as it is. With ``decide``, it returns
+    ``decide(p, arg)`` instead, also where one of ``guards`` fails: each
+    (node, bound) requires bound < node < inf, tested in order before the
+    code that follows, which may divide by or take the root of its node.
     """
-    em, symbols = _fields_code(nodes, n)
-    checked = " + ".join(dict.fromkeys(s for s in symbols
-                                       if not _is_number(s)))
-    em.check(f"({checked or '0.0'}) * 0.0 != 0.0", "not finite")
+    em, checked = _fields_code([fld.body for fld in fields], n)
+    if checked:  # one test of them all, unless their sum overflows
+        em.lines.append(f"if ({' + '.join(checked)}) * 0.0 != 0.0 and not "
+                        f"all(map(isfinite, ({', '.join(checked)},))): "
+                        "raise OverflowError")
+    head = len(em.lines)
     for node, bound in guards:
-        em.check(f"not {bound!r} < {em.emit(node)} < inf", "below guard")
-    out = [em.emit(node) for node in outputs]
+        value = em.emit(node)
+        em.check(f"not {bound!r} < {value} < inf", "below guard", value)
+    out = ", ".join(em.emit(node) for node in outputs)
+    split = len(em.lines) if decide else head  # the code the try covers
+    cold = ("return decide(p, arg)" if decide else
+            f"raise first_error(fields, exc, p[:{n}]) from exc")
     src = ("def _kernel(p, arg):\n"
-           f"    try:\n{_scalar_body(em, '        ')}"
-           "    except (DomainError, ArithmeticError, ValueError):\n"
-           "        return reference(p, arg)\n"
-           f"    return ({', '.join(out)},)\n")
-    return define_scalar("_kernel", src, reference=reference)
+           f"    try:\n{_scalar_body(em.lines[:split], '        ')}"
+           "    except (DomainError, ArithmeticError, ValueError) as exc:\n"
+           f"        {cold}\n{_scalar_body(em.lines[split:], '    ')}"
+           f"    return ({out},)\n")
+    return define_scalar("_kernel", src, decide=decide, fields=fields,
+                         first_error=_first_error)
 
 
 def sum_nodes(terms) -> Expr:
@@ -617,20 +642,30 @@ def _numpy_function(em, shape, outputs):
 def compile_vectorized(node: Expr):
     """Generate ``f(points) -> values`` over an (m, n) array of points,
     non-finite exactly where the scalar value raises."""
-    em = _Emitter()
+    em = _Emitter(numpy=True)
     value = em.emit(node)
     return _numpy_function(em, "len(points)", [f"out[:] = {value}"])
 
 
+def compile_vectorized_kernel(nodes, n: int, outputs):
+    """The numpy twin of ``compile_kernel``: ``f(points)``, the values of
+    ``outputs`` at each of an (m, n) array of points, (m, k), over the
+    fields ``nodes``. A row is nan exactly where one of those fields'
+    ``value_and_grad`` raises."""
+    em, checked = _fields_code(nodes, n, numpy=True)
+    em.check(" | ".join(f"~isfinite({s})" for s in checked) or "False",
+             None, *checked)
+    out = [em.emit(node) for node in outputs]
+    return _numpy_function(em, f"(len(points), {len(out)})", [
+        f"out[:, {a}] = {symbol}" for a, symbol in enumerate(out)])
+
+
 def compile_vectorized_gradient(node: Expr, n: int):
     """Generate ``f(points) -> gradients``, (m, n) over an (m, n) array of
-    points, from the code ``compile_value_grad`` runs per point. A row is
-    nan where one of that code's checks holds or the value is not finite,
-    so it is non-finite exactly where the scalar function raises."""
-    em, (value, *partials) = _fields_code([node], n)
-    em.check(f"~isfinite({value})")
-    return _numpy_function(em, "points.shape", [
-        f"out[:, {a}] = {partial}" for a, partial in enumerate(partials)])
+    points: ``compile_vectorized_kernel`` of one field, so a row is nan
+    exactly where the field's ``value_and_grad`` raises."""
+    return compile_vectorized_kernel(
+        [node], n, [derivative(node, a) for a in range(n)])
 
 
 # --- scalar fields ---------------------------------------------------------
@@ -645,39 +680,22 @@ def _not_finite(label, point):
                            f"{format_point(point)}")
 
 
-def _fields_reference(p, fields):
-    """Values, then gradients, from each field's own ``value_and_grad``."""
-    out = [fld.value_and_grad(p) for fld in fields]
-    return (tuple(value for value, _ in out)
-            + tuple(d for _, grad in out for d in grad.tolist()))
-
-
 def compile_fields(fields, n):
-    """One generated call for k fields: ``point -> (values (k,), jac (k, n))``.
-
-    Each value and gradient row is bit-identical to the field's own
-    ``value_and_grad``, the kernel's reference, and the call raises exactly
-    where one of the fields does, with that field's own error.
-    """
+    """``kernel(p, arg) -> (v_1..v_k, d_1/dx_1..d_k/dx_n)`` for k fields:
+    ``compile_kernel`` of their values, then their partials. For one field
+    this is its ``value_and_grad``; for several, each value and partial is
+    bit-identical to the field's own, and the call raises exactly where one
+    of the fields does, with the first such field's own error."""
     bodies = [fld.body for fld in fields]
-    kernel = compile_kernel(
-        bodies, n, bodies + [derivative(body, i) for body in bodies
-                             for i in range(n)], _fields_reference)
-    k = len(fields)
-
-    def evaluate(point):
-        out = np.array(kernel(_coords(point), fields))
-        return out[:k], out[k:].reshape(k, n)
-
-    return evaluate
+    return compile_kernel(fields, n, bodies + [
+        derivative(body, i) for body in bodies for i in range(n)])
 
 
-def _compile_hessian(fld):
-    """``compile_fields`` over the partials of ``fld``, as fields."""
-    n = fld.dimension
-    return compile_fields([ScalarField(n, derivative(fld.body, a),
-                                       f"d/dx{a + 1}({fld.source})")
-                           for a in range(n)], n)
+def partial_fields(fld):
+    """The partial derivatives of ``fld`` as fields, d/dx{a}(source)."""
+    return [ScalarField(fld.dimension, derivative(fld.body, a),
+                        f"d/dx{a + 1}({fld.source})")
+            for a in range(fld.dimension)]
 
 
 class ScalarField:
@@ -711,21 +729,13 @@ class ScalarField:
         return code
 
     def value_and_grad(self, point):
-        """(value, gradient); errors name the field and the point:
-        DomainError at a failed domain check, NonFiniteResult where float
-        arithmetic overflows or a result is not finite."""
-        fast = self.compiled.get("value_grad") or self.code(
-            "value_grad", compile_value_grad, [self.body], self.dimension)
-        coords = _coords(point)
-        try:
-            out = fast(coords)
-        except DomainError as exc:
-            raise DomainError(f"{exc} in {self.label} at point "
-                              f"{format_point(coords)}") from exc
-        except (OverflowError, ValueError, ZeroDivisionError) as exc:
-            raise _not_finite(self.label, coords) from exc
-        if not all(map(math.isfinite, out)):
-            raise _not_finite(self.label, coords)
+        """(value, gradient) from the field's own kernel; errors name the
+        field and the point: DomainError at a failed domain check,
+        NonFiniteResult where float arithmetic overflows or a result is not
+        finite."""
+        kernel = self.compiled.get("value_grad") or self.code(
+            "value_grad", compile_fields, [self], self.dimension)
+        out = kernel(_coords(point), None)
         return out[0], np.array(out[1:])
 
     def eval(self, point) -> float:
@@ -740,7 +750,10 @@ class ScalarField:
 
     def hessian(self, point) -> np.ndarray:
         """hess[a, c] = ∂_c ∂_a f from one call over the derivative ASTs."""
-        return self.code("hessian", _compile_hessian, self)(point)[1]
+        n = self.dimension
+        kernel = self.compiled.get("hessian") or self.code(
+            "hessian", compile_fields, partial_fields(self), n)
+        return np.array(kernel(_coords(point), None)[n:]).reshape(n, n)
 
     def vectorized(self):
         """Bulk values over an (m, n) array; non-finite where undefined."""

@@ -13,12 +13,12 @@ factorization written out as ASTs, and the Christoffel symbols; the last
 point's outputs are kept as one flat read-only array, and ``value``,
 ``inverse`` and ``christoffel`` at one point return views of it. Where a
 pivot is at or within rounding of PIVOT_FLOOR, or a check fails, the
-kernel falls back to the numpy path (each entry's ``value_and_grad``,
-numpy's Cholesky and inverse, an einsum), which raises SingularMetric,
-DomainError and NonFiniteResult as it always has. A one-form's field
-strength F = dA is stated once, as ASTs (``field_strength``); its
-magnetic tensor is one generated call of them, with the bits of the
-component-wise ``jac.T - jac`` and that path as its reference.
+numpy path decides (each entry's ``value_and_grad``, numpy's Cholesky and
+inverse, an einsum), which raises SingularMetric, DomainError and
+NonFiniteResult as it always has. A one-form's field strength F = dA is
+stated once, as ASTs (``field_strength``); its magnetic tensor is one
+generated call of them per point, or one numpy call per set of points,
+with the bits of the component-wise ``jac.T - jac``.
 """
 
 from __future__ import annotations
@@ -43,9 +43,9 @@ from .expr import (
     Fun,
     Num,
     ScalarField,
-    _fields_reference,
     _node,
     compile_kernel,
+    compile_vectorized_kernel,
     derivative,
 )
 
@@ -84,17 +84,17 @@ def _spd_inverse(matrix, point):
 
 def _reference_factors(p, metric):
     """g, dg, g^-1 and Gamma at p, flat, from the entries' own
-    ``value_and_grad``, ``_spd_inverse`` and an einsum; the metric kernel's
-    reference.
+    ``value_and_grad``, ``_spd_inverse`` and an einsum; what the metric
+    kernel's ``decide`` gives.
 
     Where g does not factor, the tuple stops after dg, and ``inverse``
     raises ``_spd_inverse``'s SingularMetric.
     """
     n = metric.dimension
-    k = len(metric._upper)
-    out = np.array(_fields_reference(p, metric._upper.values()))
-    g = out[:k][metric._slots].reshape(n, n)
-    dg = out[k:].reshape(k, n).T[:, metric._slots].reshape(n, n, n)
+    values, grads = zip(*(fld.value_and_grad(p)
+                          for fld in metric._upper.values()))
+    g = np.array(values)[metric._slots].reshape(n, n)
+    dg = np.array(grads).T[:, metric._slots].reshape(n, n, n)
     flat = g.ravel().tolist() + dg.ravel().tolist()
     try:
         ginv = _spd_inverse(g, p)
@@ -130,7 +130,8 @@ def _factor_kernel(metric):
     decides, and SingularMetric keeps its class and message.
     """
     n = metric.dimension
-    bodies = [fld.body for fld in metric._upper.values()]
+    entries = list(metric._upper.values())
+    bodies = [fld.body for fld in entries]
     index = metric._slots.reshape(n, n)
     g = [[bodies[index[a, b]] for b in range(n)] for a in range(n)]
     dg = [[[derivative(g[a][b], c) for b in range(n)] for a in range(n)]
@@ -166,7 +167,7 @@ def _factor_kernel(metric):
     out = [node for plane in (g, *dg, ginv, *gamma)
            for row in plane for node in row]
     floor = PIVOT_FLOOR * (1.0 + 1e-9)
-    return compile_kernel(bodies, n, out, _reference_factors, guards=[
+    return compile_kernel(entries, n, out, _reference_factors, guards=[
         (_fold("-", d, _fold("*", Num(PIVOT_SLACK), g[j][j])), floor)
         for j, d in enumerate(pivots)])
 
@@ -289,14 +290,6 @@ class MetricSpec:
         return (u[:, None, :] @ g @ v[:, :, None])[:, 0, 0]
 
 
-def _reference_tensor(p, form):
-    """F at p, flat, from each component's own ``value_and_grad``; the form
-    kernel's reference, which raises where a component does."""
-    n = form.dimension
-    jac = np.array(_fields_reference(p, form.components)[n:]).reshape(n, n)
-    return tuple((jac.T - jac).ravel().tolist())
-
-
 def field_strength(form):
     """F_ab = ∂_a A_b − ∂_b A_a of ``form``: n×n ASTs over the components'
     ``derivative`` ASTs, a structural zero on the diagonal and where both
@@ -309,14 +302,6 @@ def field_strength(form):
             for a in range(n)]
 
 
-def _tensor_kernel(form):
-    """One generated call per point: ``field_strength``, flat, with the
-    bits of ``jac.T - jac`` over the components' partials."""
-    out = [node for row in field_strength(form) for node in row]
-    return compile_kernel([fld.body for fld in form.components],
-                          form.dimension, out, _reference_tensor)
-
-
 @dataclass
 class OneForm:
     """Component scalar fields of a differential one-form."""
@@ -324,7 +309,9 @@ class OneForm:
     dimension: int
     components: list
     _kernel: object = field(default=None, init=False, repr=False,
-                            compare=False)  # see _tensor_kernel
+                            compare=False)  # see magnetic_tensor
+    _rows: object = field(default=None, init=False, repr=False,
+                          compare=False)  # see magnetic_tensor_rows
 
     def __post_init__(self):
         if len(self.components) != self.dimension:
@@ -381,15 +368,29 @@ def normalized_gradient_jacobian(metric, fld, point, floor):
 
 
 def magnetic_tensor(form, point) -> np.ndarray:
-    """F[a, b] = ∂_a A_b − ∂_b A_a from one generated call per point (see
-    ``_tensor_kernel``), bit for bit the component-wise ``jac.T - jac``,
-    so exactly antisymmetric; where a component or its partial is
-    undefined, that component's error, as ``value_and_grad`` raises it."""
-    if form._kernel is None:
-        form._kernel = _tensor_kernel(form)
+    """F[a, b] = ∂_a A_b − ∂_b A_a, ``field_strength``, from one generated
+    call per point, bit for bit the component-wise ``jac.T - jac``, so
+    exactly antisymmetric; where a component or its partial is undefined,
+    the first such component's error, as ``value_and_grad`` raises it."""
     n = form.dimension
-    out = form._kernel(np.asarray(point, dtype=float).tolist(), form)
+    if form._kernel is None:
+        form._kernel = compile_kernel(form.components, n, [
+            node for row in field_strength(form) for node in row])
+    out = form._kernel(np.asarray(point, dtype=float).tolist(), None)
     return np.fromiter(out, float, n * n).reshape(n, n)
+
+
+def magnetic_tensor_rows(form, points):
+    """``magnetic_tensor`` at each of (m, n) ``points``, (m, n, n), from one
+    generated numpy function of ``field_strength``, and the mask of its nan
+    rows, those where a component's ``value_and_grad`` raises."""
+    if form._rows is None:
+        form._rows = compile_vectorized_kernel(
+            [fld.body for fld in form.components], form.dimension,
+            [node for row in field_strength(form) for node in row])
+    rows = form._rows(points)
+    m, n = points.shape
+    return rows.reshape(m, n, n), np.isnan(rows).any(axis=1)
 
 
 def guard_cancellation(values, scale):

@@ -4,15 +4,23 @@ The dual-number walker is the reference semantics of the expression
 language: it evaluates an AST over plain floats or vector-forward dual
 numbers (``instab.expr.Dual``, one derivative seed per coordinate,
 nestable for second order), independently of the generated code. The
-other helpers check a trajectory against the equations of motion and the
-two time parameterizations against each other.
+fields' own evaluations, in order, are the oracle of the kernels that
+compute several fields at once. The other helpers compute the conserved
+energy, check a trajectory against the equations of motion and the two
+time parameterizations against each other.
 """
 
 import math
 
 import numpy as np
 
-from instab.dynamics import State, Tolerances, el_acceleration, integrate
+from instab.dynamics import (
+    State,
+    Tolerances,
+    _energy_rows,
+    el_acceleration,
+    integrate,
+)
 from instab.errors import DomainError, NonFiniteResult
 from instab.expr import (
     _UNROLL_POW,
@@ -140,6 +148,14 @@ def eval_dual(field, point) -> float:
     return _dual_value(lambda coords: call(field, coords), point, field.label)
 
 
+def fields_in_order(fields, point):
+    """Each field's own ``value_and_grad`` in order: values, then gradients,
+    or the first field's error. The kernels' oracle for several fields."""
+    out = [fld.value_and_grad(point) for fld in fields]
+    return (tuple(value for value, _ in out)
+            + tuple(d for _, grad in out for d in grad.tolist()))
+
+
 # The numpy backend's elementary functions. Where numpy has its own SIMD
 # exp and log (AVX512F), they may round a last bit unlike math's, which
 # a cancellation such as 1 - x2^x2 near x2 = 0 magnifies far beyond any
@@ -158,6 +174,17 @@ def eval_numpy(field, point) -> float:
 
 
 # --- trajectories -----------------------------------------------------------
+
+
+def hamiltonian(system, state):
+    """Conserved energy |v|^2_g / 2 + U / eps^2, as a run's energy log has
+    it: ``state`` holds one point, giving a float, or (m, n) rows, giving an
+    array. The first row where U is undefined or negative raises.
+    """
+    energy, _, _ = _energy_rows(system, np.atleast_2d(state.x),
+                                np.atleast_2d(state.v))
+    return float(energy[0]) if state.x.ndim == 1 else energy
+
 
 
 def el_residual_adapted(system, trajectory) -> np.ndarray:

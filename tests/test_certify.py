@@ -283,13 +283,18 @@ def test_each_shell_drawn_once(monkeypatch):
 
 
 def test_each_shell_point_evaluated_once(monkeypatch):
-    """One vectorized_gradient pass per field per shell, and no scalar
-    value_and_grad or magnetic_tensor call at a shell point, since every
-    row of this entry's shells is finite."""
+    """One vectorized_gradient pass per field and one magnetic_tensor_rows
+    pass per shell, and no scalar value_and_grad or magnetic_tensor call
+    at a shell point, since every row of this entry's shells is finite."""
     problem = harness.corpus_entry("unstable-magnetic-plane")
     probe = harness.certification_probe(problem)
     passes, scalar = [], []
     gradient = ScalarField.vectorized_gradient
+    rows = certify.magnetic_tensor_rows
+
+    def logged_rows(form, points):
+        passes.append((form, points.copy()))
+        return rows(form, points)
 
     def logged(field):
         grads = gradient(field)
@@ -306,6 +311,7 @@ def test_each_shell_point_evaluated_once(monkeypatch):
         return call
 
     monkeypatch.setattr(ScalarField, "vectorized_gradient", logged)
+    monkeypatch.setattr(certify, "magnetic_tensor_rows", logged_rows)
     monkeypatch.setattr(ScalarField, "value_and_grad",
                         noted(ScalarField.value_and_grad))
     monkeypatch.setattr(certify, "magnetic_tensor",
@@ -315,7 +321,7 @@ def test_each_shell_point_evaluated_once(monkeypatch):
     assert not magnetic.notes.get("trivial")
     shells, _skipped, _near = probe._table
     assert len(shells) == 6
-    for fld in [probe.f, probe.potential, *probe.magnetic.components]:
+    for fld in [probe.f, probe.potential, probe.magnetic]:
         for _delta, _attempts, points, _columns in shells:
             assert sum(owner is fld and np.array_equal(seen, points)
                        for owner, seen in passes) == 1

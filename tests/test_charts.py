@@ -353,26 +353,27 @@ def test_generated_flow_field_matches_reference(field, point, scale, columns,
 
 
 # sha256 of the generated source of each corollary level field's flow
-# kernel, by column count, from before compile_kernel took a list of guards.
+# kernel, by column count, with its constants folded: x2's |df|^2 is the
+# number 1.0, so its guard is decided when the kernel is made.
 _FLOW_SOURCES = {
     ("x1 + x3^2", 0):
-        "3fa15586dee95101fa28dedd0e458d957a6a59ea90b0e79affdfeb3fc9135183",
+        "90d67c62e54af5a65a617dd728994b363bf46222be2b5eace900c19125a60fa2",
     ("x1 + x3^2", 1):
-        "26b2514aaa90d04d0b46814a6de65b58b34c57bf4d2906ab2012e9f88f2b6225",
+        "da0e7ca043e5d7411c296058e98df19245f3c6f284d9278664cead56b2462642",
     ("x1 + x3^2", 2):
-        "add60960a7c37d51e2cea087698e5e6848790584e5eda3a8e39f850281f48816",
+        "7fe09dd31c452f97308b0a2422fa4135afad3b5e4f063cab2f95aa16d1d064f6",
     ("x2", 0):
-        "e86e39dedf51dbdb2b942f91c1a7b1ef4f06298e9af2f6161ae63471c6bf8cc4",
+        "862447de24292b4863aae3e008f973ff8d91271da4315ee3cdf76a5c1b75bd7d",
     ("x2", 1):
-        "6f59ad8112a4076c1be39315ba7441a62124f5904e95fa32a1072ddab77178e2",
+        "7d8bb86af11aa9d36728beed01c0ce89cae86218544d8fe97d6be70bb4f6088f",
     ("x2", 2):
-        "f875e19a135045af9007e427dd6fdad194d1faeaeb915a1df530ca1922acbd83",
+        "fc90c94d46b6753dfa65efdf83d2e1958482dd9bb83e197305bb0a694d24c4f5",
 }
 
 
 def test_flow_kernel_source_is_unchanged():
-    """The corollary charts' flow kernels, one guard each, generate the
-    same code as when compile_kernel took that guard alone."""
+    """The corollary charts' flow kernels generate the code pinned here,
+    with a guard where |df|^2 varies."""
     sources = []
     define = expr.define_scalar
 
@@ -388,5 +389,5 @@ def test_flow_kernel_source_is_unchanged():
         patch.setattr(expr, "define_scalar", captured)
         for (source, columns), digest in _FLOW_SOURCES.items():
             compile_flow(E3, ScalarField.parse(source, 3), columns)
-            assert "below guard" in sources[-1]
+            assert ("below guard" in sources[-1]) == (source != "x2")
             assert hashlib.sha256(sources[-1].encode()).hexdigest() == digest

@@ -20,7 +20,6 @@ from instab.dynamics import (
     check_lemma1_bounds,
     compile_motion,
     el_acceleration,
-    hamiltonian,
     integrate,
 )
 from instab.errors import (
@@ -32,7 +31,7 @@ from instab.errors import (
 )
 from instab.expr import ScalarField
 from instab.geometry import MetricSpec, OneForm, magnetic_tensor
-from oracles import el_residual_adapted
+from oracles import el_residual_adapted, hamiltonian
 
 E3 = MetricSpec.identity(3)
 U_PLANE = ScalarField.parse("x3^2", 3)
@@ -343,7 +342,7 @@ def test_compiled_motion_raises_like_reference(potential, form, y, eps,
     with count_calls(dynamics, "_reference_stage") as fallbacks:
         got, got_error = _compiled_motion(system, y)
     assert got_error == want_error
-    assert bool(fallbacks) == (want_error is not None)
+    assert not fallbacks  # the kernel raises its fields' errors itself
     if want is not None:
         _assert_motion_close(got, want)
 

@@ -26,12 +26,20 @@ from instab.expr import (
     Var,
     _value_of,
     compile_fields,
+    compile_kernel,
     derivative,
     parse,
     substitute,
 )
-from instab.geometry import OneForm, magnetic_tensor
-from oracles import call, eval_dual, eval_expr, eval_numpy, grad_dual
+from instab.geometry import OneForm, magnetic_tensor, magnetic_tensor_rows
+from oracles import (
+    call,
+    eval_dual,
+    eval_expr,
+    eval_numpy,
+    fields_in_order,
+    grad_dual,
+)
 
 
 def test_parse_polynomial_structure():
@@ -398,10 +406,6 @@ def _outcome(fn, *args):
         return None, exc
 
 
-def _bits(value, grad):
-    return np.array([value, *grad]).tobytes()
-
-
 def _dual_hessian(f, point):
     """hess[a, c] = ∂_c ∂_a f from nested duals, one seed per coordinate."""
     n = len(point)
@@ -443,9 +447,9 @@ def _check_derivatives(f, points):
 
 
 def _copied_column(node, points):
-    """A value column as the numpy backend used to make it: the emitter's
-    lines, nan where a check holds, then broadcast and copied."""
-    em = expr._Emitter()
+    """A value column as the numpy backend used to make it: the numpy
+    emitter's lines, nan where a check holds, then broadcast and copied."""
+    em = expr._Emitter(numpy=True)
     value = em.emit(node)
     tests = [f"({line.test})" for line in em.lines
              if isinstance(line, expr._Check)]
@@ -583,16 +587,7 @@ def test_backends_agree(sources, points):
     # compiled together, each field gives its own bits and its own errors
     group = compile_fields(fields, 2)
     for point in points:
-        alone = [_outcome(f.value_and_grad, point) for f in fields]
-        together, error = _outcome(group, point)
-        first = next((exc for _, exc in alone if exc is not None), None)
-        assert (error is None) == (first is None)
-        if error is not None:
-            assert (type(error), str(error)) == (type(first), str(first))
-            continue
-        values, jac = together
-        for (own, _), value, row in zip(alone, values, jac):
-            assert _bits(value, row) == _bits(*own)
+        _assert_like_fields_in_order(group, fields, point)
 
 
 @given(st.lists(_EXPRESSIONS, min_size=2, max_size=2),
@@ -604,17 +599,116 @@ def test_backends_agree(sources, points):
 @example(["x2", "x1", "0"], [(0.5, -2.0, 3.0), (0.0, -0.0, 0.0)])
 @settings(max_examples=500, deadline=None)
 def test_magnetic_tensor_has_the_bits_of_the_field_jacobian(sources, points):
-    """The generated F is jac.T - jac from compile_fields bit for bit,
-    and raises where that does, with its class and message."""
+    """The generated F is jac.T - jac bit for bit: at a point, from the
+    components' own value_and_grad, raising where they do with the first
+    one's class and message; in numpy rows, from their numpy gradients, a
+    row nan exactly where one of them raises."""
     n = len(sources)
     form = OneForm(n, [ScalarField.parse(source, n) for source in sources])
-    group = compile_fields(form.components, n)
-    for point in points:
+    points = np.array(points)
+    rows, bad = magnetic_tensor_rows(form, points)
+    columns = np.stack([fld.vectorized_gradient()(points)
+                        for fld in form.components], axis=1)
+    for point, row, row_bad, jac in zip(points, rows, bad, columns):
         tensor, error = _outcome(magnetic_tensor, form, point)
-        together, want = _outcome(group, point)
+        together, want = _outcome(fields_in_order, form.components, point)
+        assert row_bad == (want is not None) == np.isnan(row).all()
         if want is not None:
             assert (type(error), str(error)) == (type(want), str(want))
             continue
-        jac = together[1]  # jac[b, a] = ∂_a A_b
+        jac_own = np.array(together[n:]).reshape(n, n)  # [b, a] = ∂_a A_b
         with np.errstate(all="ignore"):
-            assert tensor.tobytes() == (jac.T - jac).tobytes()
+            assert row.tobytes() == (jac.T - jac).tobytes()
+            assert tensor.tobytes() == (jac_own.T - jac_own).tobytes()
+
+
+def _described(exc):
+    return None if exc is None else (type(exc), str(exc))
+
+
+def _assert_like_fields_in_order(kernel, fields, point):
+    """``kernel`` at ``point`` has the bits of the fields' own evaluations
+    in order, after a "decided" mark, or raises the first one's error with
+    its class and message; returns whether it was decided."""
+    want, want_error = _outcome(fields_in_order, fields, point)
+    got, got_error = _outcome(kernel, list(point), fields)
+    assert _described(got_error) == _described(want_error)
+    decided = got is not None and got[0] == "decided"
+    if want is not None:
+        assert np.array(got[decided:]).tobytes() == np.array(want).tobytes()
+    return decided
+
+
+def _decided(p, fields):
+    """A kernel's ``decide``: the oracle's outcome, marked."""
+    return ("decided",) + fields_in_order(fields, p)
+
+
+_KERNEL_EXPRESSIONS = st.recursive(
+    st.one_of(st.sampled_from(["x1", "x2"]), _NUMBERS,
+              st.sampled_from(["800", "1e308"])), _extend, max_leaves=8)
+_KERNEL_COORDS = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 800.0, 1e308, -1e308]),
+    st.floats(-3, 3))
+
+
+@given(st.lists(_KERNEL_EXPRESSIONS, min_size=1, max_size=4),
+       st.lists(st.tuples(_KERNEL_COORDS, _KERNEL_COORDS), min_size=1,
+                max_size=3),
+       st.booleans())
+# field 1's partial is inf where field 2 fails a domain check first
+@example(["((1e308 * x1) * 10)", "ln(x2)"], [(0.0, -1.0)], False)
+# finite values whose sum, the kernel's one finiteness test, overflows
+@example(["x1", "x2"], [(1e308, 1e308)], False)
+# the guard fails: the kernel hands the point to decide
+@example(["(x1 - 1)"], [(0.5, 0.0)], True)
+@settings(max_examples=300, deadline=None)
+def test_kernel_raises_its_fields_own_errors(sources, points, guarded):
+    """A kernel of k fields gives the bits of the fields' own
+    value_and_grad or raises the first one's error, with its class and
+    message; with a guard on the first field's value, it returns what
+    ``decide`` gives exactly where the fields are defined and the guard
+    fails."""
+    fields = [ScalarField.parse(source, 2) for source in sources]
+    bodies = [fld.body for fld in fields]
+    kernel = compile_kernel(
+        fields, 2, bodies + [derivative(b, a) for b in bodies for a in (0, 1)],
+        _decided if guarded else None,
+        [(bodies[0], 0.0)] if guarded else ())
+    for point in points:
+        decided = _assert_like_fields_in_order(kernel, fields, point)
+        want = _defined(fields_in_order, fields, point)
+        assert decided == (guarded and want is not None
+                           and not 0.0 < want[0] < math.inf)
+
+
+# Arguments at which numpy's exp and log may round unlike math's.
+@pytest.mark.parametrize("function, argument", [
+    ("exp", 4.808353387762301), ("ln", 1.1193326821548077)])
+def test_each_backend_folds_constants_with_its_own_functions(function,
+                                                              argument):
+    """A folded constant has the bits that its backend computed for it
+    before folding: math's function in the scalar code, numpy's in the
+    numpy code."""
+    f = ScalarField.parse(f"x1 * {function}({argument!r})", 1)
+    scalar = {"exp": math.exp, "ln": math.log}[function](argument)
+    bulk = {"exp": np.exp, "ln": np.log}[function](np.array([argument]))
+    assert f.eval([1.0]) == scalar
+    assert f.vectorized()(np.array([[1.0]]))[0] == bulk[0]
+
+
+@pytest.mark.parametrize("x", [-1.0, 0.0, 3.0])
+@pytest.mark.parametrize("source, error, message", [
+    ("ln(0 - 1) + x1", DomainError, "ln of non-positive in field {!r} at"),
+    # exp(1000) overflows though the zeroth power drops its value
+    ("exp(1000)^0 + x1", NonFiniteResult, "field {!r} is not finite at")])
+def test_field_undefined_everywhere_raises_at_every_point(x, source, error,
+                                                          message):
+    """A constant that is undefined is not folded: the field raises as it
+    did, and its numpy value and gradient are nan."""
+    f = ScalarField.parse(source, 1)
+    with pytest.raises(error) as err:
+        f.value_and_grad([x])
+    assert str(err.value) == f"{message.format(source)} point ({x!r})"
+    assert np.isnan(f.vectorized()(np.array([[x]]))).all()
+    assert np.isnan(f.vectorized_gradient()(np.array([[x]]))).all()

@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from instab import geometry
+from instab import expr, geometry
 from instab.dynamics import LagrangianSystem, State, el_acceleration
 from instab.errors import DomainError, SingularMetric
 from instab.expr import ScalarField
@@ -401,6 +401,28 @@ def test_form_norms_row_by_row_on_curved_metric(rng):
         assert contracted[k] == np.sqrt(covector @ ginv @ covector)
         raised = ginv @ f_tensor @ ginv
         assert full[k] == np.sqrt(0.5 * np.sum(f_tensor * raised))
+
+
+def test_factor_kernel_computes_nothing_on_numbers_alone():
+    """Criterion 10's metric kernel folds its constants, such as sqrt(1.0),
+    (1.0 / 4.0) and (1.0 - 1e-14), and decides checks such as 1.0 < 0.0
+    when it is made: every assignment and every check of its code reads a
+    coordinate or a temporary."""
+    sources = []
+    define = expr.define_scalar
+
+    def captured(name, src, **names):
+        sources.append(src)
+        return define(name, src, **names)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expr, "define_scalar", captured)
+        MetricSpec.from_sources(3, CRITERION_10).inverse([0.1, 0.2, 0.3])
+    (kernel,) = sources
+    lines = re.findall(r"^ *(?:t\d+ = (.*)|if (.*): raise .*)$", kernel, re.M)
+    assert len(lines) > 20
+    for assigned, tested in lines:
+        assert re.search(r"\bt\d+\b|p\[", assigned or tested), lines
 
 
 def test_dimension_cap():

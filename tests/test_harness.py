@@ -432,6 +432,21 @@ def test_cli_sweep_eps_whose_square_overflows_exits_3():
                             "epsilon = 1e+300")
 
 
+def test_cli_sweep_eps_whose_inverse_square_overflows_exits_3():
+    """1/eps^2 overflows: the run fails naming epsilon, not with the
+    non-finite right-hand side that -inf * 0 makes on the valley."""
+    result = subprocess.run(
+        [sys.executable, "-m", "instab.cli", "sweep", "mechanical-plane",
+         "--eps", "1e-300", "--t", "0.1"],
+        capture_output=True, text=True, timeout=120)
+    assert result.returncode == 3, result.stdout + result.stderr
+    assert result.stderr == ""
+    (run,) = _strict_json(result.stdout)["runs"]
+    assert run["status"] == "failed"
+    assert run["error"] == ("NonFiniteResult: 1/eps^2 overflows at "
+                            "epsilon = 1e-300")
+
+
 def test_cli_import_loads_no_scipy():
     code = ("import sys, instab.cli; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
