@@ -177,19 +177,19 @@ def sweep_cmd(problem, eps, horizon, fmt, seed, tol_abs, tol_rel, out):
         if horizon is not None:
             data["T"] = horizon
         definition = harness.load_problem(data, name=definition.name)
+
+    def write_csv(trajectory):
+        eps = f"{trajectory.epsilon:g}"
+        # distinct epsilons, distinct files
+        if float(eps) != trajectory.epsilon:
+            eps = repr(trajectory.epsilon)
+        path = os.path.join(out, f"sweep-{definition.name}-eps{eps}.csv")
+        with open(path, "w") as fh:
+            trajectory.to_csv(fh)
+
     report = harness.run_epsilon_sweep(
-        definition, tol=_tol(tol_abs, tol_rel), seed=seed)
-    if fmt == "csv":
-        for run in report.runs:
-            if run.status != "ok":
-                continue
-            eps = f"{run.epsilon:g}"
-            if float(eps) != run.epsilon:  # distinct epsilons, distinct files
-                eps = repr(run.epsilon)
-            path = os.path.join(out, f"sweep-{definition.name}-eps{eps}.csv")
-            with open(path, "w") as fh:
-                run.trajectory.to_csv(
-                    fh, definition.system(epsilon=run.epsilon))
+        definition, tol=_tol(tol_abs, tol_rel), seed=seed,
+        write_log=write_csv if fmt == "csv" else None)
     failed = any(r.status != "ok" for r in report.runs)
     return report.to_dict(), EXIT_NUMERICAL if failed else EXIT_OK
 

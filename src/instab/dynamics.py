@@ -15,22 +15,22 @@ size, and the quartic dense output is evaluated only at the uniform grid
 times. The same stepper solves the chart flows (``charts``), uncapped and
 without grid times, keeping only the end state. A branch that spends its
 step budget, as against a stiff wall, raises instead of shrinking its
-steps without bound. Every run records conserved-energy, speed, potential
-and path-length logs; U and g(v, v) are evaluated once per step row, and
-the energy, speed and potential logs are read off them. An untrustworthy
-energy drift raises instead of being silently accepted.
+steps without bound. Every run reduces its conserved energy, speed,
+potential and step sizes to the energy drift, the largest speed and U and
+the step counters; U and g(v, v) are evaluated once per step row. An
+untrustworthy energy drift raises instead of being silently accepted.
 
-The step log is float64 blocks: each branch appends its accepted steps to
-short lists and turns every BLOCK_ROWS of them into one time array and one
-(rows, 2n) state array. ``integrate`` never joins them. It reduces the log
-one block at a time in increasing tau (``_reduce_log``), carrying the row
-before each block, so no temporary outgrows a block and a row, and every
-number keeps the bits of one pass over the joined log. A kept trajectory
-costs 8(2n + 3) bytes per accepted step (times, states, energies and path
-length; 72 B in three dimensions), and the run peaks a few blocks above
-that; one Python tuple per step cost about 450 B. The counters that read
-the log, the smallest unclipped step, the steps at the cap and the tau of
-the largest energy deviation, go into the run's ``stats``.
+Each branch gathers its accepted steps in short lists and seals every
+BLOCK_ROWS of them into a float64 block, reduced at once (``_BranchLog``)
+with the interpolants of the steps that reach grid times, so no state,
+energy or interpolant outlives its block, and every number keeps the bits
+of one pass over the joined log. A run keeps its step times, 8 bytes per
+accepted step; a run made with ``keep_log`` also writes each block's
+states, energies, U and speeds to a temporary file, 8 (2n + 4) bytes per
+step on disk, read back a block at a time for its path length and CSV.
+The counters that read the log, the smallest unclipped step, the steps at
+the cap and the tau of the largest energy deviation, go into the run's
+``stats``.
 
 On a Euclidean metric the equations of motion are ASTs over dU and the
 form's ``field_strength``, compiled by ``expr.compile_kernel`` once per
@@ -49,6 +49,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
+import tempfile
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,7 +76,7 @@ from .expr import (
 from .geometry import field_strength, magnetic_tensor
 
 GRID_POINTS = 513  # uniform tau samples over [-T, T], including tau = 0
-BLOCK_ROWS = 4096  # accepted steps per float64 block of a branch's log
+BLOCK_ROWS = 512  # accepted steps per float64 block of a branch's log
 CAP_RELATIVE = 1e-9  # a step within this share of the cap counts as capped
 ENERGY_DRIFT_GATE = 1e-6  # criterion 1's bound on the relative energy drift
 
@@ -191,18 +194,25 @@ def _contraction(n, magnetic, curved):
 def _energy_rows(system, x, v):
     """(H, U, g(v, v)) over (m, n) rows of positions and velocities, each
     evaluated once, with H = g(v, v)/2 + U/eps^2 the conserved energy (the
-    magnetic force does no work); the first row where U is undefined or
-    negative raises.
+    magnetic force does no work). U is nan where it is undefined; see
+    ``_bad_rows``.
     """
     u = system.potential.vectorized()(x)
-    bad = ~(u >= -1e-12)  # nan where U is undefined
-    if bad.any():
-        point = x[np.argmax(bad)]
-        value = system.potential.eval(point)  # raises where U is undefined
-        raise DomainError(
-            f"potential is negative ({value:.3e}) at {format_point(point)}")
     vv = system.metric.inner(x, v, v)
     return 0.5 * vv + system.inv_eps ** 2 * u, u, vv
+
+
+def _bad_rows(u):
+    """Where the potential values ``u`` are negative or undefined (nan)."""
+    return ~(u >= -1e-12)
+
+
+def _potential_error(system, point):
+    """The DomainError of a point where U is negative; U's own error where
+    it is undefined."""
+    value = system.potential.eval(point)  # raises where U is undefined
+    return DomainError(
+        f"potential is negative ({value:.3e}) at {format_point(point)}")
 
 
 @dataclass
@@ -212,21 +222,64 @@ class BoundsVerdict:
     potential_margin: float
 
 
+class _Spill:
+    """float64 tables of ``width`` columns in an anonymous temporary file,
+    appended whole and read back by offset; the file is closed when the
+    spill is let go, also by a run that raises."""
+
+    def __init__(self, width):
+        self.file, self.width = tempfile.TemporaryFile(), width
+        weakref.finalize(self, self.file.close)
+
+    def write(self, table):
+        offset = self.file.seek(0, os.SEEK_END)
+        self.file.write(table)
+        return offset
+
+    def read(self, offset, rows):
+        table = np.empty((rows, self.width))
+        self.file.seek(offset)
+        self.file.readinto(table)
+        return table
+
+
+def _arc_lengths(tables, origin=0.0):
+    """The (tau, ..., |v|_g) tables of consecutive blocks in increasing tau,
+    each with its speed column replaced by |c - origin|, c the arc length
+    from the first row: the trapezoid rule's running sum, each block
+    carrying the row before it, so every value has the bits of one pass
+    over the joined log."""
+    tail = (np.empty(0), np.empty(0), 0.0)  # no row before the first
+    for table in tables:
+        times, speeds = table[:, 0], table[:, -1]
+        t_prev, s_prev, c_prev = tail
+        dt = np.diff(np.concatenate([t_prev, times]))
+        pairs = np.concatenate([s_prev, speeds])
+        seg = 0.5 * (pairs[:-1] + pairs[1:]) * dt
+        path = np.cumsum(np.concatenate([[c_prev], seg]))[-len(times):]
+        tail = (times[-1:], speeds[-1:].copy(), path[-1])
+        table[:, -1] = np.abs(path - origin)
+        yield table
+
+
 @dataclass
 class Trajectory:
     """Time-sampled solution on [-T, T] with its monitor logs.
 
-    ``times``/``states`` merge both branches in increasing tau order, tau =
-    0 once per branch; ``grid_times``/``grid_states`` are the uniform
-    dense-output samples used for cross-run comparisons. States are rows
-    (x, v) of length 2n. The step log is kept as ``blocks``, one (times,
-    states, energies, path length) tuple per block of at most BLOCK_ROWS
-    rows in increasing tau order; ``times``, ``states``, ``energies`` and
-    ``path_length`` join them on each read. ``stats`` holds the run's
-    ``nfev``, ``steps``, ``rejected``, ``min_step`` (the smallest |dtau|
-    over the accepted steps but the one of each branch clipped to land on
-    -T or T; None when there is none), ``capped_steps`` (steps within
-    CAP_RELATIVE of the step cap) and ``drift_peak_tau`` (the tau of max
+    ``times`` merges both branches' accepted steps in increasing tau order,
+    tau = 0 once per branch; ``grid_times``/``grid_states`` are the uniform
+    dense-output samples used for cross-run comparisons. The step times are
+    kept as ``blocks``, float64 arrays of at most BLOCK_ROWS rows in
+    increasing tau; ``times`` joins them on each read. A run made with
+    ``keep_log`` also has ``log``: the blocks' (tau, x, v, H, U, |v|_g) rows
+    in a temporary file, their offsets in the order of ``blocks``, and the
+    number of blocks up to the backward branch's tau = 0. ``states`` (rows
+    (x, v) of length 2n), ``energies``, ``path_length`` and ``to_csv`` read
+    it back a block at a time. ``stats`` holds the run's ``nfev``,
+    ``steps``, ``rejected``, ``min_step`` (the smallest |dtau| over the
+    accepted steps but the last of each branch, clipped to land on -T or T;
+    None when there is none), ``capped_steps`` (steps within CAP_RELATIVE
+    of the step cap) and ``drift_peak_tau`` (the first tau of max
     |E - E(0)|).
     """
 
@@ -239,42 +292,56 @@ class Trajectory:
     max_speed: float
     max_potential: float
     stats: dict = field(default_factory=dict)
-
-    def _joined(self, column):
-        return np.concatenate([block[column] for block in self.blocks])
+    log: tuple | None = None
 
     @property
     def times(self):
-        return self._joined(0)
+        return np.concatenate(self.blocks)
+
+    def _tables(self, name):
+        """The log's blocks in increasing tau as (rows, 2n + 4) tables of
+        tau, x, v, H, U and the path length from tau = 0, read one at a
+        time; the blocks up to tau = 0 are read twice."""
+        if self.log is None:
+            raise ValueError(f"the run kept no {name}: integrate it with "
+                             "keep_log=True")
+        spill, offsets, origin = self.log
+        blocks = [(offset, len(times))
+                  for offset, times in zip(offsets, self.blocks)]
+        for table in _arc_lengths(spill.read(*block)
+                                  for block in blocks[:origin]):
+            c0 = table[-1, -1]  # the arc length from -T to tau = 0
+        return _arc_lengths((spill.read(*block) for block in blocks), c0)
+
+    def _column(self, columns, name):
+        return np.concatenate([table[:, columns]
+                               for table in self._tables(name)])
 
     @property
     def states(self):
-        return self._joined(1)
+        return self._column(slice(1, 1 + 2 * self.dimension), "states")
 
     @property
     def energies(self):
-        return self._joined(2)
+        return self._column(1 + 2 * self.dimension, "energies")
 
     @property
     def path_length(self):
         """Riemannian arc length accumulated from tau = 0."""
-        return self._joined(3)
+        return self._column(-1, "path length")
 
     @property
     def dimension(self):
         return self.grid_states.shape[1] // 2
 
-    def to_csv(self, fileobj, system):
-        """One row per accepted step, written block by block; U is evaluated
-        again per block rather than kept with the log."""
+    def to_csv(self, fileobj):
+        """One row per accepted step, written block by block."""
         n = self.dimension
         header = (["tau"] + [f"x{i+1}" for i in range(n)]
                   + [f"v{i+1}" for i in range(n)] + ["H", "U", "pathlen"])
+        tables = self._tables("CSV rows")
         fileobj.write(",".join(header) + "\n")
-        potential = system.potential.vectorized()
-        for times, states, energies, path in self.blocks:
-            table = np.column_stack([times, states, energies,
-                                     potential(states[:, :n]), path])
+        for table in tables:
             fileobj.writelines(",".join(map(repr, cells)) + "\n"
                                for cells in table.tolist())
 
@@ -418,15 +485,6 @@ def _initial_step(f, arg, y0, k1, t_end, max_step, rtol, atol):
     return min(100 * h0, h1, abs(t_end), max_step)
 
 
-@dataclass
-class _Branch:
-    times: list  # float64 blocks of the accepted step times, in step order
-    states: list  # the matching (rows, 2n) blocks of states
-    grid_states: np.ndarray  # at the branch's grid times, in their order
-    rejected: int
-    nfev: int
-
-
 def _dense(steps, times):
     """The grid states from the quartic interpolants of the steps.
 
@@ -439,9 +497,83 @@ def _dense(steps, times):
     h = (np.array(t_new) - np.array(t_old))[index]
     q = np.swapaxes(np.array(stages), 1, 2).dot(_P)[index]  # (m, 4) each
     x = (times - start) / h
-    powers = np.cumprod(np.tile(x, (4, 1)), axis=0).T
-    return h[:, None] * np.einsum("gik,gk->gi", q, powers) \
-        + np.array(y_old)[index]
+    # sum_k q_k x^(k+1) left to right, the same bits for any number of rows
+    total, power = 0.0, np.ones_like(x)
+    for k in range(4):
+        power = power * x
+        total = total + q[:, :, k] * power[:, None]
+    return h[:, None] * total + np.array(y_old)[index]
+
+
+class _BranchLog:
+    """A branch's step log, reduced one block at a time as the branch seals
+    it, so the states, energies and interpolants of a block are let go
+    with it.
+
+    ``grid`` holds the grid times in the order the branch passes them. A
+    sealed block's rows are put in increasing tau and reduced to the grid
+    states its steps reach and to ``peaks``, one (max E, min E, max |v|_g,
+    max U, max |E - h0|, first tau of that) per block: every number has the
+    bits of one pass over the joined log. ``unclipped`` holds each block's
+    smallest step but the branch's last, and ``bad`` the smallest-tau row
+    where U is negative or undefined. The step times stay, and with a
+    ``spill`` each block's (tau, x, v, H, U, |v|_g) rows go to it, their
+    offsets to ``offsets``.
+    """
+
+    def __init__(self, system, grid, forward, h0, max_step, spill):
+        self.system, self.grid, self.forward = system, grid, forward
+        self.h0, self.spill = h0, spill
+        # |dt - cap| <= cap * CAP_RELATIVE, and no step reaches an inf cap
+        self.low = max_step * (1.0 - CAP_RELATIVE)
+        self.high = max_step * (1.0 + CAP_RELATIVE)
+        self.times, self.offsets, self.grid_states = [], [], []
+        self.peaks, self.unclipped, self.capped = [], [], 0
+        self.bad = None
+        self.read = 0  # grid times read so far
+        self.rejected = self.nfev = 0
+
+    def seal(self, times, states, dense, last=False):
+        """Reduce the rows (``times``, ``states``) in step order and the
+        ``dense`` steps with them; ``last`` if they end the branch."""
+        if dense:
+            count = sum(step[-1] for step in dense)
+            self.grid_states.append(
+                _dense(dense, self.grid[self.read:self.read + count]))
+            self.read += count
+        if not self.forward:
+            times, states = times[::-1], states[::-1]
+        times, states = np.array(times), np.array(states)
+        n = states.shape[1] // 2
+        energies, potentials, speeds = _energy_rows(
+            self.system, states[:, :n], states[:, n:])
+        np.sqrt(np.maximum(speeds, 0.0, out=speeds), out=speeds)  # |v|_g
+
+        # the steps into the block, the one from the block before included
+        if not self.times:
+            dt = np.diff(times)
+        elif self.forward:
+            dt = np.diff(np.concatenate([self.times[-1][-1:], times]))
+        else:
+            dt = np.diff(np.concatenate([times, self.times[-1][:1]]))
+        self.capped += int(np.count_nonzero((dt >= self.low)
+                                            & (dt <= self.high)))
+        if last:  # the branch's last step, clipped to land on -T or T
+            dt = dt[:-1] if self.forward else dt[1:]
+        if len(dt):
+            self.unclipped.append(dt.min())
+
+        bad = _bad_rows(potentials)
+        if bad.any() and (self.bad is None or not self.forward):
+            self.bad = states[np.argmax(bad), :n].copy()
+        deviation = np.abs(energies - self.h0)
+        i = deviation.argmax()
+        self.peaks.append((energies.max(), energies.min(), speeds.max(),
+                           potentials.max(), deviation[i], times[i]))
+        self.times.append(times)
+        if self.spill is not None:
+            self.offsets.append(self.spill.write(np.column_stack(
+                [times, states, energies, potentials, speeds])))
 
 
 def _where(tau, y):
@@ -456,7 +588,7 @@ def _naming(message, first_bad):
             f"{_where(*first_bad)}")
 
 
-def _solve_branch(f, arg, y0, t_end, tol, max_step, grid=None,
+def _solve_branch(f, arg, y0, t_end, tol, max_step, log=None,
                   gated=False):
     """Adaptive Dormand-Prince steps from tau = 0 to exactly ``t_end``.
 
@@ -465,12 +597,12 @@ def _solve_branch(f, arg, y0, t_end, tol, max_step, grid=None,
     stays capped. A live try above the cap is retried at the cap and
     counts as rejected. Otherwise ``max_step`` caps every step.
 
-    ``grid`` holds times in the order the branch passes them; each is read
-    off the interpolant of the first step that reaches it. The accepted
-    steps are kept as float64 blocks of BLOCK_ROWS rows. Without a grid
-    the branch keeps no samples and returns its end state alone. A branch
-    that has tried as many steps, accepted or rejected, as its budget allows
-    raises IntegrationError. A right-hand side that is not finite at y0
+    Each of the ``log``'s grid times is read off the interpolant of the
+    first step that reaches it. The accepted steps are sealed into the log
+    every BLOCK_ROWS rows, with the steps that reach grid times, and the
+    log is returned. Without a log the branch keeps no samples and returns
+    its end state alone. A branch that has tried as many steps, accepted
+    or rejected, as its budget allows raises IntegrationError. A right-hand side that is not finite at y0
     raises NonFiniteResult; the error that ends a branch after a stage or an
     error estimate went non-finite names the tau and state of the step
     where that first happened.
@@ -488,11 +620,10 @@ def _solve_branch(f, arg, y0, t_end, tol, max_step, grid=None,
     live = not gated  # whether max_step caps the steps yet
     n = len(y0) // 2
     first_bad = None  # (tau, state) of the first non-finite error estimate
-    if grid is not None:
+    if log is not None:
         block = BLOCK_ROWS
         times, states, dense = [t], [y], []
-        time_blocks, state_blocks = [], []
-        marks = (direction * grid).tolist()  # grid times in steps' progress
+        marks = (direction * log.grid).tolist()  # in steps' progress
         nxt = 0  # the first grid time not yet read
     try:
         h_abs = _initial_step(f, arg, y0, k1, t_end, max_step, rtol, atol)
@@ -535,39 +666,40 @@ def _solve_branch(f, arg, y0, t_end, tol, max_step, grid=None,
                 h_abs *= max(MIN_FACTOR, SAFETY * error ** ERROR_EXPONENT)
                 retried = True
                 rejected += 1
-            if grid is not None:
+            if log is not None:
                 end = nxt
                 while end < len(marks) and marks[end] <= direction * t_new:
                     end += 1
                 if end > nxt:
                     dense.append((t, t_new, y, stages, end - nxt))
                     nxt = end
+                if len(times) >= block:  # so the last step seals last
+                    log.seal(times, states, dense)
+                    times, states, dense = [], [], []
                 times.append(t_new)
                 states.append(y_new)
-                if len(times) >= block:
-                    time_blocks.append(np.array(times))
-                    state_blocks.append(np.array(states))
-                    times, states = [], []
             t, y, k1 = t_new, y_new, k7
     except NonFiniteResult as exc:
         raise NonFiniteResult(
             _naming(str(exc), first_bad or (t, y))) from exc
-    if grid is None:
+    if log is None:
         return y
-    if times:
-        time_blocks.append(np.array(times))
-        state_blocks.append(np.array(states))
-    return _Branch(time_blocks, state_blocks, _dense(dense, grid), rejected,
-                   nfev)
+    log.seal(times, states, dense, last=True)
+    log.rejected, log.nfev = rejected, nfev
+    return log
 
 
-def integrate(system, initial, horizon, tol=None) -> Trajectory:
+def integrate(system, initial, horizon, tol=None,
+              keep_log=False) -> Trajectory:
     """Integrate both time branches over [-T, 0] and [0, T].
 
     Each branch is an adaptive Dormand-Prince 5(4) solve with scipy RK45's
     initial step, RMS error norm and step controller. A rescaled system's
     steps are capped at eps/10 from the branch's first try with a nonzero
-    acceleration; an explicit ``tol.max_step`` caps every step.
+    acceleration; an explicit ``tol.max_step`` caps every step. The run
+    keeps its step times, 8 bytes per accepted step in memory; with
+    ``keep_log`` also the states, energies, U and speeds, 8 (2n + 4)
+    bytes per step in a temporary file.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -585,107 +717,52 @@ def integrate(system, initial, horizon, tol=None) -> Trajectory:
 
     f = compile_motion(system)
     y0 = tuple(np.concatenate([initial.x, initial.v]).tolist())
+    n = len(y0) // 2
+    start = np.array([y0])
+    h0 = _energy_rows(system, start[:, :n], start[:, n:])[0][0]  # E(y0)
     grid_times = np.linspace(-horizon, horizon, GRID_POINTS)
     neg = grid_times < 0
-    fwd = _solve_branch(f, system, y0, horizon, tol, max_step,
-                        grid_times[~neg], gated)
-    bwd = _solve_branch(f, system, y0, -horizon, tol, max_step,
-                        grid_times[neg][::-1], gated)
+
+    spill = _Spill(2 * n + 4) if keep_log else None
+
+    def branch(end, grid):
+        log = _BranchLog(system, grid, end > 0, h0, max_step, spill)
+        return _solve_branch(f, system, y0, end, tol, max_step, log, gated)
+
+    fwd = branch(horizon, grid_times[~neg])
+    bwd = branch(-horizon, grid_times[neg][::-1])
+    if bwd.bad is not None or fwd.bad is not None:
+        raise _potential_error(system, bwd.bad if bwd.bad is not None
+                               else fwd.bad)
+    blocks = bwd.times[::-1] + fwd.times  # in increasing tau
+    log = None if spill is None else (
+        spill, bwd.offsets[::-1] + fwd.offsets, len(bwd.times))
+    peaks = np.array(bwd.peaks[::-1] + fwd.peaks)
+    e_max, max_speed, max_potential = peaks[:, [0, 2, 3]].max(axis=0)
+    drift = (e_max - peaks[:, 1].min()) / max(1.0, abs(h0))
+    unclipped = bwd.unclipped + fwd.unclipped
     stats = {"nfev": fwd.nfev + bwd.nfev,
-             "steps": sum(map(len, bwd.times + fwd.times)) - 2,
-             "rejected": fwd.rejected + bwd.rejected}
-    grid_states = np.concatenate([bwd.grid_states[::-1], fwd.grid_states])
-    blocks, drift, max_speed, max_potential, counters = _reduce_log(
-        system, bwd, fwd, max_step)
-    stats.update(counters)
+             "steps": sum(map(len, blocks)) - 2,
+             "rejected": fwd.rejected + bwd.rejected,
+             "min_step": float(min(unclipped)) if unclipped else None,
+             "capped_steps": fwd.capped + bwd.capped,
+             "drift_peak_tau": float(peaks[np.argmax(peaks[:, 4]), 5])}
     trajectory = Trajectory(
         epsilon=system.epsilon,
         horizon=horizon,
         blocks=blocks,
         grid_times=grid_times,
-        grid_states=grid_states,
+        grid_states=np.concatenate(
+            [g[::-1] for g in bwd.grid_states[::-1]] + fwd.grid_states),
         energy_drift=float(drift),
         max_speed=float(max_speed),
         max_potential=float(max_potential),
         stats=stats,
+        log=log,
     )
     if drift > ENERGY_DRIFT_GATE:
         raise EnergyDriftExceeded(float(drift), ENERGY_DRIFT_GATE)
     return trajectory
-
-
-def _merged(bwd, fwd):
-    """The branches' (times, states) blocks in increasing tau: the backward
-    ones reversed into contiguous copies, each let go as it is copied, then
-    the forward ones."""
-    while bwd.times:
-        yield bwd.times.pop()[::-1].copy(), bwd.states.pop()[::-1].copy()
-    yield from zip(fwd.times, fwd.states)
-
-
-def _reduce_log(system, bwd, fwd, max_step):
-    """The step log's blocks with their energies and path length, the
-    energy drift, the largest speed and potential, and the step counters.
-
-    One block at a time in increasing tau, so no array outgrows a block and
-    a row; every number has the bits of one pass over the joined log. The
-    block carries the row before it: its tau, speed and arc length from
-    -T, where the trapezoid rule's running sum goes on in order. The path
-    length from tau = 0 and |E - E(0)| need the backward branch's last row,
-    so they wait for a second pass. The first bad row of U raises.
-    """
-    n = fwd.states[0].shape[1] // 2
-    origin = len(bwd.times) - 1  # the block that ends at tau = 0
-    last = origin + len(fwd.times)
-    # |dt - cap| <= cap * CAP_RELATIVE, and no step reaches an inf cap
-    low = max_step * (1.0 - CAP_RELATIVE)
-    high = max_step * (1.0 + CAP_RELATIVE)
-    blocks, peaks, unclipped, capped = [], [], [], 0
-    tail = (np.empty(0), np.empty(0), 0.0)  # at -T, no row before
-    clipped = True  # the next step is clipped to -T or joins at tau = 0
-    for k, (times, states) in enumerate(_merged(bwd, fwd)):
-        energies, potentials, speeds = _energy_rows(system, states[:, :n],
-                                                    states[:, n:])
-        np.sqrt(np.maximum(speeds, 0.0, out=speeds), out=speeds)  # |v|_g
-        t_prev, s_prev, c_prev = tail
-        dt = np.diff(np.concatenate([t_prev, times]))
-        pairs = np.concatenate([s_prev, speeds])
-        seg = 0.5 * (pairs[:-1] + pairs[1:]) * dt
-        path = np.cumsum(np.concatenate([[c_prev], seg]))[-len(times):]
-        tail = (times[-1:], speeds[-1:], path[-1])
-
-        # the steps clipped to land on -T and T and the zero step joining
-        # the branches at tau = 0 are not the controller's; a block of one
-        # row at -T passes the first on to the next block
-        clipped = clipped or k == origin + 1
-        first = 1 if clipped and len(dt) else 0
-        clipped = clipped and not first
-        steps = dt[first:len(dt) - (k == last)]
-        if len(steps):
-            unclipped.append(steps.min())
-        capped += int(np.count_nonzero((dt >= low) & (dt <= high)))
-        peaks.append((energies.max(), energies.min(), speeds.max(),
-                      potentials.max()))
-        blocks.append((times, states, energies, path))
-
-    h0 = blocks[origin][2][-1]  # E and arc length at the backward tau = 0
-    c0 = blocks[origin][3][-1]
-    deviations, taus = [], []
-    for times, _states, energies, path in blocks:
-        np.abs(np.subtract(path, c0, out=path), out=path)
-        deviation = np.abs(energies - h0)
-        i = deviation.argmax()
-        deviations.append(deviation[i])
-        taus.append(times[i])
-    peaks = np.array(peaks)
-    e_max, max_speed, max_potential = peaks[:, [0, 2, 3]].max(axis=0)
-    e_min = peaks[:, 1].min()
-    drift = (e_max - e_min) / max(1.0, abs(h0))
-    counters = {
-        "min_step": float(min(unclipped)) if unclipped else None,
-        "capped_steps": capped,
-        "drift_peak_tau": float(taus[np.argmax(deviations)])}
-    return blocks, drift, max_speed, max_potential, counters
 
 
 def check_lemma1_bounds(trajectory, speed_cap) -> BoundsVerdict:

@@ -293,11 +293,14 @@ class MetricSpec:
 def field_strength(form):
     """F_ab = ∂_a A_b − ∂_b A_a of ``form``: n×n ASTs over the components'
     ``derivative`` ASTs, a structural zero on the diagonal and where both
-    partials are structural zeros. The toolkit's one statement of F."""
+    partials are structural zeros, and ∂_a A_b alone where ∂_b A_a is one,
+    since x − 0.0 is x in IEEE arithmetic (0.0 − x is not −x at x = 0.0).
+    The toolkit's one statement of F."""
     n = form.dimension
     jac = [[derivative(fld.body, a) for a in range(n)]
            for fld in form.components]  # jac[b][a] = ∂_a A_b
     return [[_ZERO if a == b or jac[b][a] == _ZERO == jac[a][b]
+             else jac[b][a] if jac[a][b] == _ZERO
              else Bin("-", jac[b][a], jac[a][b]) for b in range(n)]
             for a in range(n)]
 

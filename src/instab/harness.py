@@ -539,8 +539,8 @@ def _certification_verdicts(problem, seed=0, probe=None):
     return out
 
 
-def run_epsilon_sweep(problem, tol=None, seed=0,
-                      with_certification=True) -> EscapeReport:
+def run_epsilon_sweep(problem, tol=None, seed=0, with_certification=True,
+                      write_log=None) -> EscapeReport:
     """Integrate the rescaled system for every epsilon in the problem.
 
     Initial data is x(0) = p, v(0) = grad_rho f(p) for every epsilon; each
@@ -548,6 +548,11 @@ def run_epsilon_sweep(problem, tol=None, seed=0,
     drift df(v(0)) = |grad f(p)|^2. Failures of individual runs are
     recorded and the sweep continues. The certification probe is built
     first, so a bad probe setting fails before any integration.
+
+    A run's trajectory keeps its step times, 8 bytes per accepted step.
+    With ``write_log``, each successful run's trajectory is handed to it
+    with its full step log, kept in a temporary file, as soon as the run
+    ends, and the log is then dropped, so the sweep holds at most one.
     """
     probe = (certification_probe(problem, seed=seed) if with_certification
              else None)
@@ -566,7 +571,7 @@ def run_epsilon_sweep(problem, tol=None, seed=0,
         try:
             trajectory = integrate(
                 system, State(0.0, problem.center, grad),
-                problem.horizon, tol=tol,
+                problem.horizon, tol=tol, keep_log=write_log is not None,
             )
             run.bounds = check_lemma1_bounds(trajectory, cap)
         except (IntegrationError, DomainError, NonFiniteResult,
@@ -574,6 +579,9 @@ def run_epsilon_sweep(problem, tol=None, seed=0,
             run.status = "failed"
             run.error = f"{type(exc).__name__}: {exc}"
             continue
+        if write_log is not None:
+            write_log(trajectory)
+            trajectory.log = None  # its file closes as it is let go
         n = trajectory.dimension
         run.trajectory = trajectory
         run.f_curve = np.array([

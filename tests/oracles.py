@@ -17,7 +17,9 @@ import numpy as np
 from instab.dynamics import (
     State,
     Tolerances,
+    _bad_rows,
     _energy_rows,
+    _potential_error,
     el_acceleration,
     integrate,
 )
@@ -181,8 +183,11 @@ def hamiltonian(system, state):
     it: ``state`` holds one point, giving a float, or (m, n) rows, giving an
     array. The first row where U is undefined or negative raises.
     """
-    energy, _, _ = _energy_rows(system, np.atleast_2d(state.x),
-                                np.atleast_2d(state.v))
+    x = np.atleast_2d(state.x)
+    energy, u, _ = _energy_rows(system, x, np.atleast_2d(state.v))
+    bad = _bad_rows(u)
+    if bad.any():
+        raise _potential_error(system, x[np.argmax(bad)])
     return float(energy[0]) if state.x.ndim == 1 else energy
 
 

@@ -74,7 +74,7 @@ def test_criterion_4_stability_oracle(corpus_sweeps):
     trajectory = integrate(
         problem.system(epsilon=None),
         State(0.0, problem.center, eps * grad),
-        100.0,
+        100.0, keep_log=True,
     )
     distances = np.sqrt(
         ((trajectory.states[:, :3] - problem.center) ** 2).sum(axis=1))

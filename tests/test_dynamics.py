@@ -1,9 +1,9 @@
 """Integrator and monitor checks against closed-form solutions."""
 
-import dataclasses
 import io
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from instab import dynamics, harness
+from instab import dynamics, expr, harness
 from instab.dynamics import (
     LagrangianSystem,
     State,
@@ -25,6 +25,7 @@ from instab.dynamics import (
 from instab.errors import (
     DomainError,
     EnergyDriftExceeded,
+    InstabError,
     NonFiniteResult,
     SingularMetric,
     StepSizeUnderflow,
@@ -92,7 +93,8 @@ def test_negative_potential_rejected():
 
 def test_hamiltonian_rows_match_points():
     system = _curved_magnetic_system()
-    traj = integrate(system, State(0, np.zeros(3), [0.5, 0.3, 0.1]), 1.0)
+    traj = integrate(system, State(0, np.zeros(3), [0.5, 0.3, 0.1]), 1.0,
+                     keep_log=True)
     n = traj.dimension
     rows = hamiltonian(system, State(traj.times, traj.states[:, :n],
                                      traj.states[:, n:]))
@@ -134,7 +136,7 @@ def test_integrate_stable_circle():
     eps = 0.05
     system = LagrangianSystem(E3, U_PLANE, MU_X, epsilon=None)
     traj = integrate(system, State(0, np.zeros(3), [eps, 0, 0]), 30.0,
-                     tol=Tolerances(max_step=0.1))
+                     tol=Tolerances(max_step=0.1), keep_log=True)
     dist = np.sqrt((traj.states[:, :3] ** 2).sum(axis=1))
     assert dist.max() <= 2 * eps + 1e-8
     # x(t) = eps sin t, y(t) = eps (cos t - 1)
@@ -216,10 +218,11 @@ def test_convergence_order_in_step_size(monkeypatch):
 
 def test_csv_export_columns(tmp_path):
     system = LagrangianSystem(E3, U_PLANE, MU_Z, epsilon=0.1)
-    traj = integrate(system, State(0, np.zeros(3), [1, 0, 0]), 0.2)
+    traj = integrate(system, State(0, np.zeros(3), [1, 0, 0]), 0.2,
+                     keep_log=True)
     path = tmp_path / "run.csv"
     with open(path, "w") as fh:
-        traj.to_csv(fh, system)
+        traj.to_csv(fh)
     lines = path.read_text().splitlines()
     assert lines[0] == "tau,x1,x2,x3,v1,v2,v3,H,U,pathlen"
     assert len(lines) == len(traj.times) + 1
@@ -249,7 +252,8 @@ def test_el_residual_curved_adapted():
 
 def test_path_length_straight_line():
     system = LagrangianSystem(E3, ZERO3, None, epsilon=None)
-    traj = integrate(system, State(0, np.zeros(3), [1, 0, 0]), 1.0)
+    traj = integrate(system, State(0, np.zeros(3), [1, 0, 0]), 1.0,
+                     keep_log=True)
     assert traj.path_length[-1] == pytest.approx(1.0, abs=1e-9)
     assert traj.path_length[0] == pytest.approx(1.0, abs=1e-9)
 
@@ -345,6 +349,22 @@ def test_compiled_motion_raises_like_reference(potential, form, y, eps,
     assert not fallbacks  # the kernel raises its fields' errors itself
     if want is not None:
         _assert_motion_close(got, want)
+
+
+def test_motion_kernel_subtracts_no_structural_zero(monkeypatch):
+    """corollary1-unstable-magnetic's F_ab has entries with one partial a
+    structural zero; its motion kernel computes them without x - 0.0."""
+    problem = harness.corpus_entry("corollary1-unstable-magnetic")
+    sources, define = [], expr.define_scalar
+
+    def capture(name, src, **names):
+        sources.append(src)
+        return define(name, src, **names)
+
+    monkeypatch.setattr(expr, "define_scalar", capture)
+    compile_motion(problem.system(epsilon=0.01))
+    (source,) = sources
+    assert "_kernel" in source and "- 0.0)" not in source
 
 
 # --- el_acceleration's generated contraction against numpy ----------------
@@ -546,10 +566,24 @@ def _problem_case(data, eps):
             problem.horizon, Tolerances())
 
 
+class _JoinedLog:
+    """A log for ``_solve_branch`` that keeps every row and interpolant of
+    the branch, for one pass over the joined log."""
+
+    def __init__(self, grid):
+        self.grid, self.times, self.states, self.dense = grid, [], [], []
+
+    def seal(self, times, states, dense, last=False):
+        self.times += times
+        self.states += states
+        self.dense += dense
+
+
 def _joined_integrate(system, initial, horizon, tol):
     """``integrate`` as one pass over the joined step log: both branches'
-    blocks concatenated, then U and g(v, v) over all rows, the arc length
-    by np.cumsum and the drift's peak by np.argmax. The reference for the
+    rows concatenated, then U and g(v, v) over all rows, the first bad row
+    of U, the arc length by np.cumsum, the drift's peak by np.argmax and
+    every grid state from one call of ``_dense``. The reference for the
     block-wise reduction; it gives the run's numbers by name."""
     n = len(initial.x)
     gated = tol.max_step is None and system.epsilon is not None
@@ -562,15 +596,18 @@ def _joined_integrate(system, initial, horizon, tol):
     f = compile_motion(system)
     y0 = tuple(np.concatenate([initial.x, initial.v]).tolist())
     grid = np.linspace(-horizon, horizon, dynamics.GRID_POINTS)
-    fwd = dynamics._solve_branch(f, system, y0, horizon, tol, max_step,
-                                 grid[grid >= 0], gated)
-    bwd = dynamics._solve_branch(f, system, y0, -horizon, tol, max_step,
-                                 grid[grid < 0][::-1], gated)
-    times = np.concatenate([b[::-1] for b in bwd.times[::-1]] + fwd.times)
-    states = np.concatenate([b[::-1] for b in bwd.states[::-1]] + fwd.states)
-    origin = sum(map(len, bwd.times)) - 1  # the backward branch's tau = 0
+    fwd, bwd = (dynamics._solve_branch(f, system, y0, end, tol, max_step,
+                                       _JoinedLog(branch_grid), gated)
+                for end, branch_grid in ((horizon, grid[grid >= 0]),
+                                         (-horizon, grid[grid < 0][::-1])))
+    times = np.array(bwd.times[::-1] + fwd.times)
+    states = np.array(bwd.states[::-1] + fwd.states)
+    origin = len(bwd.times) - 1  # the backward branch's tau = 0
     energies, potentials, speeds = dynamics._energy_rows(
         system, states[:, :n], states[:, n:])
+    bad = dynamics._bad_rows(potentials)
+    if bad.any():
+        raise dynamics._potential_error(system, states[np.argmax(bad), :n])
     speeds = np.sqrt(np.maximum(speeds, 0.0))
     dt = np.diff(times)
     cumulative = np.concatenate(
@@ -588,13 +625,17 @@ def _joined_integrate(system, initial, horizon, tol):
     return {
         "times": times, "states": states, "energies": energies,
         "path_length": np.abs(cumulative - cumulative[origin]),
-        "grid_states": np.concatenate([bwd.grid_states[::-1],
-                                       fwd.grid_states]),
+        "grid_states": np.concatenate([
+            dynamics._dense(bwd.dense, bwd.grid)[::-1],
+            dynamics._dense(fwd.dense, fwd.grid)]),
         "stats": stats,
         "energy_drift": float((energies.max() - energies.min())
                               / max(1.0, abs(h0))),
         "max_speed": float(speeds.max()),
         "max_potential": float(potentials.max())}
+
+
+SUMMARY = ("stats", "energy_drift", "max_speed", "max_potential")
 
 
 @pytest.mark.parametrize("case", [
@@ -605,14 +646,14 @@ def _joined_integrate(system, initial, horizon, tol):
 def test_block_reduction_matches_joined_pass(case, monkeypatch):
     system, initial, horizon, tol = case
     want = _joined_integrate(system, initial, horizon, tol)
-    for rows in (1, 7, 4096):
+    for rows in (1, 7, 512, 4096):
         monkeypatch.setattr(dynamics, "BLOCK_ROWS", rows)
-        got = integrate(system, initial, horizon, tol=tol)
+        got = integrate(system, initial, horizon, tol=tol, keep_log=True)
         for name in ("times", "states", "energies", "path_length",
                      "grid_states"):
             assert getattr(got, name).tobytes() == want[name].tobytes(), \
                 (rows, name)
-        for name in ("stats", "energy_drift", "max_speed", "max_potential"):
+        for name in SUMMARY:
             assert getattr(got, name) == want[name], (rows, name)
 
 
@@ -622,51 +663,108 @@ def test_long_case_spans_several_default_blocks():
     assert steps > 4 * dynamics.BLOCK_ROWS
 
 
-def test_block_reduction_raises_at_the_joined_pass_row(monkeypatch):
-    """U = x1 turns negative at tau = 0.414 of 1, a third of the way along
-    the log; the error names the same first bad row."""
+def _summary(system, initial, horizon, tol, keep_log):
+    """The run's reduced numbers and grid states as exact values, or the
+    class and message of its error."""
+    try:
+        got = integrate(system, initial, horizon, tol=tol, keep_log=keep_log)
+    except InstabError as exc:
+        return type(exc), str(exc)
+    return ([getattr(got, name) for name in SUMMARY],
+            got.grid_states.tobytes(), got.times.tobytes())
+
+
+@pytest.mark.parametrize("name, eps", [
+    *((problem.name, eps) for problem in harness.corpus()
+      for eps in (0.1, 0.01, 0.001)),
+    ("curved", 0.1), ("curved", 0.01)])
+def test_keeping_the_log_changes_no_number(name, eps):
+    case = (_problem_case(CURVED_PROBLEM, eps) if name == "curved"
+            else _corpus_case(name, eps)[:4])
+    assert _summary(*case, keep_log=False) == _summary(*case, keep_log=True)
+
+
+def test_a_run_without_its_log_names_keep_log():
+    system, initial, horizon, tol = _problem_case(TRANSCENDENTAL, 0.1)
+    traj = integrate(system, initial, horizon, tol=tol)
+    assert len(traj.times) == traj.stats["steps"] + 2
+    for name in ("states", "energies", "path_length"):
+        with pytest.raises(ValueError, match="keep_log=True"):
+            getattr(traj, name)
+    out = io.StringIO()
+    with pytest.raises(ValueError, match="keep_log=True"):
+        traj.to_csv(out)
+    assert out.getvalue() == ""
+
+
+def test_drift_peak_ties_go_to_the_smallest_tau(monkeypatch):
+    """Started at rest, the run of U = x1^2 mirrors itself in tau to the
+    bit, x(-tau) = x(tau) and v(-tau) = -v(tau), so each largest
+    |E - E(0)| is reached at -tau and tau; the peak is the first in
+    increasing tau, the one the backward branch produces last."""
+    system = LagrangianSystem(MetricSpec.identity(1),
+                              ScalarField.parse("x1^2", 1), None,
+                              epsilon=0.1)
+    initial, tol = State(0, [0.5], [0.0]), Tolerances()
+    want = _joined_integrate(system, initial, 1.0, tol)
+    energies, times = want["energies"], want["times"]
+    deviation = np.abs(energies - energies[times == 0.0][0])
+    ties = times[deviation == deviation.max()]
+    assert ties.min() == -ties.max() < 0  # a tie across the branches
+    for rows in (1, 7, 512):
+        monkeypatch.setattr(dynamics, "BLOCK_ROWS", rows)
+        got = integrate(system, initial, 1.0, tol=tol)
+        assert got.stats["drift_peak_tau"] == ties.min(), rows
+
+
+@pytest.mark.parametrize("start", [0.5, 0.0], ids=["forward", "both"])
+def test_block_reduction_raises_at_the_joined_pass_row(start, monkeypatch):
+    """U = x1 turns negative at tau = 0.414 of 1 from x1 = 0.5, a third of
+    the way along the log; from x1 = 0 at rest it is negative on both
+    branches but at tau = 0. The error names the smallest-tau bad row, as
+    the joined pass does."""
     system = LagrangianSystem(MetricSpec.identity(1),
                               ScalarField.parse("x1", 1), None)
-    initial, tol = State(0, [0.5], [-1.0]), Tolerances(max_step=1e-3)
+    initial = State(0, [start], [-1.0 if start else 0.0])
+    tol = Tolerances(max_step=1e-3)
     with pytest.raises(DomainError) as want:
         _joined_integrate(system, initial, 1.0, tol)
-    for rows in (1, 7, 4096):
+    assert "potential is negative" in str(want.value)
+    for rows in (1, 7, 512, 4096):
         monkeypatch.setattr(dynamics, "BLOCK_ROWS", rows)
         with pytest.raises(DomainError) as got:
             integrate(system, initial, 1.0, tol=tol)
         assert str(got.value) == str(want.value), rows
 
 
-def test_reduction_peak_does_not_grow_with_run_length(monkeypatch):
-    """integrate's tracemalloc peak above what it keeps (the returned
-    blocks) is the same at T and at 4T: no temporary holds a row per step.
-    A pass over the joined log peaks tens of bytes per step above it. The
-    branches are solved untraced and replayed, since tracing the stepper's
-    float tuples takes over a hundred times as long."""
-    monkeypatch.setattr(dynamics, "BLOCK_ROWS", 512)
-    system, initial, horizon, tol = _long_case()
-    solve, solved = dynamics._solve_branch, {}
-
-    def replay(f, arg, y0, t_end, *rest):
-        if t_end not in solved:
-            solved[t_end] = solve(f, arg, y0, t_end, *rest)
-        branch = solved[t_end]
-        return dataclasses.replace(branch, times=list(branch.times),
-                                   states=list(branch.states))
-
-    monkeypatch.setattr(dynamics, "_solve_branch", replay)
-    excess, steps = {}, {}
-    for scale in (1, 4):
-        integrate(system, initial, scale * horizon, tol=tol)  # untraced
+@pytest.mark.parametrize("keep_log", [False, True])
+def test_run_peak_grows_by_its_step_times_alone(keep_log):
+    """integrate's tracemalloc peak grows by at most the 8 bytes a step of
+    its kept times, plus 256 KB, from T = 0.25 to T = 1: no array holds a
+    state, energy or interpolant per step; a kept log goes to a file."""
+    system, initial, _horizon, tol, _cap = _corpus_case(
+        "stable-magnetic-plane", 1e-3)
+    # CPython 3.11 finds a traced allocation's line by scanning its code's
+    # line table, long in generated code, unless a profile function has
+    # seen that code and built its line array: warm up under a no-op one
+    sys.setprofile(lambda *_: None)
+    try:
+        integrate(system, initial, 0.01, tol=tol, keep_log=keep_log)
+    finally:
+        sys.setprofile(None)
+    peaks, steps = {}, {}
+    for horizon in (0.25, 1.0):
         tracemalloc.start()
         try:
-            trajectory = integrate(system, initial, scale * horizon, tol=tol)
-            kept, peak = tracemalloc.get_traced_memory()
+            trajectory = integrate(system, initial, horizon, tol=tol,
+                                   keep_log=keep_log)
+            peaks[horizon] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        excess[scale], steps[scale] = peak - kept, trajectory.stats["steps"]
-    assert steps[4] > 3 * steps[1]
-    assert excess[4] - excess[1] < steps[4] - steps[1], (excess, steps)
+        steps[horizon] = trajectory.stats["steps"]
+    assert steps[1.0] > 3 * steps[0.25]
+    assert peaks[1.0] - peaks[0.25] \
+        <= 8 * (steps[1.0] - steps[0.25]) + 256 * 1024, (peaks, steps)
 
 
 def _one_shot_csv(trajectory, system):
@@ -685,10 +783,11 @@ def _one_shot_csv(trajectory, system):
 def test_csv_streams_the_one_shot_rows(monkeypatch):
     system = LagrangianSystem(E3, U_PLANE, MU_Z, epsilon=0.1)
     monkeypatch.setattr(dynamics, "BLOCK_ROWS", 7)
-    traj = integrate(system, State(0, [0, 0, 0.01], [1, 0.5, 0]), 1.0)
+    traj = integrate(system, State(0, [0, 0, 0.01], [1, 0.5, 0]), 1.0,
+                     keep_log=True)
     assert len(traj.times) > 2 * 7 and len(traj.times) % 7
     out = io.StringIO()
-    traj.to_csv(out, system)
+    traj.to_csv(out)
     assert out.getvalue() == _one_shot_csv(traj, system)
 
 
@@ -706,7 +805,7 @@ def test_step_counters_on_capped_corpus_runs():
     # mechanical-plane at eps = 0.1 starts below the cap on each branch
     system, initial, horizon, tol, cap = _corpus_case("mechanical-plane",
                                                       0.1, hard_cap=True)
-    traj = integrate(system, initial, horizon, tol=tol)
+    traj = integrate(system, initial, horizon, tol=tol, keep_log=True)
     assert (traj.stats["steps"], traj.stats["capped_steps"]) == (202, 198)
     assert traj.stats["min_step"] == 0.00476228217902515
     sizes = np.abs(np.diff(traj.times))

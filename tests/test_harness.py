@@ -493,14 +493,22 @@ def test_cli_sweep_csv_names_each_epsilon_apart(tmp_path):
     data = {**harness.corpus_entry("mechanical-plane").to_dict(),
             "epsilons": epsilons, "T": 0.2}
     problem = harness.load_problem(data, name="mechanical-plane")
+    written = []
+
+    def write(trajectory):
+        own = io.StringIO()
+        trajectory.to_csv(own)
+        written.append(own.getvalue())
+
     report = harness.run_epsilon_sweep(
         problem, tol=Tolerances(abs=1e-10, rel=1e-10),
-        with_certification=False)
+        with_certification=False, write_log=write)
     assert [run.epsilon for run in report.runs] == epsilons
-    for name, run in zip(names, report.runs):
-        own = io.StringIO()
-        run.trajectory.to_csv(own, problem.system(epsilon=run.epsilon))
-        assert (out / name).read_text() == own.getvalue()
+    assert [(out / name).read_text() for name in names] == written
+    for run in report.runs:  # each log is dropped once written
+        assert run.trajectory.log is None
+        with pytest.raises(ValueError, match="keep_log"):
+            run.trajectory.to_csv(io.StringIO())
 
 
 def test_cli_sweep_csv_needs_out():
