@@ -8,17 +8,20 @@ values, and the verdict is "certified" when the shell maxima stay bounded,
 and "inconclusive" otherwise.
 
 Each shell is filled by projecting uniform starts of the probe ball onto
-level sets of U with Newton steps, so its points are not uniform in the
-shell; the statistics are suprema over the shell, for which coverage
-counts, not density. Both certifiers read one evaluated table per probe:
-each shell is drawn once and evaluated in one numpy pass per field (one
-for all of a one-form's components, which gives its field strength), and
-the ratios and the Euler residual are column arithmetic over those
-passes. The scalar path names the first bad point: a row where a value or
-a partial is not finite, the metric is not invertible or |grad f| is below
-the floor is evaluated again point by point, which raises the error there
-(GradientTooSmall where |grad f| is below the floor) or supplies the row.
-Each row keeps the bits of the point-by-point evaluation.
+level sets of U with Newton steps, one numpy pass of U per step, so its
+points are not uniform in the shell; the statistics are suprema over the
+shell, for which coverage counts, not density. Both certifiers read one
+evaluated table per probe: each shell is drawn once and evaluated in one
+numpy pass per field, the field's one numpy function, which gives its
+values and gradients together (one pass for all of a one-form's
+components, which gives its field strength), and the ratios and the
+Euler residual are column arithmetic over those passes. A field's numpy
+row is nan exactly where its value_and_grad raises, so the scalar path
+names the first bad point: a nan row, or one where the metric is not
+invertible or |grad f| is below the floor, is evaluated again point by
+point, which raises the error there (GradientTooSmall where |grad f| is
+below the floor) or supplies the row. Each row keeps the bits of the
+point-by-point evaluation.
 
 Lie brackets and the pullback form's derivatives are exact up to rounding:
 both are compiled from derivative ASTs.
@@ -149,27 +152,26 @@ def _ball_points(probe, rng, count):
 def _project(probe, points, targets):
     """Newton steps x <- x - (U - t) grad U / |grad U|^2 toward U = t.
 
-    A point stops once |U - t| <= _NEWTON_TOL * t, once U is not finite, or
-    after _NEWTON_STEPS steps; each step evaluates only the points still
-    moving. Returns the points and U at them.
+    A point stops once |U - t| <= _NEWTON_TOL * t, once U is nan (where U
+    or its gradient is undefined), or after _NEWTON_STEPS steps. Each step
+    is one numpy pass over the points it moves, which gives U there and
+    the gradient of the next step. Returns the points and U at them.
     """
     u_vec = probe.potential.vectorized()
-    grad_vec = probe.potential.vectorized_gradient()
     points = points.copy()
-    values = u_vec(points)
+    values, grads = u_vec(points)
     moving = np.arange(len(points))
     for _ in range(_NEWTON_STEPS):
         miss = values[moving] - targets[moving]
         going = np.isfinite(miss) & (np.abs(miss) > _NEWTON_TOL
                                      * targets[moving])
-        moving, miss = moving[going], miss[going]
+        moving, miss, grads = moving[going], miss[going], grads[going]
         if not len(moving):
             break
-        grads = grad_vec(points[moving])
         with np.errstate(all="ignore"):
             step = (miss / np.einsum("ij,ij->i", grads, grads))[:, None]
             points[moving] -= step * grads
-        values[moving] = u_vec(points[moving])
+        values[moving], grads = u_vec(points[moving])
     return points, values
 
 
@@ -296,14 +298,6 @@ def _shell_table(probe):
     return shells, skipped, drawn[0][2]
 
 
-def _field_columns(fld, points):
-    """The value column and gradient rows of ``fld`` at (m, n) ``points``,
-    one numpy pass each, and the mask of rows where ``value_and_grad``
-    raises, the rows where a gradient row is not finite."""
-    grads = fld.vectorized_gradient()(points)
-    return fld.vectorized()(points), grads, ~np.isfinite(grads).all(axis=1)
-
-
 def _mend(points, bad, scalar, columns, skip=()):
     """Give each bad row of ``columns``, in order, the row ``scalar(x)``.
 
@@ -324,13 +318,14 @@ def _mend(points, bad, scalar, columns, skip=()):
 
 def _gradient_rows(metric, f, points):
     """grad f, |grad f|^2 and g^-1 rows at (m, n) ``points``, and the mask
-    of bad rows (see ``_field_columns``).
+    of bad rows, first those where f's numpy row is nan.
 
     g^-1 is MetricSpec.inverse at each point not yet bad, the identity on
     a Euclidean metric; a row where it raises turns bad, as does one where
     |grad f|^2 is not finite.
     """
-    _values, df, bad = _field_columns(f, points)
+    values, df = f.vectorized()(points)
+    bad = np.isnan(values)
     m, n = points.shape
     if metric.euclidean:
         inverse, grad = np.tile(np.eye(n), (m, 1, 1)), df
@@ -351,8 +346,8 @@ def _evaluate(probe, points):
     where |grad f| is below the floor, from the scalar path."""
     metric = probe.metric
     grad, norm_sq, inverse, bad = _gradient_rows(metric, probe.f, points)
-    u, du, bad_u = _field_columns(probe.potential, points)
-    bad |= bad_u | (norm_sq < GRADIENT_FLOOR ** 2)
+    u, du = probe.potential.vectorized()(points)
+    bad |= np.isnan(u) | (norm_sq < GRADIENT_FLOOR ** 2)
 
     def scalar(x):
         grad_x = gradient_data(metric, probe.f, x, GRADIENT_FLOOR)[1]
@@ -550,8 +545,8 @@ def check_quasi_homogeneous(potential, spec, seed=0) -> QuasiHomogeneousReport:
     n = potential.dimension
     rng = np.random.default_rng(seed)
     points = rng.uniform(-EULER_BOX, EULER_BOX, size=(EULER_SAMPLES, n))
-    u, du, bad = _field_columns(potential, points)
-    _mend(points, bad, potential.value_and_grad, (u, du))
+    u, du = potential.vectorized()(points)
+    _mend(points, np.isnan(u), potential.value_and_grad, (u, du))
     weights = np.broadcast_to(spec.weights, du.shape)
     residual = np.abs(rowdot(weights, points * du) - spec.degree * u)
     residual /= 1.0 + np.abs(u)

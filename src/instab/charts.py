@@ -34,8 +34,13 @@ from .errors import (
     OrderDependence,
     SingularJacobian,
 )
-from .expr import Bin, Num, Var, compile_kernel, partial_fields, sum_nodes
-from .geometry import normalized_gradient, normalized_gradient_jacobian
+from .expr import Num, Var, compile_kernel, partial_fields
+from .geometry import (
+    _fold,
+    _total,
+    normalized_gradient,
+    normalized_gradient_jacobian,
+)
 
 FLOW_GRADIENT_FLOOR = 1e-8
 FLOW_TOL = 1e-12
@@ -89,30 +94,27 @@ def _reference_jacobian_flow(y, arg):
 
 def _flow_kernel(fld, columns, reference):
     """X = df/s with s = sum_b df_b^2, and DX·J = sum_c ((H_ac - X_a w_c)/s)
-    J_cj with w_c = 2 sum_b df_b H_bc, without structural zeros in s and w.
+    J_cj with w_c = 2 sum_b df_b H_bc, with structural zeros folded away
+    (``geometry._fold``), so an identically zero DX costs no product.
 
     At or within rounding of FLOW_GRADIENT_FLOOR the reference decides.
     """
-    n, zero = fld.dimension, Num(0.0)
+    n = fld.dimension
     partials = partial_fields(fld)
     df = [d.body for d in partials]
-
-    def dot(pairs):
-        return sum_nodes([Bin("*", a, b) for a, b in pairs
-                          if zero not in (a, b)])
-
-    s = dot(zip(df, df))
-    out = [Bin("/", d, s) for d in df]
+    s = _total(_fold("*", d, d) for d in df)
+    out = [_fold("/", d, s) for d in df]
     fields = [fld]
     if columns:
         fields += partials
         hess = [[h.body for h in partial_fields(d)] for d in partials]
-        w = [Bin("*", Num(2.0), dot((df[b], hess[b][c]) for b in range(n)))
+        w = [_fold("*", Num(2.0), _total(_fold("*", df[b], hess[b][c])
+                                         for b in range(n)))
              for c in range(n)]
-        dx = [[Bin("/", Bin("-", hess[a][c], Bin("*", out[a], w[c])), s)
+        dx = [[_fold("/", _fold("-", hess[a][c], _fold("*", out[a], w[c])), s)
                for c in range(n)] for a in range(n)]
-        out += [sum_nodes([Bin("*", dx[a][c], Var(n + c * columns + j))
-                           for c in range(n)])
+        out += [_total(_fold("*", dx[a][c], Var(n + c * columns + j))
+                       for c in range(n))
                 for a in range(n) for j in range(columns)]
     floor_sq = FLOW_GRADIENT_FLOOR ** 2 * (1.0 + 1e-9)
     return compile_kernel(fields, n, out, reference, guards=[(s, floor_sq)])

@@ -194,10 +194,10 @@ def _contraction(n, magnetic, curved):
 def _energy_rows(system, x, v):
     """(H, U, g(v, v)) over (m, n) rows of positions and velocities, each
     evaluated once, with H = g(v, v)/2 + U/eps^2 the conserved energy (the
-    magnetic force does no work). U is nan where it is undefined; see
-    ``_bad_rows``.
+    magnetic force does no work). U is nan where its ``value_and_grad``
+    raises; see ``_bad_rows``.
     """
-    u = system.potential.vectorized()(x)
+    u = system.potential.vectorized()(x)[0]
     vv = system.metric.inner(x, v, v)
     return 0.5 * vv + system.inv_eps ** 2 * u, u, vv
 

@@ -3,15 +3,16 @@
 Scalar quantities (potentials, candidate functions, metric entries, one-form
 components) are entered as text in the variables x1..xn and parsed once into
 an AST. One code generator evaluates it, in two renderings: a float
-value+gradient function, and numpy functions for bulk sampling, one for a
-field's values and one for its gradients. It emits values only, each
-common subexpression once, and computes an operation on numbers alone
-once, as it emits it, with the rendering's own functions; a gradient is
-the values of ``derivative`` ASTs, the one set of derivative rules, which
-also gives second derivatives. Both renderings run the same value
-operations in the same order; where the scalar function raises, the numpy
-value, or the row of the numpy gradient, is not finite. The tests hold
-both to a walker over plain floats or vector-forward dual numbers.
+value+gradient function, and one numpy function per field for bulk
+sampling, which gives its values and gradients together. It emits values
+only, each common subexpression once, and computes an operation on numbers
+alone once, as it emits it, with the rendering's own functions; a gradient
+is the values of ``derivative`` ASTs, the one set of derivative rules,
+which also gives second derivatives. Both renderings run the same value
+operations in the same order and share one rule of where a field is
+defined: where its value+gradient function does not raise, so a numpy row
+is nan exactly where that function raises. The tests hold both to a walker
+over plain floats or vector-forward dual numbers.
 
 Only this module writes field code. Other modules state their formulas as
 ASTs over fields' ``derivative`` ASTs, and ``compile_kernel``, the one
@@ -615,21 +616,27 @@ def sum_nodes(terms) -> Expr:
         if terms else Num(0.0)
 
 
-def _numpy_function(em, shape, outputs):
-    """``f(points)`` over an (m, n) array of points: the emitter's lines in
-    numpy, then ``outputs``, lines that fill ``out``, a fresh float array of
-    ``shape``. A row of ``out`` is nan where one of the emitter's checks
-    holds, and every row is nan when float arithmetic on constants raises.
-    numpy's floating-point warnings are off inside."""
+def compile_vectorized_kernel(nodes, n: int, outputs):
+    """The numpy twin of ``compile_kernel``: ``f(points)``, the values of
+    ``outputs`` at each of an (m, n) array of points, a fresh (m, k) float
+    array, over the fields ``nodes``. A row is nan exactly where one of
+    those fields' ``value_and_grad`` raises, every row where float
+    arithmetic on constants raises. numpy's floating-point warnings are off
+    inside."""
+    em, checked = _fields_code(nodes, n, numpy=True)
+    em.check(" | ".join(f"~isfinite({s})" for s in checked) or "False",
+             None, *checked)
+    out = [em.emit(node) for node in outputs]
     tests = [f"({line.test})" for line in em.lines
              if isinstance(line, _Check)]
-    lines = [line for line in em.lines if isinstance(line, str)] + outputs
+    lines = [line for line in em.lines if isinstance(line, str)] + [
+        f"out[:, {a}] = {symbol}" for a, symbol in enumerate(out)]
     if tests:
         lines.append(f"out[{' | '.join(tests)}] = nan")
     src = ("def _vec(points):\n"
            "    points = np.asarray(points, dtype=float)\n"
            "    p = points.T\n"
-           f"    out = np.empty({shape})\n"
+           f"    out = np.empty((len(points), {len(out)}))\n"
            "    with np.errstate(all='ignore'):\n"
            "        try:\n"
            + "".join(f"            {line}\n" for line in lines) +
@@ -639,33 +646,18 @@ def _numpy_function(em, shape, outputs):
     return _define("_vec", src, _NUMPY_NAMESPACE)
 
 
-def compile_vectorized(node: Expr):
-    """Generate ``f(points) -> values`` over an (m, n) array of points,
-    non-finite exactly where the scalar value raises."""
-    em = _Emitter(numpy=True)
-    value = em.emit(node)
-    return _numpy_function(em, "len(points)", [f"out[:] = {value}"])
+def _vectorized_field(body, n):
+    """``f(points) -> (values, gradients)`` over an (m, n) array of points:
+    the (m,) first column and the (m, n) rest of one
+    ``compile_vectorized_kernel`` function of the field's value and
+    partials."""
+    kernel = compile_vectorized_kernel(
+        [body], n, [body] + [derivative(body, a) for a in range(n)])
 
-
-def compile_vectorized_kernel(nodes, n: int, outputs):
-    """The numpy twin of ``compile_kernel``: ``f(points)``, the values of
-    ``outputs`` at each of an (m, n) array of points, (m, k), over the
-    fields ``nodes``. A row is nan exactly where one of those fields'
-    ``value_and_grad`` raises."""
-    em, checked = _fields_code(nodes, n, numpy=True)
-    em.check(" | ".join(f"~isfinite({s})" for s in checked) or "False",
-             None, *checked)
-    out = [em.emit(node) for node in outputs]
-    return _numpy_function(em, f"(len(points), {len(out)})", [
-        f"out[:, {a}] = {symbol}" for a, symbol in enumerate(out)])
-
-
-def compile_vectorized_gradient(node: Expr, n: int):
-    """Generate ``f(points) -> gradients``, (m, n) over an (m, n) array of
-    points: ``compile_vectorized_kernel`` of one field, so a row is nan
-    exactly where the field's ``value_and_grad`` raises."""
-    return compile_vectorized_kernel(
-        [node], n, [derivative(node, a) for a in range(n)])
+    def values_and_gradients(points):
+        out = kernel(points)
+        return out[:, 0], out[:, 1:]
+    return values_and_gradients
 
 
 # --- scalar fields ---------------------------------------------------------
@@ -720,9 +712,8 @@ class ScalarField:
     def code(self, key, build, *args):
         """The field's generated code under ``key``, made once by
         ``build(*args)``: its value+gradient (``value_grad``), numpy
-        (``vectorized``), numpy gradient (``vectorized_gradient``) and
-        Hessian (``hessian``) functions, and the motion and flow kernels of
-        which it is the first field."""
+        (``vectorized``) and Hessian (``hessian``) functions, and the motion
+        and flow kernels of which it is the first field."""
         code = self.compiled.get(key)
         if code is None:
             code = self.compiled[key] = build(*args)
@@ -756,15 +747,11 @@ class ScalarField:
         return np.array(kernel(_coords(point), None)[n:]).reshape(n, n)
 
     def vectorized(self):
-        """Bulk values over an (m, n) array; non-finite where undefined."""
-        return self.code("vectorized", compile_vectorized, self.body)
-
-    def vectorized_gradient(self):
-        """Bulk gradients, (m, n) over an (m, n) array of points, from one
-        numpy function; a row is non-finite exactly where
-        ``value_and_grad`` raises."""
-        return self.code("vectorized_gradient", compile_vectorized_gradient,
-                         self.body, self.dimension)
+        """The field's one numpy function, ``f(points) -> (values,
+        gradients)`` over an (m, n) array of points, from one pass; a row
+        is nan exactly where ``value_and_grad`` raises."""
+        return self.code("vectorized", _vectorized_field, self.body,
+                         self.dimension)
 
 
 # --- dual numbers, for CallableField ---------------------------------------
@@ -777,7 +764,7 @@ class Dual:
     ``CallableField`` evaluates duals in the package, and the tests' dual
     reference walks expressions with them; ``Dual``, ``_value_of``,
     ``_dual_gradient`` and ``_dual_value`` go with ``CallableField``
-    (ROADMAP.md, item 2).
+    (ROADMAP.md, item 1).
     """
 
     __slots__ = ("val", "eps")

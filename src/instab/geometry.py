@@ -286,7 +286,7 @@ class MetricSpec:
         else:
             g = np.empty((len(points), n, n))
             for (i, j), fld in self._upper.items():
-                g[:, i, j] = g[:, j, i] = fld.vectorized()(points)
+                g[:, i, j] = g[:, j, i] = fld.vectorized()(points)[0]
         return (u[:, None, :] @ g @ v[:, :, None])[:, 0, 0]
 
 
@@ -359,15 +359,24 @@ def normalized_gradient_jacobian(metric, fld, point, floor):
 
     With h = G⁻¹df and s = df·h, D(G⁻¹) = −G⁻¹(∂G)G⁻¹ gives
     ∂_c h = G⁻¹(H e_c − (∂_c G) h) and ∂_c s = 2 h·H e_c − h·(∂_c G) h.
+    Raises NonFiniteResult naming the field and the point where a term
+    overflows though f, its gradient and its Hessian are finite.
     """
     _df, grad, norm_sq = gradient_data(metric, fld, point, floor)
     hess = fld.hessian(point)  # hess[a, c] = ∂_c ∂_a f
     dgrad = bent = hess  # bent[:, c] = H e_c − (∂_c G) h
-    if not metric.euclidean:
-        bent = hess - np.einsum("cab,b->ac", metric._partials(point), grad)
-        dgrad = metric.inverse(point) @ bent
-    vec = grad / norm_sq
-    return vec, (dgrad - np.outer(vec, grad @ hess + grad @ bent)) / norm_sq
+    with np.errstate(all="ignore"):
+        if not metric.euclidean:
+            bent = hess - np.einsum("cab,b->ac", metric._partials(point),
+                                    grad)
+            dgrad = metric.inverse(point) @ bent
+        vec = grad / norm_sq
+        dvec = (dgrad - np.outer(vec, grad @ hess + grad @ bent)) / norm_sq
+    if not np.isfinite(dvec).all():
+        raise NonFiniteResult(f"Jacobian of the normalized gradient of "
+                              f"{fld.label} is not finite at point "
+                              f"{format_point(point)}")
+    return vec, dvec
 
 
 def magnetic_tensor(form, point) -> np.ndarray:

@@ -35,6 +35,7 @@ from instab.expr import (
     _dual_gradient,
     _dual_value,
     _value_of,
+    derivative,
 )
 
 # --- the dual-number walker -------------------------------------------------
@@ -166,13 +167,24 @@ _NUMPY_FUN_EVAL = {"sin": np.sin, "cos": np.cos, "exp": np.exp,
                    "ln": np.log, "sqrt": np.sqrt}
 
 
+def _walk_numpy(node, point) -> float:
+    coords = [np.array([float(x)]) for x in point]
+    with np.errstate(all="ignore"):
+        value = eval_expr(node, coords, _NUMPY_FUN_EVAL)
+    return float(np.broadcast_to(value, (1,))[0])
+
+
 def eval_numpy(field, point) -> float:
     """A field's value from the walker over one-element numpy arrays and
     numpy's elementary functions, those the vectorized backend calls."""
-    coords = [np.array([float(x)]) for x in point]
-    with np.errstate(all="ignore"):
-        value = eval_expr(field.body, coords, _NUMPY_FUN_EVAL)
-    return float(np.broadcast_to(value, (1,))[0])
+    return _walk_numpy(field.body, point)
+
+
+def grad_numpy(field, point) -> list:
+    """A field's gradient from the same walker over its ``derivative``
+    ASTs, whose values the vectorized backend computes."""
+    return [_walk_numpy(derivative(field.body, a), point)
+            for a in range(field.dimension)]
 
 
 # --- trajectories -----------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from instab import certify, harness
+from instab import certify, expr, harness
 from instab.certify import (
     HypothesisProbe,
     QuasiHomogeneousSpec,
@@ -37,6 +37,7 @@ from instab.geometry import (
     gradient_data,
     guard_cancellation,
     magnetic_tensor,
+    normalized_gradient_jacobian,
     riemannian_gradient,
 )
 
@@ -219,7 +220,7 @@ def test_codimension_two_shells_fill():
     shells, _skipped, _near = probe._table
     for delta, attempts, points, _table in shells:
         assert attempts < certify.MAX_ATTEMPTS_PER_SHELL
-        values = probe.potential.vectorized()(points)
+        values, _grads = probe.potential.vectorized()(points)
         assert np.all((values >= delta) & (values <= 10 * delta))
         assert np.all(np.linalg.norm(points, axis=1) <= 0.5)
 
@@ -283,26 +284,46 @@ def test_each_shell_drawn_once(monkeypatch):
 
 
 def test_each_shell_point_evaluated_once(monkeypatch):
-    """One vectorized_gradient pass per field and one magnetic_tensor_rows
-    pass per shell, and no scalar value_and_grad or magnetic_tensor call
-    at a shell point, since every row of this entry's shells is finite."""
+    """One ``vectorized`` pass per field and one magnetic_tensor_rows pass
+    per shell, one pass of U per Newton step, no other generated numpy
+    pass there, and no scalar value_and_grad or magnetic_tensor call at a
+    shell point, since every row of this entry's shells is finite."""
     problem = harness.corpus_entry("unstable-magnetic-plane")
     probe = harness.certification_probe(problem)
-    passes, scalar = [], []
-    gradient = ScalarField.vectorized_gradient
+    passes, generated, scalar, projections = [], [], [], []
+    vectorized = ScalarField.vectorized
     rows = certify.magnetic_tensor_rows
+    project = certify._project
+    define = expr._define
 
     def logged_rows(form, points):
         passes.append((form, points.copy()))
         return rows(form, points)
 
     def logged(field):
-        grads = gradient(field)
+        function = vectorized(field)
 
         def run(points):
             passes.append((field, points.copy()))
-            return grads(points)
+            return function(points)
         return run
+
+    def defined(name, src, namespace):
+        function = define(name, src, namespace)
+        if name != "_vec":  # a scalar kernel
+            return function
+
+        def run(points):  # every generated numpy function
+            generated.append(points.copy())
+            return function(points)
+        return run
+
+    def projected(probe, points, targets):
+        start = len(passes), len(generated)
+        out = project(probe, points, targets)
+        projections.append((points, passes[start[0]:],
+                            generated[start[1]:]))
+        return out
 
     def noted(fn):
         def call(owner, point):
@@ -310,8 +331,10 @@ def test_each_shell_point_evaluated_once(monkeypatch):
             return fn(owner, point)
         return call
 
-    monkeypatch.setattr(ScalarField, "vectorized_gradient", logged)
+    monkeypatch.setattr(ScalarField, "vectorized", logged)
     monkeypatch.setattr(certify, "magnetic_tensor_rows", logged_rows)
+    monkeypatch.setattr(expr, "_define", defined)
+    monkeypatch.setattr(certify, "_project", projected)
     monkeypatch.setattr(ScalarField, "value_and_grad",
                         noted(ScalarField.value_and_grad))
     monkeypatch.setattr(certify, "magnetic_tensor",
@@ -321,12 +344,22 @@ def test_each_shell_point_evaluated_once(monkeypatch):
     assert not magnetic.notes.get("trivial")
     shells, _skipped, _near = probe._table
     assert len(shells) == 6
-    for fld in [probe.f, probe.potential, probe.magnetic]:
-        for _delta, _attempts, points, _columns in shells:
+    for _delta, _attempts, points, _columns in shells:
+        for fld in [probe.f, probe.potential, probe.magnetic]:
             assert sum(owner is fld and np.array_equal(seen, points)
                        for owner, seen in passes) == 1
+        assert sum(np.array_equal(seen, points) for seen in generated) == 3
     shell_points = np.concatenate([points for *_, points, _ in shells])
     assert not any((shell_points == x).all(axis=1).any() for x in scalar)
+    # a projection passes over its starts, then over the points each
+    # Newton step moves, so it never evaluates a point twice
+    assert projections
+    for starts, seen, numpy_passes in projections:
+        assert all(owner is probe.potential for owner, _points in seen)
+        assert len(numpy_passes) == len(seen) <= 1 + certify._NEWTON_STEPS
+        assert np.array_equal(numpy_passes[0], starts)
+        evaluated = np.concatenate(numpy_passes)
+        assert len(np.unique(evaluated, axis=0)) == len(evaluated)
 
 
 def test_gradient_floor_enforced():
@@ -384,6 +417,17 @@ def test_commuting_rejects_non_finite_bracket(monkeypatch):
     fields = [ScalarField.parse("x1", 2), ScalarField.parse("x2", 2)]
     with pytest.raises(NonFiniteResult, match="at point"):
         check_orthogonal_commuting(E2, fields, seed=0)
+
+
+def test_commuting_raises_where_a_normalized_gradient_jacobian_does():
+    # DX overflows there (test_geometry's OVERFLOWING_DX)
+    source, point = "x1 - ln(x3)/2", [0.0, 0.0, 7e-104]
+    fields = [ScalarField.parse(source, 3), ScalarField.parse("x2", 3)]
+    with pytest.raises(NonFiniteResult) as want:
+        normalized_gradient_jacobian(E3, fields[0], point, GRADIENT_FLOOR)
+    with pytest.raises(NonFiniteResult) as got:  # every sample at the point
+        check_orthogonal_commuting(E3, fields, center=point, box=0.0)
+    assert str(got.value) == str(want.value)
 
 
 def test_commuting_refuted_on_oblique_pair():
@@ -503,9 +547,26 @@ def _oracle_constants(probe):
                                          probe.center)[2]
 
 
+def _check_proof_constant(condition, rows, constants, magnetic):
+    """Raise the certifier's NonFiniteResult where the proof constant of
+    ``rows``, C1 (``magnetic``) or C2, overflows."""
+    m_grad, m_quad, cap_sq = constants
+    k_bound = max((row[1] for row in rows), default=0.0)
+    try:
+        if magnetic:
+            math.sqrt(m_grad ** -4 * k_bound ** 2 / (2.0 * m_quad))
+        else:
+            m_grad ** -2 * k_bound * cap_sq / 2.0
+    except (OverflowError, ZeroDivisionError):
+        raise NonFiniteResult(
+            f"proof constant {'C1' if magnetic else 'C2'} of {condition!r} "
+            f"overflows: the smallest sampled |grad f| is {m_grad!r}")
+
+
 def _oracle(probe, shells, near):
     """Potential rows, proof constants, magnetic rows, full-norm rows and
-    near-locus extremes, in the order the scalar path computed them."""
+    near-locus extremes, in the order the scalar path computed them, or
+    the error it raised, also where a proof constant overflows."""
     metric, mu = probe.metric, probe.magnetic
     table = [[(gradient_data(metric, probe.f, x, GRADIENT_FLOOR)[1],
                *probe.potential.value_and_grad(x)) for x in points]
@@ -513,6 +574,7 @@ def _oracle(probe, shells, near):
     out = [[_oracle_row(points, [_oracle_ratio(*at) for at in rows])
             for points, rows in zip(shells, table)],
            _oracle_constants(probe)]
+    _check_proof_constant("dU(grad f) = O(U)", *out, magnetic=False)
     if mu is None or certify._is_zero_form(mu, probe.center):
         return out
     rows, full_rows = [], []
@@ -526,6 +588,8 @@ def _oracle(probe, shells, near):
     near_norms = [_oracle_norms(metric, certify.magnetic_tensor(mu, x),
                                 riemannian_gradient(metric, probe.f, x), x)
                   for x in near]
+    _check_proof_constant("|iota_{grad f} d mu| = O(sqrt U)", rows, out[1],
+                          magnetic=True)
     return out + [rows, full_rows,
                   max([0.0] + [c for c, _dmu in near_norms]),
                   min([math.inf] + [dmu for _c, dmu in near_norms])]
@@ -639,6 +703,9 @@ def test_numpy_table_matches_point_by_point_loop(u_source, f_source, form,
          [(1.0, 1.0, 1.0)] * 6 + [(0.0, 6.774893096905552e-256, 1.0)])
 @example("x1", "(-((x1)^((0 - 1)))^(0))", None, "euclidean",
          [(1.0, 1.0, 1.0)] * 5 + [(7.537836242473134e-296, 0.0, 1.0)])
+# the proof constant C1 overflows: F ~ 1/sqrt(x3) over sqrt(U) = x3
+@example("sqrt(x2) + x3", "x3^2", ["sqrt(x3)", "x1", "0"], "criterion 10",
+         [(0.0, 1.0, 1.0)] * 3 + [(0.0, 1.0, 8.2514014721536e-135)])
 @settings(max_examples=150, deadline=None)
 def test_numpy_table_raises_like_point_by_point_loop(f_source, u_source,
                                                      form, metric, points):

@@ -772,7 +772,7 @@ def _one_shot_csv(trajectory, system):
     n = trajectory.dimension
     header = (["tau"] + [f"x{i+1}" for i in range(n)]
               + [f"v{i+1}" for i in range(n)] + ["H", "U", "pathlen"])
-    potentials = system.potential.vectorized()(trajectory.states[:, :n])
+    potentials = system.potential.vectorized()(trajectory.states[:, :n])[0]
     table = np.column_stack([trajectory.times, trajectory.states,
                              trajectory.energies, potentials,
                              trajectory.path_length])

@@ -39,6 +39,7 @@ from oracles import (
     eval_numpy,
     fields_in_order,
     grad_dual,
+    grad_numpy,
 )
 
 
@@ -111,10 +112,8 @@ def test_field_code_is_cached_under_one_key_each():
     f.value_and_grad([1.0, 2.0])
     f.hessian([1.0, 2.0])
     vec = f.vectorized()
-    grad = f.vectorized_gradient()
-    assert set(f.compiled) == {"value_grad", "hessian", "vectorized",
-                               "vectorized_gradient"}
-    assert f.vectorized() is vec and f.vectorized_gradient() is grad
+    assert set(f.compiled) == {"value_grad", "hessian", "vectorized"}
+    assert f.vectorized() is vec
 
 
 def test_domain_errors():
@@ -183,9 +182,8 @@ def test_vectorized_matches_scalar():
     f = ScalarField.parse("sqrt(1 + x1^2) * cos(x2)", 2)
     rng = np.random.default_rng(5)
     pts = rng.uniform(-2, 2, (64, 2))
-    bulk = f.vectorized()(pts)
-    grads = f.vectorized_gradient()(pts)
-    assert grads.shape == (64, 2)
+    bulk, grads = f.vectorized()(pts)
+    assert bulk.shape == (64,) and grads.shape == (64, 2)
     for row, value, grad in zip(pts, bulk, grads):
         assert value == pytest.approx(f.eval(row))
         assert grad == pytest.approx(f.grad(row))
@@ -193,9 +191,9 @@ def test_vectorized_matches_scalar():
 
 def test_vectorized_nan_on_domain_error():
     f = ScalarField.parse("ln(x1)", 1)
-    out = f.vectorized()(np.array([[1.0], [-1.0]]))
-    assert out[0] == 0.0
-    assert math.isnan(out[1])
+    out, grads = f.vectorized()(np.array([[1.0], [-1.0]]))
+    assert out[0] == 0.0 and grads[0, 0] == 1.0
+    assert math.isnan(out[1]) and math.isnan(grads[1, 0])
 
 
 @given(st.text(max_size=40))
@@ -269,7 +267,7 @@ def test_constant_exponents_are_integer_powers(source, x, value):
     f = ScalarField.parse(source, 1)
     assert f.eval([x]) == value
     assert eval_dual(f, [x]) == value
-    assert f.vectorized()(np.array([[x]]))[0] == value
+    assert f.vectorized()(np.array([[x]]))[0][0] == value
 
 
 def _walker_folded_power(base, exponent):
@@ -347,14 +345,35 @@ def test_vectorized_nan_where_scalar_raises(source, x):
         f.value_and_grad([x])
     with pytest.raises((DomainError, NonFiniteResult)):
         eval_dual(f, [x])
-    assert math.isnan(f.vectorized()(np.array([[x]]))[0])
+    values, grads = f.vectorized()(np.array([[x]]))
+    assert math.isnan(values[0]) and np.isnan(grads).all()
 
 
 def test_overflowing_literal_is_non_finite():
+    """An overflowing literal makes the field non-finite everywhere, so its
+    numpy row is nan, not the infinite value."""
     f = ScalarField.parse("x1 * 1e999", 1)
     with pytest.raises(NonFiniteResult):
         f.value_and_grad([1.0])
-    assert f.vectorized()(np.array([[1.0]]))[0] == math.inf
+    values, grads = f.vectorized()(np.array([[1.0]]))
+    assert math.isnan(values[0]) and np.isnan(grads).all()
+
+
+def test_numpy_gradient_is_one_generated_function(monkeypatch):
+    """One numpy function per field gives its values, all its partials and
+    its nan rows, whatever the dimension and however many guards it has."""
+    define, names = expr._define, []
+
+    def counted(name, src, namespace):
+        names.append(name)
+        return define(name, src, namespace)
+
+    monkeypatch.setattr(expr, "_define", counted)
+    for source, n in [("x1", 1), ("sqrt(x1) / x2 + ln(x3)", 3),
+                      ("(x1^2*x3^2 + x1^3 - x2^2)^2", 3), ("7", 16)]:
+        ScalarField.parse(source, n).vectorized()
+        assert names == ["_vec"]
+        names.clear()
 
 
 _REL = 1e-12
@@ -430,8 +449,8 @@ def _check_derivatives(f, points):
     gives it; where the nested duals give second derivatives, its compiled
     gradient gives them too.
     """
-    partials = [ScalarField(2, derivative(f.body, a), f"d{a + 1}")
-                for a in range(2)]
+    partials = [ScalarField(f.dimension, derivative(f.body, a), f"d{a + 1}")
+                for a in range(f.dimension)]
     for point in points:
         grad = _defined(grad_dual, f, point)
         if grad is None:
@@ -447,8 +466,9 @@ def _check_derivatives(f, points):
 
 
 def _copied_column(node, points):
-    """A value column as the numpy backend used to make it: the numpy
-    emitter's lines, nan where a check holds, then broadcast and copied."""
+    """A value column as a value-only numpy function would make it: the
+    numpy emitter's lines, nan where a check holds, then broadcast and
+    copied."""
     em = expr._Emitter(numpy=True)
     value = em.emit(node)
     tests = [f"({line.test})" for line in em.lines
@@ -473,120 +493,95 @@ def _copied_column(node, points):
 @example("(x1 / x2)", [(1.0, 0.0)])  # a nan row where a check holds
 @settings(max_examples=300, deadline=None)
 def test_numpy_columns_are_fresh_and_keep_their_bits(source, points):
-    """The value and gradient functions return fresh float arrays, which
-    never share memory with the points or with another call's array, and
-    have the bits of the values computed: a value column those of the copy
-    it used to be, a finite gradient row those of its partials' columns."""
+    """A field's numpy function returns columns of a fresh float array,
+    which never shares memory with the points or with another call's, and
+    has the bits of the values computed: in a row that is not nan, the
+    value and each partial have those of their own value-only column."""
     points = np.array(points)
-    node = parse(source, 2)
-    partials = [derivative(node, a) for a in range(2)]
-    for fn, oracle in [
-            (expr.compile_vectorized(node), _copied_column(node, points)),
-            (expr.compile_vectorized(partials[0]),
-             _copied_column(partials[0], points)),
-            (expr.compile_vectorized_gradient(node, 2),
-             np.stack([_copied_column(d, points) for d in partials], 1))]:
-        column, again = fn(points), fn(points)
-        assert column.dtype == float and column.shape == oracle.shape
-        assert column.flags.c_contiguous and column.flags.owndata
-        finite = np.isfinite(column).reshape(len(points), -1).all(axis=1)
-        assert column[finite].tobytes() == oracle[finite].tobytes()
-        if column.ndim == 1:
-            assert column.tobytes() == oracle.tobytes()
-        assert not np.shares_memory(column, points)
-        assert not np.shares_memory(column, again)
+    f = ScalarField.parse(source, 2)
+    nodes = [f.body] + [derivative(f.body, a) for a in range(2)]
+    oracle = np.stack([_copied_column(node, points) for node in nodes], 1)
+    values, grads = out = f.vectorized()(points)
+    again = f.vectorized()(points)
+    assert values.dtype == grads.dtype == float
+    assert values.shape == (len(points),) and grads.shape == (len(points), 2)
+    defined = ~np.isnan(values)
+    assert np.isnan(grads[~defined]).all()
+    assert values[defined].tobytes() == oracle[defined, 0].tobytes()
+    assert grads[defined].tobytes() == oracle[defined, 1:].tobytes()
+    for array in out:
+        assert not np.shares_memory(array, points)
+        assert not any(np.shares_memory(array, other) for other in again)
 
 
 _CORPUS_FIELDS = [(fld.source, fld.dimension) for problem in harness.corpus()
                   for fld in (problem.potential, problem.f)]
 
 
-@given(st.one_of(_EXPRESSIONS.map(lambda source: (source, 2)),
-                 st.sampled_from(_CORPUS_FIELDS)),
+@given(st.one_of(
+           st.tuples(st.lists(_EXPRESSIONS, min_size=1, max_size=3),
+                     st.just(2)),
+           st.sampled_from(_CORPUS_FIELDS).map(lambda f: ([f[0]], f[1]))),
        st.lists(st.tuples(_COORDS, _COORDS, _COORDS), min_size=1,
                 max_size=4))
 # the gradient keeps a sqrt's check at 0 that an outer zeroth power drops
-@example(("(-(sqrt(x1))^(0))", 2), [(0.0, 0.0, 0.0)])
+@example((["(-(sqrt(x1))^(0))"], 2), [(0.0, 0.0)])
 # the quotient rule's squared divisor underflows; a literal 0 is no zero
-@example(("(0 / x2)", 2), [(0.0, 6.774893096905552e-256, 0.0)])
+@example((["(0 / x2)"], 2), [(0.0, 6.774893096905552e-256)])
 # ... also where an outer zeroth power drops the quotient rule
-@example(("(-((x1)^((0 - 1)))^(0))", 2), [(7.537836242473134e-296, 0.0, 0.0)])
-# the value overflows where no check holds and the partial is finite
-@example(("((x1 + 1e308) + 1e308)", 2), [(0.0, 0.0, 0.0)])
-@settings(max_examples=500, deadline=None)
-def test_numpy_gradient_is_nan_exactly_where_scalar_raises(field, points):
-    """A row of ``vectorized_gradient`` is non-finite exactly where
-    ``value_and_grad`` raises, and elsewhere has the bits of the partials'
-    own numpy columns."""
-    source, n = field
-    f = ScalarField.parse(source, n)
-    points = np.array(points)[:, :n]
-    rows = f.vectorized_gradient()(points)
-    columns = np.stack([expr.compile_vectorized(derivative(f.body, a))(points)
-                        for a in range(n)], axis=1)
-    for point, row, oracle in zip(points, rows, columns):
-        defined = _defined(f.value_and_grad, point) is not None
-        assert defined == np.all(np.isfinite(row))
-        if defined:
-            assert row.tobytes() == oracle.tobytes()
-
-
-def test_numpy_gradient_is_one_generated_function(monkeypatch):
-    """One numpy function per field gives all its partials and its nan
-    rows, whatever the dimension and however many guards it has."""
-    define, names = expr._define, []
-
-    def counted(name, src, namespace):
-        names.append(name)
-        return define(name, src, namespace)
-
-    monkeypatch.setattr(expr, "_define", counted)
-    for source, n in [("x1", 1), ("sqrt(x1) / x2 + ln(x3)", 3),
-                      ("(x1^2*x3^2 + x1^3 - x2^2)^2", 3), ("7", 16)]:
-        ScalarField.parse(source, n).vectorized_gradient()
-        assert names == ["_vec"]
-        names.clear()
-
-
-@given(st.lists(_EXPRESSIONS, min_size=1, max_size=3),
-       st.lists(st.tuples(_COORDS, _COORDS), min_size=1, max_size=4))
-# the gradient keeps a sqrt's check at 0 that an outer zeroth power drops
-@example(["(-(sqrt(x1))^(0))"], [(0.0, 0.0)])
-# the quotient rule's squared divisor underflows; a literal 0 is no zero
-@example(["(0 / x2)"], [(0.0, 6.774893096905552e-256)])
-# ... also where an outer zeroth power drops the quotient rule
-@example(["(-((x1)^((0 - 1)))^(0))"], [(7.537836242473134e-296, 0.0)])
+@example((["(-((x1)^((0 - 1)))^(0))"], 2), [(7.537836242473134e-296, 0.0)])
 # a negated literal under a power
-@example(["(-((-1))^(18))"], [(0.0, 0.0)])
+@example((["(-((-1))^(18))"], 2), [(0.0, 0.0)])
 # cancellations that magnify the last bit in which numpy's exp may differ
 # from math's
-@example(["(1 + (-(x2)^(x2)))"], [(0.0, 1.192092896e-07)])
-@example(["(x1 - (3)^(x2))"], [(1.0, -1e-12)])
+@example((["(1 + (-(x2)^(x2)))"], 2), [(0.0, 1.192092896e-07)])
+@example((["(x1 - (3)^(x2))"], 2), [(1.0, -1e-12)])
+# the value overflows where no check holds and the partial is finite
+@example((["((x1 + 1e308) + 1e308)"], 2), [(0.0, 0.0)])
+# undefined values and gradients, and constants that fold to nan or overflow
+@example((["x1^0.5"], 1), [(0.0,), (-1.0,)])
+@example((["ln(x1)^0"], 1), [(-1.0,)])
+@example((["x1^(1/0)"], 1), [(2.0,)])
+@example((["1/(x1 - x1)"], 1), [(1.0,)])
+@example((["((cos(x1))^-14)^-20"], 1), [(1.5,)])
+@example((["x1 + 2^2000"], 1), [(1.0,)])
+@example((["x1 * 1e999"], 1), [(1.0,)])  # an overflowing literal
+# one generated function whatever the dimension and the guards
+@example((["x1"], 1), [(0.5,)])
+@example((["sqrt(x1) / x2 + ln(x3)"], 3), [(1.0, 2.0, 3.0), (0.0, 1.0, 1.0)])
+@example((["(x1^2*x3^2 + x1^3 - x2^2)^2"], 3), [(1.0, -1.0, 0.5)])
+@example((["7"], 16), [(0.25,) * 16])
 @settings(max_examples=1000, deadline=None)
-def test_backends_agree(sources, points):
-    fields = [ScalarField.parse(source, 2) for source in sources]
+def test_backends_agree(fields, points):
+    """The backends agree on every expression, in value and in where it is
+    defined. value_and_grad raises exactly where the dual reference's value
+    or gradient does, and elsewhere agrees with them. A field's one numpy
+    function gives a row that is nan exactly where
+    value_and_grad raises, and elsewhere its value and gradient to the same
+    tolerance; they are held to the walker over numpy's exp and log, since
+    numpy's may round a last bit unlike math's."""
+    sources, n = fields
+    points = np.array(points, dtype=float)[:, :n]
+    fields = [ScalarField.parse(source, n) for source in sources]
     for f in fields:
-        bulk = f.vectorized()(np.array(points))
-        bulk_grads = f.vectorized_gradient()(np.array(points))
-        for point, vec_value, vec_grad in zip(points, bulk, bulk_grads):
+        values, grads = f.vectorized()(points)
+        for point, vec_value, vec_grad in zip(points.tolist(), values, grads):
             value = _defined(eval_dual, f, point)
             grad = _defined(grad_dual, f, point)
             fast = _defined(f.value_and_grad, point)
-            assert (value is None) == (not math.isfinite(vec_value))
             assert (fast is None) == (value is None or grad is None)
-            # the bulk gradient is defined where the scalar one is
-            assert (fast is None) == (
-                value is None or not np.all(np.isfinite(vec_grad)))
-            if value is not None:  # numpy's exp and log against numpy's
-                assert _close(vec_value, eval_numpy(f, point))
+            assert (fast is None) == math.isnan(vec_value) \
+                == np.isnan(vec_grad).all()
             if fast is not None:
                 assert _close(fast[0], value)
                 assert all(map(_close, fast[1], grad))
-        _check_derivatives(f, points)
+                assert _close(vec_value, eval_numpy(f, point))
+                assert all(map(_close, vec_grad, grad_numpy(f, point)))
+        _check_derivatives(f, points.tolist())
 
     # compiled together, each field gives its own bits and its own errors
-    group = compile_fields(fields, 2)
-    for point in points:
+    group = compile_fields(fields, n)
+    for point in points.tolist():
         _assert_like_fields_in_order(group, fields, point)
 
 
@@ -607,7 +602,7 @@ def test_magnetic_tensor_has_the_bits_of_the_field_jacobian(sources, points):
     form = OneForm(n, [ScalarField.parse(source, n) for source in sources])
     points = np.array(points)
     rows, bad = magnetic_tensor_rows(form, points)
-    columns = np.stack([fld.vectorized_gradient()(points)
+    columns = np.stack([fld.vectorized()(points)[1]
                         for fld in form.components], axis=1)
     for point, row, row_bad, jac in zip(points, rows, bad, columns):
         tensor, error = _outcome(magnetic_tensor, form, point)
@@ -694,7 +689,7 @@ def test_each_backend_folds_constants_with_its_own_functions(function,
     scalar = {"exp": math.exp, "ln": math.log}[function](argument)
     bulk = {"exp": np.exp, "ln": np.log}[function](np.array([argument]))
     assert f.eval([1.0]) == scalar
-    assert f.vectorized()(np.array([[1.0]]))[0] == bulk[0]
+    assert f.vectorized()(np.array([[1.0]]))[0][0] == bulk[0]
 
 
 @pytest.mark.parametrize("x", [-1.0, 0.0, 3.0])
@@ -710,5 +705,5 @@ def test_field_undefined_everywhere_raises_at_every_point(x, source, error,
     with pytest.raises(error) as err:
         f.value_and_grad([x])
     assert str(err.value) == f"{message.format(source)} point ({x!r})"
-    assert np.isnan(f.vectorized()(np.array([[x]]))).all()
-    assert np.isnan(f.vectorized_gradient()(np.array([[x]]))).all()
+    values, grads = f.vectorized()(np.array([[x]]))
+    assert np.isnan(values).all() and np.isnan(grads).all()

@@ -1,6 +1,7 @@
 """Riemannian point computations against hand and finite-difference oracles."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from instab import expr, geometry
 from instab.dynamics import LagrangianSystem, State, el_acceleration
-from instab.errors import DomainError, SingularMetric
+from instab.errors import DomainError, NonFiniteResult, SingularMetric
 from instab.expr import ScalarField
 from instab.geometry import (
     GRADIENT_FLOOR,
@@ -111,6 +112,27 @@ def test_normalized_gradient_jacobian_on_curved_metric():
         for c, e in enumerate(np.eye(3) * h):
             central = (vec(p + e) - vec(p - e)) / (2 * h)
             assert dx_vec[:, c] == pytest.approx(central, rel=1e-6, abs=1e-6)
+
+
+# x1 - ln(x3)/2 and its partials and Hessian are finite there, but w_c =
+# 2 grad f · H e_c overflows
+OVERFLOWING_DX = ("x1 - ln(x3)/2", [0.0, 0.0, 7e-104])
+
+
+@pytest.mark.parametrize("sources", [None, CRITERION_10])
+def test_normalized_gradient_jacobian_raises_where_a_term_overflows(sources):
+    metric = MetricSpec(3) if sources is None \
+        else MetricSpec.from_sources(3, sources)
+    source, point = OVERFLOWING_DX
+    f = ScalarField.parse(source, 3)
+    f.hessian(point)  # finite: the overflow is in DX's own terms
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and numpy warns of none of it
+        with pytest.raises(NonFiniteResult) as err:
+            normalized_gradient_jacobian(metric, f, point, GRADIENT_FLOOR)
+    assert str(err.value) == (
+        f"Jacobian of the normalized gradient of field {source!r} is not "
+        f"finite at point (0.0, 0.0, 7e-104)")
 
 
 def _reference(metric, point):
