@@ -11,14 +11,14 @@ quantized coordinates. A Jacobian integrates the variational equation
 J' = DX·J of each flow next to the flow itself, with DX exact from the
 Hessian of the level function, so the only error left is the integrator's.
 
-Every flow solve is one branch of the adaptive Dormand-Prince 5(4) stepper
-that integrates the equations of motion (``dynamics``), at rtol = atol =
+Every flow solve is one branch of the adaptive DOP853 stepper that
+integrates the equations of motion (``dynamics``), at rtol = atol =
 FLOW_TOL and with no step cap. On a Euclidean metric the flow field,
 X = df/|df|^2 and for a Jacobian flow also DX·J, is ASTs over the level
 field's partials, compiled by ``expr.compile_kernel`` once per field;
 ``normalized_gradient`` or ``normalized_gradient_jacobian`` decides where
-the kernel's code fails, and on a curved metric. Each chart counts its
-flow solves and its memo hits.
+the kernel's code fails or an output is not finite, and on a curved
+metric. Each chart counts its flow solves and its memo hits.
 """
 
 from __future__ import annotations
@@ -97,7 +97,8 @@ def _flow_kernel(fld, columns, reference):
     J_cj with w_c = 2 sum_b df_b H_bc, with structural zeros folded away
     (``geometry._fold``), so an identically zero DX costs no product.
 
-    At or within rounding of FLOW_GRADIENT_FLOOR the reference decides.
+    At or within rounding of FLOW_GRADIENT_FLOOR the reference decides,
+    and so it does where an output is not finite, as where DX overflows.
     """
     n = fld.dimension
     partials = partial_fields(fld)
@@ -117,7 +118,8 @@ def _flow_kernel(fld, columns, reference):
                        for c in range(n))
                 for a in range(n) for j in range(columns)]
     floor_sq = FLOW_GRADIENT_FLOOR ** 2 * (1.0 + 1e-9)
-    return compile_kernel(fields, n, out, reference, guards=[(s, floor_sq)])
+    return compile_kernel(fields, n, out, reference, guards=[(s, floor_sq)],
+                          label=f"the flow of {fld.label}")
 
 
 def compile_flow(metric, fld, columns=0):
@@ -137,8 +139,8 @@ def compile_flow(metric, fld, columns=0):
 def solve_ivp(field, arg, start, t):
     """The time-``t`` state of y' = field(y, arg) from ``start``, a tuple.
 
-    One gridless Dormand-Prince branch at rtol = atol = FLOW_TOL with no
-    step cap; every flow solve of a chart comes through here.
+    One gridless DOP853 branch at rtol = atol = FLOW_TOL with no step cap;
+    every flow solve of a chart comes through here.
     """
     return _solve_branch(field, arg, start, t, _FLOW_TOLERANCES, math.inf)
 

@@ -2,17 +2,18 @@
 
 The Lagrangian is kinetic energy plus a gyroscopic one-form term minus a
 potential; in the rescaled variant the one-form carries a 1/eps factor and
-the potential 1/eps^2. The integrator is an in-repo adaptive Dormand-Prince
-5(4) pair with scipy RK45's tableau, initial step, RMS error norm and step
-controller, and a step cap of eps/10 for rescaled systems, since the
-transverse oscillation frequency scales like 1/eps. The cap takes effect
-at a branch's first live try, one where some stage's acceleration is
-nonzero: on a valley of U, where the rescaled force is exactly zero, there
-is no oscillation to resolve, and the straight-line steps grow freely. An
-explicit ``Tolerances.max_step`` is a hard cap from the first step. It
-steps on plain floats: the stage arithmetic is generated once per state
-size, and the quartic dense output is evaluated only at the uniform grid
-times. The same stepper solves the chart flows (``charts``), uncapped and
+the potential 1/eps^2. The integrator is an in-repo adaptive DOP853, the
+8(5,3) pair of Hairer with its 7th-order dense output, with scipy DOP853's
+tableau, initial step, error norm and step controller, and a step cap of
+eps for rescaled systems, since the transverse oscillation has period
+2 pi eps. The cap takes effect at a branch's first live try, one where
+some stage's acceleration is nonzero: on a valley of U, where the
+rescaled force is exactly zero, there is no oscillation to resolve, and
+the straight-line steps grow freely. An explicit ``Tolerances.max_step``
+is a hard cap from the first step. It steps on plain floats: the stage
+arithmetic is generated once per state size, and the interpolant's three
+extra stages run only for the steps that reach the uniform grid times.
+The same stepper solves the chart flows (``charts``), uncapped and
 without grid times, keeping only the end state. A branch that spends its
 step budget, as against a stiff wall, raises instead of shrinking its
 steps without bound. Every run reduces its conserved energy, speed,
@@ -41,7 +42,10 @@ metric's call gives g^-1 and the Christoffel symbols together, from a
 Cholesky factorization in generated code (see ``geometry``). Straight-line
 generated code, one function per dimension, form present and metric
 curved (``_contraction``), contracts them into the force and the
-acceleration, summing the gyroscopic term in the kernel's order.
+acceleration, summing the gyroscopic term in the kernel's order. Both
+raise NonFiniteResult naming the state where an acceleration overflows
+though every field is finite, so a run names the point instead of
+rejecting steps there.
 """
 
 from __future__ import annotations
@@ -68,6 +72,7 @@ from .expr import (
     Bin,
     Num,
     Var,
+    _not_finite,
     compile_kernel,
     define_scalar,
     derivative,
@@ -79,6 +84,7 @@ GRID_POINTS = 513  # uniform tau samples over [-T, T], including tau = 0
 BLOCK_ROWS = 512  # accepted steps per float64 block of a branch's log
 CAP_RELATIVE = 1e-9  # a step within this share of the cap counts as capped
 ENERGY_DRIFT_GATE = 1e-6  # criterion 1's bound on the relative energy drift
+ACCELERATION = "the acceleration"  # as its NonFiniteResult names it
 
 
 @dataclass
@@ -114,8 +120,8 @@ class State:
 class Tolerances:
     abs: float = 1e-10
     rel: float = 1e-10
-    # a hard cap from the first step if set; the eps/10 default waits for
-    # the first try with a nonzero acceleration
+    # a hard cap from the first step if set; the default cap, eps, waits
+    # for the first try with a nonzero acceleration
     max_step: float | None = None
 
     def __post_init__(self):
@@ -132,7 +138,9 @@ def el_acceleration(system, state) -> np.ndarray:
           - (1/eps^2) g^{ab} d_b U
     with F_{ab} the magnetic tensor of the one-form, contracted by
     ``_contraction``. The sign of the gyroscopic term is pinned by the
-    adapted-coordinate residual test in the test suite.
+    adapted-coordinate residual test in the test suite. Where a term
+    overflows though every field is finite, it raises NonFiniteResult
+    naming the state (x, v), as the generated motion kernel does.
     """
     x, v = state.x, state.v
     metric = system.metric
@@ -144,7 +152,10 @@ def el_acceleration(system, state) -> np.ndarray:
         ginv = metric.inverse(x)
         gamma = metric.christoffel(x)
     contract = _contraction(len(x), f_tensor is not None, ginv is not None)
-    return np.array(contract(system.inv_eps, v, du, f_tensor, ginv, gamma))
+    acc = contract(system.inv_eps, v, du, f_tensor, ginv, gamma)
+    if sum(acc) * 0.0 != 0.0 and not all(map(math.isfinite, acc)):
+        raise _not_finite(ACCELERATION, [*x, *v])
+    return np.array(acc)
 
 
 def _unpacked(symbol, *shape):
@@ -371,7 +382,8 @@ def _motion_kernel(system, fields):
         term = Bin("*", Num(-(e * e)), du[b])
         acc.append(Bin("-", term, Bin("*", Num(e), sum_nodes(gyro)))
                    if gyro else term)
-    return compile_kernel(fields, n, [Var(n + a) for a in range(n)] + acc)
+    return compile_kernel(fields, n, [Var(n + a) for a in range(n)] + acc,
+                          label=ACCELERATION)
 
 
 def compile_motion(system):
@@ -390,83 +402,161 @@ def compile_motion(system):
     return system.potential.code(key, _motion_kernel, system, fields)
 
 
-# --- Dormand-Prince 5(4) --------------------------------------------------
+# --- DOP853 ----------------------------------------------------------------
 
-# The Dormand-Prince pair (J. Comput. Appl. Math. 6, 1980) with Shampine's
-# quartic dense output (Math. Comp. 46, 1986), in scipy's RK45 arrangement.
-_A = ((1 / 5,),
-      (3 / 40, 9 / 40),
-      (44 / 45, -56 / 15, 32 / 9),
-      (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-      (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
-_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200,
-      -22 / 525, 1 / 40)
-_P = np.array([
-    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
-     -12715105075 / 11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-     87487479700 / 32700410799],
-    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
-     -10690763975 / 1880347072],
-    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-     701980252875 / 199316789632],
-    [0, -282668133 / 205662961, 2019193451 / 616988883,
-     -1453857185 / 822651844],
-    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
+# Hairer's DOP853, the 8(5,3) pair with its 7th-order dense output (Hairer,
+# Norsett & Wanner, Solving ODEs I, II.5 and II.10), in scipy's arrangement
+# and with its values. _A[s - 1] is row s of the extended tableau, sparse:
+# stages 1-11 of a step, then the 8th-order weights B (row 12, at which
+# f(y_new) is taken), then the interpolant's three extra stages. The
+# equations are autonomous, so the nodes C are not needed.
+_A = (
+    {0: 0.05260015195876773},
+    {0: 0.0197250569845379, 1: 0.0591751709536137},
+    {0: 0.02958758547680685, 2: 0.08876275643042054},
+    {0: 0.2413651341592667, 2: -0.8845494793282861, 3: 0.924834003261792},
+    {0: 0.037037037037037035, 3: 0.17082860872947386, 4: 0.12546768756682242},
+    {0: 0.037109375, 3: 0.17025221101954405, 4: 0.06021653898045596,
+     5: -0.017578125},
+    {0: 0.03709200011850479, 3: 0.17038392571223998, 4: 0.10726203044637328,
+     5: -0.015319437748624402, 6: 0.008273789163814023},
+    {0: 0.6241109587160757, 3: -3.3608926294469414, 4: -0.868219346841726,
+     5: 27.59209969944671, 6: 20.154067550477894, 7: -43.48988418106996},
+    {0: 0.47766253643826434, 3: -2.4881146199716677, 4: -0.590290826836843,
+     5: 21.230051448181193, 6: 15.279233632882423, 7: -33.28821096898486,
+     8: -0.020331201708508627},
+    {0: -0.9371424300859873, 3: 5.186372428844064, 4: 1.0914373489967295,
+     5: -8.149787010746927, 6: -18.52006565999696, 7: 22.739487099350505,
+     8: 2.4936055526796523, 9: -3.0467644718982196},
+    {0: 2.273310147516538, 3: -10.53449546673725, 4: -2.0008720582248625,
+     5: -17.9589318631188, 6: 27.94888452941996, 7: -2.8589982771350235,
+     8: -8.87285693353063, 9: 12.360567175794303, 10: 0.6433927460157636},
+    {0: 0.054293734116568765, 5: 4.450312892752409, 6: 1.8915178993145003,
+     7: -5.801203960010585, 8: 0.3111643669578199, 9: -0.1521609496625161,
+     10: 0.20136540080403034, 11: 0.04471061572777259},
+    {0: 0.056167502283047954, 6: 0.25350021021662483, 7: -0.2462390374708025,
+     8: -0.12419142326381637, 9: 0.15329179827876568, 10: 0.00820105229563469,
+     11: 0.007567897660545699, 12: -0.008298},
+    {0: 0.03183464816350214, 5: 0.028300909672366776, 6: 0.053541988307438566,
+     7: -0.05492374857139099, 10: -0.00010834732869724932,
+     11: 0.0003825710908356584, 12: -0.00034046500868740456,
+     13: 0.1413124436746325},
+    {0: -0.42889630158379194, 5: -4.697621415361164, 6: 7.683421196062599,
+     7: 4.06898981839711, 8: 0.3567271874552811, 12: -0.0013990241651590145,
+     13: 2.9475147891527724, 14: -9.15095847217987},)
+_E3 = {0: -0.18980075407240762, 5: 4.450312892752409, 6: 1.8915178993145003,
+       7: -5.801203960010585, 8: -0.4226823213237919, 9: -0.1521609496625161,
+       10: 0.20136540080403034, 11: 0.02265179219836082}
+_E5 = {0: 0.01312004499419488, 5: -1.2251564463762044, 6: -0.4957589496572502,
+       7: 1.6643771824549864, 8: -0.35032884874997366, 9: 0.3341791187130175,
+       10: 0.08192320648511571, 11: -0.022355307863886294}
+_D = (
+    {0: -8.428938276109013, 5: 0.5667149535193777, 6: -3.0689499459498917,
+     7: 2.38466765651207, 8: 2.117034582445028, 9: -0.871391583777973,
+     10: 2.2404374302607883, 11: 0.6315787787694688, 12: -0.08899033645133331,
+     13: 18.148505520854727, 14: -9.194632392478356, 15: -4.436036387594894},
+    {0: 10.427508642579134, 5: 242.28349177525817, 6: 165.20045171727028,
+     7: -374.5467547226902, 8: -22.113666853125306, 9: 7.733432668472264,
+     10: -30.674084731089398, 11: -9.332130526430229, 12: 15.697238121770845,
+     13: -31.139403219565178, 14: -9.35292435884448, 15: 35.81684148639408},
+    {0: 19.985053242002433, 5: -387.0373087493518, 6: -189.17813819516758,
+     7: 527.8081592054236, 8: -11.57390253995963, 9: 6.8812326946963,
+     10: -1.0006050966910838, 11: 0.7777137798053443, 12: -2.778205752353508,
+     13: -60.19669523126412, 14: 84.32040550667716, 15: 11.99229113618279},
+    {0: -25.69393346270375, 5: -154.18974869023643, 6: -231.5293791760455,
+     7: 357.6391179106141, 8: 93.40532418362432, 9: -37.45832313645163,
+     10: 104.0996495089623, 11: 29.8402934266605, 12: -43.53345659001114,
+     13: 96.32455395918828, 14: -39.17726167561544, 15: -149.72683625798564},)
+_B = _A[11]
 SAFETY = 0.9  # times the step the error estimate asks for
 MIN_FACTOR = 0.2  # smallest step change after a rejection
 MAX_FACTOR = 10.0  # largest step change after an acceptance
-ERROR_EXPONENT = -1 / 5  # the embedded 4th-order estimate's error ~ h^5
+ERROR_EXPONENT = -1 / 8  # the embedded 7th-order estimate's error ~ h^8
 MIN_RTOL = 100 * np.finfo(float).eps  # smaller relative tolerances are raised
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 # A branch may try TRIES_PER_CAPPED_STEP steps per step of its cap over its
-# span, and MIN_TRIES whatever its cap, before it gives up: a stiff wall
-# would otherwise shrink the steps without bound while the samples pile up.
-TRIES_PER_CAPPED_STEP = 100
+# span, 100 per tenth of eps on a rescaled branch, and MIN_TRIES whatever
+# its cap, before it gives up: a stiff wall would otherwise shrink the
+# steps without bound while the samples pile up.
+TRIES_PER_CAPPED_STEP = 1000
 MIN_TRIES = 20_000
+STAGE_EVALUATIONS = 12  # right-hand-side evaluations per try
+DENSE_EVALUATIONS = 3  # further ones per step that reaches a grid time
+
+
+def _combination(coefficients, i):
+    """sum_j c_j k(j+1)_i over the nonzero c_j, in order, as source."""
+    return " + ".join(f"k{j + 1}_{i} * {c!r}"
+                      for j, c in coefficients.items())
+
+
+def _stage_lines(m, rows, first):
+    """Source of the stages k``first``... from the tableau ``rows``, each
+    f at y + h * (its combination of the stages before it), unpacked."""
+    lines = ""
+    for s, row in enumerate(rows, start=first):
+        stage = "".join(f"y{i} + ({_combination(row, i)}) * h, "
+                        for i in range(m))
+        lines += (f"    k{s} = f(({stage}), arg)\n"
+                  f"    {_unpacked(f'k{s}_', m)}= k{s}\n")
+    return lines
 
 
 @functools.cache
 def _stepper(m):
-    """One Dormand-Prince step over a state of m floats, unrolled.
+    """One DOP853 step over a state of m floats, unrolled.
 
     ``step(f, arg, y, k1, h, rtol, atol)`` takes k1 = f(y, arg) and returns
-    the 5th-order state, its derivative, the RMS norm of the embedded error
-    scaled by atol + rtol * max(|y|, |y_new|), and the seven stages.
+    the 8th-order state, its derivative, scipy's error norm, and the
+    thirteen stages, k13 the derivative. The norm is
+    |h| e5 / sqrt((e5 + e3 / 100) m), with e5 and e3 the sums over i of
+    the squares of the E5 and E3 combinations of the stages' entries i,
+    each divided by atol + rtol * max(|y_i|, |y_new_i|).
     """
     idx = range(m)
-
-    def combination(coefficients, i):
-        return " + ".join(f"k{j + 1}_{i} * {c!r}"
-                          for j, c in enumerate(coefficients) if c)
-
-    def unpack(stage):
-        return f"    {''.join(f'{stage}_{i}, ' for i in idx)}= {stage}\n"
-
     src = ("def _step(f, arg, y, k1, h, rtol, atol):\n"
-           f"    {''.join(f'y{i}, ' for i in idx)}= y\n" + unpack("k1"))
-    for s, row in enumerate(_A, start=2):
-        stage = "".join(f"y{i} + ({combination(row, i)}) * h, " for i in idx)
-        src += f"    k{s} = f(({stage}), arg)\n" + unpack(f"k{s}")
-    src += "".join(f"    n{i} = y{i} + h * ({combination(_B, i)})\n"
+           f"    {_unpacked('y', m)}= y\n    {_unpacked('k1_', m)}= k1\n"
+           + _stage_lines(m, _A[:11], 2))
+    src += "".join(f"    n{i} = y{i} + h * ({_combination(_B, i)})\n"
                    for i in idx)
-    src += (f"    y_new = ({''.join(f'n{i}, ' for i in idx)})\n"
-            "    k7 = f(y_new, arg)\n" + unpack("k7"))
+    src += (f"    y_new = ({_unpacked('n', m)})\n"
+            "    k13 = f(y_new, arg)\n")
     for i in idx:  # max(|y_i|, |n_i|) without calls
         src += (f"    a{i} = y{i} if y{i} > 0.0 else -y{i}\n"
                 f"    b{i} = n{i} if n{i} > 0.0 else -n{i}\n"
-                f"    e{i} = ({combination(_E, i)}) * h / "
-                f"(atol + (a{i} if a{i} > b{i} else b{i}) * rtol)\n")
-    src += (f"    error = sqrt({' + '.join(f'e{i} * e{i}' for i in idx)})"
-            f" / {m ** 0.5!r}\n"
-            "    return y_new, k7, error, (k1, k2, k3, k4, k5, k6, k7)\n")
+                f"    s{i} = atol + (a{i} if a{i} > b{i} else b{i}) * rtol\n"
+                f"    p{i} = ({_combination(_E5, i)}) / s{i}\n"
+                f"    q{i} = ({_combination(_E3, i)}) / s{i}\n")
+    src += (f"    err5 = {' + '.join(f'p{i} * p{i}' for i in idx)}\n"
+            f"    err3 = {' + '.join(f'q{i} * q{i}' for i in idx)}\n"
+            "    den = err5 + 0.01 * err3\n"
+            f"    error = abs(h) * err5 / sqrt(den * {m}) if den else 0.0\n"
+            "    return y_new, k13, error, "
+            f"({''.join(f'k{s}, ' for s in range(1, 14))})\n")
     return define_scalar("_step", src)
 
 
+@functools.cache
+def _extra_stages(m):
+    """The three extra stages of a DOP853 step's dense output, unrolled.
+
+    ``extra(f, arg, y, h, stages)`` takes the step's thirteen stages and
+    returns k14, k15 and k16; ``_grid_states`` forms the interpolant.
+    """
+    used = sorted({j for row in _A[12:] for j in row if j < 13})
+    src = ("def _extra(f, arg, y, h, stages):\n"
+           f"    {_unpacked('y', m)}= y\n"
+           f"    {''.join(f'k{s}, ' for s in range(1, 14))}= stages\n"
+           + "".join(f"    {_unpacked(f'k{j + 1}_', m)}= k{j + 1}\n"
+                     for j in used)
+           + _stage_lines(m, _A[12:], 14)
+           + "    return k14, k15, k16\n")
+    return define_scalar("_extra", src)
+
+
 def _initial_step(f, arg, y0, k1, t_end, max_step, rtol, atol):
-    """Hairer, Norsett & Wanner's starting step, as scipy's RK45 takes it."""
+    """Hairer, Norsett & Wanner's starting step, as scipy's DOP853 takes
+    it."""
     def rms(values):
         return math.sqrt(sum(v * v for v in values)) / len(values) ** 0.5
 
@@ -481,28 +571,42 @@ def _initial_step(f, arg, y0, k1, t_end, max_step, rtol, atol):
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
     return min(100 * h0, h1, abs(t_end), max_step)
 
 
-def _dense(steps, times):
-    """The grid states from the quartic interpolants of the steps.
+def _grid_states(steps, times):
+    """The grid states from the 7th-order interpolants of the steps.
 
-    ``steps`` holds (t_old, t_new, y_old, stages, count) for each step that
-    reaches ``count`` further grid times, in order.
+    ``steps`` holds (t_old, t_new, y_old, y_new, stages, count) for each
+    step that reaches ``count`` further grid times, in order, with its
+    sixteen stages, flat or not. The interpolant's rows F0..F6 are
+    scipy's, F3..F6 the D combinations of the stages summed in D's order;
+    at x = (t - t_old)/h the state is
+    y_old + x (F0 + (1 - x) (F1 + x (F2 + ... + x F6))), summed as scipy's
+    ``Dop853DenseOutput`` sums it. Every operation is elementwise, so a
+    state has the same bits however the steps are grouped.
     """
-    t_old, t_new, y_old, stages, counts = zip(*steps)
+    t_old, t_new, y_old, y_new, stages, counts = zip(*steps)
+    t_old, y_old = np.array(t_old), np.array(y_old)
+    h = (np.array(t_new) - t_old)[:, None]
+    k = np.array(stages).reshape(len(steps), len(_A) + 1, -1)
+    k = k.transpose(1, 0, 2)  # (stage, step, entry)
+    d = np.array(y_new) - y_old
+    rows = [d, h * k[0] - d, 2 * d - h * (k[12] + k[0])]
+    for row in _D:
+        (first, c), *rest = row.items()
+        total = k[first] * c
+        for j, c in rest:
+            total += k[j] * c
+        rows.append(h * total)
     index = np.repeat(np.arange(len(steps)), counts)
-    start = np.array(t_old)[index]
-    h = (np.array(t_new) - np.array(t_old))[index]
-    q = np.swapaxes(np.array(stages), 1, 2).dot(_P)[index]  # (m, 4) each
-    x = (times - start) / h
-    # sum_k q_k x^(k+1) left to right, the same bits for any number of rows
-    total, power = 0.0, np.ones_like(x)
-    for k in range(4):
-        power = power * x
-        total = total + q[:, :, k] * power[:, None]
-    return h[:, None] * total + np.array(y_old)[index]
+    x = ((times - t_old[index]) / h[index, 0])[:, None]
+    y = np.zeros((len(index), y_old.shape[1]))
+    for i, row in enumerate(reversed(rows)):
+        y += row[index]
+        y *= x if i % 2 == 0 else 1 - x
+    return y + y_old[index]
 
 
 class _BranchLog:
@@ -539,7 +643,7 @@ class _BranchLog:
         if dense:
             count = sum(step[-1] for step in dense)
             self.grid_states.append(
-                _dense(dense, self.grid[self.read:self.read + count]))
+                _grid_states(dense, self.grid[self.read:self.read + count]))
             self.read += count
         if not self.forward:
             times, states = times[::-1], states[::-1]
@@ -590,22 +694,25 @@ def _naming(message, first_bad):
 
 def _solve_branch(f, arg, y0, t_end, tol, max_step, log=None,
                   gated=False):
-    """Adaptive Dormand-Prince steps from tau = 0 to exactly ``t_end``.
+    """Adaptive DOP853 steps from tau = 0 to exactly ``t_end``, with scipy
+    DOP853's initial step, error norm and step controller.
 
     A ``gated`` cap takes effect at the branch's first live try, one where
     a stage has a nonzero acceleration (entries n..2n-1); the branch then
     stays capped. A live try above the cap is retried at the cap and
     counts as rejected. Otherwise ``max_step`` caps every step.
 
-    Each of the ``log``'s grid times is read off the interpolant of the
-    first step that reaches it. The accepted steps are sealed into the log
-    every BLOCK_ROWS rows, with the steps that reach grid times, and the
-    log is returned. Without a log the branch keeps no samples and returns
-    its end state alone. A branch that has tried as many steps, accepted
-    or rejected, as its budget allows raises IntegrationError. A right-hand side that is not finite at y0
-    raises NonFiniteResult; the error that ends a branch after a stage or an
-    error estimate went non-finite names the tau and state of the step
-    where that first happened.
+    Each of the ``log``'s grid times is read off the 7th-order interpolant
+    of the first step that reaches it, whose three extra stages run only
+    for such steps. The accepted steps are sealed into the log every
+    BLOCK_ROWS rows, with the stages, flat, of the steps that reach grid
+    times, and the log is returned. Without a log the branch keeps no
+    samples and returns its end state alone. A branch that has tried as
+    many steps, accepted or rejected, as its budget allows raises
+    IntegrationError. A right-hand side that is not finite at y0 raises
+    NonFiniteResult; the error that ends a branch after a stage or an error
+    estimate went non-finite names the tau and state of the step where
+    that first happened.
     """
     direction = math.copysign(1.0, t_end)
     rtol, atol = max(tol.rel, MIN_RTOL), tol.abs
@@ -615,7 +722,7 @@ def _solve_branch(f, arg, y0, t_end, tol, max_step, log=None,
     if not all(map(math.isfinite, k1)):
         raise NonFiniteResult(
             f"the right-hand side is not finite {_where(0.0, y0)}")
-    nfev, rejected = 2, 0
+    tries = rejected = interpolated = 0
     t, y = 0.0, y0
     live = not gated  # whether max_step caps the steps yet
     n = len(y0) // 2
@@ -623,6 +730,8 @@ def _solve_branch(f, arg, y0, t_end, tol, max_step, log=None,
     if log is not None:
         block = BLOCK_ROWS
         times, states, dense = [t], [y], []
+        extra = _extra_stages(len(y0))
+        width = (len(_A) + 1) * len(y0)  # a step's sixteen stages, flat
         marks = (direction * log.grid).tolist()  # in steps' progress
         nxt = 0  # the first grid time not yet read
     try:
@@ -638,7 +747,7 @@ def _solve_branch(f, arg, y0, t_end, tol, max_step, log=None,
                 if h_abs < min_step:
                     raise StepSizeUnderflow(
                         _naming(TOO_SMALL_STEP, first_bad))
-                if nfev - 2 >= 6 * budget:  # six evaluations per try
+                if tries >= budget:
                     raise IntegrationError(_naming(
                         f"step budget of {budget:.0f} tries spent at tau = "
                         f"{t!r} of {t_end!r} from {format_point(y0)}",
@@ -648,8 +757,8 @@ def _solve_branch(f, arg, y0, t_end, tol, max_step, log=None,
                     t_new = t_end
                 h = t_new - t
                 h_abs = abs(h)
-                y_new, k7, error, stages = step(f, arg, y, k1, h, rtol, atol)
-                nfev += 6
+                y_new, k13, error, stages = step(f, arg, y, k1, h, rtol, atol)
+                tries += 1
                 if not live and any(a != 0.0 for k in stages for a in k[n:]):
                     live = True
                     if h_abs > max_step:
@@ -671,21 +780,27 @@ def _solve_branch(f, arg, y0, t_end, tol, max_step, log=None,
                 while end < len(marks) and marks[end] <= direction * t_new:
                     end += 1
                 if end > nxt:
-                    dense.append((t, t_new, y, stages, end - nxt))
+                    dense.append((t, t_new, y, y_new, np.fromiter(
+                        itertools.chain.from_iterable(
+                            stages + extra(f, arg, y, h, stages)),
+                        float, width), end - nxt))
+                    interpolated += 1
                     nxt = end
                 if len(times) >= block:  # so the last step seals last
                     log.seal(times, states, dense)
                     times, states, dense = [], [], []
                 times.append(t_new)
                 states.append(y_new)
-            t, y, k1 = t_new, y_new, k7
+            t, y, k1 = t_new, y_new, k13
     except NonFiniteResult as exc:
         raise NonFiniteResult(
             _naming(str(exc), first_bad or (t, y))) from exc
     if log is None:
         return y
     log.seal(times, states, dense, last=True)
-    log.rejected, log.nfev = rejected, nfev
+    log.rejected = rejected
+    log.nfev = (2 + STAGE_EVALUATIONS * tries
+                + DENSE_EVALUATIONS * interpolated)
     return log
 
 
@@ -693,10 +808,12 @@ def integrate(system, initial, horizon, tol=None,
               keep_log=False) -> Trajectory:
     """Integrate both time branches over [-T, 0] and [0, T].
 
-    Each branch is an adaptive Dormand-Prince 5(4) solve with scipy RK45's
-    initial step, RMS error norm and step controller. A rescaled system's
-    steps are capped at eps/10 from the branch's first try with a nonzero
-    acceleration; an explicit ``tol.max_step`` caps every step. The run
+    Each branch is an adaptive DOP853 solve with scipy DOP853's initial
+    step, error norm and step controller, and its grid states come from
+    the 7th-order interpolant. A rescaled system's steps are capped at eps
+    from the branch's first try with a nonzero acceleration; an explicit
+    ``tol.max_step`` caps every step. ``stats["nfev"]`` counts every
+    right-hand-side evaluation, the interpolants' included. The run
     keeps its step times, 8 bytes per accepted step in memory; with
     ``keep_log`` also the states, energies, U and speeds, 8 (2n + 4)
     bytes per step in a temporary file.
@@ -711,7 +828,7 @@ def integrate(system, initial, horizon, tol=None,
     if tol.max_step is not None:
         max_step = tol.max_step
     elif gated:
-        max_step = system.epsilon / 10.0
+        max_step = system.epsilon
     else:
         max_step = math.inf
 

@@ -574,7 +574,8 @@ def _first_error(fields, exc, point):
     return _not_finite(label, point)
 
 
-def compile_kernel(fields, n: int, outputs, decide=None, guards=()):
+def compile_kernel(fields, n: int, outputs, decide=None, guards=(),
+                   label=None):
     """Generate ``kernel(p, arg)``, the values of ``outputs`` at the point p.
 
     The one compiler of field kernels: its code computes the values and
@@ -582,22 +583,35 @@ def compile_kernel(fields, n: int, outputs, decide=None, guards=()):
     output ASTs, which share those symbols where they contain the fields'
     ``derivative`` ASTs; ``Var(i)`` reads p[i]. Where a field's value or
     partial is undefined or not finite, it raises the first such field's
-    own error, as its ``value_and_grad`` does. The outputs take no checks;
-    one that overflows is left as it is. With ``decide``, it returns
+    own error, as its ``value_and_grad`` does. With ``decide``, it returns
     ``decide(p, arg)`` instead, also where one of ``guards`` fails: each
     (node, bound) requires bound < node < inf, tested in order before the
     code that follows, which may divide by or take the root of its node.
+    The outputs take no checks unless the kernel has a ``label``: then it
+    tests the outputs it computes once, as it tests the fields, and where
+    one is not finite it returns ``decide(p, arg)``, or without ``decide``
+    raises NonFiniteResult naming the label and p. Kernels whose outputs
+    are what a caller computes with, not what it returns, go without: the
+    metric factors and the magnetic tensor feed ``el_acceleration``, which
+    tests the acceleration once and names the state (x, v), not x alone,
+    and ``compile_fields``'s outputs are the fields' tested values and
+    partials.
     """
     em, checked = _fields_code([fld.body for fld in fields], n)
     if checked:  # one test of them all, unless their sum overflows
-        em.lines.append(f"if ({' + '.join(checked)}) * 0.0 != 0.0 and not "
-                        f"all(map(isfinite, ({', '.join(checked)},))): "
-                        "raise OverflowError")
+        em.lines.append(_finite_test(checked, "raise OverflowError"))
     head = len(em.lines)
     for node, bound in guards:
         value = em.emit(node)
         em.check(f"not {bound!r} < {value} < inf", "below guard", value)
-    out = ", ".join(em.emit(node) for node in outputs)
+    symbols = [em.emit(node) for node in outputs]
+    computed = [s for s in dict.fromkeys(symbols) if s not in checked
+                and not s.startswith("p[")
+                and not (_literal(s) and math.isfinite(float(s)))]
+    if label is not None and computed:
+        em.lines.append(_finite_test(
+            computed, "return decide(p, arg)" if decide else
+            f"raise not_finite({label!r}, p)"))
     split = len(em.lines) if decide else head  # the code the try covers
     cold = ("return decide(p, arg)" if decide else
             f"raise first_error(fields, exc, p[:{n}]) from exc")
@@ -605,9 +619,17 @@ def compile_kernel(fields, n: int, outputs, decide=None, guards=()):
            f"    try:\n{_scalar_body(em.lines[:split], '        ')}"
            "    except (DomainError, ArithmeticError, ValueError) as exc:\n"
            f"        {cold}\n{_scalar_body(em.lines[split:], '    ')}"
-           f"    return ({out},)\n")
+           f"    return ({', '.join(symbols)},)\n")
     return define_scalar("_kernel", src, decide=decide, fields=fields,
-                         first_error=_first_error)
+                         first_error=_first_error, not_finite=_not_finite)
+
+
+def _finite_test(symbols, action):
+    """A line that runs ``action`` where one of ``symbols`` is not finite:
+    one product of their sum, and a test of each only where that sum is not
+    finite."""
+    return (f"if ({' + '.join(symbols)}) * 0.0 != 0.0 and not "
+            f"all(map(isfinite, ({', '.join(symbols)},))): {action}")
 
 
 def sum_nodes(terms) -> Expr:

@@ -38,6 +38,17 @@ def test_criterion_1_energy_conservation(corpus_sweeps):
     _verdict(1, "energy conservation", worst <= 1e-6)
 
 
+def test_criterion_1_holds_with_margin_as_eps_shrinks():
+    """The drift grows about 10x per decade of eps; at eps = 1e-4 it stays
+    a tenth of the way to criterion 1's 1e-6."""
+    problem = harness.corpus_entry("stable-magnetic-plane")
+    _df, grad, _cap_sq = problem.gradient_data()
+    trajectory = integrate(problem.system(epsilon=1e-4),
+                           State(0.0, problem.center, grad), problem.horizon)
+    _verdict(1, "energy conservation at eps = 1e-4",
+             trajectory.energy_drift <= 1e-7)
+
+
 def test_criterion_2_confinement_bounds(corpus_sweeps):
     report = corpus_sweeps["unstable-magnetic-plane"]
     cap_sq = report.cap_sq

@@ -183,8 +183,11 @@ def test_report_serialization_deterministic():
     a = harness.run_epsilon_sweep(problem, seed=3).to_dict()
     b = harness.run_epsilon_sweep(problem, seed=3).to_dict()
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-    for run in a["runs"]:  # 2 evaluations per branch start, 6 per try
-        assert run["nfev"] == 6 * (run["steps"] + run["rejected"]) + 4
+    # 2 evaluations per branch start, 12 per try, and 3 per step that
+    # reaches a grid time: every step of these runs along the valley does
+    for run in a["runs"]:
+        assert run["nfev"] \
+            == 12 * (run["steps"] + run["rejected"]) + 4 + 3 * run["steps"]
 
 
 def test_build_problem_chart_single_and_multi():
