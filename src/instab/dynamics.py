@@ -27,8 +27,9 @@ with the interpolants of the steps that reach grid times, so no state,
 energy or interpolant outlives its block, and every number keeps the bits
 of one pass over the joined log. A run keeps its step times, 8 bytes per
 accepted step; a run made with ``keep_log`` also writes each block's
-states, energies, U and speeds to a temporary file, 8 (2n + 4) bytes per
-step on disk, read back a block at a time for its path length and CSV.
+CSV rows, with the path length summed along its branch from tau = 0, to a
+temporary file, 8 (2n + 4) bytes per step on disk, read back a block at a
+time.
 The counters that read the log, the smallest unclipped step, the steps at
 the cap and the tau of the largest energy deviation, go into the run's
 ``stats``.
@@ -254,25 +255,6 @@ class _Spill:
         return table
 
 
-def _arc_lengths(tables, origin=0.0):
-    """The (tau, ..., |v|_g) tables of consecutive blocks in increasing tau,
-    each with its speed column replaced by |c - origin|, c the arc length
-    from the first row: the trapezoid rule's running sum, each block
-    carrying the row before it, so every value has the bits of one pass
-    over the joined log."""
-    tail = (np.empty(0), np.empty(0), 0.0)  # no row before the first
-    for table in tables:
-        times, speeds = table[:, 0], table[:, -1]
-        t_prev, s_prev, c_prev = tail
-        dt = np.diff(np.concatenate([t_prev, times]))
-        pairs = np.concatenate([s_prev, speeds])
-        seg = 0.5 * (pairs[:-1] + pairs[1:]) * dt
-        path = np.cumsum(np.concatenate([[c_prev], seg]))[-len(times):]
-        tail = (times[-1:], speeds[-1:].copy(), path[-1])
-        table[:, -1] = np.abs(path - origin)
-        yield table
-
-
 @dataclass
 class Trajectory:
     """Time-sampled solution on [-T, T] with its monitor logs.
@@ -282,11 +264,11 @@ class Trajectory:
     dense-output samples used for cross-run comparisons. The step times are
     kept as ``blocks``, float64 arrays of at most BLOCK_ROWS rows in
     increasing tau; ``times`` joins them on each read. A run made with
-    ``keep_log`` also has ``log``: the blocks' (tau, x, v, H, U, |v|_g) rows
-    in a temporary file, their offsets in the order of ``blocks``, and the
-    number of blocks up to the backward branch's tau = 0. ``states`` (rows
-    (x, v) of length 2n), ``energies``, ``path_length`` and ``to_csv`` read
-    it back a block at a time. ``stats`` holds the run's ``nfev``,
+    ``keep_log`` also has ``log``: the blocks' CSV rows (tau, x, v, H, U,
+    path length from tau = 0) in a temporary file, and their offsets in the
+    order of ``blocks``. ``states`` (rows (x, v) of length 2n),
+    ``energies``, ``path_length`` and ``to_csv`` read it back a block at a
+    time, each block once. ``stats`` holds the run's ``nfev``,
     ``steps``, ``rejected``, ``min_step`` (the smallest |dtau| over the
     accepted steps but the last of each branch, clipped to land on -T or T;
     None when there is none), ``capped_steps`` (steps within CAP_RELATIVE
@@ -312,17 +294,13 @@ class Trajectory:
     def _tables(self, name):
         """The log's blocks in increasing tau as (rows, 2n + 4) tables of
         tau, x, v, H, U and the path length from tau = 0, read one at a
-        time; the blocks up to tau = 0 are read twice."""
+        time."""
         if self.log is None:
             raise ValueError(f"the run kept no {name}: integrate it with "
                              "keep_log=True")
-        spill, offsets, origin = self.log
-        blocks = [(offset, len(times))
-                  for offset, times in zip(offsets, self.blocks)]
-        for table in _arc_lengths(spill.read(*block)
-                                  for block in blocks[:origin]):
-            c0 = table[-1, -1]  # the arc length from -T to tau = 0
-        return _arc_lengths((spill.read(*block) for block in blocks), c0)
+        spill, offsets = self.log
+        return (spill.read(offset, len(times))
+                for offset, times in zip(offsets, self.blocks))
 
     def _column(self, columns, name):
         return np.concatenate([table[:, columns]
@@ -615,14 +593,17 @@ class _BranchLog:
     with it.
 
     ``grid`` holds the grid times in the order the branch passes them. A
-    sealed block's rows are put in increasing tau and reduced to the grid
-    states its steps reach and to ``peaks``, one (max E, min E, max |v|_g,
-    max U, max |E - h0|, first tau of that) per block: every number has the
-    bits of one pass over the joined log. ``unclipped`` holds each block's
-    smallest step but the branch's last, and ``bad`` the smallest-tau row
-    where U is negative or undefined. The step times stay, and with a
-    ``spill`` each block's (tau, x, v, H, U, |v|_g) rows go to it, their
-    offsets to ``offsets``.
+    sealed block is reduced in step order, from ``tail``, the last tau,
+    |v|_g and arc length of the block before: its |dtau| go to ``capped``
+    and to ``unclipped``, each block's smallest step but the branch's
+    last, and with a ``spill`` to the trapezoid rule's arc length from
+    tau = 0. Its rows are then put in increasing tau and reduced to the
+    grid states its steps reach, to ``peaks``, one (max E, min E,
+    max |v|_g, max U, max |E - h0|, first tau of that) per block, and to
+    ``bad``, the smallest-tau row where U is negative or undefined: every
+    number has the bits of one pass over the joined log. The step times
+    stay, and with a ``spill`` each block's CSV rows (tau, x, v, H, U, arc
+    length) go to it, their offsets to ``offsets``.
     """
 
     def __init__(self, system, grid, forward, h0, max_step, spill):
@@ -634,6 +615,7 @@ class _BranchLog:
         self.times, self.offsets, self.grid_states = [], [], []
         self.peaks, self.unclipped, self.capped = [], [], 0
         self.bad = None
+        self.tail = (np.empty(0), np.empty(0), 0.0)  # no row before the first
         self.read = 0  # grid times read so far
         self.rejected = self.nfev = 0
 
@@ -645,27 +627,30 @@ class _BranchLog:
             self.grid_states.append(
                 _grid_states(dense, self.grid[self.read:self.read + count]))
             self.read += count
-        if not self.forward:
-            times, states = times[::-1], states[::-1]
         times, states = np.array(times), np.array(states)
         n = states.shape[1] // 2
         energies, potentials, speeds = _energy_rows(
             self.system, states[:, :n], states[:, n:])
         np.sqrt(np.maximum(speeds, 0.0, out=speeds), out=speeds)  # |v|_g
 
-        # the steps into the block, the one from the block before included
-        if not self.times:
-            dt = np.diff(times)
-        elif self.forward:
-            dt = np.diff(np.concatenate([self.times[-1][-1:], times]))
-        else:
-            dt = np.diff(np.concatenate([times, self.times[-1][:1]]))
+        # |dtau| of the steps into the block, the one from the tail included
+        t_prev, s_prev, path = self.tail
+        dt = np.abs(np.diff(np.concatenate([t_prev, times])))
         self.capped += int(np.count_nonzero((dt >= self.low)
                                             & (dt <= self.high)))
-        if last:  # the branch's last step, clipped to land on -T or T
-            dt = dt[:-1] if self.forward else dt[1:]
-        if len(dt):
-            self.unclipped.append(dt.min())
+        unclipped = dt[:-1] if last else dt  # the last lands on -T or T
+        if len(unclipped):
+            self.unclipped.append(unclipped.min())
+        columns = [times, states, energies, potentials]
+        if self.spill is not None:  # the trapezoid rule's sum from tau = 0
+            pairs = np.concatenate([s_prev, speeds])
+            columns.append(np.cumsum(np.concatenate(
+                [[path], 0.5 * (pairs[:-1] + pairs[1:]) * dt]))[-len(times):])
+            path = columns[-1][-1]
+        self.tail = (times[-1:], speeds[-1:].copy(), path)
+        if not self.forward:  # the rows in increasing tau from here on
+            columns = [column[::-1] for column in columns]
+        times, states, energies, potentials = columns[:4]
 
         bad = _bad_rows(potentials)
         if bad.any() and (self.bad is None or not self.forward):
@@ -676,8 +661,7 @@ class _BranchLog:
                            potentials.max(), deviation[i], times[i]))
         self.times.append(times)
         if self.spill is not None:
-            self.offsets.append(self.spill.write(np.column_stack(
-                [times, states, energies, potentials, speeds])))
+            self.offsets.append(self.spill.write(np.column_stack(columns)))
 
 
 def _where(tau, y):
@@ -852,8 +836,7 @@ def integrate(system, initial, horizon, tol=None,
         raise _potential_error(system, bwd.bad if bwd.bad is not None
                                else fwd.bad)
     blocks = bwd.times[::-1] + fwd.times  # in increasing tau
-    log = None if spill is None else (
-        spill, bwd.offsets[::-1] + fwd.offsets, len(bwd.times))
+    log = None if spill is None else (spill, bwd.offsets[::-1] + fwd.offsets)
     peaks = np.array(bwd.peaks[::-1] + fwd.peaks)
     e_max, max_speed, max_potential = peaks[:, [0, 2, 3]].max(axis=0)
     drift = (e_max - peaks[:, 1].min()) / max(1.0, abs(h0))

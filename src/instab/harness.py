@@ -573,7 +573,10 @@ def run_epsilon_sweep(problem, tol=None, seed=0, with_certification=True,
                 system, State(0.0, problem.center, grad),
                 problem.horizon, tol=tol, keep_log=write_log is not None,
             )
-            run.bounds = check_lemma1_bounds(trajectory, cap)
+            bounds = check_lemma1_bounds(trajectory, cap)
+            n = trajectory.dimension
+            f_curve = np.array([problem.f.eval(row[:n]) - f_center
+                                for row in trajectory.grid_states])
         except (IntegrationError, DomainError, NonFiniteResult,
                 SingularMetric, ValueError) as exc:
             run.status = "failed"
@@ -582,12 +585,7 @@ def run_epsilon_sweep(problem, tol=None, seed=0, with_certification=True,
         if write_log is not None:
             write_log(trajectory)
             trajectory.log = None  # its file closes as it is let go
-        n = trajectory.dimension
-        run.trajectory = trajectory
-        run.f_curve = np.array([
-            problem.f.eval(row[:n]) - f_center
-            for row in trajectory.grid_states
-        ])
+        run.trajectory, run.bounds, run.f_curve = trajectory, bounds, f_curve
 
     ok = [r for r in runs if r.status == "ok"]
     sup_distances = [

@@ -283,16 +283,11 @@ def _compiled_motion(system, y):
         return None, (type(exc), str(exc))
 
 
-def _assert_motion_close(got, want):
-    """Finite entries agree within 1e-12 of the largest; an entry that
-    overflows, as where dU/eps^2 does, is the same inf or nan in both."""
-    got, want = np.array(got), np.array(want)
-    finite = np.isfinite(want)
-    assert np.array_equal(got[~finite], want[~finite], equal_nan=True), \
-        (got, want)
-    scale = np.max(np.abs(want[finite]), initial=0.0)
-    assert np.all(np.abs(got[finite] - want[finite]) <= 1e-12 * scale), \
-        (got, want)
+def _assert_motion_equal(got, want):
+    """Every entry agrees to the bit: ``_contraction`` sums the force in
+    the kernel's order. An entry that overflows, as where dU/eps^2 does,
+    is the same inf or nan in both."""
+    assert np.array_equal(got, want, equal_nan=True), (got, want)
 
 
 @pytest.mark.parametrize("name", [p.name for p in harness.corpus()])
@@ -309,7 +304,7 @@ def test_compiled_motion_matches_reference(name, offset, eps, count_calls):
     assert not fallbacks  # the kernel's own code gave the state
     want, error = _reference_motion(system, y)
     assert error is None
-    _assert_motion_close(got, want)
+    _assert_motion_equal(got, want)
 
 
 def test_motion_kernels_are_per_epsilon():
@@ -350,7 +345,7 @@ def test_compiled_motion_raises_like_reference(potential, form, y, eps,
     assert got_error == want_error
     assert not fallbacks  # the kernel raises its fields' errors itself
     if want is not None:
-        _assert_motion_close(got, want)
+        _assert_motion_equal(got, want)
 
 
 def test_motion_kernel_subtracts_no_structural_zero(monkeypatch):
@@ -700,9 +695,10 @@ class _JoinedLog:
 def _joined_integrate(system, initial, horizon, tol):
     """``integrate`` as one pass over the joined step log: both branches'
     rows concatenated, then U and g(v, v) over all rows, the first bad row
-    of U, the arc length by np.cumsum, the drift's peak by np.argmax and
-    every grid state from one call of ``_grid_states``. The reference for the
-    block-wise reduction; it gives the run's numbers by name."""
+    of U, each branch's arc length from tau = 0 by np.cumsum in step order,
+    the drift's peak by np.argmax and every grid state from one call of
+    ``_grid_states``. The reference for the block-wise reduction; it gives
+    the run's numbers by name."""
     n = len(initial.x)
     gated = tol.max_step is None and system.epsilon is not None
     if tol.max_step is not None:
@@ -728,8 +724,12 @@ def _joined_integrate(system, initial, horizon, tol):
         raise dynamics._potential_error(system, states[np.argmax(bad), :n])
     speeds = np.sqrt(np.maximum(speeds, 0.0))
     dt = np.diff(times)
-    cumulative = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (speeds[:-1] + speeds[1:]) * dt)])
+    # the arc length along each branch from its tau = 0, in step order
+    backward, forward = (
+        np.concatenate([[0.0], np.cumsum(
+            0.5 * (s[:-1] + s[1:]) * np.abs(np.diff(t)))])
+        for t, s in ((times[origin::-1], speeds[origin::-1]),
+                     (times[origin + 1:], speeds[origin + 1:])))
     unclipped = [d.min() for d in (dt[1:origin], dt[origin + 1:-1]) if len(d)]
     h0 = energies[origin]
     stats = {
@@ -742,7 +742,7 @@ def _joined_integrate(system, initial, horizon, tol):
         "drift_peak_tau": float(times[np.argmax(np.abs(energies - h0))])}
     return {
         "times": times, "states": states, "energies": energies,
-        "path_length": np.abs(cumulative - cumulative[origin]),
+        "path_length": np.concatenate([backward[::-1], forward]),
         "grid_states": np.concatenate([
             dynamics._grid_states(bwd.dense, bwd.grid)[::-1],
             dynamics._grid_states(fwd.dense, fwd.grid)]),
@@ -815,15 +815,41 @@ def test_a_run_without_its_log_names_keep_log():
     assert out.getvalue() == ""
 
 
-def test_drift_peak_ties_go_to_the_smallest_tau(monkeypatch):
-    """Started at rest, the run of U = x1^2 mirrors itself in tau to the
-    bit, x(-tau) = x(tau) and v(-tau) = -v(tau), so each largest
-    |E - E(0)| is reached at -tau and tau; the peak is the first in
-    increasing tau, the one the backward branch produces last."""
+def _mirrored_run():
+    """U = x1^2 from rest at x1 = 0.5: the run mirrors itself in tau to the
+    bit, x(-tau) = x(tau) and v(-tau) = -v(tau)."""
     system = LagrangianSystem(MetricSpec.identity(1),
                               ScalarField.parse("x1^2", 1), None,
                               epsilon=0.1)
-    initial, tol = State(0, [0.5], [0.0]), Tolerances()
+    return system, State(0, [0.5], [0.0]), Tolerances()
+
+
+def test_path_length_of_a_mirrored_run_reads_the_same_reversed():
+    """Each branch sums its arc length from tau = 0 in step order, so the
+    mirrored branches give the same sums."""
+    system, initial, tol = _mirrored_run()
+    path = integrate(system, initial, 1.0, tol=tol,
+                     keep_log=True).path_length
+    assert path.tobytes() == path[::-1].tobytes()
+
+
+def test_csv_reads_each_spilled_block_once(monkeypatch, count_calls):
+    system = LagrangianSystem(E3, U_PLANE, MU_Z, epsilon=0.1)
+    monkeypatch.setattr(dynamics, "BLOCK_ROWS", 7)
+    traj = integrate(system, State(0, [0, 0, 0.01], [1, 0.5, 0]), 1.0,
+                     keep_log=True)
+    with count_calls(dynamics._Spill, "read") as reads:
+        traj.to_csv(io.StringIO())
+    assert sorted(offset for _spill, offset, _rows in reads) \
+        == sorted(traj.log[1])
+    assert len(traj.blocks) > 4
+
+
+def test_drift_peak_ties_go_to_the_smallest_tau(monkeypatch):
+    """In the mirrored run each largest |E - E(0)| is reached at -tau and
+    tau; the peak is the first in increasing tau, the one the backward
+    branch produces last."""
+    system, initial, tol = _mirrored_run()
     want = _joined_integrate(system, initial, 1.0, tol)
     energies, times = want["energies"], want["times"]
     deviation = np.abs(energies - energies[times == 0.0][0])

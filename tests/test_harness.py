@@ -514,6 +514,27 @@ def test_cli_sweep_csv_names_each_epsilon_apart(tmp_path):
             run.trajectory.to_csv(io.StringIO())
 
 
+def test_cli_sweep_fails_alone_a_run_whose_f_is_undefined(tmp_path):
+    """f = x1 + sqrt(x2 + 0.05) is undefined where the eps = 0.1 run's x2
+    falls below -0.05: that run fails with f's DomainError, reports only
+    its status and error and writes no CSV, and the sweep goes on."""
+    path = tmp_path / "undefined.json"
+    path.write_text(json.dumps({
+        "dimension": 2, "potential": "x2^2", "f": "x1 + sqrt(x2 + 0.05)",
+        "center": [0, 0], "T": 1, "epsilons": [0.1, 0.01]}))
+    out = tmp_path / "art"
+    result = _run("sweep", str(path), "--format", "csv", "--out", str(out))
+    assert result.exit_code == 3, result.output
+    failed, ok = _strict_json(result.output)["runs"]
+    assert failed["error"].startswith(
+        "DomainError: sqrt of negative in field 'x1 + sqrt(x2 + 0.05)'")
+    assert sorted(failed) == ["epsilon", "error", "status", "zdot0",
+                              "zdot0_residual"]
+    assert (failed["status"], ok["status"]) == ("failed", "ok")
+    assert [p.name for p in out.glob("*.csv")] == [
+        "sweep-problem-eps0.01.csv"]
+
+
 def test_cli_sweep_csv_needs_out():
     result = _run("sweep", "unstable-magnetic-plane", "--format", "csv")
     assert result.exit_code == 2, result.output
