@@ -649,9 +649,9 @@ def chart_contraction_check(chart, mu, f_field, grid_count=5):
     """
     worst = 0.0
     worst_point = None
-    for coords in chart.grid(grid_count):
-        jac = chart.jacobian(coords)
-        ambient = chart.point(coords)
+    grid = chart.grid(grid_count)
+    jacobians = chart.jacobian(grid)
+    for coords, jac, ambient in zip(grid, jacobians, chart.point(grid)):
         v_amb = riemannian_gradient(chart.metric, f_field, ambient)
         pulled = v_amb @ magnetic_tensor(mu, ambient) @ jac
         mag = float(np.max(np.abs(pulled)))

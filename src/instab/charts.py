@@ -18,7 +18,12 @@ X = df/|df|^2 and for a Jacobian flow also DX·J, is ASTs over the level
 field's partials, compiled by ``expr.compile_kernel`` once per field;
 ``normalized_gradient`` or ``normalized_gradient_jacobian`` decides where
 the kernel's code fails or an output is not finite, and on a curved
-metric. Each chart counts its flow solves and its memo hits.
+metric. Each grid check flows all its points at once with the kernel's
+numpy twin (``dynamics._solve_rows``); a row where the twin is not
+finite, that underflows or spends its budget, every row on a curved
+metric and a batch of one are solved alone. A row has its single solve's
+bits, on a transcendental level field but for its last ones. Each chart
+counts its flow solves and its memo hits, per point.
 """
 
 from __future__ import annotations
@@ -28,13 +33,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dynamics import Tolerances, _solve_branch
+from .dynamics import Tolerances, _solve_rows
 from .errors import (
     IdentityViolation,
     OrderDependence,
     SingularJacobian,
 )
-from .expr import Num, Var, compile_kernel, partial_fields
+from .expr import (Num, Var, compile_kernel, compile_vectorized_kernel,
+                   partial_fields)
 from .geometry import (
     _fold,
     _total,
@@ -45,6 +51,7 @@ from .geometry import (
 FLOW_GRADIENT_FLOOR = 1e-8
 FLOW_TOL = 1e-12
 _FLOW_TOLERANCES = Tolerances(abs=FLOW_TOL, rel=FLOW_TOL)
+_FLOOR_SQ = FLOW_GRADIENT_FLOOR ** 2 * (1.0 + 1e-9)  # the guard on |df|^2
 _MEMO_QUANTUM = 1e-12
 DEFAULT_GRID = 9
 IDENTITY_TOL = 1e-8  # residual of a level identity such as F(Psi(r, y)) = r
@@ -99,6 +106,8 @@ def _flow_kernel(fld, columns, reference):
 
     At or within rounding of FLOW_GRADIENT_FLOOR the reference decides,
     and so it does where an output is not finite, as where DX overflows.
+    Without one it is the numpy twin, ``twin(columns, arg)``, nan in a
+    row where the kernel hands its point to the reference.
     """
     n = fld.dimension
     partials = partial_fields(fld)
@@ -117,9 +126,19 @@ def _flow_kernel(fld, columns, reference):
         out += [_total(_fold("*", dx[a][c], Var(n + c * columns + j))
                        for c in range(n))
                 for a in range(n) for j in range(columns)]
-    floor_sq = FLOW_GRADIENT_FLOOR ** 2 * (1.0 + 1e-9)
-    return compile_kernel(fields, n, out, reference, guards=[(s, floor_sq)],
-                          label=f"the flow of {fld.label}")
+    if reference is not None:
+        return compile_kernel(fields, n, out, reference,
+                              guards=[(s, _FLOOR_SQ)],
+                              label=f"the flow of {fld.label}")
+    kernel = compile_vectorized_kernel([f.body for f in fields], n,
+                                       out + [s])
+
+    def twin(y, _arg):
+        values = kernel(np.transpose(y))
+        values[~((_FLOOR_SQ < values[:, -1])
+                 & np.isfinite(values).all(axis=1))] = math.nan
+        return values[:, :-1].T
+    return twin
 
 
 def compile_flow(metric, fld, columns=0):
@@ -136,40 +155,53 @@ def compile_flow(metric, fld, columns=0):
     return fld.code(("flow", columns), _flow_kernel, fld, columns, reference)
 
 
-def solve_ivp(field, arg, start, t):
-    """The time-``t`` state of y' = field(y, arg) from ``start``, a tuple.
-
-    One gridless DOP853 branch at rtol = atol = FLOW_TOL with no step cap;
-    every flow solve of a chart comes through here.
+def solve_ivp(metric, fld, start, t):
+    """The time-``t[r]`` state of the flow of ``fld`` from each row r of
+    ``start``, (N, m): a point, and for m > n a matrix J row by row,
+    carried by J' = DX·J. A row with t = 0 is its start; each other is a
+    gridless DOP853 branch at rtol = atol = FLOW_TOL with no step cap,
+    all stepped at once (``dynamics._solve_rows``). Every flow solve of a
+    chart comes through here.
     """
-    return _solve_branch(field, arg, start, t, _FLOW_TOLERANCES, math.inf)
+    columns = start.shape[1] // fld.dimension - 1
+    moving = t != 0.0
+    twin = None
+    if metric.euclidean and np.count_nonzero(moving) > 1:
+        twin = fld.code(("flow twin", columns), _flow_kernel, fld, columns,
+                        None)
+    end = start.copy()
+    end[moving] = _solve_rows(compile_flow(metric, fld, columns), twin,
+                              (metric, fld), start[moving], t[moving],
+                              _FLOW_TOLERANCES)
+    return end
 
 
-def _solve(field, arg, start, t, counters):
-    if t == 0.0:
-        return start
+def _solve(metric, fld, start, t, counters):
+    """``solve_ivp`` unless no row moves; a solve, one for each t != 0,
+    is counted in ``counters`` if given."""
+    moving = int(np.count_nonzero(t))
     if counters is not None:
-        counters["flow_solves"] += 1
-    return solve_ivp(field, arg, start, t)
+        counters["flow_solves"] += moving
+    return solve_ivp(metric, fld, start, t) if moving else start.copy()
 
 
 def flow_normalized_gradient(metric, fld, start, t, counters=None):
-    """The time-t point of the flow of grad(f)/|grad f|^2 from ``start``.
-
-    A solve, one for each t != 0, is counted in ``counters`` if given.
-    """
-    start = tuple(np.asarray(start, dtype=float).tolist())
-    return np.array(_solve(compile_flow(metric, fld), (metric, fld), start,
-                           t, counters))
+    """The time-t point of the flow of grad(f)/|grad f|^2 from ``start``,
+    or from each row of an (N, n) array, each for its own t or all for one;
+    a solve, one for each t != 0, is counted in ``counters`` if given."""
+    start = np.asarray(start, dtype=float)
+    rows = np.atleast_2d(start)
+    t = np.broadcast_to(np.asarray(t, dtype=float), len(rows))
+    return _solve(metric, fld, rows, t, counters).reshape(start.shape)
 
 
 def _flow_with_jacobian(metric, fld, start, jac, t, counters):
-    """The time-t point of the flow and ``jac`` carried along by J' = DX·J."""
-    n, m = jac.shape
-    state = tuple(start.tolist()) + tuple(jac.ravel().tolist())
-    end = np.array(_solve(compile_flow(metric, fld, m), (metric, fld), state,
-                          t, counters))
-    return end[:n], end[n:].reshape(n, m)
+    """The time-t points of the flows from the rows of ``start`` and each
+    row's matrix of ``jac``, (N, n, m), carried along by J' = DX·J."""
+    count, n, m = jac.shape
+    end = _solve(metric, fld, np.hstack([start, jac.reshape(count, -1)]), t,
+                 counters)
+    return end[:, :n], end[:, n:].reshape(count, n, m)
 
 
 class AdaptedChart:
@@ -181,8 +213,8 @@ class AdaptedChart:
         self.psi = psi
         self.level_ranges = [tuple(r) for r in level_ranges]  # k ranges
         self._memo = {}
-        # flow solves, and point calls that solved no flow: memo hits and
-        # first calls at zero levels, where Psi is the base map
+        # flow solves, and points that solved no flow: memo hits and first
+        # points at zero levels, where Psi is the base map
         self.counters = {"flow_solves": 0, "memo_hits": 0}
 
     @property
@@ -190,48 +222,56 @@ class AdaptedChart:
         return len(self.fields)
 
     def point(self, coords, order=None) -> np.ndarray:
-        """Evaluate Psi at chart coordinates (levels..., base...).
+        """Evaluate Psi at chart coordinates (levels..., base...), or at
+        each row of an (N, d) array of them, with one batch per flow.
 
         ``order`` optionally permutes the flow composition (the flows must
         commute, and swapping the order is how that is probed).
         """
         coords = np.asarray(coords, dtype=float)
-        sequence = tuple(range(self.k) if order is None else order)
-        key = (tuple(int(round(c / _MEMO_QUANTUM)) for c in coords),
-               sequence)
-        hit = self._memo.get(key)
-        levels = coords[:self.k]
-        if hit is not None or not levels.any():
-            self.counters["memo_hits"] += 1
-        if hit is not None:
-            return hit.copy()
-        x = self.psi(coords[self.k:])
-        # Psi(r, y) = phi^1_{r_1} o ... o phi^k_{r_k} (psi(y)): the highest
-        # index flows first.
-        for i in reversed(sequence):
-            x = flow_normalized_gradient(self.metric, self.fields[i], x,
-                                         float(levels[i]), self.counters)
-        self._memo[key] = x.copy()
-        return x
+        rows, k = np.atleast_2d(coords), self.k
+        sequence = tuple(range(k) if order is None else order)
+        keys = [(tuple(map(round, row)), sequence)
+                for row in (rows / _MEMO_QUANTUM).tolist()]
+        missed = {}  # key -> its first row, for the keys not in the memo
+        for r, key in enumerate(keys):
+            hit = key in self._memo or key in missed
+            self.counters["memo_hits"] += hit or not rows[r, :k].any()
+            if not hit:
+                missed[key] = r
+        if missed:
+            first = list(missed.values())
+            x = np.array([self.psi(y) for y in rows[first, k:]])
+            # Psi(r, y) = phi^1_{r_1} o ... o phi^k_{r_k} (psi(y)): the
+            # highest index flows first.
+            for i in reversed(sequence):
+                x = flow_normalized_gradient(self.metric, self.fields[i], x,
+                                             rows[first, i], self.counters)
+            self._memo.update(zip(missed, x))
+        points = np.array([self._memo[key] for key in keys])
+        return points if coords.ndim > 1 else points[0]
 
     def jacobian(self, coords) -> np.ndarray:
-        """d(Psi), one column per coordinate, exact but for the integrator.
+        """d(Psi), one column per coordinate, exact but for the integrator;
+        at each row of an (N, d) array of coordinates an (N, n, d) array.
 
         The flows carry the base columns d(psi) by their variational
         equations; level column i is X_i where flow i ends, carried through
         the flows that run after it.
         """
         coords = np.asarray(coords, dtype=float)
-        k = self.k
-        x = self.psi(coords[k:])
-        jac = np.hstack([np.zeros((len(x), k)), self.psi.jacobian(coords[k:])])
+        rows, k = np.atleast_2d(coords), self.k
+        x = np.array([self.psi(y) for y in rows[:, k:]])
+        jac = np.zeros(x.shape + rows.shape[1:])
+        jac[:, :, k:] = [self.psi.jacobian(y) for y in rows[:, k:]]
         for i in reversed(range(k)):
-            x, jac[:, i + 1:] = _flow_with_jacobian(
-                self.metric, self.fields[i], x, jac[:, i + 1:],
-                float(coords[i]), self.counters)
-            jac[:, i] = normalized_gradient(
-                self.metric, self.fields[i], x, FLOW_GRADIENT_FLOOR)
-        return jac
+            x, jac[:, :, i + 1:] = _flow_with_jacobian(
+                self.metric, self.fields[i], x, jac[:, :, i + 1:],
+                rows[:, i], self.counters)
+            jac[:, :, i] = [normalized_gradient(self.metric, self.fields[i],
+                                                p, FLOW_GRADIENT_FLOOR)
+                            for p in x]
+        return jac if coords.ndim > 1 else jac[0]
 
     def grid(self, count=DEFAULT_GRID):
         """Cartesian sample grid over the level ranges and the base box."""
@@ -274,8 +314,8 @@ def build_multi_chart(metric, fields, psi, r_box,
     _check_base_map(fields, psi, count=grid_count)
     chart = AdaptedChart(metric, fields, psi, [tuple(r) for r in r_box])
 
-    for coords in chart.grid(grid_count):
-        p = chart.point(coords)
+    grid = chart.grid(grid_count)
+    for coords, p in zip(grid, chart.point(grid)):
         for i, fld in enumerate(fields):
             residual = fld.eval(p) - coords[i]
             if abs(residual) > IDENTITY_TOL:
@@ -286,10 +326,9 @@ def build_multi_chart(metric, fields, psi, r_box,
 
     # commutativity at the numeric level: reversed composition must agree
     corners = chart.grid(3)
-    for coords in corners:
-        forward = chart.point(coords)
-        swapped = chart.point(coords, order=list(reversed(range(k))))
-        gap = float(np.max(np.abs(forward - swapped)))
+    swapped = chart.point(corners, order=list(reversed(range(k))))
+    for coords, forward, back in zip(corners, chart.point(corners), swapped):
+        gap = float(np.max(np.abs(forward - back)))
         if gap > SWAP_TOL:
             raise OrderDependence(
                 f"flow composition order changes Psi by {gap:.3e} "
@@ -297,15 +336,16 @@ def build_multi_chart(metric, fields, psi, r_box,
             )
 
     # additivity F_j(phi^i(t, x)) = delta_ij t + F_j(x) on sampled flows
-    for coords in corners[:: max(1, len(corners) // 5)]:
-        x = chart.point(coords)
+    starts = chart.point(corners[:: max(1, len(corners) // 5)])
+    moved = [flow_normalized_gradient(metric, fld, starts, 0.05 * (1 + i),
+                                      chart.counters)
+             for i, fld in enumerate(fields)]
+    for r, x in enumerate(starts):
         for i in range(k):
             t = 0.05 * (1 + i)
-            moved = flow_normalized_gradient(metric, fields[i], x, t,
-                                             chart.counters)
             for j, fld in enumerate(fields):
                 expect = (t if i == j else 0.0) + fld.eval(x)
-                residual = fld.eval(moved) - expect
+                residual = fld.eval(moved[i][r]) - expect
                 if abs(residual) > IDENTITY_TOL:
                     raise IdentityViolation(
                         f"flow additivity broken for (i={i}, j={j}): "
@@ -337,15 +377,15 @@ def pullback_metric_block_check(chart,
     max_mixed = 0.0
     max_off = 0.0
     max_cond = 0.0
-    for coords in chart.grid(grid_count):
-        jac = chart.jacobian(coords)
+    grid = chart.grid(grid_count)
+    jacobians = chart.jacobian(grid)
+    for coords, jac, ambient in zip(grid, jacobians, chart.point(grid)):
         cond = float(np.linalg.cond(jac))
         if not np.isfinite(cond) or cond > 1e12:
             raise SingularJacobian(
                 f"chart Jacobian ill-conditioned ({cond:.3e}) "
                 f"at {tuple(coords)}"
             )
-        ambient = chart.point(coords)
         g = chart.metric.value(ambient)
         pulled = jac.T @ g @ jac
         mixed = float(np.max(np.abs(pulled[:k, k:])))
@@ -368,7 +408,7 @@ def pullback_metric_block_check(chart,
 
 def injectivity_probe(chart, grid_count=DEFAULT_GRID):
     """Distinct grid nodes must map to distinct ambient points."""
-    points = np.array([chart.point(c) for c in chart.grid(grid_count)])
+    points = chart.point(chart.grid(grid_count))
     diffs = points[:, None, :] - points[None, :, :]
     dist = np.sqrt((diffs ** 2).sum(axis=2))
     iu = np.triu_indices(len(points), k=1)

@@ -14,7 +14,10 @@ is a hard cap from the first step. It steps on plain floats: the stage
 arithmetic is generated once per state size, and the interpolant's three
 extra stages run only for the steps that reach the uniform grid times.
 The same stepper solves the chart flows (``charts``), uncapped and
-without grid times, keeping only the end state. A branch that spends its
+without grid times, keeping only the end state; its numpy rendering
+steps a batch of them at once (``_solve_rows``), each row with its single
+solve's bits, and solves alone a row where a stage or a norm is not
+finite, or that underflows or spends its budget. A branch that spends its
 step budget, as against a stiff wall, raises instead of shrinking its
 steps without bound. Every run reduces its conserved energy, speed,
 potential and step sizes to the energy drift, the largest speed and U and
@@ -481,7 +484,7 @@ def _stage_lines(m, rows, first):
 
 
 @functools.cache
-def _stepper(m):
+def _stepper(m, numpy=False):
     """One DOP853 step over a state of m floats, unrolled.
 
     ``step(f, arg, y, k1, h, rtol, atol)`` takes k1 = f(y, arg) and returns
@@ -490,6 +493,9 @@ def _stepper(m):
     |h| e5 / sqrt((e5 + e3 / 100) m), with e5 and e3 the sums over i of
     the squares of the E5 and E3 combinations of the stages' entries i,
     each divided by atol + rtol * max(|y_i|, |y_new_i|).
+
+    With ``numpy``, y, k1, h and f's values are columns, one entry per row,
+    each stepped bit for bit; only the norm's max and zero test differ.
     """
     idx = range(m)
     src = ("def _step(f, arg, y, k1, h, rtol, atol):\n"
@@ -499,19 +505,24 @@ def _stepper(m):
                    for i in idx)
     src += (f"    y_new = ({_unpacked('n', m)})\n"
             "    k13 = f(y_new, arg)\n")
-    for i in idx:  # max(|y_i|, |n_i|) without calls
-        src += (f"    a{i} = y{i} if y{i} > 0.0 else -y{i}\n"
+    for i in idx:  # as floats, max(|y_i|, |n_i|) without calls
+        src += (f"    s{i} = atol + np.maximum(abs(y{i}), abs(n{i})) * rtol\n"
+                if numpy else
+                f"    a{i} = y{i} if y{i} > 0.0 else -y{i}\n"
                 f"    b{i} = n{i} if n{i} > 0.0 else -n{i}\n"
-                f"    s{i} = atol + (a{i} if a{i} > b{i} else b{i}) * rtol\n"
-                f"    p{i} = ({_combination(_E5, i)}) / s{i}\n"
+                f"    s{i} = atol + (a{i} if a{i} > b{i} else b{i}) * rtol\n")
+        src += (f"    p{i} = ({_combination(_E5, i)}) / s{i}\n"
                 f"    q{i} = ({_combination(_E3, i)}) / s{i}\n")
+    # where den is 0, so is err5, and so is the error
+    norm = (f"np.sqrt(np.where(den, den * {m}, 1))" if numpy
+            else f"sqrt(den * {m}) if den else 0.0")
     src += (f"    err5 = {' + '.join(f'p{i} * p{i}' for i in idx)}\n"
             f"    err3 = {' + '.join(f'q{i} * q{i}' for i in idx)}\n"
             "    den = err5 + 0.01 * err3\n"
-            f"    error = abs(h) * err5 / sqrt(den * {m}) if den else 0.0\n"
+            f"    error = abs(h) * err5 / {norm}\n"
             "    return y_new, k13, error, "
             f"({''.join(f'k{s}, ' for s in range(1, 14))})\n")
-    return define_scalar("_step", src)
+    return define_scalar("_step", src, np=np)
 
 
 @functools.cache
@@ -786,6 +797,105 @@ def _solve_branch(f, arg, y0, t_end, tol, max_step, log=None,
     log.nfev = (2 + STAGE_EVALUATIONS * tries
                 + DENSE_EVALUATIONS * interpolated)
     return log
+
+
+def _powers(values, exponent):
+    """Each value to ``exponent`` in Python floats, as ``_solve_branch``
+    takes it (np.power rounds otherwise); inf for 0 to a negative one."""
+    return np.array([v ** exponent if v or exponent > 0 else math.inf
+                     for v in values.tolist()])
+
+
+def _initial_steps(f, arg, y0, k1, t_end, rtol, atol):
+    """``_initial_step`` with no cap over columns, one entry per row; nan
+    in a row where one of its norms is not finite."""
+    def rms(values):
+        return np.sqrt(sum(v * v for v in values)) / len(values) ** 0.5
+
+    direction = np.copysign(1.0, t_end)
+    scale = [atol + abs(y) * rtol for y in y0]
+    d0 = rms([y / s for y, s in zip(y0, scale)])
+    d1 = rms([k / s for k, s in zip(k1, scale)])
+    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+    h0 = np.minimum(h0, abs(t_end))
+    k2 = f(tuple(y + h0 * direction * k for y, k in zip(y0, k1)), arg)
+    d2 = rms([(b - a) / s for a, b, s in zip(k1, k2, scale)]) / h0
+    h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
+                  _powers(0.01 / np.maximum(d1, d2), 1 / 8))
+    return np.where(np.isfinite(d0 + d1 + d2),
+                    np.minimum(np.minimum(100 * h0, h1), abs(t_end)),
+                    math.nan)
+
+
+def _solve_rows(f, twin, arg, y0, t_end, tol):
+    """``_solve_branch(f, arg, row, t, tol, inf)``'s end state, bit for
+    bit, for each row of ``y0``, (N, m), and its nonzero t in ``t_end``.
+
+    ``twin(columns, arg)`` is f over m columns, nan in a row where f hands
+    its point to a function that decides. Each try steps every unfinished
+    row at once, each with its own time, step and retry. A row where a
+    stage or a norm is not finite, or that underflows or spends its
+    budget, is solved alone from its start, and so is every row without a
+    ``twin`` or of a batch of one, so its errors are a single solve's.
+    """
+    out = np.empty_like(y0)
+    alone = range(len(y0))
+    if twin is not None and len(y0) > 1:
+        with np.errstate(all="ignore"):
+            alone = _step_rows(twin, arg, y0, t_end, tol, out)
+    for r in alone:
+        out[r] = _solve_branch(f, arg, tuple(y0[r].tolist()), float(t_end[r]),
+                               tol, math.inf)
+    return out
+
+
+def _step_rows(twin, arg, y0, t_end, tol, out):
+    """``_solve_rows``'s steps over all rows: the rows it finishes go to
+    ``out``; it returns the others, in order."""
+    rtol, atol = max(tol.rel, MIN_RTOL), tol.abs
+    step = _stepper(y0.shape[1], numpy=True)
+    rows, alone = np.arange(len(y0)), []  # the unfinished rows; the others
+    bad = np.zeros(len(rows), dtype=bool)
+
+    def rhs(y, arg):  # twin, marking the rows where it is not finite
+        k = twin(y, arg)
+        bad[:] |= ~np.isfinite(k).all(axis=0)
+        return k
+
+    y, direction = y0.T, np.copysign(1.0, t_end)
+    k = rhs(y, arg)
+    h_abs = _initial_steps(rhs, arg, y, k, t_end, rtol, atol)
+    bad |= np.isnan(h_abs)
+    t, retried = np.zeros(len(rows)), np.zeros(len(rows), dtype=bool)
+    for tries in itertools.count():
+        done = ~(direction * (t - t_end) < 0)
+        min_step = 10 * abs(np.nextafter(t, direction * math.inf) - t)
+        h_abs = np.where(retried, h_abs, np.maximum(h_abs, min_step))
+        bad |= ~done & ((h_abs < min_step) | (tries >= MIN_TRIES))
+        out[rows[done & ~bad]] = y[:, done & ~bad].T
+        alone += rows[bad].tolist()
+        keep = ~(done | bad)
+        rows, t, t_end, direction, h_abs, retried = (
+            a[keep] for a in (rows, t, t_end, direction, h_abs, retried))
+        y, k, bad = y[:, keep], k[:, keep], bad[keep]
+        if not len(rows):
+            return sorted(alone)
+        t_new = t + h_abs * direction
+        t_new = np.where(direction * (t_new - t_end) > 0, t_end, t_new)
+        h = t_new - t
+        h_abs = abs(h)
+        y_new, k13, error, _ = step(rhs, arg, y, k, h, rtol, atol)
+        bad |= ~np.isfinite(error)
+        scaled = SAFETY * _powers(error, ERROR_EXPONENT)
+        factor = np.minimum(MAX_FACTOR, scaled)
+        accepted = error < 1
+        h_abs *= np.where(accepted,
+                          np.where(retried, np.minimum(1.0, factor), factor),
+                          np.maximum(MIN_FACTOR, scaled))
+        t = np.where(accepted, t_new, t)
+        y = np.where(accepted, y_new, y)
+        k = np.where(accepted, k13, k)
+        retried = ~accepted
 
 
 def integrate(system, initial, horizon, tol=None,

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from instab import charts, expr, harness
+from instab import charts, dynamics, expr, harness
 from instab.charts import (
     FLOW_GRADIENT_FLOOR,
     FLOW_TOL,
@@ -322,9 +322,14 @@ def _assert_relative(got, want):
          columns=0, carried=[0.0] * 6)
 @example(field=("x1 - ln(x3)/2", 3), point=[0.0, 0.0, 6.935272022050353e-98],
          scale=1e-6, columns=1, carried=[0.0] * 6)  # DX overflows
+@example(field=("(x1^2 + x2^2)/2", 3), point=[1.0000000002, 0.0, 0.0],
+         scale=1e-8, columns=0, carried=[0.0] * 6)  # s just above the floor
 @settings(max_examples=300, deadline=None)
 def test_generated_flow_field_matches_reference(field, point, scale, columns,
                                                 carried, count_calls):
+    """The kernel against the reference; its numpy twin is nan exactly
+    where the kernel hands the point to the reference, and else on a
+    polynomial field the kernel's own bits."""
     source, n = field
     fld = ScalarField.parse(source, n)
     metric = MetricSpec.identity(n)
@@ -336,6 +341,11 @@ def test_generated_flow_field_matches_reference(field, point, scale, columns,
     with count_calls(charts, reference) as fallbacks:
         kernel = compile_flow(metric, fld, columns)
         got, got_error = _outcome(lambda: np.array(kernel(y, (metric, fld))))
+    twin = charts._flow_kernel(fld, columns, None)
+    twin = twin(np.array([y]).T, None)[:, 0]
+    assert np.isnan(twin).all() == bool(fallbacks)
+    if not fallbacks and "ln(" not in source:
+        assert np.array_equal(twin, got)
     want, want_error = _outcome(lambda: _reference_flow(metric, fld, x, jac))
     # where DX overflows, the kernel hands the point to the reference,
     # which raises
@@ -423,3 +433,79 @@ def test_flow_kernels_multiply_by_no_structural_zero(source, columns):
         assert not any(f"p[{k}]" in sources[-1] for k in range(3, 9))
         outputs = ["0.0", "1.0", "0.0"] + ["0.0"] * (3 * columns)
         assert lines[-1] == f"return ({', '.join(outputs)},)"
+
+
+# --- batched flow solves against single ones --------------------------------
+
+# the level fields above and CI's transcendental one, whose numpy exp, log
+# and cos may round otherwise than math's
+BATCH_FIELDS = LEVEL_FIELDS + [("x1 + cos(x2) / (1 + x1^2)", 2)]
+_ROW = st.tuples(
+    st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+    st.sampled_from([1.0, 1e-6, 1e-8, 1e-9, 0.0]),
+    st.sampled_from([0.0, 0.05, -0.05, 0.3, -0.3]) | st.floats(-0.3, 0.3),
+    st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6))
+
+
+def _single_solve(metric, fld, row, t):
+    """One row's flow as a single solve, the path of a one-point chart."""
+    if t == 0.0:
+        return row
+    columns = len(row) // fld.dimension - 1
+    return np.array(dynamics._solve_branch(
+        compile_flow(metric, fld, columns), (metric, fld),
+        tuple(row.tolist()), t, charts._FLOW_TOLERANCES, math.inf))
+
+
+@given(field=st.sampled_from(BATCH_FIELDS), columns=st.integers(0, 2),
+       rows=st.lists(_ROW, min_size=2, max_size=6),
+       repeat=st.booleans())
+@example(field=("x1 - ln(x3)/2", 3), columns=1, repeat=False, rows=[
+    ([0.5, 0.0, 0.4], 1.0, 0.2, [1.0] * 6),
+    ([0.0, 0.0, 6.935272022050353e-98], 1.0, 0.1, [0.0] * 6),
+])  # DX overflows in the second row: the reference raises
+@example(field=("(x1^2 + x2^2)/2", 3), columns=2, repeat=True, rows=[
+    ([1.0, 0.0, 0.0], 1e-8, 0.3, [1.0] * 6),  # s at the floor: the reference
+    ([0.6, -0.8, 0.5], 1.0, -0.3, [0.5] * 6),
+    ([0.6, -0.8, 0.5], 1.0, 0.0, [0.5] * 6),
+])
+@settings(max_examples=100, deadline=None)
+def test_batched_solve_matches_single_solves(field, columns, rows, repeat):
+    """A batch of flow solves gives each row's single solve bit for bit,
+    and where one of them raises, the first such row's error; on a
+    transcendental field the ends agree within 1e-12 of the largest."""
+    source, n = field
+    fld = ScalarField.parse(source, n)
+    metric = MetricSpec.identity(n)
+    rows = rows + rows[:1] if repeat else rows
+    start = np.array([np.concatenate([np.array(p[:n]) * scale,
+                                      carried[:n * columns]])
+                      for p, scale, _t, carried in rows])
+    t = np.array([row[2] for row in rows])
+    want, want_error = _outcome(lambda: np.array([
+        _single_solve(metric, fld, row, time) for row, time in zip(start, t)]))
+    got, got_error = _outcome(lambda: charts.solve_ivp(metric, fld, start, t))
+    assert got_error == want_error
+    if want_error is not None:
+        return
+    if "ln(" in source or "cos(" in source:
+        _assert_relative(got, want)
+    else:
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("entry", ["corollary1-unstable-magnetic",
+                                   "corollary1-mechanical"])
+def test_corpus_chart_grids_take_no_single_solve(entry, count_calls):
+    """Each grid check flows its points in batches, at most one call per
+    flow for the identity grid, the swapped corners, the additivity flows
+    and the block check's Jacobians, and on the corpus charts no row falls
+    back to a single solve."""
+    with count_calls(dynamics, "_solve_branch") as singles, \
+            count_calls(charts, "solve_ivp") as batches:
+        chart, _fields, _pullback = harness.build_problem_chart(
+            harness.corpus_entry(entry))
+        pullback_metric_block_check(chart, grid_count=5)
+        injectivity_probe(chart, grid_count=5)
+    assert not singles
+    assert len(batches) <= 4 * chart.k

@@ -1,5 +1,6 @@
 """Integrator and monitor checks against closed-form solutions."""
 
+import hashlib
 import io
 import math
 import re
@@ -614,6 +615,39 @@ def test_grid_states_match_scipy_dense_output(name, offset, eps, scale,
         [(0.0, h, y, tuple(solver.y.tolist()), stages + extra, len(times))],
         times)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+# sha256 of the generated source of the scalar step and of the extra
+# stages over six floats, the state of a sweep in three dimensions
+_STEP_SOURCES = {
+    "_stepper":
+        "abcfcebb22d6f5d7be8b1aac2a320f20a52c96770935d96d11dd71852a94a5ca",
+    "_extra_stages":
+        "3b75770cca09e46c0690269d5eeec946218719dd157893fa9f699cd88bf0f65f",
+}
+
+
+def test_scalar_step_source_is_unchanged():
+    """The scalar step and extra stages generate the code pinned here, so
+    the numpy rendering of the step, which shares their stage and weight
+    lines, cannot move a sweep; it renders only the error norm apart."""
+    sources = []
+    define = dynamics.define_scalar
+
+    def captured(name, src, **names):
+        sources.append(src)
+        return define(name, src, **names)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "define_scalar", captured)
+        for name, digest in _STEP_SOURCES.items():
+            getattr(dynamics, name).__wrapped__(6)
+            assert hashlib.sha256(sources[-1].encode()).hexdigest() == digest
+        dynamics._stepper.__wrapped__(6, numpy=True)
+    scalar, numpy = (src.splitlines() for src in (sources[0], sources[-1]))
+    apart = [line for line in numpy if line not in scalar]
+    assert len(apart) == 7 and all(
+        line.startswith(("    s", "    error =")) for line in apart)
 
 
 def _interpolated_steps(times, grid):

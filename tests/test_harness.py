@@ -1,6 +1,7 @@
 """Problem loading, sweeps, escape detection, and the CLI surface."""
 
 import copy
+import hashlib
 import io
 import json
 import subprocess
@@ -553,6 +554,32 @@ def test_cli_chart_reports():
 
     assert _run("chart", "whitney-umbrella").exit_code == 2
     assert _run("chart", "corollary1-mechanical", "--multi").exit_code == 2
+
+
+# each corpus chart's report: its flow solves, one per point and flow with
+# a nonzero level, its memo hits, its block check's largest mixed entry,
+# and the sha256 of its bytes
+_CHART_REPORTS = {
+    "corollary1-unstable-magnetic": (
+        1580, 322, 1.465728545089415e-14,
+        "bc3d347cd6a9fb6150aad53127afb893cc0adbacd02bfc549923ca485660ad65"),
+    "corollary1-mechanical": (
+        754, 391, 3.813994271520508e-14,
+        "04b47d21bc6e9e40ac192414307fe39eda3a61aeb56dcf6d3f430a9d06fa6a49"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_CHART_REPORTS))
+def test_cli_chart_report_is_pinned(entry):
+    """Grid checks that flow all their points at once count and compute
+    what one flow solve per point did: the report keeps its bytes."""
+    solves, hits, mixed, digest = _CHART_REPORTS[entry]
+    result = _run("chart", entry)
+    assert result.exit_code == 0
+    data = json.loads(result.output)
+    assert (data["flow_solves"], data["memo_hits"],
+            data["block"]["max_mixed"]) == (solves, hits, mixed)
+    assert hashlib.sha256(result.output.encode()).hexdigest() == digest
 
 
 def test_sweep_runs_report_step_log_counters(corpus_sweeps):
