@@ -10,16 +10,17 @@ and "inconclusive" otherwise.
 Each shell is filled by projecting uniform starts of the probe ball onto
 level sets of U with Newton steps, one numpy pass of U per step, so its
 points are not uniform in the shell; the statistics are suprema over the
-shell, for which coverage counts, not density. Both certifiers read one
-evaluated table per probe: each shell is drawn once and evaluated in one
-numpy pass per field, the field's one numpy function, which gives its
-values and gradients together (one pass for all of a one-form's
-components, which gives its field strength), and the ratios and the
-Euler residual are column arithmetic over those passes. A field's numpy
-row is nan exactly where its value_and_grad raises, so the scalar path
-names the first bad point: a nan row, or one where the metric is not
-invertible or |grad f| is below the floor, is evaluated again point by
-point, which raises the error there (GradientTooSmall where |grad f| is
+shell, for which coverage counts, not density. A probe's first rounds are
+projected together, later rounds alone. Both certifiers read one evaluated
+table per probe: each shell is drawn once, and the shells' points are
+evaluated together in one numpy pass per field, the field's one numpy
+function, which gives its values and gradients together (one pass for all
+of a one-form's components per shell, which gives its field strength), and
+the ratios and the Euler residual are column arithmetic over those passes.
+A field's numpy row is nan exactly where its value_and_grad raises, so the
+scalar path names the first bad point: a nan row, or one where the metric
+is not invertible or |grad f| is below the floor, is evaluated again point
+by point, which raises the error there (GradientTooSmall where |grad f| is
 below the floor) or supplies the row. Each row keeps the bits of the
 point-by-point evaluation.
 
@@ -29,6 +30,7 @@ both are compiled from derivative ASTs.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import asdict, dataclass, field
@@ -61,6 +63,7 @@ MAX_ATTEMPTS_PER_SHELL = 1_000_000
 _NEWTON_STEPS = 40  # Newton steps of a start projected onto a level set
 _NEWTON_TOL = 1e-3  # relative miss |U - t| / t at which a start stops
 _NEAR_STARTS = 64  # starts projected below the first shell's floor
+_BATCH_STARTS = 4096  # most starts of first rounds projected in one call
 _ZERO_FORM_RADIUS = 0.5  # half-width of the box _is_zero_form samples
 
 EULER_TOL = 1e-9  # Euler-identity residual of a quasi-homogeneous U
@@ -90,9 +93,11 @@ class HypothesisProbe:
     samples: int = 200
     seed: int = 0
     # memos: the evaluated shells or the error that evaluating them raised
-    # (_evaluated_shells), and the proof's constants (_proof_constants)
+    # (_evaluated_shells), the proof's constants (_proof_constants) and the
+    # projected first rounds that shells have yet to take (_first_round)
     _table: object = field(init=False, repr=False, default=None)
     _constants: tuple = field(init=False, repr=False, default=None)
+    _rounds: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
@@ -154,36 +159,67 @@ def _project(probe, points, targets):
 
     A point stops once |U - t| <= _NEWTON_TOL * t, once U is nan (where U
     or its gradient is undefined), or after _NEWTON_STEPS steps. Each step
-    is one numpy pass over the points it moves, which gives U there and
-    the gradient of the next step. Returns the points and U at them.
+    is one numpy pass over the points still moving, kept packed with their
+    targets, U and gradients, and writes back the points that stop; rows
+    never mix, so a point lands where it would alone. Returns the points
+    and U at them, nan where a point is not in the ball.
     """
     u_vec = probe.potential.vectorized()
-    points = points.copy()
-    values, grads = u_vec(points)
-    moving = np.arange(len(points))
-    for _ in range(_NEWTON_STEPS):
-        miss = values[moving] - targets[moving]
-        going = np.isfinite(miss) & (np.abs(miss) > _NEWTON_TOL
-                                     * targets[moving])
-        moving, miss, grads = moving[going], miss[going], grads[going]
-        if not len(moving):
-            break
-        with np.errstate(all="ignore"):
-            step = (miss / np.einsum("ij,ij->i", grads, grads))[:, None]
-            points[moving] -= step * grads
-        values[moving], grads = u_vec(points[moving])
-    return points, values
-
-
-def _draw(probe, rng, count, low, high):
-    """``count`` starts of the ball projected onto U = t, t log-uniform in
-    [low, high]: the finite points that stay in the ball, and U at them."""
-    starts = _ball_points(probe, rng, count)
-    targets = low * (high / low) ** rng.random(count)
-    points, values = _project(probe, starts, targets)
+    out, values = np.empty_like(points), np.empty(len(points))
+    index, x, t = np.arange(len(points)), points, targets
+    u, grads = u_vec(x)
     with np.errstate(all="ignore"):
-        inside = np.linalg.norm(points - probe.center, axis=1) <= probe.radius
-    return points[inside], values[inside]
+        for _ in range(_NEWTON_STEPS):
+            miss = u - t
+            going = np.isfinite(miss) & (np.abs(miss) > _NEWTON_TOL * t)
+            out[index[~going]], values[index[~going]] = x[~going], u[~going]
+            index, x, t = index[going], x[going], t[going]
+            if not len(index):
+                break
+            miss, grads = miss[going], grads[going]
+            x = x - (miss / np.einsum("ij,ij->i", grads, grads))[:, None] \
+                * grads
+            u, grads = u_vec(x)
+        else:
+            out[index], values[index] = x, u
+        values[~(np.linalg.norm(out - probe.center, axis=1)
+                 <= probe.radius)] = np.nan
+    return out, values
+
+
+def _starts(probe, rng, count, low, high):
+    """``count`` uniform starts of the ball and targets t, log-uniform in
+    [low, high]."""
+    return _ball_points(probe, rng, count), low * (high / low) ** rng.random(
+        count)
+
+
+def _first_round(probe, shell_index):
+    """The shell's generator after its first round, and that round's
+    projection: one call with the first rounds of the next shells while
+    their starts fit in _BATCH_STARTS, and shell 0's near-locus starts,
+    drawn on a copy of its generator, if they fit too. The probe keeps
+    each projection, under its shell's index or "near", until taken."""
+    if shell_index not in probe._rounds:
+        deltas, count = probe.shell_deltas(), 2 * probe.samples
+        batch = []  # (memo key, generator, starts, targets)
+        for j in range(shell_index, len(deltas)):
+            if batch and sum(len(d[3]) for d in batch) + count > _BATCH_STARTS:
+                break
+            rng = np.random.default_rng([probe.seed, j])
+            batch.append((j, rng, *_starts(probe, rng, count, deltas[j],
+                                           10.0 * deltas[j])))
+            if j == 0 and count + _NEAR_STARTS <= _BATCH_STARTS:
+                rng = copy.deepcopy(rng)
+                batch.append(("near", rng, *_starts(
+                    probe, rng, _NEAR_STARTS, deltas[0] / 10.0, deltas[0])))
+        cuts = np.cumsum([len(targets) for *_, targets in batch])[:-1]
+        projected = _project(probe, *(np.concatenate(
+            [draw[k] for draw in batch]) for k in (2, 3)))
+        for (key, rng, *_), *rows in zip(batch, *(
+                np.split(column, cuts) for column in projected)):
+            probe._rounds[key] = rng, rows
+    return probe._rounds.pop(shell_index)
 
 
 def _sample_shell(probe, delta, shell_index):
@@ -192,22 +228,25 @@ def _sample_shell(probe, delta, shell_index):
     Each round projects 2 * samples uniform starts of the ball onto level
     sets U = t, t log-uniform in the shell, and keeps the points that land
     in the shell and the ball. Sampling stops at ``samples`` points, after
-    a round that keeps none or at MAX_ATTEMPTS_PER_SHELL starts. The
-    points are not uniform in the shell; the certifiers take the supremum
-    of a ratio over them, for which coverage of the shell is what counts.
+    a round that keeps none or at MAX_ATTEMPTS_PER_SHELL starts. The first
+    round is projected with the probe's other first rounds (_first_round),
+    a later one alone. The points are not uniform in the shell; the
+    certifiers take the supremum of a ratio over them, for which coverage
+    of the shell is what counts.
 
     Returns (points, attempts, near_zero_points): ``attempts`` counts the
     starts projected, and shell 0 alone also projects _NEAR_STARTS starts
-    to below its floor and keeps up to 32 with 0 <= U < delta for
-    near-locus diagnostics. ``points`` is empty when no start reached the
-    shell.
+    to below its floor, with its first round if it took one round and else
+    after its last, and keeps up to 32 with 0 <= U < delta for near-locus
+    diagnostics. ``points`` is empty when no start reached the shell.
     """
-    rng = np.random.default_rng([probe.seed, shell_index])
+    rng, (points, values) = _first_round(probe, shell_index)
     accepted = []
     kept = attempts = 0
     while kept < probe.samples and attempts < MAX_ATTEMPTS_PER_SHELL:
-        points, values = _draw(probe, rng, 2 * probe.samples,
-                               delta, 10.0 * delta)
+        if attempts:
+            points, values = _project(probe, *_starts(
+                probe, rng, 2 * probe.samples, delta, 10.0 * delta))
         attempts += 2 * probe.samples
         points = points[(values >= delta) & (values <= 10.0 * delta)]
         if not len(points):
@@ -216,7 +255,11 @@ def _sample_shell(probe, delta, shell_index):
         kept += len(points)
     near = []
     if shell_index == 0:
-        points, values = _draw(probe, rng, _NEAR_STARTS, delta / 10.0, delta)
+        _rng, drawn = probe._rounds.pop("near", (None, None))
+        if drawn is None or attempts > 2 * probe.samples:
+            drawn = _project(probe, *_starts(probe, rng, _NEAR_STARTS,
+                                              delta / 10.0, delta))
+        points, values = drawn
         near = list(points[(values >= 0) & (values < delta)][:32])
     points = np.concatenate(accepted) if accepted \
         else np.empty((0, len(probe.center)))
@@ -265,7 +308,9 @@ def _evaluated_shells(probe):
 
     Made once per probe; an error in making them is kept and raised again.
     Each filled shell is (delta, attempts, points, (grad f, U, dU, g^-1)),
-    its columns from one numpy pass per field (``_evaluate``); the scalar
+    its columns from one numpy pass per field (``_evaluate``) over the
+    filled shells' points joined in shell order, while they fit in
+    _BATCH_STARTS rows, and then over the next ones; the scalar
     path names the first bad point, grad f before U at each point, as
     GradientTooSmall names the first point where |grad f| is below the
     floor. A shell with no sample is skipped while enough filled shells
@@ -285,16 +330,29 @@ def _evaluated_shells(probe):
 def _shell_table(probe):
     deltas = probe.shell_deltas()
     drawn = [_sample_shell(probe, delta, j) for j, delta in enumerate(deltas)]
-    filled = sum(1 for points, _attempts, _near in drawn if len(points))
-    shells, skipped = [], []
-    for delta, (points, attempts, _near) in zip(deltas, drawn):
-        if not len(points):
-            if filled < _REFUTATION_WINDOW:
-                raise EmptyShell(delta, attempts)
-            skipped.append(float(delta))
-            continue
-        shells.append((float(delta), attempts, points,
-                       _evaluate(probe, points)))
+    sizes = [len(points) for points, _attempts, _near in drawn]
+    empty = sizes.index(0) if 0 in sizes else None
+    # too few filled shells: those before the first empty one are evaluated,
+    # so an error there comes before its EmptyShell
+    starved = empty is not None and \
+        len(sizes) - sizes.count(0) < _REFUTATION_WINDOW
+    rows, group = [], []
+    for points in [points for points, *_ in drawn[:empty if starved else None]
+                   if len(points)] + [None]:
+        if group and (points is None or sum(map(len, group)) + len(points)
+                      > _BATCH_STARTS):
+            cuts = np.cumsum(list(map(len, group)))[:-1]
+            rows += zip(*(np.split(column, cuts) for column in _evaluate(
+                probe, np.concatenate(group))))
+            group = []
+        group.append(points)
+    if starved:
+        raise EmptyShell(deltas[empty], drawn[empty][1])
+    rows = iter(rows)
+    shells = [(float(delta), attempts, points, next(rows))
+              for delta, (points, attempts, _near) in zip(deltas, drawn)
+              if len(points)]
+    skipped = [float(delta) for delta, size in zip(deltas, sizes) if not size]
     return shells, skipped, drawn[0][2]
 
 

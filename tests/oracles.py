@@ -5,15 +5,18 @@ language: it evaluates an AST over plain floats or vector-forward dual
 numbers (``instab.expr.Dual``, one derivative seed per coordinate,
 nestable for second order), independently of the generated code. The
 fields' own evaluations, in order, are the oracle of the kernels that
-compute several fields at once. The other helpers compute the conserved
-energy, check a trajectory against the equations of motion and the two
-time parameterizations against each other.
+compute several fields at once. The per-shell sampler, one projection per
+round over one index set, is the oracle of the batched first rounds. The
+other helpers compute the conserved energy, check a trajectory against
+the equations of motion and the two time parameterizations against each
+other.
 """
 
 import math
 
 import numpy as np
 
+from instab import certify
 from instab.dynamics import (
     State,
     Tolerances,
@@ -185,6 +188,65 @@ def grad_numpy(field, point) -> list:
     ASTs, whose values the vectorized backend computes."""
     return [_walk_numpy(derivative(field.body, a), point)
             for a in range(field.dimension)]
+
+
+# --- certification shells ---------------------------------------------------
+
+
+def _project(probe, points, targets):
+    """Newton steps toward U = t over one index set of the moving points,
+    gathered from and scattered back to all of them at each step."""
+    u_vec = probe.potential.vectorized()
+    points = points.copy()
+    values, grads = u_vec(points)
+    moving = np.arange(len(points))
+    for _ in range(certify._NEWTON_STEPS):
+        miss = values[moving] - targets[moving]
+        going = np.isfinite(miss) & (np.abs(miss) > certify._NEWTON_TOL
+                                     * targets[moving])
+        moving, miss, grads = moving[going], miss[going], grads[going]
+        if not len(moving):
+            break
+        with np.errstate(all="ignore"):
+            step = (miss / np.einsum("ij,ij->i", grads, grads))[:, None]
+            points[moving] -= step * grads
+        values[moving], grads = u_vec(points[moving])
+    return points, values
+
+
+def _draw(probe, rng, count, low, high):
+    starts = certify._ball_points(probe, rng, count)
+    targets = low * (high / low) ** rng.random(count)
+    points, values = _project(probe, starts, targets)
+    with np.errstate(all="ignore"):
+        inside = np.linalg.norm(points - probe.center, axis=1) <= probe.radius
+    return points[inside], values[inside]
+
+
+def sample_shell(probe, delta, shell_index):
+    """A shell's (points, attempts, near-locus points) from its own
+    generator, one projection per round, and shell 0's near-locus starts
+    drawn after its last round."""
+    rng = np.random.default_rng([probe.seed, shell_index])
+    accepted = []
+    kept = attempts = 0
+    while kept < probe.samples and attempts < certify.MAX_ATTEMPTS_PER_SHELL:
+        points, values = _draw(probe, rng, 2 * probe.samples,
+                               delta, 10.0 * delta)
+        attempts += 2 * probe.samples
+        points = points[(values >= delta) & (values <= 10.0 * delta)]
+        if not len(points):
+            break
+        accepted.append(points)
+        kept += len(points)
+    near = []
+    if shell_index == 0:
+        points, values = _draw(probe, rng, certify._NEAR_STARTS,
+                               delta / 10.0, delta)
+        near = list(points[(values >= 0) & (values < delta)][:32])
+    points = np.concatenate(accepted) if accepted \
+        else np.empty((0, len(probe.center)))
+    return points[:probe.samples], attempts, near
 
 
 # --- trajectories -----------------------------------------------------------

@@ -7,9 +7,11 @@ import sys
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from instab import certify, expr, harness
 from instab.certify import (
     HypothesisProbe,
@@ -22,6 +24,7 @@ from instab.certify import (
     check_quasi_homogeneous,
 )
 from instab.charts import BaseSurfaceMap, build_multi_chart
+from instab.cli import main
 from instab.errors import (
     DomainError,
     EmptyShell,
@@ -209,6 +212,24 @@ def test_too_few_filled_shells_reported(monkeypatch):
         certify_potential_condition(probe)
 
 
+@pytest.mark.parametrize("bad_shell, error", [(0, GradientTooSmall),
+                                               (2, EmptyShell)])
+def test_too_few_filled_shells_raise_in_shell_order(bad_shell, error,
+                                                    monkeypatch):
+    """With two filled shells, a point where |grad f| is below the floor
+    before the first empty shell is named before that shell's EmptyShell,
+    and one after it is never evaluated."""
+    good, bad = np.array([[1.0, 0.0, 0.5]]), np.array([[0.0, 0.0, 0.5]])
+    shells = {0: good, 2: good, bad_shell: bad}
+    monkeypatch.setattr(certify, "_sample_shell", lambda _probe, _delta, j: (
+        shells.get(j, good[:0]), 7, []))
+    with pytest.raises(error) as raised:
+        certify_potential_condition(_probe("x3^2", "x1^2"))
+    if error is EmptyShell:
+        assert (raised.value.delta, raised.value.attempts) == (
+            pytest.approx(1e-6), 7)
+
+
 def test_codimension_two_shells_fill():
     # U vanishes on the x3 axis, so the 1e-7 shell is a thin tube holding
     # about 5e-6 of the ball's volume; projection fills it all the same
@@ -284,10 +305,12 @@ def test_each_shell_drawn_once(monkeypatch):
 
 
 def test_each_shell_point_evaluated_once(monkeypatch):
-    """One ``vectorized`` pass per field and one magnetic_tensor_rows pass
-    per shell, one pass of U per Newton step, no other generated numpy
-    pass there, and no scalar value_and_grad or magnetic_tensor call at a
-    shell point, since every row of this entry's shells is finite."""
+    """One ``vectorized`` pass of f and of U over the probe's shell points
+    joined in shell order, one magnetic_tensor_rows pass per shell, one
+    projection of all first rounds and shell 0's near-locus starts with
+    one pass of U per Newton step, no other generated numpy pass there,
+    and no scalar value_and_grad or magnetic_tensor call at a shell point,
+    since every row of this entry's shells is finite."""
     problem = harness.corpus_entry("unstable-magnetic-plane")
     probe = harness.certification_probe(problem)
     passes, generated, scalar, projections = [], [], [], []
@@ -344,22 +367,42 @@ def test_each_shell_point_evaluated_once(monkeypatch):
     assert not magnetic.notes.get("trivial")
     shells, _skipped, _near = probe._table
     assert len(shells) == 6
-    for _delta, _attempts, points, _columns in shells:
-        for fld in [probe.f, probe.potential, probe.magnetic]:
-            assert sum(owner is fld and np.array_equal(seen, points)
-                       for owner, seen in passes) == 1
-        assert sum(np.array_equal(seen, points) for seen in generated) == 3
     shell_points = np.concatenate([points for *_, points, _ in shells])
+    for fld in [probe.f, probe.potential]:
+        assert sum(owner is fld and np.array_equal(seen, shell_points)
+                   for owner, seen in passes) == 1
+    assert sum(np.array_equal(seen, shell_points)
+               for seen in generated) == 2
+    for _delta, _attempts, points, _columns in shells:
+        assert sum(owner is probe.magnetic and np.array_equal(seen, points)
+                   for owner, seen in passes) == 1
+        assert sum(np.array_equal(seen, points) for seen in generated) == 1
     assert not any((shell_points == x).all(axis=1).any() for x in scalar)
-    # a projection passes over its starts, then over the points each
-    # Newton step moves, so it never evaluates a point twice
-    assert projections
-    for starts, seen, numpy_passes in projections:
-        assert all(owner is probe.potential for owner, _points in seen)
-        assert len(numpy_passes) == len(seen) <= 1 + certify._NEWTON_STEPS
-        assert np.array_equal(numpy_passes[0], starts)
-        evaluated = np.concatenate(numpy_passes)
-        assert len(np.unique(evaluated, axis=0)) == len(evaluated)
+    # every shell takes one round: a single projection passes over all
+    # starts, then over the points each Newton step moves, so it never
+    # evaluates a point twice
+    [(starts, seen, numpy_passes)] = projections
+    assert len(starts) == 6 * 2 * probe.samples + certify._NEAR_STARTS
+    assert all(owner is probe.potential for owner, _points in seen)
+    assert len(numpy_passes) == len(seen) <= 1 + certify._NEWTON_STEPS
+    assert np.array_equal(numpy_passes[0], starts)
+    evaluated = np.concatenate(numpy_passes)
+    assert len(np.unique(evaluated, axis=0)) == len(evaluated)
+
+
+@pytest.mark.parametrize("samples, most", [
+    (200, 6 * 400 + certify._NEAR_STARTS),  # a probe's first rounds at once
+    (20000, 40000),  # past _BATCH_STARTS each shell's round alone
+])
+def test_projection_batches_stay_bounded(samples, most, count_calls):
+    entries = ["kolibri"] if samples > 200 else [
+        name for name, _data in harness._CORPUS_DATA]
+    with count_calls(certify, "_project") as calls:
+        for entry in entries:
+            result = CliRunner().invoke(main, ["certify", entry, "--samples",
+                                               str(samples)])
+            assert result.exit_code == 0, result.output
+    assert calls and max(len(points) for _probe, points, _t in calls) <= most
 
 
 def test_gradient_floor_enforced():
@@ -711,6 +754,57 @@ def test_numpy_table_raises_like_point_by_point_loop(f_source, u_source,
                                                      form, metric, points):
     """ln, sqrt and division: the same error class, message and point."""
     _compare_paths(u_source, f_source, form, metric, points, bits=False)
+
+
+# --- batched first rounds against the per-shell sampler ---------------------
+
+_TRANSCENDENTAL = "ln(1 + x2^2) + x2^2 / (2 + cos(x1)) + sqrt(1 + x2^4) - 1"
+_SHELL_POTENTIALS = st.one_of(
+    _POLYNOMIALS.map(lambda source: (source, 3)),
+    st.sampled_from([(_TRANSCENDENTAL, 2),
+                     ("sqrt(x1) * x2^2 + x3^2", 3)]))  # nan where x1 < 0
+
+
+@given(_SHELL_POTENTIALS, st.sampled_from([100, 150, 1000, 3000]),
+       st.integers(0, 2 ** 16), st.sampled_from([0.02, 0.1, 0.5, 1.0]),
+       st.sampled_from([1e-7, 1e-4]))
+# shell 0 takes a second round, so the batch's near-locus draw goes unused
+@example(("x1^2*x2^2*x3^2", 3), 200, 0, 0.5, 1e-4)
+@example(("x1^2*x2^2 + x3^4", 3), 200, 1, 0.02, 1e-7)
+# test_too_few_filled_shells_reported's probe: two shells fill
+@example(("x1^2*x2^2", 2), 200, 4, 0.06, 1e-7)
+@settings(max_examples=30, deadline=None)
+def test_batched_shells_match_per_shell_sampler(potential, samples, seed,
+                                                radius, delta_min):
+    """Each shell's points, attempts and near-locus points keep the bits of
+    its own sampler, its first round projected with the probe's other
+    first rounds (alone past _BATCH_STARTS starts), and too few filled
+    shells raise EmptyShell at the same shell with the same attempts."""
+    source, n = potential
+
+    def probe():
+        return HypothesisProbe(
+            metric=MetricSpec.identity(n), potential=ScalarField.parse(
+                source, n), f=ScalarField.parse("x1", n),
+            center=np.zeros(n), radius=radius, delta_min=delta_min,
+            samples=samples, seed=seed)
+
+    batched, alone = probe(), probe()
+    expected = []
+    for j, delta in enumerate(batched.shell_deltas()):
+        got = certify._sample_shell(batched, delta, j)
+        want = oracles.sample_shell(alone, delta, j)
+        assert np.array_equal(got[0], want[0])
+        assert got[1] == want[1]
+        assert np.array_equal(np.reshape(got[2], (-1, n)),
+                              np.reshape(want[2], (-1, n)))
+        expected.append((delta, want[1], len(want[0])))
+    empty = [(delta, attempts) for delta, attempts, count in expected
+             if not count]
+    if empty and len(expected) - len(empty) < certify._REFUTATION_WINDOW:
+        with pytest.raises(EmptyShell) as raised:
+            certify._evaluated_shells(probe())
+        assert (raised.value.delta, raised.value.attempts) == empty[0]
 
 
 def _oracle_euler(potential, spec, samples, seed, box):

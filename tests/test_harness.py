@@ -582,6 +582,37 @@ def test_cli_chart_report_is_pinned(entry):
     assert hashlib.sha256(result.output.encode()).hexdigest() == digest
 
 
+# sha256 of each corpus entry's `instab certify <entry> --seed 0` report
+_CERTIFY_REPORTS = {
+    "stable-magnetic-plane":
+        "e0d08f0a709d4353d54cd07515cb0f84936f1b177859b6c7764f25891d0cb168",
+    "unstable-magnetic-plane":
+        "7f291ba682190ab30cc42ec7dcb9762ac5505aa3f51c5e27907570c91f82a9f0",
+    "mechanical-plane":
+        "55efb95fc92bca31ed7b4139c7e2c144ee20b223acd7e007d2b57ee3db842a86",
+    "whitney-umbrella":
+        "6dd06cdbb7074a366d1b2e469fa4dfc7da496579f6ce2ca55da2a2735bab4add",
+    "kolibri":
+        "bebf863791e9cdba227c30e829750f7dbceb96667714c066b6aa94802d242450",
+    "crossing-axes":
+        "686328c0944ebda83b2f4cabc884c2bc06664eb4928a8e3823a17946c0cc51ea",
+    "corollary1-unstable-magnetic":
+        "bc905240ab20fdab11450adaf918ac4477b4e17b6f80e87c1aab7eecfd547f15",
+    "corollary1-mechanical":
+        "9e1be8bb208664a4f6d3738edcf4e060d4ab91bc1f96b78cfffb882e4a034763",
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_CERTIFY_REPORTS))
+def test_cli_certify_report_is_pinned(entry):
+    """Projecting a probe's first rounds together and evaluating its
+    shells in one pass keep every report's bytes."""
+    result = _run("certify", entry, "--seed", "0")
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.output.encode()).hexdigest() \
+        == _CERTIFY_REPORTS[entry]
+
+
 def test_sweep_runs_report_step_log_counters(corpus_sweeps):
     for report in corpus_sweeps.values():
         for run in report.runs:
