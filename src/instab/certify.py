@@ -50,9 +50,11 @@ from .geometry import (
     OneForm,
     contracted_form_norm,
     gradient_data,
+    gradient_rows,
     guard_cancellation,
     magnetic_tensor,
     magnetic_tensor_rows,
+    mend_rows,
     normalized_gradient_jacobian,
     riemannian_gradient,
     rowdot,
@@ -356,54 +358,11 @@ def _shell_table(probe):
     return shells, skipped, drawn[0][2]
 
 
-def _mend(points, bad, scalar, columns, skip=()):
-    """Give each bad row of ``columns``, in order, the row ``scalar(x)``.
-
-    ``scalar`` is the scalar path at one point: it raises the error that
-    path raises there, or supplies the row. A row where it raises one of
-    ``skip`` stays bad. Returns the mask of rows still bad.
-    """
-    for k in np.flatnonzero(bad):
-        try:
-            row = scalar(points[k])
-        except skip:
-            continue
-        for column, value in zip(columns, row):
-            column[k] = value
-        bad[k] = False
-    return bad
-
-
-def _gradient_rows(metric, f, points):
-    """grad f, |grad f|^2 and g^-1 rows at (m, n) ``points``, and the mask
-    of bad rows, first those where f's numpy row is nan.
-
-    g^-1 is MetricSpec.inverse at each point not yet bad, the identity on
-    a Euclidean metric; a row where it raises turns bad, as does one where
-    |grad f|^2 is not finite.
-    """
-    values, df = f.vectorized()(points)
-    bad = np.isnan(values)
-    m, n = points.shape
-    if metric.euclidean:
-        inverse, grad = np.tile(np.eye(n), (m, 1, 1)), df
-    else:
-        inverse = np.full((m, n, n), np.nan)
-        for k in np.flatnonzero(~bad):
-            try:
-                inverse[k] = metric.inverse(points[k])
-            except InstabError:
-                bad[k] = True
-        grad = (inverse @ df[:, :, None])[:, :, 0]
-    norm_sq = rowdot(df, grad)
-    return grad, norm_sq, inverse, bad | ~np.isfinite(norm_sq)
-
-
 def _evaluate(probe, points):
     """(grad f, U, dU, g^-1) rows at a shell's points; a bad row, or one
     where |grad f| is below the floor, from the scalar path."""
     metric = probe.metric
-    grad, norm_sq, inverse, bad = _gradient_rows(metric, probe.f, points)
+    grad, norm_sq, inverse, bad = gradient_rows(metric, probe.f, points)
     u, du = probe.potential.vectorized()(points)
     bad |= np.isnan(u) | (norm_sq < GRADIENT_FLOOR ** 2)
 
@@ -412,7 +371,7 @@ def _evaluate(probe, points):
         return (grad_x, *probe.potential.value_and_grad(x),
                 metric.inverse(x))
 
-    _mend(points, bad, scalar, (grad, u, du, inverse))
+    mend_rows(points, bad, scalar, (grad, u, du, inverse))
     return grad, u, du, inverse
 
 
@@ -491,8 +450,8 @@ def certify_magnetic_condition(probe) -> ConditionReport:
     rows, full_rows = [], []
     for delta, attempts, points, (grad, u, _du, inverse) in shells:
         tensors, bad = magnetic_tensor_rows(mu, points)
-        _mend(points, bad & (u > 0), lambda x: (magnetic_tensor(mu, x),),
-              (tensors,))
+        mend_rows(points, bad & (u > 0),
+                  lambda x: (magnetic_tensor(mu, x),), (tensors,))
         with np.errstate(divide="ignore", invalid="ignore"):
             root = np.sqrt(u)
             contracted, full = (
@@ -506,10 +465,10 @@ def certify_magnetic_condition(probe) -> ConditionReport:
     # characteristic-equation diagnostics on near-locus samples, grad f
     # before the tensor at each point; fmax and fmin skip a nan norm
     near = np.reshape(near, (-1, len(probe.center)))
-    grad, _norm_sq, inverse, bad = _gradient_rows(probe.metric, probe.f,
-                                                  near)
+    grad, _norm_sq, inverse, bad = gradient_rows(probe.metric, probe.f,
+                                                 near)
     tensors, bad_tensor = magnetic_tensor_rows(mu, near)
-    _mend(near, bad | bad_tensor, lambda x: (
+    mend_rows(near, bad | bad_tensor, lambda x: (
         riemannian_gradient(probe.metric, probe.f, x),
         probe.metric.inverse(x), magnetic_tensor(mu, x)),
         (grad, inverse, tensors))
@@ -555,9 +514,9 @@ def _proof_constants(probe):
         metric = probe.metric
         rng = np.random.default_rng([probe.seed, 9999])
         points = _ball_points(probe, rng, 64)
-        grad, norm_sq, _inverse, bad = _gradient_rows(metric, probe.f,
-                                                      points)
-        bad = _mend(points, bad, lambda x: gradient_data(
+        grad, norm_sq, _inverse, bad = gradient_rows(metric, probe.f,
+                                                     points)
+        bad = mend_rows(points, bad, lambda x: gradient_data(
             metric, probe.f, x)[1:], (grad, norm_sq),
             skip=(DomainError, NonFiniteResult))
         m_grad = math.sqrt(max(np.min(norm_sq[~bad], initial=math.inf),
@@ -604,7 +563,7 @@ def check_quasi_homogeneous(potential, spec, seed=0) -> QuasiHomogeneousReport:
     rng = np.random.default_rng(seed)
     points = rng.uniform(-EULER_BOX, EULER_BOX, size=(EULER_SAMPLES, n))
     u, du = potential.vectorized()(points)
-    _mend(points, np.isnan(u), potential.value_and_grad, (u, du))
+    mend_rows(points, np.isnan(u), potential.value_and_grad, (u, du))
     weights = np.broadcast_to(spec.weights, du.shape)
     residual = np.abs(rowdot(weights, points * du) - spec.degree * u)
     residual /= 1.0 + np.abs(u)

@@ -18,16 +18,25 @@ X = df/|df|^2 and for a Jacobian flow also DX·J, is ASTs over the level
 field's partials, compiled by ``expr.compile_kernel`` once per field;
 ``normalized_gradient`` or ``normalized_gradient_jacobian`` decides where
 the kernel's code fails or an output is not finite, and on a curved
-metric. Each grid check flows all its points at once with the kernel's
-numpy twin (``dynamics._solve_rows``); a row where the twin is not
-finite, that underflows or spends its budget, every row on a curved
-metric and a batch of one are solved alone. A row has its single solve's
-bits, on a transcendental level field but for its last ones. Each chart
-counts its flow solves and its memo hits, per point.
+metric. Each grid check flows its points at once with the kernel's numpy
+twin (``dynamics._solve_rows``), stepping (m, N) arrays; a batch below
+``dynamics.BATCH_ROWS`` rows, a row where the twin is not finite, that
+underflows or spends its budget, and every row on a curved metric are
+solved alone. A row has its single solve's bits, on a transcendental
+level field but for its last ones.
+
+The base map's values and partials, a Jacobian's level columns and the
+checks' field values come from one numpy pass per grid, each row with the
+per-point call's bits, on a transcendental base map or field but for its
+last ones. A nan row falls back to the per-point call, which raises the
+field's own error, and a check runs its scalar code at the points its pass
+flags, so it fails where and as it did point by point. Each chart counts
+its flow solves and its memo hits, per point.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -40,10 +49,12 @@ from .errors import (
     SingularJacobian,
 )
 from .expr import (Num, Var, compile_kernel, compile_vectorized_kernel,
-                   partial_fields)
+                   derivative, partial_fields)
 from .geometry import (
     _fold,
     _total,
+    gradient_rows,
+    mend_rows,
     normalized_gradient,
     normalized_gradient_jacobian,
 )
@@ -78,6 +89,22 @@ class BaseSurfaceMap:
     def jacobian(self, y) -> np.ndarray:
         y = np.atleast_1d(np.asarray(y, dtype=float))
         return np.array([c.grad(y) for c in self.components])
+
+    @functools.cached_property
+    def _numpy(self):
+        """The components' values, then their partials, over rows."""
+        bodies = [c.body for c in self.components]
+        d = self.components[0].dimension
+        return compile_vectorized_kernel(bodies, d, bodies + [
+            derivative(body, a) for body in bodies for a in range(d)])
+
+    def rows(self, y):
+        """psi, (N, n), and d(psi), (N, n, d), at each row of (N, d) base
+        coordinates from one numpy pass, and the mask of its nan rows,
+        those where ``__call__`` raises a component's own error."""
+        out, n = self._numpy(y), len(self.components)
+        return (out[:, :n], out[:, n:].reshape(len(y), n, -1),
+                np.isnan(out).any(axis=1))
 
 
 # --- flow fields -------------------------------------------------------------
@@ -159,16 +186,16 @@ def solve_ivp(metric, fld, start, t):
     """The time-``t[r]`` state of the flow of ``fld`` from each row r of
     ``start``, (N, m): a point, and for m > n a matrix J row by row,
     carried by J' = DX·J. A row with t = 0 is its start; each other is a
-    gridless DOP853 branch at rtol = atol = FLOW_TOL with no step cap,
-    all stepped at once (``dynamics._solve_rows``). Every flow solve of a
-    chart comes through here.
+    gridless DOP853 branch at rtol = atol = FLOW_TOL with no step cap, a
+    large batch stepped at once with the kernel's numpy twin, compiled
+    only then (``dynamics._solve_rows``). Every flow solve of a chart comes
+    through here.
     """
     columns = start.shape[1] // fld.dimension - 1
     moving = t != 0.0
-    twin = None
-    if metric.euclidean and np.count_nonzero(moving) > 1:
-        twin = fld.code(("flow twin", columns), _flow_kernel, fld, columns,
-                        None)
+    twin = (functools.partial(fld.code, ("flow twin", columns), _flow_kernel,
+                              fld, columns, None)
+            if metric.euclidean else None)
     end = start.copy()
     end[moving] = _solve_rows(compile_flow(metric, fld, columns), twin,
                               (metric, fld), start[moving], t[moving],
@@ -241,7 +268,9 @@ class AdaptedChart:
                 missed[key] = r
         if missed:
             first = list(missed.values())
-            x = np.array([self.psi(y) for y in rows[first, k:]])
+            base = rows[first, k:]
+            x, _jac, bad = self.psi.rows(base)
+            mend_rows(base, bad, lambda y: (self.psi(y),), (x,))
             # Psi(r, y) = phi^1_{r_1} o ... o phi^k_{r_k} (psi(y)): the
             # highest index flows first.
             for i in reversed(sequence):
@@ -251,6 +280,7 @@ class AdaptedChart:
         points = np.array([self._memo[key] for key in keys])
         return points if coords.ndim > 1 else points[0]
 
+    @np.errstate(all="ignore")  # bad level-column rows, mended below
     def jacobian(self, coords) -> np.ndarray:
         """d(Psi), one column per coordinate, exact but for the integrator;
         at each row of an (N, d) array of coordinates an (N, n, d) array.
@@ -261,21 +291,39 @@ class AdaptedChart:
         """
         coords = np.asarray(coords, dtype=float)
         rows, k = np.atleast_2d(coords), self.k
-        x = np.array([self.psi(y) for y in rows[:, k:]])
+        base = rows[:, k:]
+        x, base_jac, bad = self.psi.rows(base)
+        mend_rows(base, bad, lambda y: (self.psi(y), self.psi.jacobian(y)),
+                  (x, base_jac))
         jac = np.zeros(x.shape + rows.shape[1:])
-        jac[:, :, k:] = [self.psi.jacobian(y) for y in rows[:, k:]]
+        jac[:, :, k:] = base_jac
         for i in reversed(range(k)):
             x, jac[:, :, i + 1:] = _flow_with_jacobian(
                 self.metric, self.fields[i], x, jac[:, :, i + 1:],
                 rows[:, i], self.counters)
-            jac[:, :, i] = [normalized_gradient(self.metric, self.fields[i],
-                                                p, FLOW_GRADIENT_FLOOR)
-                            for p in x]
+            # level column i: X_i = grad f_i / |grad f_i|^2 at x, a row
+            # below the floor or undefined from the scalar call, which raises
+            grad, norm_sq, _inverse, bad = gradient_rows(self.metric,
+                                                         self.fields[i], x)
+            jac[:, :, i] = grad / norm_sq[:, None]
+            mend_rows(x, bad | (norm_sq < FLOW_GRADIENT_FLOOR ** 2),
+                      lambda p: (normalized_gradient(
+                          self.metric, self.fields[i], p,
+                          FLOW_GRADIENT_FLOOR),), (jac[:, :, i],))
         return jac if coords.ndim > 1 else jac[0]
 
     def grid(self, count=DEFAULT_GRID):
         """Cartesian sample grid over the level ranges and the base box."""
         return _box_grid(self.level_ranges + list(self.psi.box), count)
+
+
+def _off(fields, points, expect=0.0):
+    """Whether at each of (N, n) ``points`` a field's value is nan or more
+    than IDENTITY_TOL off ``expect`` (k x N), from one numpy pass per field.
+    A check runs its scalar code at these points alone, in order, so it
+    fails where and as it did point by point."""
+    values = np.array([fld.vectorized()(points)[0] for fld in fields])
+    return ~(abs(values - expect) <= IDENTITY_TOL).all(axis=0)
 
 
 def _box_grid(box, count):
@@ -286,7 +334,9 @@ def _box_grid(box, count):
 
 
 def _check_base_map(fields, psi, count=DEFAULT_GRID):
-    for y in _box_grid(psi.box, count):
+    grid = _box_grid(psi.box, count)
+    points, _jac, bad = psi.rows(grid)
+    for y in grid[bad | _off(fields, points)]:
         p = psi(y)
         for fld in fields:
             value = fld.eval(p)
@@ -315,7 +365,9 @@ def build_multi_chart(metric, fields, psi, r_box,
     chart = AdaptedChart(metric, fields, psi, [tuple(r) for r in r_box])
 
     grid = chart.grid(grid_count)
-    for coords, p in zip(grid, chart.point(grid)):
+    points = chart.point(grid)
+    off = _off(fields, points, grid[:, :k].T)
+    for coords, p in zip(grid[off], points[off]):
         for i, fld in enumerate(fields):
             residual = fld.eval(p) - coords[i]
             if abs(residual) > IDENTITY_TOL:
@@ -340,7 +392,12 @@ def build_multi_chart(metric, fields, psi, r_box,
     moved = [flow_normalized_gradient(metric, fld, starts, 0.05 * (1 + i),
                                       chart.counters)
              for i, fld in enumerate(fields)]
-    for r, x in enumerate(starts):
+    before = np.array([fld.vectorized()(starts)[0] for fld in fields])
+    off = np.any([_off(fields, ends, np.eye(k)[:, [i]] * (0.05 * (1 + i))
+                       + before)  # as expect below
+                  for i, ends in enumerate(moved)], axis=0)
+    for r in np.flatnonzero(off):
+        x = starts[r]
         for i in range(k):
             t = 0.05 * (1 + i)
             for j, fld in enumerate(fields):
@@ -374,34 +431,34 @@ def pullback_metric_block_check(chart,
     functions: additionally the upper k x k level block must be diagonal.
     """
     k = chart.k
-    max_mixed = 0.0
-    max_off = 0.0
-    max_cond = 0.0
     grid = chart.grid(grid_count)
     jacobians = chart.jacobian(grid)
-    for coords, jac, ambient in zip(grid, jacobians, chart.point(grid)):
-        cond = float(np.linalg.cond(jac))
-        if not np.isfinite(cond) or cond > 1e12:
-            raise SingularJacobian(
-                f"chart Jacobian ill-conditioned ({cond:.3e}) "
-                f"at {tuple(coords)}"
-            )
-        g = chart.metric.value(ambient)
-        pulled = jac.T @ g @ jac
-        mixed = float(np.max(np.abs(pulled[:k, k:])))
-        off = 0.0
-        if k > 1:
-            level_block = pulled[:k, :k]
-            off = float(np.max(np.abs(
-                level_block - np.diag(np.diag(level_block)))))
-        max_mixed = max(max_mixed, mixed)
-        max_off = max(max_off, off)
-        max_cond = max(max_cond, cond)
+    points = chart.point(grid)
+    conds = np.linalg.cond(jacobians)
+    ill = ~(conds <= 1e12)  # not finite, or above the bound
+    count = int(np.argmax(ill)) if ill.any() else len(grid)
+    g = np.array([chart.metric.value(p) for p in points[:count]])
+    if count < len(grid):
+        raise SingularJacobian(
+            f"chart Jacobian ill-conditioned ({conds[count]:.3e}) "
+            f"at {tuple(grid[count])}"
+        )
+    pulled = jacobians.transpose(0, 2, 1) @ g @ jacobians
+    # a nan row counts for none, as in a running max
+    max_mixed = np.fmax.reduce(np.abs(pulled[:, :k, k:]).max(axis=(1, 2)),
+                               initial=0.0)
+    max_off = 0.0
+    if k > 1:
+        level_block = pulled[:, :k, :k]
+        diagonal = np.zeros_like(level_block)
+        diagonal[:, range(k), range(k)] = level_block[:, range(k), range(k)]
+        max_off = np.fmax.reduce(
+            np.abs(level_block - diagonal).max(axis=(1, 2)), initial=0.0)
     return BlockReport(
         passed=bool(max_mixed <= BLOCK_TOL and max_off <= BLOCK_TOL),
-        max_mixed=max_mixed,
-        max_off_block=max_off,
-        max_condition=max_cond,
+        max_mixed=float(max_mixed),
+        max_off_block=float(max_off),
+        max_condition=float(np.max(conds, initial=0.0)),
         grid_count=grid_count,
     )
 

@@ -14,15 +14,19 @@ is a hard cap from the first step. It steps on plain floats: the stage
 arithmetic is generated once per state size, and the interpolant's three
 extra stages run only for the steps that reach the uniform grid times.
 The same stepper solves the chart flows (``charts``), uncapped and
-without grid times, keeping only the end state; its numpy rendering
-steps a batch of them at once (``_solve_rows``), each row with its single
-solve's bits, and solves alone a row where a stage or a norm is not
-finite, or that underflows or spends its budget. A branch that spends its
-step budget, as against a stiff wall, raises instead of shrinking its
-steps without bound. Every run reduces its conserved energy, speed,
-potential and step sizes to the energy drift, the largest speed and U and
-the step counters; U and g(v, v) are evaluated once per step row. An
-untrustworthy energy drift raises instead of being silently accepted.
+without grid times, keeping only the end state. ``_solve_rows`` steps a
+batch of BATCH_ROWS of them or more at once over (m, N) arrays
+(``_step_columns``), one numpy call per tableau term and every sum in the
+scalar step's order, so each row keeps its single solve's bits; it solves
+alone the rows of a smaller batch, whose numpy calls cost more than their
+single solves, and a row where a stage or a norm is not finite, or that
+underflows or spends its budget, stopping at the first that raises. A
+branch that spends its step budget, as against a stiff wall, raises
+instead of shrinking its steps without bound. Every run reduces its
+conserved energy, speed, potential and step sizes to the energy drift,
+the largest speed and U and the step counters; U and g(v, v) are
+evaluated once per step row. An untrustworthy energy drift raises
+instead of being silently accepted.
 
 Each branch gathers its accepted steps in short lists and seals every
 BLOCK_ROWS of them into a float64 block, reduced at once (``_BranchLog``)
@@ -67,6 +71,7 @@ import numpy as np
 from .errors import (
     DomainError,
     EnergyDriftExceeded,
+    InstabError,
     IntegrationError,
     NonFiniteResult,
     StepSizeUnderflow,
@@ -463,6 +468,9 @@ TRIES_PER_CAPPED_STEP = 1000
 MIN_TRIES = 20_000
 STAGE_EVALUATIONS = 12  # right-hand-side evaluations per try
 DENSE_EVALUATIONS = 3  # further ones per step that reaches a grid time
+# The fewest rows _solve_rows steps as one batch: a batch of chart flows costs
+# its rows' single solves at about 64, 48 and 36 rows of 3, 6 and 9 floats.
+BATCH_ROWS = 48
 
 
 def _combination(coefficients, i):
@@ -484,7 +492,7 @@ def _stage_lines(m, rows, first):
 
 
 @functools.cache
-def _stepper(m, numpy=False):
+def _stepper(m):
     """One DOP853 step over a state of m floats, unrolled.
 
     ``step(f, arg, y, k1, h, rtol, atol)`` takes k1 = f(y, arg) and returns
@@ -493,9 +501,6 @@ def _stepper(m, numpy=False):
     |h| e5 / sqrt((e5 + e3 / 100) m), with e5 and e3 the sums over i of
     the squares of the E5 and E3 combinations of the stages' entries i,
     each divided by atol + rtol * max(|y_i|, |y_new_i|).
-
-    With ``numpy``, y, k1, h and f's values are columns, one entry per row,
-    each stepped bit for bit; only the norm's max and zero test differ.
     """
     idx = range(m)
     src = ("def _step(f, arg, y, k1, h, rtol, atol):\n"
@@ -506,23 +511,40 @@ def _stepper(m, numpy=False):
     src += (f"    y_new = ({_unpacked('n', m)})\n"
             "    k13 = f(y_new, arg)\n")
     for i in idx:  # as floats, max(|y_i|, |n_i|) without calls
-        src += (f"    s{i} = atol + np.maximum(abs(y{i}), abs(n{i})) * rtol\n"
-                if numpy else
-                f"    a{i} = y{i} if y{i} > 0.0 else -y{i}\n"
+        src += (f"    a{i} = y{i} if y{i} > 0.0 else -y{i}\n"
                 f"    b{i} = n{i} if n{i} > 0.0 else -n{i}\n"
-                f"    s{i} = atol + (a{i} if a{i} > b{i} else b{i}) * rtol\n")
-        src += (f"    p{i} = ({_combination(_E5, i)}) / s{i}\n"
+                f"    s{i} = atol + (a{i} if a{i} > b{i} else b{i}) * rtol\n"
+                f"    p{i} = ({_combination(_E5, i)}) / s{i}\n"
                 f"    q{i} = ({_combination(_E3, i)}) / s{i}\n")
     # where den is 0, so is err5, and so is the error
-    norm = (f"np.sqrt(np.where(den, den * {m}, 1))" if numpy
-            else f"sqrt(den * {m}) if den else 0.0")
     src += (f"    err5 = {' + '.join(f'p{i} * p{i}' for i in idx)}\n"
             f"    err3 = {' + '.join(f'q{i} * q{i}' for i in idx)}\n"
             "    den = err5 + 0.01 * err3\n"
-            f"    error = abs(h) * err5 / {norm}\n"
+            f"    error = abs(h) * err5 / sqrt(den * {m}) if den else 0.0\n"
             "    return y_new, k13, error, "
             f"({''.join(f'k{s}, ' for s in range(1, 14))})\n")
-    return define_scalar("_step", src, np=np)
+    return define_scalar("_step", src)
+
+
+def _combined(k, row):
+    """sum_j c_j k[j] over a tableau row, left to right, a call per term."""
+    return functools.reduce(np.add, (k[j] * c for j, c in row.items()))
+
+
+def _step_columns(f, arg, y, k1, h, rtol, atol):
+    """``_stepper``'s (y_new, k13, error) over an (m, N) array of states,
+    a column each, with (N,) steps h; each column has its step's bits, as
+    every sum runs in the scalar step's order (c h = h c in floats)."""
+    k = [k1]
+    for row in _A[:12]:  # the stages, then the 8th-order state and k13
+        y_new = y + _combined(k, row) * h
+        k.append(f(y_new, arg))
+    scale = atol + np.maximum(abs(y), abs(y_new)) * rtol
+    err5, err3 = (sum(p * p for p in _combined(k, e) / scale)
+                  for e in (_E5, _E3))
+    den = err5 + 0.01 * err3  # where den is 0, so is err5, and the error
+    norm = np.sqrt(np.where(den, den * len(y), 1))
+    return y_new, k[12], abs(h) * err5 / norm
 
 
 @functools.cache
@@ -583,12 +605,7 @@ def _grid_states(steps, times):
     k = k.transpose(1, 0, 2)  # (stage, step, entry)
     d = np.array(y_new) - y_old
     rows = [d, h * k[0] - d, 2 * d - h * (k[12] + k[0])]
-    for row in _D:
-        (first, c), *rest = row.items()
-        total = k[first] * c
-        for j, c in rest:
-            total += k[j] * c
-        rows.append(h * total)
+    rows += [h * _combined(k, row) for row in _D]
     index = np.repeat(np.arange(len(steps)), counts)
     x = ((times - t_old[index]) / h[index, 0])[:, None]
     y = np.zeros((len(index), y_old.shape[1]))
@@ -807,19 +824,17 @@ def _powers(values, exponent):
 
 
 def _initial_steps(f, arg, y0, k1, t_end, rtol, atol):
-    """``_initial_step`` with no cap over columns, one entry per row; nan
-    in a row where one of its norms is not finite."""
-    def rms(values):
+    """``_initial_step`` with no cap over (m, N) arrays of states and their
+    derivatives, a column each; nan in a column with a norm not finite."""
+    def rms(values):  # summed over the entries, a row at a time
         return np.sqrt(sum(v * v for v in values)) / len(values) ** 0.5
 
     direction = np.copysign(1.0, t_end)
-    scale = [atol + abs(y) * rtol for y in y0]
-    d0 = rms([y / s for y, s in zip(y0, scale)])
-    d1 = rms([k / s for k, s in zip(k1, scale)])
-    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
-    h0 = np.minimum(h0, abs(t_end))
-    k2 = f(tuple(y + h0 * direction * k for y, k in zip(y0, k1)), arg)
-    d2 = rms([(b - a) / s for a, b, s in zip(k1, k2, scale)]) / h0
+    scale = atol + abs(y0) * rtol
+    d0, d1 = rms(y0 / scale), rms(k1 / scale)
+    h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1),
+                    abs(t_end))
+    d2 = rms((f(y0 + h0 * direction * k1, arg) - k1) / scale) / h0
     h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
                   _powers(0.01 / np.maximum(d1, d2), 1 / 8))
     return np.where(np.isfinite(d0 + d1 + d2),
@@ -827,34 +842,32 @@ def _initial_steps(f, arg, y0, k1, t_end, rtol, atol):
                     math.nan)
 
 
+@np.errstate(all="ignore")
 def _solve_rows(f, twin, arg, y0, t_end, tol):
     """``_solve_branch(f, arg, row, t, tol, inf)``'s end state, bit for
-    bit, for each row of ``y0``, (N, m), and its nonzero t in ``t_end``.
+    bit, for each row of ``y0``, (N, m), and its nonzero t in ``t_end``;
+    or the error of the first row whose single solve raises.
 
-    ``twin(columns, arg)`` is f over m columns, nan in a row where f hands
-    its point to a function that decides. Each try steps every unfinished
-    row at once, each with its own time, step and retry. A row where a
-    stage or a norm is not finite, or that underflows or spends its
-    budget, is solved alone from its start, and so is every row without a
-    ``twin`` or of a batch of one, so its errors are a single solve's.
+    ``twin()`` gives f over an (m, N) array of states, nan in a column
+    where f hands its point to a function that decides. A batch of
+    BATCH_ROWS rows or more with a ``twin`` is stepped at once, each row
+    with its own time, step and retry; any other is solved row by row. A
+    row that a single solve must decide is solved alone as soon as it is
+    found; once one of those raises, only the rows before it are stepped
+    on.
     """
     out = np.empty_like(y0)
-    alone = range(len(y0))
-    if twin is not None and len(y0) > 1:
-        with np.errstate(all="ignore"):
-            alone = _step_rows(twin, arg, y0, t_end, tol, out)
-    for r in alone:
+
+    def alone(r):
         out[r] = _solve_branch(f, arg, tuple(y0[r].tolist()), float(t_end[r]),
                                tol, math.inf)
-    return out
 
-
-def _step_rows(twin, arg, y0, t_end, tol, out):
-    """``_solve_rows``'s steps over all rows: the rows it finishes go to
-    ``out``; it returns the others, in order."""
-    rtol, atol = max(tol.rel, MIN_RTOL), tol.abs
-    step = _stepper(y0.shape[1], numpy=True)
-    rows, alone = np.arange(len(y0)), []  # the unfinished rows; the others
+    if twin is None or len(y0) < BATCH_ROWS:
+        for r in range(len(y0)):
+            alone(r)
+        return out
+    twin, rtol, atol = twin(), max(tol.rel, MIN_RTOL), tol.abs
+    rows, failed = np.arange(len(y0)), None  # unfinished; first lone error
     bad = np.zeros(len(rows), dtype=bool)
 
     def rhs(y, arg):  # twin, marking the rows where it is not finite
@@ -862,29 +875,37 @@ def _step_rows(twin, arg, y0, t_end, tol, out):
         bad[:] |= ~np.isfinite(k).all(axis=0)
         return k
 
-    y, direction = y0.T, np.copysign(1.0, t_end)
+    y, ends, direction = y0.T, t_end, np.copysign(1.0, t_end)
     k = rhs(y, arg)
-    h_abs = _initial_steps(rhs, arg, y, k, t_end, rtol, atol)
+    h_abs = _initial_steps(rhs, arg, y, k, ends, rtol, atol)
     bad |= np.isnan(h_abs)
     t, retried = np.zeros(len(rows)), np.zeros(len(rows), dtype=bool)
     for tries in itertools.count():
-        done = ~(direction * (t - t_end) < 0)
+        done = ~(direction * (t - ends) < 0)
         min_step = 10 * abs(np.nextafter(t, direction * math.inf) - t)
         h_abs = np.where(retried, h_abs, np.maximum(h_abs, min_step))
         bad |= ~done & ((h_abs < min_step) | (tries >= MIN_TRIES))
         out[rows[done & ~bad]] = y[:, done & ~bad].T
-        alone += rows[bad].tolist()
         keep = ~(done | bad)
-        rows, t, t_end, direction, h_abs, retried = (
-            a[keep] for a in (rows, t, t_end, direction, h_abs, retried))
+        for r in rows[bad].tolist():
+            try:
+                alone(r)
+            except InstabError as exc:
+                failed = exc
+                keep &= rows < r  # the rows after it need no solve
+                break
+        rows, t, ends, direction, h_abs, retried = (
+            a[keep] for a in (rows, t, ends, direction, h_abs, retried))
         y, k, bad = y[:, keep], k[:, keep], bad[keep]
         if not len(rows):
-            return sorted(alone)
+            if failed is not None:
+                raise failed
+            return out
         t_new = t + h_abs * direction
-        t_new = np.where(direction * (t_new - t_end) > 0, t_end, t_new)
+        t_new = np.where(direction * (t_new - ends) > 0, ends, t_new)
         h = t_new - t
         h_abs = abs(h)
-        y_new, k13, error, _ = step(rhs, arg, y, k, h, rtol, atol)
+        y_new, k13, error = _step_columns(rhs, arg, y, k, h, rtol, atol)
         bad |= ~np.isfinite(error)
         scaled = SAFETY * _powers(error, ERROR_EXPONENT)
         factor = np.minimum(MAX_FACTOR, scaled)

@@ -1,9 +1,11 @@
 """Point-wise Riemannian computations.
 
 Metric inverse, Riemannian gradient, Christoffel symbols and magnetic tensor
-of a one-form at a point. The metric inner product and norm, the norms of
-two-forms and of their contractions, and ``rowdot`` work row-wise over many
-points at once; each row keeps the bits of the point-by-point product.
+of a one-form at a point. The metric inner product and norm, the gradient
+(``gradient_rows``), the norms of two-forms and of their contractions, and
+``rowdot`` work row-wise over many points at once; each row keeps the bits
+of the point-by-point product, and ``mend_rows`` gives a row that a pass
+cannot take the point's own value or error.
 Everything is dense; the dimension is capped at 16 since all target
 problems are tiny.
 
@@ -33,6 +35,7 @@ import numpy as np
 
 from .errors import (
     GradientTooSmall,
+    InstabError,
     NonFiniteResult,
     SingularMetric,
     format_point,
@@ -341,6 +344,49 @@ def gradient_data(metric, fld, point, floor=0.0):
     if norm_sq < floor ** 2:
         raise GradientTooSmall(point, math.sqrt(max(norm_sq, 0.0)))
     return df, grad, norm_sq
+
+
+def mend_rows(points, bad, scalar, columns, skip=()):
+    """Give each bad row of ``columns``, in order, the row ``scalar(x)``.
+
+    ``scalar`` is the scalar path at one point: it raises the error that
+    path raises there, or supplies the row. A row where it raises one of
+    ``skip`` stays bad. Returns the mask of rows still bad.
+    """
+    for k in np.flatnonzero(bad):
+        try:
+            row = scalar(points[k])
+        except skip:
+            continue
+        for column, value in zip(columns, row):
+            column[k] = value
+        bad[k] = False
+    return bad
+
+
+def gradient_rows(metric, f, points):
+    """grad f, |grad f|^2 and g^-1 rows at (m, n) ``points``, and the mask
+    of bad rows, first those where f's numpy row is nan.
+
+    g^-1 is MetricSpec.inverse at each point not yet bad, the identity on
+    a Euclidean metric; a row where it raises turns bad, as does one where
+    |grad f|^2 is not finite.
+    """
+    values, df = f.vectorized()(points)
+    bad = np.isnan(values)
+    m, n = points.shape
+    if metric.euclidean:
+        inverse, grad = np.tile(np.eye(n), (m, 1, 1)), df
+    else:
+        inverse = np.full((m, n, n), np.nan)
+        for k in np.flatnonzero(~bad):
+            try:
+                inverse[k] = metric.inverse(points[k])
+            except InstabError:
+                bad[k] = True
+        grad = (inverse @ df[:, :, None])[:, :, 0]
+    norm_sq = rowdot(df, grad)
+    return grad, norm_sq, inverse, bad | ~np.isfinite(norm_sq)
 
 
 def riemannian_gradient(metric, fld, point) -> np.ndarray:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -94,9 +95,10 @@ class ProblemDefinition:
 
 
 def _is_real(value):
-    """A finite JSON number; booleans are not numbers here."""
+    """A JSON number within the floats' finite range (not nan, inf or a
+    larger integer); booleans are not numbers here."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+            and abs(value) <= sys.float_info.max)
 
 
 def _parse_field(source, dimension, problems, what):
@@ -218,6 +220,9 @@ def load_problem(data, name=None) -> ProblemDefinition:
     horizon = data.get("T", 1.0)
     if not (_is_real(horizon) and horizon > 0):
         problems.append("T must be a positive real")
+    elif math.isinf(2.0 * horizon):  # the width of the grid's linspace
+        problems.append(f"T = {horizon!r} is too large: the sample grid over "
+                        "[-T, T] overflows")
 
     epsilons = data.get("epsilons", DEFAULT_EPSILONS)
     if not (isinstance(epsilons, (list, tuple)) and epsilons

@@ -23,6 +23,7 @@ from instab.charts import (
     pullback_metric_block_check,
 )
 from instab.errors import (
+    DomainError,
     GradientTooSmall,
     IdentityViolation,
     InstabError,
@@ -494,18 +495,116 @@ def test_batched_solve_matches_single_solves(field, columns, rows, repeat):
         assert np.array_equal(got, want)
 
 
+@given(field=st.sampled_from(BATCH_FIELDS), columns=st.integers(0, 2),
+       rows=st.lists(_ROW, min_size=1, max_size=6))
+@example(field=("x1 - ln(x3)/2", 3), columns=1, rows=[
+    ([0.5, 0.0, 0.4], 1.0, 0.2, [1.0] * 6),
+    ([0.0, 0.0, 6.935272022050353e-98], 1.0, 0.1, [0.0] * 6),
+])  # DX overflows in the second row: the reference raises
+@example(field=("x1 - ln(x3)/2", 3), columns=1, rows=[
+    ([0.5, 0.0, 0.4], 1.0, 0.2, [1.0] * 6),
+    ([0.5, 0.0, 0.4], 1.0, -0.3, [1.0] * 6),
+    ([0.0, 0.0, 6.935272022050353e-98], 1.0, 0.1, [0.0] * 6),
+])  # and in every third moving row of the batch
+@example(field=("(x1^2 + x2^2)/2", 3), columns=2, rows=[
+    ([1.0, 0.0, 0.0], 1e-8, 0.3, [1.0] * 6),  # s at the floor: the reference
+    ([0.6, -0.8, 0.5], 1.0, -0.3, [0.5] * 6),
+    ([0.6, -0.8, 0.5], 1.0, 0.0, [0.5] * 6),
+    ([1.0, 0.0, 0.0], 1e-8, 0.3, [1.0] * 6),
+])
+@settings(max_examples=100, deadline=None)
+def test_batched_solve_of_a_full_batch_matches_single_solves(field, columns,
+                                                             rows):
+    """``test_batched_solve_matches_single_solves`` for a batch that is
+    stepped at once: the drawn rows, then their moving ones repeated until
+    BATCH_ROWS rows move."""
+    moving = [row for row in rows if row[2] != 0.0]
+    rows = rows + (moving * dynamics.BATCH_ROWS)[:dynamics.BATCH_ROWS
+                                                  - len(moving)]
+    test_batched_solve_matches_single_solves.hypothesis.inner_test(
+        field, columns, rows, repeat=False)
+
+
+@pytest.mark.parametrize("failing", [0, 5])
+def test_batched_solve_stops_at_a_row_whose_single_solve_raises(
+        failing, count_calls):
+    """Once a row handed to its single solve raises, the batch steps only
+    the rows before it, and raises the error of the per-row loop: here
+    that row's, since every other row flows."""
+    fld = ScalarField.parse("x1 - ln(x3)/2", 3)
+    start = np.tile([0.5, 0.0, 0.4], (dynamics.BATCH_ROWS, 1))
+    start[failing, 2] = -1.0  # ln of a negative: the twin is nan there
+    t = np.full(len(start), 0.3)
+    _none, want = _outcome(lambda: [_single_solve(E3, fld, row, 0.3)
+                                    for row in start])
+    with count_calls(dynamics, "_step_columns") as steps:
+        _none, got = _outcome(lambda: charts.solve_ivp(E3, fld, start, t))
+    assert want is not None and got == want
+    assert bool(steps) == (failing > 0)
+    assert all(y.shape[1] <= failing for _f, _arg, y, *_rest in steps)
+
+
+_BASE_SOURCES = ["x1", "-x2^2", "x1*x2 - 3", "(x1 + x2)^3/7",
+                 "x2/(1 + x1^2)", "0"]
+
+
+@given(sources=st.lists(st.sampled_from(_BASE_SOURCES), min_size=1,
+                        max_size=4),
+       points=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+                       min_size=1, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_base_map_rows_have_the_per_point_bits(sources, points):
+    """On polynomial components the row pass gives each point's values and
+    partials bit for bit."""
+    psi = BaseSurfaceMap([ScalarField.parse(s, 2) for s in sources],
+                         [(-1.0, 1.0)] * 2)
+    y = np.array(points)
+    values, jacobians, bad = psi.rows(y)
+    assert not bad.any()
+    assert values.tobytes() == np.array([psi(p) for p in y]).tobytes()
+    assert jacobians.tobytes() == np.array(
+        [psi.jacobian(p) for p in y]).tobytes()
+
+
+def test_base_map_rows_raise_the_per_point_error_where_undefined():
+    """Where a component is undefined, the row is nan, and the chart, its
+    Jacobian and the base-map check raise the error of the point."""
+    psi = BaseSurfaceMap(
+        [ScalarField.parse(s, 2) for s in
+         ("-x2^2", "x1", "x2 * (x1 + 0.5) / (x1 + 0.5)")],
+        [(-0.5, 0.5), (-0.5, 0.5)])
+    y = np.array([[0.1, 0.2], [-0.5, 0.3], [-0.5, 0.1]])
+    assert psi.rows(y)[2].tolist() == [False, True, True]
+    with pytest.raises(DomainError) as point_error:
+        psi(y[1])
+    chart = AdaptedChart(E3, [F_PARAB], psi, [(-0.3, 0.3)])
+    coords = np.hstack([np.full((3, 1), 0.1), y])
+    for call in (chart.point, chart.jacobian):
+        with pytest.raises(DomainError) as raised:
+            call(coords)
+        assert str(raised.value) == str(point_error.value)
+    with pytest.raises(DomainError) as raised:
+        build_chart(E3, F_PARAB, psi, (-0.3, 0.3), grid_count=3)
+    with pytest.raises(DomainError) as first_error:
+        psi([-0.5, -0.5])  # the grid's first node
+    assert str(raised.value) == str(first_error.value)
+
+
 @pytest.mark.parametrize("entry", ["corollary1-unstable-magnetic",
                                    "corollary1-mechanical"])
-def test_corpus_chart_grids_take_no_single_solve(entry, count_calls):
+def test_corpus_chart_batches_solve_no_row_alone(entry, count_calls):
     """Each grid check flows its points in batches, at most one call per
     flow for the identity grid, the swapped corners, the additivity flows
-    and the block check's Jacobians, and on the corpus charts no row falls
-    back to a single solve."""
+    and the block check's Jacobians; on the corpus charts the only single
+    solves are the rows of batches below BATCH_ROWS, and no row of a
+    larger batch falls back to one."""
     with count_calls(dynamics, "_solve_branch") as singles, \
             count_calls(charts, "solve_ivp") as batches:
         chart, _fields, _pullback = harness.build_problem_chart(
             harness.corpus_entry(entry))
         pullback_metric_block_check(chart, grid_count=5)
         injectivity_probe(chart, grid_count=5)
-    assert not singles
+    moving = [np.count_nonzero(t) for _metric, _fld, _start, t in batches]
+    assert max(moving) >= dynamics.BATCH_ROWS
+    assert len(singles) == sum(m for m in moving if m < dynamics.BATCH_ROWS)
     assert len(batches) <= 4 * chart.k

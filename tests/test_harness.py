@@ -298,6 +298,10 @@ _BOGUS_PROBE = dict(UNSTABLE_PLANE, probe={"bogus": 1})
     (dict(UNSTABLE_PLANE, epsilons=[True]), ["certify"], "epsilons"),
     (dict(UNSTABLE_PLANE, dimension=True), ["certify"], "dimension"),
     (dict(UNSTABLE_PLANE, T=True), ["certify"], "T must"),
+    # T whose grid over [-T, T] overflows, from the file and from --T
+    (dict(UNSTABLE_PLANE, T=1e308), ["sweep"], "T = 1e+308"),
+    (UNSTABLE_PLANE, ["sweep", "--T", "1e308"], "T = 1e+308"),
+    (dict(UNSTABLE_PLANE, T=10 ** 400), ["sweep"], "T must"),  # no float
     (dict(UNSTABLE_PLANE, center=["a", 0, 0]), ["certify"], "center"),
     (dict(UNSTABLE_PLANE, labels=[]), ["certify"], "labels"),
     (dict(UNSTABLE_PLANE, quasi_homogeneous={"weights": [1, 1, 0]}),
