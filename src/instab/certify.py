@@ -10,13 +10,15 @@ and "inconclusive" otherwise.
 Each shell is filled by projecting uniform starts of the probe ball onto
 level sets of U with Newton steps, one numpy pass of U per step, so its
 points are not uniform in the shell; the statistics are suprema over the
-shell, for which coverage counts, not density. A probe's first rounds are
-projected together, later rounds alone. Both certifiers read one evaluated
-table per probe: each shell is drawn once, and the shells' points are
-evaluated together in one numpy pass per field, the field's one numpy
-function, which gives its values and gradients together (one pass for all
-of a one-form's components per shell, which gives its field strength), and
-the ratios and the Euler residual are column arithmetic over those passes.
+shell, for which coverage counts, not density. A probe's shells are filled
+in one loop of rounds, each round's draws from every open shell projected
+together, up to _BATCH_STARTS starts a pass. Both certifiers read one
+evaluated table per probe: each shell is drawn once, and the shells'
+points are evaluated together, up to _BATCH_STARTS points at a time, in
+one numpy pass per field, the field's one numpy function, which gives its
+values and gradients together (one pass for all of a one-form's components
+per shell, which gives its field strength), and the ratios and the Euler
+residual are column arithmetic over those passes.
 A field's numpy row is nan exactly where its value_and_grad raises, so the
 scalar path names the first bad point: a nan row, or one where the metric
 is not invertible or |grad f| is below the floor, is evaluated again point
@@ -65,7 +67,7 @@ MAX_ATTEMPTS_PER_SHELL = 1_000_000
 _NEWTON_STEPS = 40  # Newton steps of a start projected onto a level set
 _NEWTON_TOL = 1e-3  # relative miss |U - t| / t at which a start stops
 _NEAR_STARTS = 64  # starts projected below the first shell's floor
-_BATCH_STARTS = 4096  # most starts of first rounds projected in one call
+_BATCH_STARTS = 4096  # most rows of joined draws or shells in one pass
 _ZERO_FORM_RADIUS = 0.5  # half-width of the box _is_zero_form samples
 
 EULER_TOL = 1e-9  # Euler-identity residual of a quasi-homogeneous U
@@ -96,10 +98,10 @@ class HypothesisProbe:
     seed: int = 0
     # memos: the evaluated shells or the error that evaluating them raised
     # (_evaluated_shells), the proof's constants (_proof_constants) and the
-    # projected first rounds that shells have yet to take (_first_round)
+    # shells its round loop filled that are not yet taken (_sample_shell)
     _table: object = field(init=False, repr=False, default=None)
     _constants: tuple = field(init=False, repr=False, default=None)
-    _rounds: dict = field(init=False, repr=False, default_factory=dict)
+    _shells: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
@@ -189,39 +191,22 @@ def _project(probe, points, targets):
     return out, values
 
 
-def _starts(probe, rng, count, low, high):
-    """``count`` uniform starts of the ball and targets t, log-uniform in
-    [low, high]."""
-    return _ball_points(probe, rng, count), low * (high / low) ** rng.random(
-        count)
-
-
-def _first_round(probe, shell_index):
-    """The shell's generator after its first round, and that round's
-    projection: one call with the first rounds of the next shells while
-    their starts fit in _BATCH_STARTS, and shell 0's near-locus starts,
-    drawn on a copy of its generator, if they fit too. The probe keeps
-    each projection, under its shell's index or "near", until taken."""
-    if shell_index not in probe._rounds:
-        deltas, count = probe.shell_deltas(), 2 * probe.samples
-        batch = []  # (memo key, generator, starts, targets)
-        for j in range(shell_index, len(deltas)):
-            if batch and sum(len(d[3]) for d in batch) + count > _BATCH_STARTS:
-                break
-            rng = np.random.default_rng([probe.seed, j])
-            batch.append((j, rng, *_starts(probe, rng, count, deltas[j],
-                                           10.0 * deltas[j])))
-            if j == 0 and count + _NEAR_STARTS <= _BATCH_STARTS:
-                rng = copy.deepcopy(rng)
-                batch.append(("near", rng, *_starts(
-                    probe, rng, _NEAR_STARTS, deltas[0] / 10.0, deltas[0])))
-        cuts = np.cumsum([len(targets) for *_, targets in batch])[:-1]
-        projected = _project(probe, *(np.concatenate(
-            [draw[k] for draw in batch]) for k in (2, 3)))
-        for (key, rng, *_), *rows in zip(batch, *(
-                np.split(column, cuts) for column in projected)):
-            probe._rounds[key] = rng, rows
-    return probe._rounds.pop(shell_index)
+def _joined(function, parts):
+    """``function`` over consecutive ``parts``, tuples of row arrays, joined
+    while their rows fit in _BATCH_STARTS (a larger part alone, uncopied),
+    yielding each part's rows of each output. Parts are taken as needed,
+    so at most one joined group and the next part are alive; rows never
+    mix, so a part's rows keep the bits of ``function`` over it alone."""
+    group = []
+    for part in itertools.chain(parts, [None]):
+        if group and (part is None or sum(len(p[0]) for p in group)
+                      + len(part[0]) > _BATCH_STARTS):
+            cuts = np.cumsum([len(p[0]) for p in group])[:-1]
+            outputs = function(*(np.concatenate(arrays) if len(group) > 1
+                                 else arrays[0] for arrays in zip(*group)))
+            group = []
+            yield from zip(*(np.split(rows, cuts) for rows in outputs))
+        group.append(part)
 
 
 def _sample_shell(probe, delta, shell_index):
@@ -231,41 +216,53 @@ def _sample_shell(probe, delta, shell_index):
     sets U = t, t log-uniform in the shell, and keeps the points that land
     in the shell and the ball. Sampling stops at ``samples`` points, after
     a round that keeps none or at MAX_ATTEMPTS_PER_SHELL starts. The first
-    round is projected with the probe's other first rounds (_first_round),
-    a later one alone. The points are not uniform in the shell; the
+    call fills every shell (``delta`` is shell_deltas()[shell_index]) in
+    one loop of rounds, each open shell drawing from its own generator and
+    each round's draws projected together (_joined); the probe keeps the
+    shells until taken. The points are not uniform in the shell; the
     certifiers take the supremum of a ratio over them, for which coverage
     of the shell is what counts.
 
     Returns (points, attempts, near_zero_points): ``attempts`` counts the
     starts projected, and shell 0 alone also projects _NEAR_STARTS starts
-    to below its floor, with its first round if it took one round and else
-    after its last, and keeps up to 32 with 0 <= U < delta for near-locus
-    diagnostics. ``points`` is empty when no start reached the shell.
+    to below its floor after each of its rounds, on a copy of its
+    generator, and keeps up to 32 of the last with 0 <= U < delta for
+    near-locus diagnostics. ``points`` is empty when no start reached it.
     """
-    rng, (points, values) = _first_round(probe, shell_index)
-    accepted = []
-    kept = attempts = 0
-    while kept < probe.samples and attempts < MAX_ATTEMPTS_PER_SHELL:
-        if attempts:
-            points, values = _project(probe, *_starts(
-                probe, rng, 2 * probe.samples, delta, 10.0 * delta))
-        attempts += 2 * probe.samples
-        points = points[(values >= delta) & (values <= 10.0 * delta)]
-        if not len(points):
-            break
-        accepted.append(points)
-        kept += len(points)
-    near = []
-    if shell_index == 0:
-        _rng, drawn = probe._rounds.pop("near", (None, None))
-        if drawn is None or attempts > 2 * probe.samples:
-            drawn = _project(probe, *_starts(probe, rng, _NEAR_STARTS,
-                                              delta / 10.0, delta))
-        points, values = drawn
-        near = list(points[(values >= 0) & (values < delta)][:32])
-    points = np.concatenate(accepted) if accepted \
-        else np.empty((0, len(probe.center)))
-    return points[:probe.samples], attempts, near
+    if shell_index not in probe._shells:
+        deltas, count = probe.shell_deltas(), 2 * probe.samples
+        shells = range(len(deltas))
+        rngs = [np.random.default_rng([probe.seed, j]) for j in shells]
+        kept = [[] for _ in shells]  # each round's points in the shell
+
+        def draw(j):  # uniform starts of the ball, targets log-uniform
+            rng, size, low, high = (  # j None: shell 0's near-locus starts
+                (copy.deepcopy(rngs[0]), _NEAR_STARTS, deltas[0] / 10.0,
+                 deltas[0]) if j is None
+                else (rngs[j], count, deltas[j], 10.0 * deltas[j]))
+            return _ball_points(probe, rng, size), low * (
+                high / low) ** rng.random(size)
+
+        while shells:
+            keys = [k for j in shells for k in ([0, None] if j == 0 else [j])]
+            projected = _joined(lambda *starts: _project(probe, *starts),
+                                map(draw, keys))
+            # projected first, so it runs out and lets its last pass go
+            for (points, values), j in zip(projected, keys):
+                if j is None:
+                    near = list(points[(values >= 0) & (values < deltas[0])]
+                                [:32])
+                else:
+                    kept[j].append(points[(values >= deltas[j])
+                                          & (values <= 10.0 * deltas[j])])
+            shells = [j for j in shells if len(kept[j][-1])
+                      and sum(map(len, kept[j])) < probe.samples
+                      and count * len(kept[j]) < MAX_ATTEMPTS_PER_SHELL]
+        for j, rounds in enumerate(kept):  # let each shell's rounds go
+            kept[j] = (np.concatenate(rounds)[:probe.samples],
+                       count * len(rounds), near if j == 0 else [])
+        probe._shells = dict(enumerate(kept))
+    return probe._shells.pop(shell_index)
 
 
 # consecutive shells whose growing maxima refute a condition
@@ -311,8 +308,7 @@ def _evaluated_shells(probe):
     Made once per probe; an error in making them is kept and raised again.
     Each filled shell is (delta, attempts, points, (grad f, U, dU, g^-1)),
     its columns from one numpy pass per field (``_evaluate``) over the
-    filled shells' points joined in shell order, while they fit in
-    _BATCH_STARTS rows, and then over the next ones; the scalar
+    filled shells' points joined in shell order (_joined); the scalar
     path names the first bad point, grad f before U at each point, as
     GradientTooSmall names the first point where |grad f| is below the
     floor. A shell with no sample is skipped while enough filled shells
@@ -338,19 +334,11 @@ def _shell_table(probe):
     # so an error there comes before its EmptyShell
     starved = empty is not None and \
         len(sizes) - sizes.count(0) < _REFUTATION_WINDOW
-    rows, group = [], []
-    for points in [points for points, *_ in drawn[:empty if starved else None]
-                   if len(points)] + [None]:
-        if group and (points is None or sum(map(len, group)) + len(points)
-                      > _BATCH_STARTS):
-            cuts = np.cumsum(list(map(len, group)))[:-1]
-            rows += zip(*(np.split(column, cuts) for column in _evaluate(
-                probe, np.concatenate(group))))
-            group = []
-        group.append(points)
+    rows = iter(list(_joined(lambda points: _evaluate(probe, points), (
+        (points,) for points, *_ in drawn[:empty if starved else None]
+        if len(points)))))
     if starved:
         raise EmptyShell(deltas[empty], drawn[empty][1])
-    rows = iter(rows)
     shells = [(float(delta), attempts, points, next(rows))
               for delta, (points, attempts, _near) in zip(deltas, drawn)
               if len(points)]
@@ -362,9 +350,10 @@ def _evaluate(probe, points):
     """(grad f, U, dU, g^-1) rows at a shell's points; a bad row, or one
     where |grad f| is below the floor, from the scalar path."""
     metric = probe.metric
-    grad, norm_sq, inverse, bad = gradient_rows(metric, probe.f, points)
+    grad, _norm_sq, inverse, bad = gradient_rows(metric, probe.f, points,
+                                                 GRADIENT_FLOOR)
     u, du = probe.potential.vectorized()(points)
-    bad |= np.isnan(u) | (norm_sq < GRADIENT_FLOOR ** 2)
+    bad |= np.isnan(u)
 
     def scalar(x):
         grad_x = gradient_data(metric, probe.f, x, GRADIENT_FLOOR)[1]

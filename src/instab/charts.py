@@ -303,13 +303,12 @@ class AdaptedChart:
                 rows[:, i], self.counters)
             # level column i: X_i = grad f_i / |grad f_i|^2 at x, a row
             # below the floor or undefined from the scalar call, which raises
-            grad, norm_sq, _inverse, bad = gradient_rows(self.metric,
-                                                         self.fields[i], x)
+            grad, norm_sq, _inverse, bad = gradient_rows(
+                self.metric, self.fields[i], x, FLOW_GRADIENT_FLOOR)
             jac[:, :, i] = grad / norm_sq[:, None]
-            mend_rows(x, bad | (norm_sq < FLOW_GRADIENT_FLOOR ** 2),
-                      lambda p: (normalized_gradient(
-                          self.metric, self.fields[i], p,
-                          FLOW_GRADIENT_FLOOR),), (jac[:, :, i],))
+            mend_rows(x, bad, lambda p: (normalized_gradient(
+                self.metric, self.fields[i], p, FLOW_GRADIENT_FLOOR),),
+                (jac[:, :, i],))
         return jac if coords.ndim > 1 else jac[0]
 
     def grid(self, count=DEFAULT_GRID):

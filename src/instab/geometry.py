@@ -364,13 +364,13 @@ def mend_rows(points, bad, scalar, columns, skip=()):
     return bad
 
 
-def gradient_rows(metric, f, points):
+def gradient_rows(metric, f, points, floor=None):
     """grad f, |grad f|^2 and g^-1 rows at (m, n) ``points``, and the mask
     of bad rows, first those where f's numpy row is nan.
 
     g^-1 is MetricSpec.inverse at each point not yet bad, the identity on
     a Euclidean metric; a row where it raises turns bad, as does one where
-    |grad f|^2 is not finite.
+    |grad f|^2 is not finite or below a given ``floor``^2 (GradientTooSmall).
     """
     values, df = f.vectorized()(points)
     bad = np.isnan(values)
@@ -386,7 +386,8 @@ def gradient_rows(metric, f, points):
                 bad[k] = True
         grad = (inverse @ df[:, :, None])[:, :, 0]
     norm_sq = rowdot(df, grad)
-    return grad, norm_sq, inverse, bad | ~np.isfinite(norm_sq)
+    low = False if floor is None else norm_sq < floor ** 2
+    return grad, norm_sq, inverse, bad | ~np.isfinite(norm_sq) | low
 
 
 def riemannian_gradient(metric, fld, point) -> np.ndarray:

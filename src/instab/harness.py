@@ -43,6 +43,9 @@ DEFAULT_EPSILONS = (1e-1, 1e-2, 1e-3)
 CENTER_POTENTIAL_TOL = 1e-12
 PROBE_KEYS = ("radius", "delta_min", "delta_max", "samples")
 DRIFT_FRACTION = 0.01  # of |grad f(p)|^2 T; escape needs 10x this
+# most T / min(epsilons): 1e8 steps capped at eps take about an hour per
+# branch at 20-30 us a step (a run whose 1/eps^2 overflows takes no step)
+MAX_CAPPED_STEPS = 1e8
 
 
 @dataclass
@@ -230,6 +233,13 @@ def load_problem(data, name=None) -> ProblemDefinition:
         problems.append("epsilons must be a list of positive reals")
     elif any(b >= a for a, b in zip(epsilons, epsilons[1:])):
         problems.append("epsilons must be strictly decreasing")
+    elif _is_real(horizon) and 0 < 2.0 * horizon < math.inf:
+        stepped = [e for e in epsilons if math.isfinite(1.0 / e * (1.0 / e))]
+        if stepped and horizon / stepped[-1] > MAX_CAPPED_STEPS:
+            problems.append(
+                f"T = {horizon!r} is too large for the smallest epsilon "
+                f"{stepped[-1]!r}: T / eps is above {MAX_CAPPED_STEPS:.0e} "
+                "steps per branch")
 
     expected = data.get("expected")
     if expected not in (None, "stable", "unstable"):

@@ -756,7 +756,7 @@ def test_numpy_table_raises_like_point_by_point_loop(f_source, u_source,
     _compare_paths(u_source, f_source, form, metric, points, bits=False)
 
 
-# --- batched first rounds against the per-shell sampler ---------------------
+# --- batched rounds against the per-shell sampler ---------------------------
 
 _TRANSCENDENTAL = "ln(1 + x2^2) + x2^2 / (2 + cos(x1)) + sqrt(1 + x2^4) - 1"
 _SHELL_POTENTIALS = st.one_of(
@@ -773,13 +773,20 @@ _SHELL_POTENTIALS = st.one_of(
 @example(("x1^2*x2^2 + x3^4", 3), 200, 1, 0.02, 1e-7)
 # test_too_few_filled_shells_reported's probe: two shells fill
 @example(("x1^2*x2^2", 2), 200, 4, 0.06, 1e-7)
+# shells 0, 1 and 2 take 1, 2 and 19 rounds: later rounds of shells 1 and 2
+# share a pass, which shell 0 and its near-locus starts no longer join
+@example(("x1^2*x2^2*x3^2 + x1^6", 3), 200, 1, 0.5, 1e-4)
+# a round of 4,096 starts fills _BATCH_STARTS alone, and shell 0's
+# near-locus starts are projected without it
+@example(("x1^2*x2^2 + x3^4", 3), 2048, 3, 0.5, 1e-7)
 @settings(max_examples=30, deadline=None)
 def test_batched_shells_match_per_shell_sampler(potential, samples, seed,
                                                 radius, delta_min):
     """Each shell's points, attempts and near-locus points keep the bits of
-    its own sampler, its first round projected with the probe's other
-    first rounds (alone past _BATCH_STARTS starts), and too few filled
-    shells raise EmptyShell at the same shell with the same attempts."""
+    its own sampler, each round projected with the other open shells'
+    rounds of the same round while their starts fit in _BATCH_STARTS, and
+    too few filled shells raise EmptyShell at the same shell with the same
+    attempts."""
     source, n = potential
 
     def probe():

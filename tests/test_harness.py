@@ -301,6 +301,10 @@ _BOGUS_PROBE = dict(UNSTABLE_PLANE, probe={"bogus": 1})
     # T whose grid over [-T, T] overflows, from the file and from --T
     (dict(UNSTABLE_PLANE, T=1e308), ["sweep"], "T = 1e+308"),
     (UNSTABLE_PLANE, ["sweep", "--T", "1e308"], "T = 1e+308"),
+    # T / eps above MAX_CAPPED_STEPS, from --T and from the file
+    (UNSTABLE_PLANE, ["sweep", "--T", "1e300", "--eps", "0.1"], "T = 1e+300"),
+    (dict(UNSTABLE_PLANE, T=1e9, epsilons=[0.1]), ["sweep"],
+     "T = 1000000000.0"),
     (dict(UNSTABLE_PLANE, T=10 ** 400), ["sweep"], "T must"),  # no float
     (dict(UNSTABLE_PLANE, center=["a", 0, 0]), ["certify"], "center"),
     (dict(UNSTABLE_PLANE, labels=[]), ["certify"], "labels"),
