@@ -46,7 +46,7 @@ from .errors import (
     NonFiniteResult,
     format_point,
 )
-from .expr import Bin, Num, ScalarField, Var, derivative, substitute
+from .expr import ScalarField, Var, derivative, fold, substitute, total
 from .geometry import (
     GRADIENT_FLOOR,
     OneForm,
@@ -636,9 +636,8 @@ def build_pullback_magnetic(level_fields, omega) -> OneForm:
         raise ValueError("one-form dimension must match the number of "
                          "level functions")
     # sum_j c_j(y_1..y_k) * y_{k+j} at y = (F, ∂_a F)
-    template = Num(0.0)
-    for j, c_fld in enumerate(omega.components):
-        template = Bin("+", template, Bin("*", c_fld.body, Var(k + j)))
+    template = total(fold("*", c_fld.body, Var(k + j))
+                     for j, c_fld in enumerate(omega.components))
     levels = [fld.body for fld in level_fields]
     return OneForm(n, [
         ScalarField(n, substitute(template, levels + [

@@ -49,10 +49,8 @@ from .errors import (
     SingularJacobian,
 )
 from .expr import (Num, Var, compile_kernel, compile_vectorized_kernel,
-                   derivative, partial_fields)
+                   derivative, fold, partial_fields, total)
 from .geometry import (
-    _fold,
-    _total,
     gradient_rows,
     mend_rows,
     normalized_gradient,
@@ -63,7 +61,7 @@ FLOW_GRADIENT_FLOOR = 1e-8
 FLOW_TOL = 1e-12
 _FLOW_TOLERANCES = Tolerances(abs=FLOW_TOL, rel=FLOW_TOL)
 _FLOOR_SQ = FLOW_GRADIENT_FLOOR ** 2 * (1.0 + 1e-9)  # the guard on |df|^2
-_MEMO_QUANTUM = 1e-12
+MEMO_QUANTUM = 1e-12
 DEFAULT_GRID = 9
 IDENTITY_TOL = 1e-8  # residual of a level identity such as F(Psi(r, y)) = r
 SWAP_TOL = 1e-7  # change of Psi when the flow order is reversed
@@ -129,7 +127,7 @@ def _reference_jacobian_flow(y, arg):
 def _flow_kernel(fld, columns, reference):
     """X = df/s with s = sum_b df_b^2, and DX·J = sum_c ((H_ac - X_a w_c)/s)
     J_cj with w_c = 2 sum_b df_b H_bc, with structural zeros folded away
-    (``geometry._fold``), so an identically zero DX costs no product.
+    (``expr.fold``), so an identically zero DX costs no product.
 
     At or within rounding of FLOW_GRADIENT_FLOOR the reference decides,
     and so it does where an output is not finite, as where DX overflows.
@@ -139,19 +137,19 @@ def _flow_kernel(fld, columns, reference):
     n = fld.dimension
     partials = partial_fields(fld)
     df = [d.body for d in partials]
-    s = _total(_fold("*", d, d) for d in df)
-    out = [_fold("/", d, s) for d in df]
+    s = total(fold("*", d, d) for d in df)
+    out = [fold("/", d, s) for d in df]
     fields = [fld]
     if columns:
         fields += partials
         hess = [[h.body for h in partial_fields(d)] for d in partials]
-        w = [_fold("*", Num(2.0), _total(_fold("*", df[b], hess[b][c])
-                                         for b in range(n)))
+        w = [fold("*", Num(2.0), total(fold("*", df[b], hess[b][c])
+                                       for b in range(n)))
              for c in range(n)]
-        dx = [[_fold("/", _fold("-", hess[a][c], _fold("*", out[a], w[c])), s)
+        dx = [[fold("/", fold("-", hess[a][c], fold("*", out[a], w[c])), s)
                for c in range(n)] for a in range(n)]
-        out += [_total(_fold("*", dx[a][c], Var(n + c * columns + j))
-                       for c in range(n))
+        out += [total(fold("*", dx[a][c], Var(n + c * columns + j))
+                      for c in range(n))
                 for a in range(n) for j in range(columns)]
     if reference is not None:
         return compile_kernel(fields, n, out, reference,
@@ -203,32 +201,20 @@ def solve_ivp(metric, fld, start, t):
     return end
 
 
-def _solve(metric, fld, start, t, counters):
-    """``solve_ivp`` unless no row moves; a solve, one for each t != 0,
-    is counted in ``counters`` if given."""
-    moving = int(np.count_nonzero(t))
-    if counters is not None:
-        counters["flow_solves"] += moving
-    return solve_ivp(metric, fld, start, t) if moving else start.copy()
-
-
 def flow_normalized_gradient(metric, fld, start, t, counters=None):
-    """The time-t point of the flow of grad(f)/|grad f|^2 from ``start``,
-    or from each row of an (N, n) array, each for its own t or all for one;
-    a solve, one for each t != 0, is counted in ``counters`` if given."""
+    """The time-t state of the flow of grad(f)/|grad f|^2 from ``start``,
+    or from each row of an (N, m) array, each for its own t or all for one;
+    a state is a point, and for m > n a matrix J row by row, carried by
+    J' = DX·J (``solve_ivp``). A solve, one for each t != 0, is counted in
+    ``counters`` if given; where no row moves, none is made."""
     start = np.asarray(start, dtype=float)
     rows = np.atleast_2d(start)
     t = np.broadcast_to(np.asarray(t, dtype=float), len(rows))
-    return _solve(metric, fld, rows, t, counters).reshape(start.shape)
-
-
-def _flow_with_jacobian(metric, fld, start, jac, t, counters):
-    """The time-t points of the flows from the rows of ``start`` and each
-    row's matrix of ``jac``, (N, n, m), carried along by J' = DX·J."""
-    count, n, m = jac.shape
-    end = _solve(metric, fld, np.hstack([start, jac.reshape(count, -1)]), t,
-                 counters)
-    return end[:, :n], end[:, n:].reshape(count, n, m)
+    moving = int(np.count_nonzero(t))
+    if counters is not None:
+        counters["flow_solves"] += moving
+    return (solve_ivp(metric, fld, rows, t) if moving
+            else rows.copy()).reshape(start.shape)
 
 
 class AdaptedChart:
@@ -259,7 +245,7 @@ class AdaptedChart:
         rows, k = np.atleast_2d(coords), self.k
         sequence = tuple(range(k) if order is None else order)
         keys = [(tuple(map(round, row)), sequence)
-                for row in (rows / _MEMO_QUANTUM).tolist()]
+                for row in (rows / MEMO_QUANTUM).tolist()]
         missed = {}  # key -> its first row, for the keys not in the memo
         for r, key in enumerate(keys):
             hit = key in self._memo or key in missed
@@ -290,7 +276,7 @@ class AdaptedChart:
         the flows that run after it.
         """
         coords = np.asarray(coords, dtype=float)
-        rows, k = np.atleast_2d(coords), self.k
+        rows, k, n = np.atleast_2d(coords), self.k, self.psi.ambient_dimension
         base = rows[:, k:]
         x, base_jac, bad = self.psi.rows(base)
         mend_rows(base, bad, lambda y: (self.psi(y), self.psi.jacobian(y)),
@@ -298,9 +284,12 @@ class AdaptedChart:
         jac = np.zeros(x.shape + rows.shape[1:])
         jac[:, :, k:] = base_jac
         for i in reversed(range(k)):
-            x, jac[:, :, i + 1:] = _flow_with_jacobian(
-                self.metric, self.fields[i], x, jac[:, :, i + 1:],
-                rows[:, i], self.counters)
+            carried = jac[:, :, i + 1:]
+            end = flow_normalized_gradient(
+                self.metric, self.fields[i],
+                np.hstack([x, carried.reshape(len(x), -1)]), rows[:, i],
+                self.counters)
+            x, carried[...] = end[:, :n], end[:, n:].reshape(carried.shape)
             # level column i: X_i = grad f_i / |grad f_i|^2 at x, a row
             # below the floor or undefined from the scalar call, which raises
             grad, norm_sq, _inverse, bad = gradient_rows(
@@ -325,25 +314,22 @@ def _off(fields, points, expect=0.0):
     return ~(abs(values - expect) <= IDENTITY_TOL).all(axis=0)
 
 
+def _require(points, off, pairs):
+    """Evaluate, at each row r of ``points`` that ``off`` flags, the
+    (message, residual) pairs ``pairs(r)`` in order, and raise
+    IdentityViolation at the first residual above IDENTITY_TOL."""
+    for r in np.flatnonzero(off):
+        for message, residual in pairs(r):
+            if abs(residual) > IDENTITY_TOL:
+                raise IdentityViolation(f"{message}{residual:.3e}",
+                                        tuple(points[r]), float(residual))
+
+
 def _box_grid(box, count):
     """Grid of ``count`` points per (lo, hi) interval, one point per row."""
     axes = [np.linspace(lo, hi, count) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
-
-
-def _check_base_map(fields, psi, count=DEFAULT_GRID):
-    grid = _box_grid(psi.box, count)
-    points, _jac, bad = psi.rows(grid)
-    for y in grid[bad | _off(fields, points)]:
-        p = psi(y)
-        for fld in fields:
-            value = fld.eval(p)
-            if abs(value) > IDENTITY_TOL:
-                raise IdentityViolation(
-                    f"base map leaves the zero level set: |f| = {value:.3e}",
-                    point=tuple(y), residual=float(value),
-                )
 
 
 def build_chart(metric, fld, psi, z_range,
@@ -360,20 +346,18 @@ def build_multi_chart(metric, fields, psi, r_box,
     n = psi.ambient_dimension
     if not k < n:
         raise ValueError("need fewer level functions than dimensions")
-    _check_base_map(fields, psi, count=grid_count)
+    base = _box_grid(psi.box, grid_count)
+    x, _jac, bad = psi.rows(base)
+    _require(base, bad | _off(fields, x), lambda r: (
+        ("base map leaves the zero level set: |f| = ", fld.eval(p))
+        for p in [psi(base[r])] for fld in fields))
     chart = AdaptedChart(metric, fields, psi, [tuple(r) for r in r_box])
 
     grid = chart.grid(grid_count)
     points = chart.point(grid)
-    off = _off(fields, points, grid[:, :k].T)
-    for coords, p in zip(grid[off], points[off]):
-        for i, fld in enumerate(fields):
-            residual = fld.eval(p) - coords[i]
-            if abs(residual) > IDENTITY_TOL:
-                raise IdentityViolation(
-                    f"F_{i + 1}(Psi(r, y)) - r_{i + 1} = {residual:.3e}",
-                    point=tuple(coords), residual=float(residual),
-                )
+    _require(grid, _off(fields, points, grid[:, :k].T), lambda r: (
+        (f"F_{i + 1}(Psi(r, y)) - r_{i + 1} = ",
+         fld.eval(points[r]) - grid[r, i]) for i, fld in enumerate(fields)))
 
     # commutativity at the numeric level: reversed composition must agree
     corners = chart.grid(3)
@@ -395,19 +379,15 @@ def build_multi_chart(metric, fields, psi, r_box,
     off = np.any([_off(fields, ends, np.eye(k)[:, [i]] * (0.05 * (1 + i))
                        + before)  # as expect below
                   for i, ends in enumerate(moved)], axis=0)
-    for r in np.flatnonzero(off):
-        x = starts[r]
+
+    def additivity(r):
         for i in range(k):
-            t = 0.05 * (1 + i)
             for j, fld in enumerate(fields):
-                expect = (t if i == j else 0.0) + fld.eval(x)
-                residual = fld.eval(moved[i][r]) - expect
-                if abs(residual) > IDENTITY_TOL:
-                    raise IdentityViolation(
-                        f"flow additivity broken for (i={i}, j={j}): "
-                        f"{residual:.3e}",
-                        point=tuple(x), residual=float(residual),
-                    )
+                expect = ((0.05 * (1 + i) if i == j else 0.0)
+                          + fld.eval(starts[r]))  # f at the start first
+                yield (f"flow additivity broken for (i={i}, j={j}): ",
+                       fld.eval(moved[i][r]) - expect)
+    _require(starts, off, additivity)
     return chart
 
 

@@ -85,7 +85,8 @@ from .expr import (
     compile_kernel,
     define_scalar,
     derivative,
-    sum_nodes,
+    fold,
+    total,
 )
 from .geometry import field_strength, magnetic_tensor
 
@@ -361,13 +362,11 @@ def _motion_kernel(system, fields):
     n, e = system.metric.dimension, system.inv_eps
     du = [derivative(system.potential.body, i) for i in range(n)]
     f = [] if system.magnetic is None else field_strength(system.magnetic)
-    acc = []
-    for b in range(n):
-        gyro = [Bin("*", row[b], Var(n + a))
-                for a, row in enumerate(f) if row[b] != Num(0.0)]
-        term = Bin("*", Num(-(e * e)), du[b])
-        acc.append(Bin("-", term, Bin("*", Num(e), sum_nodes(gyro)))
-                   if gyro else term)
+    # -e^2 d_b U stays unfolded: where d_b U is a structural zero it is
+    # -0.0, and a fold would give +0.0
+    acc = [fold("-", Bin("*", Num(-(e * e)), du[b]), fold("*", Num(e), total(
+        fold("*", row[b], Var(n + a)) for a, row in enumerate(f))))
+           for b in range(n)]
     return compile_kernel(fields, n, [Var(n + a) for a in range(n)] + acc,
                           label=ACCELERATION)
 

@@ -15,7 +15,8 @@ is nan exactly where that function raises. The tests hold both to a walker
 over plain floats or vector-forward dual numbers.
 
 Only this module writes field code. Other modules state their formulas as
-ASTs over fields' ``derivative`` ASTs, and ``compile_kernel``, the one
+ASTs over fields' ``derivative`` ASTs, built with ``fold`` and ``total``,
+which fold literal zeros and ones away, and ``compile_kernel``, the one
 kernel compiler, turns them into a function that raises its fields' own
 errors: a field's value+gradient and Hessian, a one-form's field strength,
 the equations of motion, and the chart flows and a curved metric's
@@ -178,7 +179,7 @@ def _has_var(node, zero_powers=True) -> bool:
     return _has_var(node.arg, zero_powers)
 
 
-def _folded_power(base, exponent):
+def _constant_power(base, exponent):
     """``base ^ exponent`` with a variable-free exponent decided once.
 
     The exponent's value is that of the generated scalar code every field
@@ -253,7 +254,7 @@ class _Parser:
         exponent = self.unary()
         if _has_var(exponent):
             return Bin("^", base, exponent)
-        return _folded_power(base, exponent)
+        return _constant_power(base, exponent)
 
     def atom(self):
         kind, text, line, col = self.peek()
@@ -309,16 +310,23 @@ def _node(op, a, b, zero=None):
     return Bin(op, a, b)
 
 
+fold = functools.partial(_node, zero=_ZERO_NODE)  # folds literal 0s and 1s
+
+
+def total(terms) -> Expr:
+    """``terms[0] + terms[1] + ...`` left to right by ``fold``; 0 for none."""
+    return functools.reduce(functools.partial(fold, "+"), terms, _ZERO_NODE)
+
+
 def substitute(node: Expr, exprs) -> Expr:
     """``node`` with each variable x_{j+1} replaced by ``exprs[j]``."""
     if isinstance(node, Var):
         return exprs[node.index]
     if isinstance(node, Bin):
-        return _node(node.op, substitute(node.lhs, exprs),
-                     substitute(node.rhs, exprs), _ZERO_NODE)
+        return fold(node.op, substitute(node.lhs, exprs),
+                    substitute(node.rhs, exprs))
     if isinstance(node, Neg):
-        return _node("-", _ZERO_NODE, substitute(node.arg, exprs),
-                     _ZERO_NODE)
+        return fold("-", _ZERO_NODE, substitute(node.arg, exprs))
     if isinstance(node, IntPow):
         return IntPow(substitute(node.base, exprs), node.k)
     if isinstance(node, Fun):
@@ -630,12 +638,6 @@ def _finite_test(symbols, action):
     finite."""
     return (f"if ({' + '.join(symbols)}) * 0.0 != 0.0 and not "
             f"all(map(isfinite, ({', '.join(symbols)},))): {action}")
-
-
-def sum_nodes(terms) -> Expr:
-    """``terms[0] + terms[1] + ...`` summed left to right; 0 for none."""
-    return functools.reduce(functools.partial(Bin, "+"), terms) \
-        if terms else Num(0.0)
 
 
 def compile_vectorized_kernel(nodes, n: int, outputs):

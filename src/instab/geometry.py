@@ -25,7 +25,6 @@ with the bits of the component-wise ``jac.T - jac``.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import struct
@@ -46,10 +45,11 @@ from .expr import (
     Fun,
     Num,
     ScalarField,
-    _node,
     compile_kernel,
     compile_vectorized_kernel,
     derivative,
+    fold,
+    total,
 )
 
 # Smallest admissible Cholesky pivot; defines "positive definite at this
@@ -113,13 +113,6 @@ def _reference_factors(p, metric):
     return tuple(flat + ginv.ravel().tolist() + gamma.ravel().tolist())
 
 
-_fold = functools.partial(_node, zero=_ZERO)  # folds literal zeros and ones
-
-
-def _total(terms):
-    return functools.reduce(functools.partial(_fold, "+"), terms, _ZERO)
-
-
 def _factor_kernel(metric):
     """One generated call per point: g, dg, g^-1 and Gamma, flat, as
     ``_reference_factors`` lays them out.
@@ -142,36 +135,36 @@ def _factor_kernel(metric):
     chol = [[_ZERO] * n for _ in range(n)]
     pivots = []
     for j in range(n):
-        pivots.append(_fold("-", g[j][j], _total(
-            _fold("*", chol[j][k], chol[j][k]) for k in range(j))))
+        pivots.append(fold("-", g[j][j], total(
+            fold("*", chol[j][k], chol[j][k]) for k in range(j))))
         chol[j][j] = Fun("sqrt", pivots[j])
         for i in range(j + 1, n):
-            chol[i][j] = _fold("/", _fold("-", g[i][j], _total(
-                _fold("*", chol[i][k], chol[j][k]) for k in range(j))),
+            chol[i][j] = fold("/", fold("-", g[i][j], total(
+                fold("*", chol[i][k], chol[j][k]) for k in range(j))),
                 chol[j][j])
     low_inv = [[_ZERO] * n for _ in range(n)]
     for j in range(n):
         low_inv[j][j] = Bin("/", Num(1.0), chol[j][j])
         for i in range(j + 1, n):
-            low_inv[i][j] = _fold("-", _ZERO, _fold("/", _total(
-                _fold("*", chol[i][k], low_inv[k][j]) for k in range(j, i)),
+            low_inv[i][j] = fold("-", _ZERO, fold("/", total(
+                fold("*", chol[i][k], low_inv[k][j]) for k in range(j, i)),
                 chol[i][i]))
     ginv = [[None] * n for _ in range(n)]
     gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
     for a, b in itertools.combinations_with_replacement(range(n), 2):
-        ginv[a][b] = ginv[b][a] = _total(
-            _fold("*", low_inv[k][a], low_inv[k][b]) for k in range(b, n))
+        ginv[a][b] = ginv[b][a] = total(
+            fold("*", low_inv[k][a], low_inv[k][b]) for k in range(b, n))
     for a, m, k in itertools.product(range(n), repeat=3):
         if m <= k:
-            brace = [_fold("-", _fold("+", dg[k][b][m], dg[m][b][k]),
-                           dg[b][m][k]) for b in range(n)]
-            gamma[a][m][k] = gamma[a][k][m] = _fold("*", Num(0.5), _total(
-                _fold("*", ginv[a][b], brace[b]) for b in range(n)))
+            brace = [fold("-", fold("+", dg[k][b][m], dg[m][b][k]),
+                          dg[b][m][k]) for b in range(n)]
+            gamma[a][m][k] = gamma[a][k][m] = fold("*", Num(0.5), total(
+                fold("*", ginv[a][b], brace[b]) for b in range(n)))
     out = [node for plane in (g, *dg, ginv, *gamma)
            for row in plane for node in row]
     floor = PIVOT_FLOOR * (1.0 + 1e-9)
     return compile_kernel(entries, n, out, _reference_factors, guards=[
-        (_fold("-", d, _fold("*", Num(PIVOT_SLACK), g[j][j])), floor)
+        (fold("-", d, fold("*", Num(PIVOT_SLACK), g[j][j])), floor)
         for j, d in enumerate(pivots)])
 
 

@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import certify as _certify
+from .charts import MEMO_QUANTUM
 from .dynamics import (
     LagrangianSystem,
     State,
@@ -29,6 +30,7 @@ from .dynamics import (
 from .errors import (
     DomainError,
     ExprError,
+    GradientTooSmall,
     InstabError,
     IntegrationError,
     NoPositiveDrift,
@@ -140,6 +142,11 @@ def _check_chart(spec, n, problems):
                 for b in box)):
             problems.append(f"chart.{key} must be a list of {count} "
                             "[lo, hi] intervals")
+        # finite over the memo's quantum, 1e-12, so finite in width hi - lo
+        elif not all(math.isfinite(max(-lo, hi) / MEMO_QUANTUM)
+                     for lo, hi in box):
+            problems.append(f"chart.{key} = {box!r} is too large: its grid "
+                            "or the chart's point memo overflows")
 
 
 def _check_quasi_homogeneous(spec, n, problems):
@@ -261,11 +268,11 @@ def load_problem(data, name=None) -> ProblemDefinition:
             problems.append(f"potential at center: {exc}")
     if f_field is not None and metric is not None and center_ok:
         try:
-            _df, _grad, norm_sq = gradient_data(metric, f_field, center)
-            if norm_sq < GRADIENT_FLOOR ** 2:
-                problems.append("gradient of f at the center is below "
-                                f"{GRADIENT_FLOOR:.0e}")
-        except (DomainError, NonFiniteResult, InstabError) as exc:
+            gradient_data(metric, f_field, center, GRADIENT_FLOOR)
+        except GradientTooSmall:
+            problems.append("gradient of f at the center is below "
+                            f"{GRADIENT_FLOOR:.0e}")
+        except InstabError as exc:
             problems.append(f"f at center: {exc}")
 
     if data.get("chart") is not None:

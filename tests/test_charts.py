@@ -99,8 +99,52 @@ def test_chart_rejects_bad_base_map():
         [ScalarField.parse(s, 2) for s in ("x1", "x2", "x1")],
         [(-0.5, 0.5), (-0.5, 0.5)],
     )
-    with pytest.raises(IdentityViolation):
+    with pytest.raises(IdentityViolation) as info:
         build_chart(E3, F_PARAB, bad_psi, (-0.3, 0.3), grid_count=3)
+    # f(psi(y)) = y1 + y1^2, off the zero set first at the first grid node
+    assert str(info.value) == \
+        "base map leaves the zero level set: |f| = -2.500e-01"
+    assert info.value.point == (-0.5, -0.5)
+    assert info.value.residual == -0.25
+
+
+def test_chart_level_identity_error_names_its_node():
+    # grad(x2 (1 + x1^2)) is not orthogonal to grad(x1 + x3^2), so flow 2,
+    # which runs first, moves F_1 off zero
+    fields = [F_PARAB, ScalarField.parse("x2*(1 + x1^2)", 3)]
+    psi = BaseSurfaceMap(
+        [ScalarField.parse(s, 1) for s in ("-x1^2", "0", "x1")], [(0.6, 1.4)])
+    with pytest.raises(IdentityViolation) as info:
+        build_multi_chart(E3, fields, psi, [(-0.25, 0.25)] * 2, grid_count=3)
+    assert str(info.value) == "F_1(Psi(r, y)) - r_1 = -1.555e-02"
+    assert info.value.point == (-0.25, -0.25, 0.6)
+    assert info.value.residual == pytest.approx(-0.0155492878, rel=1e-6)
+
+
+def test_chart_additivity_error_names_its_start(monkeypatch):
+    # shift the points that flow 2 moves in the additivity check, the only
+    # flow call with a scalar time, 0.05 * 2, by 1e-3 along x2
+    flow = charts.flow_normalized_gradient
+
+    def shifted(metric, fld, start, t, counters=None):
+        end = flow(metric, fld, start, t, counters)
+        return end + [0.0, 1e-3, 0.0] if np.ndim(t) == 0 and t == 0.1 else end
+    monkeypatch.setattr(charts, "flow_normalized_gradient", shifted)
+    evaluated = []
+    scalar_eval = ScalarField.eval
+    monkeypatch.setattr(ScalarField, "eval", lambda fld, point: (
+        evaluated.append(tuple(point)) or scalar_eval(fld, point)))
+    fields = [ScalarField.parse("x1", 3), ScalarField.parse("x2", 3)]
+    psi = BaseSurfaceMap([ScalarField.parse(s, 1) for s in ("0", "0", "x1")],
+                         [(-1, 1)])
+    with pytest.raises(IdentityViolation) as info:
+        build_multi_chart(E3, fields, psi, [(-0.5, 0.5)] * 2, grid_count=3)
+    assert str(info.value) == "flow additivity broken for (i=1, j=1): 1.000e-03"
+    assert info.value.point == pytest.approx((-0.5, -0.5, -1.0))
+    assert info.value.residual == pytest.approx(1e-3)
+    # F_j at the start, then at the moved point, for (i, j) in order
+    assert evaluated[::2] == [info.value.point] * 4
+    assert len(evaluated) == 8 and info.value.point not in evaluated[1::2]
 
 
 def test_parabolic_chart_identities():

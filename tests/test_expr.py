@@ -309,7 +309,7 @@ def test_constant_exponent_folds_as_the_walker_would(exponent):
     source = f"x1^({exponent})"
     folded = parse(source, 1)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(expr, "_folded_power", _walker_folded_power)
+        patch.setattr(expr, "_constant_power", _walker_folded_power)
         walked = parse(source, 1)
     assert folded == walked
     assert repr(folded) == repr(walked)  # -0.0 apart from 0.0

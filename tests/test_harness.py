@@ -280,6 +280,11 @@ _NO_PSI = dict(UNSTABLE_PLANE, chart={
     "fields": ["x1"], "base_box": [[-1, 1], [-1, 1]],
     "level_box": [[-0.1, 0.1]]})
 _BOGUS_PROBE = dict(UNSTABLE_PLANE, probe={"bogus": 1})
+_MECHANICAL = harness.corpus_entry("corollary1-mechanical").to_dict()
+
+
+def _mechanical_chart(**box):
+    return dict(_MECHANICAL, chart=dict(_MECHANICAL["chart"], **box))
 
 
 @pytest.mark.parametrize("spec, args, field", [
@@ -322,6 +327,11 @@ _BOGUS_PROBE = dict(UNSTABLE_PLANE, probe={"bogus": 1})
     (UNSTABLE_PLANE, ["escape", "--seed", "-1"], "seed"),
     (UNSTABLE_PLANE, ["sweep", "--seed", "-1"], "seed"),
     (UNSTABLE_PLANE, ["certify", "--out", __file__], "--out"),  # a file
+    # chart boxes whose point memo keys or grid width overflow
+    (_mechanical_chart(level_box=[[-1e300, 1e300]]), ["chart"],
+     "chart.level_box = "),
+    (_mechanical_chart(base_box=[[-1e308, 1e308], [-0.4, 0.4]]), ["chart"],
+     "chart.base_box = "),
 ])
 def test_cli_invalid_input_exits_2(tmp_path, spec, args, field):
     path = tmp_path / "problem.json"
