@@ -217,11 +217,15 @@ def _sample_shell(probe, delta, shell_index):
     in the shell and the ball. Sampling stops at ``samples`` points, after
     a round that keeps none or at MAX_ATTEMPTS_PER_SHELL starts. The first
     call fills every shell (``delta`` is shell_deltas()[shell_index]) in
-    one loop of rounds, each open shell drawing from its own generator and
-    each round's draws projected together (_joined); the probe keeps the
-    shells until taken. The points are not uniform in the shell; the
-    certifiers take the supremum of a ratio over them, for which coverage
-    of the shell is what counts.
+    one loop of passes, each open shell drawing from its own generator and
+    each pass's draws projected together (_joined); the probe keeps the
+    shells until taken. A pass takes one round of a shell that has none,
+    and after that as many as its mean yield says it still needs, capped
+    by MAX_ATTEMPTS_PER_SHELL; the stop rule then runs round by round, and
+    the rounds drawn after a shell stops are dropped, so each shell keeps
+    the points and attempts of one round a pass. The points are not
+    uniform in the shell; the certifiers take the supremum of a ratio over
+    them, for which coverage of the shell is what counts.
 
     Returns (points, attempts, near_zero_points): ``attempts`` counts the
     starts projected, and shell 0 alone also projects _NEAR_STARTS starts
@@ -243,21 +247,36 @@ def _sample_shell(probe, delta, shell_index):
             return _ball_points(probe, rng, size), low * (
                 high / low) ** rng.random(size)
 
+        def wanted(j):  # the rounds shell j's mean yield says it needs
+            done, got = len(kept[j]), sum(map(len, kept[j]))
+            if not done:
+                return 1
+            return min(-(-(probe.samples - got) * done // got),
+                       -(-MAX_ATTEMPTS_PER_SHELL // count) - done)
+
         while shells:
-            keys = [k for j in shells for k in ([0, None] if j == 0 else [j])]
+            keys = [k for j in shells
+                    for k in ([0, None] if j == 0 else [j]) * wanted(j)]
             projected = _joined(lambda *starts: _project(probe, *starts),
                                 map(draw, keys))
+            going = set(shells)
             # projected first, so it runs out and lets its last pass go
             for (points, values), j in zip(projected, keys):
-                if j is None:
-                    near = list(points[(values >= 0) & (values < deltas[0])]
-                                [:32])
-                else:
+                if j is None:  # after a round of shell 0 that was kept
+                    if taken:
+                        near = list(points[(values >= 0)
+                                           & (values < deltas[0])][:32])
+                    continue
+                taken = j in going
+                if taken:  # the stop rule, round by round
                     kept[j].append(points[(values >= deltas[j])
                                           & (values <= 10.0 * deltas[j])])
-            shells = [j for j in shells if len(kept[j][-1])
-                      and sum(map(len, kept[j])) < probe.samples
-                      and count * len(kept[j]) < MAX_ATTEMPTS_PER_SHELL]
+                    if not (len(kept[j][-1])
+                            and sum(map(len, kept[j])) < probe.samples
+                            and count * len(kept[j])
+                            < MAX_ATTEMPTS_PER_SHELL):
+                        going.remove(j)
+            shells = [j for j in shells if j in going]
         for j, rounds in enumerate(kept):  # let each shell's rounds go
             kept[j] = (np.concatenate(rounds)[:probe.samples],
                        count * len(rounds), near if j == 0 else [])

@@ -446,7 +446,8 @@ def injectivity_probe(chart, grid_count=DEFAULT_GRID):
     """Distinct grid nodes must map to distinct ambient points."""
     points = chart.point(chart.grid(grid_count))
     diffs = points[:, None, :] - points[None, :, :]
-    dist = np.sqrt((diffs ** 2).sum(axis=2))
+    with np.errstate(over="ignore"):  # an infinite distance is no collision
+        dist = np.sqrt((diffs ** 2).sum(axis=2))
     iu = np.triu_indices(len(points), k=1)
     bad = np.nonzero(dist[iu] < MIN_GAP)[0]
     return [(int(iu[0][b]), int(iu[1][b])) for b in bad]

@@ -28,6 +28,12 @@ the largest speed and U and the step counters; U and g(v, v) are
 evaluated once per step row. An untrustworthy energy drift raises
 instead of being silently accepted.
 
+A Euclidean run steps each branch in C where a C compiler builds the loop
+of ``native.solve_branch``, with the same bits. The Python stepper,
+``_solve_branch``, is the oracle and the fallback: curved runs, chart
+flows, runs without a compiler, and from tau = 0 again a branch that loop
+stops short, where this one would raise or an estimate is not finite.
+
 Each branch gathers its accepted steps in short lists and seals every
 BLOCK_ROWS of them into a float64 block, reduced at once (``_BranchLog``)
 with the interpolants of the steps that reach grid times, so no state,
@@ -68,6 +74,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import native
 from .errors import (
     DomainError,
     EnergyDriftExceeded,
@@ -368,7 +375,7 @@ def _motion_kernel(system, fields):
         fold("*", row[b], Var(n + a)) for a, row in enumerate(f))))
            for b in range(n)]
     return compile_kernel(fields, n, [Var(n + a) for a in range(n)] + acc,
-                          label=ACCELERATION)
+                          label=ACCELERATION, program=native.program)
 
 
 def compile_motion(system):
@@ -703,6 +710,10 @@ def _naming(message, first_bad):
             f"{_where(*first_bad)}")
 
 
+def _budget(t_end, max_step):
+    return max(MIN_TRIES, TRIES_PER_CAPPED_STEP * abs(t_end) / max_step)
+
+
 def _solve_branch(f, arg, y0, t_end, tol, max_step, log=None,
                   gated=False):
     """Adaptive DOP853 steps from tau = 0 to exactly ``t_end``, with scipy
@@ -728,7 +739,7 @@ def _solve_branch(f, arg, y0, t_end, tol, max_step, log=None,
     direction = math.copysign(1.0, t_end)
     rtol, atol = max(tol.rel, MIN_RTOL), tol.abs
     step = _stepper(len(y0))
-    budget = max(MIN_TRIES, TRIES_PER_CAPPED_STEP * abs(t_end) / max_step)
+    budget = _budget(t_end, max_step)
     k1 = f(y0, arg)
     if not all(map(math.isfinite, k1)):
         raise NonFiniteResult(
@@ -926,7 +937,9 @@ def integrate(system, initial, horizon, tol=None,
     step, error norm and step controller, and its grid states come from
     the 7th-order interpolant. A rescaled system's steps are capped at eps
     from the branch's first try with a nonzero acceleration; an explicit
-    ``tol.max_step`` caps every step. ``stats["nfev"]`` counts every
+    ``tol.max_step`` caps every step. A Euclidean branch is stepped in C
+    where ``native``'s loop builds, with the same bits, and in Python
+    otherwise or where that loop stops short. ``stats["nfev"]`` counts every
     right-hand-side evaluation, the interpolants' included. The run
     keeps its step times, 8 bytes per accepted step in memory; with
     ``keep_log`` also the states, energies, U and speeds, 8 (2n + 4)
@@ -957,8 +970,14 @@ def integrate(system, initial, horizon, tol=None,
     spill = _Spill(2 * n + 4) if keep_log else None
 
     def branch(end, grid):
-        log = _BranchLog(system, grid, end > 0, h0, max_step, spill)
-        return _solve_branch(f, system, y0, end, tol, max_step, log, gated)
+        def log():
+            return _BranchLog(system, grid, end > 0, h0, max_step, spill)
+        done = native.solve_branch(f, system, y0, end, tol, max_step, log(),
+                                   gated)
+        if done is None:  # stepped again in Python, from tau = 0
+            done = _solve_branch(f, system, y0, end, tol, max_step, log(),
+                                 gated)
+        return done
 
     fwd = branch(horizon, grid_times[~neg])
     bwd = branch(-horizon, grid_times[neg][::-1])

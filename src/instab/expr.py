@@ -418,20 +418,23 @@ class _Emitter:
     ``lines`` holds assignments and domain checks in evaluation order, each
     distinct subexpression and check once. The scalar rendering raises
     DomainError at a check; the numpy rendering (``numpy``) gives nan where
-    any holds. An operation or a check on numbers alone is done here, by
-    the rendering's own functions: the operation's value is a number, and
-    the check is kept only where it holds. An operation whose code raises
-    is kept, to raise where it did. With ``guards`` set, while the values
-    to be differentiated are emitted, it also checks where their
-    derivative is undefined in the dual reference, even where an outer
-    rule (a zeroth power) drops that derivative: at a sqrt of a varying
-    argument that is 0, and at a varying divisor whose square, the
-    quotient rule's, underflows to 0.
+    any holds. With ``ops``, it also lists each line it emits as (form,
+    operand symbols, target symbol or None for a check), for another
+    rendering (``native``). An operation or a check on numbers alone is
+    done here, by the rendering's own functions: the operation's value is
+    a number, and the check is kept only where it holds. An operation whose
+    code raises is kept, to raise where it did. With ``guards`` set, while
+    the values to be differentiated are emitted, it also checks where their
+    derivative is undefined in the dual reference, even where an outer rule
+    (a zeroth power) drops that derivative: at a sqrt of a varying argument
+    that is 0, and at a varying divisor whose square, the quotient rule's,
+    underflows to 0.
     """
 
-    def __init__(self, guards=False, numpy=False):
+    def __init__(self, guards=False, numpy=False, ops=False):
         self.guards = guards
         self.numpy = numpy
+        self.ops = [] if ops else None
         self.lines = []
         self.memo = {}
         self.tests = set()
@@ -441,7 +444,9 @@ class _Emitter:
             return eval(code, dict(  # noqa: S307 - our own code
                 _NUMPY_NAMESPACE if self.numpy else _SCALAR_NAMESPACE))
 
-    def temp(self, code, *operands):
+    def temp(self, form, *operands):
+        """The symbol of ``form`` of the symbols ``operands``."""
+        code = form.format(*operands)
         if all(map(_literal, operands)):
             try:
                 return repr(float(self._run(code)))
@@ -449,17 +454,22 @@ class _Emitter:
                 pass
         name = f"t{len(self.lines)}"
         self.lines.append(f"{name} = {code}")
+        if self.ops is not None:
+            self.ops.append((form, operands, name))
         return name
 
-    def check(self, test, message, *operands):
-        """Check ``test``, a test of the symbols ``operands``."""
+    def check(self, form, message, *operands):
+        """Check ``form`` of the symbols ``operands``."""
         if message is None and not self.numpy:
             return  # the scalar rendering's arithmetic raises by itself
+        test = form.format(*operands)
         if all(map(_literal, operands)) and not self._run(test):
             return
         if test not in self.tests:
             self.tests.add(test)
             self.lines.append(_Check(test, message))
+            if self.ops is not None:
+                self.ops.append((form, operands, None))
 
     def emit(self, node):
         """The symbol that holds the value of ``node``."""
@@ -475,18 +485,17 @@ class _Emitter:
     def _value(self, node):
         if isinstance(node, Neg):
             v = self.emit(node.arg)
-            return self.temp(f"-{v}", v)
+            return self.temp("-{}", v)
         if isinstance(node, Fun):
             v = self.emit(node.arg)
             if node.name in _FUN_DOMAIN:
-                test, message = _FUN_DOMAIN[node.name]
-                self.check(test.format(v), message, v)
-            out = self.temp(f"{node.name}({v})", v)
+                self.check(*_FUN_DOMAIN[node.name], v)
+            out = self.temp(node.name + "({})", v)
             if node.name == "exp":
-                self.check(f"isinf({out}) & ~isinf({v})", None, out, v)
+                self.check("isinf({}) & ~isinf({})", None, out, v)
             if (node.name == "sqrt" and self.guards
                     and _has_var(node.arg, zero_powers=False)):
-                self.check(f"{out} == 0.0", "sqrt derivative at zero", out)
+                self.check("{} == 0.0", "sqrt derivative at zero", out)
             return out
         if isinstance(node, IntPow):
             a, k = node.base, node.k
@@ -497,22 +506,22 @@ class _Emitter:
                 return "1.0"
             if k <= _UNROLL_POW:
                 return self.emit(Bin("*", IntPow(a, k - 1), a))
-            out = self.temp(f"({va}) ** {float(k)!r}", va)
-            self.check(f"isinf({out}) & ~isinf({va})", None, out, va)
+            out = self.temp("({}) ** {}", va, repr(float(k)))
+            self.check("isinf({}) & ~isinf({})", None, out, va)
             return out
         va, vb = self.emit(node.lhs), self.emit(node.rhs)
         if node.op == "^":
-            self.check(f"{va} <= 0.0", "real power of non-positive base", va)
+            self.check("{} <= 0.0", "real power of non-positive base", va)
             return self.emit(_real_power(node.lhs, node.rhs))
         if node.op == "*" and "1.0" in (va, vb):
             return vb if va == "1.0" else va
         b = node.rhs
         if node.op == "/" and not (isinstance(b, Num) and b.value != 0.0):
-            self.check(f"{vb} == 0.0", "division by zero", vb)
+            self.check("{} == 0.0", "division by zero", vb)
         if node.op == "/" and self.guards and _has_var(b, zero_powers=False):
             square = self.emit(Bin("*", b, b))
-            self.check(f"{square} == 0.0", "division by zero", square)
-        return self.temp(f"({va} {node.op} {vb})", va, vb)
+            self.check("{} == 0.0", "division by zero", square)
+        return self.temp(f"({{}} {node.op} {{}})", va, vb)
 
 
 _SCALAR_NAMESPACE = {
@@ -543,7 +552,7 @@ def define_scalar(name, src, **names):
     return _define(name, src, {**_SCALAR_NAMESPACE, **names})
 
 
-def _fields_code(nodes, n, numpy=False):
+def _fields_code(nodes, n, numpy=False, ops=False):
     """The emitter of the values of k nodes, with the dual reference's
     guards, then of their n partials each, and the symbols of those values
     that a finiteness test reads, the distinct ones not finite numbers.
@@ -552,7 +561,7 @@ def _fields_code(nodes, n, numpy=False):
     the nodes compute a common subexpression once, and each value and
     partial is bit-identical to that of the node alone.
     """
-    em = _Emitter(guards=True, numpy=numpy)
+    em = _Emitter(guards=True, numpy=numpy, ops=ops)
     values = [em.emit(node) for node in nodes]
     em.guards = False  # the derivative ASTs are not differentiated here
     values += [em.emit(derivative(node, i)) for node in nodes
@@ -583,7 +592,7 @@ def _first_error(fields, exc, point):
 
 
 def compile_kernel(fields, n: int, outputs, decide=None, guards=(),
-                   label=None):
+                   label=None, program=None):
     """Generate ``kernel(p, arg)``, the values of ``outputs`` at the point p.
 
     The one compiler of field kernels: its code computes the values and
@@ -603,15 +612,19 @@ def compile_kernel(fields, n: int, outputs, decide=None, guards=(),
     metric factors and the magnetic tensor feed ``el_acceleration``, which
     tests the acceleration once and names the state (x, v), not x alone,
     and ``compile_fields``'s outputs are the fields' tested values and
-    partials.
+    partials. With ``program``, the kernel keeps ``program(ops, symbols,
+    tested)`` as its ``program``: the same walk rendered once more
+    (``native.program``) from its ``_Emitter`` ops, output symbols and the
+    symbols the kernel tests for finiteness.
     """
-    em, checked = _fields_code([fld.body for fld in fields], n)
+    em, checked = _fields_code([fld.body for fld in fields], n,
+                               ops=program is not None)
     if checked:  # one test of them all, unless their sum overflows
         em.lines.append(_finite_test(checked, "raise OverflowError"))
     head = len(em.lines)
     for node, bound in guards:
         value = em.emit(node)
-        em.check(f"not {bound!r} < {value} < inf", "below guard", value)
+        em.check(f"not {bound!r} < {{}} < inf", "below guard", value)
     symbols = [em.emit(node) for node in outputs]
     computed = [s for s in dict.fromkeys(symbols) if s not in checked
                 and not s.startswith("p[")
@@ -628,8 +641,12 @@ def compile_kernel(fields, n: int, outputs, decide=None, guards=(),
            "    except (DomainError, ArithmeticError, ValueError) as exc:\n"
            f"        {cold}\n{_scalar_body(em.lines[split:], '    ')}"
            f"    return ({', '.join(symbols)},)\n")
-    return define_scalar("_kernel", src, decide=decide, fields=fields,
-                         first_error=_first_error, not_finite=_not_finite)
+    kernel = define_scalar("_kernel", src, decide=decide, fields=fields,
+                           first_error=_first_error, not_finite=_not_finite)
+    if program is not None:
+        kernel.program = program(em.ops, symbols, checked + (
+            computed if label is not None else []))
+    return kernel
 
 
 def _finite_test(symbols, action):
@@ -648,8 +665,8 @@ def compile_vectorized_kernel(nodes, n: int, outputs):
     arithmetic on constants raises. numpy's floating-point warnings are off
     inside."""
     em, checked = _fields_code(nodes, n, numpy=True)
-    em.check(" | ".join(f"~isfinite({s})" for s in checked) or "False",
-             None, *checked)
+    em.check(" | ".join("~isfinite({})" for _ in checked) or "False", None,
+             *checked)
     out = [em.emit(node) for node in outputs]
     tests = [f"({line.test})" for line in em.lines
              if isinstance(line, _Check)]
@@ -743,15 +760,23 @@ class ScalarField:
             code = self.compiled[key] = build(*args)
         return code
 
+    def _kernel(self):
+        return self.compiled.get("value_grad") or self.code(
+            "value_grad", compile_fields, [self], self.dimension)
+
     def value_and_grad(self, point):
         """(value, gradient) from the field's own kernel; errors name the
         field and the point: DomainError at a failed domain check,
         NonFiniteResult where float arithmetic overflows or a result is not
         finite."""
-        kernel = self.compiled.get("value_grad") or self.code(
-            "value_grad", compile_fields, [self], self.dimension)
-        out = kernel(_coords(point), None)
+        out = self._kernel()(_coords(point), None)
         return out[0], np.array(out[1:])
+
+    def values(self, rows):
+        """``eval`` at each of ``rows``, lists of floats, in order, from
+        the same kernel: the same bits, and the first error it raises."""
+        kernel = self._kernel()
+        return [kernel(row, None)[0] for row in rows]
 
     def eval(self, point) -> float:
         v, _ = self.value_and_grad(point)

@@ -597,8 +597,8 @@ def run_epsilon_sweep(problem, tol=None, seed=0, with_certification=True,
             )
             bounds = check_lemma1_bounds(trajectory, cap)
             n = trajectory.dimension
-            f_curve = np.array([problem.f.eval(row[:n]) - f_center
-                                for row in trajectory.grid_states])
+            f_curve = np.array(problem.f.values(
+                trajectory.grid_states[:, :n].tolist())) - f_center
         except (IntegrationError, DomainError, NonFiniteResult,
                 SingularMetric, ValueError) as exc:
             run.status = "failed"

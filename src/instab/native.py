@@ -1,0 +1,315 @@
+"""Euclidean sweep branches stepped in C, with the Python stepper's bits.
+
+One fixed C source holds ``dynamics._solve_branch``'s loop: the DOP853
+tableau, emitted from ``dynamics._A`` and summed in ``_stepper``'s order,
+scipy's controller, the gated cap, the ``nextafter`` minimum step, the try
+budget and the grid marks. Its right-hand side interprets a register
+program (``program``), the motion kernel's ``expr`` walk rendered once
+more, on the libm that Python's ``math`` calls. A check or finiteness test
+of the Python kernel, a zero divisor, a libm result or error estimate that
+is not finite, an underflow or a spent budget stops the loop short, and
+``dynamics`` steps the branch again in Python, which raises or goes on.
+``solve_branch`` is ``dynamics._solve_branch``'s twin over that loop.
+
+``library`` compiles the source at most once per process with ``cc`` from
+PATH and fixed flags, in a temporary directory removed once the object is
+loaded; None where that fails, and every branch steps in Python.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import math
+import os
+import shutil
+import tempfile
+
+import numpy as np
+
+from .errors import InstabError
+from .expr import _literal
+
+COMPILE = ("-std=c99", "-O1", "-ffp-contract=off", "-fPIC", "-shared")
+# the register program's operations, by the form of their emitted line
+_OPS = {"({} + {})": 0, "({} - {})": 1, "({} * {})": 2, "({} / {})": 3,
+        "-{}": 4, "({}) ** {}": 5, "sqrt({})": 6, "exp({})": 7, "ln({})": 8,
+        "sin({})": 9, "cos({})": 10,  # the last six call libm
+        "{} <= 0.0": 11, "{} < 0.0": 12, "{} == 0.0": 13}  # bails
+
+_SOURCE = r"""
+#include <float.h>
+#include <math.h>
+#include <string.h>
+#if FLT_EVAL_METHOD != 0
+#error "every double operation must round to double"
+#endif
+
+typedef struct { const int *code, *out; long n, nout, m; double *r; } rhs_t;
+
+/* dy = f(y) by the register program, whose out[m:] the Python kernel tests
+   for finiteness; 1 where that kernel may raise */
+static int rhs(const rhs_t *f, const double *y, double *dy)
+{
+    const int *c = f->code, *end = c + 4 * f->n;
+    double *r = f->r, v, tested = 0.0;
+    long i;
+    memcpy(r, y, f->m * sizeof *y);
+    for (; c < end; c += 4) {
+        double a = r[c[2]], b = r[c[3]];
+        switch (c[0]) {
+        case 0: v = a + b; break;
+        case 1: v = a - b; break;
+        case 2: v = a * b; break;
+        case 3: if (b == 0.0) return 1; v = a / b; break;
+        case 4: v = -a; break;
+        case 5: /* as CPython's float ** takes an integral exponent */
+            v = pow(a < 0.0 ? -a : a, b);
+            if (a < 0.0 && fmod(b, 2.0) != 0.0) v = -v;
+            break;
+        case 6: v = sqrt(a); break;
+        case 7: v = exp(a); break;
+        case 8: v = log(a); break;
+        case 9: v = sin(a); break;
+        case 10: v = cos(a); break;
+        case 11: if (a <= 0.0) return 1; continue;
+        case 12: if (a < 0.0) return 1; continue;
+        default: if (a == 0.0) return 1; continue;
+        }
+        if (c[0] >= 5 && !isfinite(v)) return 1;
+        r[c[1]] = v;
+    }
+    for (i = 0; i < f->m; i++) dy[i] = r[f->out[i]];
+    for (; i < f->nout; i++)  /* x * 0.0 is nan just where x is not finite */
+        tested += r[f->out[i]] * 0.0;
+    return tested != 0.0;
+}
+
+#define K(s) (k + (s) * m)
+
+/* K(s) = f(z), z = y + (row s of the tableau's sum of K) * h; 1 on a bail */
+static int stage(const rhs_t *f, const double *y, double h, double *k,
+                 double *z, int s)
+{
+    long i, m = f->m;
+    switch (s) {
+@STAGES@
+    }
+    return rhs(f, z, K(s));
+}
+
+enum { TRIES, REJECTED, INTERPOLATED, LIVE, NEXT, ROWS, DENSE };
+
+/* Steps from st = (t, y, K(0), h_abs) to par[0] = t_end while rows has
+   room, row 0 being (t, y): 0 at t_end, 1 with the rows full, -1 where
+   the Python stepper must decide. par = (t_end, max_step, rtol, atol,
+   budget, direction); cnt as the enum above; a dense step is (t, t_new,
+   marks reached, y, y_new, K(0)..K(15)). */
+long dop853_branch(const int *code, long size, double *r, const int *out,
+                   long nout, long m, double *st, long *cnt, const double *par,
+                   const double *marks, long nmarks, double *rows,
+                   long nrows, double *dense, double *k)
+{
+    rhs_t f = {code, out, size, nout, m, r};
+    double *t = st, *y = st + 1, *k1 = y + m, *h_abs = k1 + m;
+    double *z = K(16), *yn = z + m, t_end = par[0], cap = par[1];
+    double dir = par[5];
+    long i, s, end;
+    cnt[ROWS] = 1;
+    cnt[DENSE] = 0;
+    while (dir * (*t - t_end) < 0) {
+        double min_step = 10 * fabs(nextafter(*t, dir * INFINITY) - *t);
+        double t_new, h, err, e5, e3, factor;
+        int retried = 0, was_live;
+        if (cnt[LIVE] && *h_abs > cap) *h_abs = cap;
+        else if (*h_abs < min_step) *h_abs = min_step;
+        for (;;) {
+            if (*h_abs < min_step || cnt[TRIES] >= par[4]) return -1;
+            t_new = *t + *h_abs * dir;
+            if (dir * (t_new - t_end) > 0) t_new = t_end;
+            h = t_new - *t;
+            *h_abs = fabs(h);
+            memcpy(K(0), k1, m * sizeof *k);
+            for (s = 1; s <= 12; s++)  /* z is y_new at s = 12 */
+                if (stage(&f, y, h, k, s == 12 ? yn : z, s)) return -1;
+            for (i = 0, e5 = e3 = 0.0; i < m; i++) {
+                double a = fabs(y[i]), b = fabs(yn[i]);
+                double scale = par[3] + (a > b ? a : b) * par[2];
+                double p = (@E5@) / scale, q = (@E3@) / scale;
+                e5 += p * p;
+                e3 += q * q;
+            }
+            err = e5 + 0.01 * e3;
+            err = err != 0.0 ? fabs(h) * e5 / sqrt(err * m) : 0.0;
+            cnt[TRIES]++;
+            was_live = cnt[LIVE];
+            for (s = 0; s < 13 && !cnt[LIVE]; s++)
+                for (i = m / 2; i < m; i++) cnt[LIVE] |= K(s)[i] != 0.0;
+            if (!was_live && cnt[LIVE] && *h_abs > cap) {
+                *h_abs = cap;
+                cnt[REJECTED]++;
+                continue;
+            }
+            factor = @SAFETY@ * pow(err, @EXPONENT@);
+            if (err < 1) {
+                if (err == 0 || factor > @MAX_FACTOR@) factor = @MAX_FACTOR@;
+                *h_abs *= retried && !(factor < 1.0) ? 1.0 : factor;
+                break;
+            }
+            if (!isfinite(err)) return -1;
+            *h_abs *= factor > @MIN_FACTOR@ ? factor : @MIN_FACTOR@;
+            retried = 1;
+            cnt[REJECTED]++;
+        }
+        for (end = cnt[NEXT]; end < nmarks && marks[end] <= dir * t_new;)
+            end++;
+        if (end > cnt[NEXT]) {  /* the interpolant's three extra stages */
+            double *row = dense + cnt[DENSE]++ * (3 + 18 * m);
+            for (s = 13; s <= 15; s++)
+                if (stage(&f, y, h, k, z, s)) return -1;
+            row[0] = *t;
+            row[1] = t_new;
+            row[2] = end - cnt[NEXT];
+            memcpy(row + 3, y, m * sizeof *y);
+            memcpy(row + 3 + m, yn, m * sizeof *y);
+            memcpy(row + 3 + 2 * m, k, 16 * m * sizeof *k);
+            cnt[INTERPOLATED]++;
+            cnt[NEXT] = end;
+        }
+        *t = t_new;
+        memcpy(y, yn, m * sizeof *y);
+        memcpy(k1, K(12), m * sizeof *k);
+        if (cnt[ROWS] == nrows)
+            return 1;
+        rows[cnt[ROWS] * (1 + m)] = *t;
+        memcpy(rows + cnt[ROWS]++ * (1 + m) + 1, y, m * sizeof *y);
+    }
+    return 0;
+}
+"""
+
+
+def _sum(row):
+    """sum_j c_j K(j)[i] over a tableau row, in order, as C."""
+    return " + ".join(f"K({j})[i] * {c!r}" for j, c in row.items())
+
+
+def source():
+    """The C source, with ``dynamics``' tableau and controller constants;
+    row 12 of the tableau, the weights, gives y_new (h c = c h in
+    floats)."""
+    from . import dynamics as d
+
+    stages = "".join(
+        f"    case {s}: for (i = 0; i < m; i++) z[i] = y[i] + ({_sum(row)})"
+        " * h; break;\n" for s, row in enumerate(d._A, start=1))
+    values = {"STAGES": stages, "E5": _sum(d._E5), "E3": _sum(d._E3),
+              "SAFETY": d.SAFETY, "MIN_FACTOR": d.MIN_FACTOR,
+              "MAX_FACTOR": d.MAX_FACTOR, "EXPONENT": d.ERROR_EXPONENT}
+    text = _SOURCE
+    for key, value in values.items():
+        text = text.replace(f"@{key}@", str(value).rstrip("\n"))
+    return text
+
+
+@functools.cache
+def library():
+    """The compiled loop, ``dop853_branch``, loaded once per process; None
+    where no ``cc`` is on PATH or the object does not build or load."""
+    compiler = shutil.which("cc")
+    if compiler is None:
+        return None
+    import subprocess  # only where a branch may be stepped in C
+
+    with tempfile.TemporaryDirectory() as tmp:
+        src, obj = (os.path.join(tmp, name)
+                    for name in ("dop853.c", "dop853.so"))
+        with open(src, "w") as fh:
+            fh.write(source())
+        try:
+            subprocess.run([compiler, *COMPILE, "-o", obj, src, "-lm"],
+                           check=True, capture_output=True, timeout=60)
+            loop = ctypes.CDLL(obj).dop853_branch
+        except (OSError, subprocess.SubprocessError):
+            return None
+    pointer, size = ctypes.c_void_p, ctypes.c_long
+    loop.argtypes = [pointer, size, pointer, pointer, size, size, pointer,
+                     pointer, pointer, pointer, size, pointer, size, pointer,
+                     pointer]
+    loop.restype = size
+    return loop
+
+
+def program(ops, symbols, tested):
+    """``compile_kernel``'s walk as a register program over as many inputs
+    p[i] as outputs, from its ``_Emitter`` ``ops``, output ``symbols`` and
+    the symbols it tests for finiteness: rows of (operation, target, a, b)
+    register indices, the registers with the numbers in place, and the
+    registers of the outputs, then of the tested symbols; None where an op
+    has no operation here."""
+    registers = {f"p[{i}]": i for i in range(len(symbols))}
+
+    def register(symbol):
+        return registers.setdefault(symbol, len(registers))
+
+    code = []
+    for form, operands, target in ops:
+        if form not in _OPS:
+            return None
+        a, b = [register(s) for s in operands] + [0] * (2 - len(operands))
+        code.append((_OPS[form], 0 if target is None else register(target),
+                     a, b))
+    out = np.array([register(s) for s in [*symbols, *tested]], dtype=np.intc)
+    values = np.array([float(s) if _literal(s) else 0.0 for s in registers])
+    return np.array(code, dtype=np.intc).reshape(-1, 4), values, out
+
+
+def solve_branch(f, arg, y0, t_end, tol, max_step, log, gated):
+    """``dynamics._solve_branch(f, arg, y0, t_end, tol, max_step, log,
+    gated)`` stepped by the compiled loop, which hands ``log.seal`` the
+    same blocks of BLOCK_ROWS rows and dense steps; None, the log spoiled,
+    where ``f`` has no register program, the loop is not built or the
+    branch stops short of t_end, and ``_solve_branch`` decides."""
+    from . import dynamics as d
+
+    loop = getattr(f, "program", None) and library()
+    if not loop:
+        return None
+    rtol, atol = max(tol.rel, d.MIN_RTOL), tol.abs
+    try:  # _solve_branch's start, which raises where its own would
+        k1 = f(y0, arg)
+        if not all(map(math.isfinite, k1)):
+            return None
+        h_abs = d._initial_step(f, arg, y0, k1, t_end, max_step, rtol, atol)
+    except InstabError:
+        return None
+    m, block, direction = len(y0), d.BLOCK_ROWS, math.copysign(1.0, t_end)
+    marks = np.array(direction * log.grid, dtype=float)
+    state = np.array([0.0, *y0, *k1, h_abs])  # t, y, K(0), h_abs
+    counts = np.array([0, 0, 0, not gated, 0, 0, 0], dtype=np.int_)
+    rows = np.empty((block, 1 + m))
+    dense = np.empty((max(1, min(block, len(marks))), 3 + 18 * m))
+    code, registers, out = f.program
+    params = (t_end, max_step, rtol, atol, d._budget(t_end, max_step),
+              direction)
+    buffers = (code, len(code), registers.copy(), out, len(out), m, state,
+               counts,
+               np.array(params), marks, len(marks), rows, block, dense,
+               np.empty(18 * m))
+    args = [a.ctypes.data if isinstance(a, np.ndarray) else a
+            for a in buffers]  # the buffers stay alive with ``buffers``
+    status = 1  # 0 at t_end, 1 with the rows full, -1 stopped short
+    while status == 1:
+        rows[0] = state[:1 + m]  # the state it goes on from
+        status = loop(*args)
+        if status < 0:
+            return None
+        filled, made = counts[5:].tolist()
+        log.seal(rows[:filled, 0], rows[:filled, 1:],
+                 [(step[0], step[1], step[3:3 + m], step[3 + m:3 + 2 * m],
+                   step[3 + 2 * m:], int(step[2])) for step in dense[:made]],
+                 last=status == 0)
+    tries, log.rejected, interpolated = counts[:3].tolist()
+    log.nfev = (2 + d.STAGE_EVALUATIONS * tries
+                + d.DENSE_EVALUATIONS * interpolated)
+    return log

@@ -5,13 +5,15 @@ reproduces locally with ``CI=1``.
 """
 
 import contextlib
+import functools
 import os
+import shutil
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from instab import harness
+from instab import harness, native
 from instab.charts import build_chart, BaseSurfaceMap
 from instab.expr import ScalarField
 from instab.geometry import MetricSpec
@@ -73,3 +75,23 @@ def corollary_chart():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260823)
+
+
+@pytest.fixture(scope="session")
+def compiled():
+    """The native loop; the test is skipped where no ``cc`` is on PATH, and
+    fails where one is but the loop does not build."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    assert native.library() is not None
+    return native.library()
+
+
+@pytest.fixture
+def no_compiler(monkeypatch):
+    """PATH finds no compiler, and the native loop is looked for afresh,
+    so every branch steps in Python."""
+    monkeypatch.setenv("PATH", "/nonexistent")
+    monkeypatch.setattr(native, "library",
+                        functools.cache(native.library.__wrapped__))
+    assert native.library() is None

@@ -391,7 +391,10 @@ def test_each_shell_point_evaluated_once(monkeypatch):
 
 
 @pytest.mark.parametrize("samples, most", [
-    (200, 6 * 400 + certify._NEAR_STARTS),  # a probe's first rounds at once
+    # rounds of 400 starts, and shell 0's near-locus 64, joined while they
+    # fit: the first pass holds every shell's first round, 2,464 starts,
+    # and crossing-axes' starved top shell takes 7 rounds in its second
+    (200, certify._BATCH_STARTS),
     (20000, 40000),  # past _BATCH_STARTS each shell's round alone
 ])
 def test_projection_batches_stay_bounded(samples, most, count_calls):

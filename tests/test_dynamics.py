@@ -1,5 +1,6 @@
 """Integrator and monitor checks against closed-form solutions."""
 
+import functools
 import hashlib
 import io
 import math
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.integrate import DOP853, solve_ivp
 from scipy.integrate._ivp import dop853_coefficients
 
-from instab import dynamics, expr, harness
+from instab import dynamics, expr, harness, native
 from instab.dynamics import (
     LagrangianSystem,
     State,
@@ -28,6 +29,7 @@ from instab.errors import (
     DomainError,
     EnergyDriftExceeded,
     InstabError,
+    IntegrationError,
     NonFiniteResult,
     SingularMetric,
     StepSizeUnderflow,
@@ -1136,3 +1138,157 @@ def test_non_finite_right_hand_side_at_the_start_raises():
                        r"state \(0\.75\)"):
         dynamics._solve_branch(_wall, None, (0.75,), 1.0, Tolerances(),
                                math.inf)
+
+
+# --- the compiled loop against the Python stepper --------------------------
+
+class _BlockLog:
+    """A branch's log that keeps a copy of each block it seals, with its
+    grid states and whether it ended the branch."""
+
+    def __init__(self, grid):
+        self.grid, self.read, self.blocks = grid, 0, []
+
+    def seal(self, times, states, dense, last=False):
+        count = sum(step[-1] for step in dense)
+        grid = dynamics._grid_states(
+            dense, self.grid[self.read:self.read + count]) if dense else None
+        self.read += count
+        self.blocks.append((np.array(times).tobytes(),
+                            np.array(states).tobytes(),
+                            None if grid is None else grid.tobytes(), last))
+
+
+def _branches(system, initial, horizon, tol, solve):
+    """Each branch of ``integrate``'s run by ``solve``, ``_solve_branch``
+    or ``native.solve_branch``: its sealed blocks, rejected tries and nfev; the
+    class and message of the error it raises; or None where it gives
+    none."""
+    gated = tol.max_step is None and system.epsilon is not None
+    max_step = tol.max_step or (system.epsilon if gated else math.inf)
+    f = compile_motion(system)
+    y0 = tuple(np.concatenate([initial.x, initial.v]).tolist())
+    grid = np.linspace(-horizon, horizon, dynamics.GRID_POINTS)
+    out = []
+    for end, branch_grid in ((horizon, grid[grid >= 0]),
+                             (-horizon, grid[grid < 0][::-1])):
+        log = _BlockLog(branch_grid)
+        try:
+            done = solve(f, system, y0, end, tol, max_step, log, gated)
+        except InstabError as exc:
+            out.append((type(exc), str(exc)))
+            continue
+        out.append(done and (log.blocks, log.rejected, log.nfev))
+    return out
+
+
+# corpus entries, CI's transcendental problem and one with x1^17 and x1^18,
+# integer powers that take float pow, the second at negative bases
+_LOOP_CASES = {
+    **{name: name for name, _data in harness._CORPUS_DATA},
+    "transcendental": TRANSCENDENTAL,
+    "power 18": {"dimension": 2, "potential": "x2^2 + (x1 - 0.5)^18",
+                 "magnetic": ["0", "x1"], "f": "x1", "center": [0.5, 0.0],
+                 "T": 1.0, "epsilons": [0.1]},
+}
+
+
+@given(name=st.sampled_from(sorted(_LOOP_CASES)),
+       eps=st.sampled_from([0.1, 0.01, 1e-3]),
+       offset=st.lists(st.floats(-0.05, 0.05), min_size=6, max_size=6),
+       scale=st.floats(0.02, 0.5), rows=st.sampled_from([7, 512]))
+@example(name="power 18", eps=0.01, offset=[0.0] * 6, scale=0.5, rows=7)
+@example(name="transcendental", eps=1e-3, offset=[0.0] * 6, scale=0.5,
+         rows=7)
+@settings(max_examples=30, deadline=None)
+def test_compiled_loop_has_the_python_steppers_bits(name, eps, offset, scale,
+                                                    rows, compiled):
+    data = _LOOP_CASES[name]
+    if isinstance(data, str):
+        system, initial, horizon, tol, _cap = _corpus_case(data, eps)
+    else:
+        system, initial, horizon, tol = _problem_case(data, eps)
+    n = len(initial.x)
+    initial = State(0.0, initial.x + offset[:n], initial.v + offset[n:2 * n])
+    case = (system, initial, scale * horizon, tol)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "BLOCK_ROWS", rows)
+        want = _branches(*case, dynamics._solve_branch)
+        got = _branches(*case, native.solve_branch)
+    for python, native_run in zip(want, got):
+        if isinstance(python[0], type):  # the Python stepper raised
+            assert native_run is None
+        else:
+            assert native_run == python
+
+
+_FAILING_RUNS = {  # (U, form, x, v, eps, T, what the run raises)
+    # 1e300 x1^8 asks for steps near 1e-38: the branch spends its budget
+    "stiff wall": ("x3^2 + 1e300*x1^8", ["0", "x3", "0"], [0, 0, 0],
+                   [1, 0, 0], 0.1, 0.5, IntegrationError),
+    # pushed past x1 = -1, where sqrt(1 + x1) is undefined
+    "U undefined": ("x2^2 + sqrt(1 + x1) - 1", None, [0, 0], [-1, 0], 0.1,
+                    1.0, DomainError),
+    # the acceleration, 100 * 2e306, overflows at the start
+    "not finite at y0": ("x2^2 + 1e306*x1^2", None, [1, 0], [0, 0], 0.1,
+                         1.0, NonFiniteResult),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FAILING_RUNS))
+def test_compiled_loop_raises_what_python_raises(name, compiled,
+                                                 count_calls, request):
+    """Where the Python stepper raises, the loop gives the branch back to
+    it, and the run raises the same class and message as one without a
+    compiler."""
+    potential, form, x, v, eps, horizon, error = _FAILING_RUNS[name]
+    n = len(x)
+    system = LagrangianSystem(
+        MetricSpec.identity(n), ScalarField.parse(potential, n),
+        form and OneForm.from_sources(form), epsilon=eps)
+    case = (system, State(0.0, x, v), horizon, Tolerances())
+    with count_calls(native, "solve_branch") as tried, \
+            count_calls(dynamics, "_solve_branch") as python:
+        got = _summary(*case, keep_log=False)
+    assert tried and python
+    assert got[0] is error
+    request.getfixturevalue("no_compiler")
+    assert _summary(*case, keep_log=False) == got
+
+
+def test_compiled_loop_stops_where_a_tested_field_value_overflows(compiled):
+    """y'' = 1 from rest: U = 1e307 x1^2, which the kernel computes and
+    tests but no output reads, overflows past x1 = 4.3, where its gradient
+    is still finite; the Python stepper raises there, and the loop, which
+    tests the same symbols once it has set them, stops short."""
+    u = ScalarField.parse("1e307 * x1^2", 1)
+    f = expr.compile_kernel([u], 1, [expr.Var(1), expr.Num(1.0)],
+                            label=dynamics.ACCELERATION,
+                            program=native.program)
+    args = (f, None, (0.0, 0.0), 4.0, Tolerances(), math.inf)
+    with pytest.raises(NonFiniteResult, match="is not finite at point"):
+        dynamics._solve_branch(*args, _BlockLog(np.linspace(0, 4, 5)))
+    assert native.solve_branch(*args, _BlockLog(np.linspace(0, 4, 5)),
+                               False) is None
+
+
+@pytest.mark.parametrize("eps", [1e300, 1e-300])
+def test_sweep_at_an_overflowing_eps_fails_alike_without_a_compiler(
+        eps, compiled, request):
+    problem = harness.corpus_entry("mechanical-plane")
+    problem.epsilons = (eps,)
+    report = harness.run_epsilon_sweep(problem, with_certification=False)
+    (run,) = report.runs
+    assert run.status == "failed" and "overflows at epsilon" in run.error
+    request.getfixturevalue("no_compiler")
+    again = harness.run_epsilon_sweep(problem, with_certification=False)
+    assert again.to_dict() == report.to_dict()
+
+
+def test_a_source_that_does_not_build_leaves_python_to_step(monkeypatch):
+    monkeypatch.setattr(native, "source", lambda: "#error no loop here\n")
+    monkeypatch.setattr(native, "library",
+                        functools.cache(native.library.__wrapped__))
+    assert native.library() is None
+    system, initial, horizon, tol = _problem_case(TRANSCENDENTAL, 0.1)
+    assert integrate(system, initial, horizon, tol=tol).stats["steps"] > 0

@@ -631,6 +631,36 @@ def test_cli_certify_report_is_pinned(entry):
         == _CERTIFY_REPORTS[entry]
 
 
+# sha256 of `instab corpus run-all --seed 42`
+RUN_ALL_SHA256 = \
+    "0c299101866aae7896a33f0dd07be871ab48e879572208fc430c19c27bfc85fd"
+
+
+@pytest.mark.parametrize("stepper", ["compiled", "no_compiler"])
+def test_cli_run_all_report_is_pinned(stepper, request):
+    """The compiled loop and the Python stepper print the same bytes."""
+    request.getfixturevalue(stepper)
+    result = _run("corpus", "run-all", "--seed", "42")
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.output.encode()).hexdigest() \
+        == RUN_ALL_SHA256
+
+
+def test_cli_chart_past_1e154_is_injective_without_warnings(tmp_path):
+    """Distances between base points near 1e200 overflow to inf, which is
+    no collision, and say nothing on stderr."""
+    problem = harness.corpus_entry("corollary1-mechanical").to_dict()
+    problem["chart"]["base_box"] = [[-1e200, 1e200], [-0.4, 0.4]]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(problem))
+    result = subprocess.run(
+        [sys.executable, "-m", "instab.cli", "chart", str(path)],
+        capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stderr == ""
+    assert _strict_json(result.stdout)["injective"] is True
+
+
 def test_sweep_runs_report_step_log_counters(corpus_sweeps):
     for report in corpus_sweeps.values():
         for run in report.runs:
