@@ -15,15 +15,14 @@ Every flow solve is one branch of the adaptive DOP853 stepper that
 integrates the equations of motion (``dynamics``), at rtol = atol =
 FLOW_TOL and with no step cap. On a Euclidean metric the flow field,
 X = df/|df|^2 and for a Jacobian flow also DX·J, is ASTs over the level
-field's partials, compiled by ``expr.compile_kernel`` once per field;
-``normalized_gradient`` or ``normalized_gradient_jacobian`` decides where
-the kernel's code fails or an output is not finite, and on a curved
-metric. Each grid check flows its points at once with the kernel's numpy
-twin (``dynamics._solve_rows``), stepping (m, N) arrays; a batch below
-``dynamics.BATCH_ROWS`` rows, a row where the twin is not finite, that
-underflows or spends its budget, and every row on a curved metric are
-solved alone. A row has its single solve's bits, on a transcendental
-level field but for its last ones.
+field's partials, compiled by ``expr.compile_kernel`` once per field,
+with its register program; ``normalized_gradient`` or
+``normalized_gradient_jacobian`` decides where the kernel's code fails or
+an output is not finite, and on a curved metric. Each grid check hands
+all its points to the compiled loop in one call (``dynamics._solve_rows``);
+a row where the kernel would decide, that underflows or spends its
+budget, every row on a curved metric and every row without a compiler
+are solved alone in Python. Each row has its single solve's bits.
 
 The base map's values and partials, a Jacobian's level columns and the
 checks' field values come from one numpy pass per grid, each row with the
@@ -37,11 +36,11 @@ its flow solves and its memo hits, per point.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import native
 from .dynamics import Tolerances, _solve_rows
 from .errors import (
     IdentityViolation,
@@ -131,8 +130,6 @@ def _flow_kernel(fld, columns, reference):
 
     At or within rounding of FLOW_GRADIENT_FLOOR the reference decides,
     and so it does where an output is not finite, as where DX overflows.
-    Without one it is the numpy twin, ``twin(columns, arg)``, nan in a
-    row where the kernel hands its point to the reference.
     """
     n = fld.dimension
     partials = partial_fields(fld)
@@ -151,19 +148,9 @@ def _flow_kernel(fld, columns, reference):
         out += [total(fold("*", dx[a][c], Var(n + c * columns + j))
                       for c in range(n))
                 for a in range(n) for j in range(columns)]
-    if reference is not None:
-        return compile_kernel(fields, n, out, reference,
-                              guards=[(s, _FLOOR_SQ)],
-                              label=f"the flow of {fld.label}")
-    kernel = compile_vectorized_kernel([f.body for f in fields], n,
-                                       out + [s])
-
-    def twin(y, _arg):
-        values = kernel(np.transpose(y))
-        values[~((_FLOOR_SQ < values[:, -1])
-                 & np.isfinite(values).all(axis=1))] = math.nan
-        return values[:, :-1].T
-    return twin
+    return compile_kernel(fields, n, out, reference, guards=[(s, _FLOOR_SQ)],
+                          label=f"the flow of {fld.label}",
+                          program=native.program)
 
 
 def compile_flow(metric, fld, columns=0):
@@ -184,18 +171,15 @@ def solve_ivp(metric, fld, start, t):
     """The time-``t[r]`` state of the flow of ``fld`` from each row r of
     ``start``, (N, m): a point, and for m > n a matrix J row by row,
     carried by J' = DX·J. A row with t = 0 is its start; each other is a
-    gridless DOP853 branch at rtol = atol = FLOW_TOL with no step cap, a
-    large batch stepped at once with the kernel's numpy twin, compiled
-    only then (``dynamics._solve_rows``). Every flow solve of a chart comes
-    through here.
+    gridless DOP853 branch at rtol = atol = FLOW_TOL with no step cap, all
+    of them stepped by the compiled loop in one call where it builds
+    (``dynamics._solve_rows``). Every flow solve of a chart comes through
+    here.
     """
     columns = start.shape[1] // fld.dimension - 1
     moving = t != 0.0
-    twin = (functools.partial(fld.code, ("flow twin", columns), _flow_kernel,
-                              fld, columns, None)
-            if metric.euclidean else None)
     end = start.copy()
-    end[moving] = _solve_rows(compile_flow(metric, fld, columns), twin,
+    end[moving] = _solve_rows(compile_flow(metric, fld, columns),
                               (metric, fld), start[moving], t[moving],
                               _FLOW_TOLERANCES)
     return end

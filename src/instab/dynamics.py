@@ -14,25 +14,20 @@ is a hard cap from the first step. It steps on plain floats: the stage
 arithmetic is generated once per state size, and the interpolant's three
 extra stages run only for the steps that reach the uniform grid times.
 The same stepper solves the chart flows (``charts``), uncapped and
-without grid times, keeping only the end state. ``_solve_rows`` steps a
-batch of BATCH_ROWS of them or more at once over (m, N) arrays
-(``_step_columns``), one numpy call per tableau term and every sum in the
-scalar step's order, so each row keeps its single solve's bits; it solves
-alone the rows of a smaller batch, whose numpy calls cost more than their
-single solves, and a row where a stage or a norm is not finite, or that
-underflows or spends its budget, stopping at the first that raises. A
-branch that spends its step budget, as against a stiff wall, raises
-instead of shrinking its steps without bound. Every run reduces its
-conserved energy, speed, potential and step sizes to the energy drift,
-the largest speed and U and the step counters; U and g(v, v) are
-evaluated once per step row. An untrustworthy energy drift raises
-instead of being silently accepted.
+without grid times, keeping only the end state; ``_solve_rows`` hands all
+of a check's rows to the compiled loop at once. A branch that spends its
+step budget, as against a stiff wall, raises instead of shrinking its
+steps without bound. Every run reduces its conserved energy, speed,
+potential and step sizes to the energy drift, the largest speed and U and
+the step counters; U and g(v, v) are evaluated once per step row. An
+untrustworthy energy drift raises instead of being silently accepted.
 
-A Euclidean run steps each branch in C where a C compiler builds the loop
-of ``native.solve_branch``, with the same bits. The Python stepper,
-``_solve_branch``, is the oracle and the fallback: curved runs, chart
-flows, runs without a compiler, and from tau = 0 again a branch that loop
-stops short, where this one would raise or an estimate is not finite.
+A Euclidean run steps each branch, and a chart each flow row, in C where a
+C compiler builds ``native``'s loop, with the same bits. The Python
+stepper, ``_solve_branch``, is the oracle and the fallback: curved runs
+and flows, runs without a compiler, and from tau = 0 again a branch or row
+that loop stops short, where this one would raise or decide, or an
+estimate is not finite.
 
 Each branch gathers its accepted steps in short lists and seals every
 BLOCK_ROWS of them into a float64 block, reduced at once (``_BranchLog``)
@@ -474,9 +469,6 @@ TRIES_PER_CAPPED_STEP = 1000
 MIN_TRIES = 20_000
 STAGE_EVALUATIONS = 12  # right-hand-side evaluations per try
 DENSE_EVALUATIONS = 3  # further ones per step that reaches a grid time
-# The fewest rows _solve_rows steps as one batch: a batch of chart flows costs
-# its rows' single solves at about 64, 48 and 36 rows of 3, 6 and 9 floats.
-BATCH_ROWS = 48
 
 
 def _combination(coefficients, i):
@@ -537,22 +529,6 @@ def _combined(k, row):
     return functools.reduce(np.add, (k[j] * c for j, c in row.items()))
 
 
-def _step_columns(f, arg, y, k1, h, rtol, atol):
-    """``_stepper``'s (y_new, k13, error) over an (m, N) array of states,
-    a column each, with (N,) steps h; each column has its step's bits, as
-    every sum runs in the scalar step's order (c h = h c in floats)."""
-    k = [k1]
-    for row in _A[:12]:  # the stages, then the 8th-order state and k13
-        y_new = y + _combined(k, row) * h
-        k.append(f(y_new, arg))
-    scale = atol + np.maximum(abs(y), abs(y_new)) * rtol
-    err5, err3 = (sum(p * p for p in _combined(k, e) / scale)
-                  for e in (_E5, _E3))
-    den = err5 + 0.01 * err3  # where den is 0, so is err5, and the error
-    norm = np.sqrt(np.where(den, den * len(y), 1))
-    return y_new, k[12], abs(h) * err5 / norm
-
-
 @functools.cache
 def _extra_stages(m):
     """The three extra stages of a DOP853 step's dense output, unrolled.
@@ -574,8 +550,9 @@ def _extra_stages(m):
 def _initial_step(f, arg, y0, k1, t_end, max_step, rtol, atol):
     """Hairer, Norsett & Wanner's starting step, as scipy's DOP853 takes
     it."""
-    def rms(values):
-        return math.sqrt(sum(v * v for v in values)) / len(values) ** 0.5
+    def rms(values):  # left to right, as C sums; sum() compensates on 3.12+
+        squares = functools.reduce(lambda a, v: a + v * v, values, 0.0)
+        return math.sqrt(squares) / len(values) ** 0.5
 
     direction = math.copysign(1.0, t_end)
     scale = [atol + abs(y) * rtol for y in y0]
@@ -826,107 +803,18 @@ def _solve_branch(f, arg, y0, t_end, tol, max_step, log=None,
     return log
 
 
-def _powers(values, exponent):
-    """Each value to ``exponent`` in Python floats, as ``_solve_branch``
-    takes it (np.power rounds otherwise); inf for 0 to a negative one."""
-    return np.array([v ** exponent if v or exponent > 0 else math.inf
-                     for v in values.tolist()])
-
-
-def _initial_steps(f, arg, y0, k1, t_end, rtol, atol):
-    """``_initial_step`` with no cap over (m, N) arrays of states and their
-    derivatives, a column each; nan in a column with a norm not finite."""
-    def rms(values):  # summed over the entries, a row at a time
-        return np.sqrt(sum(v * v for v in values)) / len(values) ** 0.5
-
-    direction = np.copysign(1.0, t_end)
-    scale = atol + abs(y0) * rtol
-    d0, d1 = rms(y0 / scale), rms(k1 / scale)
-    h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1),
-                    abs(t_end))
-    d2 = rms((f(y0 + h0 * direction * k1, arg) - k1) / scale) / h0
-    h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
-                  _powers(0.01 / np.maximum(d1, d2), 1 / 8))
-    return np.where(np.isfinite(d0 + d1 + d2),
-                    np.minimum(np.minimum(100 * h0, h1), abs(t_end)),
-                    math.nan)
-
-
-@np.errstate(all="ignore")
-def _solve_rows(f, twin, arg, y0, t_end, tol):
+def _solve_rows(f, arg, y0, t_end, tol):
     """``_solve_branch(f, arg, row, t, tol, inf)``'s end state, bit for
     bit, for each row of ``y0``, (N, m), and its nonzero t in ``t_end``;
-    or the error of the first row whose single solve raises.
-
-    ``twin()`` gives f over an (m, N) array of states, nan in a column
-    where f hands its point to a function that decides. A batch of
-    BATCH_ROWS rows or more with a ``twin`` is stepped at once, each row
-    with its own time, step and retry; any other is solved row by row. A
-    row that a single solve must decide is solved alone as soon as it is
-    found; once one of those raises, only the rows before it are stepped
-    on.
-    """
-    out = np.empty_like(y0)
-
-    def alone(r):
+    or the error of the first row whose single solve raises. The compiled
+    loop steps all the rows at once (``native.solve_rows``), and
+    ``_solve_branch`` solves, in row order, each row that loop stopped
+    short on, and every row where it has no program or does not build."""
+    out, short = native.solve_rows(f, y0, t_end, tol)
+    for r in np.flatnonzero(short).tolist():
         out[r] = _solve_branch(f, arg, tuple(y0[r].tolist()), float(t_end[r]),
                                tol, math.inf)
-
-    if twin is None or len(y0) < BATCH_ROWS:
-        for r in range(len(y0)):
-            alone(r)
-        return out
-    twin, rtol, atol = twin(), max(tol.rel, MIN_RTOL), tol.abs
-    rows, failed = np.arange(len(y0)), None  # unfinished; first lone error
-    bad = np.zeros(len(rows), dtype=bool)
-
-    def rhs(y, arg):  # twin, marking the rows where it is not finite
-        k = twin(y, arg)
-        bad[:] |= ~np.isfinite(k).all(axis=0)
-        return k
-
-    y, ends, direction = y0.T, t_end, np.copysign(1.0, t_end)
-    k = rhs(y, arg)
-    h_abs = _initial_steps(rhs, arg, y, k, ends, rtol, atol)
-    bad |= np.isnan(h_abs)
-    t, retried = np.zeros(len(rows)), np.zeros(len(rows), dtype=bool)
-    for tries in itertools.count():
-        done = ~(direction * (t - ends) < 0)
-        min_step = 10 * abs(np.nextafter(t, direction * math.inf) - t)
-        h_abs = np.where(retried, h_abs, np.maximum(h_abs, min_step))
-        bad |= ~done & ((h_abs < min_step) | (tries >= MIN_TRIES))
-        out[rows[done & ~bad]] = y[:, done & ~bad].T
-        keep = ~(done | bad)
-        for r in rows[bad].tolist():
-            try:
-                alone(r)
-            except InstabError as exc:
-                failed = exc
-                keep &= rows < r  # the rows after it need no solve
-                break
-        rows, t, ends, direction, h_abs, retried = (
-            a[keep] for a in (rows, t, ends, direction, h_abs, retried))
-        y, k, bad = y[:, keep], k[:, keep], bad[keep]
-        if not len(rows):
-            if failed is not None:
-                raise failed
-            return out
-        t_new = t + h_abs * direction
-        t_new = np.where(direction * (t_new - ends) > 0, ends, t_new)
-        h = t_new - t
-        h_abs = abs(h)
-        y_new, k13, error = _step_columns(rhs, arg, y, k, h, rtol, atol)
-        bad |= ~np.isfinite(error)
-        scaled = SAFETY * _powers(error, ERROR_EXPONENT)
-        factor = np.minimum(MAX_FACTOR, scaled)
-        accepted = error < 1
-        h_abs *= np.where(accepted,
-                          np.where(retried, np.minimum(1.0, factor), factor),
-                          np.maximum(MIN_FACTOR, scaled))
-        t = np.where(accepted, t_new, t)
-        y = np.where(accepted, y_new, y)
-        k = np.where(accepted, k13, k)
-        retried = ~accepted
+    return out
 
 
 def integrate(system, initial, horizon, tol=None,

@@ -161,22 +161,20 @@ def _tokenize(source):
 _VAR_RE = re.compile(r"^x([0-9]+)$")
 
 
-def _has_var(node, zero_powers=True) -> bool:
+def _has_var(node, zeroth=True) -> bool:
     """Whether a variable occurs in ``node``.
 
-    With ``zero_powers`` false, whether one occurs outside the base of a
+    With ``zeroth`` false, whether one occurs outside the base of a
     zeroth power: whether some partial derivative of ``node`` is not a
     structural zero, as where the dual reference carries a dual.
     """
     if isinstance(node, (Num, Var)):
         return isinstance(node, Var)
     if isinstance(node, Bin):
-        return (_has_var(node.lhs, zero_powers)
-                or _has_var(node.rhs, zero_powers))
+        return _has_var(node.lhs, zeroth) or _has_var(node.rhs, zeroth)
     if isinstance(node, IntPow):
-        return (zero_powers or node.k != 0) and _has_var(node.base,
-                                                          zero_powers)
-    return _has_var(node.arg, zero_powers)
+        return (zeroth or node.k != 0) and _has_var(node.base, zeroth)
+    return _has_var(node.arg, zeroth)
 
 
 def _constant_power(base, exponent):
@@ -383,7 +381,7 @@ def derivative(node: Expr, i: int) -> Expr:
             return _node(node.op, da, db)
         if node.op == "*":
             return _node("+", _node("*", da, b), _node("*", a, db))
-        if not _has_var(b, zero_powers=False):
+        if not _has_var(b, zeroth=False):
             return _node("/", da, b)
         return _node("/", _node("-", _node("*", da, b), _node("*", a, db)),
                      Bin("*", b, b))
@@ -494,7 +492,7 @@ class _Emitter:
             if node.name == "exp":
                 self.check("isinf({}) & ~isinf({})", None, out, v)
             if (node.name == "sqrt" and self.guards
-                    and _has_var(node.arg, zero_powers=False)):
+                    and _has_var(node.arg, zeroth=False)):
                 self.check("{} == 0.0", "sqrt derivative at zero", out)
             return out
         if isinstance(node, IntPow):
@@ -518,7 +516,7 @@ class _Emitter:
         b = node.rhs
         if node.op == "/" and not (isinstance(b, Num) and b.value != 0.0):
             self.check("{} == 0.0", "division by zero", vb)
-        if node.op == "/" and self.guards and _has_var(b, zero_powers=False):
+        if node.op == "/" and self.guards and _has_var(b, zeroth=False):
             square = self.emit(Bin("*", b, b))
             self.check("{} == 0.0", "division by zero", square)
         return self.temp(f"({{}} {node.op} {{}})", va, vb)
@@ -614,8 +612,9 @@ def compile_kernel(fields, n: int, outputs, decide=None, guards=(),
     and ``compile_fields``'s outputs are the fields' tested values and
     partials. With ``program``, the kernel keeps ``program(ops, symbols,
     tested)`` as its ``program``: the same walk rendered once more
-    (``native.program``) from its ``_Emitter`` ops, output symbols and the
-    symbols the kernel tests for finiteness.
+    (``native.program``, for the motion and flow kernels the C loop
+    steps) from its ``_Emitter`` ops, the guards' checks among them, its
+    output symbols and the symbols it tests for finiteness.
     """
     em, checked = _fields_code([fld.body for fld in fields], n,
                                ops=program is not None)
@@ -624,7 +623,7 @@ def compile_kernel(fields, n: int, outputs, decide=None, guards=(),
     head = len(em.lines)
     for node, bound in guards:
         value = em.emit(node)
-        em.check(f"not {bound!r} < {{}} < inf", "below guard", value)
+        em.check("not {} < {} < inf", "below guard", repr(bound), value)
     symbols = [em.emit(node) for node in outputs]
     computed = [s for s in dict.fromkeys(symbols) if s not in checked
                 and not s.startswith("p[")

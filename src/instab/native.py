@@ -1,15 +1,19 @@
-"""Euclidean sweep branches stepped in C, with the Python stepper's bits.
+"""Euclidean sweep branches and chart flows stepped in C, with the Python
+stepper's bits.
 
-One fixed C source holds ``dynamics._solve_branch``'s loop: the DOP853
-tableau, emitted from ``dynamics._A`` and summed in ``_stepper``'s order,
-scipy's controller, the gated cap, the ``nextafter`` minimum step, the try
-budget and the grid marks. Its right-hand side interprets a register
-program (``program``), the motion kernel's ``expr`` walk rendered once
-more, on the libm that Python's ``math`` calls. A check or finiteness test
-of the Python kernel, a zero divisor, a libm result or error estimate that
-is not finite, an underflow or a spent budget stops the loop short, and
-``dynamics`` steps the branch again in Python, which raises or goes on.
-``solve_branch`` is ``dynamics._solve_branch``'s twin over that loop.
+One fixed C source holds ``dynamics._solve_branch``'s loop: Hairer's
+starting step in ``_initial_step``'s order, the DOP853 tableau, emitted
+from ``dynamics._A`` and summed in ``_stepper``'s order, scipy's
+controller, the gated cap, the ``nextafter`` minimum step, the try budget
+and the grid marks. Its right-hand side interprets a register program
+(``program``), a motion or flow kernel's ``expr`` walk rendered once more,
+on the libm that Python's ``math`` calls. A check, guard or finiteness
+test of the Python kernel, a zero divisor, a libm result, norm or error
+estimate that is not finite, an underflow or a spent budget stops the loop
+short, and ``dynamics`` steps that branch or row again in Python, which
+raises or goes on. ``solve_branch`` is ``dynamics._solve_branch``'s twin
+over that loop for a sweep branch; ``solve_rows`` steps all of a chart's
+flow rows, uncapped and with no grid marks, in one call.
 
 ``library`` compiles the source at most once per process with ``cc`` from
 PATH and fixed flags, in a temporary directory removed once the object is
@@ -27,7 +31,6 @@ import tempfile
 
 import numpy as np
 
-from .errors import InstabError
 from .expr import _literal
 
 COMPILE = ("-std=c99", "-O1", "-ffp-contract=off", "-fPIC", "-shared")
@@ -35,7 +38,8 @@ COMPILE = ("-std=c99", "-O1", "-ffp-contract=off", "-fPIC", "-shared")
 _OPS = {"({} + {})": 0, "({} - {})": 1, "({} * {})": 2, "({} / {})": 3,
         "-{}": 4, "({}) ** {}": 5, "sqrt({})": 6, "exp({})": 7, "ln({})": 8,
         "sin({})": 9, "cos({})": 10,  # the last six call libm
-        "{} <= 0.0": 11, "{} < 0.0": 12, "{} == 0.0": 13}  # bails
+        "{} <= 0.0": 11, "{} < 0.0": 12, "{} == 0.0": 13,  # bails
+        "not {} < {} < inf": 14}
 
 _SOURCE = r"""
 #include <float.h>
@@ -74,7 +78,8 @@ static int rhs(const rhs_t *f, const double *y, double *dy)
         case 10: v = cos(a); break;
         case 11: if (a <= 0.0) return 1; continue;
         case 12: if (a < 0.0) return 1; continue;
-        default: if (a == 0.0) return 1; continue;
+        case 13: if (a == 0.0) return 1; continue;
+        default: if (!(a < b && b < INFINITY)) return 1; continue;
         }
         if (c[0] >= 5 && !isfinite(v)) return 1;
         r[c[1]] = v;
@@ -98,11 +103,49 @@ static int stage(const rhs_t *f, const double *y, double h, double *k,
     return rhs(f, z, K(s));
 }
 
+/* k1 = f(y) and Hairer's starting step h_abs, as _initial_step takes them,
+   with z and k2 for scratch; 1 where f bails or k1 or a norm is not
+   finite. par as dop853_branch's. */
+static int start(const rhs_t *f, const double *par, const double *y,
+                 double *k1, double *h_abs, double *z, double *k2)
+{
+    long i, m = f->m;
+    double d0 = 0.0, d1 = 0.0, d2 = 0.0, h0, h1, root = pow(m, 0.5);
+    double span = fabs(par[0]);
+    if (rhs(f, y, k1)) return 1;
+    for (i = 0; i < m; i++) {
+        double s = par[3] + fabs(y[i]) * par[2], a = y[i] / s, b = k1[i] / s;
+        if (!isfinite(k1[i])) return 1;
+        d0 += a * a;
+        d1 += b * b;
+    }
+    d0 = sqrt(d0) / root;
+    d1 = sqrt(d1) / root;
+    h0 = d0 < 1e-5 || d1 < 1e-5 ? 1e-6 : 0.01 * d0 / d1;
+    if (span < h0) h0 = span;
+    for (i = 0; i < m; i++) z[i] = y[i] + h0 * par[5] * k1[i];
+    if (rhs(f, z, k2)) return 1;
+    for (i = 0; i < m; i++) {
+        double s = par[3] + fabs(y[i]) * par[2], c = (k2[i] - k1[i]) / s;
+        d2 += c * c;
+    }
+    d2 = sqrt(d2) / root / h0;
+    if (!isfinite(d0 + d1 + d2)) return 1;
+    if (d1 <= 1e-15 && d2 <= 1e-15) h1 = h0 * 1e-3 > 1e-6 ? h0 * 1e-3 : 1e-6;
+    else h1 = pow(0.01 / (d2 > d1 ? d2 : d1), 0.125);
+    *h_abs = 100 * h0;  /* the least of four, as Python's min takes it */
+    if (h1 < *h_abs) *h_abs = h1;
+    if (span < *h_abs) *h_abs = span;
+    if (par[1] < *h_abs) *h_abs = par[1];
+    return 0;
+}
+
 enum { TRIES, REJECTED, INTERPOLATED, LIVE, NEXT, ROWS, DENSE };
 
 /* Steps from st = (t, y, K(0), h_abs) to par[0] = t_end while rows has
-   room, row 0 being (t, y): 0 at t_end, 1 with the rows full, -1 where
-   the Python stepper must decide. par = (t_end, max_step, rtol, atol,
+   room, row 0 being (t, y), K(0) and h_abs taken by start on the first
+   call, with no tries yet: 0 at t_end, 1 with the rows full, -1 where the
+   Python stepper must decide. par = (t_end, max_step, rtol, atol,
    budget, direction); cnt as the enum above; a dense step is (t, t_new,
    marks reached, y, y_new, K(0)..K(15)). */
 long dop853_branch(const int *code, long size, double *r, const int *out,
@@ -117,6 +160,7 @@ long dop853_branch(const int *code, long size, double *r, const int *out,
     long i, s, end;
     cnt[ROWS] = 1;
     cnt[DENSE] = 0;
+    if (!cnt[TRIES] && start(&f, par, y, k1, h_abs, z, yn)) return -1;
     while (dir * (*t - t_end) < 0) {
         double min_step = 10 * fabs(nextafter(*t, dir * INFINITY) - *t);
         double t_new, h, err, e5, e3, factor;
@@ -186,6 +230,25 @@ long dop853_branch(const int *code, long size, double *r, const int *out,
     }
     return 0;
 }
+
+/* dop853_branch over n rows, the states st, each (0, y, room for K(0) and
+   h_abs), and their par, uncapped and with no grid marks: a row's y
+   becomes its state at t_end, and status its loop's 0, or -1 where the
+   Python stepper must decide. */
+void dop853_rows(const int *code, long size, double *r, const int *out,
+                 long nout, long m, double *st, const double *par, long n,
+                 long *status, double *k)
+{
+    long j;
+    for (j = 0; j < n; j++) {
+        long cnt[] = {0, 0, 0, 1, 0, 0, 0};  /* live: no cap waits */
+        do  /* a row of room: back here after each step */
+            status[j] = dop853_branch(code, size, r, out, nout, m,
+                                      st + j * (2 + 2 * m), cnt, par + 6 * j,
+                                      NULL, 0, NULL, 1, NULL, k);
+        while (status[j] == 1);
+    }
+}
 """
 
 
@@ -214,8 +277,9 @@ def source():
 
 @functools.cache
 def library():
-    """The compiled loop, ``dop853_branch``, loaded once per process; None
-    where no ``cc`` is on PATH or the object does not build or load."""
+    """The compiled loops, ``dop853_branch`` and ``dop853_rows``, loaded
+    once per process; None where no ``cc`` is on PATH or the object does
+    not build or load."""
     compiler = shutil.which("cc")
     if compiler is None:
         return None
@@ -229,15 +293,17 @@ def library():
         try:
             subprocess.run([compiler, *COMPILE, "-o", obj, src, "-lm"],
                            check=True, capture_output=True, timeout=60)
-            loop = ctypes.CDLL(obj).dop853_branch
+            lib = ctypes.CDLL(obj)
         except (OSError, subprocess.SubprocessError):
             return None
     pointer, size = ctypes.c_void_p, ctypes.c_long
-    loop.argtypes = [pointer, size, pointer, pointer, size, size, pointer,
-                     pointer, pointer, pointer, size, pointer, size, pointer,
-                     pointer]
-    loop.restype = size
-    return loop
+    program = [pointer, size, pointer, pointer, size, size, pointer]
+    lib.dop853_branch.argtypes = program + [pointer, pointer, pointer, size,
+                                            pointer, size, pointer, pointer]
+    lib.dop853_branch.restype = size
+    lib.dop853_rows.argtypes = program + [pointer, size, pointer, pointer]
+    lib.dop853_rows.restype = None
+    return lib
 
 
 def program(ops, symbols, tested):
@@ -264,6 +330,23 @@ def program(ops, symbols, tested):
     return np.array(code, dtype=np.intc).reshape(-1, 4), values, out
 
 
+def _params(t_end, max_step, tol):
+    """A branch's par: (t_end, max_step, rtol, atol, budget, direction)."""
+    from . import dynamics as d
+
+    return (t_end, max_step, max(tol.rel, d.MIN_RTOL), tol.abs,
+            d._budget(t_end, max_step), math.copysign(1.0, t_end))
+
+
+def _call(function, f, m, *buffers):
+    """``function`` of ``f``'s register program over states of m floats,
+    then ``buffers``, each array passed by the address of its data."""
+    code, registers, out = f.program
+    args = (code, len(code), registers.copy(), out, len(out), m, *buffers)
+    return function(*[a.ctypes.data if isinstance(a, np.ndarray) else a
+                      for a in args])
+
+
 def solve_branch(f, arg, y0, t_end, tol, max_step, log, gated):
     """``dynamics._solve_branch(f, arg, y0, t_end, tol, max_step, log,
     gated)`` stepped by the compiled loop, which hands ``log.seal`` the
@@ -272,36 +355,22 @@ def solve_branch(f, arg, y0, t_end, tol, max_step, log, gated):
     branch stops short of t_end, and ``_solve_branch`` decides."""
     from . import dynamics as d
 
-    loop = getattr(f, "program", None) and library()
-    if not loop:
+    lib = getattr(f, "program", None) and library()
+    if not lib:
         return None
-    rtol, atol = max(tol.rel, d.MIN_RTOL), tol.abs
-    try:  # _solve_branch's start, which raises where its own would
-        k1 = f(y0, arg)
-        if not all(map(math.isfinite, k1)):
-            return None
-        h_abs = d._initial_step(f, arg, y0, k1, t_end, max_step, rtol, atol)
-    except InstabError:
-        return None
-    m, block, direction = len(y0), d.BLOCK_ROWS, math.copysign(1.0, t_end)
-    marks = np.array(direction * log.grid, dtype=float)
-    state = np.array([0.0, *y0, *k1, h_abs])  # t, y, K(0), h_abs
+    m, block = len(y0), d.BLOCK_ROWS
+    marks = np.array(math.copysign(1.0, t_end) * log.grid, dtype=float)
+    state = np.zeros(2 + 2 * m)  # t, y, K(0), h_abs
+    state[1:1 + m] = y0
     counts = np.array([0, 0, 0, not gated, 0, 0, 0], dtype=np.int_)
     rows = np.empty((block, 1 + m))
     dense = np.empty((max(1, min(block, len(marks))), 3 + 18 * m))
-    code, registers, out = f.program
-    params = (t_end, max_step, rtol, atol, d._budget(t_end, max_step),
-              direction)
-    buffers = (code, len(code), registers.copy(), out, len(out), m, state,
-               counts,
-               np.array(params), marks, len(marks), rows, block, dense,
-               np.empty(18 * m))
-    args = [a.ctypes.data if isinstance(a, np.ndarray) else a
-            for a in buffers]  # the buffers stay alive with ``buffers``
+    buffers = (state, counts, np.array(_params(t_end, max_step, tol)), marks,
+               len(marks), rows, block, dense, np.empty(18 * m))
     status = 1  # 0 at t_end, 1 with the rows full, -1 stopped short
     while status == 1:
         rows[0] = state[:1 + m]  # the state it goes on from
-        status = loop(*args)
+        status = _call(lib.dop853_branch, f, m, *buffers)
         if status < 0:
             return None
         filled, made = counts[5:].tolist()
@@ -313,3 +382,21 @@ def solve_branch(f, arg, y0, t_end, tol, max_step, log, gated):
     log.nfev = (2 + d.STAGE_EVALUATIONS * tries
                 + d.DENSE_EVALUATIONS * interpolated)
     return log
+
+
+def solve_rows(f, y0, t_end, tol):
+    """The end states of ``dynamics._solve_branch(f, arg, row, t, tol,
+    inf)`` for each row of ``y0``, (N, m), and its t in ``t_end``, stepped
+    by the compiled loop in one call, and the mask of the rows it stopped
+    short on, which ``_solve_branch`` decides: every row where ``f`` has no
+    register program or the loop is not built."""
+    lib = getattr(f, "program", None) and library()
+    n, m = y0.shape
+    if not lib:
+        return y0.copy(), np.ones(n, dtype=bool)
+    states = np.zeros((n, 2 + 2 * m))  # t, y, K(0), h_abs
+    states[:, 1:1 + m] = y0
+    params = np.array([_params(t, math.inf, tol) for t in t_end.tolist()])
+    status = np.empty(n, dtype=np.int_)
+    _call(lib.dop853_rows, f, m, states, params, n, status, np.empty(18 * m))
+    return states[:, 1:1 + m], status < 0

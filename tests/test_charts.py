@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from instab import charts, dynamics, expr, harness
+from instab import charts, dynamics, expr, harness, native
 from instab.charts import (
     FLOW_GRADIENT_FLOOR,
     FLOW_TOL,
@@ -372,9 +372,10 @@ def _assert_relative(got, want):
 @settings(max_examples=300, deadline=None)
 def test_generated_flow_field_matches_reference(field, point, scale, columns,
                                                 carried, count_calls):
-    """The kernel against the reference; its numpy twin is nan exactly
-    where the kernel hands the point to the reference, and else on a
-    polynomial field the kernel's own bits."""
+    """The kernel against the reference; where the loop builds, a one-row
+    solve by it stops short exactly where the single solve in Python hands
+    a point to the reference or raises, the start among them, and else
+    ends on that solve's bits."""
     source, n = field
     fld = ScalarField.parse(source, n)
     metric = MetricSpec.identity(n)
@@ -383,14 +384,18 @@ def test_generated_flow_field_matches_reference(field, point, scale, columns,
         if columns else None
     y = tuple(x.tolist()) + tuple(carried[:n * columns])
     reference = "_reference_jacobian_flow" if columns else "_reference_flow"
-    with count_calls(charts, reference) as fallbacks:
+    with count_calls(charts, reference) as handed:
         kernel = compile_flow(metric, fld, columns)
         got, got_error = _outcome(lambda: np.array(kernel(y, (metric, fld))))
-    twin = charts._flow_kernel(fld, columns, None)
-    twin = twin(np.array([y]).T, None)[:, 0]
-    assert np.isnan(twin).all() == bool(fallbacks)
-    if not fallbacks and "ln(" not in source:
-        assert np.array_equal(twin, got)
+        fallbacks = list(handed)
+        single, single_error = _outcome(lambda: _single_solve(
+            metric, fld, np.array(y), 0.05))
+    if native.library() is not None:
+        end, short = native.solve_rows(kernel, np.array([y]), np.array([0.05]),
+                                       charts._FLOW_TOLERANCES)
+        assert short.tolist() == [bool(handed or single_error)]
+        if not short[0]:
+            assert end.tobytes() == single.tobytes()
     want, want_error = _outcome(lambda: _reference_flow(metric, fld, x, jac))
     # where DX overflows, the kernel hands the point to the reference,
     # which raises
@@ -482,14 +487,14 @@ def test_flow_kernels_multiply_by_no_structural_zero(source, columns):
 
 # --- batched flow solves against single ones --------------------------------
 
-# the level fields above and CI's transcendental one, whose numpy exp, log
-# and cos may round otherwise than math's
+# the level fields above and CI's transcendental one
 BATCH_FIELDS = LEVEL_FIELDS + [("x1 + cos(x2) / (1 + x1^2)", 2)]
 _ROW = st.tuples(
     st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
     st.sampled_from([1.0, 1e-6, 1e-8, 1e-9, 0.0]),
     st.sampled_from([0.0, 0.05, -0.05, 0.3, -0.3]) | st.floats(-0.3, 0.3),
     st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6))
+_FULL_BATCH = 48  # moving rows of a batch that one call steps
 
 
 def _single_solve(metric, fld, row, t):
@@ -502,6 +507,25 @@ def _single_solve(metric, fld, row, t):
         tuple(row.tolist()), t, charts._FLOW_TOLERANCES, math.inf))
 
 
+def _assert_batch_matches_single_solves(field, columns, rows):
+    """A batch of flow solves gives each row's single solve bit for bit,
+    and where one of them raises, the first such row's error."""
+    source, n = field
+    fld = ScalarField.parse(source, n)
+    metric = MetricSpec.identity(n)
+    start = np.array([np.concatenate([np.array(p[:n]) * scale,
+                                      carried[:n * columns]])
+                      for p, scale, _t, carried in rows])
+    t = np.array([row[2] for row in rows])
+    want, want_error = _outcome(lambda: np.array([
+        _single_solve(metric, fld, row, time) for row, time in zip(start, t)]))
+    got, got_error = _outcome(lambda: charts.solve_ivp(metric, fld, start, t))
+    assert got_error == want_error
+    if want_error is None:
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("stepper", ["compiled", "no_compiler"])
 @given(field=st.sampled_from(BATCH_FIELDS), columns=st.integers(0, 2),
        rows=st.lists(_ROW, min_size=2, max_size=6),
        repeat=st.booleans())
@@ -515,28 +539,15 @@ def _single_solve(metric, fld, row, t):
     ([0.6, -0.8, 0.5], 1.0, 0.0, [0.5] * 6),
 ])
 @settings(max_examples=100, deadline=None)
-def test_batched_solve_matches_single_solves(field, columns, rows, repeat):
+def test_batched_solve_matches_single_solves(field, columns, rows, repeat,
+                                             stepper, request):
     """A batch of flow solves gives each row's single solve bit for bit,
-    and where one of them raises, the first such row's error; on a
-    transcendental field the ends agree within 1e-12 of the largest."""
-    source, n = field
-    fld = ScalarField.parse(source, n)
-    metric = MetricSpec.identity(n)
-    rows = rows + rows[:1] if repeat else rows
-    start = np.array([np.concatenate([np.array(p[:n]) * scale,
-                                      carried[:n * columns]])
-                      for p, scale, _t, carried in rows])
-    t = np.array([row[2] for row in rows])
-    want, want_error = _outcome(lambda: np.array([
-        _single_solve(metric, fld, row, time) for row, time in zip(start, t)]))
-    got, got_error = _outcome(lambda: charts.solve_ivp(metric, fld, start, t))
-    assert got_error == want_error
-    if want_error is not None:
-        return
-    if "ln(" in source or "cos(" in source:
-        _assert_relative(got, want)
-    else:
-        assert np.array_equal(got, want)
+    on every level field, transcendental ones too, stepped by the compiled
+    loop or without a compiler; where one of them raises, the first such
+    row's error. The stepper's fixture holds for every example."""
+    request.getfixturevalue(stepper)
+    _assert_batch_matches_single_solves(
+        field, columns, rows + rows[:1] if repeat else rows)
 
 
 @given(field=st.sampled_from(BATCH_FIELDS), columns=st.integers(0, 2),
@@ -558,34 +569,36 @@ def test_batched_solve_matches_single_solves(field, columns, rows, repeat):
 ])
 @settings(max_examples=100, deadline=None)
 def test_batched_solve_of_a_full_batch_matches_single_solves(field, columns,
-                                                             rows):
-    """``test_batched_solve_matches_single_solves`` for a batch that is
-    stepped at once: the drawn rows, then their moving ones repeated until
-    BATCH_ROWS rows move."""
+                                                             rows, compiled):
+    """``test_batched_solve_matches_single_solves`` for a batch of many
+    rows in one call of the compiled loop: the drawn rows, then their
+    moving ones repeated until _FULL_BATCH rows move."""
     moving = [row for row in rows if row[2] != 0.0]
-    rows = rows + (moving * dynamics.BATCH_ROWS)[:dynamics.BATCH_ROWS
-                                                  - len(moving)]
-    test_batched_solve_matches_single_solves.hypothesis.inner_test(
-        field, columns, rows, repeat=False)
+    _assert_batch_matches_single_solves(field, columns, rows + (
+        moving * _FULL_BATCH)[:_FULL_BATCH - len(moving)])
 
 
+@pytest.mark.parametrize("stepper", ["compiled", "no_compiler"])
 @pytest.mark.parametrize("failing", [0, 5])
 def test_batched_solve_stops_at_a_row_whose_single_solve_raises(
-        failing, count_calls):
-    """Once a row handed to its single solve raises, the batch steps only
-    the rows before it, and raises the error of the per-row loop: here
-    that row's, since every other row flows."""
+        failing, stepper, count_calls, request):
+    """The rows the compiled loop stops short on, here the one where ln's
+    argument is negative, and without a compiler every row, are solved
+    alone in row order; the first that raises ends the batch with its
+    error, that of the per-row loop."""
+    request.getfixturevalue(stepper)
     fld = ScalarField.parse("x1 - ln(x3)/2", 3)
-    start = np.tile([0.5, 0.0, 0.4], (dynamics.BATCH_ROWS, 1))
-    start[failing, 2] = -1.0  # ln of a negative: the twin is nan there
+    start = np.tile([0.5, 0.0, 0.4], (_FULL_BATCH, 1))
+    start[failing, 2] = -1.0  # ln of a negative: the kernel decides there
     t = np.full(len(start), 0.3)
     _none, want = _outcome(lambda: [_single_solve(E3, fld, row, 0.3)
                                     for row in start])
-    with count_calls(dynamics, "_step_columns") as steps:
+    with count_calls(dynamics, "_solve_branch") as singles:
         _none, got = _outcome(lambda: charts.solve_ivp(E3, fld, start, t))
     assert want is not None and got == want
-    assert bool(steps) == (failing > 0)
-    assert all(y.shape[1] <= failing for _f, _arg, y, *_rest in steps)
+    alone = [failing] if stepper == "compiled" else range(failing + 1)
+    assert [y for _f, _arg, y, *_rest in singles] == [
+        tuple(start[r].tolist()) for r in alone]
 
 
 _BASE_SOURCES = ["x1", "-x2^2", "x1*x2 - 3", "(x1 + x2)^3/7",
@@ -636,19 +649,17 @@ def test_base_map_rows_raise_the_per_point_error_where_undefined():
 
 @pytest.mark.parametrize("entry", ["corollary1-unstable-magnetic",
                                    "corollary1-mechanical"])
-def test_corpus_chart_batches_solve_no_row_alone(entry, count_calls):
+def test_corpus_chart_batches_solve_no_row_alone(entry, compiled,
+                                                 count_calls):
     """Each grid check flows its points in batches, at most one call per
     flow for the identity grid, the swapped corners, the additivity flows
-    and the block check's Jacobians; on the corpus charts the only single
-    solves are the rows of batches below BATCH_ROWS, and no row of a
-    larger batch falls back to one."""
+    and the block check's Jacobians; on the corpus charts the compiled
+    loop steps every row, and none is solved alone in Python."""
     with count_calls(dynamics, "_solve_branch") as singles, \
             count_calls(charts, "solve_ivp") as batches:
         chart, _fields, _pullback = harness.build_problem_chart(
             harness.corpus_entry(entry))
         pullback_metric_block_check(chart, grid_count=5)
         injectivity_probe(chart, grid_count=5)
-    moving = [np.count_nonzero(t) for _metric, _fld, _start, t in batches]
-    assert max(moving) >= dynamics.BATCH_ROWS
-    assert len(singles) == sum(m for m in moving if m < dynamics.BATCH_ROWS)
+    assert not singles
     assert len(batches) <= 4 * chart.k

@@ -647,56 +647,6 @@ def test_scalar_step_source_is_unchanged():
             assert hashlib.sha256(sources[-1].encode()).hexdigest() == digest
 
 
-def _polynomial_field(y, weights):
-    """A nonlinear field over m entries, the same float operations on a
-    tuple of floats and on the rows of an (m, N) array; 0 at y = 0."""
-    m = len(y)
-    out = [w * y[(i + 1) % m] - 0.5 * y[i] * y[i] + y[i] * y[m - 1 - i]
-           for i, w in enumerate(weights)]
-    return tuple(out) if isinstance(y, tuple) else np.array(out)
-
-
-_ENTRY = st.floats(-2.0, 2.0) | st.just(0.0)
-
-
-@given(m=st.integers(1, 9), data=st.data(),
-       rtol=st.sampled_from([1e-12, 1e-6]), atol=st.sampled_from([1e-12, 1.0]))
-@example(m=1, data=None, rtol=1e-12, atol=1e-12)  # zero rows only
-@settings(max_examples=200, deadline=None)
-def test_batched_step_has_the_scalar_steps_bits(m, data, rtol, atol):
-    """``_step_columns`` gives each column ``_stepper(m)``'s y_new, k13 and
-    error norm bit for bit, for steps of either sign and for zero states,
-    whose error is exactly 0."""
-    if data is None:
-        weights, states, steps = [1.0] * m, np.zeros((m, 2)), [0.1, -0.1]
-    else:
-        weights = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=m,
-                                     max_size=m))
-        count = data.draw(st.integers(1, 6))
-        states = np.array(data.draw(st.lists(
-            st.lists(_ENTRY, min_size=count, max_size=count) | st.just(
-                [0.0] * count), min_size=m, max_size=m)))
-        steps = data.draw(st.lists(
-            st.floats(1e-6, 0.5) | st.floats(-0.5, -1e-6),
-            min_size=count, max_size=count))
-    k1 = _polynomial_field(states, weights)
-    h = np.array(steps)
-    y_new, k13, error = dynamics._step_columns(
-        _polynomial_field, weights, states, k1, h, rtol, atol)
-    def bits(values):
-        return np.asarray(values, dtype=float).tobytes()
-
-    step = dynamics._stepper(m)
-    for j, (y, k, dt) in enumerate(zip(states.T, k1.T, steps)):
-        want = step(_polynomial_field, weights, tuple(y.tolist()),
-                    tuple(k.tolist()), dt, rtol, atol)
-        assert bits(y_new[:, j]) == bits(want[0])
-        assert bits(k13[:, j]) == bits(want[1])
-        assert bits(error[j]) == bits(want[2])
-    if data is None:
-        assert error.tolist() == [0.0, 0.0]
-
-
 def _interpolated_steps(times, grid):
     """How many of a branch's steps, ``times`` from tau = 0, reach one of
     the ``grid`` times first."""

@@ -587,10 +587,13 @@ _CHART_REPORTS = {
 }
 
 
+@pytest.mark.parametrize("stepper", ["compiled", "no_compiler"])
 @pytest.mark.parametrize("entry", sorted(_CHART_REPORTS))
-def test_cli_chart_report_is_pinned(entry):
+def test_cli_chart_report_is_pinned(entry, stepper, request):
     """Grid checks that flow all their points at once count and compute
-    what one flow solve per point did: the report keeps its bytes."""
+    what one flow solve per point did, with the compiled loop or without a
+    compiler: the report keeps its bytes."""
+    request.getfixturevalue(stepper)
     solves, hits, mixed, digest = _CHART_REPORTS[entry]
     result = _run("chart", entry)
     assert result.exit_code == 0
