@@ -379,7 +379,8 @@ def _evaluate(probe, points):
         return (grad_x, *probe.potential.value_and_grad(x),
                 metric.inverse(x))
 
-    mend_rows(points, bad, scalar, (grad, u, du, inverse))
+    mend_rows(points, bad, scalar,  # a Euclidean g^-1 is never mended
+              (grad, u, du, inverse)[:3 if metric.euclidean else 4])
     return grad, u, du, inverse
 
 
@@ -478,8 +479,8 @@ def certify_magnetic_condition(probe) -> ConditionReport:
     tensors, bad_tensor = magnetic_tensor_rows(mu, near)
     mend_rows(near, bad | bad_tensor, lambda x: (
         riemannian_gradient(probe.metric, probe.f, x),
-        probe.metric.inverse(x), magnetic_tensor(mu, x)),
-        (grad, inverse, tensors))
+        magnetic_tensor(mu, x), probe.metric.inverse(x)),
+        (grad, tensors, inverse)[:2 if probe.metric.euclidean else 3])
     contracted_near = np.fmax.reduce(
         contracted_form_norm(inverse, tensors, grad), initial=0.0)
     dmu_near_min = np.fmin.reduce(two_form_norm(inverse, tensors),

@@ -20,9 +20,9 @@ with its register program; ``normalized_gradient`` or
 ``normalized_gradient_jacobian`` decides where the kernel's code fails or
 an output is not finite, and on a curved metric. Each grid check hands
 all its points to the compiled loop in one call (``dynamics._solve_rows``);
-a row where the kernel would decide, that underflows or spends its
-budget, every row on a curved metric and every row without a compiler
-are solved alone in Python. Each row has its single solve's bits.
+a row it declines, where the kernel would decide, underflows or spends
+its budget, every row on a curved metric and every row without a compiler
+are solved alone. Each row has its single solve's bits.
 
 The base map's values and partials, a Jacobian's level columns and the
 checks' field values come from one numpy pass per grid, each row with the

@@ -22,15 +22,17 @@ potential and step sizes to the energy drift, the largest speed and U and
 the step counters; U and g(v, v) are evaluated once per step row. An
 untrustworthy energy drift raises instead of being silently accepted.
 
-A Euclidean run steps each branch, and a chart each flow row, in C where a
-C compiler builds ``native``'s loop, with the same bits. The Python
-stepper, ``_solve_branch``, is the oracle and the fallback: curved runs
-and flows, runs without a compiler, and from tau = 0 again a branch or row
-that loop stops short, where this one would raise or decide, or an
-estimate is not finite.
+``_solve_branch`` drives every branch. On a Euclidean run, where a C
+compiler builds ``native``'s loop, it lends the branch's state to that
+loop after the start, and the loop steps on with the same bits. Where the
+Python kernel would raise or decide, or an estimate is not finite, the
+loop declines the try and hands the state back; the Python stepper, the
+oracle of every decision the loop declines, makes that step and lends
+the state again. Curved runs and flows, and runs without a compiler, are
+stepped in Python throughout.
 
-Each branch gathers its accepted steps in short lists and seals every
-BLOCK_ROWS of them into a float64 block, reduced at once (``_BranchLog``)
+Each branch writes its accepted steps' (t, y) rows into a float64 block
+and seals every BLOCK_ROWS of them, reduced at once (``_BranchLog``)
 with the interpolants of the steps that reach grid times, so no state,
 energy or interpolant outlives its block, and every number keeps the bits
 of one pass over the joined log. A run keeps its step times, 8 bytes per
@@ -569,29 +571,29 @@ def _initial_step(f, arg, y0, k1, t_end, max_step, rtol, atol):
     return min(100 * h0, h1, abs(t_end), max_step)
 
 
-def _grid_states(steps, times):
+def _grid_states(dense, times):
     """The grid states from the 7th-order interpolants of the steps.
 
-    ``steps`` holds (t_old, t_new, y_old, y_new, stages, count) for each
-    step that reaches ``count`` further grid times, in order, with its
-    sixteen stages, flat or not. The interpolant's rows F0..F6 are
-    scipy's, F3..F6 the D combinations of the stages summed in D's order;
-    at x = (t - t_old)/h the state is
+    ``dense`` holds a row (t_old, t_new, count, y_old, y_new, K0..K15) for
+    each step that reaches ``count`` further grid times, in order, with its
+    sixteen stages. The interpolant's rows F0..F6 are scipy's, F3..F6 the
+    D combinations of the stages summed in D's order; at
+    x = (t - t_old)/h the state is
     y_old + x (F0 + (1 - x) (F1 + x (F2 + ... + x F6))), summed as scipy's
     ``Dop853DenseOutput`` sums it. Every operation is elementwise, so a
     state has the same bits however the steps are grouped.
     """
-    t_old, t_new, y_old, y_new, stages, counts = zip(*steps)
-    t_old, y_old = np.array(t_old), np.array(y_old)
-    h = (np.array(t_new) - t_old)[:, None]
-    k = np.array(stages).reshape(len(steps), len(_A) + 1, -1)
+    m = (dense.shape[1] - 3) // 18
+    t_old, y_old = dense[:, 0], dense[:, 3:3 + m]
+    h = (dense[:, 1] - t_old)[:, None]
+    k = dense[:, 3 + 2 * m:].reshape(len(dense), len(_A) + 1, m)
     k = k.transpose(1, 0, 2)  # (stage, step, entry)
-    d = np.array(y_new) - y_old
+    d = dense[:, 3 + m:3 + 2 * m] - y_old
     rows = [d, h * k[0] - d, 2 * d - h * (k[12] + k[0])]
     rows += [h * _combined(k, row) for row in _D]
-    index = np.repeat(np.arange(len(steps)), counts)
+    index = np.repeat(np.arange(len(dense)), dense[:, 2].astype(int))
     x = ((times - t_old[index]) / h[index, 0])[:, None]
-    y = np.zeros((len(index), y_old.shape[1]))
+    y = np.zeros((len(index), m))
     for i, row in enumerate(reversed(rows)):
         y += row[index]
         y *= x if i % 2 == 0 else 1 - x
@@ -630,15 +632,16 @@ class _BranchLog:
         self.read = 0  # grid times read so far
         self.rejected = self.nfev = 0
 
-    def seal(self, times, states, dense, last=False):
-        """Reduce the rows (``times``, ``states``) in step order and the
-        ``dense`` steps with them; ``last`` if they end the branch."""
-        if dense:
-            count = sum(step[-1] for step in dense)
+    def seal(self, rows, dense, last=False):
+        """Reduce the (t, y) ``rows`` in step order and the ``dense`` steps
+        with them, ``_solve_branch``'s buffers; ``last`` if they end the
+        branch."""
+        if len(dense):
+            count = int(dense[:, 2].sum())
             self.grid_states.append(
                 _grid_states(dense, self.grid[self.read:self.read + count]))
             self.read += count
-        times, states = np.array(times), np.array(states)
+        times, states = rows[:, 0].copy(), rows[:, 1:].copy()
         n = states.shape[1] // 2
         energies, potentials, speeds = _energy_rows(
             self.system, states[:, :n], states[:, n:])
@@ -687,8 +690,12 @@ def _naming(message, first_bad):
             f"{_where(*first_bad)}")
 
 
-def _budget(t_end, max_step):
-    return max(MIN_TRIES, TRIES_PER_CAPPED_STEP * abs(t_end) / max_step)
+def _parameters(t_end, max_step, tol):
+    """A branch's (t_end, max_step, rtol, atol, budget, direction), as the
+    compiled loop takes them."""
+    return (t_end, max_step, max(tol.rel, MIN_RTOL), tol.abs,
+            max(MIN_TRIES, TRIES_PER_CAPPED_STEP * abs(t_end) / max_step),
+            math.copysign(1.0, t_end))
 
 
 def _solve_branch(f, arg, y0, t_end, tol, max_step, log=None,
@@ -701,47 +708,64 @@ def _solve_branch(f, arg, y0, t_end, tol, max_step, log=None,
     stays capped. A live try above the cap is retried at the cap and
     counts as rejected. Otherwise ``max_step`` caps every step.
 
+    Where ``f`` has a register program and ``native``'s loop builds, the
+    branch's state is lent to that loop after the start and after each
+    step made here; the loop steps on with the same bits and hands back
+    the state at the top of a try it declines, whose step is made here.
+    Elsewhere every step is made here.
+
     Each of the ``log``'s grid times is read off the 7th-order interpolant
     of the first step that reaches it, whose three extra stages run only
-    for such steps. The accepted steps are sealed into the log every
-    BLOCK_ROWS rows, with the stages, flat, of the steps that reach grid
-    times, and the log is returned. Without a log the branch keeps no
-    samples and returns its end state alone. A branch that has tried as
-    many steps, accepted or rejected, as its budget allows raises
-    IntegrationError. A right-hand side that is not finite at y0 raises
-    NonFiniteResult; the error that ends a branch after a stage or an error
-    estimate went non-finite names the tau and state of the step where
-    that first happened.
+    for such steps. The accepted steps' (t, y) rows are sealed into the
+    log every BLOCK_ROWS rows, with the (t, t_new, marks reached, y, y_new,
+    stages) rows of the steps that reach grid times, and the log is
+    returned. Without a log the branch keeps no samples and returns its
+    end state alone. A branch that has tried as many steps, accepted or
+    rejected, as its budget allows raises IntegrationError. A right-hand
+    side that is not finite at y0 raises NonFiniteResult; the error that
+    ends a branch after a stage or an error estimate went non-finite names
+    the tau and state of the step where that first happened.
     """
-    direction = math.copysign(1.0, t_end)
-    rtol, atol = max(tol.rel, MIN_RTOL), tol.abs
-    step = _stepper(len(y0))
-    budget = _budget(t_end, max_step)
+    par = _parameters(t_end, max_step, tol)
+    rtol, atol, budget, direction = par[2:]
+    m, n = len(y0), len(y0) // 2
+    step = _stepper(m)
     k1 = f(y0, arg)
     if not all(map(math.isfinite, k1)):
         raise NonFiniteResult(
             f"the right-hand side is not finite {_where(0.0, y0)}")
-    tries = rejected = interpolated = 0
+    tries = rejected = interpolated = nxt = made = 0  # nxt: next grid mark
     t, y = 0.0, y0
     live = not gated  # whether max_step caps the steps yet
-    n = len(y0) // 2
     first_bad = None  # (tau, state) of the first non-finite error estimate
-    if log is not None:
-        block = BLOCK_ROWS
-        times, states, dense = [t], [y], []
-        extra = _extra_stages(len(y0))
-        width = (len(_A) + 1) * len(y0)  # a step's sixteen stages, flat
-        marks = (direction * log.grid).tolist()  # in steps' progress
-        nxt = 0  # the first grid time not yet read
+    marks = direction * np.array(() if log is None else log.grid)
+    rows = np.empty((BLOCK_ROWS, 1 + m))  # the open block, sealed with a log
+    rows[0] = (t, *y)
+    filled = 1
+    dense = np.empty((min(len(rows), len(marks)), 3 + 18 * m))
+    extra = _extra_stages(m)
+    run = native.lend(f, m, par, marks, rows, dense)
     try:
         h_abs = _initial_step(f, arg, y0, k1, t_end, max_step, rtol, atol)
         while direction * (t - t_end) < 0:
-            min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-            if live and h_abs > max_step:
-                h_abs = max_step
-            elif h_abs < min_step:
-                h_abs = min_step
+            if filled == len(rows):
+                if log is not None:
+                    log.seal(rows, dense[:made])
+                filled = made = 0
             retried = False
+            if run is not None:
+                (status, t, y, k1, h_abs, tries, rejected, interpolated,
+                 live, nxt, retried, filled, made) = run(
+                    t, y, k1, h_abs, tries, rejected, interpolated, live,
+                    nxt, retried, filled, made)
+                if status >= 0:  # at t_end, or with the rows full
+                    continue
+            min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+            if run is None:
+                if live and h_abs > max_step:
+                    h_abs = max_step
+                elif h_abs < min_step:
+                    h_abs = min_step
             while True:
                 if h_abs < min_step:
                     raise StepSizeUnderflow(
@@ -774,29 +798,25 @@ def _solve_branch(f, arg, y0, t_end, tol, max_step, log=None,
                 h_abs *= max(MIN_FACTOR, SAFETY * error ** ERROR_EXPONENT)
                 retried = True
                 rejected += 1
-            if log is not None:
-                end = nxt
-                while end < len(marks) and marks[end] <= direction * t_new:
-                    end += 1
-                if end > nxt:
-                    dense.append((t, t_new, y, y_new, np.fromiter(
-                        itertools.chain.from_iterable(
-                            stages + extra(f, arg, y, h, stages)),
-                        float, width), end - nxt))
-                    interpolated += 1
-                    nxt = end
-                if len(times) >= block:  # so the last step seals last
-                    log.seal(times, states, dense)
-                    times, states, dense = [], [], []
-                times.append(t_new)
-                states.append(y_new)
+            end = nxt
+            while end < len(marks) and marks[end] <= direction * t_new:
+                end += 1
+            if end > nxt:
+                dense[made] = np.fromiter(itertools.chain(
+                    (t, t_new, end - nxt), y, y_new, *stages,
+                    *extra(f, arg, y, h, stages)), float, dense.shape[1])
+                made += 1
+                interpolated += 1
+                nxt = end
+            rows[filled] = (t_new, *y_new)
+            filled += 1
             t, y, k1 = t_new, y_new, k13
     except NonFiniteResult as exc:
         raise NonFiniteResult(
             _naming(str(exc), first_bad or (t, y))) from exc
     if log is None:
         return y
-    log.seal(times, states, dense, last=True)
+    log.seal(rows[:filled], dense[:made], last=True)
     log.rejected = rejected
     log.nfev = (2 + STAGE_EVALUATIONS * tries
                 + DENSE_EVALUATIONS * interpolated)
@@ -807,11 +827,13 @@ def _solve_rows(f, arg, y0, t_end, tol):
     """``_solve_branch(f, arg, row, t, tol, inf)``'s end state, bit for
     bit, for each row of ``y0``, (N, m), and its nonzero t in ``t_end``;
     or the error of the first row whose single solve raises. The compiled
-    loop steps all the rows at once (``native.solve_rows``), and
-    ``_solve_branch`` solves, in row order, each row that loop stopped
-    short on, and every row where it has no program or does not build."""
-    out, short = native.solve_rows(f, y0, t_end, tol)
-    for r in np.flatnonzero(short).tolist():
+    loop starts and steps all the rows at once (``native.solve_rows``);
+    each row it declines, and every row where it has no program or does
+    not build, is solved alone by ``_solve_branch``, in row order, which
+    lends it to the loop again after the start and each step it makes."""
+    out, declined = native.solve_rows(f, y0, [
+        _parameters(t, math.inf, tol) for t in t_end.tolist()])
+    for r in np.flatnonzero(declined).tolist():
         out[r] = _solve_branch(f, arg, tuple(y0[r].tolist()), float(t_end[r]),
                                tol, math.inf)
     return out
@@ -825,9 +847,9 @@ def integrate(system, initial, horizon, tol=None,
     step, error norm and step controller, and its grid states come from
     the 7th-order interpolant. A rescaled system's steps are capped at eps
     from the branch's first try with a nonzero acceleration; an explicit
-    ``tol.max_step`` caps every step. A Euclidean branch is stepped in C
-    where ``native``'s loop builds, with the same bits, and in Python
-    otherwise or where that loop stops short. ``stats["nfev"]`` counts every
+    ``tol.max_step`` caps every step. ``_solve_branch`` lends a Euclidean
+    branch to ``native``'s loop where it builds, and makes in Python the
+    steps that loop declines, with the same bits. ``stats["nfev"]`` counts every
     right-hand-side evaluation, the interpolants' included. The run
     keeps its step times, 8 bytes per accepted step in memory; with
     ``keep_log`` also the states, energies, U and speeds, 8 (2n + 4)
@@ -858,14 +880,8 @@ def integrate(system, initial, horizon, tol=None,
     spill = _Spill(2 * n + 4) if keep_log else None
 
     def branch(end, grid):
-        def log():
-            return _BranchLog(system, grid, end > 0, h0, max_step, spill)
-        done = native.solve_branch(f, system, y0, end, tol, max_step, log(),
-                                   gated)
-        if done is None:  # stepped again in Python, from tau = 0
-            done = _solve_branch(f, system, y0, end, tol, max_step, log(),
-                                 gated)
-        return done
+        return _solve_branch(f, system, y0, end, tol, max_step, _BranchLog(
+            system, grid, end > 0, h0, max_step, spill), gated)
 
     fwd = branch(horizon, grid_times[~neg])
     bwd = branch(-horizon, grid_times[neg][::-1])

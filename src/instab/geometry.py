@@ -361,15 +361,16 @@ def gradient_rows(metric, f, points, floor=None):
     """grad f, |grad f|^2 and g^-1 rows at (m, n) ``points``, and the mask
     of bad rows, first those where f's numpy row is nan.
 
-    g^-1 is MetricSpec.inverse at each point not yet bad, the identity on
-    a Euclidean metric; a row where it raises turns bad, as does one where
-    |grad f|^2 is not finite or below a given ``floor``^2 (GradientTooSmall).
+    g^-1 is MetricSpec.inverse at each point not yet bad, on a Euclidean
+    metric one read-only identity viewed as every row; a row where it
+    raises turns bad, as does one where |grad f|^2 is not finite or below
+    a given ``floor``^2 (GradientTooSmall).
     """
     values, df = f.vectorized()(points)
     bad = np.isnan(values)
     m, n = points.shape
     if metric.euclidean:
-        inverse, grad = np.tile(np.eye(n), (m, 1, 1)), df
+        inverse, grad = np.broadcast_to(metric._identity, (m, n, n)), df
     else:
         inverse = np.full((m, n, n), np.nan)
         for k in np.flatnonzero(~bad):

@@ -1,19 +1,21 @@
 """Euclidean sweep branches and chart flows stepped in C, with the Python
 stepper's bits.
 
-One fixed C source holds ``dynamics._solve_branch``'s loop: Hairer's
-starting step in ``_initial_step``'s order, the DOP853 tableau, emitted
-from ``dynamics._A`` and summed in ``_stepper``'s order, scipy's
-controller, the gated cap, the ``nextafter`` minimum step, the try budget
-and the grid marks. Its right-hand side interprets a register program
-(``program``), a motion or flow kernel's ``expr`` walk rendered once more,
-on the libm that Python's ``math`` calls. A check, guard or finiteness
-test of the Python kernel, a zero divisor, a libm result, norm or error
-estimate that is not finite, an underflow or a spent budget stops the loop
-short, and ``dynamics`` steps that branch or row again in Python, which
-raises or goes on. ``solve_branch`` is ``dynamics._solve_branch``'s twin
-over that loop for a sweep branch; ``solve_rows`` steps all of a chart's
-flow rows, uncapped and with no grid marks, in one call.
+One fixed C source holds ``dynamics._solve_branch``'s try loop: the DOP853
+tableau, emitted from ``dynamics._A`` and summed in ``_stepper``'s order,
+scipy's controller, the gated cap, the ``nextafter`` minimum step, the try
+budget and the grid marks, and for flow rows Hairer's starting step in
+``_initial_step``'s order. Its right-hand side interprets a register
+program (``program``), a motion or flow kernel's ``expr`` walk rendered
+once more, on the libm that Python's ``math`` calls. ``lend`` lends it a
+branch's state, which it steps on into ``_solve_branch``'s buffers;
+``solve_rows`` starts and steps all of a chart's flow rows, uncapped and
+with no grid marks, in one call. A check, guard or finiteness test of the
+Python kernel, a zero divisor, a libm result, norm or error estimate that
+is not finite, an underflow or a spent budget makes the loop decline: a
+row at its start, which ``dynamics`` solves alone, or a try, handing back
+the state as the Python try loop holds it at the top of that try;
+``dynamics`` makes that step, which raises or goes on.
 
 ``library`` compiles the source at most once per process with ``cc`` from
 PATH and fixed flags, in a temporary directory removed once the object is
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import math
 import os
 import shutil
 import tempfile
@@ -140,14 +141,16 @@ static int start(const rhs_t *f, const double *par, const double *y,
     return 0;
 }
 
-enum { TRIES, REJECTED, INTERPOLATED, LIVE, NEXT, ROWS, DENSE };
+enum { TRIES, REJECTED, INTERPOLATED, LIVE, NEXT, RETRIED, ROWS, DENSE };
 
-/* Steps from st = (t, y, K(0), h_abs) to par[0] = t_end while rows has
-   room, row 0 being (t, y), K(0) and h_abs taken by start on the first
-   call, with no tries yet: 0 at t_end, 1 with the rows full, -1 where the
-   Python stepper must decide. par = (t_end, max_step, rtol, atol,
-   budget, direction); cnt as the enum above; a dense step is (t, t_new,
-   marks reached, y, y_new, K(0)..K(15)). */
+/* Steps st = (t, y, K(0), h_abs) on to par[0] = t_end: 0 there, 1 at the
+   top of a step with nrows rows filled, -1 at the top of a try that the
+   Python stepper must make, st and cnt as its try loop holds them there;
+   a try's counts and h_abs are written once it is decided. par = (t_end,
+   max_step, rtol, atol, budget, direction); cnt as the enum above, ROWS
+   and DENSE the rows and dense steps filled so far. Each accepted step
+   goes to rows as (t, y) where nrows is not 0, and one that reaches a grid
+   mark to dense as (t, t_new, marks reached, y, y_new, K(0)..K(15)). */
 long dop853_branch(const int *code, long size, double *r, const int *out,
                    long nout, long m, double *st, long *cnt, const double *par,
                    const double *marks, long nmarks, double *rows,
@@ -157,14 +160,12 @@ long dop853_branch(const int *code, long size, double *r, const int *out,
     double *t = st, *y = st + 1, *k1 = y + m, *h_abs = k1 + m;
     double *z = K(16), *yn = z + m, t_end = par[0], cap = par[1];
     double dir = par[5];
-    long i, s, end;
-    cnt[ROWS] = 1;
-    cnt[DENSE] = 0;
-    if (!cnt[TRIES] && start(&f, par, y, k1, h_abs, z, yn)) return -1;
+    long i, s, end, live;
     while (dir * (*t - t_end) < 0) {
         double min_step = 10 * fabs(nextafter(*t, dir * INFINITY) - *t);
         double t_new, h, err, e5, e3, factor;
-        int retried = 0, was_live;
+        if (nrows && cnt[ROWS] == nrows) return 1;
+        cnt[RETRIED] = 0;
         if (cnt[LIVE] && *h_abs > cap) *h_abs = cap;
         else if (*h_abs < min_step) *h_abs = min_step;
         for (;;) {
@@ -172,7 +173,6 @@ long dop853_branch(const int *code, long size, double *r, const int *out,
             t_new = *t + *h_abs * dir;
             if (dir * (t_new - t_end) > 0) t_new = t_end;
             h = t_new - *t;
-            *h_abs = fabs(h);
             memcpy(K(0), k1, m * sizeof *k);
             for (s = 1; s <= 12; s++)  /* z is y_new at s = 12 */
                 if (stage(&f, y, h, k, s == 12 ? yn : z, s)) return -1;
@@ -185,30 +185,25 @@ long dop853_branch(const int *code, long size, double *r, const int *out,
             }
             err = e5 + 0.01 * e3;
             err = err != 0.0 ? fabs(h) * e5 / sqrt(err * m) : 0.0;
-            cnt[TRIES]++;
-            was_live = cnt[LIVE];
-            for (s = 0; s < 13 && !cnt[LIVE]; s++)
-                for (i = m / 2; i < m; i++) cnt[LIVE] |= K(s)[i] != 0.0;
-            if (!was_live && cnt[LIVE] && *h_abs > cap) {
-                *h_abs = cap;
-                cnt[REJECTED]++;
-                continue;
-            }
+            for (s = 0, live = cnt[LIVE]; s < 13 && !live; s++)
+                for (i = m / 2; i < m; i++) live |= K(s)[i] != 0.0;
             factor = @SAFETY@ * pow(err, @EXPONENT@);
-            if (err < 1) {
-                if (err == 0 || factor > @MAX_FACTOR@) factor = @MAX_FACTOR@;
-                *h_abs *= retried && !(factor < 1.0) ? 1.0 : factor;
-                break;
+            if (!cnt[LIVE] && live && fabs(h) > cap) *h_abs = cap;
+            else if (err < 1) break;
+            else if (!isfinite(err)) return -1;
+            else {
+                *h_abs = fabs(h) * (factor > @MIN_FACTOR@ ? factor
+                                                          : @MIN_FACTOR@);
+                cnt[RETRIED] = 1;
             }
-            if (!isfinite(err)) return -1;
-            *h_abs *= factor > @MIN_FACTOR@ ? factor : @MIN_FACTOR@;
-            retried = 1;
+            cnt[TRIES]++;
             cnt[REJECTED]++;
+            cnt[LIVE] = live;
         }
         for (end = cnt[NEXT]; end < nmarks && marks[end] <= dir * t_new;)
             end++;
         if (end > cnt[NEXT]) {  /* the interpolant's three extra stages */
-            double *row = dense + cnt[DENSE]++ * (3 + 18 * m);
+            double *row = dense + cnt[DENSE] * (3 + 18 * m);
             for (s = 13; s <= 15; s++)
                 if (stage(&f, y, h, k, z, s)) return -1;
             row[0] = *t;
@@ -217,36 +212,41 @@ long dop853_branch(const int *code, long size, double *r, const int *out,
             memcpy(row + 3, y, m * sizeof *y);
             memcpy(row + 3 + m, yn, m * sizeof *y);
             memcpy(row + 3 + 2 * m, k, 16 * m * sizeof *k);
+            cnt[DENSE]++;
             cnt[INTERPOLATED]++;
             cnt[NEXT] = end;
         }
+        if (err == 0 || factor > @MAX_FACTOR@) factor = @MAX_FACTOR@;
+        *h_abs = fabs(h) * (cnt[RETRIED] && !(factor < 1.0) ? 1.0 : factor);
+        cnt[TRIES]++;
+        cnt[LIVE] = live;
         *t = t_new;
         memcpy(y, yn, m * sizeof *y);
         memcpy(k1, K(12), m * sizeof *k);
-        if (cnt[ROWS] == nrows)
-            return 1;
-        rows[cnt[ROWS] * (1 + m)] = *t;
-        memcpy(rows + cnt[ROWS]++ * (1 + m) + 1, y, m * sizeof *y);
+        if (nrows) {
+            rows[cnt[ROWS] * (1 + m)] = *t;
+            memcpy(rows + cnt[ROWS]++ * (1 + m) + 1, y, m * sizeof *y);
+        }
     }
     return 0;
 }
 
-/* dop853_branch over n rows, the states st, each (0, y, room for K(0) and
-   h_abs), and their par, uncapped and with no grid marks: a row's y
-   becomes its state at t_end, and status its loop's 0, or -1 where the
-   Python stepper must decide. */
+/* Each of n rows' states st, (0, y, room for K(0) and h_abs), started and
+   stepped by dop853_branch with its par, uncapped and with no grid marks
+   or rows: a row's y becomes its state at t_end, and status its loop's 0,
+   or -1 where the Python stepper must decide. */
 void dop853_rows(const int *code, long size, double *r, const int *out,
                  long nout, long m, double *st, const double *par, long n,
                  long *status, double *k)
 {
+    rhs_t f = {code, out, size, nout, m, r};
     long j;
-    for (j = 0; j < n; j++) {
-        long cnt[] = {0, 0, 0, 1, 0, 0, 0};  /* live: no cap waits */
-        do  /* a row of room: back here after each step */
-            status[j] = dop853_branch(code, size, r, out, nout, m,
-                                      st + j * (2 + 2 * m), cnt, par + 6 * j,
-                                      NULL, 0, NULL, 1, NULL, k);
-        while (status[j] == 1);
+    for (j = 0; j < n; j++, st += 2 + 2 * m, par += 6) {
+        long cnt[] = {0, 0, 0, 1, 0, 0, 0, 0};  /* live: no cap waits */
+        status[j] = start(&f, par, st + 1, st + 1 + m, st + 1 + 2 * m, k,
+                          k + m)
+            ? -1 : dop853_branch(code, size, r, out, nout, m, st, cnt, par,
+                                 NULL, 0, NULL, 0, NULL, k);
     }
 }
 """
@@ -330,14 +330,6 @@ def program(ops, symbols, tested):
     return np.array(code, dtype=np.intc).reshape(-1, 4), values, out
 
 
-def _params(t_end, max_step, tol):
-    """A branch's par: (t_end, max_step, rtol, atol, budget, direction)."""
-    from . import dynamics as d
-
-    return (t_end, max_step, max(tol.rel, d.MIN_RTOL), tol.abs,
-            d._budget(t_end, max_step), math.copysign(1.0, t_end))
-
-
 def _call(function, f, m, *buffers):
     """``function`` of ``f``'s register program over states of m floats,
     then ``buffers``, each array passed by the address of its data."""
@@ -347,56 +339,44 @@ def _call(function, f, m, *buffers):
                       for a in args])
 
 
-def solve_branch(f, arg, y0, t_end, tol, max_step, log, gated):
-    """``dynamics._solve_branch(f, arg, y0, t_end, tol, max_step, log,
-    gated)`` stepped by the compiled loop, which hands ``log.seal`` the
-    same blocks of BLOCK_ROWS rows and dense steps; None, the log spoiled,
-    where ``f`` has no register program, the loop is not built or the
-    branch stops short of t_end, and ``_solve_branch`` decides."""
-    from . import dynamics as d
-
+def lend(f, m, par, marks, rows, dense):
+    """``dop853_branch`` over ``f``'s register program for a branch of m
+    floats, with its ``par`` and grid ``marks``, filling its ``rows`` and
+    ``dense`` buffers: ``run(t, y, k1, h_abs, tries, rejected,
+    interpolated, live, next, retried, filled, made)`` lends the loop a
+    state of ``dynamics._solve_branch``'s and returns the loop's status,
+    then that state as the loop leaves it; None where ``f`` has no
+    register program or the loop is not built."""
     lib = getattr(f, "program", None) and library()
     if not lib:
         return None
-    m, block = len(y0), d.BLOCK_ROWS
-    marks = np.array(math.copysign(1.0, t_end) * log.grid, dtype=float)
-    state = np.zeros(2 + 2 * m)  # t, y, K(0), h_abs
-    state[1:1 + m] = y0
-    counts = np.array([0, 0, 0, not gated, 0, 0, 0], dtype=np.int_)
-    rows = np.empty((block, 1 + m))
-    dense = np.empty((max(1, min(block, len(marks))), 3 + 18 * m))
-    buffers = (state, counts, np.array(_params(t_end, max_step, tol)), marks,
-               len(marks), rows, block, dense, np.empty(18 * m))
-    status = 1  # 0 at t_end, 1 with the rows full, -1 stopped short
-    while status == 1:
-        rows[0] = state[:1 + m]  # the state it goes on from
+    state, counts = np.empty(2 + 2 * m), np.empty(8, dtype=np.int_)
+    buffers = (state, counts, np.array(par), marks, len(marks), rows,
+               len(rows), dense, np.empty(18 * m))
+
+    def run(t, y, k1, h_abs, *count):
+        state[:] = (t, *y, *k1, h_abs)
+        counts[:] = count
         status = _call(lib.dop853_branch, f, m, *buffers)
-        if status < 0:
-            return None
-        filled, made = counts[5:].tolist()
-        log.seal(rows[:filled, 0], rows[:filled, 1:],
-                 [(step[0], step[1], step[3:3 + m], step[3 + m:3 + 2 * m],
-                   step[3 + 2 * m:], int(step[2])) for step in dense[:made]],
-                 last=status == 0)
-    tries, log.rejected, interpolated = counts[:3].tolist()
-    log.nfev = (2 + d.STAGE_EVALUATIONS * tries
-                + d.DENSE_EVALUATIONS * interpolated)
-    return log
+        t, *values, h_abs = state.tolist()
+        return (status, t, tuple(values[:m]), tuple(values[m:]), h_abs,
+                *counts.tolist())
+    return run
 
 
-def solve_rows(f, y0, t_end, tol):
+def solve_rows(f, y0, params):
     """The end states of ``dynamics._solve_branch(f, arg, row, t, tol,
-    inf)`` for each row of ``y0``, (N, m), and its t in ``t_end``, stepped
-    by the compiled loop in one call, and the mask of the rows it stopped
-    short on, which ``_solve_branch`` decides: every row where ``f`` has no
-    register program or the loop is not built."""
+    inf)`` for each row of ``y0``, (N, m), with its ``lend`` par in
+    ``params``, started and stepped by the compiled loop in one call, and
+    the mask of the rows it declines, which ``_solve_branch`` solves: every
+    row where ``f`` has no register program or the loop is not built."""
     lib = getattr(f, "program", None) and library()
     n, m = y0.shape
     if not lib:
         return y0.copy(), np.ones(n, dtype=bool)
     states = np.zeros((n, 2 + 2 * m))  # t, y, K(0), h_abs
     states[:, 1:1 + m] = y0
-    params = np.array([_params(t, math.inf, tol) for t in t_end.tolist()])
     status = np.empty(n, dtype=np.int_)
-    _call(lib.dop853_rows, f, m, states, params, n, status, np.empty(18 * m))
+    _call(lib.dop853_rows, f, m, states, np.array(params), n, status,
+          np.empty(18 * m))
     return states[:, 1:1 + m], status < 0

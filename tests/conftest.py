@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from instab import harness, native
+from instab import dynamics, harness, native
 from instab.charts import build_chart, BaseSurfaceMap
 from instab.expr import ScalarField
 from instab.geometry import MetricSpec
@@ -95,3 +95,81 @@ def no_compiler(monkeypatch):
     monkeypatch.setattr(native, "library",
                         functools.cache(native.library.__wrapped__))
     assert native.library() is None
+
+
+class _PythonSteps:
+    """The tries that the Python stepper makes, each (y, h), by the decline
+    of the native loop that they follow: ``steps`` holds the state of each
+    decline and the tries made after it until the loop is lent the state
+    again, ``stray`` the tries that follow no decline."""
+
+    def __init__(self):
+        self.stray, self.steps = [], []
+
+    @property
+    def tries(self):
+        return self.stray + [t for _y, tries in self.steps for t in tries]
+
+    @property
+    def only_declined(self):
+        """Whether the Python stepper made tries only from the states the
+        loop declined a try at, and after each decline from its state."""
+        return not self.stray and all(
+            y == tried for y, tries in self.steps for tried, _h in tries)
+
+    @property
+    def each_declined_step(self):
+        """Whether it also made a step's tries after each decline."""
+        return self.only_declined and all(tries for _y, tries in self.steps)
+
+
+@pytest.fixture(scope="session")
+def python_steps():
+    """``with python_steps() as python:`` records in ``python`` the tries
+    made inside by the step function that ``dynamics._stepper`` returns,
+    by the loop's declines (``_PythonSteps``)."""
+    @contextlib.contextmanager
+    def record():
+        python = _PythonSteps()
+        stepper, lend = dynamics._stepper, native.lend
+        following = [python.stray]  # the list a try goes to
+
+        def counted(m):
+            step = stepper(m)
+
+            def counted_step(f, arg, y, k1, h, *rest):
+                following[0].append((y, h))
+                return step(f, arg, y, k1, h, *rest)
+            return counted_step
+
+        def lending(*args):
+            run = lend(*args)
+            following[0] = python.stray
+
+            def counted_run(*state):
+                out = run(*state)
+                following[0] = python.stray
+                if out[0] < 0:
+                    python.steps.append((out[2], []))
+                    following[0] = python.steps[-1][1]
+                return out
+            return run and counted_run
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "_stepper", counted)
+            patch.setattr(native, "lend", lending)
+            yield python
+    return record
+
+
+@pytest.fixture(scope="session")
+def python_only():
+    """``with python_only():`` lends no branch or row to the native loop
+    inside, so every try is the Python stepper's; for a hypothesis test,
+    whose examples share its function's fixtures."""
+    @contextlib.contextmanager
+    def stepped():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(native, "library", lambda: None)
+            yield
+    return stepped

@@ -371,11 +371,15 @@ def _assert_relative(got, want):
          scale=1e-8, columns=0, carried=[0.0] * 6)  # s just above the floor
 @settings(max_examples=300, deadline=None)
 def test_generated_flow_field_matches_reference(field, point, scale, columns,
-                                                carried, count_calls):
+                                                carried, count_calls,
+                                                python_steps, python_only):
     """The kernel against the reference; where the loop builds, a one-row
-    solve by it stops short exactly where the single solve in Python hands
-    a point to the reference or raises, the start among them, and else
-    ends on that solve's bits."""
+    solve by it declines the row exactly where the single solve hands a
+    point to the reference or raises, the start among them, and else ends
+    on that solve's bits. The single solve, which lends the row to the
+    loop after its start and each step it makes, ends on the bits or
+    raises the error of one without the loop, and Python makes only the
+    steps the loop declines."""
     source, n = field
     fld = ScalarField.parse(source, n)
     metric = MetricSpec.identity(n)
@@ -388,14 +392,23 @@ def test_generated_flow_field_matches_reference(field, point, scale, columns,
         kernel = compile_flow(metric, fld, columns)
         got, got_error = _outcome(lambda: np.array(kernel(y, (metric, fld))))
         fallbacks = list(handed)
-        single, single_error = _outcome(lambda: _single_solve(
-            metric, fld, np.array(y), 0.05))
+        with python_steps() as python:
+            single, single_error = _outcome(lambda: _single_solve(
+                metric, fld, np.array(y), 0.05))
     if native.library() is not None:
-        end, short = native.solve_rows(kernel, np.array([y]), np.array([0.05]),
-                                       charts._FLOW_TOLERANCES)
+        end, short = native.solve_rows(kernel, np.array([y]), [
+            dynamics._parameters(0.05, math.inf, charts._FLOW_TOLERANCES)])
         assert short.tolist() == [bool(handed or single_error)]
         if not short[0]:
             assert end.tobytes() == single.tobytes()
+        with python_only():
+            alone, alone_error = _outcome(lambda: _single_solve(
+                metric, fld, np.array(y), 0.05))
+        assert single_error == alone_error
+        if alone_error is None:
+            assert single.tobytes() == alone.tobytes()
+            assert python.each_declined_step
+        assert python.only_declined
     want, want_error = _outcome(lambda: _reference_flow(metric, fld, x, jac))
     # where DX overflows, the kernel hands the point to the reference,
     # which raises
@@ -650,16 +663,18 @@ def test_base_map_rows_raise_the_per_point_error_where_undefined():
 @pytest.mark.parametrize("entry", ["corollary1-unstable-magnetic",
                                    "corollary1-mechanical"])
 def test_corpus_chart_batches_solve_no_row_alone(entry, compiled,
-                                                 count_calls):
+                                                 count_calls, python_steps):
     """Each grid check flows its points in batches, at most one call per
     flow for the identity grid, the swapped corners, the additivity flows
     and the block check's Jacobians; on the corpus charts the compiled
-    loop steps every row, and none is solved alone in Python."""
+    loop steps every row, none is solved alone, and Python makes no
+    try."""
     with count_calls(dynamics, "_solve_branch") as singles, \
-            count_calls(charts, "solve_ivp") as batches:
+            count_calls(charts, "solve_ivp") as batches, \
+            python_steps() as python:
         chart, _fields, _pullback = harness.build_problem_chart(
             harness.corpus_entry(entry))
         pullback_metric_block_check(chart, grid_count=5)
         injectivity_probe(chart, grid_count=5)
-    assert not singles
+    assert not singles and not python.tries
     assert len(batches) <= 4 * chart.k

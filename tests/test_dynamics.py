@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import io
+import itertools
 import math
 import re
 import sys
@@ -613,9 +614,9 @@ def test_grid_states_match_scipy_dense_output(name, offset, eps, scale,
 
     stages = tuple(map(tuple, solver.K[:13].tolist()))
     extra = dynamics._extra_stages(len(y))(f, system, y, h, stages)
-    got = dynamics._grid_states(
-        [(0.0, h, y, tuple(solver.y.tolist()), stages + extra, len(times))],
-        times)
+    got = dynamics._grid_states(np.array([[
+        0.0, h, len(times), *y, *solver.y.tolist(),
+        *itertools.chain(*stages, *extra)]]), times)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -715,12 +716,23 @@ class _JoinedLog:
     the branch, for one pass over the joined log."""
 
     def __init__(self, grid):
-        self.grid, self.times, self.states, self.dense = grid, [], [], []
+        self.grid, self.rows, self.dense = grid, [], []
 
-    def seal(self, times, states, dense, last=False):
-        self.times += times
-        self.states += states
-        self.dense += dense
+    def seal(self, rows, dense, last=False):
+        self.rows.append(rows.copy())
+        self.dense.append(dense.copy())
+
+    @property
+    def times(self):
+        return np.concatenate(self.rows)[:, 0].tolist()
+
+    @property
+    def states(self):
+        return np.concatenate(self.rows)[:, 1:].tolist()
+
+    @property
+    def interpolants(self):
+        return np.concatenate(self.dense)
 
 
 def _joined_integrate(system, initial, horizon, tol):
@@ -775,8 +787,8 @@ def _joined_integrate(system, initial, horizon, tol):
         "times": times, "states": states, "energies": energies,
         "path_length": np.concatenate([backward[::-1], forward]),
         "grid_states": np.concatenate([
-            dynamics._grid_states(bwd.dense, bwd.grid)[::-1],
-            dynamics._grid_states(fwd.dense, fwd.grid)]),
+            dynamics._grid_states(bwd.interpolants, bwd.grid)[::-1],
+            dynamics._grid_states(fwd.interpolants, fwd.grid)]),
         "stats": stats,
         "energy_drift": float((energies.max() - energies.min())
                               / max(1.0, abs(h0))),
@@ -1099,37 +1111,36 @@ class _BlockLog:
     def __init__(self, grid):
         self.grid, self.read, self.blocks = grid, 0, []
 
-    def seal(self, times, states, dense, last=False):
-        count = sum(step[-1] for step in dense)
+    def seal(self, rows, dense, last=False):
+        count = int(dense[:, 2].sum())
         grid = dynamics._grid_states(
-            dense, self.grid[self.read:self.read + count]) if dense else None
+            dense, self.grid[self.read:self.read + count]) if count else None
         self.read += count
-        self.blocks.append((np.array(times).tobytes(),
-                            np.array(states).tobytes(),
+        self.blocks.append((rows.tobytes(),
                             None if grid is None else grid.tobytes(), last))
 
 
-def _branches(system, initial, horizon, tol, solve):
-    """Each branch of ``integrate``'s run by ``solve``, ``_solve_branch``
-    or ``native.solve_branch``: its sealed blocks, rejected tries and nfev; the
-    class and message of the error it raises; or None where it gives
-    none."""
+def _logged(solve):
+    """``solve(log)``'s sealed blocks, rejected tries and nfev, or the class
+    and message of the error it raises."""
+    try:
+        log = solve(_BlockLog)
+    except InstabError as exc:
+        return type(exc), str(exc)
+    return log.blocks, log.rejected, log.nfev
+
+
+def _branches(system, initial, horizon, tol):
+    """``_logged`` of each branch of ``integrate``'s run."""
     gated = tol.max_step is None and system.epsilon is not None
     max_step = tol.max_step or (system.epsilon if gated else math.inf)
     f = compile_motion(system)
     y0 = tuple(np.concatenate([initial.x, initial.v]).tolist())
     grid = np.linspace(-horizon, horizon, dynamics.GRID_POINTS)
-    out = []
-    for end, branch_grid in ((horizon, grid[grid >= 0]),
-                             (-horizon, grid[grid < 0][::-1])):
-        log = _BlockLog(branch_grid)
-        try:
-            done = solve(f, system, y0, end, tol, max_step, log, gated)
-        except InstabError as exc:
-            out.append((type(exc), str(exc)))
-            continue
-        out.append(done and (log.blocks, log.rejected, log.nfev))
-    return out
+    return [_logged(lambda log: dynamics._solve_branch(
+                f, system, y0, end, tol, max_step, log(branch_grid), gated))
+            for end, branch_grid in ((horizon, grid[grid >= 0]),
+                                     (-horizon, grid[grid < 0][::-1]))]
 
 
 # corpus entries, CI's transcendental problem and one with x1^17 and x1^18,
@@ -1152,7 +1163,11 @@ _LOOP_CASES = {
          rows=7)
 @settings(max_examples=30, deadline=None)
 def test_compiled_loop_has_the_python_steppers_bits(name, eps, offset, scale,
-                                                    rows, compiled):
+                                                    rows, compiled,
+                                                    python_only):
+    """Each branch lent to the loop seals the blocks, rejected tries and
+    nfev of one stepped in Python alone, or raises its class and
+    message."""
     data = _LOOP_CASES[name]
     if isinstance(data, str):
         system, initial, horizon, tol, _cap = _corpus_case(data, eps)
@@ -1163,13 +1178,53 @@ def test_compiled_loop_has_the_python_steppers_bits(name, eps, offset, scale,
     case = (system, initial, scale * horizon, tol)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dynamics, "BLOCK_ROWS", rows)
-        want = _branches(*case, dynamics._solve_branch)
-        got = _branches(*case, native.solve_branch)
-    for python, native_run in zip(want, got):
-        if isinstance(python[0], type):  # the Python stepper raised
-            assert native_run is None
-        else:
-            assert native_run == python
+        got = _branches(*case)
+        with python_only():
+            assert got == _branches(*case)
+
+
+def _guarded_oscillator(bound):
+    """x'' = -x in a kernel whose guard requires bound < x + 2 < inf: below
+    it the kernel hands the point to a Python function, where the loop
+    declines the try, and the Python stepper makes it."""
+    x = expr.Var(0)
+    return expr.compile_kernel(
+        [ScalarField.parse("x1^2", 1)], 1,
+        [expr.Var(1), expr.Bin("*", expr.Num(-1.0), x)],
+        decide=lambda p, _arg: (p[1], -p[0]),
+        guards=[(expr.Bin("+", x, expr.Num(2.0)), bound)],
+        label=dynamics.ACCELERATION, program=native.program)
+
+
+@given(x=st.floats(-1.0, 1.0), v=st.floats(-1.0, 1.0),
+       horizon=st.floats(-6.0, 6.0).filter(lambda t: abs(t) > 0.1),
+       bound=st.floats(1.0, 2.0), rows=st.sampled_from([1, 7, 512]))
+@example(x=1.0, v=0.0, horizon=4.0, bound=1.1, rows=7)
+@example(x=-1.0, v=0.0, horizon=1.0, bound=1.1, rows=7)  # from the guard on
+@settings(max_examples=30, deadline=None)
+def test_a_declined_try_is_stepped_in_python_and_the_loop_goes_on(
+        x, v, horizon, bound, rows, compiled, python_only, python_steps):
+    """Where the loop declines a try mid-branch and the Python stepper
+    makes it, the branch goes back to the loop and ends on the blocks,
+    rejected tries and nfev of one stepped in Python alone; Python makes
+    just the declined steps, the rows of both steppers sharing blocks."""
+    f = _guarded_oscillator(bound)
+    grid = np.linspace(0.0, horizon, 33)
+
+    def solve(log):
+        return dynamics._solve_branch(f, None, (x, v), horizon, Tolerances(),
+                                      math.inf, log(grid))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "BLOCK_ROWS", rows)
+        with python_steps() as python:
+            got = _logged(solve)
+        with python_only():
+            assert got == _logged(solve)
+    assert python.each_declined_step
+    if (x, v, horizon, bound) == (1.0, 0.0, 4.0, 1.1):
+        # x = cos(tau) is below -0.9 for tau in (2.7, 3.6)
+        assert python.steps
+        assert len(python.tries) < got[2] / dynamics.STAGE_EVALUATIONS / 3
 
 
 _FAILING_RUNS = {  # (U, form, x, v, eps, T, what the run raises)
@@ -1185,41 +1240,61 @@ _FAILING_RUNS = {  # (U, form, x, v, eps, T, what the run raises)
 }
 
 
+# the Python tries and the loop's declines of each run in _FAILING_RUNS
+_FAILING_TRIES = {"stiff wall": (0, 1), "U undefined": (1, 1),
+                  "not finite at y0": (0, 0)}
+
+
 @pytest.mark.parametrize("name", sorted(_FAILING_RUNS))
-def test_compiled_loop_raises_what_python_raises(name, compiled,
-                                                 count_calls, request):
-    """Where the Python stepper raises, the loop gives the branch back to
-    it, and the run raises the same class and message as one without a
-    compiler."""
+def test_compiled_loop_raises_what_python_raises(name, compiled, python_steps,
+                                                 request):
+    """Where the Python stepper raises, the run lent to the loop raises the
+    same class and message as one without a compiler, and Python makes
+    only the steps the loop declines: none on the stiff wall, whose last
+    decline is the try past its budget."""
     potential, form, x, v, eps, horizon, error = _FAILING_RUNS[name]
     n = len(x)
     system = LagrangianSystem(
         MetricSpec.identity(n), ScalarField.parse(potential, n),
         form and OneForm.from_sources(form), epsilon=eps)
     case = (system, State(0.0, x, v), horizon, Tolerances())
-    with count_calls(native, "solve_branch") as tried, \
-            count_calls(dynamics, "_solve_branch") as python:
+    with python_steps() as python:
         got = _summary(*case, keep_log=False)
-    assert tried and python
     assert got[0] is error
+    assert python.only_declined
+    assert (len(python.tries), len(python.steps)) == _FAILING_TRIES[name]
     request.getfixturevalue("no_compiler")
     assert _summary(*case, keep_log=False) == got
 
 
-def test_compiled_loop_stops_where_a_tested_field_value_overflows(compiled):
+def test_compiled_loop_stops_where_a_tested_field_value_overflows(
+        compiled, python_only, python_steps):
     """y'' = 1 from rest: U = 1e307 x1^2, which the kernel computes and
     tests but no output reads, overflows past x1 = 4.3, where its gradient
-    is still finite; the Python stepper raises there, and the loop, which
-    tests the same symbols once it has set them, stops short."""
+    is still finite; the loop, which tests the same symbols once it has
+    set them, declines the try there, and the Python stepper makes it and
+    raises its own error."""
     u = ScalarField.parse("1e307 * x1^2", 1)
     f = expr.compile_kernel([u], 1, [expr.Var(1), expr.Num(1.0)],
                             label=dynamics.ACCELERATION,
                             program=native.program)
     args = (f, None, (0.0, 0.0), 4.0, Tolerances(), math.inf)
-    with pytest.raises(NonFiniteResult, match="is not finite at point"):
+    with python_only(), pytest.raises(NonFiniteResult) as want:
         dynamics._solve_branch(*args, _BlockLog(np.linspace(0, 4, 5)))
-    assert native.solve_branch(*args, _BlockLog(np.linspace(0, 4, 5)),
-                               False) is None
+    with python_steps() as python, pytest.raises(NonFiniteResult) as got:
+        dynamics._solve_branch(*args, _BlockLog(np.linspace(0, 4, 5)))
+    assert "is not finite at point" in str(got.value)
+    assert str(got.value) == str(want.value)
+    assert python.only_declined
+    assert len(python.tries) == len(python.steps) == 1
+
+
+def test_corpus_run_all_makes_no_python_try(compiled, python_steps):
+    """The loop steps every corpus sweep branch: Python makes no try in
+    ``run_all``."""
+    with python_steps() as python:
+        harness.run_all(seed=42)
+    assert python.tries == python.steps == []
 
 
 @pytest.mark.parametrize("eps", [1e300, 1e-300])
