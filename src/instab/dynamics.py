@@ -46,7 +46,7 @@ the cap and the tau of the largest energy deviation, go into the run's
 
 On a Euclidean metric the equations of motion are ASTs over dU and the
 form's ``field_strength``, compiled by ``expr.compile_kernel`` once per
-potential, one-form and epsilon; they raise the fields' own errors. On a
+potential and one-form, eps an input; they raise the fields' own errors. On a
 curved metric every stage calls ``el_acceleration``, which reads dU, the
 magnetic tensor and the metric from one generated call each: the
 metric's call gives g^-1 and the Christoffel symbols together, from a
@@ -83,7 +83,6 @@ from .errors import (
 )
 from .expr import (
     Bin,
-    Num,
     Var,
     _not_finite,
     compile_kernel,
@@ -115,6 +114,11 @@ class LagrangianSystem:
     @functools.cached_property
     def inv_eps(self):
         return 1.0 if self.epsilon is None else 1.0 / self.epsilon
+
+    @functools.cached_property
+    def inputs(self):
+        """(-1/eps^2, 1/eps), the motion kernel's inputs."""
+        return (-(self.inv_eps * self.inv_eps), self.inv_eps)
 
 
 @dataclass
@@ -166,7 +170,7 @@ def el_acceleration(system, state) -> np.ndarray:
         ginv = metric.inverse(x)
         gamma = metric.christoffel(x)
     contract = _contraction(len(x), f_tensor is not None, ginv is not None)
-    acc = contract(system.inv_eps, v, du, f_tensor, ginv, gamma)
+    acc = contract(*system.inputs, v, du, f_tensor, ginv, gamma)
     if sum(acc) * 0.0 != 0.0 and not all(map(math.isfinite, acc)):
         raise _not_finite(ACCELERATION, [*x, *v])
     return np.array(acc)
@@ -181,18 +185,17 @@ def _unpacked(symbol, *shape):
 
 @functools.cache
 def _contraction(n, magnetic, curved):
-    """``contract(e, v, du, F, g^-1, Gamma)``, the acceleration as a tuple,
-    in straight-line code over n coordinates, with e = 1/eps.
+    """``contract(ee, e, v, du, F, g^-1, Gamma)``, the acceleration as a
+    tuple, in straight-line code over n coordinates, (ee, e) the inputs.
 
-    The force is w_b = -e^2 d_b U - e sum_{a != b} F_ab v^a, the
+    The force is w_b = ee d_b U - e sum_{a != b} F_ab v^a, the
     gyroscopic sum over a in ``_motion_kernel``'s order; on a curved metric
     the acceleration is sum_b g^ab w_b - sum_m (sum_k Gamma^a_mk v^k) v^m,
     as ``ginv.dot(w) - gamma.dot(v).dot(v)`` arranges it, and else w.
     """
     idx = range(n)
     lines = [f"{_unpacked('v', n)}= v.tolist()",
-             f"{_unpacked('du', n)}= du.tolist()",
-             "ee = -(e * e)"]
+             f"{_unpacked('du', n)}= du.tolist()"]
     if magnetic:
         lines.append(f"{_unpacked('f', n, n)}= f.ravel().tolist()")
     for b in idx:
@@ -210,7 +213,7 @@ def _contraction(n, magnetic, curved):
                 "(" + " + ".join(f"c{a}_{m}_{k} * v{k}" for k in idx)
                 + f") * v{m}" for m in idx)
             acc.append(f"({raised}) - ({geodesic})")
-    src = ("def _contract(e, v, du, f, ginv, gamma):\n"
+    src = ("def _contract(ee, e, v, du, f, ginv, gamma):\n"
            + "".join(f"    {line}\n" for line in lines)
            + f"    return ({''.join(f'{term}, ' for term in acc)})\n")
     return define_scalar("_contract", src)
@@ -361,33 +364,34 @@ def _reference_stage(y, system):
 
 
 def _motion_kernel(system, fields):
-    """a_b = -e^2 d_b U - e sum_a F_ab v^a with e = 1/eps, over U's
+    """a_b = ee d_b U - e sum_a F_ab v^a, (ee, e) the inputs, over U's
     partials and the form's ``field_strength`` without structural zeros."""
-    n, e = system.metric.dimension, system.inv_eps
+    n = system.metric.dimension
+    ee, e = Var(2 * n), Var(2 * n + 1)
     du = [derivative(system.potential.body, i) for i in range(n)]
     f = [] if system.magnetic is None else field_strength(system.magnetic)
-    # -e^2 d_b U stays unfolded: where d_b U is a structural zero it is
+    # ee d_b U stays unfolded: where d_b U is a structural zero it is
     # -0.0, and a fold would give +0.0
-    acc = [fold("-", Bin("*", Num(-(e * e)), du[b]), fold("*", Num(e), total(
+    acc = [fold("-", Bin("*", ee, du[b]), fold("*", e, total(
         fold("*", row[b], Var(n + a)) for a, row in enumerate(f))))
            for b in range(n)]
     return compile_kernel(fields, n, [Var(n + a) for a in range(n)] + acc,
-                          label=ACCELERATION, program=native.program)
+                          label=ACCELERATION, program=native.program, inputs=2)
 
 
 def compile_motion(system):
     """The system's first-order equations as ``f(y, system) -> dy/dtau``.
 
     ``y`` is the state (x, v) as a tuple of floats, and so is the result.
-    On a Euclidean metric it is generated once per potential, one-form and
-    epsilon; on a curved metric it wraps ``el_acceleration``.
+    On a Euclidean metric it is generated once per potential and one-form
+    for every eps, its inputs; on a curved metric it wraps ``el_acceleration``.
     """
     if not system.metric.euclidean:
         return _reference_stage
     fields = [system.potential]
     if system.magnetic is not None:
         fields += system.magnetic.components
-    key = ("motion", system.epsilon) + tuple(fld.body for fld in fields[1:])
+    key = ("motion",) + tuple(fld.body for fld in fields[1:])
     return system.potential.code(key, _motion_kernel, system, fields)
 
 
@@ -560,6 +564,8 @@ def _initial_step(f, arg, y0, k1, t_end, max_step, rtol, atol):
     scale = [atol + abs(y) * rtol for y in y0]
     d0 = rms([y / s for y, s in zip(y0, scale)])
     d1 = rms([k / s for k, s in zip(k1, scale)])
+    if d1 == math.inf:  # h0 would be 0.01 d0 / d1 = 0, and d2 divides by it
+        raise NonFiniteResult("the norm of the right-hand side overflows")
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, abs(t_end))
     k2 = f(tuple(y + h0 * direction * k for y, k in zip(y0, k1)), arg)
@@ -744,7 +750,7 @@ def _solve_branch(f, arg, y0, t_end, tol, max_step, log=None,
     filled = 1
     dense = np.empty((min(len(rows), len(marks)), 3 + 18 * m))
     extra = _extra_stages(m)
-    run = native.lend(f, m, par, marks, rows, dense)
+    run = native.lend(f, arg, m, par, marks, rows, dense)
     try:
         h_abs = _initial_step(f, arg, y0, k1, t_end, max_step, rtol, atol)
         while direction * (t - t_end) < 0:

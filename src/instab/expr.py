@@ -400,8 +400,8 @@ class _Check:
 
 
 def _literal(symbol):
-    """Whether a symbol is a number, not a temporary or a coordinate."""
-    return symbol[0] not in "tp"
+    """Whether a symbol is a number, not a temporary, point or input."""
+    return symbol[0] not in "tpq"
 
 
 # Checked before the function: the test on its argument, and the message.
@@ -436,6 +436,7 @@ class _Emitter:
         self.lines = []
         self.memo = {}
         self.tests = set()
+        self.point = math.inf  # Var(i) from here on reads input q{i - point}
 
     def _run(self, code):
         with np.errstate(all="ignore"):
@@ -474,7 +475,8 @@ class _Emitter:
         if isinstance(node, Num):
             return repr(node.value)
         if isinstance(node, Var):
-            return f"p[{node.index}]"
+            j = node.index - self.point
+            return f"p[{node.index}]" if j < 0 else f"q{j}"
         symbol = self.memo.get(node)
         if symbol is None:
             symbol = self.memo[node] = self._value(node)
@@ -590,7 +592,7 @@ def _first_error(fields, exc, point):
 
 
 def compile_kernel(fields, n: int, outputs, decide=None, guards=(),
-                   label=None, program=None):
+                   label=None, program=None, inputs=0):
     """Generate ``kernel(p, arg)``, the values of ``outputs`` at the point p.
 
     The one compiler of field kernels: its code computes the values and
@@ -610,14 +612,18 @@ def compile_kernel(fields, n: int, outputs, decide=None, guards=(),
     metric factors and the magnetic tensor feed ``el_acceleration``, which
     tests the acceleration once and names the state (x, v), not x alone,
     and ``compile_fields``'s outputs are the fields' tested values and
-    partials. With ``program``, the kernel keeps ``program(ops, symbols,
-    tested)`` as its ``program``: the same walk rendered once more
-    (``native.program``, for the motion and flow kernels the C loop
-    steps) from its ``_Emitter`` ops, the guards' checks among them, its
-    output symbols and the symbols it tests for finiteness.
+    partials. A right-hand side, whose point has as many entries as it has
+    outputs, may read ``inputs`` more: Var(len(outputs) + j) reads
+    ``arg.inputs[j]``, which no error names. With ``program``, the kernel
+    keeps ``program(ops, symbols, tested, inputs)`` as its ``program``:
+    the same walk rendered once more (``native.program``, for the motion
+    and flow kernels the C loop steps) from its ``_Emitter`` ops, the
+    guards' checks among them, its output symbols and the symbols it
+    tests for finiteness.
     """
     em, checked = _fields_code([fld.body for fld in fields], n,
                                ops=program is not None)
+    em.point = len(outputs) if inputs else math.inf
     if checked:  # one test of them all, unless their sum overflows
         em.lines.append(_finite_test(checked, "raise OverflowError"))
     head = len(em.lines)
@@ -636,7 +642,8 @@ def compile_kernel(fields, n: int, outputs, decide=None, guards=(),
     cold = ("return decide(p, arg)" if decide else
             f"raise first_error(fields, exc, p[:{n}]) from exc")
     src = ("def _kernel(p, arg):\n"
-           f"    try:\n{_scalar_body(em.lines[:split], '        ')}"
+           + "".join(f"    q{j} = arg.inputs[{j}]\n" for j in range(inputs))
+           + f"    try:\n{_scalar_body(em.lines[:split], '        ')}"
            "    except (DomainError, ArithmeticError, ValueError) as exc:\n"
            f"        {cold}\n{_scalar_body(em.lines[split:], '    ')}"
            f"    return ({', '.join(symbols)},)\n")
@@ -644,7 +651,7 @@ def compile_kernel(fields, n: int, outputs, decide=None, guards=(),
                            first_error=_first_error, not_finite=_not_finite)
     if program is not None:
         kernel.program = program(em.ops, symbols, checked + (
-            computed if label is not None else []))
+            computed if label is not None else []), inputs)
     return kernel
 
 

@@ -306,14 +306,16 @@ def library():
     return lib
 
 
-def program(ops, symbols, tested):
-    """``compile_kernel``'s walk as a register program over as many inputs
-    p[i] as outputs, from its ``_Emitter`` ``ops``, output ``symbols`` and
-    the symbols it tests for finiteness: rows of (operation, target, a, b)
-    register indices, the registers with the numbers in place, and the
-    registers of the outputs, then of the tested symbols; None where an op
-    has no operation here."""
+def program(ops, symbols, tested, inputs):
+    """``compile_kernel``'s walk as a register program over as many p[i]
+    as outputs, then its ``inputs`` q{j}, from its ``_Emitter`` ``ops``,
+    output ``symbols`` and the symbols it tests for finiteness: rows of
+    (operation, target, a, b) register indices, the registers, p and q
+    first, with the numbers in place, the registers of the outputs, then
+    of the tested symbols, and ``inputs``; None where an op has no
+    operation here."""
     registers = {f"p[{i}]": i for i in range(len(symbols))}
+    registers.update({f"q{j}": len(symbols) + j for j in range(inputs)})
 
     def register(symbol):
         return registers.setdefault(symbol, len(registers))
@@ -327,29 +329,33 @@ def program(ops, symbols, tested):
                      a, b))
     out = np.array([register(s) for s in [*symbols, *tested]], dtype=np.intc)
     values = np.array([float(s) if _literal(s) else 0.0 for s in registers])
-    return np.array(code, dtype=np.intc).reshape(-1, 4), values, out
+    return np.array(code, dtype=np.intc).reshape(-1, 4), values, out, inputs
 
 
-def _call(function, f, m, *buffers):
+def _call(function, f, m, registers, *buffers):
     """``function`` of ``f``'s register program over states of m floats,
-    then ``buffers``, each array passed by the address of its data."""
-    code, registers, out = f.program
-    args = (code, len(code), registers.copy(), out, len(out), m, *buffers)
+    in ``registers``, a copy of its own, then ``buffers``, each array by
+    the address of its data."""
+    code, _, out, _ = f.program
+    args = (code, len(code), registers, out, len(out), m, *buffers)
     return function(*[a.ctypes.data if isinstance(a, np.ndarray) else a
                       for a in args])
 
 
-def lend(f, m, par, marks, rows, dense):
+def lend(f, arg, m, par, marks, rows, dense):
     """``dop853_branch`` over ``f``'s register program for a branch of m
     floats, with its ``par`` and grid ``marks``, filling its ``rows`` and
-    ``dense`` buffers: ``run(t, y, k1, h_abs, tries, rejected,
-    interpolated, live, next, retried, filled, made)`` lends the loop a
-    state of ``dynamics._solve_branch``'s and returns the loop's status,
-    then that state as the loop leaves it; None where ``f`` has no
-    register program or the loop is not built."""
+    ``dense`` buffers, and ``arg.inputs`` if it reads any: ``run(t, y, k1,
+    h_abs, tries, rejected, interpolated, live, next, retried, filled,
+    made)`` lends the loop a state of ``dynamics._solve_branch``'s and
+    returns the loop's status, then that state as the loop leaves it; None
+    where ``f`` has no register program or the loop is not built."""
     lib = getattr(f, "program", None) and library()
     if not lib:
         return None
+    _, values, _, inputs = f.program
+    registers = values.copy()  # the branch's, its inputs written once
+    registers[m:m + inputs] = arg.inputs if inputs else ()
     state, counts = np.empty(2 + 2 * m), np.empty(8, dtype=np.int_)
     buffers = (state, counts, np.array(par), marks, len(marks), rows,
                len(rows), dense, np.empty(18 * m))
@@ -357,7 +363,7 @@ def lend(f, m, par, marks, rows, dense):
     def run(t, y, k1, h_abs, *count):
         state[:] = (t, *y, *k1, h_abs)
         counts[:] = count
-        status = _call(lib.dop853_branch, f, m, *buffers)
+        status = _call(lib.dop853_branch, f, m, registers, *buffers)
         t, *values, h_abs = state.tolist()
         return (status, t, tuple(values[:m]), tuple(values[m:]), h_abs,
                 *counts.tolist())
@@ -377,6 +383,6 @@ def solve_rows(f, y0, params):
     states = np.zeros((n, 2 + 2 * m))  # t, y, K(0), h_abs
     states[:, 1:1 + m] = y0
     status = np.empty(n, dtype=np.int_)
-    _call(lib.dop853_rows, f, m, states, np.array(params), n, status,
-          np.empty(18 * m))
+    _call(lib.dop853_rows, f, m, f.program[1].copy(), states,
+          np.array(params), n, status, np.empty(18 * m))
     return states[:, 1:1 + m], status < 0

@@ -4,8 +4,10 @@ import functools
 import hashlib
 import io
 import itertools
+import json
 import math
 import re
+import subprocess
 import sys
 import tracemalloc
 
@@ -267,6 +269,8 @@ def test_path_length_straight_line():
 # --- the compiled equations of motion against el_acceleration -------------
 
 _OFFSETS = st.lists(st.floats(-2, 2), min_size=6, max_size=6)
+# log-uniform over [1e-150, 1e3], where -1/eps^2 is still finite
+_LOG_EPSILONS = st.floats(-150.0, 3.0).map(lambda k: 10.0 ** k)
 
 
 def _reference_motion(system, y):
@@ -295,7 +299,8 @@ def _assert_motion_equal(got, want):
 
 
 @pytest.mark.parametrize("name", [p.name for p in harness.corpus()])
-@given(offset=_OFFSETS, eps=st.sampled_from([1.0, 0.1, 1e-2, 1e-3, None]))
+@given(offset=_OFFSETS, eps=st.one_of(
+    st.sampled_from([1.0, 0.1, 1e-2, 1e-3, None]), _LOG_EPSILONS))
 @settings(max_examples=60, deadline=None)
 def test_compiled_motion_matches_reference(name, offset, eps, count_calls):
     problem = harness.corpus_entry(name)
@@ -311,13 +316,46 @@ def test_compiled_motion_matches_reference(name, offset, eps, count_calls):
     _assert_motion_equal(got, want)
 
 
-def test_motion_kernels_are_per_epsilon():
+def test_one_motion_kernel_serves_every_epsilon(count_calls):
+    """-1/eps^2 and 1/eps are inputs of the motion kernel, not constants
+    folded into it: every eps of a problem shares one kernel and one
+    register program, so a warm run-all builds one motion kernel per entry
+    (24 with eps folded in) and at most 46 generated functions (62)."""
     problem = harness.corpus_entry("stable-magnetic-plane")
-    kernels = {eps: compile_motion(problem.system(epsilon=eps))
-               for eps in problem.epsilons}
-    assert len(set(kernels.values())) == len(problem.epsilons) == 3
-    for eps, kernel in kernels.items():
-        assert compile_motion(problem.system(epsilon=eps)) is kernel
+    assert len(problem.epsilons) == 3
+    (kernel,) = {compile_motion(problem.system(epsilon=eps))
+                 for eps in problem.epsilons}
+    assert kernel.program[3] == 2  # its inputs, -1/eps^2 and 1/eps
+    harness.run_all(seed=42)
+    with count_calls(expr, "_define") as defined, \
+            count_calls(dynamics, "_motion_kernel") as built:
+        harness.run_all(seed=42)
+    assert len(built) == len(harness.corpus()) == 8
+    assert len(defined) <= 46
+
+
+@pytest.mark.parametrize("side", ["compiled", "no_compiler"])
+def test_compiled_motion_keeps_no_epsilon_between_runs(side, request):
+    """stable-magnetic-plane at eps A, then B, then A again, on one
+    problem and so one motion kernel and register program: each run has
+    the bits of its sweep alone in a fresh process, so no eps's inputs
+    stay in the registers of another's run."""
+    request.getfixturevalue(side)
+    problem = harness.corpus_entry("stable-magnetic-plane")
+    a, b = problem.epsilons[:2]
+    problem.epsilons = (a, b, a)
+    report = harness.run_epsilon_sweep(problem, with_certification=False)
+    alone = {}
+    for eps in (a, b):  # PATH is the side's, so is the fresh process's
+        result = subprocess.run(
+            [sys.executable, "-m", "instab.cli", "sweep",
+             "stable-magnetic-plane", "--eps", repr(eps)],
+            capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stdout + result.stderr
+        (alone[eps],) = json.loads(result.stdout)["runs"]
+    for run in report.runs:
+        assert run.status == "ok"
+        assert json.loads(json.dumps(run.to_dict())) == alone[run.epsilon]
 
 
 _PARTIAL_FIELDS = [
@@ -332,7 +370,7 @@ _PARTIAL_FIELDS = [
 @pytest.mark.parametrize("potential, form", _PARTIAL_FIELDS)
 @given(y=st.lists(st.one_of(st.sampled_from([0.0, 1.0, -1.0, 2.0, 800.0]),
                             st.floats(-3, 3)), min_size=6, max_size=6),
-       eps=st.sampled_from([1.0, 0.1, 1e-3]))
+       eps=st.one_of(st.sampled_from([1.0, 0.1, 1e-3, None]), _LOG_EPSILONS))
 @example(y=[2.3353543293436346e-301, 1.0, 0.0, 0.0, 0.0, 0.0],
          eps=1e-3)  # dU/eps^2 overflows where ln(x1)^2's dU does not
 # with the second pair, the gyroscopic sum of a_1 cancels two terms of 3e59

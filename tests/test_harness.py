@@ -469,6 +469,29 @@ def test_cli_sweep_eps_whose_inverse_square_overflows_exits_3():
                             "epsilon = 1e-300")
 
 
+@pytest.mark.parametrize("side", ["compiled", "no_compiler"])
+def test_cli_sweep_whose_first_norm_overflows_exits_3(side, request,
+                                                      tmp_path):
+    """dU = 1e150 at eps = 0.1 puts |f(y0)|/atol past the largest float:
+    the starting step's norm overflows, and the run fails naming tau = 0
+    and y0 once, alike with and without a compiler, where the step 0.01
+    d0 / inf = 0 used to be divided by."""
+    request.getfixturevalue(side)
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({
+        "dimension": 2, "potential": "x2^2 + 1e150*x1",
+        "magnetic": ["0", "x1"], "f": "x2", "center": [0, 0], "T": 1,
+        "epsilons": [0.1]}))
+    result = _run("sweep", str(path))
+    assert result.exit_code == 3, result.output
+    assert result.stderr == ""
+    (run,) = _strict_json(result.stdout)["runs"]
+    assert run["error"] == (
+        "NonFiniteResult: the norm of the right-hand side overflows; the "
+        "step first went non-finite at tau = 0.0, state (0.0, 0.0, 0.0, "
+        "1.0)")
+
+
 def test_cli_import_loads_no_scipy():
     code = ("import sys, instab.cli; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
