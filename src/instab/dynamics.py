@@ -44,19 +44,16 @@ The counters that read the log, the smallest unclipped step, the steps at
 the cap and the tau of the largest energy deviation, go into the run's
 ``stats``.
 
-On a Euclidean metric the equations of motion are ASTs over dU and the
-form's ``field_strength``, compiled by ``expr.compile_kernel`` once per
-potential and one-form, eps an input; they raise the fields' own errors. On a
-curved metric every stage calls ``el_acceleration``, which reads dU, the
-magnetic tensor and the metric from one generated call each: the
-metric's call gives g^-1 and the Christoffel symbols together, from a
-Cholesky factorization in generated code (see ``geometry``). Straight-line
-generated code, one function per dimension, form present and metric
-curved (``_contraction``), contracts them into the force and the
-acceleration, summing the gyroscopic term in the kernel's order. Both
-raise NonFiniteResult naming the state where an acceleration overflows
-though every field is finite, so a run names the point instead of
-rejecting steps there.
+The equations of motion are stated once, as ASTs over dU and the form's
+``field_strength`` (``_motion_kernel``), compiled by ``expr.compile_kernel``
+once per potential and one-form, eps an input; they raise the fields' own
+errors. On a curved metric every stage calls ``el_acceleration``, which
+hands g^-1 and the Christoffel symbols, from the metric's one generated
+Cholesky call (see ``geometry``), to the curved motion kernel as inputs:
+the same force raised by g^-1, less the geodesic term, one kernel for
+every metric and eps. The kernel raises NonFiniteResult naming the state
+where an acceleration overflows though every field is finite, so a run
+names the point instead of rejecting steps there.
 """
 
 from __future__ import annotations
@@ -68,6 +65,7 @@ import os
 import tempfile
 import weakref
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -84,14 +82,14 @@ from .errors import (
 from .expr import (
     Bin,
     Var,
-    _not_finite,
     compile_kernel,
     define_scalar,
     derivative,
     fold,
     total,
 )
-from .geometry import field_strength, magnetic_tensor
+# nothing here calls magnetic_tensor; perfbench/tracing.py patches it here
+from .geometry import field_strength, magnetic_tensor  # noqa: F401
 
 GRID_POINTS = 513  # uniform tau samples over [-T, T], including tau = 0
 BLOCK_ROWS = 512  # accepted steps per float64 block of a branch's log
@@ -119,6 +117,11 @@ class LagrangianSystem:
     def inputs(self):
         """(-1/eps^2, 1/eps), the motion kernel's inputs."""
         return (-(self.inv_eps * self.inv_eps), self.inv_eps)
+
+    @functools.cached_property
+    def curved_motion(self):
+        """The curved motion kernel of U and the form (``_motion``)."""
+        return _motion(self, curved=True)
 
 
 @dataclass
@@ -150,30 +153,29 @@ class Tolerances:
 
 
 def el_acceleration(system, state) -> np.ndarray:
-    """Coordinate acceleration of the Euler-Lagrange equations.
-
-    a^a = -Gamma^a_{mn} v^m v^n - (1/eps) g^{ab} F_{gb} v^g
-          - (1/eps^2) g^{ab} d_b U
-    with F_{ab} the magnetic tensor of the one-form, contracted by
-    ``_contraction``. The sign of the gyroscopic term is pinned by the
+    """Coordinate acceleration of the Euler-Lagrange equations,
+    a^a = -Gamma^a_mn v^m v^n - g^ab (F_gb v^g / eps + d_b U / eps^2), F
+    the one-form's magnetic tensor, from the motion kernel: on a Euclidean
+    metric ``compile_motion``'s, else the curved one, fed the metric's
+    ``inverse`` and ``christoffel``; where those raise, U's error and then
+    the form's come first. The sign of the gyroscopic term is pinned by the
     adapted-coordinate residual test in the test suite. Where a term
     overflows though every field is finite, it raises NonFiniteResult
-    naming the state (x, v), as the generated motion kernel does.
+    naming the state (x, v).
     """
-    x, v = state.x, state.v
-    metric = system.metric
-    _, du = system.potential.value_and_grad(x)
-    f_tensor = ginv = gamma = None
-    if system.magnetic is not None:
-        f_tensor = magnetic_tensor(system.magnetic, x)
-    if not metric.euclidean:
-        ginv = metric.inverse(x)
-        gamma = metric.christoffel(x)
-    contract = _contraction(len(x), f_tensor is not None, ginv is not None)
-    acc = contract(*system.inputs, v, du, f_tensor, ginv, gamma)
-    if sum(acc) * 0.0 != 0.0 and not all(map(math.isfinite, acc)):
-        raise _not_finite(ACCELERATION, [*x, *v])
-    return np.array(acc)
+    x = state.x.tolist()
+    y = x + state.v.tolist()
+    if system.metric.euclidean:
+        return np.array(compile_motion(system)(y, system)[len(x):])
+    try:
+        inputs = [*system.inputs, *system.metric.inverse(x).ravel().tolist(),
+                  *system.metric.christoffel(x).ravel().tolist()]
+    except InstabError:  # U's error, then the form's, before the metric's
+        for fld in _fields(system):
+            fld.value_and_grad(x)
+        raise
+    return np.array(system.curved_motion(
+        y, SimpleNamespace(inputs=inputs))[len(x):])
 
 
 def _unpacked(symbol, *shape):
@@ -181,42 +183,6 @@ def _unpacked(symbol, *shape):
     ``shape``, in row-major order, as an assignment target."""
     return "".join(f"{symbol}{'_'.join(map(str, index))}, "
                    for index in itertools.product(*map(range, shape)))
-
-
-@functools.cache
-def _contraction(n, magnetic, curved):
-    """``contract(ee, e, v, du, F, g^-1, Gamma)``, the acceleration as a
-    tuple, in straight-line code over n coordinates, (ee, e) the inputs.
-
-    The force is w_b = ee d_b U - e sum_{a != b} F_ab v^a, the
-    gyroscopic sum over a in ``_motion_kernel``'s order; on a curved metric
-    the acceleration is sum_b g^ab w_b - sum_m (sum_k Gamma^a_mk v^k) v^m,
-    as ``ginv.dot(w) - gamma.dot(v).dot(v)`` arranges it, and else w.
-    """
-    idx = range(n)
-    lines = [f"{_unpacked('v', n)}= v.tolist()",
-             f"{_unpacked('du', n)}= du.tolist()"]
-    if magnetic:
-        lines.append(f"{_unpacked('f', n, n)}= f.ravel().tolist()")
-    for b in idx:
-        gyro = " + ".join(f"f{a}_{b} * v{a}" for a in idx if a != b)
-        lines.append(f"w{b} = ee * du{b}"
-                     + (f" - e * ({gyro})" if magnetic and gyro else ""))
-    acc = [f"w{b}" for b in idx]
-    if curved:
-        lines += [f"{_unpacked('g', n, n)}= ginv.ravel().tolist()",
-                  f"{_unpacked('c', n, n, n)}= gamma.ravel().tolist()"]
-        acc = []
-        for a in idx:
-            raised = " + ".join(f"g{a}_{b} * w{b}" for b in idx)
-            geodesic = " + ".join(
-                "(" + " + ".join(f"c{a}_{m}_{k} * v{k}" for k in idx)
-                + f") * v{m}" for m in idx)
-            acc.append(f"({raised}) - ({geodesic})")
-    src = ("def _contract(ee, e, v, du, f, ginv, gamma):\n"
-           + "".join(f"    {line}\n" for line in lines)
-           + f"    return ({''.join(f'{term}, ' for term in acc)})\n")
-    return define_scalar("_contract", src)
 
 
 def _energy_rows(system, x, v):
@@ -353,46 +319,70 @@ class Trajectory:
 
 # --- equations of motion --------------------------------------------------
 
-def _reference_stage(y, system):
+def _curved_stage(y, system):
     """dy/dtau = (v, a) at the state y = (x, v) from ``el_acceleration``."""
     n = len(y) // 2
-    state = State.__new__(State)
-    state.tau = None  # the equations are autonomous
-    row = np.array(y)
-    state.x, state.v = row[:n], row[n:]
+    state = State.__new__(State)  # autonomous equations: tau is None
+    state.tau, state.x, state.v = None, np.array(y[:n]), np.array(y[n:])
     return y[n:] + tuple(el_acceleration(system, state).tolist())
 
 
-def _motion_kernel(system, fields):
+def _fields(system):
+    """The motion kernel's fields: U, then the form's components."""
+    return [system.potential] + (
+        [] if system.magnetic is None else system.magnetic.components)
+
+
+def _motion_kernel(fields, form, curved):
     """a_b = ee d_b U - e sum_a F_ab v^a, (ee, e) the inputs, over U's
-    partials and the form's ``field_strength`` without structural zeros."""
-    n = system.metric.dimension
+    partials and the form's ``field_strength`` without structural zeros;
+    ``curved``, a^a = sum_b g^ab a_b - sum_m (sum_k Gamma^a_mk v^k) v^m,
+    each sum left to right, g^-1 and Gamma the inputs after (ee, e), flat:
+    one kernel for every metric, without a register program."""
+    n = fields[0].dimension
     ee, e = Var(2 * n), Var(2 * n + 1)
-    du = [derivative(system.potential.body, i) for i in range(n)]
-    f = [] if system.magnetic is None else field_strength(system.magnetic)
+    v = [Var(n + a) for a in range(n)]
+    du = [derivative(fields[0].body, i) for i in range(n)]
+    f = [] if form is None else field_strength(form)
     # ee d_b U stays unfolded: where d_b U is a structural zero it is
     # -0.0, and a fold would give +0.0
     acc = [fold("-", Bin("*", ee, du[b]), fold("*", e, total(
-        fold("*", row[b], Var(n + a)) for a, row in enumerate(f))))
+        fold("*", row[b], v[a]) for a, row in enumerate(f))))
            for b in range(n)]
-    return compile_kernel(fields, n, [Var(n + a) for a in range(n)] + acc,
-                          label=ACCELERATION, program=native.program, inputs=2)
+    if curved:  # the flat acceleration raised by g^-1, less Gamma(v, v)
+        g, c = 2 * n + 2, 2 * n + 2 + n * n  # the first of g^-1, of Gamma
+        acc = [fold("-", total(fold("*", Var(g + a * n + b), acc[b])
+                               for b in range(n)),
+                    total(fold("*", total(
+                        fold("*", Var(c + (a * n + m) * n + k), v[k])
+                        for k in range(n)), v[m]) for m in range(n)))
+               for a in range(n)]
+    return compile_kernel(
+        fields, n, v + acc, label=ACCELERATION,
+        program=None if curved else native.program,
+        inputs=2 + (n * n + n ** 3 if curved else 0))
+
+
+def _motion(system, curved=False):
+    """The system's motion kernel, made once per potential and one-form:
+    every eps shares it, and every curved metric the ``curved`` one."""
+    fields = _fields(system)
+    key = ("curved motion" if curved else "motion",) + tuple(
+        fld.body for fld in fields[1:])
+    return system.potential.code(key, _motion_kernel, fields,
+                                 system.magnetic, curved)
 
 
 def compile_motion(system):
     """The system's first-order equations as ``f(y, system) -> dy/dtau``.
 
     ``y`` is the state (x, v) as a tuple of floats, and so is the result.
-    On a Euclidean metric it is generated once per potential and one-form
-    for every eps, its inputs; on a curved metric it wraps ``el_acceleration``.
+    On a Euclidean metric it is the motion kernel, one per potential and
+    one-form for every eps, its inputs; else it wraps ``el_acceleration``.
     """
     if not system.metric.euclidean:
-        return _reference_stage
-    fields = [system.potential]
-    if system.magnetic is not None:
-        fields += system.magnetic.components
-    key = ("motion",) + tuple(fld.body for fld in fields[1:])
-    return system.potential.code(key, _motion_kernel, system, fields)
+        return _curved_stage
+    return _motion(system)
 
 
 # --- DOP853 ----------------------------------------------------------------

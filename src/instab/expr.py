@@ -19,9 +19,9 @@ ASTs over fields' ``derivative`` ASTs, built with ``fold`` and ``total``,
 which fold literal zeros and ones away, and ``compile_kernel``, the one
 kernel compiler, turns them into a function that raises its fields' own
 errors: a field's value+gradient and Hessian, a one-form's field strength,
-the equations of motion, and the chart flows and a curved metric's
-factorization, which hand a point where their code fails to a function
-that decides it. ``compile_vectorized_kernel`` is its numpy twin.
+the equations of motion on every metric, and the chart flows and a curved
+metric's factorization, which hand a point where their code fails to a
+function that decides it. ``compile_vectorized_kernel`` is its numpy twin.
 
 Grammar (EBNF, also documented in the README):
 
@@ -609,9 +609,9 @@ def compile_kernel(fields, n: int, outputs, decide=None, guards=(),
     one is not finite it returns ``decide(p, arg)``, or without ``decide``
     raises NonFiniteResult naming the label and p. Kernels whose outputs
     are what a caller computes with, not what it returns, go without: the
-    metric factors and the magnetic tensor feed ``el_acceleration``, which
-    tests the acceleration once and names the state (x, v), not x alone,
-    and ``compile_fields``'s outputs are the fields' tested values and
+    metric factors feed the curved motion kernel, which tests the
+    acceleration once and names the state (x, v), not x alone, and
+    ``compile_fields``'s outputs are the fields' tested values and
     partials. A right-hand side, whose point has as many entries as it has
     outputs, may read ``inputs`` more: Var(len(outputs) + j) reads
     ``arg.inputs[j]``, which no error names. With ``program``, the kernel
@@ -642,7 +642,8 @@ def compile_kernel(fields, n: int, outputs, decide=None, guards=(),
     cold = ("return decide(p, arg)" if decide else
             f"raise first_error(fields, exc, p[:{n}]) from exc")
     src = ("def _kernel(p, arg):\n"
-           + "".join(f"    q{j} = arg.inputs[{j}]\n" for j in range(inputs))
+           + (f"    {''.join(f'q{j}, ' for j in range(inputs))}= arg.inputs\n"
+              if inputs else "")
            + f"    try:\n{_scalar_body(em.lines[:split], '        ')}"
            "    except (DomainError, ArithmeticError, ValueError) as exc:\n"
            f"        {cold}\n{_scalar_body(em.lines[split:], '    ')}"

@@ -276,13 +276,12 @@ class MetricSpec:
     def inner(self, points, u, v) -> np.ndarray:
         """g(u, v) row by row over (m, n) points and vectors."""
         points, u, v = np.atleast_2d(points, u, v)
-        n = self.dimension
         if self.euclidean:
-            g = self._identity
-        else:
-            g = np.empty((len(points), n, n))
-            for (i, j), fld in self._upper.items():
-                g[:, i, j] = g[:, j, i] = fld.vectorized()(points)[0]
+            return rowdot(u, v)
+        n = self.dimension
+        g = np.empty((len(points), n, n))
+        for (i, j), fld in self._upper.items():
+            g[:, i, j] = g[:, j, i] = fld.vectorized()(points)[0]
         return (u[:, None, :] @ g @ v[:, :, None])[:, 0, 0]
 
 

@@ -7,23 +7,27 @@ nestable for second order), independently of the generated code. The
 fields' own evaluations, in order, are the oracle of the kernels that
 compute several fields at once. The per-shell sampler, one projection per
 round over one index set, is the oracle of the batched first rounds. The
-other helpers compute the conserved energy, check a trajectory against
-the equations of motion and the two time parameterizations against each
-other.
+``el_acceleration`` here, which reads dU, the magnetic tensor, g^-1 and
+Gamma from one call each and contracts them in straight-line code of its
+own, is the oracle of the motion kernels. The other helpers
+compute the conserved energy, check a trajectory against the equations of
+motion and the two time parameterizations against each other.
 """
 
+import functools
 import math
 
 import numpy as np
 
 from instab import certify
 from instab.dynamics import (
+    ACCELERATION,
     State,
     Tolerances,
     _bad_rows,
     _energy_rows,
     _potential_error,
-    el_acceleration,
+    _unpacked,
     integrate,
 )
 from instab.errors import DomainError, NonFiniteResult
@@ -37,9 +41,12 @@ from instab.expr import (
     Var,
     _dual_gradient,
     _dual_value,
+    _not_finite,
     _value_of,
+    define_scalar,
     derivative,
 )
+from instab.geometry import magnetic_tensor
 
 # --- the dual-number walker -------------------------------------------------
 
@@ -247,6 +254,72 @@ def sample_shell(probe, delta, shell_index):
     points = np.concatenate(accepted) if accepted \
         else np.empty((0, len(probe.center)))
     return points[:probe.samples], attempts, near
+
+
+# --- the equations of motion -------------------------------------------------
+
+
+def el_acceleration(system, state) -> np.ndarray:
+    """Coordinate acceleration of the Euler-Lagrange equations.
+
+    a^a = -Gamma^a_{mn} v^m v^n - (1/eps) g^{ab} F_{gb} v^g
+          - (1/eps^2) g^{ab} d_b U
+    with F_{ab} the magnetic tensor of the one-form, contracted by
+    ``_contraction``. The sign of the gyroscopic term is pinned by the
+    adapted-coordinate residual test in the test suite. Where a term
+    overflows though every field is finite, it raises NonFiniteResult
+    naming the state (x, v), as the generated motion kernel does.
+    """
+    x, v = state.x, state.v
+    metric = system.metric
+    _, du = system.potential.value_and_grad(x)
+    f_tensor = ginv = gamma = None
+    if system.magnetic is not None:
+        f_tensor = magnetic_tensor(system.magnetic, x)
+    if not metric.euclidean:
+        ginv = metric.inverse(x)
+        gamma = metric.christoffel(x)
+    contract = _contraction(len(x), f_tensor is not None, ginv is not None)
+    acc = contract(*system.inputs, v, du, f_tensor, ginv, gamma)
+    if sum(acc) * 0.0 != 0.0 and not all(map(math.isfinite, acc)):
+        raise _not_finite(ACCELERATION, [*x, *v])
+    return np.array(acc)
+
+
+@functools.cache
+def _contraction(n, magnetic, curved):
+    """``contract(ee, e, v, du, F, g^-1, Gamma)``, the acceleration as a
+    tuple, in straight-line code over n coordinates, (ee, e) the inputs.
+
+    The force is w_b = ee d_b U - e sum_{a != b} F_ab v^a, the
+    gyroscopic sum over a in ``_motion_kernel``'s order; on a curved metric
+    the acceleration is sum_b g^ab w_b - sum_m (sum_k Gamma^a_mk v^k) v^m,
+    as ``ginv.dot(w) - gamma.dot(v).dot(v)`` arranges it, and else w.
+    """
+    idx = range(n)
+    lines = [f"{_unpacked('v', n)}= v.tolist()",
+             f"{_unpacked('du', n)}= du.tolist()"]
+    if magnetic:
+        lines.append(f"{_unpacked('f', n, n)}= f.ravel().tolist()")
+    for b in idx:
+        gyro = " + ".join(f"f{a}_{b} * v{a}" for a in idx if a != b)
+        lines.append(f"w{b} = ee * du{b}"
+                     + (f" - e * ({gyro})" if magnetic and gyro else ""))
+    acc = [f"w{b}" for b in idx]
+    if curved:
+        lines += [f"{_unpacked('g', n, n)}= ginv.ravel().tolist()",
+                  f"{_unpacked('c', n, n, n)}= gamma.ravel().tolist()"]
+        acc = []
+        for a in idx:
+            raised = " + ".join(f"g{a}_{b} * w{b}" for b in idx)
+            geodesic = " + ".join(
+                "(" + " + ".join(f"c{a}_{m}_{k} * v{k}" for k in idx)
+                + f") * v{m}" for m in idx)
+            acc.append(f"({raised}) - ({geodesic})")
+    src = ("def _contract(ee, e, v, du, f, ginv, gamma):\n"
+           + "".join(f"    {line}\n" for line in lines)
+           + f"    return ({''.join(f'{term}, ' for term in acc)})\n")
+    return define_scalar("_contract", src)
 
 
 # --- trajectories -----------------------------------------------------------

@@ -39,6 +39,7 @@ from instab.errors import (
 )
 from instab.expr import ScalarField
 from instab.geometry import MetricSpec, OneForm, magnetic_tensor
+import oracles
 from oracles import el_residual_adapted, hamiltonian
 
 E3 = MetricSpec.identity(3)
@@ -266,7 +267,7 @@ def test_path_length_straight_line():
     assert traj.path_length[0] == pytest.approx(1.0, abs=1e-9)
 
 
-# --- the compiled equations of motion against el_acceleration -------------
+# --- the compiled equations of motion against the el_acceleration oracle --
 
 _OFFSETS = st.lists(st.floats(-2, 2), min_size=6, max_size=6)
 # log-uniform over [1e-150, 1e3], where -1/eps^2 is still finite
@@ -274,10 +275,11 @@ _LOG_EPSILONS = st.floats(-150.0, 3.0).map(lambda k: 10.0 ** k)
 
 
 def _reference_motion(system, y):
-    """(v, a) from el_acceleration, or the class and message it raises."""
+    """(v, a) from the el_acceleration oracle, or the class and message it
+    raises."""
     n = len(y) // 2
     try:
-        acc = el_acceleration(system, State(0.0, y[:n], y[n:]))
+        acc = oracles.el_acceleration(system, State(0.0, y[:n], y[n:]))
     except (DomainError, NonFiniteResult) as exc:
         return None, (type(exc), str(exc))
     return tuple(y[n:]) + tuple(acc.tolist()), None
@@ -292,9 +294,9 @@ def _compiled_motion(system, y):
 
 
 def _assert_motion_equal(got, want):
-    """Every entry agrees to the bit: ``_contraction`` sums the force in
-    the kernel's order. An entry that overflows, as where dU/eps^2 does,
-    is the same inf or nan in both."""
+    """Every entry agrees to the bit: the oracle's ``_contraction`` sums
+    the force in the kernel's order. An entry that overflows, as where
+    dU/eps^2 does, is the same inf or nan in both."""
     assert np.array_equal(got, want, equal_nan=True), (got, want)
 
 
@@ -306,9 +308,9 @@ def test_compiled_motion_matches_reference(name, offset, eps, count_calls):
     problem = harness.corpus_entry(name)
     n = problem.dimension
     y = np.concatenate([problem.center, np.zeros(n)]) + offset[:2 * n]
-    with count_calls(dynamics, "_reference_stage") as fallbacks:
+    with count_calls(dynamics, "_curved_stage") as fallbacks:
         system = problem.system(epsilon=eps)
-        assert compile_motion(system) is not dynamics._reference_stage
+        assert compile_motion(system) is not dynamics._curved_stage
         got, _ = _compiled_motion(system, y)
     assert not fallbacks  # the kernel's own code gave the state
     want, error = _reference_motion(system, y)
@@ -382,7 +384,7 @@ def test_compiled_motion_raises_like_reference(potential, form, y, eps,
     system = LagrangianSystem(E3, ScalarField.parse(potential, 3), magnetic,
                               epsilon=eps)
     want, want_error = _reference_motion(system, y)
-    with count_calls(dynamics, "_reference_stage") as fallbacks:
+    with count_calls(dynamics, "_curved_stage") as fallbacks:
         got, got_error = _compiled_motion(system, y)
     assert got_error == want_error
     assert not fallbacks  # the kernel raises its fields' errors itself
@@ -406,7 +408,7 @@ def test_motion_kernel_subtracts_no_structural_zero(monkeypatch):
     assert "_kernel" in source and "- 0.0)" not in source
 
 
-# --- el_acceleration's generated contraction against numpy ----------------
+# --- el_acceleration against numpy and the oracle -------------------------
 
 _ACCELERATION_METRICS = {
     "criterion 10": CRITERION_10,
@@ -490,6 +492,10 @@ def test_el_acceleration_matches_numpy_contraction(metric, form, potential,
 @given(metric=st.sampled_from(sorted(_ACCELERATION_METRICS)),
        x1=st.floats(1e-300, 1e-290), eps=st.sampled_from([1e-2, 1e-3, 1e-4]))
 @example(metric="euclidean", x1=2.3e-301, eps=1e-3)
+# the draws seldom overflow on a curved metric; these do, through g^-1
+@example(metric="criterion 10", x1=2.3e-301, eps=1e-3)
+@example(metric="curved", x1=2.3e-301, eps=1e-3)
+@example(metric="turns singular", x1=2.3e-301, eps=1e-3)
 @settings(max_examples=50, deadline=None)
 def test_el_acceleration_is_finite_or_names_the_state(metric, x1, eps):
     """ln(x1)^2's dU is finite for x1 down to 1e-305, but 1/eps^2 takes it
@@ -508,6 +514,68 @@ def test_el_acceleration_is_finite_or_names_the_state(metric, x1, eps):
         assert error == (NonFiniteResult, (
             "the acceleration is not finite at point "
             f"({x1!r}, 0.0, 0.0, 0.0, 1.0, 0.0)"))
+
+
+_CURVED_METRICS = sorted(name for name, sources in
+                         _ACCELERATION_METRICS.items() if sources is not None)
+_ORACLE_FORMS = list(dict.fromkeys(
+    None if form is None else tuple(form) for form in itertools.chain(
+        _ACCELERATION_FORMS.values(),
+        (form for _, form in _PARTIAL_FIELDS))))
+_ORACLE_POTENTIALS = ["x3^2", "x1^2 + ln(1 + x2^2) + x3^4"] + [
+    potential for potential, _ in _PARTIAL_FIELDS]
+
+
+@given(metric=st.sampled_from(_CURVED_METRICS),
+       form=st.sampled_from(_ORACLE_FORMS),
+       potential=st.sampled_from(_ORACLE_POTENTIALS),
+       x=st.tuples(_NEAR_MINUS_ONE, st.floats(-2, 2), _NEAR_MINUS_ONE),
+       v=st.tuples(*[st.floats(-3, 3)] * 3),
+       eps=st.one_of(st.sampled_from([1.0, 0.1, 1e-3, None]),
+                     _LOG_EPSILONS))
+# U is undefined and g not positive definite: U's DomainError, as the
+# oracle raises it, not the metric's SingularMetric
+@example(metric="turns singular", form=None, potential="ln(x1)^2 + x2^2",
+         x=(-1.5, 0.0, 0.0), v=(1.0, 0.0, 0.0), eps=1.0)
+@settings(max_examples=300, deadline=None)
+def test_curved_el_acceleration_matches_oracle(metric, form, potential, x,
+                                               v, eps):
+    """On a curved metric the motion kernel, fed g^-1 and Gamma, has the
+    oracle's bits, and raises the oracle's error class and message."""
+    system = LagrangianSystem(
+        MetricSpec.from_sources(3, _ACCELERATION_METRICS[metric]),
+        ScalarField.parse(potential, 3),
+        None if form is None else OneForm.from_sources(list(form)),
+        epsilon=eps)
+    state = State(0.0, x, v)
+    want, want_error = _raised(oracles.el_acceleration, system, state)
+    got, got_error = _raised(el_acceleration, system, state)
+    assert got_error == want_error
+    if want_error is None:
+        assert np.array_equal(got, want), (got, want)
+
+
+def test_el_acceleration_runs_the_motion_kernel(count_calls):
+    """el_acceleration generates no code of its own: on a Euclidean metric
+    it gives the values of the kernel ``compile_motion`` returns, and one
+    curved kernel per potential and one-form serves every curved metric
+    and eps."""
+    potential = ScalarField.parse("x3^2 + x1*x2", 3)
+    state = State(0.0, [0.3, -0.2, 0.5], [1.0, -1.0, 0.5])
+    y = tuple(state.x) + tuple(state.v)
+    flat = LagrangianSystem(E3, potential, MU_Z, epsilon=0.1)
+    kernel = compile_motion(flat)
+    with count_calls(expr, "_define") as defined:
+        acc = el_acceleration(flat, state)
+    assert not defined
+    assert acc.tolist() == list(kernel(y, flat)[3:])
+    with count_calls(dynamics, "_motion_kernel") as built:
+        for name in ("criterion 10", "curved"):
+            metric = MetricSpec.from_sources(3, _ACCELERATION_METRICS[name])
+            for eps in (1.0, 0.1, 1e-3, None):
+                el_acceleration(LagrangianSystem(metric, potential, MU_Z,
+                                                 epsilon=eps), state)
+    assert len(built) == 1
 
 
 # --- the DOP853 stepper against scipy's --------------------------------------
