@@ -17,18 +17,19 @@ row at its start, which ``dynamics`` solves alone, or a try, handing back
 the state as the Python try loop holds it at the top of that try;
 ``dynamics`` makes that step, which raises or goes on.
 
-``library`` compiles the source at most once per process with ``cc`` from
-PATH and fixed flags, in a temporary directory removed once the object is
-loaded; None where that fails, and every branch steps in Python.
+``library`` loads the built source from a per-user cache, where ``cc``
+from PATH builds it the first time; None where that fails, and every
+branch steps in Python.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import os
 import shutil
-import tempfile
+from tempfile import TemporaryDirectory
 
 import numpy as np
 
@@ -278,24 +279,48 @@ def source():
 @functools.cache
 def library():
     """The compiled loops, ``dop853_branch`` and ``dop853_rows``, loaded
-    once per process; None where no ``cc`` is on PATH or the object does
-    not build or load."""
+    once per process from ``instab`` in ``$XDG_CACHE_HOME`` or ``~/.cache``
+    by the sha256 of the source, ``cc --version`` and ``COMPILE``;
+    built there where missing, unloadable or writable by others, else in a
+    temporary directory; None where no ``cc`` is on PATH or all fails."""
     compiler = shutil.which("cc")
     if compiler is None:
         return None
+    import hashlib
     import subprocess  # only where a branch may be stepped in C
 
-    with tempfile.TemporaryDirectory() as tmp:
-        src, obj = (os.path.join(tmp, name)
-                    for name in ("dop853.c", "dop853.so"))
-        with open(src, "w") as fh:
-            fh.write(source())
+    run = functools.partial(subprocess.run, check=True, capture_output=True,
+                            timeout=60)
+    try:
+        name = hashlib.sha256(repr((source(), run([compiler, "--version"])
+                                    .stdout, COMPILE)).encode()).hexdigest()
+    except (OSError, subprocess.SubprocessError):
+        return None
+    cache = os.path.join(os.environ.get("XDG_CACHE_HOME")
+                         or os.path.expanduser("~/.cache"), "instab")
+    for home, build in ((cache, False), (cache, True), (None, True))[
+            0 if os.path.isabs(cache) else 2:]:
         try:
-            subprocess.run([compiler, *COMPILE, "-o", obj, src, "-lm"],
-                           check=True, capture_output=True, timeout=60)
-            lib = ctypes.CDLL(obj)
-        except (OSError, subprocess.SubprocessError):
-            return None
+            with contextlib.ExitStack() as stack:
+                home = home or stack.enter_context(TemporaryDirectory())
+                obj = os.path.join(home, f"dop853-{name}.so")
+                if build:  # in a directory of its own, then moved on
+                    os.makedirs(home, exist_ok=True)
+                    built = os.path.join(stack.enter_context(
+                        TemporaryDirectory(dir=home)), "dop853.so")
+                    run([compiler, *COMPILE, "-o", built, "-x", "c", "-",
+                         "-lm"], input=source().encode())
+                    os.chmod(built, 0o755)
+                    os.replace(built, obj)
+                status = os.stat(obj)  # loaded only if no other may write it
+                if status.st_uid == os.getuid() and not status.st_mode & 0o022:
+                    lib = ctypes.CDLL(obj)
+                    lib.dop853_branch, lib.dop853_rows  # both loops are there
+                    break
+        except (OSError, AttributeError, subprocess.SubprocessError):
+            continue  # a full or unwritable cache fails the build too
+    else:
+        return None
     pointer, size = ctypes.c_void_p, ctypes.c_long
     program = [pointer, size, pointer, pointer, size, size, pointer]
     lib.dop853_branch.argtypes = program + [pointer, pointer, pointer, size,

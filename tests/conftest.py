@@ -23,6 +23,16 @@ if os.environ.get("CI"):
     settings.load_profile("ci")
 
 
+@pytest.fixture(scope="session", autouse=True)
+def cache_home(tmp_path_factory):
+    """XDG_CACHE_HOME in a directory of the session's own, so the suite and
+    the processes it starts keep the compiled loop out of the user's home
+    and share one build of it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        yield
+
+
 @pytest.fixture(scope="session")
 def count_calls():
     """``with count_calls(owner, name) as calls:`` lists the calls made to
