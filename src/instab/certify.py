@@ -8,11 +8,12 @@ values, and the verdict is "certified" when the shell maxima stay bounded,
 and "inconclusive" otherwise.
 
 Each shell is filled by projecting uniform starts of the probe ball onto
-level sets of U with Newton steps, one numpy pass of U per step, so its
-points are not uniform in the shell; the statistics are suprema over the
-shell, for which coverage counts, not density. A probe's shells are filled
-in one loop of rounds, each round's draws from every open shell projected
-together, up to _BATCH_STARTS starts a pass. Both certifiers read one
+level sets of U with Newton steps, in the compiled loop where U's program
+is numpy-exact and else one numpy pass of U per step, with the same bits,
+so its points are not uniform in the shell; the statistics are suprema
+over the shell, for which coverage counts, not density. A probe's shells
+are filled in one loop of rounds, each round's draws from every open shell
+projected together, up to _BATCH_STARTS starts a pass. Both certifiers read one
 evaluated table per probe: each shell is drawn once, and the shells'
 points are evaluated together, up to _BATCH_STARTS points at a time, in
 one numpy pass per field, the field's one numpy function, which gives its
@@ -39,6 +40,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import native
 from .errors import (
     DomainError,
     EmptyShell,
@@ -162,30 +164,31 @@ def _project(probe, points, targets):
     """Newton steps x <- x - (U - t) grad U / |grad U|^2 toward U = t.
 
     A point stops once |U - t| <= _NEWTON_TOL * t, once U is nan (where U
-    or its gradient is undefined), or after _NEWTON_STEPS steps. Each step
-    is one numpy pass over the points still moving, kept packed with their
-    targets, U and gradients, and writes back the points that stop; rows
-    never mix, so a point lands where it would alone. Returns the points
-    and U at them, nan where a point is not in the ball.
+    or its gradient is undefined), or after _NEWTON_STEPS steps; |grad U|^2
+    is the left fold of its squares. The compiled loop steps each point
+    alone where U's register program is numpy-exact (``native.newton``).
+    The points it declines, all of them without it, take one numpy pass
+    of U per step over the points still moving, kept packed with their
+    targets, U and gradients, which writes back the points that stop. Rows
+    never mix, so a point lands where it would alone, by either path.
+    Returns the points and U at them, nan where a point is not in the ball.
     """
-    u_vec = probe.potential.vectorized()
-    out, values = np.empty_like(points), np.empty(len(points))
-    index, x, t = np.arange(len(points)), points, targets
-    u, grads = u_vec(x)
+    out, values, declined = native.newton(probe.potential, points, targets,
+                                          _NEWTON_STEPS, _NEWTON_TOL)
+    index = np.flatnonzero(declined)
+    x, t = points[index], targets[index]
     with np.errstate(all="ignore"):
-        for _ in range(_NEWTON_STEPS):
-            miss = u - t
-            going = np.isfinite(miss) & (np.abs(miss) > _NEWTON_TOL * t)
-            out[index[~going]], values[index[~going]] = x[~going], u[~going]
-            index, x, t = index[going], x[going], t[going]
+        for step in range(_NEWTON_STEPS + 1):
             if not len(index):
                 break
+            u, grads = probe.potential.vectorized()(x)
+            miss = u - t
+            going = np.isfinite(miss) & (np.abs(miss) > _NEWTON_TOL * t) \
+                & (step < _NEWTON_STEPS)
+            out[index[~going]], values[index[~going]] = x[~going], u[~going]
+            index, x, t = index[going], x[going], t[going]
             miss, grads = miss[going], grads[going]
-            x = x - (miss / np.einsum("ij,ij->i", grads, grads))[:, None] \
-                * grads
-            u, grads = u_vec(x)
-        else:
-            out[index], values[index] = x, u
+            x = x - (miss / sum(g * g for g in grads.T))[:, None] * grads
         values[~(np.linalg.norm(out - probe.center, axis=1)
                  <= probe.radius)] = np.nan
     return out, values

@@ -708,6 +708,12 @@ def _vectorized_field(body, n):
     return values_and_gradients
 
 
+def _field_program(body, n, render):
+    em, tested = _fields_code([body], n, numpy=True, ops=True)
+    return render(em.ops, [em.emit(node) for node in [body] + [
+        derivative(body, a) for a in range(n)]], tested, 0)
+
+
 # --- scalar fields ---------------------------------------------------------
 
 def _coords(point):
@@ -760,12 +766,12 @@ class ScalarField:
     def code(self, key, build, *args):
         """The field's generated code under ``key``, made once by
         ``build(*args)``: its value+gradient (``value_grad``), numpy
-        (``vectorized``) and Hessian (``hessian``) functions, and the motion
-        and flow kernels of which it is the first field."""
-        code = self.compiled.get(key)
-        if code is None:
-            code = self.compiled[key] = build(*args)
-        return code
+        (``vectorized``) and Hessian (``hessian``) functions, its register
+        program (``program``), and the motion and flow kernels of which it
+        is the first field."""
+        if key not in self.compiled:
+            self.compiled[key] = build(*args)
+        return self.compiled[key]
 
     def _kernel(self):
         return self.compiled.get("value_grad") or self.code(
@@ -808,6 +814,13 @@ class ScalarField:
         is nan exactly where ``value_and_grad`` raises."""
         return self.code("vectorized", _vectorized_field, self.body,
                          self.dimension)
+
+    def program(self, render):
+        """``render(ops, symbols, tested, 0)`` (``native.program``) of the
+        walk of the field's numpy function, made once: its value, then its
+        partials, over p[:n], with the numbers that numpy folds."""
+        return self.code("program", _field_program, self.body,
+                         self.dimension, render)
 
 
 # --- dual numbers, for CallableField ---------------------------------------

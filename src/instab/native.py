@@ -1,5 +1,5 @@
-"""Euclidean sweep branches and chart flows stepped in C, with the Python
-stepper's bits.
+"""Euclidean sweep branches, chart flows and certification shells' Newton
+steps in C, with the bits of the Python stepper and the numpy loop.
 
 One fixed C source holds ``dynamics._solve_branch``'s try loop: the DOP853
 tableau, emitted from ``dynamics._A`` and summed in ``_stepper``'s order,
@@ -15,7 +15,9 @@ Python kernel, a zero divisor, a libm result, norm or error estimate that
 is not finite, an underflow or a spent budget makes the loop decline: a
 row at its start, which ``dynamics`` solves alone, or a try, handing back
 the state as the Python try loop holds it at the top of that try;
-``dynamics`` makes that step, which raises or goes on.
+``dynamics`` makes that step, which raises or goes on. ``newton`` runs
+``certify._project``'s Newton steps over a numpy-exact program of U's value
+and gradient, declining a start where it bails, for the numpy loop.
 
 ``library`` loads the built source from a per-user cache, where ``cc``
 from PATH builds it the first time; None where that fails, and every
@@ -232,6 +234,30 @@ long dop853_branch(const int *code, long size, double *r, const int *out,
     return 0;
 }
 
+/* certify._project's Newton steps x <- x - (U - t) / |grad U|^2 grad U of
+   n rows x, each m - 1 floats and one the program does not read, whose
+   outputs are U and grad U: a row stops where U - t is not finite or
+   |U - t| <= tol t, or after steps updates, with u its U there; declined
+   is 1 where the program bails, and x is then part-way. */
+void newton_rows(const int *code, long size, double *r, const int *out,
+                 long nout, long m, double *x, const double *t, long n,
+                 long steps, double tol, double *u, long *declined,
+                 double *dy)
+{
+    rhs_t f = {code, out, size, nout, m, r};
+    long i, j, s;
+    for (j = 0; j < n; j++, x += m) {
+        for (s = 0; !(declined[j] = rhs(&f, x, dy)); s++) {
+            double miss = dy[0] - t[j], dot = 0.0;
+            if (s == steps || !(isfinite(miss) && fabs(miss) > tol * t[j]))
+                break;
+            for (i = 1; i < m; i++) dot += dy[i] * dy[i];  /* a left fold */
+            for (i = 1; i < m; i++) x[i - 1] -= miss / dot * dy[i];
+        }
+        u[j] = dy[0];
+    }
+}
+
 /* Each of n rows' states st, (0, y, room for K(0) and h_abs), started and
    stepped by dop853_branch with its par, uncapped and with no grid marks
    or rows: a row's y becomes its state at t_end, and status its loop's 0,
@@ -278,11 +304,12 @@ def source():
 
 @functools.cache
 def library():
-    """The compiled loops, ``dop853_branch`` and ``dop853_rows``, loaded
-    once per process from ``instab`` in ``$XDG_CACHE_HOME`` or ``~/.cache``
-    by the sha256 of the source, ``cc --version`` and ``COMPILE``;
-    built there where missing, unloadable or writable by others, else in a
-    temporary directory; None where no ``cc`` is on PATH or all fails."""
+    """The compiled loops, ``dop853_branch``, ``dop853_rows`` and
+    ``newton_rows``, loaded once per process from ``instab`` in
+    ``$XDG_CACHE_HOME`` or ``~/.cache`` by the sha256 of the source,
+    ``cc --version`` and ``COMPILE``; built there where missing,
+    unloadable or writable by others, else in a temporary directory; None
+    where no ``cc`` is on PATH or all fails."""
     compiler = shutil.which("cc")
     if compiler is None:
         return None
@@ -315,7 +342,7 @@ def library():
                 status = os.stat(obj)  # loaded only if no other may write it
                 if status.st_uid == os.getuid() and not status.st_mode & 0o022:
                     lib = ctypes.CDLL(obj)
-                    lib.dop853_branch, lib.dop853_rows  # both loops are there
+                    lib.dop853_branch, lib.dop853_rows, lib.newton_rows
                     break
         except (OSError, AttributeError, subprocess.SubprocessError):
             continue  # a full or unwritable cache fails the build too
@@ -328,6 +355,9 @@ def library():
     lib.dop853_branch.restype = size
     lib.dop853_rows.argtypes = program + [pointer, size, pointer, pointer]
     lib.dop853_rows.restype = None
+    lib.newton_rows.argtypes = program + [pointer, size, size,
+                                          ctypes.c_double] + [pointer] * 3
+    lib.newton_rows.restype = None
     return lib
 
 
@@ -337,8 +367,9 @@ def program(ops, symbols, tested, inputs):
     output ``symbols`` and the symbols it tests for finiteness: rows of
     (operation, target, a, b) register indices, the registers, p and q
     first, with the numbers in place, the registers of the outputs, then
-    of the tested symbols, and ``inputs``; None where an op has no
-    operation here."""
+    of the tested symbols, ``inputs``, and whether it is numpy-exact: made
+    of operations whose numpy rendering rounds as C does, none that calls
+    libm but sqrt; None where an op has no operation here."""
     registers = {f"p[{i}]": i for i in range(len(symbols))}
     registers.update({f"q{j}": len(symbols) + j for j in range(inputs)})
 
@@ -354,14 +385,16 @@ def program(ops, symbols, tested, inputs):
                      a, b))
     out = np.array([register(s) for s in [*symbols, *tested]], dtype=np.intc)
     values = np.array([float(s) if _literal(s) else 0.0 for s in registers])
-    return np.array(code, dtype=np.intc).reshape(-1, 4), values, out, inputs
+    exact = all(op not in (5, 7, 8, 9, 10) for op, *_ in code)
+    return (np.array(code, dtype=np.intc).reshape(-1, 4), values, out, inputs,
+            exact)
 
 
-def _call(function, f, m, registers, *buffers):
-    """``function`` of ``f``'s register program over states of m floats,
-    in ``registers``, a copy of its own, then ``buffers``, each array by
-    the address of its data."""
-    code, _, out, _ = f.program
+def _call(function, program, m, registers, *buffers):
+    """``function`` of a register ``program`` over states of m floats, in
+    ``registers``, a copy of its own, then ``buffers``, each array by the
+    address of its data."""
+    code, _, out, *_ = program
     args = (code, len(code), registers, out, len(out), m, *buffers)
     return function(*[a.ctypes.data if isinstance(a, np.ndarray) else a
                       for a in args])
@@ -378,7 +411,7 @@ def lend(f, arg, m, par, marks, rows, dense):
     lib = getattr(f, "program", None) and library()
     if not lib:
         return None
-    _, values, _, inputs = f.program
+    _, values, _, inputs, _ = f.program
     registers = values.copy()  # the branch's, its inputs written once
     registers[m:m + inputs] = arg.inputs if inputs else ()
     state, counts = np.empty(2 + 2 * m), np.empty(8, dtype=np.int_)
@@ -388,7 +421,7 @@ def lend(f, arg, m, par, marks, rows, dense):
     def run(t, y, k1, h_abs, *count):
         state[:] = (t, *y, *k1, h_abs)
         counts[:] = count
-        status = _call(lib.dop853_branch, f, m, registers, *buffers)
+        status = _call(lib.dop853_branch, f.program, m, registers, *buffers)
         t, *values, h_abs = state.tolist()
         return (status, t, tuple(values[:m]), tuple(values[m:]), h_abs,
                 *counts.tolist())
@@ -408,6 +441,25 @@ def solve_rows(f, y0, params):
     states = np.zeros((n, 2 + 2 * m))  # t, y, K(0), h_abs
     states[:, 1:1 + m] = y0
     status = np.empty(n, dtype=np.int_)
-    _call(lib.dop853_rows, f, m, f.program[1].copy(), states,
+    _call(lib.dop853_rows, f.program, m, f.program[1].copy(), states,
           np.array(params), n, status, np.empty(18 * m))
     return states[:, 1:1 + m], status < 0
+
+
+def newton(fld, points, targets, steps, tol):
+    """``certify._project``'s Newton steps of each row of ``points``, (N,
+    n), toward U = ``targets`` in one ``newton_rows`` call over the
+    register program of U, ``fld``: the rows' end points and U there, and
+    the mask of the rows the loop declines, every row where that program
+    is not numpy-exact or the loop is not built."""
+    u_program = fld.program(program)
+    lib = u_program and u_program[4] and library()
+    rows, n = points.shape
+    # a spare p[n]: U's program reads as many p as it has outputs, n + 1
+    x = np.pad(np.asarray(points, dtype=float), [(0, 0), (0, 1)])
+    u, declined = np.empty(rows), np.ones(rows, dtype=np.int_)
+    if lib:
+        _call(lib.newton_rows, u_program, n + 1, u_program[1].copy(), x,
+              np.ascontiguousarray(targets, dtype=float), rows, steps, tol,
+              u, declined, np.empty(n + 1))
+    return x[:, :n], u, declined.astype(bool)

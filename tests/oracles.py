@@ -202,7 +202,8 @@ def grad_numpy(field, point) -> list:
 
 def _project(probe, points, targets):
     """Newton steps toward U = t over one index set of the moving points,
-    gathered from and scattered back to all of them at each step."""
+    gathered from and scattered back to all of them at each step; |grad U|^2
+    is the left fold of its squares, as in ``certify._project``."""
     u_vec = probe.potential.vectorized()
     points = points.copy()
     values, grads = u_vec(points)
@@ -215,7 +216,7 @@ def _project(probe, points, targets):
         if not len(moving):
             break
         with np.errstate(all="ignore"):
-            step = (miss / np.einsum("ij,ij->i", grads, grads))[:, None]
+            step = (miss / sum(g * g for g in grads.T))[:, None]
             points[moving] -= step * grads
         values[moving], grads = u_vec(points[moving])
     return points, values

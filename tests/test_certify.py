@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from instab import certify, expr, harness
+from instab import certify, expr, harness, native
 from instab.certify import (
     HypothesisProbe,
     QuasiHomogeneousSpec,
@@ -304,20 +304,25 @@ def test_each_shell_drawn_once(monkeypatch):
     assert draws == {j: 1 for j in range(6)}
 
 
-def test_each_shell_point_evaluated_once(monkeypatch):
+@pytest.mark.parametrize("stepper", ["compiled", "no_compiler"])
+def test_each_shell_point_evaluated_once(stepper, request, monkeypatch):
     """One ``vectorized`` pass of f and of U over the probe's shell points
     joined in shell order, one magnetic_tensor_rows pass per shell, one
-    projection of all first rounds and shell 0's near-locus starts with
-    one pass of U per Newton step, no other generated numpy pass there,
-    and no scalar value_and_grad or magnetic_tensor call at a shell point,
-    since every row of this entry's shells is finite."""
+    projection of all first rounds and shell 0's near-locus starts, and no
+    scalar value_and_grad or magnetic_tensor call at a shell point, since
+    every row of this entry's shells is finite. Without a compiler the
+    projection makes one pass of U per Newton step and no other generated
+    numpy pass; with the compiled loop it makes one call of it, which
+    declines no start, and no numpy pass at all."""
+    request.getfixturevalue(stepper)
     problem = harness.corpus_entry("unstable-magnetic-plane")
     probe = harness.certification_probe(problem)
-    passes, generated, scalar, projections = [], [], [], []
+    passes, generated, scalar, projections, loops = [], [], [], [], []
     vectorized = ScalarField.vectorized
     rows = certify.magnetic_tensor_rows
     project = certify._project
     define = expr._define
+    newton = native.newton
 
     def logged_rows(form, points):
         passes.append((form, points.copy()))
@@ -342,10 +347,15 @@ def test_each_shell_point_evaluated_once(monkeypatch):
         return run
 
     def projected(probe, points, targets):
-        start = len(passes), len(generated)
+        start = len(passes), len(generated), len(loops)
         out = project(probe, points, targets)
         projections.append((points, passes[start[0]:],
-                            generated[start[1]:]))
+                            generated[start[1]:], loops[start[2]:]))
+        return out
+
+    def looped(*args):
+        out = newton(*args)
+        loops.append(out[2])  # the mask of the starts it declines
         return out
 
     def noted(fn):
@@ -358,6 +368,7 @@ def test_each_shell_point_evaluated_once(monkeypatch):
     monkeypatch.setattr(certify, "magnetic_tensor_rows", logged_rows)
     monkeypatch.setattr(expr, "_define", defined)
     monkeypatch.setattr(certify, "_project", projected)
+    monkeypatch.setattr(native, "newton", looped)
     monkeypatch.setattr(ScalarField, "value_and_grad",
                         noted(ScalarField.value_and_grad))
     monkeypatch.setattr(certify, "magnetic_tensor",
@@ -378,11 +389,15 @@ def test_each_shell_point_evaluated_once(monkeypatch):
                    for owner, seen in passes) == 1
         assert sum(np.array_equal(seen, points) for seen in generated) == 1
     assert not any((shell_points == x).all(axis=1).any() for x in scalar)
-    # every shell takes one round: a single projection passes over all
-    # starts, then over the points each Newton step moves, so it never
-    # evaluates a point twice
-    [(starts, seen, numpy_passes)] = projections
+    # every shell takes one round: a single projection of all starts
+    [(starts, seen, numpy_passes, [declined])] = projections
     assert len(starts) == 6 * 2 * probe.samples + certify._NEAR_STARTS
+    if stepper == "compiled":
+        assert not declined.any() and not seen and not numpy_passes
+        return
+    # numpy passes over all starts, then over the points each Newton step
+    # moves, so it never evaluates a point twice
+    assert declined.all()
     assert all(owner is probe.potential for owner, _points in seen)
     assert len(numpy_passes) == len(seen) <= 1 + certify._NEWTON_STEPS
     assert np.array_equal(numpy_passes[0], starts)
@@ -815,6 +830,92 @@ def test_batched_shells_match_per_shell_sampler(potential, samples, seed,
         with pytest.raises(EmptyShell) as raised:
             certify._evaluated_shells(probe())
         assert (raised.value.delta, raised.value.attempts) == empty[0]
+
+
+# --- the compiled Newton loop against the numpy loop -------------------------
+
+def _polynomials(n):
+    leaves = st.sampled_from([f"x{i + 1}" for i in range(n)]
+                             + ["1", "0.5", "3"])
+    return st.recursive(leaves, _polynomial_extend, max_leaves=8)
+
+
+def _projections(source, n, starts, targets):
+    """``_project`` of the starts toward U = targets, with a probe ball of
+    radius 1 about 0, and the mask of the starts the compiled loop
+    declines."""
+    probe = HypothesisProbe(
+        metric=MetricSpec.identity(n), potential=ScalarField.parse(source, n),
+        f=ScalarField.parse("x1", n), center=np.zeros(n), radius=1.0)
+    declined = native.newton(probe.potential, starts, targets,
+                             certify._NEWTON_STEPS, certify._NEWTON_TOL)[2]
+    return certify._project(probe, starts, targets), declined
+
+
+def _starts(n, seed, scale=1.0):
+    """64 starts in the box of half-width ``scale`` about 0, or of random
+    scales up to it, and targets log-uniform in [1e-8, 1]."""
+    rng = np.random.default_rng(seed)
+    starts = rng.uniform(-1.0, 1.0, (64, n))
+    if scale != 1.0:
+        starts *= scale ** rng.random((64, 1))
+    return starts, 10.0 ** rng.uniform(-8.0, 0.0, 64)
+
+
+def _same_bits(got, want):
+    return all(a.shape == b.shape and a.tobytes() == b.tobytes()
+               for a, b in zip(got, want))
+
+
+@given(polynomial=st.sampled_from([1, 2, 3, 5]).flatmap(
+    lambda n: st.tuples(st.just(n), _polynomials(n))),
+    seed=st.integers(0, 2 ** 16))
+@example(polynomial=(5, "(x1^2 + x2^2*x3) * (x4 - 0.5)^2 + x5^4"), seed=0)
+@example(polynomial=(3, "(x1 + x2)^16 - 3*x3"), seed=1)
+@settings(max_examples=60, deadline=None)
+def test_compiled_newton_loop_has_the_numpy_loops_bits(
+        polynomial, seed, compiled, python_only):
+    """Each start's end point and U, nan where it leaves the ball, keep the
+    numpy loop's bits; |grad U|^2 is one left fold in both, also in five
+    dimensions. A polynomial's program is numpy-exact."""
+    n, source = polynomial
+    starts, targets = _starts(n, seed)
+    got, _declined = _projections(source, n, starts, targets)
+    with python_only():
+        want, everything = _projections(source, n, starts, targets)
+    assert everything.all() and _same_bits(got, want)
+    assert ScalarField.parse(source, n).program(native.program)[4]
+
+
+@pytest.mark.parametrize("source, n, scale, exact", [
+    ("1e200*x1^2 + x2^2", 2, 1e80, True),  # U overflows past |x1| = 1e54
+    ("sqrt(x1) * x2^2 + x3^2", 3, 1.0, True),  # nan where x1 < 0
+    ("ln(1 + x2^2) + x2^2 / (2 + cos(x1)) + sqrt(1 + x2^4) - 1", 2, 1.0,
+     False),  # transcendental: every start takes the numpy loop
+])
+def test_declined_starts_take_the_numpy_loop(source, n, scale, exact,
+                                             compiled, python_only):
+    """The compiled loop declines the starts where U's program bails, and
+    those land where the numpy loop puts them; a program that is not
+    numpy-exact is not run at all."""
+    starts, targets = _starts(n, 3, scale)
+    got, declined = _projections(source, n, starts, targets)
+    with python_only():
+        want, _declined = _projections(source, n, starts, targets)
+    assert _same_bits(got, want)
+    assert 0 < declined.sum() < 64 if exact else declined.all()
+
+
+@pytest.mark.parametrize("source, n", [
+    ("x1^2*x2^2 + x3^4", 3), ("(x1^2 + x2^2*x3) * (x4 - 0.5)^2 + x5^4", 5)])
+def test_projection_without_a_compiler_keeps_the_compiled_bits(
+        source, n, compiled, request):
+    starts, targets = _starts(n, 4)
+    got, declined = _projections(source, n, starts, targets)
+    assert not declined.any()
+    request.getfixturevalue("no_compiler")
+    want, declined = _projections(source, n, starts, targets)
+    assert declined.all() and _same_bits(got, want)
 
 
 def _oracle_euler(potential, spec, samples, seed, box):
