@@ -387,6 +387,19 @@ def _evaluate(probe, points):
     return grad, u, du, inverse
 
 
+def _finite(condition, what, points, values, checked=True):
+    """``values``, one a row of ``points``; NonFiniteResult naming the
+    ``condition``, ``what`` and the first of the ``checked`` points where
+    one is not finite."""
+    bad = ~np.isfinite(values) & checked
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NonFiniteResult(
+            f"{condition!r}: {what} is not finite ({float(values[i])!r}) "
+            f"at {format_point(points[i])}")
+    return values
+
+
 def _row(delta, attempts, points, column):
     """A shell's row for one ratio per point."""
     worst = int(np.argmax(column))
@@ -450,7 +463,10 @@ def certify_magnetic_condition(probe) -> ConditionReport:
     reports whether the magnetic field vanishes on near-locus samples.
     Both ratios at a point share one magnetic tensor, whose rows come from
     one numpy pass per component; a bad row from magnetic_tensor itself,
-    which is not evaluated where U <= 0 and both ratios are inf.
+    which is not evaluated where U <= 0 and both ratios are inf. A ratio
+    where U > 0 or a near-locus norm that is not finite, as where the
+    field's norm overflows, raises NonFiniteResult naming the shell's
+    delta and the point.
     """
     condition = "|iota_{grad f} d mu| = O(sqrt U)"
     mu = probe.magnetic
@@ -470,12 +486,15 @@ def certify_magnetic_condition(probe) -> ConditionReport:
                 np.where(u <= 0, math.inf, norm / root) for norm in (
                     contracted_form_norm(inverse, tensors, grad),
                     two_form_norm(inverse, tensors)))
-        rows.append(_row(delta, attempts, points, contracted))
-        full_rows.append(_row(delta, attempts, points, full))
+        where = f"on the shell delta = {delta!r}"
+        rows.append(_row(delta, attempts, points, _finite(
+            condition, f"the ratio {where}", points, contracted, u > 0)))
+        full_rows.append(_row(delta, attempts, points, _finite(
+            condition, f"the full-norm ratio {where}", points, full, u > 0)))
     full_verdict, _full_worst = _verdict_from_shells(full_rows)
 
     # characteristic-equation diagnostics on near-locus samples, grad f
-    # before the tensor at each point; fmax and fmin skip a nan norm
+    # before the tensor at each point
     near = np.reshape(near, (-1, len(probe.center)))
     grad, _norm_sq, inverse, bad = gradient_rows(probe.metric, probe.f,
                                                  near)
@@ -484,10 +503,12 @@ def certify_magnetic_condition(probe) -> ConditionReport:
         riemannian_gradient(probe.metric, probe.f, x),
         magnetic_tensor(mu, x), probe.metric.inverse(x)),
         (grad, tensors, inverse)[:2 if probe.metric.euclidean else 3])
-    contracted_near = np.fmax.reduce(
-        contracted_form_norm(inverse, tensors, grad), initial=0.0)
-    dmu_near_min = np.fmin.reduce(two_form_norm(inverse, tensors),
-                                  initial=math.inf)
+    contracted_near = _finite(
+        condition, "the near-locus |iota_{grad f} d mu|", near,
+        contracted_form_norm(inverse, tensors, grad)).max(initial=0.0)
+    dmu_near_min = _finite(
+        condition, "the near-locus |d mu|", near,
+        two_form_norm(inverse, tensors)).min(initial=math.inf)
     notes = {
         "full_norm_verdict": full_verdict,
         "full_norm_shells": [asdict(s) for s in full_rows],

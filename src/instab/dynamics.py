@@ -11,8 +11,9 @@ some stage's acceleration is nonzero: on a valley of U, where the
 rescaled force is exactly zero, there is no oscillation to resolve, and
 the straight-line steps grow freely. An explicit ``Tolerances.max_step``
 is a hard cap from the first step. It steps on plain floats: the stage
-arithmetic is generated once per state size, and the interpolant's three
-extra stages run only for the steps that reach the uniform grid times.
+arithmetic is generated once per state size, and the interpolant, with
+its three extra stages, runs only for the steps that reach the uniform
+grid times, each such step writing the states there.
 The same stepper solves the chart flows (``charts``), uncapped and
 without grid times, keeping only the end state; ``_solve_rows`` hands all
 of a check's rows to the compiled loop at once. A branch that spends its
@@ -32,14 +33,13 @@ the state again. Curved runs and flows, and runs without a compiler, are
 stepped in Python throughout.
 
 Each branch writes its accepted steps' (t, y) rows into a float64 block
-and seals every BLOCK_ROWS of them, reduced at once (``_BranchLog``)
-with the interpolants of the steps that reach grid times, so no state,
-energy or interpolant outlives its block, and every number keeps the bits
-of one pass over the joined log. A run keeps its step times, 8 bytes per
-accepted step; a run made with ``keep_log`` also writes each block's
-CSV rows, with the path length summed along its branch from tau = 0, to a
-temporary file, 8 (2n + 4) bytes per step on disk, read back a block at a
-time.
+and seals every BLOCK_ROWS of them, reduced at once (``_BranchLog``), so
+no state or energy outlives its block, and every number keeps the bits of
+one pass over the joined log; its grid states go straight to an array of
+their own. A run keeps its step times, 8 bytes per accepted step; a run
+made with ``keep_log`` also writes each block's CSV rows, with the path
+length summed along its branch from tau = 0, to a temporary file,
+8 (2n + 4) bytes per step on disk, read back a block at a time.
 The counters that read the log, the smallest unclipped step, the steps at
 the cap and the tau of the largest energy deviation, go into the run's
 ``stats``.
@@ -464,7 +464,7 @@ TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 TRIES_PER_CAPPED_STEP = 1000
 MIN_TRIES = 20_000
 STAGE_EVALUATIONS = 12  # right-hand-side evaluations per try
-DENSE_EVALUATIONS = 3  # further ones per step that reaches a grid time
+EXTRA_EVALUATIONS = 3  # the interpolant's, per step that reaches a grid time
 
 
 def _combination(coefficients, i):
@@ -520,27 +520,40 @@ def _stepper(m):
     return define_scalar("_step", src)
 
 
-def _combined(k, row):
-    """sum_j c_j k[j] over a tableau row, left to right, a call per term."""
-    return functools.reduce(np.add, (k[j] * c for j, c in row.items()))
-
-
 @functools.cache
-def _extra_stages(m):
-    """The three extra stages of a DOP853 step's dense output, unrolled.
+def _interpolant(m):
+    """A DOP853 step's 7th-order dense output at grid times, unrolled.
 
-    ``extra(f, arg, y, h, stages)`` takes the step's thirteen stages and
-    returns k14, k15 and k16; ``_grid_states`` forms the interpolant.
+    ``interpolant(f, arg, t, y, y_new, h, stages, times)`` takes the step
+    of h = t_new - t from y to y_new and its thirteen stages, runs the
+    three extra stages and returns the state at each of ``times``, a tuple
+    each, as scipy's ``Dop853DenseOutput`` sums it: with x = (time - t)/h,
+    (((((((0 + r6) x + r5)(1 - x) + r4) x + r3)(1 - x) + r2) x + r1)(1 - x)
+    + r0) x + y, where r0 = y_new - y, r1 = h k1 - r0, r2 = 2 r0 - h (k13 +
+    k1) and r3..r6 are h times the D combinations of the stages, summed in
+    D's order. Every operation is entry by entry.
     """
-    used = sorted({j for row in _A[12:] for j in row if j < 13})
-    src = ("def _extra(f, arg, y, h, stages):\n"
-           f"    {_unpacked('y', m)}= y\n"
+    used = sorted({j for row in _A[12:] + _D for j in row if j < 13})
+    src = ("def _interpolant(f, arg, t, y, y_new, h, stages, times):\n"
+           f"    {_unpacked('y', m)}= y\n    {_unpacked('n', m)}= y_new\n"
            f"    {''.join(f'k{s}, ' for s in range(1, 14))}= stages\n"
            + "".join(f"    {_unpacked(f'k{j + 1}_', m)}= k{j + 1}\n"
                      for j in used)
-           + _stage_lines(m, _A[12:], 14)
-           + "    return k14, k15, k16\n")
-    return define_scalar("_extra", src)
+           + _stage_lines(m, _A[12:], 14))
+    states = ""
+    for i in range(m):
+        src += (f"    r0_{i} = n{i} - y{i}\n    r1_{i} = h * k1_{i} - r0_{i}\n"
+                f"    r2_{i} = 2.0 * r0_{i} - h * (k13_{i} + k1_{i})\n"
+                + "".join(f"    r{r}_{i} = h * ({_combination(row, i)})\n"
+                          for r, row in enumerate(_D, start=3)))
+        state = "0.0"
+        for r in reversed(range(7)):
+            state = f"({state} + r{r}_{i}) * {'x' if r % 2 == 0 else 'w'}"
+        states += f"{state} + y{i}, "
+    src += ("    states = []\n    for time in times:\n"
+            "        x = (time - t) / h\n        w = 1.0 - x\n"
+            f"        states.append(({states}))\n    return states\n")
+    return define_scalar("_interpolant", src)
 
 
 def _initial_step(f, arg, y0, k1, t_end, max_step, rtol, atol):
@@ -567,52 +580,23 @@ def _initial_step(f, arg, y0, k1, t_end, max_step, rtol, atol):
     return min(100 * h0, h1, abs(t_end), max_step)
 
 
-def _grid_states(dense, times):
-    """The grid states from the 7th-order interpolants of the steps.
-
-    ``dense`` holds a row (t_old, t_new, count, y_old, y_new, K0..K15) for
-    each step that reaches ``count`` further grid times, in order, with its
-    sixteen stages. The interpolant's rows F0..F6 are scipy's, F3..F6 the
-    D combinations of the stages summed in D's order; at
-    x = (t - t_old)/h the state is
-    y_old + x (F0 + (1 - x) (F1 + x (F2 + ... + x F6))), summed as scipy's
-    ``Dop853DenseOutput`` sums it. Every operation is elementwise, so a
-    state has the same bits however the steps are grouped.
-    """
-    m = (dense.shape[1] - 3) // 18
-    t_old, y_old = dense[:, 0], dense[:, 3:3 + m]
-    h = (dense[:, 1] - t_old)[:, None]
-    k = dense[:, 3 + 2 * m:].reshape(len(dense), len(_A) + 1, m)
-    k = k.transpose(1, 0, 2)  # (stage, step, entry)
-    d = dense[:, 3 + m:3 + 2 * m] - y_old
-    rows = [d, h * k[0] - d, 2 * d - h * (k[12] + k[0])]
-    rows += [h * _combined(k, row) for row in _D]
-    index = np.repeat(np.arange(len(dense)), dense[:, 2].astype(int))
-    x = ((times - t_old[index]) / h[index, 0])[:, None]
-    y = np.zeros((len(index), m))
-    for i, row in enumerate(reversed(rows)):
-        y += row[index]
-        y *= x if i % 2 == 0 else 1 - x
-    return y + y_old[index]
-
-
 class _BranchLog:
     """A branch's step log, reduced one block at a time as the branch seals
-    it, so the states, energies and interpolants of a block are let go
-    with it.
+    it, so the states and energies of a block are let go with it.
 
-    ``grid`` holds the grid times in the order the branch passes them. A
-    sealed block is reduced in step order, from ``tail``, the last tau,
-    |v|_g and arc length of the block before: its |dtau| go to ``capped``
-    and to ``unclipped``, each block's smallest step but the branch's
-    last, and with a ``spill`` to the trapezoid rule's arc length from
-    tau = 0. Its rows are then put in increasing tau and reduced to the
-    grid states its steps reach, to ``peaks``, one (max E, min E,
-    max |v|_g, max U, max |E - h0|, first tau of that) per block, and to
-    ``bad``, the smallest-tau row where U is negative or undefined: every
-    number has the bits of one pass over the joined log. The step times
-    stay, and with a ``spill`` each block's CSV rows (tau, x, v, H, U, arc
-    length) go to it, their offsets to ``offsets``.
+    ``grid`` holds the grid times in the order the branch passes them, and
+    ``_solve_branch`` sets ``grid_states``, the states there in that order,
+    with the branch's ``rejected`` tries and ``nfev``. A sealed block is
+    reduced in step order, from ``tail``, the last tau, |v|_g and arc
+    length of the block before: its |dtau| go to ``capped`` and to
+    ``unclipped``, each block's smallest step but the branch's last, and
+    with a ``spill`` to the trapezoid rule's arc length from tau = 0. Its
+    rows are then put in increasing tau and reduced to ``peaks``, one (max
+    E, min E, max |v|_g, max U, max |E - h0|, first tau of that) per block,
+    and to ``bad``, the smallest-tau row where U is negative or undefined:
+    every number has the bits of one pass over the joined log. The step
+    times stay, and with a ``spill`` each block's CSV rows (tau, x, v, H,
+    U, arc length) go to it, their offsets to ``offsets``.
     """
 
     def __init__(self, system, grid, forward, h0, max_step, spill):
@@ -621,22 +605,15 @@ class _BranchLog:
         # |dt - cap| <= cap * CAP_RELATIVE, and no step reaches an inf cap
         self.low = max_step * (1.0 - CAP_RELATIVE)
         self.high = max_step * (1.0 + CAP_RELATIVE)
-        self.times, self.offsets, self.grid_states = [], [], []
+        self.times, self.offsets = [], []
         self.peaks, self.unclipped, self.capped = [], [], 0
         self.bad = None
         self.tail = (np.empty(0), np.empty(0), 0.0)  # no row before the first
-        self.read = 0  # grid times read so far
         self.rejected = self.nfev = 0
 
-    def seal(self, rows, dense, last=False):
-        """Reduce the (t, y) ``rows`` in step order and the ``dense`` steps
-        with them, ``_solve_branch``'s buffers; ``last`` if they end the
-        branch."""
-        if len(dense):
-            count = int(dense[:, 2].sum())
-            self.grid_states.append(
-                _grid_states(dense, self.grid[self.read:self.read + count]))
-            self.read += count
+    def seal(self, rows, last=False):
+        """Reduce the (t, y) ``rows`` in step order, ``_solve_branch``'s
+        buffer; ``last`` if they end the branch."""
         times, states = rows[:, 0].copy(), rows[:, 1:].copy()
         n = states.shape[1] // 2
         energies, potentials, speeds = _energy_rows(
@@ -710,12 +687,12 @@ def _solve_branch(f, arg, y0, t_end, tol, max_step, log=None,
     the state at the top of a try it declines, whose step is made here.
     Elsewhere every step is made here.
 
-    Each of the ``log``'s grid times is read off the 7th-order interpolant
-    of the first step that reaches it, whose three extra stages run only
-    for such steps. The accepted steps' (t, y) rows are sealed into the
-    log every BLOCK_ROWS rows, with the (t, t_new, marks reached, y, y_new,
-    stages) rows of the steps that reach grid times, and the log is
-    returned. Without a log the branch keeps no samples and returns its
+    The state at each of the ``log``'s grid times is read off the 7th-order
+    interpolant of the first step that reaches it, whose three extra stages
+    run only for such steps, and written by the stepper that made the step
+    to the log's ``grid_states``, one row a grid time. The accepted steps'
+    (t, y) rows are sealed into the log every BLOCK_ROWS rows, and the log
+    is returned. Without a log the branch keeps no samples and returns its
     end state alone. A branch that has tried as many steps, accepted or
     rejected, as its budget allows raises IntegrationError. A right-hand
     side that is not finite at y0 raises NonFiniteResult; the error that
@@ -730,30 +707,29 @@ def _solve_branch(f, arg, y0, t_end, tol, max_step, log=None,
     if not all(map(math.isfinite, k1)):
         raise NonFiniteResult(
             f"the right-hand side is not finite {_where(0.0, y0)}")
-    tries = rejected = interpolated = nxt = made = 0  # nxt: next grid mark
+    tries = rejected = interpolated = nxt = 0  # nxt: the next grid time
     t, y = 0.0, y0
     live = not gated  # whether max_step caps the steps yet
     first_bad = None  # (tau, state) of the first non-finite error estimate
-    marks = direction * np.array(() if log is None else log.grid)
+    grid = [] if log is None else log.grid.tolist()
+    states = np.empty((len(grid), m))  # the state at each grid time
     rows = np.empty((BLOCK_ROWS, 1 + m))  # the open block, sealed with a log
     rows[0] = (t, *y)
     filled = 1
-    dense = np.empty((min(len(rows), len(marks)), 3 + 18 * m))
-    extra = _extra_stages(m)
-    run = native.lend(f, arg, m, par, marks, rows, dense)
+    run = native.lend(f, arg, m, par, grid, rows, states)
     try:
         h_abs = _initial_step(f, arg, y0, k1, t_end, max_step, rtol, atol)
         while direction * (t - t_end) < 0:
             if filled == len(rows):
                 if log is not None:
-                    log.seal(rows, dense[:made])
-                filled = made = 0
+                    log.seal(rows)
+                filled = 0
             retried = False
             if run is not None:
                 (status, t, y, k1, h_abs, tries, rejected, interpolated,
-                 live, nxt, retried, filled, made) = run(
+                 live, nxt, retried, filled) = run(
                     t, y, k1, h_abs, tries, rejected, interpolated, live,
-                    nxt, retried, filled, made)
+                    nxt, retried, filled)
                 if status >= 0:  # at t_end, or with the rows full
                     continue
             min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
@@ -795,13 +771,12 @@ def _solve_branch(f, arg, y0, t_end, tol, max_step, log=None,
                 retried = True
                 rejected += 1
             end = nxt
-            while end < len(marks) and marks[end] <= direction * t_new:
+            while (end < len(grid)
+                   and direction * grid[end] <= direction * t_new):
                 end += 1
             if end > nxt:
-                dense[made] = np.fromiter(itertools.chain(
-                    (t, t_new, end - nxt), y, y_new, *stages,
-                    *extra(f, arg, y, h, stages)), float, dense.shape[1])
-                made += 1
+                states[nxt:end] = _interpolant(m)(f, arg, t, y, y_new, h,
+                                                  stages, grid[nxt:end])
                 interpolated += 1
                 nxt = end
             rows[filled] = (t_new, *y_new)
@@ -812,10 +787,10 @@ def _solve_branch(f, arg, y0, t_end, tol, max_step, log=None,
             _naming(str(exc), first_bad or (t, y))) from exc
     if log is None:
         return y
-    log.seal(rows[:filled], dense[:made], last=True)
-    log.rejected = rejected
+    log.seal(rows[:filled], last=True)
+    log.grid_states, log.rejected = states, rejected
     log.nfev = (2 + STAGE_EVALUATIONS * tries
-                + DENSE_EVALUATIONS * interpolated)
+                + EXTRA_EVALUATIONS * interpolated)
     return log
 
 
@@ -901,8 +876,8 @@ def integrate(system, initial, horizon, tol=None,
         horizon=horizon,
         blocks=blocks,
         grid_times=grid_times,
-        grid_states=np.concatenate(
-            [g[::-1] for g in bwd.grid_states[::-1]] + fwd.grid_states),
+        grid_states=np.concatenate([bwd.grid_states[::-1],
+                                    fwd.grid_states]),
         energy_drift=float(drift),
         max_speed=float(max_speed),
         max_potential=float(max_potential),

@@ -475,17 +475,20 @@ def contracted_form_norm(inverse, f_tensor, vector) -> np.ndarray:
     """Cotangent norms of vectors contracted into two-forms, row by row.
 
     ``vector`` is (m, n) and ``f_tensor`` (m, n, n); ``inverse`` holds the
-    inverse metrics, (m, n, n), or one (n, n) for every row.
+    inverse metrics, (m, n, n), or one (n, n) for every row. Never warns.
     """
     v = np.asarray(vector)[:, None, :]
-    covector = guard_cancellation(v @ f_tensor,  # c_b = F_{ab} v^a
-                                  np.abs(v) @ np.abs(f_tensor))[:, 0]
-    raised = (covector[:, None, :] @ inverse)[:, 0]
+    with np.errstate(all="ignore"):
+        covector = guard_cancellation(v @ f_tensor,  # c_b = F_{ab} v^a
+                                      np.abs(v) @ np.abs(f_tensor))[:, 0]
+        raised = (covector[:, None, :] @ inverse)[:, 0]
     return _clamped_sqrt(rowdot(raised, covector))
 
 
 def two_form_norm(inverse, f_tensor) -> np.ndarray:
     """Canonical norms of two-forms F on the second exterior power, row by
-    row, with ``inverse`` and ``f_tensor`` as in contracted_form_norm."""
-    raised = inverse @ f_tensor @ inverse  # F^{ab}
-    return _clamped_sqrt(0.5 * (f_tensor * raised).sum(axis=(1, 2)))
+    row, with ``inverse`` and ``f_tensor`` as in contracted_form_norm;
+    never warns, an overflow giving inf."""
+    with np.errstate(all="ignore"):
+        raised = inverse @ f_tensor @ inverse  # F^{ab}
+        return _clamped_sqrt(0.5 * (f_tensor * raised).sum(axis=(1, 2)))

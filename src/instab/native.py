@@ -4,20 +4,22 @@ steps in C, with the bits of the Python stepper and the numpy loop.
 One fixed C source holds ``dynamics._solve_branch``'s try loop: the DOP853
 tableau, emitted from ``dynamics._A`` and summed in ``_stepper``'s order,
 scipy's controller, the gated cap, the ``nextafter`` minimum step, the try
-budget and the grid marks, and for flow rows Hairer's starting step in
-``_initial_step``'s order. Its right-hand side interprets a register
-program (``program``), a motion or flow kernel's ``expr`` walk rendered
-once more, on the libm that Python's ``math`` calls. ``lend`` lends it a
-branch's state, which it steps on into ``_solve_branch``'s buffers;
-``solve_rows`` starts and steps all of a chart's flow rows, uncapped and
-with no grid marks, in one call. A check, guard or finiteness test of the
-Python kernel, a zero divisor, a libm result, norm or error estimate that
-is not finite, an underflow or a spent budget makes the loop decline: a
-row at its start, which ``dynamics`` solves alone, or a try, handing back
-the state as the Python try loop holds it at the top of that try;
-``dynamics`` makes that step, which raises or goes on. ``newton`` runs
-``certify._project``'s Newton steps over a numpy-exact program of U's value
-and gradient, declining a start where it bails, for the numpy loop.
+budget, the grid times and the interpolant's states there, its D rows
+emitted from ``dynamics._D`` and summed in ``_interpolant``'s order, and
+for flow rows Hairer's starting step in ``_initial_step``'s order. Its
+right-hand side interprets a register program (``program``), a motion or
+flow kernel's ``expr`` walk rendered once more, on the libm that Python's
+``math`` calls. ``lend`` lends it a branch's state, which it steps on into
+``_solve_branch``'s rows and grid states; ``solve_rows`` starts and steps
+all of a chart's flow rows, uncapped and with no grid times, in one call. A
+check, guard or finiteness test of the Python kernel, a zero divisor, a
+libm result, norm or error estimate that is not finite, an underflow or a
+spent budget makes the loop decline: a row at its start, which ``dynamics``
+solves alone, or a try, handing back the state as the Python try loop holds
+it at the top of that try; ``dynamics`` makes that step, which raises or
+goes on. ``newton`` runs ``certify._project``'s Newton steps over a
+numpy-exact program of U's value and gradient, declining a start where it
+bails, for the numpy loop.
 
 ``library`` loads the built source from a per-user cache, where ``cc``
 from PATH builds it the first time; None where that fails, and every
@@ -144,26 +146,27 @@ static int start(const rhs_t *f, const double *par, const double *y,
     return 0;
 }
 
-enum { TRIES, REJECTED, INTERPOLATED, LIVE, NEXT, RETRIED, ROWS, DENSE };
+enum { TRIES, REJECTED, INTERPOLATED, LIVE, NEXT, RETRIED, ROWS };
 
 /* Steps st = (t, y, K(0), h_abs) on to par[0] = t_end: 0 there, 1 at the
    top of a step with nrows rows filled, -1 at the top of a try that the
    Python stepper must make, st and cnt as its try loop holds them there;
    a try's counts and h_abs are written once it is decided. par = (t_end,
    max_step, rtol, atol, budget, direction); cnt as the enum above, ROWS
-   and DENSE the rows and dense steps filled so far. Each accepted step
-   goes to rows as (t, y) where nrows is not 0, and one that reaches a grid
-   mark to dense as (t, t_new, marks reached, y, y_new, K(0)..K(15)). */
+   the rows filled so far. Each accepted step goes to rows as (t, y) where
+   nrows is not 0, and one that reaches grid times writes its 7th-order
+   interpolant there to their rows of states, each m floats, summed as
+   dynamics._interpolant sums it. */
 long dop853_branch(const int *code, long size, double *r, const int *out,
                    long nout, long m, double *st, long *cnt, const double *par,
-                   const double *marks, long nmarks, double *rows,
-                   long nrows, double *dense, double *k)
+                   const double *grid, long ngrid, double *rows,
+                   long nrows, double *states, double *k)
 {
     rhs_t f = {code, out, size, nout, m, r};
     double *t = st, *y = st + 1, *k1 = y + m, *h_abs = k1 + m;
     double *z = K(16), *yn = z + m, t_end = par[0], cap = par[1];
     double dir = par[5];
-    long i, s, end, live;
+    long i, j, s, end, live;
     while (dir * (*t - t_end) < 0) {
         double min_step = 10 * fabs(nextafter(*t, dir * INFINITY) - *t);
         double t_new, h, err, e5, e3, factor;
@@ -203,19 +206,22 @@ long dop853_branch(const int *code, long size, double *r, const int *out,
             cnt[REJECTED]++;
             cnt[LIVE] = live;
         }
-        for (end = cnt[NEXT]; end < nmarks && marks[end] <= dir * t_new;)
+        for (end = cnt[NEXT]; end < ngrid && dir * grid[end] <= dir * t_new;)
             end++;
         if (end > cnt[NEXT]) {  /* the interpolant's three extra stages */
-            double *row = dense + cnt[DENSE] * (3 + 18 * m);
             for (s = 13; s <= 15; s++)
                 if (stage(&f, y, h, k, z, s)) return -1;
-            row[0] = *t;
-            row[1] = t_new;
-            row[2] = end - cnt[NEXT];
-            memcpy(row + 3, y, m * sizeof *y);
-            memcpy(row + 3 + m, yn, m * sizeof *y);
-            memcpy(row + 3 + 2 * m, k, 16 * m * sizeof *k);
-            cnt[DENSE]++;
+            for (i = 0; i < m; i++) {  /* its rows, then each state */
+                double d0 = yn[i] - y[i], d1 = h * K(0)[i] - d0;
+                double d2 = 2.0 * d0 - h * (K(12)[i] + K(0)[i]);
+                double d3 = h * (@D0@), d4 = h * (@D1@);
+                double d5 = h * (@D2@), d6 = h * (@D3@);
+                for (j = cnt[NEXT]; j < end; j++) {
+                    double x = (grid[j] - *t) / h, w = 1.0 - x;
+                    states[j * m + i] = (((((((0.0 + d6) * x + d5) * w + d4)
+                        * x + d3) * w + d2) * x + d1) * w + d0) * x + y[i];
+                }
+            }
             cnt[INTERPOLATED]++;
             cnt[NEXT] = end;
         }
@@ -259,7 +265,7 @@ void newton_rows(const int *code, long size, double *r, const int *out,
 }
 
 /* Each of n rows' states st, (0, y, room for K(0) and h_abs), started and
-   stepped by dop853_branch with its par, uncapped and with no grid marks
+   stepped by dop853_branch with its par, uncapped and with no grid times
    or rows: a row's y becomes its state at t_end, and status its loop's 0,
    or -1 where the Python stepper must decide. */
 void dop853_rows(const int *code, long size, double *r, const int *out,
@@ -269,7 +275,7 @@ void dop853_rows(const int *code, long size, double *r, const int *out,
     rhs_t f = {code, out, size, nout, m, r};
     long j;
     for (j = 0; j < n; j++, st += 2 + 2 * m, par += 6) {
-        long cnt[] = {0, 0, 0, 1, 0, 0, 0, 0};  /* live: no cap waits */
+        long cnt[] = {0, 0, 0, 1, 0, 0, 0};  /* live: no cap waits */
         status[j] = start(&f, par, st + 1, st + 1 + m, st + 1 + 2 * m, k,
                           k + m)
             ? -1 : dop853_branch(code, size, r, out, nout, m, st, cnt, par,
@@ -295,7 +301,8 @@ def source():
         " * h; break;\n" for s, row in enumerate(d._A, start=1))
     values = {"STAGES": stages, "E5": _sum(d._E5), "E3": _sum(d._E3),
               "SAFETY": d.SAFETY, "MIN_FACTOR": d.MIN_FACTOR,
-              "MAX_FACTOR": d.MAX_FACTOR, "EXPONENT": d.ERROR_EXPONENT}
+              "MAX_FACTOR": d.MAX_FACTOR, "EXPONENT": d.ERROR_EXPONENT,
+              **{f"D{r}": _sum(row) for r, row in enumerate(d._D)}}
     text = _SOURCE
     for key, value in values.items():
         text = text.replace(f"@{key}@", str(value).rstrip("\n"))
@@ -306,23 +313,27 @@ def source():
 def library():
     """The compiled loops, ``dop853_branch``, ``dop853_rows`` and
     ``newton_rows``, loaded once per process from ``instab`` in
-    ``$XDG_CACHE_HOME`` or ``~/.cache`` by the sha256 of the source,
-    ``cc --version`` and ``COMPILE``; built there where missing,
-    unloadable or writable by others, else in a temporary directory; None
-    where no ``cc`` is on PATH or all fails."""
+    ``$XDG_CACHE_HOME`` or ``~/.cache``, named by the CRC-32 and Adler-32
+    of the source, the real path, size and mtime of ``cc`` and
+    ``COMPILE``; built there where missing, unloadable or writable by
+    others, else in a temporary directory; None where no ``cc`` is on PATH
+    or all fails."""
     compiler = shutil.which("cc")
     if compiler is None:
         return None
-    import hashlib
     import subprocess  # only where a branch may be stepped in C
+    import zlib
 
     run = functools.partial(subprocess.run, check=True, capture_output=True,
                             timeout=60)
     try:
-        name = hashlib.sha256(repr((source(), run([compiler, "--version"])
-                                    .stdout, COMPILE)).encode()).hexdigest()
-    except (OSError, subprocess.SubprocessError):
+        real = os.path.realpath(compiler)
+        status = os.stat(real)
+    except OSError:
         return None
+    key = repr((source(), real, status.st_size, status.st_mtime_ns,
+                COMPILE)).encode()
+    name = f"{zlib.crc32(key):08x}{zlib.adler32(key):08x}"
     cache = os.path.join(os.environ.get("XDG_CACHE_HOME")
                          or os.path.expanduser("~/.cache"), "instab")
     for home, build in ((cache, False), (cache, True), (None, True))[
@@ -400,23 +411,24 @@ def _call(function, program, m, registers, *buffers):
                       for a in args])
 
 
-def lend(f, arg, m, par, marks, rows, dense):
+def lend(f, arg, m, par, grid, rows, states):
     """``dop853_branch`` over ``f``'s register program for a branch of m
-    floats, with its ``par`` and grid ``marks``, filling its ``rows`` and
-    ``dense`` buffers, and ``arg.inputs`` if it reads any: ``run(t, y, k1,
-    h_abs, tries, rejected, interpolated, live, next, retried, filled,
-    made)`` lends the loop a state of ``dynamics._solve_branch``'s and
-    returns the loop's status, then that state as the loop leaves it; None
-    where ``f`` has no register program or the loop is not built."""
+    floats, with its ``par`` and ``grid``, a list of times, filling its
+    ``rows`` and writing its ``states`` at the grid times, and
+    ``arg.inputs`` if it reads any: ``run(t, y, k1, h_abs, tries, rejected,
+    interpolated, live, next, retried, filled)`` lends the loop a state of
+    ``dynamics._solve_branch``'s and returns the loop's status, then that
+    state as the loop leaves it; None where ``f`` has no register program or
+    the loop is not built."""
     lib = getattr(f, "program", None) and library()
     if not lib:
         return None
     _, values, _, inputs, _ = f.program
     registers = values.copy()  # the branch's, its inputs written once
     registers[m:m + inputs] = arg.inputs if inputs else ()
-    state, counts = np.empty(2 + 2 * m), np.empty(8, dtype=np.int_)
-    buffers = (state, counts, np.array(par), marks, len(marks), rows,
-               len(rows), dense, np.empty(18 * m))
+    state, counts = np.empty(2 + 2 * m), np.empty(7, dtype=np.int_)
+    buffers = (state, counts, np.array(par), np.array(grid), len(grid),
+               rows, len(rows), states, np.empty(18 * m))
 
     def run(t, y, k1, h_abs, *count):
         state[:] = (t, *y, *k1, h_abs)

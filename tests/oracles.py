@@ -9,7 +9,9 @@ compute several fields at once. The per-shell sampler, one projection per
 round over one index set, is the oracle of the batched first rounds. The
 ``el_acceleration`` here, which reads dU, the magnetic tensor, g^-1 and
 Gamma from one call each and contracts them in straight-line code of its
-own, is the oracle of the motion kernels. The other helpers
+own, is the oracle of the motion kernels. ``_grid_states``, a numpy pass
+over a step's sixteen stages, is the bitwise oracle of the states that
+each DOP853 stepper writes at grid times. The other helpers
 compute the conserved energy, check a trajectory against the equations of
 motion and the two time parameterizations against each other.
 """
@@ -21,6 +23,8 @@ import numpy as np
 
 from instab import certify
 from instab.dynamics import (
+    _A,
+    _D,
     ACCELERATION,
     State,
     Tolerances,
@@ -255,6 +259,54 @@ def sample_shell(probe, delta, shell_index):
     points = np.concatenate(accepted) if accepted \
         else np.empty((0, len(probe.center)))
     return points[:probe.samples], attempts, near
+
+
+# --- DOP853's dense output --------------------------------------------------
+
+
+def _combined(k, row):
+    """sum_j c_j k[j] over a tableau row, left to right, a call per term."""
+    return functools.reduce(np.add, (k[j] * c for j, c in row.items()))
+
+
+def extra_stages(f, arg, y, h, stages):
+    """The three extra stages of a DOP853 step of ``h`` from ``y`` with its
+    thirteen ``stages``: each f at y + (its row's combination of the
+    stages before it) * h, in numpy."""
+    k = [np.array(stage) for stage in stages]
+    for row in _A[12:]:
+        k.append(np.array(f(tuple((np.array(y) + _combined(k, row) * h)
+                                  .tolist()), arg)))
+    return [tuple(stage.tolist()) for stage in k[13:]]
+
+
+def _grid_states(dense, times):
+    """The grid states from the 7th-order interpolants of the steps.
+
+    ``dense`` holds a row (t_old, t_new, count, y_old, y_new, K0..K15) for
+    each step that reaches ``count`` further grid times, in order, with its
+    sixteen stages. The interpolant's rows F0..F6 are scipy's, F3..F6 the
+    D combinations of the stages summed in D's order; at
+    x = (t - t_old)/h the state is
+    y_old + x (F0 + (1 - x) (F1 + x (F2 + ... + x F6))), summed as scipy's
+    ``Dop853DenseOutput`` sums it. Every operation is elementwise, so a
+    state has the same bits however the steps are grouped.
+    """
+    m = (dense.shape[1] - 3) // 18
+    t_old, y_old = dense[:, 0], dense[:, 3:3 + m]
+    h = (dense[:, 1] - t_old)[:, None]
+    k = dense[:, 3 + 2 * m:].reshape(len(dense), len(_A) + 1, m)
+    k = k.transpose(1, 0, 2)  # (stage, step, entry)
+    d = dense[:, 3 + m:3 + 2 * m] - y_old
+    rows = [d, h * k[0] - d, 2 * d - h * (k[12] + k[0])]
+    rows += [h * _combined(k, row) for row in _D]
+    index = np.repeat(np.arange(len(dense)), dense[:, 2].astype(int))
+    x = ((times - t_old[index]) / h[index, 0])[:, None]
+    y = np.zeros((len(index), m))
+    for i, row in enumerate(reversed(rows)):
+        y += row[index]
+        y *= x if i % 2 == 0 else 1 - x
+    return y + y_old[index]
 
 
 # --- the equations of motion -------------------------------------------------

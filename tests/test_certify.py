@@ -31,6 +31,7 @@ from instab.errors import (
     GradientTooSmall,
     InstabError,
     NonFiniteResult,
+    format_point,
 )
 from instab.expr import ScalarField
 from instab.geometry import (
@@ -577,6 +578,7 @@ def _oracle_ratio(grad, u_val, du):
     return abs(num) / u_val
 
 
+@np.errstate(all="ignore")  # an overflow gives inf, as in the certifier
 def _oracle_norms(metric, tensor, grad, x):
     covector = guard_cancellation(grad @ tensor, np.abs(grad) @ np.abs(tensor))
     ginv = metric.inverse(x)
@@ -624,10 +626,20 @@ def _check_proof_constant(condition, rows, constants, magnetic):
             f"overflows: the smallest sampled |grad f| is {m_grad!r}")
 
 
+def _check_finite(condition, what, points, values):
+    """Raise the certifier's NonFiniteResult at the first of ``points``
+    where ``values`` is not finite."""
+    for x, value in zip(points, values):
+        if not math.isfinite(value):
+            raise NonFiniteResult(f"{condition!r}: {what} is not finite "
+                                  f"({value!r}) at {format_point(x)}")
+
+
 def _oracle(probe, shells, near):
     """Potential rows, proof constants, magnetic rows, full-norm rows and
     near-locus extremes, in the order the scalar path computed them, or
-    the error it raised, also where a proof constant overflows."""
+    the error it raised, also where a proof constant overflows or a
+    magnetic ratio where U > 0 or a near-locus norm is not finite."""
     metric, mu = probe.metric, probe.magnetic
     table = [[(gradient_data(metric, probe.f, x, GRADIENT_FLOOR)[1],
                *probe.potential.value_and_grad(x)) for x in points]
@@ -638,19 +650,28 @@ def _oracle(probe, shells, near):
     _check_proof_constant("dU(grad f) = O(U)", *out, magnetic=False)
     if mu is None or certify._is_zero_form(mu, probe.center):
         return out
+    condition = "|iota_{grad f} d mu| = O(sqrt U)"
     rows, full_rows = [], []
-    for points, evaluated in zip(shells, table):
+    for delta, points, evaluated in zip(probe.shell_deltas(), shells, table):
         ratios = [(math.inf, math.inf) if u_val <= 0 else tuple(
             norm / math.sqrt(u_val) for norm in _oracle_norms(
                 metric, certify.magnetic_tensor(mu, x), grad, x))
             for x, (grad, u_val, _du) in zip(points, evaluated)]
+        positive = [(x, r) for x, r, (_g, u_val, _du)
+                    in zip(points, ratios, evaluated) if u_val > 0]
+        for i, what in enumerate(["the ratio", "the full-norm ratio"]):
+            _check_finite(condition, f"{what} on the shell delta = "
+                          f"{float(delta)!r}", [x for x, _r in positive],
+                          [r[i] for _x, r in positive])
         rows.append(_oracle_row(points, [c for c, _full in ratios]))
         full_rows.append(_oracle_row(points, [full for _c, full in ratios]))
     near_norms = [_oracle_norms(metric, certify.magnetic_tensor(mu, x),
                                 riemannian_gradient(metric, probe.f, x), x)
                   for x in near]
-    _check_proof_constant("|iota_{grad f} d mu| = O(sqrt U)", rows, out[1],
-                          magnetic=True)
+    for i, what in enumerate(["|iota_{grad f} d mu|", "|d mu|"]):
+        _check_finite(condition, f"the near-locus {what}", near,
+                      [norms[i] for norms in near_norms])
+    _check_proof_constant(condition, rows, out[1], magnetic=True)
     return out + [rows, full_rows,
                   max([0.0] + [c for c, _dmu in near_norms]),
                   min([math.inf] + [dmu for _c, dmu in near_norms])]
@@ -736,6 +757,8 @@ _FORMS = st.one_of(st.none(), st.lists(_POLYNOMIALS, min_size=3,
 
 @given(_RATIONALS, _RATIONALS, _FORMS, st.sampled_from(sorted(_POINT_METRICS)),
        _SHELL_POINTS)
+@example("x1^2 + x2^2", "x1", ["1e300 * x2", "0", "0"], "euclidean",
+         [(0.5, 0.5, 0.0)] * 4)  # |iota_{grad f} d mu|^2 overflows
 @settings(max_examples=150, deadline=None)
 def test_numpy_table_matches_point_by_point_loop(u_source, f_source, form,
                                                  metric, points):

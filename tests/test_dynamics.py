@@ -719,25 +719,24 @@ def test_grid_states_match_scipy_dense_output(name, offset, eps, scale,
     want = solver.dense_output()(times).T
 
     stages = tuple(map(tuple, solver.K[:13].tolist()))
-    extra = dynamics._extra_stages(len(y))(f, system, y, h, stages)
-    got = dynamics._grid_states(np.array([[
-        0.0, h, len(times), *y, *solver.y.tolist(),
-        *itertools.chain(*stages, *extra)]]), times)
+    got = np.array(dynamics._interpolant(len(y))(
+        f, system, 0.0, y, tuple(solver.y.tolist()), h, stages,
+        times.tolist()))
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-# sha256 of the generated source of the scalar step and of the extra
-# stages over six floats, the state of a sweep in three dimensions
+# sha256 of the generated source of the scalar step and of the interpolant
+# over six floats, the state of a sweep in three dimensions
 _STEP_SOURCES = {
     "_stepper":
         "abcfcebb22d6f5d7be8b1aac2a320f20a52c96770935d96d11dd71852a94a5ca",
-    "_extra_stages":
-        "3b75770cca09e46c0690269d5eeec946218719dd157893fa9f699cd88bf0f65f",
+    "_interpolant":
+        "4235f178361faadcf92d01ab16e58d4f828bdd1fa89319a1473c20ea92d58e0a",
 }
 
 
 def test_scalar_step_source_is_unchanged():
-    """The scalar step and extra stages generate the code pinned here; the
+    """The scalar step and interpolant generate the code pinned here; the
     batched step is held to the scalar one's bits by
     ``test_batched_step_has_the_scalar_steps_bits``."""
     sources = []
@@ -818,15 +817,14 @@ def _problem_case(data, eps):
 
 
 class _JoinedLog:
-    """A log for ``_solve_branch`` that keeps every row and interpolant of
-    the branch, for one pass over the joined log."""
+    """A log for ``_solve_branch`` that keeps every row of the branch, for
+    one pass over the joined log."""
 
     def __init__(self, grid):
-        self.grid, self.rows, self.dense = grid, [], []
+        self.grid, self.rows = grid, []
 
-    def seal(self, rows, dense, last=False):
+    def seal(self, rows, last=False):
         self.rows.append(rows.copy())
-        self.dense.append(dense.copy())
 
     @property
     def times(self):
@@ -836,18 +834,14 @@ class _JoinedLog:
     def states(self):
         return np.concatenate(self.rows)[:, 1:].tolist()
 
-    @property
-    def interpolants(self):
-        return np.concatenate(self.dense)
-
 
 def _joined_integrate(system, initial, horizon, tol):
     """``integrate`` as one pass over the joined step log: both branches'
     rows concatenated, then U and g(v, v) over all rows, the first bad row
     of U, each branch's arc length from tau = 0 by np.cumsum in step order,
-    the drift's peak by np.argmax and every grid state from one call of
-    ``_grid_states``. The reference for the block-wise reduction; it gives
-    the run's numbers by name."""
+    the drift's peak by np.argmax, and the grid states as the branches
+    write them. The reference for the block-wise reduction; it gives the
+    run's numbers by name."""
     n = len(initial.x)
     gated = tol.max_step is None and system.epsilon is not None
     if tol.max_step is not None:
@@ -892,9 +886,8 @@ def _joined_integrate(system, initial, horizon, tol):
     return {
         "times": times, "states": states, "energies": energies,
         "path_length": np.concatenate([backward[::-1], forward]),
-        "grid_states": np.concatenate([
-            dynamics._grid_states(bwd.interpolants, bwd.grid)[::-1],
-            dynamics._grid_states(fwd.interpolants, fwd.grid)]),
+        "grid_states": np.concatenate([bwd.grid_states[::-1],
+                                       fwd.grid_states]),
         "stats": stats,
         "energy_drift": float((energies.max() - energies.min())
                               / max(1.0, abs(h0))),
@@ -1211,29 +1204,24 @@ def test_non_finite_right_hand_side_at_the_start_raises():
 # --- the compiled loop against the Python stepper --------------------------
 
 class _BlockLog:
-    """A branch's log that keeps a copy of each block it seals, with its
-    grid states and whether it ended the branch."""
+    """A branch's log that keeps a copy of each block it seals and whether
+    it ended the branch."""
 
     def __init__(self, grid):
-        self.grid, self.read, self.blocks = grid, 0, []
+        self.grid, self.blocks = grid, []
 
-    def seal(self, rows, dense, last=False):
-        count = int(dense[:, 2].sum())
-        grid = dynamics._grid_states(
-            dense, self.grid[self.read:self.read + count]) if count else None
-        self.read += count
-        self.blocks.append((rows.tobytes(),
-                            None if grid is None else grid.tobytes(), last))
+    def seal(self, rows, last=False):
+        self.blocks.append((rows.tobytes(), last))
 
 
 def _logged(solve):
-    """``solve(log)``'s sealed blocks, rejected tries and nfev, or the class
-    and message of the error it raises."""
+    """``solve(log)``'s sealed blocks, grid states, rejected tries and nfev,
+    or the class and message of the error it raises."""
     try:
         log = solve(_BlockLog)
     except InstabError as exc:
         return type(exc), str(exc)
-    return log.blocks, log.rejected, log.nfev
+    return log.blocks, log.grid_states.tobytes(), log.rejected, log.nfev
 
 
 def _branches(system, initial, horizon, tol):
@@ -1260,6 +1248,51 @@ _LOOP_CASES = {
 }
 
 
+def _loop_case(name, eps):
+    """(system, initial, horizon, tol) of ``_LOOP_CASES``' entry at eps."""
+    data = _LOOP_CASES[name]
+    if isinstance(data, str):
+        return _corpus_case(data, eps)[:4]
+    return _problem_case(data, eps)
+
+
+@given(name=st.sampled_from(sorted(_LOOP_CASES)),
+       eps=st.sampled_from([0.1, 0.01, 1e-3]),
+       offset=st.lists(st.floats(-0.05, 0.05), min_size=6, max_size=6),
+       t=st.floats(-1.0, 1.0), scale=st.floats(1e-3, 1.0),
+       backward=st.booleans(),
+       fractions=st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                          min_size=1, max_size=8))
+@example(name="transcendental", eps=0.1, offset=[0.01] * 6, t=0.0, scale=1.0,
+         backward=True, fractions=[0.0, 0.5, 1.0])
+@settings(max_examples=60, deadline=None)
+def test_interpolant_has_the_oracles_bits(name, eps, offset, t, scale,
+                                          backward, fractions):
+    """The states that ``_interpolant`` gives at one to eight grid times of
+    a forward or backward step, from x = 0 to x = 1, have the bits of the
+    numpy pass over the step's sixteen stages (``oracles._grid_states``),
+    its three extra stages made apart (``oracles.extra_stages``). The
+    compiled loop writes the states that the Python stepper does
+    (``test_compiled_loop_has_the_python_steppers_bits``)."""
+    system, initial, _horizon, tol = _loop_case(name, eps)
+    n = len(initial.x)
+    y = tuple((np.concatenate([initial.x, initial.v])
+               + offset[:2 * n]).tolist())
+    f, m = compile_motion(system), 2 * n
+    t_new = t + (-scale if backward else scale) * eps
+    h = t_new - t
+    y_new, _k13, _error, stages = dynamics._stepper(m)(
+        f, system, y, f(y, system), h, tol.rel, tol.abs)
+    times = [t_new if a == 1.0 else t + a * h for a in fractions]
+    got = dynamics._interpolant(m)(f, system, t, y, y_new, h, stages, times)
+    want = oracles._grid_states(np.array([[
+        t, t_new, len(times), *y, *y_new,
+        *itertools.chain(*stages, *oracles.extra_stages(f, system, y, h,
+                                                        stages))]]),
+        np.array(times))
+    assert np.array(got).tobytes() == want.tobytes()
+
+
 @given(name=st.sampled_from(sorted(_LOOP_CASES)),
        eps=st.sampled_from([0.1, 0.01, 1e-3]),
        offset=st.lists(st.floats(-0.05, 0.05), min_size=6, max_size=6),
@@ -1271,14 +1304,10 @@ _LOOP_CASES = {
 def test_compiled_loop_has_the_python_steppers_bits(name, eps, offset, scale,
                                                     rows, compiled,
                                                     python_only):
-    """Each branch lent to the loop seals the blocks, rejected tries and
-    nfev of one stepped in Python alone, or raises its class and
-    message."""
-    data = _LOOP_CASES[name]
-    if isinstance(data, str):
-        system, initial, horizon, tol, _cap = _corpus_case(data, eps)
-    else:
-        system, initial, horizon, tol = _problem_case(data, eps)
+    """Each branch lent to the loop seals the blocks, and writes the grid
+    states, rejected tries and nfev, of one stepped in Python alone, or
+    raises its class and message."""
+    system, initial, horizon, tol = _loop_case(name, eps)
     n = len(initial.x)
     initial = State(0.0, initial.x + offset[:n], initial.v + offset[n:2 * n])
     case = (system, initial, scale * horizon, tol)
@@ -1311,8 +1340,9 @@ def _guarded_oscillator(bound):
 def test_a_declined_try_is_stepped_in_python_and_the_loop_goes_on(
         x, v, horizon, bound, rows, compiled, python_only, python_steps):
     """Where the loop declines a try mid-branch and the Python stepper
-    makes it, the branch goes back to the loop and ends on the blocks,
-    rejected tries and nfev of one stepped in Python alone; Python makes
+    makes it, the branch goes back to the loop and ends on the blocks, grid
+    states, rejected tries and nfev of one stepped in Python alone; Python
+    makes
     just the declined steps, the rows of both steppers sharing blocks."""
     f = _guarded_oscillator(bound)
     grid = np.linspace(0.0, horizon, 33)
@@ -1330,7 +1360,7 @@ def test_a_declined_try_is_stepped_in_python_and_the_loop_goes_on(
     if (x, v, horizon, bound) == (1.0, 0.0, 4.0, 1.1):
         # x = cos(tau) is below -0.9 for tau in (2.7, 3.6)
         assert python.steps
-        assert len(python.tries) < got[2] / dynamics.STAGE_EVALUATIONS / 3
+        assert len(python.tries) < got[-1] / dynamics.STAGE_EVALUATIONS / 3
 
 
 _FAILING_RUNS = {  # (U, form, x, v, eps, T, what the run raises)

@@ -403,6 +403,44 @@ def test_cli_proof_constant_overflow_exits_3(tmp_path):
     assert "proof constant C1" in report["error"]
 
 
+# one-forms whose field strength overflows the magnetic norms, with f and
+# the ratio certify names: at 1e300 the norms' squares overflow; at 1e308,
+# with a |grad f| of 4, the contraction itself, which guard_cancellation
+# then zeroes (inf is within noise of its inf scale), so the full norm is
+# the first ratio that is not finite
+HUGE_FIELDS = {"1e300": (["1e300*x2", "0"], "x2", "the ratio"),
+               "1e308": (["1e308*x2", "0"], "4*x2", "the full-norm ratio")}
+
+
+@pytest.mark.parametrize("field", sorted(HUGE_FIELDS))
+@pytest.mark.parametrize("command", ["certify", "sweep", "escape"])
+def test_cli_overflowing_magnetic_norms_exit_3(command, field, tmp_path):
+    """certify fails naming the condition, the shell's delta and the point
+    where a magnetic ratio is not finite, instead of printing Infinity;
+    sweep and escape, whose runs fail, print no numpy warning from the
+    certification's norms: each exits 3 with strict JSON and no stderr."""
+    magnetic, f, ratio = HUGE_FIELDS[field]
+    path = tmp_path / "huge-field.json"
+    path.write_text(json.dumps({
+        "dimension": 2, "potential": "x1^2", "magnetic": magnetic, "f": f,
+        "center": [0, 0], "T": 1, "epsilons": [0.1]}))
+    result = subprocess.run(
+        [sys.executable, "-m", "instab.cli", command, str(path)],
+        capture_output=True, text=True, timeout=120)
+    assert result.returncode == 3, result.stdout + result.stderr
+    assert result.stderr == ""
+    report = _strict_json(result.stdout)
+    failure = (f"'|iota_{{grad f}} d mu| = O(sqrt U)': {ratio} on the shell "
+               "delta = ")
+    if command == "certify":
+        assert report["phase"] == "certify"
+        assert report["error"].startswith(failure)
+        assert "is not finite (inf) at (" in report["error"]
+    elif command == "sweep":
+        assert report["certification"]["magnetic"].startswith(
+            "error: " + failure)
+
+
 def _strict_json(text):
     """``text`` parsed as RFC 8259 JSON, which has no NaN or Infinity."""
     def reject(constant):

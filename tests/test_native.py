@@ -1,18 +1,19 @@
 """The compiled loop's object kept across processes: ``native.library``
-loads it from ``$XDG_CACHE_HOME/instab``, named by the sha256 of the C
-source, ``cc --version`` and the flags, builds it there where it is missing
-or not fit to load, and builds it in a temporary directory wherever the
-cache cannot be used. No case changes a byte of a report."""
+loads it from ``$XDG_CACHE_HOME/instab``, named by the CRC-32 and Adler-32
+of the C source, the compiler's real path, size and mtime and the flags,
+builds it there where it is missing or not fit to load, and builds it in a
+temporary directory wherever the cache cannot be used. No case changes a
+byte of a report."""
 
 import ctypes
 import functools
-import hashlib
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
 import types
+import zlib
 
 import pytest
 from click.testing import CliRunner
@@ -77,16 +78,16 @@ def cache(tmp_path, monkeypatch):
 
 
 def _builds(cache):
-    """How many times ``cc`` was asked to build, not for its version."""
-    return sum(line != "--version\n"
-               for line in cache.log.read_text().splitlines(keepends=True))
+    """How many times ``cc`` was called: each call is a build."""
+    return len(cache.log.read_text().splitlines())
 
 
 def _key():
-    version = subprocess.run([shutil.which("cc"), "--version"],
-                             capture_output=True, check=True).stdout
-    return hashlib.sha256(
-        repr((native.source(), version, native.COMPILE)).encode()).hexdigest()
+    compiler = os.path.realpath(shutil.which("cc"))
+    status = os.stat(compiler)
+    key = repr((native.source(), compiler, status.st_size,
+                status.st_mtime_ns, native.COMPILE)).encode()
+    return f"{zlib.crc32(key):08x}{zlib.adler32(key):08x}"
 
 
 def test_a_cold_call_writes_one_object_named_by_its_key(cache):
