@@ -23,14 +23,13 @@ potential and step sizes to the energy drift, the largest speed and U and
 the step counters; U and g(v, v) are evaluated once per step row. An
 untrustworthy energy drift raises instead of being silently accepted.
 
-``_solve_branch`` drives every branch. On a Euclidean run, where a C
-compiler builds ``native``'s loop, it lends the branch's state to that
-loop after the start, and the loop steps on with the same bits. Where the
-Python kernel would raise or decide, or an estimate is not finite, the
-loop declines the try and hands the state back; the Python stepper, the
-oracle of every decision the loop declines, makes that step and lends
-the state again. Curved runs and flows, and runs without a compiler, are
-stepped in Python throughout.
+``_solve_branch`` drives every branch. Where a C compiler builds
+``native``'s loop, it lends the branch's state to that loop after the
+start, and the loop steps on with the same bits. Where the Python kernel
+would raise or decide, or an estimate is not finite, the loop declines the
+try and hands the state back; the Python stepper, the oracle of every
+decision the loop declines, makes that step and lends the state again.
+Curved flows, and runs without a compiler, are stepped in Python.
 
 Each branch writes its accepted steps' (t, y) rows into a float64 block
 and seals every BLOCK_ROWS of them, reduced at once (``_BranchLog``), so
@@ -47,11 +46,11 @@ the cap and the tau of the largest energy deviation, go into the run's
 The equations of motion are stated once, as ASTs over dU and the form's
 ``field_strength`` (``_motion_kernel``), compiled by ``expr.compile_kernel``
 once per potential and one-form, eps an input; they raise the fields' own
-errors. On a curved metric every stage calls ``el_acceleration``, which
-hands g^-1 and the Christoffel symbols, from the metric's one generated
-Cholesky call (see ``geometry``), to the curved motion kernel as inputs:
-the same force raised by g^-1, less the geodesic term, one kernel for
-every metric and eps. The kernel raises NonFiniteResult naming the state
+errors. On a curved metric a Python stage calls ``el_acceleration``,
+which hands g^-1 and the Christoffel symbols, from the metric's one
+generated Cholesky call (see ``geometry``), to the curved motion kernel,
+one for every metric and eps, as inputs; the C loop runs both as one
+program (``native.chain``). The kernel raises NonFiniteResult naming the state
 where an acceleration overflows though every field is finite, so a run
 names the point instead of rejecting steps there.
 """
@@ -338,7 +337,7 @@ def _motion_kernel(fields, form, curved):
     partials and the form's ``field_strength`` without structural zeros;
     ``curved``, a^a = sum_b g^ab a_b - sum_m (sum_k Gamma^a_mk v^k) v^m,
     each sum left to right, g^-1 and Gamma the inputs after (ee, e), flat:
-    one kernel for every metric, without a register program."""
+    one kernel for every metric."""
     n = fields[0].dimension
     ee, e = Var(2 * n), Var(2 * n + 1)
     v = [Var(n + a) for a in range(n)]
@@ -358,8 +357,7 @@ def _motion_kernel(fields, form, curved):
                         for k in range(n)), v[m]) for m in range(n)))
                for a in range(n)]
     return compile_kernel(
-        fields, n, v + acc, label=ACCELERATION,
-        program=None if curved else native.program,
+        fields, n, v + acc, label=ACCELERATION, program=native.program,
         inputs=2 + (n * n + n ** 3 if curved else 0))
 
 
@@ -373,16 +371,28 @@ def _motion(system, curved=False):
                                  system.magnetic, curved)
 
 
+def _curved(system):
+    """``_curved_stage`` with the metric's factor program chained into the
+    curved motion kernel's (``native.chain``) as its ``program``."""
+    stage = functools.partial(_curved_stage)
+    stage.program = native.chain(system.metric.factors.program,
+                                 system.curved_motion.program,
+                                 system.metric.dimension)
+    return stage
+
+
 def compile_motion(system):
     """The system's first-order equations as ``f(y, system) -> dy/dtau``.
 
     ``y`` is the state (x, v) as a tuple of floats, and so is the result.
     On a Euclidean metric it is the motion kernel, one per potential and
-    one-form for every eps, its inputs; else it wraps ``el_acceleration``.
+    one-form for every eps, its inputs; else it wraps ``el_acceleration``,
+    made once per metric, potential and one-form (``_curved``).
     """
-    if not system.metric.euclidean:
-        return _curved_stage
-    return _motion(system)
+    if system.metric.euclidean:
+        return _motion(system)
+    return system.potential.code(("curved stage", system.metric) + tuple(
+        fld.body for fld in _fields(system)[1:]), _curved, system)
 
 
 # --- DOP853 ----------------------------------------------------------------
@@ -684,8 +694,8 @@ def _solve_branch(f, arg, y0, t_end, tol, max_step, log=None,
     Where ``f`` has a register program and ``native``'s loop builds, the
     branch's state is lent to that loop after the start and after each
     step made here; the loop steps on with the same bits and hands back
-    the state at the top of a try it declines, whose step is made here.
-    Elsewhere every step is made here.
+    the state at the top of a try it declines, whose step is made here,
+    by a ``_stepper`` built at the first. Elsewhere every step is here.
 
     The state at each of the ``log``'s grid times is read off the 7th-order
     interpolant of the first step that reaches it, whose three extra stages
@@ -702,7 +712,6 @@ def _solve_branch(f, arg, y0, t_end, tol, max_step, log=None,
     par = _parameters(t_end, max_step, tol)
     rtol, atol, budget, direction = par[2:]
     m, n = len(y0), len(y0) // 2
-    step = _stepper(m)
     k1 = f(y0, arg)
     if not all(map(math.isfinite, k1)):
         raise NonFiniteResult(
@@ -752,7 +761,8 @@ def _solve_branch(f, arg, y0, t_end, tol, max_step, log=None,
                     t_new = t_end
                 h = t_new - t
                 h_abs = abs(h)
-                y_new, k13, error, stages = step(f, arg, y, k1, h, rtol, atol)
+                y_new, k13, error, stages = _stepper(m)(f, arg, y, k1, h,
+                                                        rtol, atol)
                 tries += 1
                 if not live and any(a != 0.0 for k in stages for a in k[n:]):
                     live = True
@@ -818,13 +828,13 @@ def integrate(system, initial, horizon, tol=None,
     step, error norm and step controller, and its grid states come from
     the 7th-order interpolant. A rescaled system's steps are capped at eps
     from the branch's first try with a nonzero acceleration; an explicit
-    ``tol.max_step`` caps every step. ``_solve_branch`` lends a Euclidean
-    branch to ``native``'s loop where it builds, and makes in Python the
-    steps that loop declines, with the same bits. ``stats["nfev"]`` counts every
-    right-hand-side evaluation, the interpolants' included. The run
-    keeps its step times, 8 bytes per accepted step in memory; with
-    ``keep_log`` also the states, energies, U and speeds, 8 (2n + 4)
-    bytes per step in a temporary file.
+    ``tol.max_step`` caps every step. ``_solve_branch`` lends each branch
+    to ``native``'s loop where it builds, and makes in Python the steps
+    that loop declines, with the same bits. ``stats["nfev"]`` counts every
+    right-hand-side evaluation, the interpolants' included. The run keeps
+    its step times, 8 bytes per accepted step in memory; with ``keep_log``
+    also the states, energies, U and speeds, 8 (2n + 4) bytes per step in
+    a temporary file.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")

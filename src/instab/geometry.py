@@ -25,6 +25,7 @@ with the bits of the component-wise ``jac.T - jac``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import struct
@@ -32,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import native
 from .errors import (
     GradientTooSmall,
     InstabError,
@@ -165,7 +167,7 @@ def _factor_kernel(metric):
     floor = PIVOT_FLOOR * (1.0 + 1e-9)
     return compile_kernel(entries, n, out, _reference_factors, guards=[
         (fold("-", d, fold("*", Num(PIVOT_SLACK), g[j][j])), floor)
-        for j, d in enumerate(pivots)])
+        for j, d in enumerate(pivots)], program=native.program)
 
 
 class MetricSpec:
@@ -186,7 +188,6 @@ class MetricSpec:
         self.dimension = dimension
         self.euclidean = upper is None
         self._upper = upper  # dict[(i, j)] -> field, i <= j
-        self._kernel = None  # see _factor_kernel, made on first use
         self._key = self._flat = None  # the last point's bytes and its _at
         if upper is None:
             self._identity = np.eye(dimension)
@@ -206,6 +207,11 @@ class MetricSpec:
                 stop = start + math.prod(shape)
                 self._parts[name] = (slice(start, stop), shape)
                 start = stop
+
+    @functools.cached_property
+    def factors(self):
+        """The factor kernel (``_factor_kernel``), made on first use."""
+        return _factor_kernel(self)
 
     @classmethod
     def identity(cls, dimension):
@@ -236,9 +242,7 @@ class MetricSpec:
         key = x.tobytes()
         if key == self._key:
             return self._flat
-        if self._kernel is None:
-            self._kernel = _factor_kernel(self)
-        out = self._kernel(x.tolist(), self)
+        out = self.factors(x.tolist(), self)
         flat = np.frombuffer(struct.pack(f"{len(out)}d", *out))  # read-only
         self._key, self._flat = key, flat
         return flat
@@ -450,9 +454,11 @@ def guard_cancellation(values, scale):
 
     Exact hypotheses cancel term by term, so a sum within NOISE_RELATIVE of
     ``scale``, the sum of its terms' magnitudes, is taken as zero; dividing
-    such residues by a vanishing potential would fabricate divergence.
+    such residues by a vanishing potential would fabricate divergence. An
+    overflowed sum, whose scale is not finite, stays as it is.
     """
-    return np.where(np.abs(values) <= NOISE_RELATIVE * scale, 0.0, values)
+    return np.where((np.abs(values) <= NOISE_RELATIVE * scale)
+                    & np.isfinite(scale), 0.0, values)
 
 
 def rowdot(a, b) -> np.ndarray:

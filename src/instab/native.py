@@ -1,5 +1,5 @@
-"""Euclidean sweep branches, chart flows and certification shells' Newton
-steps in C, with the bits of the Python stepper and the numpy loop.
+"""Sweep branches, chart flows and certification shells' Newton steps in
+C, with the bits of the Python stepper and the numpy loop.
 
 One fixed C source holds ``dynamics._solve_branch``'s try loop: the DOP853
 tableau, emitted from ``dynamics._A`` and summed in ``_stepper``'s order,
@@ -9,7 +9,8 @@ emitted from ``dynamics._D`` and summed in ``_interpolant``'s order, and
 for flow rows Hairer's starting step in ``_initial_step``'s order. Its
 right-hand side interprets a register program (``program``), a motion or
 flow kernel's ``expr`` walk rendered once more, on the libm that Python's
-``math`` calls. ``lend`` lends it a branch's state, which it steps on into
+``math`` calls; on a curved metric the metric's factor program runs first
+(``chain``). ``lend`` lends it a branch's state, which it steps on into
 ``_solve_branch``'s rows and grid states; ``solve_rows`` starts and steps
 all of a chart's flow rows, uncapped and with no grid times, in one call. A
 check, guard or finiteness test of the Python kernel, a zero divisor, a
@@ -399,6 +400,29 @@ def program(ops, symbols, tested, inputs):
     exact = all(op not in (5, 7, 8, 9, 10) for op, *_ in code)
     return (np.array(code, dtype=np.intc).reshape(-1, 4), values, out, inputs,
             exact)
+
+
+def chain(factors, motion, n):
+    """The metric's factor program ``factors``, then the curved motion
+    program ``motion``, as one over 2n floats and (-1/eps^2, 1/eps): the
+    factors' registers follow, their p[:n] read x, and the motion's other
+    inputs read their g^-1 and Gamma; each op keeps its operands and
+    order, and each test stays. None where either is None."""
+    if factors is None or motion is None:
+        return None
+    f_code, f_values, f_out, _, f_exact = factors
+    m_code, m_values, m_out, inputs, m_exact = motion
+    half = n * n + n ** 3  # the outputs of g and dg, then of g^-1 and Gamma
+    f_map = np.arange(len(f_values)) + len(m_values)
+    f_map[:n] = range(n)
+    m_map = np.arange(len(m_values))
+    m_map[2 * n + 2:2 * n + inputs] = f_map[f_out[half:2 * half]]
+    code = np.concatenate([f_code, m_code])
+    code[:len(f_code), 1:] = f_map[f_code[:, 1:]]
+    code[len(f_code):, 1:] = m_map[m_code[:, 1:]]
+    out = np.concatenate([m_map[m_out], f_map[f_out[2 * half:]]])
+    return (code, np.concatenate([m_values, f_values]), out.astype(np.intc),
+            2, f_exact and m_exact)
 
 
 def _call(function, program, m, registers, *buffers):

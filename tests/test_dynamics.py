@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from scipy.integrate import DOP853, solve_ivp
 from scipy.integrate._ivp import dop853_coefficients
 
-from instab import dynamics, expr, harness, native
+from instab import dynamics, expr, geometry, harness, native
 from instab.dynamics import (
     LagrangianSystem,
     State,
@@ -553,6 +553,72 @@ def test_curved_el_acceleration_matches_oracle(metric, form, potential, x,
     assert got_error == want_error
     if want_error is None:
         assert np.array_equal(got, want), (got, want)
+
+
+def _program_outputs(program, y, inputs):
+    """The register ``program``'s outputs at the state ``y``, with its
+    ``inputs``, from one evaluation by ``newton_rows`` with no Newton step,
+    or None where the program bails."""
+    m = len(y)
+    registers = program[1].copy()
+    registers[m:m + len(inputs)] = inputs
+    dy, declined = np.empty(m), np.ones(1, dtype=np.int_)
+    native._call(native.library().newton_rows, program, m, registers,
+                 np.array(y, dtype=float), np.zeros(1), 1, 0, 0.0,
+                 np.empty(1), declined, dy)
+    return None if declined[0] else tuple(dy.tolist())
+
+
+_STATES = st.tuples(_NEAR_MINUS_ONE, st.floats(-2, 2), _NEAR_MINUS_ONE,
+                    *[st.floats(-3, 3)] * 3)
+
+
+@given(metric=st.sampled_from(_CURVED_METRICS),
+       form=st.sampled_from(sorted(_ACCELERATION_FORMS)),
+       potential=st.sampled_from(["x3^2", "x1^2 + ln(1 + x2^2) + x3^4",
+                                  "ln(x1)^2 + x3^2"]),
+       states=st.lists(_STATES, min_size=1, max_size=4),
+       eps=st.one_of(st.sampled_from([1.0, 0.1, 1e-3, None]),
+                     _LOG_EPSILONS))
+# not positive definite; the first pivot, then the last, just under
+# PIVOT_FLOOR; the last within PIVOT_SLACK above it, where the reference
+# decides and gives the factors
+@example(metric="turns singular", form="none", potential="x3^2",
+         states=[(-1.5, 0.0, 0.0, 1.0, 0.0, 0.0),
+                 (-1.0 + 9e-13, 0.0, 0.0, 1.0, 0.0, 0.0),
+                 (0.0, 0.0, 1.0 - 4e-13, 0.0, 1.0, 1.0),
+                 (0.0, 0.0, 1.0 - 5.02e-13, 0.0, 1.0, 1.0)], eps=0.1)
+# the acceleration overflows through g^-1; U is undefined
+@example(metric="criterion 10", form="curved problem",
+         potential="ln(x1)^2 + x3^2",
+         states=[(2.3e-301, 0.0, 0.0, 0.0, 1.0, 0.0),
+                 (-0.5, 0.0, 0.0, 0.0, 1.0, 0.0)], eps=1e-3)
+@settings(max_examples=150, deadline=None)
+def test_chained_curved_program_has_the_curved_stages_bits(
+        metric, form, potential, states, eps, compiled, count_calls):
+    """The metric's factor program chained into the curved motion
+    program gives the bits of the Python stage that ``compile_motion``
+    returns, and bails at just the states where that stage raises or the
+    factor kernel's reference decides: each bail is one of those."""
+    with count_calls(geometry, "_reference_factors") as decided:
+        system = LagrangianSystem(
+            MetricSpec.from_sources(3, _ACCELERATION_METRICS[metric]),
+            ScalarField.parse(potential, 3),
+            None if _ACCELERATION_FORMS[form] is None
+            else OneForm.from_sources(_ACCELERATION_FORMS[form]),
+            epsilon=eps)
+        f = compile_motion(system)
+        assert f.program[3] == 2  # (-1/eps^2, 1/eps) alone
+        bails, python = [], []
+        for y in states:
+            before = len(decided)
+            got = _program_outputs(f.program, y, system.inputs)
+            want, error = _raised(f, y, system)
+            bails.append(got is None)
+            python.append(error is not None or len(decided) > before)
+            if got is not None:
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert bails == python, (bails, python)
 
 
 def test_el_acceleration_runs_the_motion_kernel(count_calls):
@@ -1431,6 +1497,48 @@ def test_corpus_run_all_makes_no_python_try(compiled, python_steps):
     with python_steps() as python:
         harness.run_all(seed=42)
     assert python.tries == python.steps == []
+
+
+def test_corpus_run_all_builds_no_python_stepper(compiled):
+    """The loop makes every try of run-all, and the Python stepper, made
+    at a branch's first Python try, is never built."""
+    dynamics._stepper.cache_clear()
+    harness.run_all(seed=42)
+    assert dynamics._stepper.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.01])
+def test_curved_sweep_makes_no_python_try(eps, compiled, python_steps,
+                                          request):
+    """The loop steps each branch of a curved run from its start, over the
+    chained program, with the numbers, grid states and step times of the
+    run stepped in Python alone."""
+    case = _problem_case(CURVED_PROBLEM, eps)
+    with python_steps() as python:
+        got = _summary(*case, keep_log=False)
+    assert python.tries == python.steps == []
+    assert got[0][0]["steps"] > 0
+    request.getfixturevalue("no_compiler")
+    assert _summary(*case, keep_log=False) == got
+
+
+def test_curved_run_into_a_singular_metric_raises_what_python_raises(
+        compiled, python_steps, request):
+    """A straight line toward x1 = -1, where g_33 = 1 + x1 stops being
+    positive: the loop declines the try whose stage fails the pivot guard,
+    and the Python stepper makes it and raises SingularMetric, as it does
+    without a compiler."""
+    metric = MetricSpec.from_sources(3, [["1", "0", "0"], ["0", "1", "0"],
+                                         ["0", "0", "1 + x1"]])
+    system = LagrangianSystem(metric, U_PLANE, None, epsilon=0.1)
+    case = (system, State(0.0, [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]), 3.0,
+            Tolerances())
+    with python_steps() as python:
+        got = _summary(*case, keep_log=False)
+    assert got[0] is SingularMetric, got
+    assert python.only_declined and len(python.steps) == 1
+    request.getfixturevalue("no_compiler")
+    assert _summary(*case, keep_log=False) == got
 
 
 @pytest.mark.parametrize("eps", [1e300, 1e-300])

@@ -18,6 +18,7 @@ from instab.geometry import (
     MetricSpec,
     OneForm,
     contracted_form_norm,
+    guard_cancellation,
     magnetic_tensor,
     normalized_gradient,
     normalized_gradient_jacobian,
@@ -178,7 +179,7 @@ def _reference_metric(sources):
     """A metric whose every point takes the numpy path: compile_fields,
     then Cholesky and inverse in numpy, then the numpy Christoffel."""
     metric = MetricSpec.from_sources(3, sources)
-    metric._kernel = geometry._reference_factors
+    metric.factors = geometry._reference_factors
     return metric
 
 
@@ -397,6 +398,16 @@ def test_contracted_form_norm_zeroes_cancellation_noise():
     f_tensor = magnetic_tensor(mu, [0, 0, 0])
     assert (v @ f_tensor)[2] != 0.0
     assert contracted_form_norm(ginv, f_tensor[None], v[None])[0] == 0.0
+
+
+def test_guard_cancellation_keeps_an_overflowed_sum():
+    """A sum that overflows, with its scale, is not noise of a zero: it
+    stays inf, where |inf| <= NOISE_RELATIVE * inf would zero it."""
+    inf = np.array([np.inf])
+    assert guard_cancellation(inf, inf).tolist() == [np.inf]
+    assert guard_cancellation(-inf, inf).tolist() == [-np.inf]
+    assert guard_cancellation(np.array([1e-20]), np.array([1.0])).tolist() \
+        == [0.0]
 
 
 def test_two_form_norm_unit_planar():

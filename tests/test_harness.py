@@ -403,13 +403,13 @@ def test_cli_proof_constant_overflow_exits_3(tmp_path):
     assert "proof constant C1" in report["error"]
 
 
-# one-forms whose field strength overflows the magnetic norms, with f and
-# the ratio certify names: at 1e300 the norms' squares overflow; at 1e308,
-# with a |grad f| of 4, the contraction itself, which guard_cancellation
-# then zeroes (inf is within noise of its inf scale), so the full norm is
-# the first ratio that is not finite
-HUGE_FIELDS = {"1e300": (["1e300*x2", "0"], "x2", "the ratio"),
-               "1e308": (["1e308*x2", "0"], "4*x2", "the full-norm ratio")}
+# one-forms whose field strength overflows the magnetic norms, with f, the
+# ratio certify names and its value: at 1e300 the norms' squares overflow;
+# at 1e308, with a |grad f| of 4, the contraction itself, which
+# guard_cancellation leaves as it is (its scale is not finite), and whose
+# inf entry times g^-1's zeros makes the norm nan
+HUGE_FIELDS = {"1e300": (["1e300*x2", "0"], "x2", "the ratio", "inf"),
+               "1e308": (["1e308*x2", "0"], "4*x2", "the ratio", "nan")}
 
 
 @pytest.mark.parametrize("field", sorted(HUGE_FIELDS))
@@ -419,7 +419,7 @@ def test_cli_overflowing_magnetic_norms_exit_3(command, field, tmp_path):
     where a magnetic ratio is not finite, instead of printing Infinity;
     sweep and escape, whose runs fail, print no numpy warning from the
     certification's norms: each exits 3 with strict JSON and no stderr."""
-    magnetic, f, ratio = HUGE_FIELDS[field]
+    magnetic, f, ratio, value = HUGE_FIELDS[field]
     path = tmp_path / "huge-field.json"
     path.write_text(json.dumps({
         "dimension": 2, "potential": "x1^2", "magnetic": magnetic, "f": f,
@@ -435,7 +435,7 @@ def test_cli_overflowing_magnetic_norms_exit_3(command, field, tmp_path):
     if command == "certify":
         assert report["phase"] == "certify"
         assert report["error"].startswith(failure)
-        assert "is not finite (inf) at (" in report["error"]
+        assert f"is not finite ({value}) at (" in report["error"]
     elif command == "sweep":
         assert report["certification"]["magnetic"].startswith(
             "error: " + failure)
