@@ -13,13 +13,14 @@ is numpy-exact and else one numpy pass of U per step, with the same bits,
 so its points are not uniform in the shell; the statistics are suprema
 over the shell, for which coverage counts, not density. A probe's shells
 are filled in one loop of rounds, each round's draws from every open shell
-projected together, up to _BATCH_STARTS starts a pass. Both certifiers read one
-evaluated table per probe: each shell is drawn once, and the shells'
-points are evaluated together, up to _BATCH_STARTS points at a time, in
-one numpy pass per field, the field's one numpy function, which gives its
-values and gradients together (one pass for all of a one-form's components
-per shell, which gives its field strength), and the ratios and the Euler
-residual are column arithmetic over those passes.
+projected together, up to _BATCH_STARTS starts a pass. Each shell is
+drawn once per distinct U and probe settings while U's field lives, as in
+one corpus load (_sample_shell). Both certifiers read one evaluated table
+per probe: the shells' points are evaluated together, up to _BATCH_STARTS
+points at a time, in one numpy pass per field, the field's one numpy
+function, which gives its values and gradients together (one pass for all
+of a one-form's components per shell, which gives its field strength), and
+the ratios and the Euler residual are column arithmetic over those passes.
 A field's numpy row is nan exactly where its value_and_grad raises, so the
 scalar path names the first bad point: a nan row, or one where the metric
 is not invertible or |grad f| is below the floor, is evaluated again point
@@ -99,11 +100,10 @@ class HypothesisProbe:
     samples: int = 200
     seed: int = 0
     # memos: the evaluated shells or the error that evaluating them raised
-    # (_evaluated_shells), the proof's constants (_proof_constants) and the
-    # shells its round loop filled that are not yet taken (_sample_shell)
+    # (_evaluated_shells) and the proof's constants (_proof_constants); the
+    # filled shells are kept on the potential's field (_sample_shell)
     _table: object = field(init=False, repr=False, default=None)
     _constants: tuple = field(init=False, repr=False, default=None)
-    _shells: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
@@ -167,16 +167,19 @@ def _project(probe, points, targets):
     or its gradient is undefined), or after _NEWTON_STEPS steps; |grad U|^2
     is the left fold of its squares. The compiled loop steps each point
     alone where U's register program is numpy-exact (``native.newton``).
-    The points it declines, all of them without it, take one numpy pass
-    of U per step over the points still moving, kept packed with their
-    targets, U and gradients, which writes back the points that stop. Rows
+    The points it declines take one numpy pass of U per step over the
+    points still moving, kept packed with their targets, U and gradients,
+    which writes back the points that stop. Where it declines them all
+    (no compiler, or a program that is not numpy-exact), those are stepped
+    from ``points`` itself and written back into it, with no copy. Rows
     never mix, so a point lands where it would alone, by either path.
     Returns the points and U at them, nan where a point is not in the ball.
     """
     out, values, declined = native.newton(probe.potential, points, targets,
                                           _NEWTON_STEPS, _NEWTON_TOL)
     index = np.flatnonzero(declined)
-    x, t = points[index], targets[index]
+    x, t = (points, targets) if out is points else (points[index],
+                                                    targets[index])
     with np.errstate(all="ignore"):
         for step in range(_NEWTON_STEPS + 1):
             if not len(index):
@@ -221,8 +224,13 @@ def _sample_shell(probe, delta, shell_index):
     a round that keeps none or at MAX_ATTEMPTS_PER_SHELL starts. The first
     call fills every shell (``delta`` is shell_deltas()[shell_index]) in
     one loop of passes, each open shell drawing from its own generator and
-    each pass's draws projected together (_joined); the probe keeps the
-    shells until taken. A pass takes one round of a shell that has none,
+    each pass's draws projected together (_joined). U's field keeps the
+    filled shells in its code cache, one slot keyed by the bytes of the
+    probe's center, radius and deltas (so -0.0 and 0.0 differ), samples
+    and seed, all that sampling reads besides U: a probe with that key
+    takes them, so each is drawn once per distinct U and settings while
+    the field lives, as in one corpus load, and any other probe fills its
+    own in their place. A pass takes one round of a shell that has none,
     and after that as many as its mean yield says it still needs, capped
     by MAX_ATTEMPTS_PER_SHELL; the stop rule then runs round by round, and
     the rounds drawn after a shell stops are dropped, so each shell keeps
@@ -235,8 +243,13 @@ def _sample_shell(probe, delta, shell_index):
     to below its floor after each of its rounds, on a copy of its
     generator, and keeps up to 32 of the last with 0 <= U < delta for
     near-locus diagnostics. ``points`` is empty when no start reached it.
+    The arrays are read-only and own their memory.
     """
-    if shell_index not in probe._shells:
+    key = (np.concatenate([probe.center, [probe.radius, probe.delta_min,
+                                          probe.delta_max]]).tobytes(),
+           probe.samples, probe.seed)
+    slot = probe.potential.compiled.get("shells")
+    if slot is None or slot[0] != key:
         deltas, count = probe.shell_deltas(), 2 * probe.samples
         shells = range(len(deltas))
         rngs = [np.random.default_rng([probe.seed, j]) for j in shells]
@@ -267,8 +280,8 @@ def _sample_shell(probe, delta, shell_index):
             for (points, values), j in zip(projected, keys):
                 if j is None:  # after a round of shell 0 that was kept
                     if taken:
-                        near = list(points[(values >= 0)
-                                           & (values < deltas[0])][:32])
+                        near = _frozen(points[(values >= 0)
+                                              & (values < deltas[0])][:32])
                     continue
                 taken = j in going
                 if taken:  # the stop rule, round by round
@@ -281,10 +294,17 @@ def _sample_shell(probe, delta, shell_index):
                         going.remove(j)
             shells = [j for j in shells if j in going]
         for j, rounds in enumerate(kept):  # let each shell's rounds go
-            kept[j] = (np.concatenate(rounds)[:probe.samples],
+            kept[j] = (_frozen(np.concatenate(rounds)[:probe.samples]),
                        count * len(rounds), near if j == 0 else [])
-        probe._shells = dict(enumerate(kept))
-    return probe._shells.pop(shell_index)
+        slot = probe.potential.compiled["shells"] = key, kept
+    return slot[1][shell_index]
+
+
+def _frozen(rows):
+    """A read-only copy of ``rows`` that owns its memory."""
+    rows = rows.copy()
+    rows.flags.writeable = False
+    return rows
 
 
 # consecutive shells whose growing maxima refute a condition

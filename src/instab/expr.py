@@ -538,9 +538,12 @@ _NUMPY_NAMESPACE = {
 
 
 def _define(name, src, namespace):
+    """The function ``name`` that ``src`` defines in a copy of
+    ``namespace``, taken out of it: its globals do not refer back to it, so
+    it is freed with its last user, not at a garbage collection."""
     ns = dict(namespace)
     exec(src, ns)  # noqa: S102 - generated from our own AST only
-    return ns[name]
+    return ns.pop(name)
 
 
 def define_scalar(name, src, **names):
@@ -579,13 +582,12 @@ def _scalar_body(lines, indent):
         for line in lines) or f"{indent}pass\n"
 
 
-def _first_error(fields, exc, point):
-    """The first of ``fields``' own errors at ``point``; for one field,
-    ``exc``, what its code raised, named with the field and the point."""
-    if len(fields) > 1:
-        for fld in fields:
-            fld.value_and_grad(point)
-    label = fields[0].label
+def _first_error(label, fields, exc, point):
+    """The first of ``fields``' own errors at ``point``; else ``exc``, what
+    the code raised, named with ``label``, the first field's, and the
+    point."""
+    for fld in fields:
+        fld.value_and_grad(point)
     if isinstance(exc, DomainError):
         return DomainError(f"{exc} in {label} at point {format_point(point)}")
     return _not_finite(label, point)
@@ -640,7 +642,8 @@ def compile_kernel(fields, n: int, outputs, decide=None, guards=(),
             f"raise not_finite({label!r}, p)"))
     split = len(em.lines) if decide else head  # the code the try covers
     cold = ("return decide(p, arg)" if decide else
-            f"raise first_error(fields, exc, p[:{n}]) from exc")
+            f"raise first_error({fields[0].label!r}, fields, exc, p[:{n}]) "
+            "from exc")
     src = ("def _kernel(p, arg):\n"
            + (f"    {''.join(f'q{j}, ' for j in range(inputs))}= arg.inputs\n"
               if inputs else "")
@@ -648,6 +651,15 @@ def compile_kernel(fields, n: int, outputs, decide=None, guards=(),
            "    except (DomainError, ArithmeticError, ValueError) as exc:\n"
            f"        {cold}\n{_scalar_body(em.lines[split:], '    ')}"
            f"    return ({', '.join(symbols)},)\n")
+    # the error path reads no field where it decides or has one field, and
+    # else a twin of the first: a kernel in a field's code cache keeps no
+    # reference to that field, so a field no longer used is freed at once,
+    # with its code and the shells it keeps, not at a garbage collection
+    if decide is not None or len(fields) == 1:
+        fields = ()
+    else:
+        fields = [ScalarField(fields[0].dimension, fields[0].body,
+                              fields[0].source), *fields[1:]]
     kernel = define_scalar("_kernel", src, decide=decide, fields=fields,
                            first_error=_first_error, not_finite=_not_finite)
     if program is not None:
@@ -768,7 +780,8 @@ class ScalarField:
         ``build(*args)``: its value+gradient (``value_grad``), numpy
         (``vectorized``) and Hessian (``hessian``) functions, its register
         program (``program``), and the motion and flow kernels of which it
-        is the first field."""
+        is the first field. A potential's field also keeps its last filled
+        certification shells there, in one slot (``certify._sample_shell``)."""
         if key not in self.compiled:
             self.compiled[key] = build(*args)
         return self.compiled[key]

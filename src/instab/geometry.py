@@ -482,13 +482,20 @@ def contracted_form_norm(inverse, f_tensor, vector) -> np.ndarray:
 
     ``vector`` is (m, n) and ``f_tensor`` (m, n, n); ``inverse`` holds the
     inverse metrics, (m, n, n), or one (n, n) for every row. Never warns.
+    A covector with an infinite entry and no nan one has an infinite norm
+    under a positive-definite g^-1, where the products would give inf * 0.
     """
     v = np.asarray(vector)[:, None, :]
     with np.errstate(all="ignore"):
         covector = guard_cancellation(v @ f_tensor,  # c_b = F_{ab} v^a
                                       np.abs(v) @ np.abs(f_tensor))[:, 0]
         raised = (covector[:, None, :] @ inverse)[:, 0]
-    return _clamped_sqrt(rowdot(raised, covector))
+    norms = _clamped_sqrt(rowdot(raised, covector))
+    nan = np.isnan(norms)
+    if nan.any():  # inf * 0 in the products, or a nan entry
+        norms[nan & np.isinf(covector).any(axis=1)
+              & ~np.isnan(covector).any(axis=1)] = math.inf
+    return norms
 
 
 def two_form_norm(inverse, f_tensor) -> np.ndarray:

@@ -106,15 +106,21 @@ def _is_real(value):
             and abs(value) <= sys.float_info.max)
 
 
-def _parse_field(source, dimension, problems, what):
-    try:
-        return ScalarField.parse(str(source), dimension)
-    except (ExprError, ValueError) as exc:
-        problems.append(f"{what}: {exc}")
-        return None
+def _parse_field(source, dimension, problems, what, parsed):
+    """``source`` parsed at ``dimension``, once per ``parsed``, the dict of
+    the fields parsed so far; None, with the error in ``problems``, where
+    it does not parse."""
+    key = str(source), dimension
+    if key not in parsed:
+        try:
+            parsed[key] = ScalarField.parse(*key)
+        except (ExprError, ValueError) as exc:
+            problems.append(f"{what}: {exc}")
+            return None
+    return parsed[key]
 
 
-def _check_chart(spec, n, problems):
+def _check_chart(spec, n, problems, parsed):
     """The keys build_problem_chart reads, checked for shape and syntax."""
     fields = spec.get("fields") if isinstance(spec, dict) else None
     if not (isinstance(fields, list) and 1 <= len(fields) < n):
@@ -132,7 +138,8 @@ def _check_chart(spec, n, problems):
                             "expressions")
             continue
         for i, src in enumerate(sources):
-            _parse_field(src, dimension, problems, f"chart.{key}[{i}]")
+            _parse_field(src, dimension, problems, f"chart.{key}[{i}]",
+                         parsed)
     for key, count in (("base_box", n - k), ("level_box", k)):
         box = spec.get(key)
         if not (isinstance(box, list) and len(box) == count and all(
@@ -161,12 +168,17 @@ def _check_quasi_homogeneous(spec, n, problems):
                         "reals not all zero, and degree, a positive real")
 
 
-def load_problem(data, name=None) -> ProblemDefinition:
+def load_problem(data, name=None, parsed=None) -> ProblemDefinition:
     """Validate a problem mapping (or JSON file path) into a definition.
 
     All validation failures are gathered into one ValidationError rather
-    than stopping at the first.
+    than stopping at the first. ``parsed``, a dict that problems loaded
+    together share, keeps each field parsed, by source and dimension, and
+    each Euclidean metric, by dimension: such problems share equal fields,
+    and with them each field's generated code and the certification shells
+    kept on a potential's field.
     """
+    parsed = {} if parsed is None else parsed
     try:
         if hasattr(data, "read"):
             data = json.load(data)
@@ -190,7 +202,7 @@ def load_problem(data, name=None) -> ProblemDefinition:
     metric_data = data.get("metric", "euclidean")
     metric = None
     if metric_data == "euclidean":
-        metric = MetricSpec.identity(n)
+        metric = parsed.setdefault((MetricSpec, n), MetricSpec.identity(n))
     elif (isinstance(metric_data, list) and len(metric_data) == n
           and all(isinstance(r, list) and len(r) == n for r in metric_data)):
         try:
@@ -203,8 +215,8 @@ def load_problem(data, name=None) -> ProblemDefinition:
                         "matrix")
 
     potential = _parse_field(data.get("potential", ""), n, problems,
-                             "potential")
-    f_field = _parse_field(data.get("f", ""), n, problems, "f")
+                             "potential", parsed)
+    f_field = _parse_field(data.get("f", ""), n, problems, "f", parsed)
 
     magnetic = None
     mag_data = data.get("magnetic")
@@ -213,7 +225,8 @@ def load_problem(data, name=None) -> ProblemDefinition:
             problems.append("magnetic must be null or a list of n "
                             "component expressions")
         else:
-            comps = [_parse_field(src, n, problems, f"magnetic[{i}]")
+            comps = [_parse_field(src, n, problems, f"magnetic[{i}]",
+                                  parsed)
                      for i, src in enumerate(mag_data)]
             if all(c is not None for c in comps):
                 magnetic = OneForm(n, comps)
@@ -276,7 +289,7 @@ def load_problem(data, name=None) -> ProblemDefinition:
             problems.append(f"f at center: {exc}")
 
     if data.get("chart") is not None:
-        _check_chart(data["chart"], n, problems)
+        _check_chart(data["chart"], n, problems, parsed)
     if data.get("quasi_homogeneous") is not None:
         _check_quasi_homogeneous(data["quasi_homogeneous"], n, problems)
     probe = data.get("probe", {})
@@ -422,8 +435,14 @@ _CORPUS_DATA = [
 
 
 def corpus() -> list:
-    """The built-in problem definitions, validated on construction."""
-    return [load_problem(dict(data), name=name) for name, data in _CORPUS_DATA]
+    """The built-in problem definitions, validated on construction and
+    loaded together: they share their equal fields and metrics
+    (load_problem), so the plane entries share U = x3^2 and the corollary
+    entries theirs, and a probe takes the shells that an entry before it
+    drew with the same settings."""
+    parsed = {}
+    return [load_problem(dict(data), name=name, parsed=parsed)
+            for name, data in _CORPUS_DATA]
 
 
 def corpus_entry(name) -> ProblemDefinition:

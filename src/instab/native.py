@@ -486,16 +486,18 @@ def newton(fld, points, targets, steps, tol):
     """``certify._project``'s Newton steps of each row of ``points``, (N,
     n), toward U = ``targets`` in one ``newton_rows`` call over the
     register program of U, ``fld``: the rows' end points and U there, and
-    the mask of the rows the loop declines, every row where that program
-    is not numpy-exact or the loop is not built."""
+    the mask of the rows the loop declines. Where that program is not
+    numpy-exact or the loop is not built, it declines every row and
+    returns ``points`` itself, unstepped and uncopied."""
     u_program = fld.program(program)
     lib = u_program and u_program[4] and library()
     rows, n = points.shape
+    if not lib:
+        return points, np.empty(rows), np.ones(rows, dtype=bool)
     # a spare p[n]: U's program reads as many p as it has outputs, n + 1
     x = np.pad(np.asarray(points, dtype=float), [(0, 0), (0, 1)])
     u, declined = np.empty(rows), np.ones(rows, dtype=np.int_)
-    if lib:
-        _call(lib.newton_rows, u_program, n + 1, u_program[1].copy(), x,
-              np.ascontiguousarray(targets, dtype=float), rows, steps, tol,
-              u, declined, np.empty(n + 1))
+    _call(lib.newton_rows, u_program, n + 1, u_program[1].copy(), x,
+          np.ascontiguousarray(targets, dtype=float), rows, steps, tol, u,
+          declined, np.empty(n + 1))
     return x[:, :n], u, declined.astype(bool)

@@ -1,9 +1,13 @@
 """Hypothesis certification: shell tables, verdicts, algebraic identities."""
 
 import collections
+import gc
+import itertools
+import json
 import math
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -23,8 +27,9 @@ from instab.certify import (
     check_orthogonal_commuting,
     check_quasi_homogeneous,
 )
-from instab.charts import BaseSurfaceMap, build_multi_chart
+from instab.charts import BaseSurfaceMap, build_multi_chart, compile_flow
 from instab.cli import main
+from instab.dynamics import compile_motion
 from instab.errors import (
     DomainError,
     EmptyShell,
@@ -305,6 +310,118 @@ def test_each_shell_drawn_once(monkeypatch):
     assert draws == {j: 1 for j in range(6)}
 
 
+def _certified(probe):
+    """Both certifiers' reports on ``probe`` as JSON text, or the class and
+    message of the error each raised."""
+    out = []
+    for certifier in (certify_potential_condition,
+                      certify_magnetic_condition):
+        try:
+            out.append(json.dumps(certifier(probe).to_dict(),
+                                  sort_keys=True))
+        except InstabError as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+@pytest.mark.parametrize("stepper", ["compiled", "no_compiler"])
+def test_corpus_load_certifies_each_entry_as_loaded_alone(stepper, request,
+                                                          count_calls):
+    """Entries loaded together share equal fields, so the plane entries
+    share U and the corollary entries theirs, and a probe takes the shells
+    that an entry before it drew, projecting no start. For probe seeds 0-2
+    each entry's reports keep the bytes, or the error, of the entry loaded
+    alone, which projects its own."""
+    request.getfixturevalue(stepper)
+    problems = harness.corpus()
+    by_name = {p.name: p for p in problems}
+    for group in (["stable-magnetic-plane", "unstable-magnetic-plane",
+                   "mechanical-plane"],
+                  ["corollary1-unstable-magnetic", "corollary1-mechanical"]):
+        assert len({id(by_name[name].potential) for name in group}) == 1
+        assert len({id(by_name[name].f) for name in group}) == 1
+    assert len({id(p.metric) for p in problems if p.dimension == 3}) == 1
+    taken = {"unstable-magnetic-plane", "mechanical-plane",
+             "corollary1-mechanical"}
+    for seed, problem in itertools.product(range(3), problems):
+        with count_calls(certify, "_project") as shared:
+            together = _certified(harness.certification_probe(problem,
+                                                              seed=seed))
+        with count_calls(certify, "_project") as cold:
+            alone = _certified(harness.certification_probe(
+                harness.corpus_entry(problem.name), seed=seed))
+        assert (not shared, not cold) == (problem.name in taken, False)
+        assert together == alone
+
+
+@pytest.mark.parametrize("setting, value, drawn", [
+    ("seed", 0, 0),  # no change: the shells are taken, not drawn
+    ("center", np.array([-0.0, 0.0, 0.0]), 1), ("radius", 0.4, 1),
+    ("delta_min", 1e-6, 1), ("delta_max", 1e-3, 1), ("samples", 150, 1),
+    ("seed", 1, 1)])
+def test_a_changed_probe_setting_draws_its_own_shells(setting, value, drawn,
+                                                      count_calls):
+    """On the U that the plane entries share, a probe that differs from the
+    last one in a single setting, even by -0.0 against 0.0 in its center,
+    projects its own shells, and both its reports are a cold probe's, on
+    fields of its own; an unchanged probe projects none."""
+    def probe(problem):
+        return HypothesisProbe(
+            metric=problem.metric, potential=problem.potential, f=problem.f,
+            magnetic=problem.magnetic,
+            **{"center": problem.center, "seed": 0, setting: value})
+
+    first, second = [p for p in harness.corpus()
+                     if p.name in ("stable-magnetic-plane",
+                                   "unstable-magnetic-plane")]
+    assert first.potential is second.potential
+    certify_potential_condition(harness.certification_probe(first))
+    with count_calls(certify, "_project") as projected:
+        got = _certified(probe(second))
+    assert bool(projected) == drawn
+    assert got == _certified(probe(harness.corpus_entry(second.name)))
+
+
+def test_kept_shells_own_their_memory_and_are_read_only():
+    """The shells kept on U's field, their points and shell 0's near-locus
+    points, are compact read-only arrays, not views of a pass."""
+    problem = harness.corpus_entry("corollary1-unstable-magnetic")
+    certify_magnetic_condition(harness.certification_probe(problem))
+    _key, shells = problem.potential.compiled["shells"]
+    near = shells[0][2]
+    assert len(near) and all(len(points) == 200 for points, *_ in shells)
+    for rows in [points for points, *_ in shells] + [near]:
+        assert rows.base is None and not rows.flags.writeable
+
+
+def test_a_dropped_load_frees_its_fields_and_shells_at_once():
+    """No kernel keeps a reference to the field in whose code cache it is,
+    so a corpus load that certified, made its motion kernels and its flow
+    kernels and is then dropped frees its potentials, with the shells they
+    keep, and its f's with no garbage collection."""
+    problems = harness.corpus()
+    for problem in problems:
+        _certified(harness.certification_probe(problem))
+        compile_motion(problem.system(0.1))
+        compile_flow(problem.metric, problem.f, columns=1)
+    fields = [weakref.ref(fld) for problem in problems
+              for fld in (problem.potential, problem.f)]
+    gc.disable()
+    try:
+        del problem, problems
+        assert not any(ref() for ref in fields)
+    finally:
+        gc.enable()
+
+
+def test_run_all_projects_each_distinct_shell_set_once(count_calls):
+    """Run-all's probes make 7 Newton passes, not 10: the plane entries
+    share one U and its shells, and the corollary entries theirs."""
+    with count_calls(native, "newton") as calls:
+        harness.run_all(seed=42)
+    assert len(calls) == 7
+
+
 @pytest.mark.parametrize("stepper", ["compiled", "no_compiler"])
 def test_each_shell_point_evaluated_once(stepper, request, monkeypatch):
     """One ``vectorized`` pass of f and of U over the probe's shell points
@@ -312,9 +429,10 @@ def test_each_shell_point_evaluated_once(stepper, request, monkeypatch):
     projection of all first rounds and shell 0's near-locus starts, and no
     scalar value_and_grad or magnetic_tensor call at a shell point, since
     every row of this entry's shells is finite. Without a compiler the
-    projection makes one pass of U per Newton step and no other generated
-    numpy pass; with the compiled loop it makes one call of it, which
-    declines no start, and no numpy pass at all."""
+    projection steps the starts themselves, uncopied, with one pass of U
+    per Newton step and no other generated numpy pass; with the compiled
+    loop it makes one call of it, which declines no start, and no numpy
+    pass at all."""
     request.getfixturevalue(stepper)
     problem = harness.corpus_entry("unstable-magnetic-plane")
     probe = harness.certification_probe(problem)
@@ -349,8 +467,9 @@ def test_each_shell_point_evaluated_once(stepper, request, monkeypatch):
 
     def projected(probe, points, targets):
         start = len(passes), len(generated), len(loops)
+        starts = points.copy()  # a declined start is stepped in place
         out = project(probe, points, targets)
-        projections.append((points, passes[start[0]:],
+        projections.append((starts, out[0] is points, passes[start[0]:],
                             generated[start[1]:], loops[start[2]:]))
         return out
 
@@ -391,14 +510,16 @@ def test_each_shell_point_evaluated_once(stepper, request, monkeypatch):
         assert sum(np.array_equal(seen, points) for seen in generated) == 1
     assert not any((shell_points == x).all(axis=1).any() for x in scalar)
     # every shell takes one round: a single projection of all starts
-    [(starts, seen, numpy_passes, [declined])] = projections
+    [(starts, in_place, seen, numpy_passes, [declined])] = projections
     assert len(starts) == 6 * 2 * probe.samples + certify._NEAR_STARTS
     if stepper == "compiled":
         assert not declined.any() and not seen and not numpy_passes
+        assert not in_place
         return
     # numpy passes over all starts, then over the points each Newton step
-    # moves, so it never evaluates a point twice
-    assert declined.all()
+    # moves, so it never evaluates a point twice; the starts themselves are
+    # stepped, uncopied
+    assert declined.all() and in_place
     assert all(owner is probe.potential for owner, _points in seen)
     assert len(numpy_passes) == len(seen) <= 1 + certify._NEWTON_STEPS
     assert np.array_equal(numpy_passes[0], starts)
@@ -583,7 +704,10 @@ def _oracle_norms(metric, tensor, grad, x):
     covector = guard_cancellation(grad @ tensor, np.abs(grad) @ np.abs(tensor))
     ginv = metric.inverse(x)
     raised = ginv @ tensor @ ginv
-    return (float(np.sqrt(max(covector @ ginv @ covector, 0.0))),
+    contracted = covector @ ginv @ covector
+    if np.isinf(covector).any() and not np.isnan(covector).any():
+        contracted = math.inf  # not inf * 0: g^-1 is positive-definite
+    return (float(np.sqrt(max(contracted, 0.0))),
             float(np.sqrt(max(0.5 * np.sum(tensor * raised), 0.0))))
 
 

@@ -410,6 +410,22 @@ def test_guard_cancellation_keeps_an_overflowed_sum():
         == [0.0]
 
 
+def test_contracted_form_norm_of_an_overflowed_covector_is_inf():
+    """A covector with an infinite entry has an infinite norm under a
+    positive-definite g^-1, also where the products take inf * 0; one with
+    a nan entry stays nan, and a finite row keeps its bits."""
+    tensor = np.array([[0.0, 1e308], [-1e308, 0.0]])
+    vectors = np.array([[0.0, 4.0], [4.0, 4.0], [np.nan, 4.0],
+                        [1e-300, 2e-300]])
+    tensors = np.broadcast_to(tensor, (4, 2, 2))
+    for inverse in (np.eye(2), np.array([[2.0, 0.5], [0.5, 1.0]])):
+        norms = contracted_form_norm(inverse, tensors, vectors)
+        assert norms[:2].tolist() == [np.inf, np.inf]
+        assert np.isnan(norms[2])
+        covector = vectors[3] @ tensor
+        assert norms[3] == np.sqrt(covector @ inverse @ covector)
+
+
 def test_two_form_norm_unit_planar():
     ginv = MetricSpec.identity(3).inverse([0, 0, 0])
     mu = OneForm.from_sources(["0", "x1", "0"])  # tensor has F_12 = 1
