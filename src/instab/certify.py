@@ -577,7 +577,7 @@ def _proof_constants(probe):
         m_quad = 1.0
         if not metric.euclidean and not bad.all():
             m_quad = max(m_quad, float(np.max(np.linalg.eigvalsh(
-                [metric.value(x) for x in points[~bad]]))))
+                metric.rows(points[~bad], ["g"])[0]))))
         cap_sq = gradient_data(metric, probe.f, probe.center)[2]
         probe._constants = m_grad, m_quad, cap_sq
     return probe._constants

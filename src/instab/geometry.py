@@ -17,7 +17,11 @@ point's outputs are kept as one flat read-only array, and ``value``,
 pivot is at or within rounding of PIVOT_FLOOR, or a check fails, the
 numpy path decides (each entry's ``value_and_grad``, numpy's Cholesky and
 inverse, an einsum), which raises SingularMetric, DomainError and
-NonFiniteResult as it always has. A one-form's field strength F = dA is
+NonFiniteResult as it always has. ``MetricSpec.rows`` gives g and g^-1 at
+many points from one compiled row pass of that kernel's register program
+(``native.program_rows``), with the kernel's bits; a point the pass
+declines, and every point without the compiled loop, takes the point-wise
+path as a fallback. A one-form's field strength F = dA is
 stated once, as ASTs (``field_strength``); its magnetic tensor is one
 generated call of them per point, or one numpy call per set of points,
 with the bits of the component-wise ``jac.T - jac``.
@@ -277,6 +281,25 @@ class MetricSpec:
             return self._gamma
         return self._view(self._factored(point), "gamma")
 
+    def rows(self, points, names, skip=()):
+        """``value`` ("g") and ``inverse`` ("ginv"), as ``names`` lists
+        them, at each of (m, n) ``points`` of a curved metric, (m, n, n)
+        each, from one ``native.program_rows`` pass of the factor kernel's
+        program; then each row that pass declines, in order, from ``_at``
+        or ``_factored``, the point-wise path, whose error it raises, or
+        leaves the row nan where that is one of ``skip``. Returns the
+        arrays, then the mask of declined rows and that of nan rows."""
+        n = self.dimension
+        picks = np.r_[tuple(self._parts[name][0] for name in names)]
+        flat, declined = native.program_rows(
+            self.factors, points, picks, self._parts["gamma"][0].stop)
+        parts = [flat[:, k * n * n:(k + 1) * n * n].reshape(-1, n, n)
+                 for k in range(len(names))]
+        failed = mend_rows(points, declined.copy(), lambda x: [
+            self._view(self._factored(x) if name == "ginv" else self._at(x),
+                       name) for name in names], parts, skip)
+        return (*parts, declined, failed)
+
     def inner(self, points, u, v) -> np.ndarray:
         """g(u, v) row by row over (m, n) points and vectors."""
         points, u, v = np.atleast_2d(points, u, v)
@@ -364,10 +387,12 @@ def gradient_rows(metric, f, points, floor=None):
     """grad f, |grad f|^2 and g^-1 rows at (m, n) ``points``, and the mask
     of bad rows, first those where f's numpy row is nan.
 
-    g^-1 is MetricSpec.inverse at each point not yet bad, on a Euclidean
-    metric one read-only identity viewed as every row; a row where it
-    raises turns bad, as does one where |grad f|^2 is not finite or below
-    a given ``floor``^2 (GradientTooSmall).
+    g^-1 is MetricSpec.inverse at each point, from one compiled row pass
+    (``MetricSpec.rows``) with the point-wise path for the rows it
+    declines, nan in f's nan rows; on a Euclidean metric one read-only
+    identity viewed as every row. A row where it raises turns bad, as does
+    one where |grad f|^2 is not finite or below a given ``floor``^2
+    (GradientTooSmall).
     """
     values, df = f.vectorized()(points)
     bad = np.isnan(values)
@@ -375,12 +400,10 @@ def gradient_rows(metric, f, points, floor=None):
     if metric.euclidean:
         inverse, grad = np.broadcast_to(metric._identity, (m, n, n)), df
     else:
-        inverse = np.full((m, n, n), np.nan)
-        for k in np.flatnonzero(~bad):
-            try:
-                inverse[k] = metric.inverse(points[k])
-            except InstabError:
-                bad[k] = True
+        inverse, _declined, failed = metric.rows(points, ["ginv"],
+                                                 skip=InstabError)
+        inverse[bad] = np.nan
+        bad |= failed
         grad = (inverse @ df[:, :, None])[:, :, 0]
     norm_sq = rowdot(df, grad)
     low = False if floor is None else norm_sq < floor ** 2

@@ -1,5 +1,6 @@
-"""Sweep branches, chart flows and certification shells' Newton steps in
-C, with the bits of the Python stepper and the numpy loop.
+"""Sweep branches, chart flows, certification shells' Newton steps and a
+curved metric's factors at many points in C, with the bits of the Python
+stepper, the numpy loop and the scalar kernel.
 
 One fixed C source holds ``dynamics._solve_branch``'s try loop: the DOP853
 tableau, emitted from ``dynamics._A`` and summed in ``_stepper``'s order,
@@ -20,7 +21,15 @@ solves alone, or a try, handing back the state as the Python try loop holds
 it at the top of that try; ``dynamics`` makes that step, which raises or
 goes on. ``newton`` runs ``certify._project``'s Newton steps over a
 numpy-exact program of U's value and gradient, declining a start where it
-bails, for the numpy loop.
+bails, for the numpy loop. ``program_rows`` runs a program once at each of
+many points, writing only the outputs it picks and declining a point where
+it bails, for the kernel's own call there: ``MetricSpec.rows`` takes g and
+g^-1 at a shell's points from the factor program so.
+
+The C entry points, each over the one interpreter ``rhs``, and the
+functions here that call them: ``dop853_branch`` (``lend``),
+``dop853_rows`` (``solve_rows``), ``newton_rows`` (``newton``) and
+``program_rows`` (of the same name).
 
 ``library`` loads the built source from a per-user cache, where ``cc``
 from PATH builds it the first time; None where that fails, and every
@@ -56,16 +65,18 @@ _SOURCE = r"""
 #error "every double operation must round to double"
 #endif
 
-typedef struct { const int *code, *out; long n, nout, m; double *r; } rhs_t;
+typedef struct { const int *code, *out; long n, nout, m; double *r; long in; }
+    rhs_t;
 
-/* dy = f(y) by the register program, whose out[m:] the Python kernel tests
-   for finiteness; 1 where that kernel may raise */
+/* dy = f(y), the m outputs of the register program over the in floats y,
+   whose out[m:] the Python kernel tests for finiteness; 1 where that kernel
+   may raise */
 static int rhs(const rhs_t *f, const double *y, double *dy)
 {
     const int *c = f->code, *end = c + 4 * f->n;
     double *r = f->r, v, tested = 0.0;
     long i;
-    memcpy(r, y, f->m * sizeof *y);
+    memcpy(r, y, f->in * sizeof *y);
     for (; c < end; c += 4) {
         double a = r[c[2]], b = r[c[3]];
         switch (c[0]) {
@@ -163,7 +174,7 @@ long dop853_branch(const int *code, long size, double *r, const int *out,
                    const double *grid, long ngrid, double *rows,
                    long nrows, double *states, double *k)
 {
-    rhs_t f = {code, out, size, nout, m, r};
+    rhs_t f = {code, out, size, nout, m, r, m};
     double *t = st, *y = st + 1, *k1 = y + m, *h_abs = k1 + m;
     double *z = K(16), *yn = z + m, t_end = par[0], cap = par[1];
     double dir = par[5];
@@ -251,7 +262,7 @@ void newton_rows(const int *code, long size, double *r, const int *out,
                  long steps, double tol, double *u, long *declined,
                  double *dy)
 {
-    rhs_t f = {code, out, size, nout, m, r};
+    rhs_t f = {code, out, size, nout, m, r, m};
     long i, j, s;
     for (j = 0; j < n; j++, x += m) {
         for (s = 0; !(declined[j] = rhs(&f, x, dy)); s++) {
@@ -265,6 +276,19 @@ void newton_rows(const int *code, long size, double *r, const int *out,
     }
 }
 
+/* The register program at each of n rows x, each of in floats: a row's m
+   outputs to its row of y, each m floats, and declined 1 where rhs bails,
+   that row of y then written in part or not at all. */
+void program_rows(const int *code, long size, double *r, const int *out,
+                  long nout, long m, const double *x, long in, long n,
+                  double *y, long *declined)
+{
+    rhs_t f = {code, out, size, nout, m, r, in};
+    long j;
+    for (j = 0; j < n; j++)
+        declined[j] = rhs(&f, x + j * in, y + j * m);
+}
+
 /* Each of n rows' states st, (0, y, room for K(0) and h_abs), started and
    stepped by dop853_branch with its par, uncapped and with no grid times
    or rows: a row's y becomes its state at t_end, and status its loop's 0,
@@ -273,7 +297,7 @@ void dop853_rows(const int *code, long size, double *r, const int *out,
                  long nout, long m, double *st, const double *par, long n,
                  long *status, double *k)
 {
-    rhs_t f = {code, out, size, nout, m, r};
+    rhs_t f = {code, out, size, nout, m, r, m};
     long j;
     for (j = 0; j < n; j++, st += 2 + 2 * m, par += 6) {
         long cnt[] = {0, 0, 0, 1, 0, 0, 0};  /* live: no cap waits */
@@ -312,10 +336,10 @@ def source():
 
 @functools.cache
 def library():
-    """The compiled loops, ``dop853_branch``, ``dop853_rows`` and
-    ``newton_rows``, loaded once per process from ``instab`` in
-    ``$XDG_CACHE_HOME`` or ``~/.cache``, named by the CRC-32 and Adler-32
-    of the source, the real path, size and mtime of ``cc`` and
+    """The compiled loops, ``dop853_branch``, ``dop853_rows``,
+    ``newton_rows`` and ``program_rows``, loaded once per process from
+    ``instab`` in ``$XDG_CACHE_HOME`` or ``~/.cache``, named by the CRC-32
+    and Adler-32 of the source, the real path, size and mtime of ``cc`` and
     ``COMPILE``; built there where missing, unloadable or writable by
     others, else in a temporary directory; None where no ``cc`` is on PATH
     or all fails."""
@@ -354,7 +378,8 @@ def library():
                 status = os.stat(obj)  # loaded only if no other may write it
                 if status.st_uid == os.getuid() and not status.st_mode & 0o022:
                     lib = ctypes.CDLL(obj)
-                    lib.dop853_branch, lib.dop853_rows, lib.newton_rows
+                    (lib.dop853_branch, lib.dop853_rows, lib.newton_rows,
+                     lib.program_rows)
                     break
         except (OSError, AttributeError, subprocess.SubprocessError):
             continue  # a full or unwritable cache fails the build too
@@ -370,6 +395,8 @@ def library():
     lib.newton_rows.argtypes = program + [pointer, size, size,
                                           ctypes.c_double] + [pointer] * 3
     lib.newton_rows.restype = None
+    lib.program_rows.argtypes = program + [size, size, pointer, pointer]
+    lib.program_rows.restype = None
     return lib
 
 
@@ -501,3 +528,25 @@ def newton(fld, points, targets, steps, tol):
           np.ascontiguousarray(targets, dtype=float), rows, steps, tol, u,
           declined, np.empty(n + 1))
     return x[:, :n], u, declined.astype(bool)
+
+
+def program_rows(f, points, picks, stop):
+    """The outputs ``picks``, indices, of ``f``'s register program, whose
+    outputs end at ``stop`` in its out and the symbols it tests follow,
+    at each row of ``points``, (N, n), from one ``program_rows`` call: an
+    (N, len(picks)) array, nan in the rows the loop declines, and their
+    mask; every row where ``f`` has no register program or the loop is not
+    built."""
+    lib = getattr(f, "program", None) and library()
+    rows, n = points.shape
+    values = np.full((rows, len(picks)), np.nan)
+    declined = np.ones(rows, dtype=np.int_)
+    if lib:
+        code, registers, out, *rest = f.program
+        _call(lib.program_rows, (code, registers, np.concatenate(
+            [out[picks], out[stop:]]), *rest), len(picks), registers.copy(),
+            np.ascontiguousarray(points, dtype=float), n, rows, values,
+            declined)
+    declined = declined.astype(bool)
+    values[declined] = np.nan  # a declined row may be part-written
+    return values, declined

@@ -557,15 +557,14 @@ def test_curved_el_acceleration_matches_oracle(metric, form, potential, x,
 
 def _program_outputs(program, y, inputs):
     """The register ``program``'s outputs at the state ``y``, with its
-    ``inputs``, from one evaluation by ``newton_rows`` with no Newton step,
-    or None where the program bails."""
+    ``inputs``, from one row of ``program_rows``, or None where the program
+    bails."""
     m = len(y)
     registers = program[1].copy()
     registers[m:m + len(inputs)] = inputs
     dy, declined = np.empty(m), np.ones(1, dtype=np.int_)
-    native._call(native.library().newton_rows, program, m, registers,
-                 np.array(y, dtype=float), np.zeros(1), 1, 0, 0.0,
-                 np.empty(1), declined, dy)
+    native._call(native.library().program_rows, program, m, registers,
+                 np.array(y, dtype=float), m, 1, dy, declined)
     return None if declined[0] else tuple(dy.tolist())
 
 

@@ -1,5 +1,6 @@
 """Riemannian point computations against hand and finite-difference oracles."""
 
+import contextlib
 import re
 import warnings
 
@@ -9,7 +10,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from instab import expr, geometry
+from instab import expr, geometry, harness, native
 from instab.dynamics import LagrangianSystem, State, el_acceleration
 from instab.errors import DomainError, NonFiniteResult, SingularMetric
 from instab.expr import ScalarField
@@ -18,6 +19,7 @@ from instab.geometry import (
     MetricSpec,
     OneForm,
     contracted_form_norm,
+    gradient_rows,
     guard_cancellation,
     magnetic_tensor,
     normalized_gradient,
@@ -44,6 +46,12 @@ TURNS_SINGULAR = [
     ["1 + x1", "x1*x2/4", "0"],
     ["x1*x2/4", "1", "x3"],
     ["0", "x3", "1"],
+]
+# Positive definite on |x| <= 2, with entries that call libm.
+TRANSCENDENTAL = [
+    ["1 + sin(x1)^2/4", "x1*x2/8", "0"],
+    ["x1*x2/8", "exp(x2^2/8)", "0"],
+    ["0", "0", "sqrt(1 + x3^2)"],
 ]
 
 
@@ -192,8 +200,12 @@ def _outcome(fn, *args):
 
 # Generated factors against the numpy path within 1e-12 relative times the
 # condition number of g: of the largest entry for g^-1, and of the sum of
-# the magnitudes of the summed terms for Gamma and the acceleration.
+# the magnitudes of the summed terms for Gamma and the acceleration. Below
+# the normal range each rounding is a whole subnormal step, while such a
+# bound underflows to 0, so those two take a floor of a few steps; it
+# leaves the bound unchanged in the normal range.
 _FACTOR_REL = 1e-12
+_FACTOR_FLOOR = 4 * np.finfo(float).smallest_subnormal
 _METRICS = {"criterion 10 (perfbench's CURVED_PROBLEM)": CRITERION_10,
             "curved": CURVED, "turns singular": TURNS_SINGULAR}
 _NEAR_ONE = st.one_of(st.floats(-2, 2), st.sampled_from([-1.0, 1.0]),
@@ -210,6 +222,9 @@ _NEAR_ONE = st.one_of(st.floats(-2, 2), st.sampled_from([-1.0, 1.0]),
 @example("turns singular", (-1.0 + 9e-13, 0.0, 0.0), (1.0, 0.0, 0.0), 1.0)
 # last pivot 1 - x3^2 just under the floor, reached by cancellation
 @example("turns singular", (0.0, 0.0, 1.0 - 4e-13), (0.0, 1.0, 1.0), 0.1)
+# x3 subnormal: Gamma's terms underflow, and one rounding is a whole step
+@example("turns singular", (1.2578125, 1.650390625, 2.2250738585e-313),
+         (0.0, 0.0, 0.0), 1.0)
 @settings(max_examples=300, deadline=None)
 def test_generated_factors_match_numpy_path(count_calls, name, point,
                                            velocity, epsilon):
@@ -240,7 +255,7 @@ def test_generated_factors_match_numpy_path(count_calls, name, point,
                                   np.abs(braces))
     gamma_ref = reference.christoffel(point)
     assert np.all(np.abs(metric.christoffel(point) - gamma_ref)
-                  <= bound * gamma_terms)
+                  <= np.maximum(bound * gamma_terms, _FACTOR_FLOOR))
 
     potential = ScalarField.parse("x3^2", 3)
     form = OneForm.from_sources(["0", "x3", "0"])
@@ -253,7 +268,102 @@ def test_generated_factors_match_numpy_path(count_calls, name, point,
         - magnetic_tensor(form, point).T @ state.v / epsilon
     v = np.abs(state.v)
     scale = np.abs(ginv_ref) @ np.abs(force) + gamma_terms @ v @ v
-    assert np.all(np.abs(acc - acc_ref) <= bound * scale)
+    assert np.all(np.abs(acc - acc_ref)
+                  <= np.maximum(bound * scale, _FACTOR_FLOOR))
+
+
+_ROW_METRICS = {**_METRICS, "transcendental": TRANSCENDENTAL}
+
+
+@pytest.mark.parametrize("loop", ["compiled", "python"])
+@given(name=st.sampled_from(sorted(_ROW_METRICS)), points=st.lists(
+    st.tuples(_NEAR_ONE, st.floats(-2, 2), _NEAR_ONE), min_size=1,
+    max_size=6))
+# pivots under the floor, just under it, just above it, and within its
+# slack: the point-wise path decides each, and the compiled pass declines
+@example(name="turns singular", points=[
+    (-1.5, 0.0, 0.0), (-1.0 + 9e-13, 0.0, 0.0), (-1.0 + 2e-12, 0.5, 0.0),
+    (0.0, 0.0, 1.0 - 4e-13), (0.0, 0.0, 1.0 - 5e-13), (0.5, -0.5, 0.5)])
+@settings(max_examples=100, deadline=None)
+def test_metric_rows_have_the_point_wise_bits(count_calls, python_only, loop,
+                                              name, points):
+    """MetricSpec.rows gives ``value``'s and ``inverse``'s bits at each
+    point, nan where ``inverse`` raises; its compiled pass declines exactly
+    the points where the factor kernel decides, and every point without
+    the loop."""
+    points = np.array(points)
+    with count_calls(geometry, "_reference_factors") as decided:
+        metric = MetricSpec.from_sources(3, _ROW_METRICS[name])
+        decides = []
+        for x in points:
+            before = len(decided)
+            metric.factors(x.tolist(), metric)
+            decides.append(len(decided) > before)
+    with python_only() if loop == "python" else contextlib.nullcontext():
+        compiled = native.library() is not None
+        g, g_declined, g_failed = metric.rows(points, ["g"])
+        ginv, declined, failed = metric.rows(points, ["ginv"],
+                                             skip=SingularMetric)
+        both_g, both_ginv, *masks = metric.rows(points, ["g", "ginv"],
+                                                skip=SingularMetric)
+    assert declined.tolist() == g_declined.tolist() == (
+        decides if compiled else [True] * len(points))
+    assert not g_failed.any() and declined[failed].all()
+    for k, x in enumerate(points):
+        assert np.array_equal(g[k], metric.value(x))
+        want, error = _outcome(metric.inverse, x)
+        assert failed[k] == (error is not None)
+        if error is None:
+            assert np.array_equal(ginv[k], want)
+        else:
+            assert np.isnan(ginv[k]).all()
+    assert [m.tolist() for m in masks] == [declined.tolist(),
+                                            failed.tolist()]
+    assert np.array_equal(both_g[~failed], g[~failed])
+    assert np.isnan(both_g[failed]).all()
+    assert np.array_equal(both_ginv, ginv, equal_nan=True)
+
+
+def _gradient_rows_outputs():
+    """``gradient_rows`` on a grid around the origin, f undefined for x2 <
+    -1, on three curved metrics, one singular for x1 <= -1."""
+    axis = np.linspace(-1.75, 1.75, 8)
+    points = np.stack(np.meshgrid(axis, axis, axis[::2]), -1).reshape(-1, 3)
+    f = ScalarField.parse("x1 + sqrt(x2 + 1) + x3^2", 3)
+    return [gradient_rows(MetricSpec.from_sources(3, sources), f, points,
+                          floor) for sources in (CRITERION_10, TURNS_SINGULAR,
+                                                 TRANSCENDENTAL)
+            for floor in (None, 0.5)]
+
+
+@pytest.fixture(scope="module")
+def compiled_gradient_rows(compiled):
+    return _gradient_rows_outputs()
+
+
+def test_gradient_rows_keep_their_bits_without_a_compiler(
+        compiled_gradient_rows, no_compiler):
+    outputs = _gradient_rows_outputs()
+    for got, want in zip(outputs, compiled_gradient_rows, strict=True):
+        for a, b in zip(got, want, strict=True):
+            np.testing.assert_array_equal(a, b)
+    bad = [out[3] for out in outputs]  # nan f, a singular g, a low gradient
+    assert all(mask.any() and not mask.all() for mask in bad)
+
+
+def test_a_curved_sweep_takes_its_shells_inverses_in_one_pass(compiled,
+                                                               count_calls):
+    """One repetition of perfbench's curved-sweep: g^-1 at the shell points
+    comes from the compiled row pass, not from MetricSpec.inverse at each
+    point (1,307 calls without it)."""
+    problem = harness.load_problem(dict(
+        name="curved-metric", dimension=3, metric=CRITERION_10,
+        potential="x3^2", magnetic=["0", "x3", "0"], f="x1 + x2/2",
+        center=[0.0, 0.0, 0.0], T=1.0, epsilons=[0.1, 0.01],
+        expected="unstable"))
+    with count_calls(MetricSpec, "inverse") as calls:
+        harness.detect_escape(harness.run_epsilon_sweep(problem, seed=1))
+    assert len(calls) <= 20
 
 
 def test_metric_entry_domain_error_names_entry_and_point():

@@ -180,3 +180,24 @@ def test_no_usable_directory_leaves_python_to_step(
     result = CliRunner().invoke(main, SWEEP)
     assert result.exit_code == 0 and result.stdout == python_bytes
     assert result.stderr == ""
+
+
+@pytest.mark.parametrize("failure", ["exits 1", "times out"])
+def test_a_failed_build_leaves_python_to_step(cache, tmp_path, monkeypatch,
+                                              failure):
+    """A ``cc`` that fails or times out builds nothing, in the cache or in
+    a temporary directory, and ``library`` gives None."""
+    if failure == "exits 1":
+        failing = tmp_path / "failing"
+        failing.mkdir()
+        (failing / "cc").write_text("#!/bin/sh\nexit 1\n")
+        (failing / "cc").chmod(0o755)
+        monkeypatch.setenv("PATH",
+                           f"{failing}{os.pathsep}{os.environ['PATH']}")
+    else:
+        def slow(args, **kwargs):
+            raise subprocess.TimeoutExpired(args, kwargs["timeout"])
+
+        monkeypatch.setattr(subprocess, "run", slow)
+    assert native.library.__wrapped__() is None
+    assert list(cache.dir.iterdir()) == [] and list(cache.tmp.iterdir()) == []
